@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -51,22 +51,17 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="paf-msm", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, help_):
+    def add(name, help_, cohort=True):
         p = sub.add_parser(name, help=help_)
+        if cohort:
+            p.add_argument("--input", required=True, help="cohort CSV path")
+            p.add_argument("--tie-policy", default="shift:0.001", help="reject or shift:<eps>")
         return p
 
-    def cohort_flags(p):
-        p.add_argument("--input", required=True, help="cohort CSV path")
-        p.add_argument("--tie-policy", default="shift:0.001", help="reject or shift:<eps>")
-
-    p = add("validate", "check a cohort file and report invariants")
-    cohort_flags(p)
-
-    p = add("summary", "tabulate exposure and outcome counts")
-    cohort_flags(p)
+    add("validate", "check a cohort file and report invariants")
+    add("summary", "tabulate exposure and outcome counts")
 
     p = add("estimate", "estimate a PAF curve")
-    cohort_flags(p)
     p.add_argument("--estimand", required=True, choices=sorted(ESTIMAND_ESTIMATORS))
     p.add_argument("--estimator", default="multistate", choices=["multistate", "naive", "ipw"])
     p.add_argument("--grid", default="jumps", choices=["days", "jumps"])
@@ -76,7 +71,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default=None, help="output directory (default stdout)")
 
     p = add("bootstrap", "PAF curve with percentile confidence bands")
-    cohort_flags(p)
     p.add_argument("--estimand", required=True, choices=sorted(ESTIMAND_ESTIMATORS))
     p.add_argument("--estimator", default="multistate", choices=["multistate", "naive", "ipw"])
     p.add_argument("--grid", default="days", choices=["days", "jumps"])
@@ -87,25 +81,23 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default=None)
 
     p = add("cox", "hazard ratios for the time-dependent exposure")
-    cohort_flags(p)
     p.add_argument("--outcome", default="death", choices=["death", "discharge"])
     p.add_argument("--covariates", default="")
     p.add_argument("--markov-test", action="store_true", help="test inf_time as a post-exposure covariate")
     p.add_argument("--out", default=None)
 
-    p = add("simulate", "draw a cohort from a hazard specification")
+    p = add("simulate", "draw a cohort from a hazard specification", cohort=False)
     p.add_argument("--spec", required=True, help="HazardSpec JSON path")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None)
 
-    p = add("oracle", "analytic model curves by quadrature")
+    p = add("oracle", "analytic model curves by quadrature", cohort=False)
     p.add_argument("--spec", required=True, help="HazardSpec JSON path")
     p.add_argument("--step", type=float, default=1.0, help="grid step in days")
     p.add_argument("--out", default=None)
 
-    p = add("check", "run the exact-equivalence suite on a cohort")
-    cohort_flags(p)
+    add("check", "run the exact-equivalence suite on a cohort")
     return parser
 
 
@@ -137,20 +129,15 @@ def _cmd_validate(args) -> int:
     cohort = _load_cohort(args)
     for diag in cohort.diagnostics:
         print(f"adjusted {diag.subject_id}: {diag.message}")
-    exposed = sum(1 for s in cohort.subjects if s.exposed)
-    print(f"ok: n={len(cohort)} exposed={exposed} horizon={cohort.horizon:g}")
+    print(f"ok: n={len(cohort)} exposed={cohort.exposed.sum()} horizon={cohort.horizon:g}")
     return _EXIT_OK
 
 
 def _cmd_summary(args) -> int:
     s = summarize(_load_cohort(args))
     print("field,value")
-    for name in (
-        "n", "exposed", "unexposed_deaths", "unexposed_discharges",
-        "unexposed_censored", "exposed_deaths", "exposed_discharges",
-        "exposed_censored", "person_days",
-    ):
-        print(f"{name},{getattr(s, name):g}")
+    for f in fields(s):
+        print(f"{f.name},{getattr(s, f.name):g}")
     return _EXIT_OK
 
 
@@ -203,16 +190,9 @@ def _cmd_bootstrap(args) -> int:
     )
     _emit(bands.to_csv(), args.out, f"{args.estimand}_{args.estimator}_bands.csv")
     if args.out is not None:
-        manifest = {
-            "subcommand": "bootstrap",
-            "input": args.input,
-            "tie_policy": args.tie_policy,
-            "estimand": args.estimand,
-            "estimator": args.estimator,
-            "B": args.B,
-            "seed": args.seed,
-            "covariates": list(_covariate_list(args)),
-        }
+        manifest = dict(subcommand="bootstrap", input=args.input, tie_policy=args.tie_policy,
+                        estimand=args.estimand, estimator=args.estimator, B=args.B,
+                        seed=args.seed, covariates=list(_covariate_list(args)))
         _emit(json.dumps(manifest, indent=2) + "\n", args.out, "manifest.json")
     return _EXIT_OK
 
@@ -266,13 +246,14 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_check(args) -> int:
     cohort = _load_cohort(args)
-    for s in cohort.subjects:
-        for value, label in ((s.inf_time, "inf_time"), (s.end_time, "end_time")):
-            if value is not None and value != int(value):
-                raise DataError(
-                    f"subject {s.id}: {label} {value:g} is not an integer day; "
-                    "the exact equivalences hold on integer-time cohorts"
-                )
+    times = np.column_stack([cohort.inf, cohort.end])
+    fractional = (times != np.trunc(times)) & ~np.isnan(times)
+    if fractional.any():  # the first subject, inf_time before end_time
+        i, j = np.unravel_index(np.argmax(fractional), times.shape)
+        raise DataError(
+            f"subject {cohort.ids[i]}: {('inf_time', 'end_time')[j]} {times[i, j]:g} "
+            "is not an integer day; the exact equivalences hold on integer-time cohorts"
+        )
     panel = discretize(cohort)  # rejects censored cohorts
     records = to_transitions(cohort)
     days = np.arange(1.0, panel.n_days + 1.0)
@@ -317,15 +298,9 @@ _COMMANDS = {
 def run(argv) -> int:
     parser = _build_parser()
     try:
-        threads = os.environ.get("PAF_MSM_THREADS")
-        if threads is not None and (not threads.isdigit() or int(threads) < 1):
-            raise _UsageError("PAF_MSM_THREADS must be a positive integer")
         args = parser.parse_args(argv)
         return _COMMANDS[args.subcommand](args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     except DataError as exc:

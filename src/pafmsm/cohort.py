@@ -2,7 +2,9 @@
 
 State coding for the six-state model: 0 admission, 1 exposed, 2 discharge
 without exposure, 3 death without exposure, 4 discharge after exposure,
-5 death after exposure.  Censoring is coded as ``CENSORED``.
+5 death after exposure.  Censoring is coded as ``CENSORED``.  A cohort is
+stored as per-subject columns; ``Subject`` objects and transition rows are
+views built on request at the input/output edges.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ import io
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -41,6 +46,9 @@ STATUSES = ("death", "discharge", "censored")
 STATUS_CENSORED, STATUS_DEATH, STATUS_DISCHARGE = 0, 1, 2
 _STATUS_CODE = {"censored": STATUS_CENSORED, "death": STATUS_DEATH, "discharge": STATUS_DISCHARGE}
 _STATUS_NAME = {v: k for k, v in _STATUS_CODE.items()}
+# EXIT_STATE[exposed, status code]: the state a subject's last interval ends in
+EXIT_STATE = np.array([[CENSORED, 3, 2], [CENSORED, 5, 4]])
+_ABSENT = object()  # the cell of a covariate that a subject does not have
 
 
 @dataclass(frozen=True)
@@ -56,8 +64,8 @@ class Subject:
     def validate(self):
         if self.end_status not in STATUSES:
             raise DataError(f"subject {self.id}: unknown status {self.end_status!r}")
-        if not self.end_time > 0:
-            raise DataError(f"subject {self.id}: end_time must be > 0")
+        if not 0 < self.end_time < math.inf:
+            raise DataError(f"subject {self.id}: end_time must be a finite number > 0")
         if self.inf_time is not None:
             if not 0 < self.inf_time < self.end_time:
                 raise DataError(
@@ -109,38 +117,121 @@ class Diagnostic:
     message: str
 
 
-@dataclass(frozen=True)
-class Cohort:
-    subjects: tuple[Subject, ...]
-    tie_policy: TiePolicy = TiePolicy.shift()
-    horizon: float = 0.0
-    diagnostics: tuple[Diagnostic, ...] = ()
+def _covariate_columns(dicts):
+    """Per-subject covariate dicts as name -> column, names in order of first use."""
+    names = dict.fromkeys(k for d in dicts for k in d)
+    return {name: _as_column([d.get(name, _ABSENT) for d in dicts]) for name in names}
 
-    def __post_init__(self):
-        subjects = tuple(self.subjects)
-        object.__setattr__(self, "subjects", subjects)
-        seen = set()
+
+def _as_column(values):
+    """float64 if every value is a float, else the values as given, ``_ABSENT`` where missing."""
+    if isinstance(values, np.ndarray) and values.dtype in (np.float64, object):
+        return values
+    values = list(values)
+    if all(isinstance(v, float) for v in values):
+        return np.array(values, dtype=float)
+    return np.fromiter(values, dtype=object, count=len(values))
+
+
+def covariate_column(columns, name, ids, numeric=False) -> np.ndarray:
+    """Covariate ``name`` (as float64 if ``numeric``); DataError naming the
+    first subject without it, or if a numeric covariate holds text."""
+    column = columns[name] if name in columns else np.full(len(ids), _ABSENT, dtype=object)
+    if column.dtype == object:
+        absent = column == _ABSENT
+        if absent.any():
+            raise DataError(f"subject {ids[np.argmax(absent)]} has no covariate {name!r}")
+        if numeric and not all(isinstance(v, (int, float)) for v in column.tolist()):
+            raise DataError(f"covariate {name!r} is not numeric; encode it first")
+    return column.astype(float) if numeric else column
+
+
+def _subjects(ids, inf, end, status, covariates):
+    names = list(covariates)
+    rows = zip(*(c.tolist() for c in covariates.values())) if names else repeat(())
+    return tuple(
+        Subject(sid, None if t != t else t, e, _STATUS_NAME.get(s, s),
+                {k: v for k, v in zip(names, covs) if v is not _ABSENT})
+        for sid, t, e, s, covs in zip(list(ids), inf.tolist(), end.tolist(), status.tolist(), rows)
+    )
+
+
+class Cohort:
+    """A validated cohort stored as per-subject columns.
+
+    ``Cohort(subjects, ...)`` builds it from :class:`Subject` objects and
+    :meth:`from_columns` from arrays; ``subjects`` is a view built on first
+    use.  The columns are read-only.
+    """
+
+    def __init__(self, subjects=(), tie_policy: TiePolicy = TiePolicy.shift(), horizon=0.0,
+                 diagnostics=()):
+        subjects = tuple(subjects)
         for s in subjects:
             s.validate()
-            if s.id in seen:
-                raise DataError(f"duplicate subject id {s.id!r}")
-            seen.add(s.id)
-        max_end = max((s.end_time for s in subjects), default=0.0)
-        horizon = self.horizon if self.horizon else max_end
-        if subjects and horizon < max_end:
+        self._set(
+            [s.id for s in subjects],
+            [math.nan if s.inf_time is None else s.inf_time for s in subjects],
+            [s.end_time for s in subjects],
+            [_STATUS_CODE[s.end_status] for s in subjects],
+            _covariate_columns([s.covariates for s in subjects]),
+            tie_policy, horizon, diagnostics,
+        )
+        self.__dict__["subjects"] = subjects
+
+    @classmethod
+    def from_columns(cls, ids, inf, end, status, covariates=None, *,
+                     tie_policy: TiePolicy = TiePolicy.shift(), horizon=0.0, diagnostics=()):
+        """Build from arrays: ``inf`` NaN for never exposed, ``status`` as STATUS_* codes."""
+        self = cls.__new__(cls)
+        self._set(ids, inf, end, status, covariates or {}, tie_policy, horizon, diagnostics)
+        return self
+
+    def _set(self, ids, inf, end, status, covariates, tie_policy, horizon, diagnostics):
+        # private read-only copies: views handed out cannot change the cohort
+        self.ids = np.fromiter(ids, dtype=object, count=len(ids))
+        self.inf, self.end = np.array(inf, dtype=float), np.array(end, dtype=float)
+        self.status = np.array(status, dtype=np.int64)
+        self.covariates = {k: np.array(_as_column(v)) for k, v in covariates.items()}
+        for column in (self.ids, self.inf, self.end, self.status, *self.covariates.values()):
+            column.flags.writeable = False
+        inf, end = self.inf, self.end
+        bad = ~np.isin(self.status, list(_STATUS_NAME)) | ~((end > 0) & np.isfinite(end))
+        bad |= self.exposed & ~((0 < inf) & (inf < end))
+        if bad.any():  # the first bad subject raises its own message
+            k = slice(np.argmax(bad), np.argmax(bad) + 1)
+            _subjects(self.ids[k], inf[k], end[k], self.status[k], {})[0].validate()
+        if len(set(self.ids.tolist())) < len(self):
+            repeated = np.ones(len(self), dtype=bool)
+            repeated[np.unique(self.ids, return_index=True)[1]] = False
+            raise DataError(f"duplicate subject id {self.ids[np.argmax(repeated)]!r}")
+        max_end = float(self.end.max()) if len(self) else 0.0
+        horizon = float(horizon) if horizon else max_end
+        if len(self) and not max_end <= horizon:
             raise DataError("horizon must be >= the largest end_time")
-        object.__setattr__(self, "horizon", float(horizon))
+        if not math.isfinite(horizon):
+            raise DataError("horizon must be finite")
+        self.tie_policy, self.horizon, self.diagnostics = tie_policy, horizon, tuple(diagnostics)
+
+    @cached_property
+    def subjects(self) -> tuple[Subject, ...]:
+        return _subjects(self.ids, self.inf, self.end, self.status, self.covariates)
+
+    @property
+    def exposed(self) -> np.ndarray:
+        return ~np.isnan(self.inf)
+
+    def subset(self, mask) -> "Cohort":
+        """The subjects selected by a boolean mask or index array, same horizon."""
+        covariates = {k: v[mask] for k, v in self.covariates.items()}
+        return Cohort.from_columns(self.ids[mask], self.inf[mask], self.end[mask], self.status[mask],
+                                   covariates, tie_policy=self.tie_policy, horizon=self.horizon)
 
     def __len__(self):
-        return len(self.subjects)
+        return self.end.size
 
     def covariate_names(self):
-        names = []
-        for s in self.subjects:
-            for k in s.covariates:
-                if k not in names:
-                    names.append(k)
-        return names
+        return list(self.covariates)
 
 
 @dataclass(frozen=True)
@@ -165,17 +256,19 @@ class TransitionRow:
     t_stop: float
 
 
-@dataclass(frozen=True)
 class TransitionRecords:
-    """Long-format counting-process view of a cohort."""
+    """Counting-process view of a cohort: its per-subject columns, which
+    ``subject_arrays`` returns as stored, and ``covariates`` as name -> column.
 
-    rows: tuple[TransitionRow, ...]
-    covariates: dict = field(default_factory=dict)  # subject_id -> covariate dict
+    ``rows``, one :class:`TransitionRow` per interval, is built on first use
+    for export.  Explicit rows (with ``covariates`` as subject id -> dict)
+    are validated as a chain per subject and the columns derived from them.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
+    def __init__(self, rows, covariates=None):
+        rows = tuple(rows)
         by_subject = {}
-        for r in self.rows:
+        for r in rows:
             if not r.t_start < r.t_stop:
                 raise DataError(f"subject {r.subject_id}: t_start must be < t_stop")
             if r.from_state == 0 and r.to_state not in (1, 2, 3, CENSORED):
@@ -183,6 +276,7 @@ class TransitionRecords:
             if r.from_state == 1 and r.to_state not in (4, 5, CENSORED):
                 raise DataError(f"subject {r.subject_id}: invalid transition 1->{r.to_state}")
             by_subject.setdefault(r.subject_id, []).append(r)
+        inf, end, status = [], [], []
         for sid, rs in by_subject.items():
             rs.sort(key=lambda r: r.t_start)
             if len(rs) == 1:
@@ -196,32 +290,40 @@ class TransitionRecords:
                     raise DataError(f"subject {sid}: chained rows must share the exposure time")
             else:
                 raise DataError(f"subject {sid}: more than two rows")
-        object.__setattr__(self, "_by_subject", by_subject)
+            inf.append(rs[0].t_stop if len(rs) == 2 else math.nan)
+            end.append(rs[-1].t_stop)
+            to = rs[-1].to_state
+            status.append(STATUS_CENSORED if to == CENSORED
+                          else STATUS_DEATH if to in (3, 5) else STATUS_DISCHARGE)
+        ids = list(by_subject)
+        self.ids = np.fromiter(ids, dtype=object, count=len(ids))
+        self.inf, self.end = np.array(inf, dtype=float), np.array(end, dtype=float)
+        self.status = np.array(status, dtype=np.int64)
+        self.covariates = _covariate_columns([(covariates or {}).get(sid, {}) for sid in ids])
+        self.__dict__["rows"] = rows
+
+    @classmethod
+    def from_arrays(cls, ids, inf, end, status, covariates=None) -> "TransitionRecords":
+        """A view of per-subject arrays as taken; no copy and no validation."""
+        self = cls.__new__(cls)
+        self.ids, self.inf, self.end, self.status = ids, inf, end, status
+        self.covariates = covariates if covariates is not None else {}
+        return self
 
     def subject_arrays(self):
         """Per-subject view: (ids, inf_time with NaN, end_time, status code)."""
-        ids, inf, end, status = [], [], [], []
-        for sid, rs in self._by_subject.items():
-            ids.append(sid)
-            if len(rs) == 2:
-                inf.append(rs[0].t_stop)
-                last = rs[1]
+        return self.ids, self.inf, self.end, self.status
+
+    @cached_property
+    def rows(self) -> tuple[TransitionRow, ...]:
+        out = []
+        for sid, t, e, s in zip(list(self.ids), self.inf.tolist(), self.end.tolist(), self.status.tolist()):
+            if t == t:
+                out.append(TransitionRow(sid, 0, 1, 0.0, t))
+                out.append(TransitionRow(sid, 1, int(EXIT_STATE[1, s]), t, e))
             else:
-                inf.append(math.nan)
-                last = rs[0]
-            end.append(last.t_stop)
-            if last.to_state == CENSORED:
-                status.append(STATUS_CENSORED)
-            elif last.to_state in (3, 5):
-                status.append(STATUS_DEATH)
-            else:
-                status.append(STATUS_DISCHARGE)
-        return (
-            list(ids),
-            np.array(inf, dtype=float),
-            np.array(end, dtype=float),
-            np.array(status, dtype=np.int64),
-        )
+                out.append(TransitionRow(sid, 0, int(EXIT_STATE[0, s]), 0.0, e))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -230,13 +332,14 @@ class DailyPanel:
 
     ``a[i, s-1]`` is 1 once inf_time <= s; ``eps[i, s-1]`` is 1 (death)
     or 2 (discharge) once end_time <= s.  Censored subjects are excluded
-    and listed in ``dropped``.
+    and listed in ``dropped``.  ``covariates`` maps name -> column over
+    the panel's subjects.
     """
 
     ids: tuple[str, ...]
     a: np.ndarray  # (n, m) uint8
     eps: np.ndarray  # (n, m) uint8
-    covariates: tuple[dict, ...]
+    covariates: dict
     dropped: tuple[str, ...] = ()
 
     @property
@@ -264,22 +367,49 @@ def _first_day(mask):
 
 
 def parse_cohort(source, tie_policy: TiePolicy = TiePolicy.shift(), horizon=None) -> Cohort:
-    """Read a cohort from CSV (``id,inf_time,end_time,end_status[,<covariate>...]``)."""
-    if isinstance(source, os.PathLike):
-        source = os.fspath(source)
+    """Read a cohort from CSV (``id,inf_time,end_time,end_status[,<covariate>...]``).
+
+    ``source`` is a path (``os.PathLike``, or a ``str`` without a newline),
+    CSV text (a ``str`` or ``bytes`` with a newline), or a file object.
+    """
     if isinstance(source, bytes):
         source = source.decode("utf-8")
-    if isinstance(source, str):
-        if "\n" not in source and "," not in source:  # a path, not CSV text
-            with open(source, "r", encoding="utf-8", newline="") as fh:
-                return _parse(fh, tie_policy, horizon)
-        return _parse(io.StringIO(source), tie_policy, horizon)
+    if isinstance(source, os.PathLike) or isinstance(source, str) and "\n" not in source:
+        with open(source, "r", encoding="utf-8", newline="") as fh:
+            return _parse(fh, tie_policy, horizon)
     if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        return _parse(io.StringIO(data), tie_policy, horizon)
+        source = source.read()
+        source = source.decode("utf-8") if isinstance(source, bytes) else source
+    if isinstance(source, str):
+        return _parse(io.StringIO(source), tie_policy, horizon)
     raise TypeError("source must be a path, text, bytes, or file object")
+
+
+def _is_number(text):
+    try:
+        return float(text) is not None
+    except ValueError:
+        return False
+
+
+def _stripped(cells):
+    """Stripped cells and the mask of blank ones."""
+    text = [c.strip() for c in cells]
+    return text, ~np.fromiter(map(bool, text), bool, len(text))
+
+
+def _text_column(cells):
+    """Stripped cells, their floats (NaN where blank or not a number), and
+    the masks of blank cells and of cells that read as numbers."""
+    text, blank = _stripped(cells)
+    values = np.full(len(text), math.nan)
+    try:
+        number = ~blank
+        values[number] = list(map(float, compress(text, number.tolist())))
+    except ValueError:
+        number = np.fromiter(map(_is_number, text), bool, len(text))
+        values[number] = list(map(float, compress(text, number.tolist())))
+    return text, values, blank, number
 
 
 def _parse(fh, tie_policy, horizon):
@@ -292,134 +422,95 @@ def _parse(fh, tie_policy, horizon):
     required = ["id", "inf_time", "end_time", "end_status"]
     if header[: len(required)] != required:
         raise ParseError(f"header must start with {','.join(required)}", row=1)
-    cov_names = header[len(required):]
+    width = len(header)
 
-    subjects = []
-    diagnostics = []
-    for lineno, raw in enumerate(reader, start=2):
-        if not raw or all(not f.strip() for f in raw):
-            continue
-        if len(raw) != len(header):
-            raise ParseError(f"expected {len(header)} fields, got {len(raw)}", row=lineno)
-        sid = raw[0].strip()
-        if not sid:
-            raise ParseError("empty id", row=lineno)
-        inf = _parse_time(raw[1], "inf_time", lineno, optional=True)
-        end = _parse_time(raw[2], "end_time", lineno)
-        status = raw[3].strip()
-        if status not in STATUSES:
-            raise ParseError(f"unknown status {status!r}", row=lineno)
-        if end <= 0:
-            raise ParseError("end_time must be positive", row=lineno)
-        if inf is not None:
-            if inf > end:
-                raise ParseError("inf_time > end_time", row=lineno)
-            if inf == end:
-                if tie_policy.kind == "reject":
-                    raise ParseError("inf_time == end_time (tie policy: reject)", row=lineno)
-                inf = end - tie_policy.eps
-                diagnostics.append(
-                    Diagnostic(sid, f"inf_time tied with end_time; shifted to {inf:g}")
-                )
-            if inf <= 0:
-                raise ParseError("inf_time must be positive", row=lineno)
-        covs = {}
-        for name, value in zip(cov_names, raw[len(required):]):
-            value = value.strip()
-            if value == "":
-                raise ParseError(f"missing value for covariate {name!r}", row=lineno)
-            try:
-                covs[name] = float(value)
-            except ValueError:
-                covs[name] = value
-        subjects.append(Subject(sid, inf, end, status, covs))
+    # record k is file row k + 2; rows with no non-blank cell are skipped
+    records = list(reader)
+    n = len(records)
+    lengths = np.fromiter(map(len, records), np.intp, n)
+    wrong_width = lengths != width
+    for k in np.flatnonzero(wrong_width):
+        wrong_width[k] = any(f.strip() for f in records[k])
+        records[k] = [""] * width
+    columns = [list(map(itemgetter(j), records)) for j in range(width)]
+    ids, no_id = _stripped(columns[0])
+    blank = no_id & ~wrong_width
+    for k in np.flatnonzero(blank):
+        blank[k] = not any(f.strip() for f in records[k])
+    keep = ~blank
+    inf_text, raw_inf, no_inf, inf_number = _text_column(columns[1])
+    end_text, end, no_end, end_number = _text_column(columns[2])
+    status_text, _ = _stripped(columns[3])
+    status = np.fromiter(map(_STATUS_CODE.get, status_text, repeat(-1)), np.int64, n)
+    exposed = ~no_inf
+    tied = exposed & (raw_inf == end)
+    inf = np.where(tied, end - tie_policy.eps, raw_inf) if tie_policy.kind == "shift" else raw_inf
+    covariates = {name: _text_column(cells) for name, cells in zip(header[4:], columns[4:])}
 
-    return Cohort(
-        tuple(subjects),
-        tie_policy=tie_policy,
-        horizon=horizon or 0.0,
-        diagnostics=tuple(diagnostics),
+    # one mask per check, in the order a row is checked; the first row
+    # that fails any check reports the first check it fails
+    checks = [
+        (wrong_width, lambda k: f"expected {width} fields, got {lengths[k]}"),
+        (no_id & ~blank, lambda k: "empty id"),
+        (exposed & ~inf_number, lambda k: f"bad inf_time {inf_text[k]!r}"),
+        (inf_number & ~np.isfinite(raw_inf), lambda k: f"non-finite inf_time {inf_text[k]!r}"),
+        (raw_inf < 0, lambda k: "negative inf_time"),
+        (no_end, lambda k: "missing end_time"),
+        (~no_end & ~end_number, lambda k: f"bad end_time {end_text[k]!r}"),
+        (end_number & ~np.isfinite(end), lambda k: f"non-finite end_time {end_text[k]!r}"),
+        (end < 0, lambda k: "negative end_time"),
+        (status < 0, lambda k: f"unknown status {status_text[k]!r}"),
+        (end <= 0, lambda k: "end_time must be positive"),
+        (raw_inf > end, lambda k: "inf_time > end_time"),
+        (tied & (tie_policy.kind == "reject"),
+         lambda k: "inf_time == end_time (tie policy: reject)"),
+        (inf <= 0, lambda k: "inf_time must be positive"),
+    ]
+    for name, (_, _, missing, _) in covariates.items():
+        checks.append((missing, lambda k, name=name: f"missing value for covariate {name!r}"))
+    masks = [m & keep for m, _ in checks]
+    hits = [(int(np.argmax(m)), j) for j, m in enumerate(masks) if m.any()]
+    if hits:
+        k, j = min(hits)
+        raise ParseError(checks[j][1](k), row=k + 2)
+
+    diagnostics = tuple(
+        Diagnostic(ids[k], f"inf_time tied with end_time; shifted to {inf[k]:g}")
+        for k in np.flatnonzero(tied & keep)
     )
-
-
-def _parse_time(text, name, lineno, optional=False):
-    text = text.strip()
-    if text == "":
-        if optional:
-            return None
-        raise ParseError(f"missing {name}", row=lineno)
-    try:
-        value = float(text)
-    except ValueError:
-        raise ParseError(f"bad {name} {text!r}", row=lineno) from None
-    if value < 0:
-        raise ParseError(f"negative {name}", row=lineno)
-    return value
+    columns = {}
+    for name, (text, values, _, number) in covariates.items():
+        if number[keep].all():
+            columns[name] = values[keep]
+        else:  # mixed: numbers as floats, the rest as text
+            cells = [v if ok else t for t, v, ok in zip(text, values.tolist(), number.tolist())]
+            columns[name] = np.fromiter(compress(cells, keep.tolist()), object, int(keep.sum()))
+    ids = list(compress(ids, keep.tolist()))
+    return Cohort.from_columns(
+        ids, inf[keep], end[keep], status[keep], columns,
+        tie_policy=tie_policy, horizon=horizon or 0.0, diagnostics=diagnostics,
+    )
 
 
 def summarize(cohort: Cohort) -> CohortSummary:
     """Exposure/outcome counts and total person-time."""
-    counts = {
-        (False, "death"): 0, (False, "discharge"): 0, (False, "censored"): 0,
-        (True, "death"): 0, (True, "discharge"): 0, (True, "censored"): 0,
-    }
-    person_days = 0.0
-    for s in cohort.subjects:
-        counts[(s.exposed, s.end_status)] += 1
-        person_days += s.end_time
-    exposed = sum(v for (e, _), v in counts.items() if e)
-    return CohortSummary(
-        n=len(cohort),
-        exposed=exposed,
-        unexposed_deaths=counts[(False, "death")],
-        unexposed_discharges=counts[(False, "discharge")],
-        unexposed_censored=counts[(False, "censored")],
-        exposed_deaths=counts[(True, "death")],
-        exposed_discharges=counts[(True, "discharge")],
-        exposed_censored=counts[(True, "censored")],
-        person_days=person_days,
-    )
-
-
-_TERMINAL_STATE = {
-    (False, "discharge"): 2,
-    (False, "death"): 3,
-    (True, "discharge"): 4,
-    (True, "death"): 5,
-}
+    counts = np.bincount(3 * cohort.exposed + cohort.status, minlength=6).tolist()
+    outcomes = {STATUS_DEATH: "deaths", STATUS_DISCHARGE: "discharges", STATUS_CENSORED: "censored"}
+    by_group = {f"{group}_{outcomes[code]}": counts[3 * exposed + code]
+                for exposed, group in enumerate(("unexposed", "exposed")) for code in outcomes}
+    return CohortSummary(n=len(cohort), exposed=sum(counts[3:]),
+                         person_days=float(cohort.end.sum()), **by_group)
 
 
 def to_transitions(cohort: Cohort) -> TransitionRecords:
-    """Reshape to the six-state counting-process representation."""
-    rows = []
-    covs = {}
-    for s in cohort.subjects:
-        covs[s.id] = dict(s.covariates)
-        if s.exposed:
-            rows.append(TransitionRow(s.id, 0, 1, 0.0, s.inf_time))
-            to = CENSORED if s.end_status == "censored" else _TERMINAL_STATE[(True, s.end_status)]
-            rows.append(TransitionRow(s.id, 1, to, s.inf_time, s.end_time))
-        else:
-            to = CENSORED if s.end_status == "censored" else _TERMINAL_STATE[(False, s.end_status)]
-            rows.append(TransitionRow(s.id, 0, to, 0.0, s.end_time))
-    return TransitionRecords(tuple(rows), covariates=covs)
+    """The six-state counting-process view of a cohort's columns."""
+    return TransitionRecords.from_arrays(cohort.ids, cohort.inf, cohort.end, cohort.status,
+                                         cohort.covariates)
 
 
 def subjects_from_transitions(records: TransitionRecords) -> list[Subject]:
     """Inverse of :func:`to_transitions`."""
-    ids, inf, end, status = records.subject_arrays()
-    out = []
-    for i, sid in enumerate(ids):
-        out.append(
-            Subject(
-                sid,
-                None if math.isnan(inf[i]) else float(inf[i]),
-                float(end[i]),
-                _STATUS_NAME[int(status[i])],
-                dict(records.covariates.get(sid, {})),
-            )
-        )
-    return out
+    return list(_subjects(*records.subject_arrays(), records.covariates))
 
 
 def discretize(cohort: Cohort, allow_drop: bool = False) -> DailyPanel:
@@ -429,44 +520,35 @@ def discretize(cohort: Cohort, allow_drop: bool = False) -> DailyPanel:
     discrete estimators; they are rejected unless ``allow_drop`` is set,
     in which case they are excluded and flagged.
     """
-    censored = [s.id for s in cohort.subjects if s.end_status == "censored"]
-    if censored and not allow_drop:
+    censored = cohort.status == STATUS_CENSORED
+    dropped = tuple(cohort.ids[censored])
+    if dropped and not allow_drop:
         raise DataError(
-            "censored subjects present (pass allow_drop to exclude them): "
-            + ", ".join(censored)
+            "censored subjects present (pass allow_drop to exclude them): " + ", ".join(dropped)
         )
-    kept = [s for s in cohort.subjects if s.end_status != "censored"]
+    kept = cohort.subset(~censored) if dropped else cohort
+    if not len(kept):
+        raise DataError("empty cohort")
     m = int(math.ceil(cohort.horizon))
-    n = len(kept)
-    a = np.zeros((n, m), dtype=np.uint8)
-    eps = np.zeros((n, m), dtype=np.uint8)
     days = np.arange(1, m + 1)
-    for i, s in enumerate(kept):
-        if s.exposed:
-            a[i] = days >= s.inf_time
-        code = STATUS_DEATH if s.end_status == "death" else STATUS_DISCHARGE
-        eps[i] = np.where(days >= s.end_time, code, 0)
-    return DailyPanel(
-        ids=tuple(s.id for s in kept),
-        a=a,
-        eps=eps,
-        covariates=tuple(dict(s.covariates) for s in kept),
-        dropped=tuple(censored),
-    )
+    # comparisons written straight into the uint8 panels: no (n, m) temporaries
+    a, eps = np.empty((2, len(kept), m), dtype=np.uint8)
+    np.greater_equal(days, kept.inf[:, None], out=a.view(bool))
+    np.greater_equal(days, kept.end[:, None], out=eps.view(bool))
+    eps *= kept.status.astype(np.uint8)[:, None]
+    return DailyPanel(ids=tuple(kept.ids), a=a, eps=eps, covariates=kept.covariates, dropped=dropped)
 
 
 def cohort_to_csv(cohort: Cohort) -> str:
     """Serialize a cohort in the same CSV format parse_cohort reads."""
-    names = cohort.covariate_names()
-    buf = io.StringIO()
-    buf.write("id,inf_time,end_time,end_status")
-    for name in names:
-        buf.write(f",{name}")
-    buf.write("\n")
-    for s in cohort.subjects:
-        inf = "" if s.inf_time is None else format(s.inf_time, ".12g")
-        buf.write(f"{s.id},{inf},{s.end_time:.12g},{s.end_status}")
-        for name in names:
-            buf.write(f",{s.covariates.get(name, '')}")
-        buf.write("\n")
-    return buf.getvalue()
+    columns = [
+        list(map(str, cohort.ids)),
+        ["" if t != t else format(t, ".12g") for t in cohort.inf.tolist()],
+        [format(e, ".12g") for e in cohort.end.tolist()],
+        [_STATUS_NAME[s] for s in cohort.status.tolist()],
+    ]
+    for column in cohort.covariates.values():
+        columns.append(["" if v is _ABSENT else f"{v}" for v in column.tolist()])
+    lines = [",".join(["id", "inf_time", "end_time", "end_status", *cohort.covariate_names()])]
+    lines += map(",".join, zip(*columns))
+    return "\n".join(lines) + "\n"

@@ -75,7 +75,7 @@ class OccupationCurves:
 
 def _subject_data(records: TransitionRecords):
     ids, inf, end, status = records.subject_arrays()
-    if not ids:
+    if len(ids) == 0:
         raise DataError("empty transition records")
     return ids, inf, end, status
 

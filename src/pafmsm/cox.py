@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohort import TransitionRecords
+from .cohort import EXIT_STATE, STATUS_DEATH, STATUS_DISCHARGE, TransitionRecords, covariate_column
 from .errors import ConvergenceError, DataError, SeparationError
 
 __all__ = ["CoxFit", "fit_cox_td", "markov_test"]
@@ -175,30 +175,22 @@ _OUTCOME_STATES = {"death": (3, 5), "discharge": (2, 4)}
 
 
 def _interval_arrays(records: TransitionRecords, extra_covariates):
-    start, stop, exposure, to_state, extras = [], [], [], [], []
-    for r in records.rows:
-        start.append(r.t_start)
-        stop.append(r.t_stop)
-        exposure.append(1.0 if r.from_state == 1 else 0.0)
-        to_state.append(r.to_state)
-        if extra_covariates:
-            covs = records.covariates.get(r.subject_id, {})
-            row = []
-            for name in extra_covariates:
-                if name not in covs:
-                    raise DataError(f"subject {r.subject_id} has no covariate {name!r}")
-                value = covs[name]
-                if not isinstance(value, (int, float)):
-                    raise DataError(f"covariate {name!r} is not numeric; encode it first")
-                row.append(float(value))
-            extras.append(row)
-    cols = [np.array(exposure)]
-    if extra_covariates:
-        cols.extend(np.array(extras).T)
+    """(start, stop, to_state, x) of the risk intervals in row order: each
+    subject's state-0 interval, then its state-1 interval if exposed."""
+    ids, inf, end, status = records.subject_arrays()
+    exposed = ~np.isnan(inf)
+    subject = np.repeat(np.arange(end.size), np.where(exposed, 2, 1))
+    after = np.zeros(subject.size, dtype=bool)  # the second interval of a subject
+    after[1:] = subject[1:] == subject[:-1]
+    inf, end, exposed, status = inf[subject], end[subject], exposed[subject], status[subject]
+    to_state = np.where(after | ~exposed, EXIT_STATE[after.astype(int), status], 1)
+    cols = [after.astype(float)]
+    for name in extra_covariates:
+        cols.append(covariate_column(records.covariates, name, ids, numeric=True)[subject])
     return (
-        np.array(start),
-        np.array(stop),
-        np.array(to_state),
+        np.where(after, inf, 0.0),
+        np.where(after | ~exposed, end, inf),
+        to_state,
         np.column_stack(cols),
     )
 
@@ -225,15 +217,15 @@ def markov_test(records: TransitionRecords, outcome: str = "death_after") -> Cox
     Under the Markov assumption the post-exposure hazards do not depend
     on when the exposure happened, so the coefficient should be null.
     """
-    targets = {"death_after": 5, "discharge_after": 4}
+    targets = {"death_after": STATUS_DEATH, "discharge_after": STATUS_DISCHARGE}
     if outcome not in targets:
         raise ValueError("outcome must be 'death_after' or 'discharge_after'")
-    rows = [r for r in records.rows if r.from_state == 1]
-    if not rows:
+    _, inf, end, status = records.subject_arrays()
+    exposed = ~np.isnan(inf)
+    if not exposed.any():
         raise DataError("no post-exposure intervals; nothing to test")
-    start = np.array([r.t_start for r in rows])
-    stop = np.array([r.t_stop for r in rows])
-    event = np.array([r.to_state == targets[outcome] for r in rows])
+    start, stop = inf[exposed], end[exposed]
+    event = status[exposed] == targets[outcome]
     x = start[:, None].copy()  # time of exposure acquisition
     beta, se, ll, it = _cox_engine(start, stop, event, x, ("inf_time",))
     return CoxFit(outcome, ("inf_time",), beta, se, ll, it, int(event.sum()))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohort import DailyPanel
+from .cohort import DailyPanel, covariate_column
 from .curves import StepCurve
 from .errors import ConvergenceError, DataError, PositivityError, SeparationError
 
@@ -108,17 +108,7 @@ def _logistic(z):
 
 
 def _covariate_matrix(panel: DailyPanel, names) -> np.ndarray:
-    cols = []
-    for name in names:
-        col = []
-        for covs in panel.covariates:
-            if name not in covs:
-                raise DataError(f"covariate {name!r} missing for some subject")
-            value = covs[name]
-            if not isinstance(value, (int, float)):
-                raise DataError(f"covariate {name!r} is not numeric; encode it first")
-            col.append(float(value))
-        cols.append(col)
+    cols = [covariate_column(panel.covariates, name, panel.ids, numeric=True) for name in names]
     if not cols:
         return np.empty((panel.n_subjects, 0))
     return np.array(cols).T
@@ -194,12 +184,15 @@ def fit_pooled_logistic(records: PersonDayRecords, covariate_names=None) -> Expo
             raise SeparationError(
                 f"singular information matrix; check covariates {names}"
             ) from None
-        # halve the step while the log-likelihood would decrease
+        # halve the step while the log-likelihood would decrease; relative
+        # slack as in the Cox fit: near the optimum a valid micro-step moves
+        # the log-likelihood by less than its own rounding
+        slack = 1e-12 * max(1.0, abs(loglik))
         scale = 1.0
         for _ in range(30):
             cand = beta + scale * step
             cand_ll = _bernoulli_loglik(x, y, cand)
-            if cand_ll >= loglik:
+            if cand_ll >= loglik - slack:
                 break
             scale /= 2.0
         beta = beta + scale * step

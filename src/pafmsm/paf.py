@@ -7,14 +7,21 @@ bands and stratified output.
 
 from __future__ import annotations
 
-import io
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cohort import Cohort, DailyPanel, STATUS_DEATH, discretize, to_transitions
+from .cohort import (
+    STATUS_DEATH,
+    Cohort,
+    DailyPanel,
+    TransitionRecords,
+    covariate_column,
+    discretize,
+    to_transitions,
+)
 from .continuous import cif_counterfactual, cpf_unexposed, overall_death_risk
 from .curves import StepCurve, union_grid
 from .discrete import (
@@ -114,12 +121,7 @@ class FourfoldTable:
 
     @property
     def total(self) -> int:
-        return (
-            self.exposed_cases
-            + self.exposed_noncases
-            + self.unexposed_cases
-            + self.unexposed_noncases
-        )
+        return self.cases + self.exposed_noncases + self.unexposed_noncases
 
     @property
     def cases(self) -> int:
@@ -128,16 +130,14 @@ class FourfoldTable:
 
 def fourfold_at(cohort: Cohort, t: float) -> FourfoldTable:
     """Classify every subject by exposure and death status at time t."""
-    counts = {(True, True): 0, (True, False): 0, (False, True): 0, (False, False): 0}
-    for s in cohort.subjects:
-        exposed = s.exposed and s.inf_time <= t
-        case = s.end_status == "death" and s.end_time <= t
-        counts[(exposed, case)] += 1
+    exposed = cohort.inf <= t  # NaN (never exposed) compares False
+    case = (cohort.status == STATUS_DEATH) & (cohort.end <= t)
+    counts = np.bincount(2 * exposed + case, minlength=4).tolist()
     return FourfoldTable(
-        exposed_cases=counts[(True, True)],
-        exposed_noncases=counts[(True, False)],
-        unexposed_cases=counts[(False, True)],
-        unexposed_noncases=counts[(False, False)],
+        exposed_cases=counts[3],
+        exposed_noncases=counts[2],
+        unexposed_cases=counts[1],
+        unexposed_noncases=counts[0],
     )
 
 
@@ -184,13 +184,21 @@ def estimate_paf(
         raise ValueError(f"unknown estimand {estimand!r}")
     if estimator not in ESTIMAND_ESTIMATORS[estimand]:
         raise ValueError(f"estimator {estimator!r} does not estimate {estimand}")
+    return _paf_from(estimand, estimator, covariates, *_inputs(cohort, estimator, allow_drop))
 
+
+def _inputs(cohort: Cohort, estimator, allow_drop):
+    """What the estimator reads: (counting-process records, None) or (None, daily panel)."""
     if estimator == "multistate":
-        records = to_transitions(cohort)
+        return to_transitions(cohort), None
+    return None, discretize(cohort, allow_drop=allow_drop)
+
+
+def _paf_from(estimand, estimator, covariates, records, panel) -> PafCurve:
+    if estimator == "multistate":
         overall = overall_death_risk(records)
         other = cpf_unexposed(records) if estimand == "paf_o" else cif_counterfactual(records)
     else:
-        panel = discretize(cohort, allow_drop=allow_drop)
         overall = _death_proportion(panel)
         if estimator == "naive":
             other = naive_f01(panel)
@@ -219,70 +227,25 @@ class CurveWithBands:
     seed: int
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("t,estimate,lower,upper,defined\n")
+        def fmt(v):
+            return "" if not np.isfinite(v) else format(v, ".12g")
+
         grid = self.lower.times
-        est = np.atleast_1d(self.estimate(grid))
-        for j, t in enumerate(grid):
-            lo, hi = self.lower.values[j], self.upper.values[j]
-            defined = int(np.isfinite(lo) and np.isfinite(hi))
-
-            def fmt(v):
-                return "" if not np.isfinite(v) else format(v, ".12g")
-
-            buf.write(f"{t:.12g},{fmt(est[j])},{fmt(lo)},{fmt(hi)},{defined}\n")
-        return buf.getvalue()
+        rows = zip(grid, np.atleast_1d(self.estimate(grid)), self.lower.values, self.upper.values)
+        return "t,estimate,lower,upper,defined\n" + "".join(
+            f"{t:.12g},{fmt(e)},{fmt(lo)},{fmt(hi)},{int(np.isfinite(lo) and np.isfinite(hi))}\n"
+            for t, e, lo, hi in rows
+        )
 
 
-class _ResampledRecords:
-    """Array-backed stand-in for TransitionRecords in tight bootstrap loops."""
-
-    __slots__ = ("_ids", "_inf", "_end", "_status")
-
-    def __init__(self, ids, inf, end, status):
-        self._ids = ids
-        self._inf = inf
-        self._end = end
-        self._status = status
-
-    def subject_arrays(self):
-        return self._ids, self._inf, self._end, self._status
-
-
-class _ResampledPanel:
-    """Array-backed stand-in for DailyPanel in tight bootstrap loops."""
-
-    __slots__ = ("ids", "a", "eps", "covariates", "dropped", "n_subjects", "n_days", "_exp", "_term")
-
-    def __init__(self, panel: DailyPanel, idx):
-        self.ids = panel.ids
-        self.a = panel.a[idx]
-        self.eps = panel.eps[idx]
-        self.covariates = tuple(panel.covariates[i] for i in idx)
-        self.dropped = panel.dropped
-        self.n_subjects = idx.size
-        self.n_days = panel.n_days
-        self._exp = panel.exposure_day()[idx]
-        self._term = panel.terminal_day()[idx]
-
-    def exposure_day(self):
-        return self._exp
-
-    def terminal_day(self):
-        return self._term
-
-
-def _replicate_curve(estimand, estimator, covariates, records_arrays, panel, idx):
-    if estimator == "multistate":
-        inf, end, status = records_arrays
-        rec = _ResampledRecords(range(idx.size), inf[idx], end[idx], status[idx])
-        overall = overall_death_risk(rec)
-        other = cpf_unexposed(rec) if estimand == "paf_o" else cif_counterfactual(rec)
-    else:
-        sub = _ResampledPanel(panel, idx)
-        overall = _death_proportion(sub)
-        other = naive_f01(sub) if estimator == "naive" else ipw_f01(sub, _panel_weights(sub, covariates))
-    return _ratio(overall, other, estimand, estimator)
+def _resample(records, panel, idx):
+    """The estimator input of one bootstrap replicate: rows ``idx`` of the original."""
+    if panel is None:
+        ids, inf, end, status = records.subject_arrays()
+        return TransitionRecords.from_arrays(ids[idx], inf[idx], end[idx], status[idx]), None
+    # ids stay the source panel's: they only label exports
+    covs = {name: column[idx] for name, column in panel.covariates.items()}
+    return None, DailyPanel(panel.ids, panel.a[idx], panel.eps[idx], covs, panel.dropped)
 
 
 def bootstrap_ci(
@@ -308,22 +271,15 @@ def bootstrap_ci(
         grid = np.arange(1.0, math.ceil(cohort.horizon) + 1.0)
     grid = np.asarray(grid, dtype=float)
 
-    n = len(cohort)
-    if estimator == "multistate":
-        _, inf, end, status = to_transitions(cohort).subject_arrays()
-        records_arrays = (np.asarray(inf), np.asarray(end), np.asarray(status))
-        panel = None
-    else:
-        records_arrays = None
-        panel = discretize(cohort, allow_drop=allow_drop)
-        n = panel.n_subjects
+    records, panel = _inputs(cohort, estimator, allow_drop)
+    n = len(cohort) if panel is None else panel.n_subjects
 
     streams = np.random.SeedSequence(seed).spawn(B)
     est = np.full((B, grid.size), np.nan)
     for r in range(B):
         idx = np.random.default_rng(streams[r]).integers(0, n, size=n)
         try:
-            curve = _replicate_curve(estimand, estimator, covariates, records_arrays, panel, idx)
+            curve = _paf_from(estimand, estimator, covariates, *_resample(records, panel, idx))
         except NumericalError:
             continue  # replicate contributes an undefined row
         est[r] = curve(grid)
@@ -352,13 +308,8 @@ def stratified_paf(
     estimator: str = "multistate",
 ) -> dict:
     """One PafCurve per level of a categorical baseline covariate."""
-    levels = {}
-    for s in cohort.subjects:
-        if covariate_name not in s.covariates:
-            raise DataError(f"subject {s.id} has no covariate {covariate_name!r}")
-        levels.setdefault(s.covariates[covariate_name], []).append(s)
-    out = {}
-    for level, subjects in sorted(levels.items(), key=lambda kv: str(kv[0])):
-        sub = Cohort(tuple(subjects), tie_policy=cohort.tie_policy, horizon=cohort.horizon)
-        out[level] = estimate_paf(sub, estimand, estimator)
-    return out
+    column = covariate_column(cohort.covariates, covariate_name, cohort.ids)
+    nan = column != column  # NaN values form one stratum
+    levels = sorted(dict.fromkeys(math.nan if v != v else v for v in column.tolist()), key=str)
+    strata = {level: nan if level != level else column == level for level in levels}
+    return {level: estimate_paf(cohort.subset(m), estimand, estimator) for level, m in strata.items()}

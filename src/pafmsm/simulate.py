@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cohort import Cohort, Subject
+from .cohort import Cohort
 from .curves import StepCurve
 from .errors import DataError, NumericalError
 
@@ -302,17 +302,13 @@ def simulate_cohort(spec: HazardSpec, n: int, seed: int) -> Cohort:
     else:
         horizon = spec.tau
 
-    names = {1: "death", 2: "discharge", 0: "censored"}
-    subjects = tuple(
-        Subject(
-            str(i),
-            None if not exposed[i] else float(inf_time[i]),
-            float(end_time[i]),
-            names[int(status[i])],
-        )
-        for i in range(n)
+    return Cohort.from_columns(
+        [str(i) for i in range(n)],
+        np.where(exposed, inf_time, np.nan),
+        end_time,
+        status,
+        horizon=max(horizon, float(end_time.max())),
     )
-    return Cohort(subjects, horizon=max(horizon, float(end_time.max())))
 
 
 def _cum_from_table(knots, cum_at_knots, rates, t):

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from pafmsm import Cohort, cohort_to_csv
+import pafmsm
+from pafmsm import cohort_to_csv
 from pafmsm.cli import run
 
 from conftest import integer_cohort
@@ -148,8 +153,51 @@ def test_oracle_csv(spec_file, capsys):
         assert name in header
 
 
-def test_threads_env_var_validated(cohort_file, monkeypatch, capsys):
-    monkeypatch.setenv("PAF_MSM_THREADS", "zero")
-    assert run(["summary", "--input", cohort_file]) == 1
-    monkeypatch.setenv("PAF_MSM_THREADS", "2")
-    assert run(["summary", "--input", cohort_file]) == 0
+NON_FINITE = "id,inf_time,end_time,end_status\np0,,5,death\np1,,inf,death\n"
+
+
+def test_validate_rejects_non_finite_times(tmp_path, capsys):
+    path = tmp_path / "inf.csv"
+    path.write_text(NON_FINITE)
+    assert run(["validate", "--input", str(path)]) == 2
+    assert "row 3" in capsys.readouterr().err
+
+
+def test_ipw_on_non_finite_times_is_data_error(tmp_path, capsys):
+    path = tmp_path / "inf.csv"
+    path.write_text(NON_FINITE)
+    assert run(["estimate", "--input", str(path), "--estimand", "paf_c", "--estimator", "ipw"]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def test_input_path_with_a_comma(cohort_file, tmp_path, capsys):
+    path = tmp_path / "a,b" / "c.csv"
+    path.parent.mkdir()
+    path.write_text(open(cohort_file).read())
+    assert run(["validate", "--input", str(path)]) == 0
+    assert "ok: n=150" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("estimand, estimator", [("paf_c", "ipw"), ("paf_o", "naive")])
+def test_empty_cohort_is_data_error(tmp_path, capsys, estimand, estimator):
+    path = tmp_path / "empty.csv"
+    path.write_text("id,inf_time,end_time,end_status\n")
+    args = ["estimate", "--input", str(path), "--estimand", estimand, "--estimator", estimator]
+    assert run(args) == 2
+    assert "data error: empty cohort" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli(cohort_file):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "pafmsm", "validate", "--input", cohort_file],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("ok: n=150")
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert pafmsm.__version__ == tomllib.load(fh)["project"]["version"]

@@ -8,6 +8,7 @@ from pafmsm import (
     ParseError,
     Subject,
     TiePolicy,
+    TransitionRecords,
     cohort_to_csv,
     discretize,
     parse_cohort,
@@ -15,6 +16,7 @@ from pafmsm import (
     summarize,
     to_transitions,
 )
+from pafmsm.cohort import TransitionRow
 
 CSV = """id,inf_time,end_time,end_status
 A,,5,death
@@ -140,3 +142,109 @@ def test_subject_validation():
         Subject("A", 0.0, 5.0, "death").validate()
     with pytest.raises(DataError):
         Subject("A", None, 5.0, "vanished").validate()
+
+
+def test_subject_validation_rejects_non_finite_times():
+    with pytest.raises(DataError, match="finite"):
+        Subject("A", None, float("inf"), "death").validate()
+    with pytest.raises(DataError):
+        Subject("A", float("nan"), 5.0, "death").validate()
+
+
+@pytest.mark.parametrize("row", ["B,,inf,death", "B,nan,5,death", "B,-inf,5,death"])
+def test_parse_rejects_non_finite_times_with_row(row):
+    text = f"id,inf_time,end_time,end_status\nA,,5,death\n{row}\n"
+    with pytest.raises(ParseError, match="row 3: non-finite"):
+        parse_cohort(text)
+
+
+def test_parse_reads_a_path_that_contains_a_comma(tmp_path):
+    p = tmp_path / "a,b.csv"
+    p.write_text(CSV)
+    assert len(parse_cohort(str(p))) == 3
+
+
+def test_parse_reports_the_first_bad_row_and_its_first_fault():
+    text = (
+        "id,inf_time,end_time,end_status,sex\n"
+        "A,,5,death,f\n"
+        "B,x,-1,gone,\n"  # every cell of this row is wrong
+        "C,,,death,\n"
+    )
+    with pytest.raises(ParseError, match="^row 3: bad inf_time 'x'$"):
+        parse_cohort(text)
+    with pytest.raises(ParseError, match="^row 3: expected 4 fields, got 3$"):
+        parse_cohort("id,inf_time,end_time,end_status\nA,,5,death\nB,,4\n")
+
+
+def test_parse_skips_blank_rows_but_counts_them():
+    text = "id,inf_time,end_time,end_status\n\n , \nA,,5,death\n,,,\n"
+    assert len(parse_cohort(text)) == 1
+    with pytest.raises(ParseError, match="row 4: inf_time > end_time"):
+        parse_cohort("id,inf_time,end_time,end_status\n\n,,,\nA,9,5,death\n")
+
+
+def test_parse_builds_columns():
+    cohort = parse_cohort(
+        "id,inf_time,end_time,end_status,age\nA,,5,death,70\nB,2,7,discharge,old\nC,,3,censored,3\n"
+    )
+    assert list(cohort.ids) == ["A", "B", "C"]
+    np.testing.assert_array_equal(cohort.inf, [np.nan, 2.0, np.nan])
+    np.testing.assert_array_equal(cohort.end, [5.0, 7.0, 3.0])
+    np.testing.assert_array_equal(cohort.status, [1, 2, 0])
+    assert [s.covariates for s in cohort.subjects] == [{"age": 70.0}, {"age": "old"}, {"age": 3.0}]
+    with pytest.raises(ValueError):
+        cohort.end[0] = 1.0  # the columns are read-only
+
+
+def test_transitions_share_the_cohort_columns():
+    cohort = parse_cohort(CSV)
+    ids, inf, end, status = to_transitions(cohort).subject_arrays()
+    assert inf is cohort.inf and end is cohort.end and status is cohort.status
+
+
+def test_explicit_transition_rows_are_validated():
+    rows = to_transitions(parse_cohort(CSV)).rows
+    again = TransitionRecords(rows)
+    for got, want in zip(again.subject_arrays(), to_transitions(parse_cohort(CSV)).subject_arrays()):
+        np.testing.assert_array_equal(got, want)
+    with pytest.raises(DataError, match="chain"):
+        TransitionRecords([rows[1], TransitionRow("B", 1, 4, 3.0, 7.0)])
+    with pytest.raises(DataError, match="t_start"):
+        TransitionRecords([TransitionRow("A", 0, 3, 5.0, 5.0)])
+
+
+def test_subjects_view_round_trips_uneven_covariates():
+    subjects = (Subject("A", None, 5.0, "death", {"x": 1.0}), Subject("B", 2.0, 7.0, "censored"),
+                Subject("C", None, 3.0, "discharge", {"x": 2, "site": "n"}))
+    cohort = Cohort(subjects)
+    rebuilt = Cohort.from_columns(cohort.ids, cohort.inf, cohort.end, cohort.status,
+                                  cohort.covariates)
+    assert rebuilt.subjects == subjects
+    assert cohort_to_csv(rebuilt).splitlines()[1:] == ["A,,5,death,1.0,", "B,2,7,censored,,",
+                                                       "C,,3,discharge,2,n"]
+    with pytest.raises(DataError, match="subject B: inf_time"):
+        Cohort.from_columns(["A", "B"], [np.nan, 9.0], [5.0, 7.0], [1, 1])
+    with pytest.raises(DataError, match="duplicate subject id 'A'"):
+        Cohort.from_columns(["A", "A"], [np.nan, np.nan], [5.0, 7.0], [1, 1])
+
+
+def test_discretize_matches_a_per_subject_fill():
+    from conftest import integer_cohort
+
+    cohort = integer_cohort(5, n=300, censored=True)
+    panel = discretize(cohort, allow_drop=True)
+    kept = [s for s in cohort.subjects if s.end_status != "censored"]
+    days = np.arange(1, panel.n_days + 1)
+    a = np.array([days >= (s.inf_time if s.exposed else np.inf) for s in kept], dtype=np.uint8)
+    codes = {"death": 1, "discharge": 2}
+    eps = np.array([np.where(days >= s.end_time, codes[s.end_status], 0) for s in kept], dtype=np.uint8)
+    assert panel.a.dtype == np.uint8 and panel.eps.dtype == np.uint8
+    np.testing.assert_array_equal(panel.a, a)
+    np.testing.assert_array_equal(panel.eps, eps)
+    assert panel.ids == tuple(s.id for s in kept)
+
+
+def test_discretize_rejects_an_empty_cohort():
+    with pytest.raises(DataError, match="empty cohort"):
+        discretize(parse_cohort("id,inf_time,end_time,end_status\n"))

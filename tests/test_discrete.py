@@ -12,9 +12,11 @@ from pafmsm import (
     discretize,
     expand_person_days,
     fit_pooled_logistic,
+    icu_like_spec,
     ipw_f01,
     naive_f01,
     nonparametric_daily_hazard,
+    simulate_cohort,
     to_transitions,
 )
 
@@ -140,3 +142,17 @@ def test_weight_table_shape_checked():
     weights = compute_weights(other, nonparametric_daily_hazard(other))
     with pytest.raises(DataError):
         ipw_f01(panel, weights)
+
+
+def test_pooled_logistic_converges_where_the_likelihood_is_flat():
+    # near this fit's optimum a Newton step changes the log-likelihood
+    # (about -2e3) by less than its rounding; without a relative slack the
+    # step-halving rejects every step and the fit stops after 100 iterations
+    drawn = simulate_cohort(icu_like_spec(round_days=True), 2000, 2)
+    rng = np.random.default_rng(3)
+    subjects = tuple(
+        Subject(s.id, s.inf_time, s.end_time, s.end_status, {"x": float(rng.integers(0, 2))})
+        for s in drawn.subjects if s.end_status != "censored"
+    )
+    model = fit_pooled_logistic(expand_person_days(discretize(Cohort(subjects)), ("x",)))
+    assert model.iterations < 20

@@ -10,6 +10,7 @@ from pafmsm import (
     estimate_paf,
     fourfold_at,
     paf_fixed,
+    parse_cohort,
     preventable_count,
     stratified_paf,
 )
@@ -161,3 +162,13 @@ def test_stratified_duplicated_strata_are_identical():
 def test_stratified_missing_covariate():
     with pytest.raises(DataError, match="covariate"):
         stratified_paf(TWO, "site", "paf_o")
+
+
+def test_stratified_groups_nan_levels_into_one_stratum():
+    cohort = parse_cohort(
+        "id,inf_time,end_time,end_status,site\n"
+        "A,,5,death,a\nB,,4,death,nan\nC,2,6,death,a\nD,,3,discharge,nan\n"
+    )
+    strata = stratified_paf(cohort, "site", "paf_o")
+    assert [str(k) for k in strata] == ["a", "nan"]
+    np.testing.assert_array_equal(strata["a"].times, [2.0, 5.0, 6.0])
