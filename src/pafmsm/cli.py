@@ -192,7 +192,8 @@ def _cmd_bootstrap(args) -> int:
     if args.out is not None:
         manifest = dict(subcommand="bootstrap", input=args.input, tie_policy=args.tie_policy,
                         estimand=args.estimand, estimator=args.estimator, B=args.B,
-                        seed=args.seed, covariates=list(_covariate_list(args)))
+                        seed=args.seed, covariates=list(_covariate_list(args)),
+                        failed_replicates=bands.failed)
         _emit(json.dumps(manifest, indent=2) + "\n", args.out, "manifest.json")
     return _EXIT_OK
 

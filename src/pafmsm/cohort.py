@@ -282,6 +282,8 @@ class TransitionRecords:
             if len(rs) == 1:
                 if rs[0].from_state != 0:
                     raise DataError(f"subject {sid}: single row must start in state 0")
+                if rs[0].to_state == 1:
+                    raise DataError(f"subject {sid}: exposure row 0->1 has no follow-up row")
             elif len(rs) == 2:
                 first, second = rs
                 if not (first.from_state == 0 and first.to_state == 1 and second.from_state == 1):

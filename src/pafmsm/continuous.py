@@ -96,23 +96,86 @@ def _counts_at(ut, times, mask):
     return np.bincount(np.searchsorted(ut, sel), minlength=ut.size)
 
 
-def _aj_cif(times, codes, event_codes, target):
-    """Aalen-Johansen CIF of ``target`` in a competing-risks model.
+def _aj_cifs(times, codes, event_codes, targets, freq):
+    """Weighted Aalen-Johansen CIFs of a competing-risks model.
 
     ``codes`` holds per-subject event codes; anything outside
-    ``event_codes`` counts as censoring.  Returns the unique event grid,
-    the CIF and the all-cause survival left-limit on that grid.
+    ``event_codes`` counts as censoring.  ``freq`` is a (k x n) matrix of
+    integer subject counts, one weighting per row: a row of ones is the
+    sample itself and a bootstrap replicate counts how often each subject
+    was drawn.  Returns the unique grid of ``times``, one (k x T) CIF per
+    code in ``targets`` and the (k x T) all-cause survival after each time.
+
+    The counts are integers, held exactly as floats, so every row
+    reproduces the estimate computed on its resampled subjects.  A grid
+    time that a row never hits contributes an exact factor 1.0 and an
+    exact increment 0.0; after a row's last time its risk set is empty and
+    it is divided by 1 in place of 0, with zero events, so its curves stay
+    frozen.
     """
-    ut = np.unique(times)
-    idx, total, y = _grid_counts(times, ut)
-    dn_event = np.zeros(ut.size, dtype=np.int64)
-    for c in event_codes:
-        dn_event += np.bincount(idx[codes == c], minlength=ut.size)
-    dn_target = np.bincount(idx[codes == target], minlength=ut.size)
-    s_after = np.cumprod(1.0 - dn_event / y)
-    s_minus = np.concatenate(([1.0], s_after[:-1]))
-    cif = np.cumsum(s_minus * dn_target / y)
-    return ut, cif, s_minus, s_after
+    order = np.argsort(times, kind="stable")
+    t = times[order]
+    starts = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))
+    w = freq[:, order].astype(float)
+    c = codes[order]
+
+    def counts(mask):
+        return np.add.reduceat(w * mask, starts, axis=1)
+
+    at_or_after = np.cumsum(np.add.reduceat(w, starts, axis=1)[:, ::-1], axis=1)[:, ::-1]
+    y = np.maximum(at_or_after, 1.0)
+    s_after = np.cumprod(1.0 - counts(np.isin(c, event_codes)) / y, axis=1)
+    s_minus = np.concatenate((np.ones((w.shape[0], 1)), s_after[:, :-1]), axis=1)
+    cifs = [np.cumsum(s_minus * counts(c == target) / y, axis=1) for target in targets]
+    return t[starts], cifs, s_after
+
+
+def overall_death_risk_rows(inf, end, status, freq):
+    """Weighted rows of :func:`overall_death_risk`: (grid, values, survival)."""
+    events = (STATUS_DEATH, STATUS_DISCHARGE)
+    ut, (cif,), s_after = _aj_cifs(end, status, events, (STATUS_DEATH,), freq)
+    return ut, cif, s_after
+
+
+_EXPOSURE = 9  # event code for 0->1 in the three-state reduction
+
+
+def cpf_unexposed_rows(inf, end, status, freq):
+    """Weighted rows of :func:`cpf_unexposed`, NaN where undefined."""
+    exposed = ~np.isnan(inf)
+    times = np.where(exposed, inf, end)
+    codes = np.where(exposed, _EXPOSURE, status)
+    events = (_EXPOSURE, STATUS_DEATH, STATUS_DISCHARGE)
+    ut, (cif_death, cif_exposure), s_after = _aj_cifs(
+        times, codes, events, (STATUS_DEATH, _EXPOSURE), freq
+    )
+    denom = 1.0 - cif_exposure
+    undefined = denom <= _DENOM_TOL
+    values = np.where(undefined, np.nan, cif_death / np.where(undefined, 1.0, denom))
+    return ut, values, s_after
+
+
+def cif_counterfactual_rows(inf, end, status, freq):
+    """Weighted rows of :func:`cif_counterfactual`."""
+    exposed = ~np.isnan(inf)
+    times = np.where(exposed, inf, end)
+    codes = np.where(exposed, STATUS_CENSORED, status)
+    events = (STATUS_DEATH, STATUS_DISCHARGE)
+    ut, (cif,), s_after = _aj_cifs(times, codes, events, (STATUS_DEATH,), freq)
+    return ut, cif, s_after
+
+
+def _sample_curve(records, rows) -> StepCurve:
+    """The curve of ``rows`` on the sample itself, a single row of ones."""
+    _, inf, end, status = _subject_data(records)
+    ut, values, s_after = rows(inf, end, status, np.ones((1, end.size), dtype=np.int64))
+    values = values[0]
+    undefined = np.isnan(values)
+    return StepCurve(
+        ut, values, initial=0.0,
+        undefined_from=float(ut[undefined.argmax()]) if undefined.any() else None,
+        truncated_from=_truncation(ut, s_after[0]),
+    )
 
 
 def overall_death_risk(records: TransitionRecords) -> StepCurve:
@@ -121,32 +184,12 @@ def overall_death_risk(records: TransitionRecords) -> StepCurve:
     Death and discharge are pooled across exposure status, so the Markov
     assumption is never used.
     """
-    _, _, end, status = _subject_data(records)
-    ut, cif, _, s_after = _aj_cif(end, status, (STATUS_DEATH, STATUS_DISCHARGE), STATUS_DEATH)
-    return StepCurve(ut, cif, initial=0.0, truncated_from=_truncation(ut, s_after))
-
-
-_EXPOSURE = 9  # event code for 0->1 in the three-state reduction
+    return _sample_curve(records, overall_death_risk_rows)
 
 
 def cpf_unexposed(records: TransitionRecords) -> StepCurve:
     """P(death by t | still unexposed at t), via the three-state reduction."""
-    _, inf, end, status = _subject_data(records)
-    exposed = ~np.isnan(inf)
-    times = np.where(exposed, inf, end)
-    codes = np.where(exposed, _EXPOSURE, status)
-    events = (_EXPOSURE, STATUS_DEATH, STATUS_DISCHARGE)
-    ut, cif_death, _, s_after = _aj_cif(times, codes, events, STATUS_DEATH)
-    _, cif_exposure, _, _ = _aj_cif(times, codes, events, _EXPOSURE)
-    denom = 1.0 - cif_exposure
-    undefined = denom <= _DENOM_TOL
-    values = np.where(undefined, np.nan, cif_death / np.where(undefined, 1.0, denom))
-    undefined_from = float(ut[undefined.argmax()]) if undefined.any() else None
-    return StepCurve(
-        ut, values, initial=0.0,
-        undefined_from=undefined_from,
-        truncated_from=_truncation(ut, s_after),
-    )
+    return _sample_curve(records, cpf_unexposed_rows)
 
 
 def cif_counterfactual(records: TransitionRecords) -> StepCurve:
@@ -155,12 +198,7 @@ def cif_counterfactual(records: TransitionRecords) -> StepCurve:
     Exposure transitions are recoded as censorings at the exposure time;
     the result estimates the death risk of the no-exposure path.
     """
-    _, inf, end, status = _subject_data(records)
-    exposed = ~np.isnan(inf)
-    times = np.where(exposed, inf, end)
-    codes = np.where(exposed, STATUS_CENSORED, status)
-    ut, cif, _, s_after = _aj_cif(times, codes, (STATUS_DEATH, STATUS_DISCHARGE), STATUS_DEATH)
-    return StepCurve(ut, cif, initial=0.0, truncated_from=_truncation(ut, s_after))
+    return _sample_curve(records, cif_counterfactual_rows)
 
 
 def _truncation(ut, s_after):

@@ -17,12 +17,18 @@ from .cohort import (
     STATUS_DEATH,
     Cohort,
     DailyPanel,
-    TransitionRecords,
     covariate_column,
     discretize,
     to_transitions,
 )
-from .continuous import cif_counterfactual, cpf_unexposed, overall_death_risk
+from .continuous import (
+    cif_counterfactual,
+    cif_counterfactual_rows,
+    cpf_unexposed,
+    cpf_unexposed_rows,
+    overall_death_risk,
+    overall_death_risk_rows,
+)
 from .curves import StepCurve, union_grid
 from .discrete import (
     compute_weights,
@@ -81,12 +87,15 @@ class PafCurve:
         return self.curve.to_csv()
 
 
+def _paf_values(pd, q):
+    """(pd - q) / pd where both are finite and pd > 0; NaN elsewhere."""
+    defined = np.isfinite(pd) & np.isfinite(q) & (pd > _DENOM_TOL)
+    return np.where(defined, (pd - q) / np.where(defined, pd, 1.0), np.nan)
+
+
 def _ratio(overall: StepCurve, subtracted: StepCurve, estimand, estimator) -> PafCurve:
     grid = union_grid(overall, subtracted)
-    pd = np.atleast_1d(overall(grid))
-    q = np.atleast_1d(subtracted(grid))
-    defined = np.isfinite(pd) & np.isfinite(q) & (pd > _DENOM_TOL)
-    values = np.where(defined, (pd - q) / np.where(defined, pd, 1.0), np.nan)
+    values = _paf_values(np.atleast_1d(overall(grid)), np.atleast_1d(subtracted(grid)))
     undef = [c.undefined_from for c in (overall, subtracted) if c.undefined_from is not None]
     return PafCurve(
         StepCurve(
@@ -180,11 +189,15 @@ def estimate_paf(
     covariates selects a pooled logistic exposure model for the IPW
     weights; without them the weights use the empirical daily hazard.
     """
+    _check_pair(estimand, estimator)
+    return _paf_from(estimand, estimator, covariates, *_inputs(cohort, estimator, allow_drop))
+
+
+def _check_pair(estimand, estimator):
     if estimand not in ESTIMAND_ESTIMATORS:
         raise ValueError(f"unknown estimand {estimand!r}")
     if estimator not in ESTIMAND_ESTIMATORS[estimand]:
         raise ValueError(f"estimator {estimator!r} does not estimate {estimand}")
-    return _paf_from(estimand, estimator, covariates, *_inputs(cohort, estimator, allow_drop))
 
 
 def _inputs(cohort: Cohort, estimator, allow_drop):
@@ -218,13 +231,18 @@ def _panel_weights(panel: DailyPanel, covariates):
 
 @dataclass(frozen=True)
 class CurveWithBands:
-    """Point estimate with pointwise percentile confidence bands."""
+    """Point estimate with pointwise percentile confidence bands.
+
+    ``failed`` counts the replicates whose estimator raised a
+    :class:`NumericalError`; each contributes an undefined row.
+    """
 
     estimate: StepCurve
     lower: StepCurve
     upper: StepCurve
     B: int
     seed: int
+    failed: int
 
     def to_csv(self) -> str:
         def fmt(v):
@@ -238,14 +256,48 @@ class CurveWithBands:
         )
 
 
-def _resample(records, panel, idx):
-    """The estimator input of one bootstrap replicate: rows ``idx`` of the original."""
-    if panel is None:
-        ids, inf, end, status = records.subject_arrays()
-        return TransitionRecords.from_arrays(ids[idx], inf[idx], end[idx], status[idx]), None
+def _resample(panel: DailyPanel, idx) -> DailyPanel:
+    """The daily panel of one bootstrap replicate: rows ``idx`` of the original."""
     # ids stay the source panel's: they only label exports
     covs = {name: column[idx] for name, column in panel.covariates.items()}
-    return None, DailyPanel(panel.ids, panel.a[idx], panel.eps[idx], covs, panel.dropped)
+    return DailyPanel(panel.ids, panel.a[idx], panel.eps[idx], covs, panel.dropped)
+
+
+# Multistate replicates are computed in blocks of at most this many
+# (replicate x subject) cells, so that memory grows with n + B * len(grid)
+# and not with B * n.
+_BLOCK_CELLS = 1 << 17
+
+_SUBTRACTED_ROWS = {"paf_o": cpf_unexposed_rows, "paf_c": cif_counterfactual_rows}
+
+
+def _on_grid(ut, rows, grid):
+    """Evaluate (k x T) step-curve rows, 0 before ``ut[0]``, at ``grid``."""
+    cols = np.searchsorted(ut, grid, side="right") - 1
+    return np.where(cols < 0, 0.0, rows[:, np.maximum(cols, 0)])
+
+
+def _multistate_replicates(records, estimand, streams, grid):
+    """PAF of every replicate on ``grid``, one row per stream.
+
+    A replicate is the vector of how often each subject was drawn; the
+    weighted Aalen-Johansen rows then give exactly the curves of the
+    resampled cohorts, in blocks of replicates.
+    """
+    _, inf, end, status = records.subject_arrays()
+    n = end.size
+    block = max(1, _BLOCK_CELLS // n)
+    subtracted = _SUBTRACTED_ROWS[estimand]
+    est = np.empty((len(streams), grid.size))
+    for first in range(0, len(streams), block):
+        part = streams[first:first + block]
+        draws = [np.random.default_rng(s).integers(0, n, size=n) for s in part]
+        cells = (np.arange(len(part)) * n).repeat(n) + np.concatenate(draws)
+        freq = np.bincount(cells, minlength=len(part) * n).reshape(len(part), n)
+        pd = _on_grid(*overall_death_risk_rows(inf, end, status, freq)[:2], grid)
+        q = _on_grid(*subtracted(inf, end, status, freq)[:2], grid)
+        est[first:first + len(part)] = _paf_values(pd, q)
+    return est
 
 
 def bootstrap_ci(
@@ -260,29 +312,37 @@ def bootstrap_ci(
 ) -> CurveWithBands:
     """Pointwise 95% percentile band from B subject-level resamples.
 
-    Replicate r draws from a stream spawned from (seed, r), so results
-    are reproducible and independent of execution order.  Grid points
-    where more than half the replicates are undefined get no band.
+    Replicate r resamples the subjects with
+    ``default_rng(SeedSequence(seed).spawn(B)[r]).integers(0, n, size=n)``,
+    so results are reproducible and independent of execution order.
+    Multistate replicates are evaluated together as count weights; the
+    panel estimators refit each resampled panel.  Grid points where more
+    than half the replicates are undefined get no band.
     """
     if B < 2:
         raise DataError("B must be >= 2")
-    point = estimate_paf(cohort, estimand, estimator, covariates, allow_drop)
+    _check_pair(estimand, estimator)
+    records, panel = _inputs(cohort, estimator, allow_drop)
+    point = _paf_from(estimand, estimator, covariates, records, panel)
     if grid is None:
         grid = np.arange(1.0, math.ceil(cohort.horizon) + 1.0)
     grid = np.asarray(grid, dtype=float)
 
-    records, panel = _inputs(cohort, estimator, allow_drop)
-    n = len(cohort) if panel is None else panel.n_subjects
-
     streams = np.random.SeedSequence(seed).spawn(B)
-    est = np.full((B, grid.size), np.nan)
-    for r in range(B):
-        idx = np.random.default_rng(streams[r]).integers(0, n, size=n)
-        try:
-            curve = _paf_from(estimand, estimator, covariates, *_resample(records, panel, idx))
-        except NumericalError:
-            continue  # replicate contributes an undefined row
-        est[r] = curve(grid)
+    failed = 0
+    if panel is None:
+        est = _multistate_replicates(records, estimand, streams, grid)
+    else:
+        n = panel.n_subjects
+        est = np.full((B, grid.size), np.nan)
+        for r in range(B):
+            idx = np.random.default_rng(streams[r]).integers(0, n, size=n)
+            try:
+                curve = _paf_from(estimand, estimator, covariates, None, _resample(panel, idx))
+            except NumericalError:
+                failed += 1  # the replicate contributes an undefined row
+                continue
+            est[r] = curve(grid)
 
     defined_frac = np.isfinite(est).mean(axis=0)
     with warnings.catch_warnings():
@@ -298,6 +358,7 @@ def bootstrap_ci(
         upper=StepCurve(grid, hi, initial=np.nan),
         B=B,
         seed=seed,
+        failed=failed,
     )
 
 

@@ -100,6 +100,7 @@ def test_bootstrap_manifest_written(cohort_file, tmp_path):
                 "--B", "20", "--seed", "1", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["B"] == 20 and manifest["seed"] == 1
+    assert manifest["failed_replicates"] == 0
     assert (out / "paf_o_multistate_bands.csv").exists()
 
 

@@ -214,6 +214,12 @@ def test_explicit_transition_rows_are_validated():
         TransitionRecords([TransitionRow("A", 0, 3, 5.0, 5.0)])
 
 
+def test_lone_exposure_row_is_rejected():
+    # without a 1->... row the subject would read as discharged and never exposed
+    with pytest.raises(DataError, match="subject A: exposure row 0->1 has no follow-up row"):
+        TransitionRecords([TransitionRow("A", 0, 1, 0.0, 3.0)])
+
+
 def test_subjects_view_round_trips_uneven_covariates():
     subjects = (Subject("A", None, 5.0, "death", {"x": 1.0}), Subject("B", 2.0, 7.0, "censored"),
                 Subject("C", None, 3.0, "discharge", {"x": 2, "site": "n"}))

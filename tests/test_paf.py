@@ -5,6 +5,8 @@ from pafmsm import (
     Cohort,
     DataError,
     FourfoldTable,
+    HazardSpec,
+    PositivityError,
     Subject,
     bootstrap_ci,
     estimate_paf,
@@ -12,8 +14,11 @@ from pafmsm import (
     paf_fixed,
     parse_cohort,
     preventable_count,
+    simulate_cohort,
     stratified_paf,
+    to_transitions,
 )
+from pafmsm import paf as paf_module
 
 from conftest import integer_cohort
 
@@ -130,6 +135,72 @@ def test_bootstrap_undefined_majority_blanks_the_band():
     assert np.isnan(bands.lower(1.0))
     assert bands.lower(3.0) == 0.0
     assert "1,,,,0" in bands.to_csv()
+
+
+def _loop_replicates(cohort, estimand, B, seed, grid):
+    """The per-replicate definition: estimate_paf on the drawn rows of each stream."""
+    n = len(cohort)
+    rows = []
+    for stream in np.random.SeedSequence(seed).spawn(B):
+        idx = np.random.default_rng(stream).integers(0, n, size=n)
+        drawn = Cohort.from_columns([str(i) for i in range(n)], cohort.inf[idx], cohort.end[idx],
+                                    cohort.status[idx], horizon=cohort.horizon)
+        rows.append(estimate_paf(drawn, estimand)(grid))
+    return np.array(rows)
+
+
+ENGINE_COHORTS = {
+    "tied_days_censored": integer_cohort(8, n=80, censored=True),
+    "continuous_censored": simulate_cohort(
+        HazardSpec.constant(0.05, 0.05, 0.02, 0.05, 0.03, tau=30.0), 120, seed=4),
+    # nobody dies before day 3: PAF is undefined there in every replicate
+    "no_early_deaths": Cohort(tuple(Subject(str(i), None, 3.0, "death") for i in range(12)),
+                              horizon=4),
+    # everybody is exposed on day 1: the CPF is undefined from there on
+    "all_exposed": Cohort(tuple(Subject(str(i), 1.0, 2.0 + i % 3, "death" if i % 2 else "discharge")
+                                for i in range(9)), horizon=5),
+}
+
+
+@pytest.mark.parametrize("estimand", ["paf_o", "paf_c"])
+@pytest.mark.parametrize("name", list(ENGINE_COHORTS))
+def test_count_weight_replicates_equal_the_per_replicate_estimates(name, estimand):
+    cohort = ENGINE_COHORTS[name]
+    grid = np.concatenate(([0.5], np.arange(1.0, cohort.horizon + 2.0)))
+    streams = np.random.SeedSequence(6).spawn(40)
+    got = paf_module._multistate_replicates(to_transitions(cohort), estimand, streams, grid)
+    assert np.array_equal(got, _loop_replicates(cohort, estimand, 40, 6, grid), equal_nan=True)
+
+
+@pytest.mark.parametrize("cells", [7, 250])
+def test_replicate_blocks_do_not_change_the_bands(monkeypatch, cells):
+    cohort = ENGINE_COHORTS["tied_days_censored"]
+    whole = bootstrap_ci(cohort, "paf_c", B=40, seed=3)
+    monkeypatch.setattr(paf_module, "_BLOCK_CELLS", cells)  # blocks of 1 and of 3 replicates
+    blocked = bootstrap_ci(cohort, "paf_c", B=40, seed=3)
+    assert np.array_equal(blocked.lower.values, whole.lower.values, equal_nan=True)
+    assert np.array_equal(blocked.upper.values, whole.upper.values, equal_nan=True)
+
+
+@pytest.mark.parametrize("failing", [9, 11])
+def test_bootstrap_counts_failed_replicates(monkeypatch, failing):
+    calls = []
+    ipw_f01 = paf_module.ipw_f01
+
+    def flaky(panel, weights):
+        calls.append(None)
+        if 1 < len(calls) <= failing + 1:  # the first call is the point estimate
+            raise PositivityError("weight unbounded")
+        return ipw_f01(panel, weights)
+
+    monkeypatch.setattr(paf_module, "ipw_f01", flaky)
+    bands = bootstrap_ci(integer_cohort(8, n=80), "paf_c", "ipw", B=20, seed=1,
+                         grid=np.array([20.0, 40.0]))
+    assert bands.failed == failing
+    if failing > 10:  # fewer than half the replicates are defined anywhere
+        assert np.isnan(bands.lower.values).all() and np.isnan(bands.upper.values).all()
+    else:
+        assert np.isfinite(bands.lower.values).all() and np.isfinite(bands.upper.values).all()
 
 
 def test_bootstrap_rejects_tiny_b():
