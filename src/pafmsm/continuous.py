@@ -96,15 +96,17 @@ def _counts_at(ut, times, mask):
     return np.bincount(np.searchsorted(ut, sel), minlength=ut.size)
 
 
-def _aj_cifs(times, codes, event_codes, targets, freq):
+def _aj_sweep(times, codes, event_codes, targets, combine=lambda cif: cif):
     """Weighted Aalen-Johansen CIFs of a competing-risks model.
 
     ``codes`` holds per-subject event codes; anything outside
-    ``event_codes`` counts as censoring.  ``freq`` is a (k x n) matrix of
-    integer subject counts, one weighting per row: a row of ones is the
-    sample itself and a bootstrap replicate counts how often each subject
-    was drawn.  Returns the unique grid of ``times``, one (k x T) CIF per
-    code in ``targets`` and the (k x T) all-cause survival after each time.
+    ``event_codes`` counts as censoring.  The subjects are sorted by time
+    once; the returned function takes a (k x n) matrix of integer subject
+    counts, one weighting per row: a row of ones is the sample itself and
+    a bootstrap replicate counts how often each subject was drawn.  It
+    returns the unique grid of ``times``, ``combine`` applied to the
+    (k x T) CIFs of the codes in ``targets``, and the (k x T) all-cause
+    survival after each time.
 
     The counts are integers, held exactly as floats, so every row
     reproduces the estimate computed on its resampled subjects.  A grid
@@ -116,59 +118,67 @@ def _aj_cifs(times, codes, event_codes, targets, freq):
     order = np.argsort(times, kind="stable")
     t = times[order]
     starts = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))
-    w = freq[:, order].astype(float)
     c = codes[order]
+    is_event = np.isin(c, event_codes)
+    is_target = [c == target for target in targets]
 
-    def counts(mask):
-        return np.add.reduceat(w * mask, starts, axis=1)
+    def sweep(freq):
+        w = freq[:, order].astype(float)
 
-    at_or_after = np.cumsum(np.add.reduceat(w, starts, axis=1)[:, ::-1], axis=1)[:, ::-1]
-    y = np.maximum(at_or_after, 1.0)
-    s_after = np.cumprod(1.0 - counts(np.isin(c, event_codes)) / y, axis=1)
-    s_minus = np.concatenate((np.ones((w.shape[0], 1)), s_after[:, :-1]), axis=1)
-    cifs = [np.cumsum(s_minus * counts(c == target) / y, axis=1) for target in targets]
-    return t[starts], cifs, s_after
+        def counts(mask):
+            return np.add.reduceat(w * mask, starts, axis=1)
+
+        at_or_after = np.cumsum(np.add.reduceat(w, starts, axis=1)[:, ::-1], axis=1)[:, ::-1]
+        y = np.maximum(at_or_after, 1.0)
+        s_after = np.cumprod(1.0 - counts(is_event) / y, axis=1)
+        s_minus = np.concatenate((np.ones((w.shape[0], 1)), s_after[:, :-1]), axis=1)
+        cifs = [np.cumsum(s_minus * counts(mask) / y, axis=1) for mask in is_target]
+        return t[starts], combine(*cifs), s_after
+
+    return sweep
 
 
-def overall_death_risk_rows(inf, end, status, freq):
-    """Weighted rows of :func:`overall_death_risk`: (grid, values, survival)."""
-    events = (STATUS_DEATH, STATUS_DISCHARGE)
-    ut, (cif,), s_after = _aj_cifs(end, status, events, (STATUS_DEATH,), freq)
-    return ut, cif, s_after
+# Each *_rows function sorts one sample's subjects once and returns its
+# estimator as a function of a (k x n) count matrix, with the result
+# (grid, k value rows, k survival rows).
+
+
+def overall_death_risk_rows(inf, end, status):
+    """Weighted rows of :func:`overall_death_risk`."""
+    return _aj_sweep(end, status, (STATUS_DEATH, STATUS_DISCHARGE), (STATUS_DEATH,))
 
 
 _EXPOSURE = 9  # event code for 0->1 in the three-state reduction
 
 
-def cpf_unexposed_rows(inf, end, status, freq):
+def _conditional(cif_death, cif_exposure):
+    """P(death by t | unexposed at t), NaN where nobody is left unexposed."""
+    denom = 1.0 - cif_exposure
+    undefined = denom <= _DENOM_TOL
+    return np.where(undefined, np.nan, cif_death / np.where(undefined, 1.0, denom))
+
+
+def cpf_unexposed_rows(inf, end, status):
     """Weighted rows of :func:`cpf_unexposed`, NaN where undefined."""
     exposed = ~np.isnan(inf)
     times = np.where(exposed, inf, end)
     codes = np.where(exposed, _EXPOSURE, status)
     events = (_EXPOSURE, STATUS_DEATH, STATUS_DISCHARGE)
-    ut, (cif_death, cif_exposure), s_after = _aj_cifs(
-        times, codes, events, (STATUS_DEATH, _EXPOSURE), freq
-    )
-    denom = 1.0 - cif_exposure
-    undefined = denom <= _DENOM_TOL
-    values = np.where(undefined, np.nan, cif_death / np.where(undefined, 1.0, denom))
-    return ut, values, s_after
+    return _aj_sweep(times, codes, events, (STATUS_DEATH, _EXPOSURE), _conditional)
 
 
-def cif_counterfactual_rows(inf, end, status, freq):
+def cif_counterfactual_rows(inf, end, status):
     """Weighted rows of :func:`cif_counterfactual`."""
     exposed = ~np.isnan(inf)
     times = np.where(exposed, inf, end)
     codes = np.where(exposed, STATUS_CENSORED, status)
-    events = (STATUS_DEATH, STATUS_DISCHARGE)
-    ut, (cif,), s_after = _aj_cifs(times, codes, events, (STATUS_DEATH,), freq)
-    return ut, cif, s_after
+    return _aj_sweep(times, codes, (STATUS_DEATH, STATUS_DISCHARGE), (STATUS_DEATH,))
 
 
 def _sample_curve(records, rows) -> StepCurve:
     """The curve of ``rows`` on the sample itself, a single row of ones."""
     _, inf, end, status = _subject_data(records)
-    ut, values, s_after = rows(inf, end, status, np.ones((1, end.size), dtype=np.int64))
+    ut, values, s_after = rows(inf, end, status)(np.ones((1, end.size), dtype=np.int64))
     values = values[0]
     undefined = np.isnan(values)
     return StepCurve(

@@ -21,14 +21,8 @@ from .cohort import (
     discretize,
     to_transitions,
 )
-from .continuous import (
-    cif_counterfactual,
-    cif_counterfactual_rows,
-    cpf_unexposed,
-    cpf_unexposed_rows,
-    overall_death_risk,
-    overall_death_risk_rows,
-)
+from . import continuous
+from .continuous import overall_death_risk, overall_death_risk_rows
 from .curves import StepCurve, union_grid
 from .discrete import (
     compute_weights,
@@ -61,6 +55,14 @@ _DENOM_TOL = 1e-12
 ESTIMAND_ESTIMATORS = {
     "paf_o": ("multistate", "naive"),
     "paf_c": ("multistate", "ipw"),
+}
+
+# The multistate curve each estimand subtracts from P(death by t): the
+# names in .continuous of its point estimator and of its weighted rows.
+# Both are looked up there at call time, so a patched attribute is used.
+_SUBTRACTED = {
+    "paf_o": ("cpf_unexposed", "cpf_unexposed_rows"),
+    "paf_c": ("cif_counterfactual", "cif_counterfactual_rows"),
 }
 
 
@@ -210,7 +212,7 @@ def _inputs(cohort: Cohort, estimator, allow_drop):
 def _paf_from(estimand, estimator, covariates, records, panel) -> PafCurve:
     if estimator == "multistate":
         overall = overall_death_risk(records)
-        other = cpf_unexposed(records) if estimand == "paf_o" else cif_counterfactual(records)
+        other = getattr(continuous, _SUBTRACTED[estimand][0])(records)
     else:
         overall = _death_proportion(panel)
         if estimator == "naive":
@@ -268,8 +270,6 @@ def _resample(panel: DailyPanel, idx) -> DailyPanel:
 # and not with B * n.
 _BLOCK_CELLS = 1 << 17
 
-_SUBTRACTED_ROWS = {"paf_o": cpf_unexposed_rows, "paf_c": cif_counterfactual_rows}
-
 
 def _on_grid(ut, rows, grid):
     """Evaluate (k x T) step-curve rows, 0 before ``ut[0]``, at ``grid``."""
@@ -287,15 +287,16 @@ def _multistate_replicates(records, estimand, streams, grid):
     _, inf, end, status = records.subject_arrays()
     n = end.size
     block = max(1, _BLOCK_CELLS // n)
-    subtracted = _SUBTRACTED_ROWS[estimand]
+    overall = overall_death_risk_rows(inf, end, status)
+    subtracted = getattr(continuous, _SUBTRACTED[estimand][1])(inf, end, status)
     est = np.empty((len(streams), grid.size))
     for first in range(0, len(streams), block):
         part = streams[first:first + block]
         draws = [np.random.default_rng(s).integers(0, n, size=n) for s in part]
         cells = (np.arange(len(part)) * n).repeat(n) + np.concatenate(draws)
         freq = np.bincount(cells, minlength=len(part) * n).reshape(len(part), n)
-        pd = _on_grid(*overall_death_risk_rows(inf, end, status, freq)[:2], grid)
-        q = _on_grid(*subtracted(inf, end, status, freq)[:2], grid)
+        pd = _on_grid(*overall(freq)[:2], grid)
+        q = _on_grid(*subtracted(freq)[:2], grid)
         est[first:first + len(part)] = _paf_values(pd, q)
     return est
 
