@@ -1,7 +1,7 @@
 """Monte-Carlo check of the estimators against exact model curves.
 
 A large cohort is drawn from constant cause-specific hazards, where
-every transition probability has a closed-form or quadrature answer.
+every transition probability has an exact answer.
 The nonparametric estimators should approach those answers at the
 sqrt(n) rate; at n = 50 000 the sup-distance is a fraction of a percent.
 """

@@ -92,7 +92,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None)
 
-    p = add("oracle", "analytic model curves by quadrature", cohort=False)
+    p = add("oracle", "exact analytic model curves", cohort=False)
     p.add_argument("--spec", required=True, help="HazardSpec JSON path")
     p.add_argument("--step", type=float, default=1.0, help="grid step in days")
     p.add_argument("--out", default=None)
@@ -178,12 +178,11 @@ def _cmd_bootstrap(args) -> int:
     if args.B < 2:
         raise _UsageError("--B must be >= 2")
     cohort = _load_cohort(args)
-    if args.grid == "days":
-        grid = np.arange(1.0, math.ceil(cohort.horizon) + 1.0)
+    # the panel estimators' curves step on exactly the days
+    if args.grid == "jumps" and args.estimator == "multistate":
+        grid = estimate_paf(cohort, args.estimand, args.estimator).times
     else:
-        grid = estimate_paf(cohort, args.estimand, args.estimator,
-                            covariates=_covariate_list(args),
-                            allow_drop=args.allow_drop_censored).times
+        grid = np.arange(1.0, math.ceil(cohort.horizon) + 1.0)
     bands = bootstrap_ci(
         cohort, args.estimand, args.estimator, B=args.B, seed=args.seed,
         grid=grid, covariates=_covariate_list(args), allow_drop=args.allow_drop_censored,

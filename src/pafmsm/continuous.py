@@ -338,12 +338,12 @@ def kaplan_meier(times, event_flags) -> StepCurve:
     return StepCurve(ut, np.cumprod(1.0 - dn / y), initial=1.0)
 
 
-_TRANSITION_TO_STATE = {(0, 1): None, (0, 2): None, (0, 3): None, (1, 4): None, (1, 5): None}
+_TRANSITIONS = frozenset({(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)})
 
 
 def nelson_aalen(records: TransitionRecords, k: int, l: int) -> HazardIncrements:
     """Increments of the cause-specific hazard for the k -> l transition."""
-    if (k, l) not in _TRANSITION_TO_STATE:
+    if (k, l) not in _TRANSITIONS:
         raise ValueError(f"no {k}->{l} transition in the six-state model")
     _, inf, end, status = _subject_data(records)
     exposed = ~np.isnan(inf)
@@ -370,6 +370,4 @@ def nelson_aalen(records: TransitionRecords, k: int, l: int) -> HazardIncrements
             sorted_end1, ev_times, side="left"
         )
         dn = _counts_at(ev_times, end, mask)
-    if ev_times.size == 0:
-        return HazardIncrements(ev_times, dn.astype(float), y)
     return HazardIncrements(ev_times, dn.astype(float), y.astype(float))

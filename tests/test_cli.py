@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import pafmsm
-from pafmsm import cohort_to_csv
+from pafmsm import cohort_to_csv, discretize
 from pafmsm.cli import run
 
 from conftest import integer_cohort
@@ -152,6 +152,43 @@ def test_oracle_csv(spec_file, capsys):
     assert header[0] == "t"
     for name in ("p00", "p030", "overall_death", "cpf", "paf_o", "paf_c"):
         assert name in header
+
+
+@pytest.mark.parametrize("key, value", [
+    ("tau", float("inf")), ("tau", float("nan")),
+    ("censor_rate", float("nan")), ("censor_rate", float("inf")),
+    ("gamma", float("nan")), ("gamma", float("-inf")),
+])
+@pytest.mark.parametrize("command", [["oracle"], ["simulate", "--n", "10", "--seed", "1"]])
+def test_non_finite_spec_value_is_data_error(tmp_path, capsys, key, value, command):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(SPEC, **{key: value})))  # Infinity / NaN literals
+    assert run([command[0], "--spec", str(path), *command[1:]]) == 2
+    assert f"data error: {key} must be a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("estimand, estimator", [("paf_c", "ipw"), ("paf_o", "naive")])
+def test_bootstrap_jump_grid_of_a_panel_estimator_discretizes_once(
+    tmp_path, capsys, monkeypatch, estimand, estimator
+):
+    path = tmp_path / "censored.csv"
+    path.write_text(cohort_to_csv(integer_cohort(5, n=300, censored=True)))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return discretize(*args, **kwargs)
+
+    monkeypatch.setattr(pafmsm.paf, "discretize", counting)
+    outputs = {}
+    for grid in ("jumps", "days"):
+        args = ["bootstrap", "--input", str(path), "--estimand", estimand, "--estimator",
+                estimator, "--grid", grid, "--B", "20", "--seed", "3", "--allow-drop-censored"]
+        assert run(args) == 0
+        outputs[grid] = capsys.readouterr().out
+        assert len(calls) == 1
+        calls.clear()
+    assert outputs["jumps"] == outputs["days"]
 
 
 NON_FINITE = "id,inf_time,end_time,end_status\np0,,5,death\np1,,inf,death\n"

@@ -180,3 +180,77 @@ def test_brute_force_rejects_censoring():
     cohort = Cohort((Subject("A", None, 2.0, "censored"),), horizon=2)
     with pytest.raises(DataError):
         brute_force_estimates(cohort)
+
+
+def _constant_closed_form(a01, a02, a03, a14, a15, t):
+    a0, a1 = a01 + a02 + a03, a14 + a15
+    p00 = np.exp(-a0 * t)
+    p01 = a01 * (np.exp(-a1 * t) - p00) / (a0 - a1)
+    left_1 = a01 / a0 * (1.0 - p00) - p01  # exposed, then left state 1
+    p03 = a03 / a0 * (1.0 - p00)
+    p05 = a15 / a1 * left_1
+    p030 = a03 / (a02 + a03) * (1.0 - np.exp(-(a02 + a03) * t))
+    pd = p03 + p05
+    p02 = a02 / a0 * (1.0 - p00)
+    cpf = p03 / (p00 + p02 + p03)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        paf_o, paf_c = (pd - cpf) / pd, (pd - p030) / pd
+    return {
+        "p00": p00, "p01": p01, "p02": p02, "p03": p03, "p04": a14 / a1 * left_1,
+        "p05": p05, "p030": p030, "overall_death": pd, "cpf": cpf, "paf_o": paf_o, "paf_c": paf_c,
+    }
+
+
+def test_analytic_curves_equal_the_constant_hazard_closed_form():
+    t = np.append(np.linspace(0.0, 100.0, 201), 400.0)  # one long step: many squarings
+    oc = analytic_curves(CONST, t).as_dict()
+    want = _constant_closed_form(0.05, 0.05, 0.02, 0.05, 0.03, t)
+    assert set(oc) == set(want)
+    for name, curve in oc.items():
+        np.testing.assert_allclose(curve.values, want[name], rtol=0, atol=1e-12, err_msg=name)
+
+
+def _exit_integral(until, exit_rates, target_rates, t):
+    """int_0^t target(u) exp(-int_0^u exit) du, summed segment by segment."""
+    total, cum_exit = np.zeros_like(t), np.zeros_like(t)
+    start = 0.0
+    for end, q, r in zip(until, exit_rates, target_rates):
+        span = np.clip(t - start, 0.0, end - start)
+        total += r / q * np.exp(-cum_exit) * -np.expm1(-q * span)
+        cum_exit += q * span
+        start = end
+    return total, np.exp(-cum_exit)
+
+
+def test_analytic_curves_equal_exact_integrals_between_the_knots():
+    spec = icu_like_spec()
+    grid = np.array([0.0, 10.0, 20.0, 30.0, 60.0])  # skips the knots 7, 14 and 28
+    oc = analytic_curves(spec, grid)
+    until = np.array([7.0, 14.0, 28.0, np.inf])
+    a01, a02, a03 = (np.append(h.rates, h.rates[-1]) for h in (spec.alpha01, spec.alpha02, spec.alpha03))
+    a0 = a01 + a02 + a03
+    p02, p00 = _exit_integral(until, a0, a02, grid)
+    p03, _ = _exit_integral(until, a0, a03, grid)
+    p030, _ = _exit_integral(until, a02 + a03, a03, grid)
+    for curve, want in ((oc.p00, p00), (oc.p02, p02), (oc.p03, p03), (oc.p030, p030)):
+        np.testing.assert_allclose(curve.values, want, rtol=0, atol=1e-12)
+
+
+def test_analytic_exposed_branch_when_entry_and_exit_rates_coincide():
+    # a01 + a02 + a03 = a14 + a15 = a: the generator has a repeated
+    # eigenvalue, p01(t) = a01 t exp(-a t), and leaving state 1 by t has
+    # probability a01 ((1 - exp(-a t)) / a - t exp(-a t))
+    spec = HazardSpec.constant(0.05, 0.04, 0.03, 0.07, 0.05, tau=200.0)
+    t = np.linspace(0.0, 200.0, 401)
+    oc = analytic_curves(spec, t)
+    a = 0.12
+    np.testing.assert_allclose(oc.p01.values, 0.05 * t * np.exp(-a * t), rtol=0, atol=1e-12)
+    left_1 = 0.05 * (-np.expm1(-a * t) / a - t * np.exp(-a * t))
+    np.testing.assert_allclose(oc.p04.values, 0.07 / a * left_1, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(oc.p05.values, 0.05 / a * left_1, rtol=0, atol=1e-12)
+
+
+def test_analytic_rows_sum_to_one_exactly():
+    oc = analytic_curves(icu_like_spec(tau=300.0), np.linspace(0.0, 300.0, 301))
+    total = sum(c.values for c in (oc.p00, oc.p01, oc.p02, oc.p03, oc.p04, oc.p05))
+    np.testing.assert_allclose(total, 1.0, rtol=0, atol=1e-12)
