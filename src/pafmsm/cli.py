@@ -159,6 +159,8 @@ def _on_grid(curve: StepCurve, kind: str, horizon: float) -> StepCurve:
 
 def _cmd_estimate(args) -> int:
     _check_pair(args)
+    if args.at is not None and not math.isfinite(args.at):
+        raise _UsageError("--at must be a finite number")
     cohort = _load_cohort(args)
     paf = estimate_paf(
         cohort, args.estimand, args.estimator,
@@ -228,8 +230,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_oracle(args) -> int:
     spec = _read_spec(args.spec)
-    if args.step <= 0:
-        raise _UsageError("--step must be > 0")
+    if not (math.isfinite(args.step) and args.step > 0):
+        raise _UsageError("--step must be a finite number > 0")
     grid = np.arange(0.0, spec.tau + args.step / 2, args.step)
     oc = analytic_curves(spec, grid)
     curves = oc.as_dict()

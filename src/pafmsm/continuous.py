@@ -1,5 +1,9 @@
 """Nonparametric continuous-time estimators.
 
+The unweighted estimators read one exit table, built with one sort: the
+exits from state 0 (at the exposure time if exposed, else at the end)
+and from state 1, counted by kind on the distinct exit times.
+
 All estimators share the same tie convention: distinct subjects may share
 event times, ties are processed simultaneously, and risk sets are always
 evaluated at t-.  The censor-at-exposure survival curve used by
@@ -80,20 +84,42 @@ def _subject_data(records: TransitionRecords):
     return ids, inf, end, status
 
 
-def _grid_counts(times, ut):
-    """Exit counts per unique time and risk set Y(t-) on that grid."""
-    idx = np.searchsorted(ut, times)
-    total = np.bincount(idx, minlength=ut.size)
-    y = times.size - np.concatenate(([0], np.cumsum(total)[:-1]))
-    return idx, total, y
+def _at_risk(exits):
+    """Risk set Y(t-) on a sorted grid: the exits at or after each time."""
+    return np.cumsum(exits[::-1])[::-1]
 
 
-def _counts_at(ut, times, mask):
-    """How many of times[mask] fall on each grid time."""
-    sel = times[mask]
-    if sel.size == 0:
-        return np.zeros(ut.size, dtype=np.int64)
-    return np.bincount(np.searchsorted(ut, sel), minlength=ut.size)
+def _divide(dn, y):
+    """dn / y, and 0 where y is 0."""
+    return np.divide(dn, y, out=np.zeros(dn.size), where=y > 0)
+
+
+def _kinds(status, base):
+    """Exit rows base, base + 1 and base + 2 for discharge, death and censoring."""
+    return np.where(status == STATUS_DISCHARGE, base,
+                    np.where(status == STATUS_DEATH, base + 1, base + 2))
+
+
+# Rows of the exit table: exits 0->1, 0->2, 0->3, 0->censored, 1->4, 1->5
+# and 1->censored.  This maps each transition to its row.
+_ROWS = {(0, 1): 0, (0, 2): 1, (0, 3): 2, (1, 4): 4, (1, 5): 5}
+
+
+def _six_state(records: TransitionRecords):
+    """The exit table: one sort of every exit time of the six-state model.
+
+    Returns the T distinct exit times, the (7 x T) integer counts of exits
+    by row, and the risk sets Y0(t-) and Y1(t-) on those times.
+    """
+    _, inf, end, status = _subject_data(records)
+    exposed = ~np.isnan(inf)
+    times = np.concatenate((np.where(exposed, inf, end), end[exposed]))
+    kinds = np.concatenate((np.where(exposed, 0, _kinds(status, 1)), _kinds(status[exposed], 4)))
+    ut, idx = np.unique(times, return_inverse=True)
+    counts = np.bincount(kinds * ut.size + idx, minlength=7 * ut.size).reshape(7, ut.size)
+    y0 = _at_risk(counts[:4].sum(axis=0))
+    y1 = _at_risk(counts[4:].sum(axis=0)) - _at_risk(counts[0])
+    return ut, counts, y0, y1
 
 
 def _aj_sweep(times, codes, event_codes, targets, combine=lambda cif: cif):
@@ -218,6 +244,15 @@ def _truncation(ut, s_after):
     return None
 
 
+def _exposure_survival(times, counts, y0):
+    """S01 on the state-0 exit times, and the mask of those times in the table."""
+    exits = counts[:4].sum(axis=0)
+    on = exits > 0
+    dn = counts[0, on]
+    at_risk = y0[on] - (exits[on] - dn)
+    return StepCurve(times[on], np.cumprod(1.0 - _divide(dn, at_risk)), initial=1.0), on
+
+
 def exposure_survival(records: TransitionRecords) -> StepCurve:
     """Kaplan-Meier of the exposure-time distribution S01.
 
@@ -225,16 +260,8 @@ def exposure_survival(records: TransitionRecords) -> StepCurve:
     non-exposure exits are removed from the risk set before the exposure
     events at the same time, matching the discrete-time weight denominator.
     """
-    _, inf, end, status = _subject_data(records)
-    exposed = ~np.isnan(inf)
-    times = np.where(exposed, inf, end)
-    ut = np.unique(times)
-    idx, total, y = _grid_counts(times, ut)
-    dn_exp = _counts_at(ut, times, exposed)
-    at_risk = y - (total - dn_exp)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        frac = np.where(dn_exp > 0, 1.0 - dn_exp / at_risk, 1.0)
-    return StepCurve(ut, np.cumprod(frac), initial=1.0)
+    times, counts, y0, _ = _six_state(records)
+    return _exposure_survival(times, counts, y0)[0]
 
 
 def ht_cif(records: TransitionRecords) -> StepCurve:
@@ -243,25 +270,17 @@ def ht_cif(records: TransitionRecords) -> StepCurve:
     Each death without exposure is weighted by the inverse probability of
     having remained unexposed just before its time.
     """
-    ids, inf, end, status = _subject_data(records)
-    n = len(ids)
-    exposed = ~np.isnan(inf)
-    times = np.where(exposed, inf, end)
-    s01 = exposure_survival(records)
-    ut = s01.times
+    times, counts, y0, _ = _six_state(records)
+    s01, on = _exposure_survival(times, counts, y0)
     s01_minus = np.concatenate(([1.0], s01.values[:-1]))
-
-    death_mask = (~exposed) & (status == STATUS_DEATH)
-    dn_death = _counts_at(ut, times, death_mask)
-    contributing = dn_death > 0
-    if np.any(contributing & (s01_minus <= 0.0)):
+    dn_death = counts[_ROWS[0, 3], on]
+    if np.any((dn_death > 0) & (s01_minus <= 0.0)):
         raise PositivityError(
             "exposure survival reached 0 before a contributing death; "
             "inverse-probability weight is unbounded"
         )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        increments = np.where(contributing, dn_death / np.where(contributing, s01_minus, 1.0), 0.0)
-    return StepCurve(ut, np.cumsum(increments) / n, initial=0.0)
+    # y0[0] is n: everybody starts in state 0
+    return StepCurve(s01.times, np.cumsum(_divide(dn_death, s01_minus)) / y0[0], initial=0.0)
 
 
 def aalen_johansen_extended(records: TransitionRecords) -> OccupationCurves:
@@ -270,60 +289,24 @@ def aalen_johansen_extended(records: TransitionRecords) -> OccupationCurves:
     The transitions out of state 1 pool all current occupants regardless
     of their exposure time (Markov assumption).
     """
-    _, inf, end, status = _subject_data(records)
-    exposed = ~np.isnan(inf)
-    stop0 = np.where(exposed, inf, end)
-
-    event_times = [inf[exposed]]
-    event_times.append(end[(~exposed) & (status != STATUS_CENSORED)])
-    event_times.append(end[exposed & (status != STATUS_CENSORED)])
-    ut = np.unique(np.concatenate(event_times))
-    if ut.size == 0:
-        curves = [StepCurve(np.array([]), np.array([]), initial=v) for v in (1, 0, 0, 0, 0, 0)]
-        return OccupationCurves(*curves)
-
-    sorted_stop0 = np.sort(stop0)
-    y0 = stop0.size - np.searchsorted(sorted_stop0, ut, side="left")
-    sorted_inf = np.sort(inf[exposed])
-    sorted_end1 = np.sort(end[exposed])
-    y1 = np.searchsorted(sorted_inf, ut, side="left") - np.searchsorted(
-        sorted_end1, ut, side="left"
-    )
-
-    dn01 = _counts_at(ut, inf, exposed)
-    dn02 = _counts_at(ut, end, (~exposed) & (status == STATUS_DISCHARGE))
-    dn03 = _counts_at(ut, end, (~exposed) & (status == STATUS_DEATH))
-    dn14 = _counts_at(ut, end, exposed & (status == STATUS_DISCHARGE))
-    dn15 = _counts_at(ut, end, exposed & (status == STATUS_DEATH))
-
-    p = np.array([1.0, 0, 0, 0, 0, 0])
-    out = np.empty((ut.size, 6))
-    for j in range(ut.size):
-        if y0[j] > 0:
-            h01, h02, h03 = dn01[j] / y0[j], dn02[j] / y0[j], dn03[j] / y0[j]
-        else:
-            h01 = h02 = h03 = 0.0
-        if y1[j] > 0:
-            h14, h15 = dn14[j] / y1[j], dn15[j] / y1[j]
-        else:
-            h14 = h15 = 0.0
-        out0 = p[0] * (h01 + h02 + h03)
-        out1 = p[1] * (h14 + h15)
-        p = np.array(
-            [
-                p[0] - out0,
-                p[1] + p[0] * h01 - out1,
-                p[2] + p[0] * h02,
-                p[3] + p[0] * h03,
-                p[4] + p[1] * h14,
-                p[5] + p[1] * h15,
-            ]
-        )
-        out[j] = p
-
+    times, counts, y0, y1 = _six_state(records)
+    on = np.delete(counts, (3, 6), axis=0).any(axis=0)  # a transition, not only censorings
+    ut = times[on]
+    h01, h02, h03 = (_divide(counts[_ROWS[0, l], on], y0[on]) for l in (1, 2, 3))
+    h14, h15 = (_divide(counts[_ROWS[1, l], on], y1[on]) for l in (4, 5))
+    # p00 and p01 depend on each other: one scan on Python floats.  The
+    # lists start with the initial values, so [:-1] holds p00(t-), p01(t-).
+    a, b = 1.0, 0.0
+    p0, p1 = [a], [b]
+    for x01, x0, x1 in zip(h01.tolist(), (h01 + h02 + h03).tolist(), (h14 + h15).tolist()):
+        a, b = a - a * x0, b + a * x01 - b * x1
+        p0.append(a)
+        p1.append(b)
+    p0, p1 = np.array(p0), np.array(p1)
+    values = (p0[1:], p1[1:], np.cumsum(p0[:-1] * h02), np.cumsum(p0[:-1] * h03),
+              np.cumsum(p1[:-1] * h14), np.cumsum(p1[:-1] * h15))
     initials = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    curves = [StepCurve(ut, out[:, k], initial=initials[k]) for k in range(6)]
-    return OccupationCurves(*curves)
+    return OccupationCurves(*(StepCurve(ut, v, initial=i) for v, i in zip(values, initials)))
 
 
 def kaplan_meier(times, event_flags) -> StepCurve:
@@ -332,42 +315,17 @@ def kaplan_meier(times, event_flags) -> StepCurve:
     flags = np.asarray(event_flags, dtype=bool)
     if times.size == 0:
         raise DataError("empty sample")
-    ut = np.unique(times)
-    idx, total, y = _grid_counts(times, ut)
-    dn = _counts_at(ut, times, flags)
-    return StepCurve(ut, np.cumprod(1.0 - dn / y), initial=1.0)
-
-
-_TRANSITIONS = frozenset({(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)})
+    ut, idx = np.unique(times, return_inverse=True)
+    dn = np.bincount(idx[flags], minlength=ut.size)
+    return StepCurve(ut, np.cumprod(1.0 - dn / _at_risk(np.bincount(idx))), initial=1.0)
 
 
 def nelson_aalen(records: TransitionRecords, k: int, l: int) -> HazardIncrements:
     """Increments of the cause-specific hazard for the k -> l transition."""
-    if (k, l) not in _TRANSITIONS:
+    if (k, l) not in _ROWS:
         raise ValueError(f"no {k}->{l} transition in the six-state model")
-    _, inf, end, status = _subject_data(records)
-    exposed = ~np.isnan(inf)
-    stop0 = np.where(exposed, inf, end)
-    if k == 0:
-        times = stop0
-        if l == 1:
-            mask = exposed
-        elif l == 2:
-            mask = (~exposed) & (status == STATUS_DISCHARGE)
-        else:
-            mask = (~exposed) & (status == STATUS_DEATH)
-        ev_times = np.unique(times[mask])
-        sorted_stop = np.sort(stop0)
-        y = stop0.size - np.searchsorted(sorted_stop, ev_times, side="left")
-        dn = _counts_at(ev_times, times, mask)
-    else:
-        want = STATUS_DISCHARGE if l == 4 else STATUS_DEATH
-        mask = exposed & (status == want)
-        ev_times = np.unique(end[mask])
-        sorted_inf = np.sort(inf[exposed])
-        sorted_end1 = np.sort(end[exposed])
-        y = np.searchsorted(sorted_inf, ev_times, side="left") - np.searchsorted(
-            sorted_end1, ev_times, side="left"
-        )
-        dn = _counts_at(ev_times, end, mask)
-    return HazardIncrements(ev_times, dn.astype(float), y.astype(float))
+    times, counts, y0, y1 = _six_state(records)
+    dn = counts[_ROWS[k, l]]
+    on = dn > 0
+    y = y0 if k == 0 else y1
+    return HazardIncrements(times[on], dn[on].astype(float), y[on].astype(float))

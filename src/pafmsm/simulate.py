@@ -46,8 +46,11 @@ class PiecewiseHazard:
         r = np.asarray(self.rates, dtype=float)
         if u.ndim != 1 or r.shape != u.shape or u.size == 0:
             raise DataError("until and rates must be 1-d arrays of equal length")
-        if np.any(np.diff(u) <= 0) or u[0] <= 0:
-            raise DataError("hazard breakpoints must be positive and increasing")
+        # the last rate continues past the last endpoint, so that endpoint
+        # may be left open: null (NaN) or inf
+        last = np.inf if np.isnan(u[-1]) else u[-1]
+        if not (np.all(np.isfinite(u[:-1])) and np.all(np.diff(np.r_[0.0, u[:-1], last]) > 0)):
+            raise DataError("hazard breakpoints must be finite, positive and increasing")
         if np.any(r < 0) or not np.all(np.isfinite(r)):
             raise DataError("hazard rates must be finite and >= 0")
         object.__setattr__(self, "until", u)
@@ -72,7 +75,7 @@ class PiecewiseHazard:
 
     def to_json(self):
         return [
-            {"until": float(u), "rate": float(r)}
+            {"until": float(u) if np.isfinite(u) else None, "rate": float(r)}
             for u, r in zip(self.until, self.rates)
         ]
 

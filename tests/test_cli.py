@@ -60,6 +60,20 @@ def test_estimate_at_a_time_point(cohort_file, capsys):
     float(capsys.readouterr().out)  # a single parsable number
 
 
+@pytest.mark.parametrize("at", ["nan", "inf", "-inf"])
+def test_estimate_at_a_non_finite_time_is_a_usage_error(cohort_file, capsys, at):
+    assert run(["estimate", "--input", cohort_file, "--estimand", "paf_o", f"--at={at}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error: --at must be a finite number" in captured.err
+
+
+@pytest.mark.parametrize("step", ["nan", "inf", "0", "-1"])
+def test_oracle_step_must_be_finite_and_positive(spec_file, capsys, step):
+    assert run(["oracle", "--spec", spec_file, f"--step={step}"]) == 1
+    assert "usage error: --step must be a finite number > 0" in capsys.readouterr().err
+
+
 def test_estimate_curve_to_directory(cohort_file, tmp_path):
     out = tmp_path / "out"
     assert run([
@@ -165,6 +179,16 @@ def test_non_finite_spec_value_is_data_error(tmp_path, capsys, key, value, comma
     path.write_text(json.dumps(dict(SPEC, **{key: value})))  # Infinity / NaN literals
     assert run([command[0], "--spec", str(path), *command[1:]]) == 2
     assert f"data error: {key} must be a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("until", [[1, float("nan"), 40], [1, float("inf"), float("inf")]])
+@pytest.mark.parametrize("command", [["oracle"], ["simulate", "--n", "3", "--seed", "1"]])
+def test_non_finite_hazard_breakpoint_is_data_error(tmp_path, capsys, until, command):
+    pieces = [{"until": u, "rate": 0.1} for u in until]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(SPEC, alpha01=pieces)))  # NaN / Infinity literals
+    assert run([command[0], "--spec", str(path), *command[1:]]) == 2
+    assert "data error: hazard breakpoints must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("estimand, estimator", [("paf_c", "ipw"), ("paf_o", "naive")])

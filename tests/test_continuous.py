@@ -3,6 +3,7 @@ import pytest
 
 from pafmsm import (
     Cohort,
+    HazardSpec,
     Subject,
     aalen_johansen_extended,
     cif_counterfactual,
@@ -12,8 +13,11 @@ from pafmsm import (
     kaplan_meier,
     nelson_aalen,
     overall_death_risk,
+    simulate_cohort,
     to_transitions,
 )
+from pafmsm.cohort import STATUS_CENSORED, STATUS_DEATH, STATUS_DISCHARGE
+from pafmsm.simulate import icu_like_spec
 
 from conftest import integer_cohort
 
@@ -118,3 +122,105 @@ def test_nelson_aalen_post_exposure_risk_set():
     inc = nelson_aalen(to_transitions(cohort), 1, 5)
     np.testing.assert_array_equal(inc.times, [4.0])
     assert inc.increments[0] == pytest.approx(2 / 2)
+
+
+def test_nelson_aalen_hand_counts():
+    # A and B are exposed on day 1; A is discharged on day 3, B dies on day 4;
+    # C, never exposed, is discharged on day 2
+    cohort = Cohort(
+        (Subject("A", 1.0, 3.0, "discharge"), Subject("B", 1.0, 4.0, "death"),
+         Subject("C", None, 2.0, "discharge")),
+        horizon=4,
+    )
+    records = to_transitions(cohort)
+    expected = {  # (k, l): (times, dN, Y(t-))
+        (0, 1): ([1.0], [2.0], [3.0]),
+        (0, 2): ([2.0], [1.0], [1.0]),
+        (0, 3): ([], [], []),
+        (1, 4): ([3.0], [1.0], [2.0]),
+        (1, 5): ([4.0], [1.0], [1.0]),
+    }
+    for (k, l), (times, dn, at_risk) in expected.items():
+        inc = nelson_aalen(records, k, l)
+        np.testing.assert_array_equal(inc.times, times)
+        np.testing.assert_array_equal(inc.dn, dn)
+        np.testing.assert_array_equal(inc.at_risk, at_risk)
+
+
+def reference_aalen_johansen(records):
+    """The six-state product integral, one event time at a time."""
+    _, inf, end, status = records.subject_arrays()
+    exposed = ~np.isnan(inf)
+    stop0 = np.where(exposed, inf, end)
+    ut = np.unique(np.concatenate((inf[exposed], end[status != STATUS_CENSORED])))
+
+    def count(times, mask):
+        return np.array([np.sum(times[mask] == t) for t in ut], dtype=np.int64)
+
+    y0 = np.array([np.sum(stop0 >= t) for t in ut], dtype=np.int64)
+    y1 = np.array([np.sum(exposed & (inf < t) & (end >= t)) for t in ut], dtype=np.int64)
+    dn01 = count(inf, exposed)
+    dn02 = count(end, ~exposed & (status == STATUS_DISCHARGE))
+    dn03 = count(end, ~exposed & (status == STATUS_DEATH))
+    dn14 = count(end, exposed & (status == STATUS_DISCHARGE))
+    dn15 = count(end, exposed & (status == STATUS_DEATH))
+
+    p = np.array([1.0, 0, 0, 0, 0, 0])
+    out = np.empty((ut.size, 6))
+    for j in range(ut.size):
+        if y0[j] > 0:
+            h01, h02, h03 = dn01[j] / y0[j], dn02[j] / y0[j], dn03[j] / y0[j]
+        else:
+            h01 = h02 = h03 = 0.0
+        if y1[j] > 0:
+            h14, h15 = dn14[j] / y1[j], dn15[j] / y1[j]
+        else:
+            h14 = h15 = 0.0
+        out0 = p[0] * (h01 + h02 + h03)
+        out1 = p[1] * (h14 + h15)
+        p = np.array([
+            p[0] - out0,
+            p[1] + p[0] * h01 - out1,
+            p[2] + p[0] * h02,
+            p[3] + p[0] * h03,
+            p[4] + p[1] * h14,
+            p[5] + p[1] * h15,
+        ])
+        out[j] = p
+    return ut, out
+
+
+def _aj_cohorts():
+    censored = integer_cohort(7, n=200, censored=True)
+    exposed = ~np.isnan(censored.inf)
+    constant = HazardSpec.constant(0.05, 0.05, 0.02, 0.05, 0.03, tau=100.0, censor_rate=0.01)
+    return {
+        "whole days, censored": censored,
+        "whole days": integer_cohort(8, n=200),
+        "continuous, censored": simulate_cohort(constant, 300, 9),
+        "continuous": simulate_cohort(icu_like_spec(), 300, 10),
+        "nobody exposed": censored.subset(~exposed),
+        "everybody exposed": censored.subset(exposed),
+        "all censored": Cohort(
+            (Subject("A", None, 2.0, "censored"), Subject("B", None, 3.0, "censored")), horizon=3
+        ),
+        "exits tied with exposures": Cohort(
+            (Subject("A", None, 2.0, "death"), Subject("B", 2.0, 3.0, "death"),
+             Subject("C", 2.0, 2.5, "discharge"), Subject("D", None, 2.0, "censored"),
+             Subject("E", 3.0, 4.0, "censored"), Subject("F", None, 3.0, "discharge")),
+            horizon=4,
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_aj_cohorts()))
+def test_aalen_johansen_equals_the_per_event_time_loop(name):
+    records = to_transitions(_aj_cohorts()[name])
+    times, out = reference_aalen_johansen(records)
+    occ = aalen_johansen_extended(records)
+    for k, curve in enumerate(occ.as_tuple()):
+        assert np.array_equal(curve.times, times)
+        assert np.array_equal(curve.values, out[:, k])
+        assert curve.initial == (1.0 if k == 0 else 0.0)
+    if name == "all censored":
+        assert times.size == 0

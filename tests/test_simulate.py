@@ -36,6 +36,18 @@ def test_piecewise_hazard_validation():
         PiecewiseHazard(np.array([2.0, 1.0]), np.array([0.1, 0.1]))
     with pytest.raises(DataError):
         PiecewiseHazard(np.array([2.0]), np.array([-0.1]))
+    for until in ([np.nan, 5.0], [1.0, np.nan, 40.0], [1.0, np.inf, np.inf], [0.0, 5.0], [-np.inf]):
+        with pytest.raises(DataError, match="breakpoints must be finite"):
+            PiecewiseHazard(np.array(until), np.full(len(until), 0.1))
+
+
+@pytest.mark.parametrize("last", [None, float("inf")])
+def test_piecewise_hazard_last_endpoint_may_be_open(last):
+    h = PiecewiseHazard.from_json([{"until": 10, "rate": 0.08}, {"until": last, "rate": 0.04}])
+    np.testing.assert_array_equal(h.breakpoints, [10.0])
+    assert h.rate_at(99.0) == 0.04
+    assert h.cumulative(20.0) == pytest.approx(0.8 + 0.4)
+    assert h.to_json()[-1]["until"] is None  # JSON null, not NaN or Infinity
 
 
 def test_hazard_spec_json_round_trip():
