@@ -105,7 +105,7 @@ def _load_cohort(args) -> Cohort:
     try:
         policy = TiePolicy.parse(args.tie_policy)
     except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+        raise _UsageError(f"--tie-policy {args.tie_policy!r}: {exc}") from None
     path = Path(args.input)
     if not path.exists():
         raise DataError(f"input file not found: {path}")

@@ -87,8 +87,8 @@ class TiePolicy:
     def __post_init__(self):
         if self.kind not in ("reject", "shift"):
             raise ValueError("tie policy must be 'reject' or 'shift'")
-        if self.kind == "shift" and not self.eps > 0:
-            raise ValueError("shift epsilon must be positive")
+        if self.kind == "shift" and not 0 < self.eps < math.inf:
+            raise ValueError(f"shift epsilon must be a finite number > 0, got {self.eps!r}")
 
     @classmethod
     def reject(cls):
@@ -105,7 +105,11 @@ class TiePolicy:
         if text == "shift":
             return cls.shift()
         if text.startswith("shift:"):
-            return cls.shift(float(text.split(":", 1)[1]))
+            eps = text.split(":", 1)[1]
+            try:
+                return cls.shift(float(eps))
+            except ValueError:
+                raise ValueError(f"shift epsilon must be a finite number > 0, got {eps!r}") from None
         raise ValueError(f"unknown tie policy {text!r}")
 
 
@@ -330,42 +334,44 @@ class TransitionRecords:
 
 @dataclass(frozen=True)
 class DailyPanel:
-    """Integer-day discretization: A(s) and eps(s) for s = 1..m.
+    """Integer-day discretization over days s = 1..n_days, as per-subject columns.
 
-    ``a[i, s-1]`` is 1 once inf_time <= s; ``eps[i, s-1]`` is 1 (death)
-    or 2 (discharge) once end_time <= s.  Censored subjects are excluded
-    and listed in ``dropped``.  ``covariates`` maps name -> column over
-    the panel's subjects.
+    ``exposure_day`` is the first day s with inf_time <= s (``n_days + 1``
+    if never exposed), ``terminal_day`` the first day s with end_time <= s,
+    and ``status`` its event (1 death, 2 discharge).  Censored subjects are
+    excluded and listed in ``dropped``.  ``covariates`` maps name -> column
+    over the panel's subjects.  ``a`` and ``eps`` build the dense (n, n_days)
+    indicator matrices A(s) and eps(s) on request.
     """
 
     ids: tuple[str, ...]
-    a: np.ndarray  # (n, m) uint8
-    eps: np.ndarray  # (n, m) uint8
+    exposure_day: np.ndarray  # (n,) int64
+    terminal_day: np.ndarray  # (n,) int64
+    status: np.ndarray  # (n,) int64
+    n_days: int
     covariates: dict
     dropped: tuple[str, ...] = ()
 
     @property
-    def n_days(self) -> int:
-        return self.a.shape[1]
+    def n_subjects(self) -> int:
+        return self.exposure_day.size
 
     @property
-    def n_subjects(self) -> int:
-        return self.a.shape[0]
+    def a(self) -> np.ndarray:
+        """a[i, s-1] = 1 once subject i is exposed (s >= exposure_day), uint8."""
+        return (np.arange(1, self.n_days + 1) >= self.exposure_day[:, None]).view(np.uint8)
 
-    def exposure_day(self):
-        """First day s with A(s)=1 per subject, or m+1 if never exposed."""
-        return _first_day(self.a > 0)
+    @property
+    def eps(self) -> np.ndarray:
+        """eps[i, s-1] = status once s >= terminal_day, else 0, uint8."""
+        ended = np.arange(1, self.n_days + 1) >= self.terminal_day[:, None]
+        return ended.view(np.uint8) * self.status.astype(np.uint8)[:, None]
 
-    def terminal_day(self):
-        """First day s with eps(s) != 0 per subject, or m+1 if none."""
-        return _first_day(self.eps > 0)
-
-
-def _first_day(mask):
-    m = mask.shape[1]
-    any_ = mask.any(axis=1)
-    first = np.where(any_, mask.argmax(axis=1) + 1, m + 1)
-    return first.astype(np.int64)
+    def take(self, idx) -> "DailyPanel":
+        """Subjects ``idx`` as a panel; the ids, which only label exports, stay this panel's."""
+        covariates = {name: column[idx] for name, column in self.covariates.items()}
+        return DailyPanel(self.ids, self.exposure_day[idx], self.terminal_day[idx],
+                          self.status[idx], self.n_days, covariates, self.dropped)
 
 
 def parse_cohort(source, tie_policy: TiePolicy = TiePolicy.shift(), horizon=None) -> Cohort:
@@ -532,13 +538,10 @@ def discretize(cohort: Cohort, allow_drop: bool = False) -> DailyPanel:
     if not len(kept):
         raise DataError("empty cohort")
     m = int(math.ceil(cohort.horizon))
-    days = np.arange(1, m + 1)
-    # comparisons written straight into the uint8 panels: no (n, m) temporaries
-    a, eps = np.empty((2, len(kept), m), dtype=np.uint8)
-    np.greater_equal(days, kept.inf[:, None], out=a.view(bool))
-    np.greater_equal(days, kept.end[:, None], out=eps.view(bool))
-    eps *= kept.status.astype(np.uint8)[:, None]
-    return DailyPanel(ids=tuple(kept.ids), a=a, eps=eps, covariates=kept.covariates, dropped=dropped)
+    exposure_day = np.nan_to_num(np.ceil(kept.inf), nan=m + 1).astype(np.int64)
+    return DailyPanel(ids=tuple(kept.ids), exposure_day=exposure_day,
+                      terminal_day=np.ceil(kept.end).astype(np.int64), status=kept.status,
+                      n_days=m, covariates=kept.covariates, dropped=dropped)
 
 
 def cohort_to_csv(cohort: Cohort) -> str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohort import DailyPanel, covariate_column
+from .cohort import STATUS_DEATH, DailyPanel, covariate_column
 from .curves import StepCurve
 from .errors import ConvergenceError, DataError, PositivityError, SeparationError
 
@@ -114,40 +114,55 @@ def _covariate_matrix(panel: DailyPanel, names) -> np.ndarray:
     return np.array(cols).T
 
 
-def _at_risk_matrix(panel: DailyPanel) -> np.ndarray:
-    """at_risk[i, s-1]: A(s-1) = 0 and eps(s-1) = 0 (at risk of new exposure)."""
-    prev_a = np.concatenate([np.zeros((panel.n_subjects, 1), dtype=np.uint8), panel.a[:, :-1]], axis=1)
-    prev_e = np.concatenate([np.zeros((panel.n_subjects, 1), dtype=np.uint8), panel.eps[:, :-1]], axis=1)
-    return (prev_a == 0) & (prev_e == 0)
+def _at_risk_days(panel: DailyPanel) -> np.ndarray:
+    """Per subject, the last day s at risk of new exposure (A(s-1) = eps(s-1) = 0)."""
+    return np.minimum(panel.exposure_day, panel.terminal_day)
+
+
+def _on_or_before(days, m) -> np.ndarray:
+    """How many of ``days`` (each in 1..m+1) are <= s, for s = 0..m."""
+    return np.cumsum(np.bincount(days, minlength=m + 2))[:-1]
+
+
+def _day_ratio(num, den) -> StepCurve:
+    """num / den on days 1, 2, ..., undefined where den is 0."""
+    defined = den > 0
+    values = np.where(defined, num / np.where(defined, den, 1.0), np.nan)
+    days = np.arange(1, num.size + 1, dtype=float)
+    undefined_from = float(days[~defined][0]) if (~defined).any() else None
+    return StepCurve(days, values, initial=0.0, undefined_from=undefined_from)
 
 
 def expand_person_days(panel: DailyPanel, covariate_names=()) -> PersonDayRecords:
-    """Rows exactly for the subject-days at risk of new exposure."""
-    at_risk = _at_risk_matrix(panel)
-    subj, day_idx = np.nonzero(at_risk)
-    infected_today = panel.a[subj, day_idx] == 1
+    """Rows exactly for the subject-days at risk of new exposure, subject-major."""
+    at_risk = _at_risk_days(panel)
+    subj = np.repeat(np.arange(panel.n_subjects), at_risk)
+    days = np.arange(1, subj.size + 1) - np.repeat(np.cumsum(at_risk) - at_risk, at_risk)
     covs = _covariate_matrix(panel, covariate_names)
     return PersonDayRecords(
         subject_ids=subj,
-        days=day_idx + 1,
-        infected_today=infected_today,
+        days=days,
+        infected_today=days == panel.exposure_day[subj],
         covariates=covs[subj] if covs.size else np.empty((subj.size, 0)),
         covariate_names=tuple(covariate_names),
         ids=panel.ids,
     )
 
 
+def _death_proportion(panel: DailyPanel) -> StepCurve:
+    """Share of the panel dead by each day."""
+    deaths = _on_or_before(panel.terminal_day[panel.status == STATUS_DEATH], panel.n_days)[1:]
+    days = np.arange(1, panel.n_days + 1, dtype=float)
+    return StepCurve(days, deaths / panel.n_subjects, initial=0.0)
+
+
 def naive_f01(panel: DailyPanel) -> StepCurve:
     """Deaths without exposure by t over subjects unexposed until t."""
-    died_unexposed = (panel.eps == 1) & (panel.a == 0)
-    unexposed = panel.a == 0
-    num = died_unexposed.sum(axis=0).astype(float)
-    den = unexposed.sum(axis=0).astype(float)
-    defined = den > 0
-    values = np.where(defined, num / np.where(defined, den, 1.0), np.nan)
-    days = np.arange(1, panel.n_days + 1, dtype=float)
-    undefined_from = float(days[~defined][0]) if (~defined).any() else None
-    return StepCurve(days, values, initial=0.0, undefined_from=undefined_from)
+    m, exposure = panel.n_days, panel.exposure_day
+    died_unexposed = (panel.status == STATUS_DEATH) & (exposure > m)
+    num = _on_or_before(panel.terminal_day[died_unexposed], m)[1:].astype(float)
+    den = (panel.n_subjects - _on_or_before(exposure, m)[1:]).astype(float)
+    return _day_ratio(num, den)
 
 
 def fit_pooled_logistic(records: PersonDayRecords, covariate_names=None) -> ExposureModel:
@@ -216,16 +231,16 @@ def nonparametric_daily_hazard(panel: DailyPanel) -> np.ndarray:
     terminal event on s have already left, so their own probability on
     that day is 0 and the shared hazard divides by the day's survivors.
     """
-    at_risk = _at_risk_matrix(panel)
-    infected_today = at_risk & (panel.a == 1)
-    terminal_today = at_risk & (panel.eps != 0) & (panel.a == 0)
-    n_at_risk = at_risk.sum(axis=0).astype(float)
-    survivors = n_at_risk - terminal_today.sum(axis=0)
-    dn = infected_today.sum(axis=0).astype(float)
+    m, n = panel.n_days, panel.n_subjects
+    exposure, terminal = panel.exposure_day, panel.terminal_day
+    left_unexposed = np.flatnonzero(terminal < exposure)
+    n_at_risk = (n - _on_or_before(_at_risk_days(panel), m)[:-1]).astype(float)
+    survivors = n_at_risk - np.diff(_on_or_before(terminal[left_unexposed], m))
+    dn = np.diff(_on_or_before(exposure, m)).astype(float)
     with np.errstate(invalid="ignore", divide="ignore"):
         hazard = np.where(dn > 0, dn / survivors, 0.0)
-    probs = np.repeat(hazard[None, :], panel.n_subjects, axis=0)
-    probs[terminal_today] = 0.0
+    probs = np.repeat(hazard[None, :], n, axis=0)
+    probs[left_unexposed, terminal[left_unexposed] - 1] = 0.0
     return probs
 
 
@@ -234,25 +249,22 @@ def compute_weights(panel: DailyPanel, daily_probs: np.ndarray) -> WeightTable:
 
     p_i(t) indicates that subject i followed the unexposed path through t:
     weight 0 from the exposure day on, frozen after a terminal event,
-    growing while still at risk.
+    growing while still at risk.  The weights are the one (n_subjects,
+    n_days) float array built here, worked in place.
     """
     daily_probs = np.asarray(daily_probs, dtype=float)
-    if daily_probs.shape != panel.a.shape:
+    if daily_probs.shape != (panel.n_subjects, panel.n_days):
         raise DataError("daily_probs must have shape (n_subjects, n_days)")
-    n, m = daily_probs.shape
-    exposure_day = panel.exposure_day()
-    terminal_day = panel.terminal_day()
-    t_i = np.minimum(exposure_day, terminal_day)  # exit day from state 0
-
-    days = np.arange(1, m + 1)
-    used = days[None, :] <= t_i[:, None]  # product runs to t ^ T_i
-    one_minus = np.where(used, 1.0 - daily_probs, 1.0)
-    denom = np.cumprod(one_minus, axis=1)
+    days = np.arange(1, panel.n_days + 1)
+    weights = np.subtract(1.0, daily_probs)
+    mask = days > _at_risk_days(panel)[:, None]  # the product runs to t ^ T_i
+    np.copyto(weights, 1.0, where=mask)
+    np.cumprod(weights, axis=1, out=weights)
     with np.errstate(divide="ignore"):
-        weights = 1.0 / denom
-    # zero from the exposure day on
-    weights[days[None, :] >= exposure_day[:, None]] = 0.0
-    if not np.all(np.isfinite(weights)):
+        np.divide(1.0, weights, out=weights)
+    np.greater_equal(days, panel.exposure_day[:, None], out=mask)
+    np.copyto(weights, 0.0, where=mask)  # zero from the exposure day on
+    if not np.isfinite(weights, out=mask).all():
         raise PositivityError(
             "a daily exposure probability reached 1 on an unexposed path; "
             "weights are unbounded"
@@ -262,13 +274,9 @@ def compute_weights(panel: DailyPanel, daily_probs: np.ndarray) -> WeightTable:
 
 def ipw_f01(panel: DailyPanel, weights: WeightTable) -> StepCurve:
     """Weighted death proportion under the no-exposure path."""
-    if weights.weights.shape != panel.a.shape:
+    w = weights.weights
+    if w.shape != (panel.n_subjects, panel.n_days):
         raise DataError("weight table does not match the panel")
-    died = (panel.eps == 1).astype(float)
-    num = (died * weights.weights).sum(axis=0)
-    den = weights.weights.sum(axis=0)
-    defined = den > 0
-    values = np.where(defined, num / np.where(defined, den, 1.0), np.nan)
-    days = np.arange(1, panel.n_days + 1, dtype=float)
-    undefined_from = float(days[~defined][0]) if (~defined).any() else None
-    return StepCurve(days, values, initial=0.0, undefined_from=undefined_from)
+    died = np.arange(1, panel.n_days + 1) >= panel.terminal_day[:, None]
+    died &= (panel.status == STATUS_DEATH)[:, None]
+    return _day_ratio(w.sum(axis=0, where=died), w.sum(axis=0))

@@ -25,6 +25,7 @@ from . import continuous
 from .continuous import overall_death_risk, overall_death_risk_rows
 from .curves import StepCurve, union_grid
 from .discrete import (
+    _death_proportion,
     compute_weights,
     expand_person_days,
     fit_pooled_logistic,
@@ -173,12 +174,6 @@ def preventable_count(paf_value: float, deaths_by_t: int) -> int:
     return int(math.floor(paf_value * deaths_by_t + 0.5))
 
 
-def _death_proportion(panel: DailyPanel) -> StepCurve:
-    days = np.arange(1, panel.n_days + 1, dtype=float)
-    values = (panel.eps == STATUS_DEATH).mean(axis=0)
-    return StepCurve(days, values, initial=0.0)
-
-
 def estimate_paf(
     cohort: Cohort,
     estimand: str,
@@ -258,13 +253,6 @@ class CurveWithBands:
         )
 
 
-def _resample(panel: DailyPanel, idx) -> DailyPanel:
-    """The daily panel of one bootstrap replicate: rows ``idx`` of the original."""
-    # ids stay the source panel's: they only label exports
-    covs = {name: column[idx] for name, column in panel.covariates.items()}
-    return DailyPanel(panel.ids, panel.a[idx], panel.eps[idx], covs, panel.dropped)
-
-
 # Multistate replicates are computed in blocks of at most this many
 # (replicate x subject) cells, so that memory grows with n + B * len(grid)
 # and not with B * n.
@@ -339,7 +327,7 @@ def bootstrap_ci(
         for r in range(B):
             idx = np.random.default_rng(streams[r]).integers(0, n, size=n)
             try:
-                curve = _paf_from(estimand, estimator, covariates, None, _resample(panel, idx))
+                curve = _paf_from(estimand, estimator, covariates, None, panel.take(idx))
             except NumericalError:
                 failed += 1  # the replicate contributes an undefined row
                 continue

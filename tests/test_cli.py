@@ -74,6 +74,15 @@ def test_oracle_step_must_be_finite_and_positive(spec_file, capsys, step):
     assert "usage error: --step must be a finite number > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("policy", ["shift:inf", "shift:1e400", "shift:abc"])
+def test_bad_tie_policy_is_a_usage_error_naming_the_option(tmp_path, capsys, policy):
+    tied = tmp_path / "tied.csv"
+    tied.write_text("id,inf_time,end_time,end_status\nA,5,5,death\n")
+    assert run(["validate", "--input", str(tied), "--tie-policy", policy]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: --tie-policy {policy!r}: shift epsilon") and "row" not in err
+
+
 def test_estimate_curve_to_directory(cohort_file, tmp_path):
     out = tmp_path / "out"
     assert run([

@@ -86,6 +86,15 @@ def test_tie_policy_parse():
     assert TiePolicy.parse("shift:0.5").eps == 0.5
     with pytest.raises(ValueError):
         TiePolicy.parse("nearest")
+    with pytest.raises(ValueError, match="shift epsilon"):
+        TiePolicy.shift(float("inf"))
+
+
+@pytest.mark.parametrize("text", ["shift:inf", "shift:1e400", "shift:nan", "shift:abc", "shift:0",
+                                  "shift:-1"])
+def test_tie_policy_shift_needs_a_finite_positive_epsilon(text):
+    with pytest.raises(ValueError, match="shift epsilon must be a finite number > 0"):
+        TiePolicy.parse(text)
 
 
 def test_summary_counts():
@@ -128,8 +137,8 @@ def test_discretize_indicator_paths():
     panel = discretize(cohort)
     np.testing.assert_array_equal(panel.a[0], [0, 1, 1, 1, 1])
     np.testing.assert_array_equal(panel.eps[0], [0, 0, 0, 1, 1])
-    assert panel.exposure_day()[0] == 2
-    assert panel.terminal_day()[0] == 4
+    assert panel.exposure_day[0] == 2
+    assert panel.terminal_day[0] == 4
 
 
 def test_horizon_must_cover_the_data():

@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pafmsm import (
     Cohort,
     DataError,
+    PositivityError,
     SeparationError,
     Subject,
+    TiePolicy,
     cif_counterfactual,
     compute_weights,
     cpf_unexposed,
@@ -16,15 +20,189 @@ from pafmsm import (
     ipw_f01,
     naive_f01,
     nonparametric_daily_hazard,
+    parse_cohort,
     simulate_cohort,
     to_transitions,
 )
+from pafmsm.discrete import _death_proportion
 
 from conftest import integer_cohort
 
 
 def panel_of(*subjects, horizon=0.0):
     return discretize(Cohort(tuple(subjects), horizon=horizon))
+
+
+# Dense (n x days) reference formulas over the indicator matrices panel.a
+# and panel.eps.  The package computes the same quantities from the
+# per-subject day columns; the results must agree bit for bit.
+
+def reference_at_risk(panel):
+    """at_risk[i, s-1]: A(s-1) = 0 and eps(s-1) = 0 (at risk of new exposure)."""
+    start = np.zeros((panel.n_subjects, 1), dtype=np.uint8)
+    prev_a = np.concatenate([start, panel.a[:, :-1]], axis=1)
+    prev_e = np.concatenate([start, panel.eps[:, :-1]], axis=1)
+    return (prev_a == 0) & (prev_e == 0)
+
+
+def reference_first_day(mask):
+    first = np.where(mask.any(axis=1), mask.argmax(axis=1) + 1, mask.shape[1] + 1)
+    return first.astype(np.int64)
+
+
+def reference_person_days(panel):
+    subj, day_idx = np.nonzero(reference_at_risk(panel))
+    return subj, day_idx + 1, panel.a[subj, day_idx] == 1
+
+
+def _reference_ratio(num, den):
+    defined = den > 0
+    values = np.where(defined, num / np.where(defined, den, 1.0), np.nan)
+    days = np.arange(1, num.size + 1, dtype=float)
+    return days, values, float(days[~defined][0]) if (~defined).any() else None
+
+
+def reference_naive(panel):
+    died_unexposed = (panel.eps == 1) & (panel.a == 0)
+    num = died_unexposed.sum(axis=0).astype(float)
+    return _reference_ratio(num, (panel.a == 0).sum(axis=0).astype(float))
+
+
+def reference_hazard(panel):
+    at_risk = reference_at_risk(panel)
+    infected_today = at_risk & (panel.a == 1)
+    terminal_today = at_risk & (panel.eps != 0) & (panel.a == 0)
+    n_at_risk = at_risk.sum(axis=0).astype(float)
+    survivors = n_at_risk - terminal_today.sum(axis=0)
+    dn = infected_today.sum(axis=0).astype(float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        hazard = np.where(dn > 0, dn / survivors, 0.0)
+    probs = np.repeat(hazard[None, :], panel.n_subjects, axis=0)
+    probs[terminal_today] = 0.0
+    return probs
+
+
+def reference_weights(panel, daily_probs):
+    exposure_day = reference_first_day(panel.a > 0)
+    t_i = np.minimum(exposure_day, reference_first_day(panel.eps > 0))
+    days = np.arange(1, panel.n_days + 1)
+    one_minus = np.where(days[None, :] <= t_i[:, None], 1.0 - daily_probs, 1.0)
+    with np.errstate(divide="ignore"):
+        weights = 1.0 / np.cumprod(one_minus, axis=1)
+    weights[days[None, :] >= exposure_day[:, None]] = 0.0
+    if not np.all(np.isfinite(weights)):
+        raise PositivityError("weights are unbounded")
+    return weights
+
+
+def reference_ipw(panel, weights):
+    died = (panel.eps == 1).astype(float)
+    return _reference_ratio((died * weights).sum(axis=0), weights.sum(axis=0))
+
+
+def reference_death_proportion(panel):
+    return (panel.eps == 1).mean(axis=0)
+
+
+def assert_same(actual, expected):
+    """Equal in dtype, shape and bytes (NaN payloads included)."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert (actual.dtype, actual.shape) == (expected.dtype, expected.shape)
+    assert actual.tobytes() == expected.tobytes()
+
+
+def assert_curve_is(curve, reference):
+    days, values, undefined_from = reference
+    assert_same(curve.times, days)
+    assert_same(curve.values, values)
+    assert curve.undefined_from == undefined_from
+
+
+def assert_matches_reference(panel):
+    """Every panel estimator equals its dense reference bit for bit."""
+    assert_same(panel.exposure_day, reference_first_day(panel.a > 0))
+    assert_same(panel.terminal_day, reference_first_day(panel.eps > 0))
+    rec = expand_person_days(panel)
+    for got, want in zip((rec.subject_ids, rec.days, rec.infected_today),
+                         reference_person_days(panel)):
+        assert_same(got, want)
+    assert_curve_is(naive_f01(panel), reference_naive(panel))
+    assert_same(_death_proportion(panel).values, reference_death_proportion(panel))
+    hazard = nonparametric_daily_hazard(panel)
+    assert_same(hazard, reference_hazard(panel))
+    # also fitted-model-like probabilities, and a first day certain exposure
+    shape = (panel.n_subjects, panel.n_days)
+    certain = np.zeros(shape)
+    certain[:, 0] = 1.0
+    for probs in (hazard, np.random.default_rng(panel.n_subjects).uniform(0, 0.5, shape), certain):
+        try:
+            expected = reference_weights(panel, probs)
+        except PositivityError:
+            with pytest.raises(PositivityError):
+                compute_weights(panel, probs)
+            continue
+        weights = compute_weights(panel, probs)
+        assert_same(weights.weights, expected)
+        assert_curve_is(ipw_f01(panel, weights), reference_ipw(panel, expected))
+
+
+def _random_cohort(seed, fractional):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 300))
+    end = rng.integers(1, 40, n) / (7.0 if fractional else 1.0)
+    inf = np.where(rng.random(n) < 0.4, np.ceil(rng.uniform(0, end * 7 - 1)) / 7, np.nan)
+    inf = inf if fractional else np.floor(inf)
+    inf[~(inf > 0)] = np.nan
+    status = rng.choice([0, 1, 2], n, p=[0.1, 0.4, 0.5])
+    return Cohort.from_columns([str(i) for i in range(n)], inf, end, status,
+                               horizon=end.max() + rng.choice([0.0, 5.5]))
+
+
+EDGE_COHORTS = {
+    "fractional": Cohort((Subject("A", 1.5, 3.25, "death"), Subject("B", None, 2.5, "discharge"),
+                          Subject("C", 2.2, 2.7, "death"), Subject("D", None, 0.3, "death"),
+                          Subject("E", 0.1, 4.9, "discharge"))),
+    "horizon_past_last_end": Cohort((Subject("A", 1.0, 3.0, "death"),
+                                     Subject("B", None, 2.0, "discharge"),
+                                     Subject("C", None, 4.0, "death")), horizon=9.5),
+    "all_exposed": Cohort((Subject("A", 1.0, 3.0, "death"), Subject("B", 0.5, 2.0, "discharge"),
+                           Subject("C", 2.0, 4.0, "death"))),
+    "none_exposed": Cohort((Subject("A", None, 3.0, "death"), Subject("B", None, 2.0, "discharge"),
+                            Subject("C", None, 4.0, "death"))),
+    "one_subject": Cohort((Subject("A", None, 3.0, "death"),), horizon=5),
+    "shifted_ties": parse_cohort("id,inf_time,end_time,end_status\nA,5,5,death\nB,,3,death\n"
+                                 "C,2,5,discharge\nD,3,3,discharge\nE,,6,death\n",
+                                 tie_policy=TiePolicy.shift(0.25)),
+    "dropped_censored": parse_cohort("id,inf_time,end_time,end_status\nA,2,5,death\nB,,3,censored\n"
+                                     "C,1,4,discharge\nD,,6,death\nE,3.5,7.2,censored\n"
+                                     "F,,2,discharge\nG,1.5,3,death\n"),
+    **{f"random_{seed}": _random_cohort(seed, seed % 2 == 1) for seed in range(8)},
+}
+
+
+@pytest.mark.parametrize("name", EDGE_COHORTS)
+def test_panel_estimators_equal_the_dense_reference(name):
+    assert_matches_reference(discretize(EDGE_COHORTS[name], allow_drop=True))
+
+
+def test_panel_estimators_stay_linear_in_memory():
+    # naive and the death proportion are day counts: nothing of size
+    # n x days may be allocated, as a dense panel of uint8 would be
+    n, m = 20_000, 400
+    rng = np.random.default_rng(11)
+    end = rng.integers(1, m + 1, n).astype(float)
+    inf = np.floor(rng.uniform(0, end))
+    inf[(inf == 0) | (rng.random(n) < 0.5)] = np.nan
+    cohort = Cohort.from_columns(np.arange(n).astype(str), inf, end, rng.integers(1, 3, n),
+                                 horizon=m)
+    tracemalloc.start()
+    try:
+        panel = discretize(cohort)
+        naive_f01(panel), _death_proportion(panel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * m / 4
 
 
 def test_expand_person_days_stops_at_exposure():

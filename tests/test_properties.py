@@ -21,6 +21,8 @@ from pafmsm import (
 )
 from pafmsm.continuous import exposure_survival
 
+from test_discrete import assert_matches_reference, assert_same
+
 
 @st.composite
 def integer_cohorts(draw, min_size=2, max_size=25):
@@ -33,6 +35,36 @@ def integer_cohorts(draw, min_size=2, max_size=25):
         inf = draw(st.integers(1, end - 1)) if exposed else None
         subjects.append(Subject(str(i), float(inf) if inf else None, float(end), status))
     return Cohort(tuple(subjects), horizon=14.0)
+
+
+@st.composite
+def fractional_cohorts(draw, max_size=20):
+    """Times on a 1/7-day grid, a horizon past the last end, censored rows."""
+    n = draw(st.integers(1, max_size))
+    subjects = []
+    for i in range(n):
+        end = draw(st.integers(1, 70))
+        status = "death" if i == 0 else draw(st.sampled_from(["death", "discharge", "censored"]))
+        inf = draw(st.integers(1, end - 1)) if end >= 2 and draw(st.booleans()) else None
+        subjects.append(Subject(str(i), inf / 7 if inf else None, end / 7, status))
+    extra = draw(st.sampled_from([0.0, 1 / 7, 0.5, 3.0]))
+    return Cohort(tuple(subjects), horizon=max(s.end_time for s in subjects) + extra)
+
+
+@settings(max_examples=80, deadline=None)
+@given(fractional_cohorts())
+def test_columnar_panel_equals_the_dense_reference(cohort):
+    panel = discretize(cohort, allow_drop=True)
+    kept = [s for s in cohort.subjects if s.end_status != "censored"]
+    assert panel.dropped == tuple(s.id for s in cohort.subjects if s.end_status == "censored")
+    days = np.arange(1, panel.n_days + 1)
+    a = np.array([days >= (s.inf_time if s.exposed else np.inf) for s in kept], dtype=np.uint8)
+    codes = {"death": 1, "discharge": 2}
+    eps = np.array([np.where(days >= s.end_time, codes[s.end_status], 0) for s in kept],
+                   dtype=np.uint8)
+    assert_same(panel.a, a)
+    assert_same(panel.eps, eps)
+    assert_matches_reference(panel)
 
 
 @settings(max_examples=60, deadline=None)
