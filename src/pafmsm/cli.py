@@ -147,6 +147,14 @@ def _check_pair(args):
             f"--estimator {args.estimator} does not estimate {args.estimand}; "
             f"valid: {', '.join(ESTIMAND_ESTIMATORS[args.estimand])}"
         )
+    if args.estimator != "ipw" and _covariate_list(args):
+        raise _UsageError(f"--covariates: --estimator {args.estimator} uses no covariates; "
+                          "only ipw does")
+
+
+def _check_seed(args):
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
 
 
 def _on_grid(curve: StepCurve, kind: str, horizon: float) -> StepCurve:
@@ -177,6 +185,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_bootstrap(args) -> int:
     _check_pair(args)
+    _check_seed(args)
     if args.B < 2:
         raise _UsageError("--B must be >= 2")
     cohort = _load_cohort(args)
@@ -200,6 +209,8 @@ def _cmd_bootstrap(args) -> int:
 
 
 def _cmd_cox(args) -> int:
+    if args.markov_test and _covariate_list(args):
+        raise _UsageError("--covariates: --markov-test uses no covariates")
     cohort = _load_cohort(args)
     records = to_transitions(cohort)
     if args.markov_test:
@@ -222,6 +233,7 @@ def _read_spec(path) -> HazardSpec:
 def _cmd_simulate(args) -> int:
     if args.n < 1:
         raise _UsageError("--n must be >= 1")
+    _check_seed(args)
     spec = _read_spec(args.spec)
     cohort = simulate_cohort(spec, args.n, args.seed)
     _emit(cohort_to_csv(cohort), args.out, "cohort.csv")

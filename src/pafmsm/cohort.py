@@ -384,12 +384,12 @@ def parse_cohort(source, tie_policy: TiePolicy = TiePolicy.shift(), horizon=None
         source = source.decode("utf-8")
     if isinstance(source, os.PathLike) or isinstance(source, str) and "\n" not in source:
         with open(source, "r", encoding="utf-8", newline="") as fh:
-            return _parse(fh, tie_policy, horizon)
-    if hasattr(source, "read"):
+            source = fh.read()
+    elif hasattr(source, "read"):
         source = source.read()
         source = source.decode("utf-8") if isinstance(source, bytes) else source
     if isinstance(source, str):
-        return _parse(io.StringIO(source), tie_policy, horizon)
+        return _parse(source, tie_policy, horizon)
     raise TypeError("source must be a path, text, bytes, or file object")
 
 
@@ -402,7 +402,7 @@ def _is_number(text):
 
 def _stripped(cells):
     """Stripped cells and the mask of blank ones."""
-    text = [c.strip() for c in cells]
+    text = list(map(str.strip, cells))
     return text, ~np.fromiter(map(bool, text), bool, len(text))
 
 
@@ -420,31 +420,69 @@ def _text_column(cells):
     return text, values, blank, number
 
 
-def _parse(fh, tie_policy, horizon):
-    reader = csv.reader(fh)
+def _split_rows(text):
+    """Header and body cells of plain text by ``str.split``, or None.
+
+    Plain means no ``"``, ``\\r`` or NUL, no line longer than the csv field
+    limit, and as many commas on every line as on the header: on such text
+    ``csv.reader`` returns the same cells.
+    """
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the newline that ends the last row
+    if not lines:
+        return None
+    commas = lines[0].count(",")
+    if list(map(str.count, lines, repeat(","))).count(commas) < len(lines):
+        return None
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    width = commas + 1
+    cells = ",".join(lines).split(",")
+    return cells[:width], [cells[width + j::width] for j in range(width)], np.full(len(lines) - 1, width)
+
+
+def _reader_rows(text):
+    """Header and body cells by ``csv.reader``, which handles quoted cells and
+    every line ending: the header, one list of cells per header column, and
+    each row's field count.  A row of another width holds blank cells; if it
+    has no non-blank cell it counts as full width and is skipped as blank.
+    """
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header, records = None, []
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty input") from None
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("empty input")
+        records.extend(reader)
+    except csv.Error as exc:  # a cell over the csv field limit; a NUL before Python 3.11
+        raise ParseError(str(exc), row=len(records) + 1 + (header is not None)) from None
+    width = len(header)
+    lengths = np.fromiter(map(len, records), np.intp, len(records))
+    for k in np.flatnonzero(lengths != width):
+        if not any(f.strip() for f in records[k]):
+            lengths[k] = width
+        records[k] = [""] * width
+    return header, [list(map(itemgetter(j), records)) for j in range(width)], lengths
+
+
+def _parse(text, tie_policy, horizon):
+    header, columns, lengths = _split_rows(text) or _reader_rows(text)
     header = [h.strip() for h in header]
     required = ["id", "inf_time", "end_time", "end_status"]
     if header[: len(required)] != required:
         raise ParseError(f"header must start with {','.join(required)}", row=1)
     width = len(header)
 
-    # record k is file row k + 2; rows with no non-blank cell are skipped
-    records = list(reader)
-    n = len(records)
-    lengths = np.fromiter(map(len, records), np.intp, n)
+    # body row k is file row k + 2; rows with no non-blank cell are skipped
+    n = lengths.size
     wrong_width = lengths != width
-    for k in np.flatnonzero(wrong_width):
-        wrong_width[k] = any(f.strip() for f in records[k])
-        records[k] = [""] * width
-    columns = [list(map(itemgetter(j), records)) for j in range(width)]
     ids, no_id = _stripped(columns[0])
     blank = no_id & ~wrong_width
     for k in np.flatnonzero(blank):
-        blank[k] = not any(f.strip() for f in records[k])
+        blank[k] = not any(column[k].strip() for column in columns)
     keep = ~blank
     inf_text, raw_inf, no_inf, inf_number = _text_column(columns[1])
     end_text, end, no_end, end_number = _text_column(columns[2])
@@ -547,13 +585,25 @@ def discretize(cohort: Cohort, allow_drop: bool = False) -> DailyPanel:
 def cohort_to_csv(cohort: Cohort) -> str:
     """Serialize a cohort in the same CSV format parse_cohort reads."""
     columns = [
-        list(map(str, cohort.ids)),
+        _csv_cells(map(str, cohort.ids)),
         ["" if t != t else format(t, ".12g") for t in cohort.inf.tolist()],
         [format(e, ".12g") for e in cohort.end.tolist()],
         [_STATUS_NAME[s] for s in cohort.status.tolist()],
     ]
     for column in cohort.covariates.values():
-        columns.append(["" if v is _ABSENT else f"{v}" for v in column.tolist()])
-    lines = [",".join(["id", "inf_time", "end_time", "end_status", *cohort.covariate_names()])]
+        columns.append(_csv_cells("" if v is _ABSENT else f"{v}" for v in column.tolist()))
+    lines = [",".join(_csv_cells(["id", "inf_time", "end_time", "end_status",
+                                  *cohort.covariate_names()]))]
     lines += map(",".join, zip(*columns))
     return "\n".join(lines) + "\n"
+
+
+def _csv_cells(cells):
+    """Text cells as ``csv`` writes them: a cell holding a comma, a quote or
+    a line break is quoted, with its quotes doubled; others are as given."""
+    cells = list(cells)
+    joined = "".join(cells)
+    if not any(s in joined for s in ',"\r\n'):
+        return cells
+    return ['"' + c.replace('"', '""') + '"' if any(s in c for s in ',"\r\n') else c
+            for c in cells]

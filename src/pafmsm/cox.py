@@ -64,32 +64,43 @@ class CoxFit:
         return buf.getvalue()
 
 
-def _risk_sums(start, stop, w, wx, event_times):
-    """Sums of w and w*x over the risk sets {start < t <= stop}.
+class _RiskSets:
+    """The risk sets {start < t <= stop} at the event times ``t``.
 
-    Delayed entry makes the risk set a difference of two tail sums, each
-    obtained from a sorted cumulative sum.
+    Delayed entry makes a risk set the difference of two tail sums, over
+    the intervals with stop >= t and over those with start >= t.  Both
+    orders and every tail's first position are found once, so a sum over
+    the risk sets costs two gathers and two cumulative sums.
     """
-    order_stop = np.argsort(stop)
-    order_start = np.argsort(start)
-    stop_sorted = stop[order_stop]
-    start_sorted = start[order_start]
 
-    def tail(values, order, keys, side_keys):
-        # extended precision: the 1e-8 score tolerance sits below the
-        # float64 rounding of a cumulative sum over large cohorts
-        acc = np.cumsum(values[order][::-1].astype(np.longdouble), axis=0)[::-1]
-        cum = np.concatenate([acc, np.zeros((1,) + values.shape[1:], dtype=np.longdouble)])
-        pos = np.searchsorted(keys, side_keys, side="left")
-        return cum[pos]
+    def __init__(self, start, stop, event_times):
+        self._tails = []
+        for key in (stop, start):
+            order = np.argsort(key)
+            first = np.searchsorted(key[order], event_times, side="left")
+            # the tail from sorted position i is entry n - i of a cumulative
+            # sum over the reversed order that starts with the empty tail
+            self._tails.append((order[::-1].copy(), key.size - first))
 
-    s0 = tail(w[:, None], order_stop, stop_sorted, event_times)[:, 0] - tail(
-        w[:, None], order_start, start_sorted, event_times
-    )[:, 0]
-    s1 = tail(wx, order_stop, stop_sorted, event_times) - tail(
-        wx, order_start, start_sorted, event_times
-    )
-    return s0.astype(float), s1.astype(float)
+    def sums(self, values):
+        """Sums of the rows of the 2-d ``values`` over each risk set."""
+        (stop_order, stop_tail), (start_order, start_tail) = self._tails
+        return (_tail_sums(values, stop_order, stop_tail)
+                - _tail_sums(values, start_order, start_tail)).astype(float)
+
+
+def _tail_sums(values, order, tail):
+    # extended precision: the 1e-8 score tolerance sits below the float64
+    # rounding of a cumulative sum over large cohorts
+    acc = np.zeros((values.shape[0] + 1,) + values.shape[1:], dtype=np.longdouble)
+    np.cumsum(values[order], axis=0, dtype=np.longdouble, out=acc[1:])
+    return acc[tail]
+
+
+def _risk_sums(start, stop, w, wx, event_times):
+    """Sums of w and w*x over the risk sets {start < t <= stop}."""
+    risk = _RiskSets(start, stop, event_times)
+    return risk.sums(w[:, None])[:, 0], risk.sums(wx)
 
 
 def _cox_engine(start, stop, event, x, term_names):
@@ -101,21 +112,22 @@ def _cox_engine(start, stop, event, x, term_names):
     d = np.bincount(inverse).astype(float)  # tied events per time
     x_event_sum = np.zeros((event_times.size, p))
     np.add.at(x_event_sum, inverse, x[event])
+    risk = _RiskSets(start, stop, event_times)
 
     def loglik_score_info(beta):
         eta = x @ beta
         shift = eta.max()  # keeps exp() in range; restored in the log below
         w = np.exp(eta - shift)
         wx = w[:, None] * x
-        s0, s1 = _risk_sums(start, stop, w, wx, event_times)
+        s0 = risk.sums(w[:, None])[:, 0]
         if np.any(s0 <= 0.0):
             # a risk-set sum underflowed; treat the point as infeasible
             return -np.inf, np.full(p, np.nan), np.full((p, p), np.nan)
+        s1 = risk.sums(wx)
         # second moment, one pass per covariate
         s2 = np.empty((event_times.size, p, p))
         for a in range(p):
-            _, col = _risk_sums(start, stop, w, wx * x[:, a : a + 1], event_times)
-            s2[:, a, :] = col
+            s2[:, a, :] = risk.sums(wx * x[:, a : a + 1])
         xbar = s1 / s0[:, None]
         ll = float((x[event] @ beta).sum() - (d * (np.log(s0) + shift)).sum())
         score = x_event_sum.sum(axis=0) - (d[:, None] * xbar).sum(axis=0)

@@ -10,6 +10,8 @@ import numpy as np
 
 __all__ = ["StepCurve", "union_grid"]
 
+_CSV_CHUNK = 4096  # rows formatted per write in StepCurve.to_csv
+
 
 @dataclass(frozen=True)
 class StepCurve:
@@ -64,8 +66,13 @@ class StepCurve:
         """Two-column CSV ``t,value`` at the jump times."""
         buf = io.StringIO()
         buf.write("t,value\n")
-        for t, v in zip(self.times, self.values):
-            buf.write(f"{t:.12g},{'' if np.isnan(v) else format(v, '.12g')}\n")
+        # formatted from Python floats, a chunk of rows per write: a list of
+        # every row would raise the peak memory by about the text's size
+        for k in range(0, self.times.size, _CSV_CHUNK):
+            times = self.times[k : k + _CSV_CHUNK].tolist()
+            values = self.values[k : k + _CSV_CHUNK].tolist()
+            buf.write("".join([f"{t:.12g},{v:.12g}\n" if v == v else f"{t:.12g},\n"
+                               for t, v in zip(times, values)]))
         return buf.getvalue()
 
     def to_json(self) -> str:

@@ -127,6 +127,33 @@ def test_bootstrap_manifest_written(cohort_file, tmp_path):
     assert (out / "paf_o_multistate_bands.csv").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["bootstrap", "--estimand", "paf_c", "--B", "20"],
+    ["simulate", "--n", "10"],
+])
+def test_negative_seed_is_a_usage_error_naming_the_option(cohort_file, spec_file, capsys, command):
+    source = ["--spec", spec_file] if command[0] == "simulate" else ["--input", cohort_file]
+    assert run(command + source + ["--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --seed must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("command, user", [
+    (["estimate", "--estimand", "paf_c"], "--estimator multistate"),
+    (["estimate", "--estimand", "paf_o", "--estimator", "naive"], "--estimator naive"),
+    (["bootstrap", "--estimand", "paf_o", "--B", "20", "--seed", "1"], "--estimator multistate"),
+    (["bootstrap", "--estimand", "paf_o", "--estimator", "naive", "--B", "20", "--seed", "1"],
+     "--estimator naive"),
+    (["cox", "--markov-test"], "--markov-test"),
+])
+def test_covariates_that_would_be_ignored_are_a_usage_error(cohort_file, capsys, command, user):
+    assert run(command + ["--input", cohort_file, "--covariates", "zz"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: --covariates: {user} uses no covariates")
+
+
 def test_cox_table(cohort_file, capsys):
     assert run(["cox", "--input", cohort_file, "--outcome", "discharge"]) == 0
     out = capsys.readouterr().out

@@ -1,6 +1,10 @@
+import io
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import pafmsm.cohort
 from pafmsm import (
     CENSORED,
     Cohort,
@@ -263,3 +267,94 @@ def test_discretize_matches_a_per_subject_fill():
 def test_discretize_rejects_an_empty_cohort():
     with pytest.raises(DataError, match="empty cohort"):
         discretize(parse_cohort("id,inf_time,end_time,end_status\n"))
+
+
+def test_round_trip_through_csv_quotes_cells_as_csv_does():
+    text = ('id,inf_time,end_time,end_status,"note, free",site\n'
+            '"a,b",,3,death,"said ""no""",x\n'
+            'c,1,4,discharge,"two\nlines",y\n')
+    cohort = parse_cohort(text)
+    assert list(cohort.ids) == ["a,b", "c"]
+    written = cohort_to_csv(cohort)
+    assert written == text
+    again = parse_cohort(written)
+    assert again.subjects == cohort.subjects
+    assert again.covariate_names() == ["note, free", "site"]
+
+
+def cohort_columns(cohort):
+    """Every column of a cohort as comparable values: float and int columns
+    as bytes, text and mixed columns by ``repr`` (which tells -0.0 and NaN)."""
+    covariates = [(name, column.dtype.str,
+                   repr(column.tolist()) if column.dtype == object else column.tobytes())
+                  for name, column in cohort.covariates.items()]
+    return (cohort.ids.tolist(), cohort.inf.tobytes(), cohort.end.tobytes(),
+            cohort.status.tobytes(), cohort.horizon, cohort.diagnostics, covariates)
+
+
+def parse_both_ways(text, **kwargs):
+    """Parse ``text`` as read from a file object, once as ``parse_cohort``
+    does (by ``str.split`` when the text is plain) and once by
+    ``csv.reader`` alone.  Both must give the same columns or raise the
+    same DataError; returns the columns or (type, message, row)."""
+
+    def outcome():
+        try:
+            return cohort_columns(parse_cohort(io.StringIO(text), **kwargs))
+        except DataError as exc:
+            return type(exc).__name__, str(exc), getattr(exc, "row", None)
+
+    either = outcome()
+    with mock.patch.object(pafmsm.cohort, "_split_rows", lambda text: None):
+        assert outcome() == either
+    return either
+
+
+HEADER = "id,inf_time,end_time,end_status\n"
+
+
+@pytest.mark.parametrize("text, plain, ids", [
+    (HEADER + '"a,b",,3,death\nc,1,4,discharge\n', False, ["a,b", "c"]),
+    (CSV.replace("\n", "\r\n"), False, ["A", "B", "C"]),
+    (CSV.replace("\n", "\r"), False, ["A", "B", "C"]),
+    ('"id","inf_time",end_time,"end_status"\nA,,5,death\n', False, ["A"]),
+    ("id , inf_time,end_time ,end_status\n A ,  2 , 7 , discharge \n\tB\t,,3, death\n", True,
+     ["A", "B"]),
+    (HEADER + "\n   \n , , , \nA,,5,death\n,,\n\t\n", False, ["A"]),
+    (HEADER + " , , , \nA,,5,death\n , , , \n", True, ["A"]),
+    (HEADER + "A,,5,death", True, ["A"]),
+    (HEADER + "A,,5,death\n\n", False, ["A"]),
+    (HEADER + "A\0B,,5,death\n", False, ["A\0B"]),
+    (HEADER, True, []),
+    (HEADER.rstrip("\n"), True, []),
+], ids=["quoted-comma", "crlf", "cr", "quoted-header", "padded", "blank-rows", "blank-full-width",
+        "no-final-newline", "final-blank-line", "nul", "header-only", "header-only-no-newline"])
+def test_both_parse_paths_read_the_same_cells(text, plain, ids):
+    assert (pafmsm.cohort._split_rows(text) is not None) == plain
+    columns = parse_both_ways(text)
+    assert columns[0] == ids
+
+
+@pytest.mark.parametrize("text, row, message", [
+    ("", None, "empty input"),
+    (HEADER + "A,,5,death\nB,,4\n", 3, "expected 4 fields, got 3"),
+    (HEADER + "A,,5,death\nB,,4,death,x\n", 3, "expected 4 fields, got 5"),
+    (HEADER + " , , , \nB,9,5,death\n", 3, "inf_time > end_time"),
+    (HEADER + "\n\nB,9,5,death\n", 4, "inf_time > end_time"),
+    (HEADER.replace("\n", "\r\n") + "A,,5,death\r\nB,,4\r\n", 3, "expected 4 fields, got 3"),
+    (HEADER.replace("\n", "\r") + "A,,5,death\rB,x,4,death\r", 3, "bad inf_time 'x'"),
+    ("id,inf_time,end_time\nA,,5\n", 1, "header must start with id,inf_time,end_time,end_status"),
+    (HEADER + '"A,,5,death\n', 2, "expected 4 fields, got 1"),
+    (HEADER + "A,,5,death\nB,," + "9" * 140_000 + ",death\n", 3,
+     "field larger than field limit (131072)"),
+], ids=["empty", "short-row", "long-row", "after-blank-full-width", "after-blank-lines", "crlf", "cr",
+        "header", "open-quote", "huge-cell"])
+def test_both_parse_paths_raise_the_same_parse_error(text, row, message):
+    expected = message if row is None else f"row {row}: {message}"
+    assert parse_both_ways(text) == ("ParseError", expected, row)
+
+
+def test_a_file_with_cr_line_endings_parses(tmp_path):
+    path = tmp_path / "mac.csv"
+    path.write_bytes(CSV.replace("\n", "\r").encode())
+    assert parse_cohort(path).subjects == parse_cohort(CSV).subjects

@@ -1,3 +1,6 @@
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -9,10 +12,52 @@ from pafmsm import (
     Subject,
     fit_cox_td,
     markov_test,
+    parse_cohort,
     simulate_cohort,
     to_transitions,
 )
+from pafmsm import cox
 from pafmsm.cox import _interval_arrays, _log_partial_likelihood, _risk_sums
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def reference_risk_sums(start, stop, w, wx, event_times):
+    """Sums of w and w*x over the risk sets {start < t <= stop}, sorting
+    both keys on every call."""
+    order_stop = np.argsort(stop)
+    order_start = np.argsort(start)
+    stop_sorted = stop[order_stop]
+    start_sorted = start[order_start]
+
+    def tail(values, order, keys, side_keys):
+        acc = np.cumsum(values[order][::-1].astype(np.longdouble), axis=0)[::-1]
+        cum = np.concatenate([acc, np.zeros((1,) + values.shape[1:], dtype=np.longdouble)])
+        pos = np.searchsorted(keys, side_keys, side="left")
+        return cum[pos]
+
+    s0 = tail(w[:, None], order_stop, stop_sorted, event_times)[:, 0] - tail(
+        w[:, None], order_start, start_sorted, event_times
+    )[:, 0]
+    s1 = tail(wx, order_stop, stop_sorted, event_times) - tail(
+        wx, order_start, start_sorted, event_times
+    )
+    return s0.astype(float), s1.astype(float)
+
+
+class ReferenceRiskSets:
+    """The fit's risk-set sums by ``reference_risk_sums``: a sort per sum."""
+
+    def __init__(self, start, stop, event_times):
+        self.start, self.stop, self.event_times = start, stop, event_times
+
+    def sums(self, values):
+        return reference_risk_sums(self.start, self.stop, values[:, 0], values, self.event_times)[1]
+
+
+def fit_bytes(fit):
+    return (fit.coefficients.tobytes(), fit.standard_errors.tobytes(),
+            repr(fit.log_likelihood), fit.iterations, fit.n_events)
 
 
 def small_cohort(seed, n=30):
@@ -141,3 +186,30 @@ def test_summary_csv_format():
     header, row = out.strip().splitlines()
     assert header == "outcome,term,coef,hr,se,ci_low,ci_high,p,n_events"
     assert row.startswith("death,exposure,")
+
+
+def test_risk_sums_equal_the_per_call_sort():
+    rng = np.random.default_rng(4)
+    for n, p in ((1, 1), (50, 1), (400, 3)):
+        start = rng.integers(0, 5, n).astype(float)  # tied entries and exits
+        stop = start + rng.integers(1, 6, n)
+        event_times = np.unique(rng.choice(stop, max(1, n // 3)))
+        event_times = np.concatenate([[0.5], event_times, [stop.max() + 1]])
+        w = rng.exponential(1.0, n)
+        wx = w[:, None] * rng.normal(size=(n, p))
+        for got, want in zip(_risk_sums(start, stop, w, wx, event_times),
+                             reference_risk_sums(start, stop, w, wx, event_times)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("covariates", [(), ("x",)])
+@pytest.mark.parametrize("outcome", ["death", "discharge"])
+def test_fit_equals_the_per_call_sort_fit(covariates, outcome):
+    records = to_transitions(parse_cohort(GOLDEN / "daily" / "cohort.csv"))
+    fit = fit_cox_td(records, outcome, extra_covariates=covariates)
+    markov = markov_test(records, f"{outcome}_after")
+    with mock.patch.object(cox, "_RiskSets", ReferenceRiskSets):
+        assert fit_bytes(fit) == fit_bytes(fit_cox_td(records, outcome, extra_covariates=covariates))
+        assert fit_bytes(markov) == fit_bytes(markov_test(records, f"{outcome}_after"))
+    assert fit.coefficients.size == 1 + len(covariates)

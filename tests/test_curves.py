@@ -1,7 +1,19 @@
+import io
+
 import numpy as np
 import pytest
 
 from pafmsm import StepCurve, union_grid
+from pafmsm.curves import _CSV_CHUNK
+
+
+def reference_to_csv(curve):
+    """``StepCurve.to_csv`` as one formatted write per numpy row."""
+    buf = io.StringIO()
+    buf.write("t,value\n")
+    for t, v in zip(curve.times, curve.values):
+        buf.write(f"{t:.12g},{'' if np.isnan(v) else format(v, '.12g')}\n")
+    return buf.getvalue()
 
 
 def test_right_continuous_evaluation():
@@ -50,3 +62,20 @@ def test_union_grid_merges_and_sorts():
     a = StepCurve(np.array([1.0, 4.0]), np.array([0.0, 0.0]))
     b = StepCurve(np.array([2.0, 4.0]), np.array([0.0, 0.0]))
     np.testing.assert_array_equal(union_grid(a, b), [1.0, 2.0, 4.0])
+
+
+@pytest.mark.parametrize("n", [0, 1, _CSV_CHUNK - 1, _CSV_CHUNK, 2 * _CSV_CHUNK + 17])
+def test_csv_equals_the_per_row_reference(n):
+    rng = np.random.default_rng(n)
+    times = np.cumsum(rng.exponential(1.0, n)) * 10.0 ** rng.integers(-8, 8)
+    values = rng.normal(0.0, 10.0 ** rng.integers(-300, 300, n).astype(float) / 100.0)
+    specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308, 1 / 3, 123456789012345.0]
+    if n:
+        values[rng.integers(0, n, len(specials))] = specials
+    curve = StepCurve(times, values)
+    assert curve.to_csv() == reference_to_csv(curve)
+
+
+def test_csv_writes_nan_blank_and_signed_zero():
+    c = StepCurve(np.array([0.5, 1.0, 2.0, 3.0]), np.array([-0.0, np.nan, np.inf, -np.inf]))
+    assert c.to_csv() == "t,value\n0.5,-0\n1,\n2,inf\n3,-inf\n"

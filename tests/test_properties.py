@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from pafmsm import (
     Cohort,
     Subject,
+    TiePolicy,
     aalen_johansen_extended,
     cif_counterfactual,
     compute_weights,
@@ -19,8 +20,10 @@ from pafmsm import (
     overall_death_risk,
     to_transitions,
 )
+from pafmsm.cohort import _split_rows
 from pafmsm.continuous import exposure_survival
 
+from test_cohort import parse_both_ways
 from test_discrete import assert_matches_reference, assert_same
 
 
@@ -65,6 +68,53 @@ def test_columnar_panel_equals_the_dense_reference(cohort):
     assert_same(panel.a, a)
     assert_same(panel.eps, eps)
     assert_matches_reference(panel)
+
+
+# cells for plain cohort text: mostly valid, with every kind of fault the
+# parser reports, padding and characters that some line splitters break on
+_PLAIN_CELLS = {
+    "inf_time": ["", "", "", "1", "2.5", " 3 ", "1e-3", "0", "-1", "nan", "inf", "x", "7"],
+    "end_time": ["5", "7.25", " 9 ", "12", "3", "", "inf", "0", "-2", "abc", "1e1"],
+    "end_status": ["death", "discharge", "censored", " death", "\tdischarge\x0b", "dead", ""],
+    "covariate": ["1", "0.5", "-2", "a", " b ", "", "nan", "\x85c\u2028", "1e400"],
+}
+
+
+@st.composite
+def plain_cohort_text(draw):
+    """Cohort CSV text with no quote and no CR: full-width rows, blank and
+    whitespace-only lines, rows one cell short or long, repeated ids."""
+    covariates = draw(st.lists(st.sampled_from(["x", " site ", "age"]), max_size=2, unique=True))
+    lines = [",".join(["id", "inf_time", "end_time", "end_status", *covariates])]
+    for i in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "spaces", "empty cells", "short", "long"]))
+        if kind == "blank":
+            lines.append("")
+            continue
+        if kind == "spaces":
+            lines.append(draw(st.sampled_from([" ", "\t", " \x0c "])))
+            continue
+        sid = draw(st.sampled_from([f"s{i}", f" s{i} ", "", "s0"]))
+        cells = [sid] + [draw(st.sampled_from(_PLAIN_CELLS[name]))
+                         for name in ("inf_time", "end_time", "end_status")]
+        cells += [draw(st.sampled_from(_PLAIN_CELLS["covariate"])) for _ in covariates]
+        if kind == "empty cells":
+            cells = [draw(st.sampled_from(["", " "])) for _ in cells]
+        cells = cells[:-1] if kind == "short" else cells + ["1"] if kind == "long" else cells
+        lines.append(",".join(cells))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(plain_cohort_text(), st.sampled_from(["reject", "shift"]))
+def test_split_and_reader_parse_paths_agree_on_plain_text(text, policy):
+    tie_policy = TiePolicy.parse(policy)
+    either = parse_both_ways(text, tie_policy=tie_policy)
+    # the same rows with CRLF endings take the reader path to the same result
+    assert parse_both_ways(text.replace("\n", "\r\n"), tie_policy=tie_policy) == either
+    lines = text.split("\n")[: -1 if text.endswith("\n") else None]
+    if len({line.count(",") for line in lines}) == 1:
+        assert _split_rows(text) is not None
 
 
 @settings(max_examples=60, deadline=None)
