@@ -20,13 +20,12 @@ from pafmsm import (
     Cohort,
     HazardSpec,
     cif_counterfactual,
-    compute_weights,
     cpf_unexposed,
     discretize,
+    empirical_weights,
     ht_cif,
     ipw_f01,
     naive_f01,
-    nonparametric_daily_hazard,
     simulate_cohort,
     to_transitions,
 )
@@ -42,7 +41,7 @@ days = np.arange(1.0, panel.n_days + 1.0)
 
 naive = naive_f01(panel)(days)
 cpf = cpf_unexposed(records)(days)
-weights = compute_weights(panel, nonparametric_daily_hazard(panel))
+weights = empirical_weights(panel)
 ipw = ipw_f01(panel, weights)(days)
 aj = cif_counterfactual(records)(days)
 ht = ht_cif(records)(days)

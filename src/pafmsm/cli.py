@@ -28,7 +28,7 @@ from .cohort import (
 from .continuous import cif_counterfactual, cpf_unexposed, ht_cif
 from .cox import fit_cox_td, markov_test
 from .curves import StepCurve
-from .discrete import compute_weights, ipw_f01, naive_f01, nonparametric_daily_hazard
+from .discrete import empirical_weights, ipw_f01, naive_f01
 from .errors import DataError, NumericalError
 from .paf import ESTIMAND_ESTIMATORS, bootstrap_ci, estimate_paf
 from .simulate import HazardSpec, analytic_curves, simulate_cohort
@@ -279,7 +279,7 @@ def _cmd_check(args) -> int:
         mask = ~np.isnan(av)
         return float(np.max(np.abs(av[mask] - bv[mask]))) if mask.any() else 0.0
 
-    weights = compute_weights(panel, nonparametric_daily_hazard(panel))
+    weights = empirical_weights(panel)
     checks = [
         ("naive == cpf_unexposed", compare(naive_f01(panel), cpf_unexposed(records))),
         ("ipw == counterfactual_cif", compare(ipw_f01(panel, weights), cif_counterfactual(records))),

@@ -377,12 +377,14 @@ class DailyPanel:
 def parse_cohort(source, tie_policy: TiePolicy = TiePolicy.shift(), horizon=None) -> Cohort:
     """Read a cohort from CSV (``id,inf_time,end_time,end_status[,<covariate>...]``).
 
-    ``source`` is a path (``os.PathLike``, or a ``str`` without a newline),
-    CSV text (a ``str`` or ``bytes`` with a newline), or a file object.
+    ``source`` is a path (``os.PathLike``, or a ``str`` without a line
+    break), CSV text (a ``str`` or ``bytes`` with a "\\n" or "\\r"), or a
+    file object.
     """
     if isinstance(source, bytes):
         source = source.decode("utf-8")
-    if isinstance(source, os.PathLike) or isinstance(source, str) and "\n" not in source:
+    is_text = isinstance(source, str) and ("\n" in source or "\r" in source)
+    if isinstance(source, os.PathLike) or isinstance(source, str) and not is_text:
         with open(source, "r", encoding="utf-8", newline="") as fh:
             source = fh.read()
     elif hasattr(source, "read"):

@@ -10,7 +10,7 @@ import numpy as np
 
 __all__ = ["StepCurve", "union_grid"]
 
-_CSV_CHUNK = 4096  # rows formatted per write in StepCurve.to_csv
+_CSV_CHUNK = 4096  # rows formatted per write by the CSV writers
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohort import STATUS_DEATH, DailyPanel, covariate_column
-from .curves import StepCurve
+from .curves import _CSV_CHUNK, StepCurve
 from .errors import ConvergenceError, DataError, PositivityError, SeparationError
 
 __all__ = [
@@ -28,6 +28,8 @@ __all__ = [
     "fit_pooled_logistic",
     "nonparametric_daily_hazard",
     "compute_weights",
+    "empirical_weights",
+    "model_weights",
     "ipw_f01",
 ]
 
@@ -48,17 +50,15 @@ class PersonDayRecords:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        buf.write("id,day,at_risk,infected_today")
-        for name in self.covariate_names:
-            buf.write(f",{name}")
-        buf.write("\n")
-        for r in range(len(self)):
-            buf.write(
-                f"{self.ids[self.subject_ids[r]]},{self.days[r]},1,{int(self.infected_today[r])}"
-            )
-            for c in range(self.covariates.shape[1]):
-                buf.write(f",{self.covariates[r, c]:g}")
-            buf.write("\n")
+        buf.write(",".join(("id", "day", "at_risk", "infected_today") + self.covariate_names) + "\n")
+        # formatted from Python values, a chunk of rows per write
+        for k in range(0, len(self), _CSV_CHUNK):
+            part = slice(k, k + _CSV_CHUNK)
+            ids = map(self.ids.__getitem__, self.subject_ids[part].tolist())
+            rows = zip(ids, self.days[part].tolist(), self.infected_today[part].astype(int).tolist(),
+                       self.covariates[part].tolist())
+            buf.write("".join([f"{i},{d},1,{e}" + "".join([f",{c:g}" for c in covs]) + "\n"
+                               for i, d, e, covs in rows]))
         return buf.getvalue()
 
 
@@ -86,21 +86,100 @@ class ExposureModel:
         return np.repeat(p[:, None], panel.n_days, axis=1)
 
 
+# Weights are built and summed in blocks of at most this many (subject x
+# day) cells, so that memory grows with n_subjects + n_days.
+_BLOCK_CELLS = 1 << 16
+
+
 @dataclass(frozen=True)
 class WeightTable:
-    """Inverse-probability-of-exposure weights W[i, t-1] per subject-day."""
+    """Inverse-probability-of-exposure weights W[i, t-1] per subject-day.
 
-    weights: np.ndarray  # (n_subjects, n_days)
+    Before its exposure day, subject i has W[i, t-1] = 1 / prod_{s <=
+    min(t, freeze_day[i])} (1 - p_i(s)); from ``exposure_day[i]`` on, 0.
+    The factors 1 - p are rows, ``factors[row[i]]`` for subject i: one
+    shared row for the empirical hazard, one (k, 1) row per distinct
+    fitted probability of a pooled logistic model, or one row per subject.
+    The (n_subjects, n_days) matrix is built only on request (``weights``);
+    the estimator reads it block by block.
+    """
+
+    factors: np.ndarray  # (k, n_days), or (k, 1) for a probability constant over days
+    row: np.ndarray  # (n_subjects,) each subject's row of factors
+    freeze_day: np.ndarray  # (n_subjects,) the last day whose factor enters the product
+    exposure_day: np.ndarray  # (n_subjects,)
+    n_days: int
     ids: tuple[str, ...]
+
+    @property
+    def n_subjects(self) -> int:
+        return self.row.size
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The dense (n_subjects, n_days) matrix."""
+        out = np.empty((self.n_subjects, self.n_days))
+        for part, inverse, local in self._blocks():
+            self._fill(part, inverse, local, out[part])
+        return out
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("id,day,weight\n")
-        n, m = self.weights.shape
-        for i in range(n):
-            for t in range(m):
-                buf.write(f"{self.ids[i]},{t + 1},{self.weights[i, t]:.12g}\n")
+        days = range(1, self.n_days + 1)
+        for part, inverse, local in self._blocks():
+            block = np.empty((local.size, self.n_days))
+            self._fill(part, inverse, local, block)
+            for i, row in zip(self.ids[part], block.tolist()):
+                buf.write("".join([f"{i},{t},{w:.12g}\n" for t, w in zip(days, row)]))
         return buf.getvalue()
+
+    def _inverse_survival(self, factors) -> np.ndarray:
+        """1 / prod_{s <= t} f(s) for t = 0..n_days (1 at t = 0), row by row."""
+        out = np.ones((len(factors), self.n_days + 1))
+        np.cumprod(np.broadcast_to(factors, (len(factors), self.n_days)), axis=1, out=out[:, 1:])
+        with np.errstate(divide="ignore"):
+            return np.divide(1.0, out, out=out)
+
+    def _blocks(self):
+        """Per block of subjects: its slice, inverse-survival rows, and the
+        row each of its subjects reads.  Few rows are computed once."""
+        m, n = self.n_days, self.n_subjects
+        # one block when m == 1: numpy sums a single column pairwise, not row by row
+        step = n if m == 1 else max(1, min(n, _BLOCK_CELLS // max(m, 1)))
+        shared = self._inverse_survival(self.factors) if len(self.factors) <= step else None
+        for first in range(0, n, step):
+            part = slice(first, first + step)
+            rows = self.row[part]
+            if shared is not None:
+                yield part, shared, rows
+            else:
+                yield part, self._inverse_survival(self.factors[rows]), np.arange(rows.size)
+
+    def _fill(self, part, inverse, local, out):
+        """Write the weights of the subjects in ``part`` into ``out``."""
+        days = np.arange(1, self.n_days + 1)
+        cell = np.minimum(days, self.freeze_day[part, None])
+        if len(inverse) > 1:
+            cell += (local * (self.n_days + 1))[:, None]
+        np.take(inverse, cell, out=out, mode="clip")
+        np.copyto(out, 0.0, where=days >= self.exposure_day[part, None])
+
+    def _check_bounded(self):
+        """PositivityError if a weight the estimator reads is not finite."""
+        checked = None
+        for part, inverse, local in self._blocks():
+            if inverse is not checked:
+                bad = ~np.isfinite(inverse)
+                first_bad = np.where(bad.any(axis=1), bad.argmax(axis=1), self.n_days + 1)
+                checked = inverse
+            # subject i reads days 1..min(freeze_day, exposure_day - 1) of its row
+            read = np.minimum(self.freeze_day[part], self.exposure_day[part] - 1)
+            if (first_bad[local] <= read).any():
+                raise PositivityError(
+                    "a daily exposure probability reached 1 on an unexposed path; "
+                    "weights are unbounded"
+                )
 
 
 def _logistic(z):
@@ -224,13 +303,9 @@ def _bernoulli_loglik(x, y, beta):
     return float(np.sum(y * z - np.logaddexp(0.0, z)))
 
 
-def nonparametric_daily_hazard(panel: DailyPanel) -> np.ndarray:
-    """Empirical per-day exposure probabilities, shape (n_subjects, n_days).
-
-    Day s pools everyone at risk at the start of s; subjects with a
-    terminal event on s have already left, so their own probability on
-    that day is 0 and the shared hazard divides by the day's survivors.
-    """
+def _daily_hazard(panel: DailyPanel):
+    """The empirical exposure hazard of each day, and the subjects who
+    leave unexposed (their own probability is 0 on their terminal day)."""
     m, n = panel.n_days, panel.n_subjects
     exposure, terminal = panel.exposure_day, panel.terminal_day
     left_unexposed = np.flatnonzero(terminal < exposure)
@@ -239,9 +314,26 @@ def nonparametric_daily_hazard(panel: DailyPanel) -> np.ndarray:
     dn = np.diff(_on_or_before(exposure, m)).astype(float)
     with np.errstate(invalid="ignore", divide="ignore"):
         hazard = np.where(dn > 0, dn / survivors, 0.0)
-    probs = np.repeat(hazard[None, :], n, axis=0)
-    probs[left_unexposed, terminal[left_unexposed] - 1] = 0.0
+    return hazard, left_unexposed
+
+
+def nonparametric_daily_hazard(panel: DailyPanel) -> np.ndarray:
+    """Empirical per-day exposure probabilities, shape (n_subjects, n_days).
+
+    Day s pools everyone at risk at the start of s; subjects with a
+    terminal event on s have already left, so their own probability on
+    that day is 0 and the shared hazard divides by the day's survivors.
+    """
+    hazard, left_unexposed = _daily_hazard(panel)
+    probs = np.repeat(hazard[None, :], panel.n_subjects, axis=0)
+    probs[left_unexposed, panel.terminal_day[left_unexposed] - 1] = 0.0
     return probs
+
+
+def _weight_table(panel: DailyPanel, factors, row, freeze_day) -> WeightTable:
+    table = WeightTable(factors, row, freeze_day, panel.exposure_day, panel.n_days, panel.ids)
+    table._check_bounded()
+    return table
 
 
 def compute_weights(panel: DailyPanel, daily_probs: np.ndarray) -> WeightTable:
@@ -249,34 +341,62 @@ def compute_weights(panel: DailyPanel, daily_probs: np.ndarray) -> WeightTable:
 
     p_i(t) indicates that subject i followed the unexposed path through t:
     weight 0 from the exposure day on, frozen after a terminal event,
-    growing while still at risk.  The weights are the one (n_subjects,
-    n_days) float array built here, worked in place.
+    growing while still at risk.  Each subject keeps its own row of
+    factors; ``empirical_weights`` and ``model_weights`` share rows.
     """
     daily_probs = np.asarray(daily_probs, dtype=float)
     if daily_probs.shape != (panel.n_subjects, panel.n_days):
         raise DataError("daily_probs must have shape (n_subjects, n_days)")
-    days = np.arange(1, panel.n_days + 1)
-    weights = np.subtract(1.0, daily_probs)
-    mask = days > _at_risk_days(panel)[:, None]  # the product runs to t ^ T_i
-    np.copyto(weights, 1.0, where=mask)
-    np.cumprod(weights, axis=1, out=weights)
-    with np.errstate(divide="ignore"):
-        np.divide(1.0, weights, out=weights)
-    np.greater_equal(days, panel.exposure_day[:, None], out=mask)
-    np.copyto(weights, 0.0, where=mask)  # zero from the exposure day on
-    if not np.isfinite(weights, out=mask).all():
-        raise PositivityError(
-            "a daily exposure probability reached 1 on an unexposed path; "
-            "weights are unbounded"
-        )
-    return WeightTable(weights, panel.ids)
+    return _weight_table(panel, np.subtract(1.0, daily_probs), np.arange(panel.n_subjects),
+                         _at_risk_days(panel))
+
+
+def empirical_weights(panel: DailyPanel) -> WeightTable:
+    """``compute_weights(panel, nonparametric_daily_hazard(panel))`` from one
+    shared row of factors.
+
+    A subject who leaves unexposed on day T has probability 0 that day, a
+    factor of exactly 1, so its product stops at T - 1.
+    """
+    hazard, left_unexposed = _daily_hazard(panel)
+    freeze_day = _at_risk_days(panel)
+    freeze_day[left_unexposed] -= 1
+    return _weight_table(panel, np.subtract(1.0, hazard)[None, :],
+                         np.zeros(panel.n_subjects, dtype=np.intp), freeze_day)
+
+
+def model_weights(panel: DailyPanel, model: ExposureModel) -> WeightTable:
+    """``compute_weights(panel, model.daily_probabilities(panel))`` with one
+    row of factors per distinct fitted probability."""
+    p = model.predict(_covariate_matrix(panel, model.covariate_names))
+    values, row = np.unique(p, return_inverse=True)
+    return _weight_table(panel, np.subtract(1.0, values)[:, None], row, _at_risk_days(panel))
 
 
 def ipw_f01(panel: DailyPanel, weights: WeightTable) -> StepCurve:
     """Weighted death proportion under the no-exposure path."""
-    w = weights.weights
-    if w.shape != (panel.n_subjects, panel.n_days):
+    if (weights.n_subjects, weights.n_days) != (panel.n_subjects, panel.n_days):
         raise DataError("weight table does not match the panel")
-    died = np.arange(1, panel.n_days + 1) >= panel.terminal_day[:, None]
-    died &= (panel.status == STATUS_DEATH)[:, None]
-    return _day_ratio(w.sum(axis=0, where=died), w.sum(axis=0))
+    m = panel.n_days
+    days = np.arange(1, m + 1)
+    death_day = np.where(panel.status == STATUS_DEATH, panel.terminal_day, m + 1)
+    total = died = None
+    # numpy sums axis 0 row by row, so each block summed below the running
+    # total adds the rows in the order of one sum over the whole matrix
+    for part, inverse, local in weights._blocks():
+        if total is None:  # the first block is the largest
+            buf, mask = np.empty((local.size + 1, m)), np.empty((local.size + 1, m), dtype=bool)
+            mask[0] = True
+        w, d = buf[: local.size + 1], mask[: local.size + 1]
+        weights._fill(part, inverse, local, w[1:])
+        np.greater_equal(days, death_day[part, None], out=d[1:])
+        if total is None:  # the first block starts the sums
+            total, died = w[1:].sum(axis=0), w[1:].sum(axis=0, where=d[1:])
+        else:
+            w[0] = total
+            total = w.sum(axis=0)
+            w[0] = died
+            died = w.sum(axis=0, where=d)
+    if total is None:
+        total = died = np.zeros(m)
+    return _day_ratio(died, total)

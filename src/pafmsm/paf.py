@@ -26,12 +26,12 @@ from .continuous import overall_death_risk, overall_death_risk_rows
 from .curves import StepCurve, union_grid
 from .discrete import (
     _death_proportion,
-    compute_weights,
+    empirical_weights,
     expand_person_days,
     fit_pooled_logistic,
     ipw_f01,
+    model_weights,
     naive_f01,
-    nonparametric_daily_hazard,
 )
 from .errors import DataError, NumericalError
 
@@ -219,11 +219,8 @@ def _paf_from(estimand, estimator, covariates, records, panel) -> PafCurve:
 
 def _panel_weights(panel: DailyPanel, covariates):
     if covariates:
-        model = fit_pooled_logistic(expand_person_days(panel, covariates))
-        probs = model.daily_probabilities(panel)
-    else:
-        probs = nonparametric_daily_hazard(panel)
-    return compute_weights(panel, probs)
+        return model_weights(panel, fit_pooled_logistic(expand_person_days(panel, covariates)))
+    return empirical_weights(panel)
 
 
 @dataclass(frozen=True)

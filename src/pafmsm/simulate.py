@@ -71,7 +71,13 @@ class PiecewiseHazard:
             raise DataError(
                 "a hazard is either a number or a list of {'until', 'rate'} pieces"
             ) from None
-        return cls(np.array(until, dtype=float), np.array(rates, dtype=float))
+        try:
+            u, r = np.array(until, dtype=float), np.array(rates, dtype=float)
+        except (TypeError, ValueError):
+            raise DataError(
+                f"hazard pieces must hold numbers, got until {until!r} and rate {rates!r}"
+            ) from None
+        return cls(u, r)
 
     def to_json(self):
         return [
@@ -145,18 +151,21 @@ class HazardSpec:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DataError(f"hazard spec is not valid JSON: {exc}") from None
+        if not isinstance(obj, dict):
+            raise DataError(f"hazard spec must be a JSON object, got {text.strip()[:40]!r}")
         names = ["alpha01", "alpha02", "alpha03", "alpha14", "alpha15"]
         missing = [n for n in names if n not in obj]
         if missing:
             raise DataError(f"hazard spec is missing {', '.join(missing)}")
         hazards = {n: PiecewiseHazard.from_json(obj[n]) for n in names}
-        return cls(
-            **hazards,
-            gamma=float(obj.get("gamma", 0.0)),
-            censor_rate=float(obj.get("censor_rate", 0.0)),
-            tau=float(obj.get("tau", 100.0)),
-            round_days=bool(obj.get("round_days", False)),
-        )
+        numbers = {}
+        for name, default in (("gamma", 0.0), ("censor_rate", 0.0), ("tau", 100.0)):
+            value = obj.get(name, default)
+            try:
+                numbers[name] = float(value)
+            except (TypeError, ValueError):
+                raise DataError(f"{name} must be a number, got {value!r}") from None
+        return cls(**hazards, **numbers, round_days=bool(obj.get("round_days", False)))
 
     def to_json(self) -> str:
         return json.dumps(

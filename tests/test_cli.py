@@ -271,9 +271,25 @@ def test_ipw_on_non_finite_times_is_data_error(tmp_path, capsys):
 def test_input_path_with_a_comma(cohort_file, tmp_path, capsys):
     path = tmp_path / "a,b" / "c.csv"
     path.parent.mkdir()
-    path.write_text(open(cohort_file).read())
+    path.write_text(Path(cohort_file).read_text())
     assert run(["validate", "--input", str(path)]) == 0
     assert "ok: n=150" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text, message", [
+    ("5", "hazard spec must be a JSON object, got '5'"),
+    ("null", "hazard spec must be a JSON object, got 'null'"),
+    (json.dumps(dict(SPEC, tau=[1])), "tau must be a number, got [1]"),
+    (json.dumps(dict(SPEC, gamma="abc")), "gamma must be a number, got 'abc'"),
+    (json.dumps(dict(SPEC, alpha03=[{"until": "x", "rate": 0.1}])),
+     "hazard pieces must hold numbers, got until ['x'] and rate [0.1]"),
+], ids=["number", "null", "tau-list", "gamma-text", "until-text"])
+@pytest.mark.parametrize("command", [["oracle"], ["simulate", "--n", "3", "--seed", "1"]])
+def test_malformed_spec_is_data_error(tmp_path, capsys, text, message, command):
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    assert run([command[0], "--spec", str(path), *command[1:]]) == 2
+    assert capsys.readouterr().err == f"data error: {message}\n"
 
 
 @pytest.mark.parametrize("estimand, estimator", [("paf_c", "ipw"), ("paf_o", "naive")])

@@ -358,3 +358,16 @@ def test_a_file_with_cr_line_endings_parses(tmp_path):
     path = tmp_path / "mac.csv"
     path.write_bytes(CSV.replace("\n", "\r").encode())
     assert parse_cohort(path).subjects == parse_cohort(CSV).subjects
+
+
+@pytest.mark.parametrize("ending", ["\r", "\r\n", "\n"])
+def test_text_with_any_line_ending_is_text_as_str_and_bytes(tmp_path, ending):
+    text = CSV.replace("\n", ending)
+    path = tmp_path / "cohort.csv"
+    path.write_bytes(text.encode())
+    on_disk = cohort_columns(parse_cohort(path))
+    assert cohort_columns(parse_cohort(text)) == on_disk
+    assert cohort_columns(parse_cohort(text.encode())) == on_disk
+    assert cohort_columns(parse_cohort(str(path))) == on_disk
+    lone_cr = "id,inf_time,end_time,end_status\rA,,5,death\r"
+    assert parse_cohort(lone_cr).ids.tolist() == parse_cohort(lone_cr.encode()).ids.tolist() == ["A"]

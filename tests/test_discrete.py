@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from pafmsm import (
     Cohort,
     DataError,
+    ExposureModel,
     PositivityError,
     SeparationError,
     Subject,
@@ -14,16 +16,20 @@ from pafmsm import (
     compute_weights,
     cpf_unexposed,
     discretize,
+    empirical_weights,
+    estimate_paf,
     expand_person_days,
     fit_pooled_logistic,
     icu_like_spec,
     ipw_f01,
+    model_weights,
     naive_f01,
     nonparametric_daily_hazard,
     parse_cohort,
     simulate_cohort,
     to_transitions,
 )
+from pafmsm import discrete
 from pafmsm.discrete import _death_proportion
 
 from conftest import integer_cohort
@@ -96,12 +102,42 @@ def reference_weights(panel, daily_probs):
 
 
 def reference_ipw(panel, weights):
-    died = (panel.eps == 1).astype(float)
-    return _reference_ratio((died * weights).sum(axis=0), weights.sum(axis=0))
+    # a masked sum, as the dense estimator took it: with one day numpy sums
+    # the column pairwise, and a product with 0/1 would add the zeros in
+    died = panel.eps == 1
+    return _reference_ratio(weights.sum(axis=0, where=died), weights.sum(axis=0))
 
 
 def reference_death_proportion(panel):
     return (panel.eps == 1).mean(axis=0)
+
+
+def reference_weight_csv(table):
+    """``WeightTable.to_csv`` as one formatted write per numpy cell."""
+    buf = io.StringIO()
+    buf.write("id,day,weight\n")
+    weights = table.weights
+    n, m = weights.shape
+    for i in range(n):
+        for t in range(m):
+            buf.write(f"{table.ids[i]},{t + 1},{weights[i, t]:.12g}\n")
+    return buf.getvalue()
+
+
+def reference_person_day_csv(records):
+    """``PersonDayRecords.to_csv`` as one formatted write per numpy cell."""
+    buf = io.StringIO()
+    buf.write("id,day,at_risk,infected_today")
+    for name in records.covariate_names:
+        buf.write(f",{name}")
+    buf.write("\n")
+    for r in range(len(records)):
+        buf.write(f"{records.ids[records.subject_ids[r]]},{records.days[r]},1,"
+                  f"{int(records.infected_today[r])}")
+        for c in range(records.covariates.shape[1]):
+            buf.write(f",{records.covariates[r, c]:g}")
+        buf.write("\n")
+    return buf.getvalue()
 
 
 def assert_same(actual, expected):
@@ -130,20 +166,30 @@ def assert_matches_reference(panel):
     assert_same(_death_proportion(panel).values, reference_death_proportion(panel))
     hazard = nonparametric_daily_hazard(panel)
     assert_same(hazard, reference_hazard(panel))
-    # also fitted-model-like probabilities, and a first day certain exposure
+    assert_weights_match(panel, empirical_weights, hazard)
+    # also fitted-model probabilities, arbitrary ones, and a first day certain exposure
+    names = ("x",) if "x" in panel.covariates else ()
+    model = ExposureModel(np.array([-2.5, 0.8][:1 + len(names)]), names, 0, 0.0)
+    assert_weights_match(panel, lambda p: model_weights(p, model), model.daily_probabilities(panel))
     shape = (panel.n_subjects, panel.n_days)
     certain = np.zeros(shape)
     certain[:, 0] = 1.0
     for probs in (hazard, np.random.default_rng(panel.n_subjects).uniform(0, 0.5, shape), certain):
-        try:
-            expected = reference_weights(panel, probs)
-        except PositivityError:
-            with pytest.raises(PositivityError):
-                compute_weights(panel, probs)
-            continue
-        weights = compute_weights(panel, probs)
-        assert_same(weights.weights, expected)
-        assert_curve_is(ipw_f01(panel, weights), reference_ipw(panel, expected))
+        assert_weights_match(panel, lambda p: compute_weights(p, probs), probs)
+
+
+def assert_weights_match(panel, weigh, daily_probs):
+    """``weigh(panel)`` is the dense reference weight table for ``daily_probs``,
+    and ipw_f01 on it the reference estimate, bit for bit."""
+    try:
+        expected = reference_weights(panel, daily_probs)
+    except PositivityError:
+        with pytest.raises(PositivityError):
+            weigh(panel)
+        return
+    table = weigh(panel)
+    assert_same(table.weights, expected)
+    assert_curve_is(ipw_f01(panel, table), reference_ipw(panel, expected))
 
 
 def _random_cohort(seed, fractional):
@@ -154,8 +200,9 @@ def _random_cohort(seed, fractional):
     inf = inf if fractional else np.floor(inf)
     inf[~(inf > 0)] = np.nan
     status = rng.choice([0, 1, 2], n, p=[0.1, 0.4, 0.5])
+    horizon = end.max() + rng.choice([0.0, 5.5])
     return Cohort.from_columns([str(i) for i in range(n)], inf, end, status,
-                               horizon=end.max() + rng.choice([0.0, 5.5]))
+                               {"x": rng.integers(0, 2, n).astype(float)}, horizon=horizon)
 
 
 EDGE_COHORTS = {
@@ -176,6 +223,10 @@ EDGE_COHORTS = {
     "dropped_censored": parse_cohort("id,inf_time,end_time,end_status\nA,2,5,death\nB,,3,censored\n"
                                      "C,1,4,discharge\nD,,6,death\nE,3.5,7.2,censored\n"
                                      "F,,2,discharge\nG,1.5,3,death\n"),
+    # one day: numpy sums a single column pairwise, so its weights stay one block
+    "one_day": Cohort.from_columns([str(i) for i in range(600)],
+                                   np.where(np.arange(600) % 3 == 0, 0.5, np.nan), np.ones(600),
+                                   np.arange(600) % 2 + 1),
     **{f"random_{seed}": _random_cohort(seed, seed % 2 == 1) for seed in range(8)},
 }
 
@@ -183,6 +234,28 @@ EDGE_COHORTS = {
 @pytest.mark.parametrize("name", EDGE_COHORTS)
 def test_panel_estimators_equal_the_dense_reference(name):
     assert_matches_reference(discretize(EDGE_COHORTS[name], allow_drop=True))
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("name", EDGE_COHORTS)
+def test_weight_blocks_do_not_change_the_weights(monkeypatch, name, rows):
+    panel = discretize(EDGE_COHORTS[name], allow_drop=True)
+    monkeypatch.setattr(discrete, "_BLOCK_CELLS", rows * panel.n_days)  # blocks of 1 and 3 subjects
+    assert_matches_reference(panel)
+
+
+@pytest.mark.parametrize("name", ["fractional", "shifted_ties", "random_2", "random_3"])
+def test_csv_writers_equal_the_row_loops(monkeypatch, name):
+    panel = discretize(EDGE_COHORTS[name], allow_drop=True)
+    names = ("x",) if "x" in panel.covariates else ()
+    records = expand_person_days(panel, names)
+    table = empirical_weights(panel)
+    assert records.to_csv() == reference_person_day_csv(records)
+    assert table.to_csv() == reference_weight_csv(table)
+    monkeypatch.setattr(discrete, "_CSV_CHUNK", 3)
+    monkeypatch.setattr(discrete, "_BLOCK_CELLS", 2 * panel.n_days)
+    assert records.to_csv() == reference_person_day_csv(records)
+    assert table.to_csv() == reference_weight_csv(table)
 
 
 def test_panel_estimators_stay_linear_in_memory():
@@ -203,6 +276,28 @@ def test_panel_estimators_stay_linear_in_memory():
     finally:
         tracemalloc.stop()
     assert peak < n * m / 4
+
+
+@pytest.mark.parametrize("covariates", [(), ("x",)])
+def test_ipw_stays_linear_in_memory(covariates):
+    # the weights are built and summed in blocks of subjects: a dense
+    # (n x days) float array would take 8 bytes a cell.  Stays are short
+    # (mean 3.3 days of 400), because the pooled logistic fit holds about
+    # 100 bytes per person-day at risk; that design is not the weights.
+    n, m = 20_000, 400
+    rng = np.random.default_rng(11)
+    end = rng.geometric(0.3, n).astype(float)
+    inf = np.floor(rng.uniform(0, end))
+    inf[(inf == 0) | (rng.random(n) < 0.5)] = np.nan
+    cohort = Cohort.from_columns(np.arange(n).astype(str), inf, end, rng.integers(1, 3, n),
+                                 {"x": rng.integers(0, 2, n).astype(float)}, horizon=m)
+    tracemalloc.start()
+    try:
+        estimate_paf(cohort, "paf_c", "ipw", covariates=covariates)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * m
 
 
 def test_expand_person_days_stops_at_exposure():
