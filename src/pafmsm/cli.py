@@ -106,19 +106,32 @@ def _load_cohort(args) -> Cohort:
         policy = TiePolicy.parse(args.tie_policy)
     except ValueError as exc:
         raise _UsageError(f"--tie-policy {args.tie_policy!r}: {exc}") from None
-    path = Path(args.input)
+    return _read_input(args.input, "input", lambda path: parse_cohort(path, tie_policy=policy))
+
+
+def _read_input(path, what, read):
+    """``read(path)``, with a file that cannot be read as text as a data error."""
+    path = Path(path)
     if not path.exists():
-        raise DataError(f"input file not found: {path}")
-    return parse_cohort(path, tie_policy=policy)
+        raise DataError(f"{what} file not found: {path}")
+    try:
+        return read(path)
+    except OSError as exc:  # a directory, say
+        raise DataError(f"cannot read {what} file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{what} file {path} is not UTF-8 text: {exc}") from None
 
 
 def _emit(text: str, out, filename: str):
     if out is None:
         sys.stdout.write(text)
-    else:
-        directory = Path(out)
+        return
+    directory = Path(out)
+    try:
         directory.mkdir(parents=True, exist_ok=True)
         (directory / filename).write_text(text)
+    except OSError as exc:  # an existing file, say
+        raise _UsageError(f"--out {out}: {exc.strerror}") from None
 
 
 def _covariate_list(args):
@@ -224,10 +237,7 @@ def _cmd_cox(args) -> int:
 
 
 def _read_spec(path) -> HazardSpec:
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"spec file not found: {p}")
-    return HazardSpec.from_json(p.read_text())
+    return HazardSpec.from_json(_read_input(path, "spec", lambda p: p.read_text(encoding="utf-8")))
 
 
 def _cmd_simulate(args) -> int:

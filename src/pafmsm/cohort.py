@@ -273,8 +273,12 @@ class TransitionRecords:
         rows = tuple(rows)
         by_subject = {}
         for r in rows:
+            if not (math.isfinite(r.t_start) and math.isfinite(r.t_stop)):
+                raise DataError(f"subject {r.subject_id}: t_start and t_stop must be finite")
             if not r.t_start < r.t_stop:
                 raise DataError(f"subject {r.subject_id}: t_start must be < t_stop")
+            if r.from_state == 0 and r.t_start != 0:
+                raise DataError(f"subject {r.subject_id}: a state-0 row must start at time 0")
             if r.from_state == 0 and r.to_state not in (1, 2, 3, CENSORED):
                 raise DataError(f"subject {r.subject_id}: invalid transition 0->{r.to_state}")
             if r.from_state == 1 and r.to_state not in (4, 5, CENSORED):

@@ -1,8 +1,10 @@
 """Nonparametric continuous-time estimators.
 
-The unweighted estimators read one exit table, built with one sort: the
-exits from state 0 (at the exposure time if exposed, else at the end)
-and from state 1, counted by kind on the distinct exit times.
+Every estimator reads one exit table, built with one sort: the exits
+from state 0 (at the exposure time if exposed, else at the end) and from
+state 1, counted by kind on the distinct exit times.  The table can be
+weighted by subject counts, which is how the bootstrap evaluates its
+replicates.
 
 All estimators share the same tie convention: distinct subjects may share
 event times, ties are processed simultaneously, and risk sets are always
@@ -18,12 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohort import (
-    STATUS_CENSORED,
-    STATUS_DEATH,
-    STATUS_DISCHARGE,
-    TransitionRecords,
-)
+from .cohort import STATUS_DEATH, STATUS_DISCHARGE, TransitionRecords
 from .curves import StepCurve
 from .errors import DataError, PositivityError
 
@@ -77,16 +74,9 @@ class OccupationCurves:
         return sum(c(t) for c in self.as_tuple())
 
 
-def _subject_data(records: TransitionRecords):
-    ids, inf, end, status = records.subject_arrays()
-    if len(ids) == 0:
-        raise DataError("empty transition records")
-    return ids, inf, end, status
-
-
 def _at_risk(exits):
-    """Risk set Y(t-) on a sorted grid: the exits at or after each time."""
-    return np.cumsum(exits[::-1])[::-1]
+    """Risk sets Y(t-) on a sorted grid, along the last axis: the exits at or after each time."""
+    return np.cumsum(exits[..., ::-1], axis=-1)[..., ::-1]
 
 
 def _divide(dn, y):
@@ -105,76 +95,72 @@ def _kinds(status, base):
 _ROWS = {(0, 1): 0, (0, 2): 1, (0, 3): 2, (1, 4): 4, (1, 5): 5}
 
 
-def _six_state(records: TransitionRecords):
-    """The exit table: one sort of every exit time of the six-state model.
+def _exit_table(records: TransitionRecords):
+    """The exit table of the six-state model, from one sort of its exit times.
 
-    Returns the T distinct exit times, the (7 x T) integer counts of exits
-    by row, and the risk sets Y0(t-) and Y1(t-) on those times.
+    Every subject exits state 0 (at the exposure time if exposed, else at
+    the end) and, if exposed, state 1.  Returns the T distinct exit times
+    and a function of a (k x n) matrix of subject counts that returns the
+    (k x 7 x T) exits by row, one weighted ``bincount``.  Without an
+    argument it counts the sample itself, a single row of ones; a bootstrap
+    replicate counts how often each subject was drawn.  The counts are
+    integers, held exactly as floats.
     """
-    _, inf, end, status = _subject_data(records)
+    _, inf, end, status = records.subject_arrays()
+    if end.size == 0:
+        raise DataError("empty transition records")
     exposed = ~np.isnan(inf)
     times = np.concatenate((np.where(exposed, inf, end), end[exposed]))
     kinds = np.concatenate((np.where(exposed, 0, _kinds(status, 1)), _kinds(status[exposed], 4)))
+    subjects = np.concatenate((np.arange(end.size), np.flatnonzero(exposed)))
     ut, idx = np.unique(times, return_inverse=True)
-    counts = np.bincount(kinds * ut.size + idx, minlength=7 * ut.size).reshape(7, ut.size)
+    cells = kinds * ut.size + idx
+
+    def table(freq=None):
+        w = np.ones((1, subjects.size)) if freq is None else freq.take(subjects, axis=1)
+        offsets = np.arange(w.shape[0])[:, None] * (7 * ut.size)
+        counts = np.bincount((offsets + cells).ravel(), weights=w.ravel(),
+                             minlength=w.shape[0] * 7 * ut.size)
+        return counts.reshape(w.shape[0], 7, ut.size)
+
+    return ut, table
+
+
+def _six_state(records: TransitionRecords):
+    """The sample's (7 x T) exit table, its times and the risk sets Y0(t-) and Y1(t-)."""
+    times, table = _exit_table(records)
+    counts = table()[0]
     y0 = _at_risk(counts[:4].sum(axis=0))
     y1 = _at_risk(counts[4:].sum(axis=0)) - _at_risk(counts[0])
-    return ut, counts, y0, y1
+    return times, counts, y0, y1
 
 
-def _aj_sweep(times, codes, event_codes, targets, combine=lambda cif: cif):
-    """Weighted Aalen-Johansen CIFs of a competing-risks model.
+# The competing-risks reductions of the six-state process, as row sets of
+# the exit table: risk set, events and the target whose CIF is the curve.
+# cpf_unexposed adds the exposure row, whose CIF divides its death CIF.
+_REDUCTIONS = {
+    "overall_death_risk": (slice(1, 7), [1, 2, 4, 5], [2, 5]),
+    "cpf_unexposed": (slice(0, 4), [0, 1, 2], [2], [0]),
+    "cif_counterfactual": (slice(0, 4), [1, 2], [2]),
+}
 
-    ``codes`` holds per-subject event codes; anything outside
-    ``event_codes`` counts as censoring.  The subjects are sorted by time
-    once; the returned function takes a (k x n) matrix of integer subject
-    counts, one weighting per row: a row of ones is the sample itself and
-    a bootstrap replicate counts how often each subject was drawn.  It
-    returns the unique grid of ``times``, ``combine`` applied to the
-    (k x T) CIFs of the codes in ``targets``, and the (k x T) all-cause
-    survival after each time.
 
-    The counts are integers, held exactly as floats, so every row
-    reproduces the estimate computed on its resampled subjects.  A grid
-    time that a row never hits contributes an exact factor 1.0 and an
-    exact increment 0.0; after a row's last time its risk set is empty and
-    it is divided by 1 in place of 0, with zero events, so its curves stay
-    frozen.
+def _reduction(table, name):
+    """Aalen-Johansen rows of reduction ``name`` on a (k x 7 x T) exit table.
+
+    Returns its (k x T) curves, NaN where undefined, and the (k x T)
+    all-cause survival after each time.  At a time where the reduction has
+    no exit, a step multiplies by an exact 1.0 and adds an exact 0.0, so on
+    its own exit times the curves are those of the reduction alone.  After
+    a row's last exit its risk set is empty and divided by 1 in place of 0,
+    with zero events, so its curves stay frozen.
     """
-    order = np.argsort(times, kind="stable")
-    t = times[order]
-    starts = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))
-    c = codes[order]
-    is_event = np.isin(c, event_codes)
-    is_target = [c == target for target in targets]
-
-    def sweep(freq):
-        w = freq[:, order].astype(float)
-
-        def counts(mask):
-            return np.add.reduceat(w * mask, starts, axis=1)
-
-        at_or_after = np.cumsum(np.add.reduceat(w, starts, axis=1)[:, ::-1], axis=1)[:, ::-1]
-        y = np.maximum(at_or_after, 1.0)
-        s_after = np.cumprod(1.0 - counts(is_event) / y, axis=1)
-        s_minus = np.concatenate((np.ones((w.shape[0], 1)), s_after[:, :-1]), axis=1)
-        cifs = [np.cumsum(s_minus * counts(mask) / y, axis=1) for mask in is_target]
-        return t[starts], combine(*cifs), s_after
-
-    return sweep
-
-
-# Each *_rows function sorts one sample's subjects once and returns its
-# estimator as a function of a (k x n) count matrix, with the result
-# (grid, k value rows, k survival rows).
-
-
-def overall_death_risk_rows(inf, end, status):
-    """Weighted rows of :func:`overall_death_risk`."""
-    return _aj_sweep(end, status, (STATUS_DEATH, STATUS_DISCHARGE), (STATUS_DEATH,))
-
-
-_EXPOSURE = 9  # event code for 0->1 in the three-state reduction
+    risk, events, *targets = _REDUCTIONS[name]
+    y = np.maximum(_at_risk(table[:, risk].sum(axis=1)), 1.0)
+    s_after = np.cumprod(1.0 - table[:, events].sum(axis=1) / y, axis=1)
+    s_minus = np.concatenate((np.ones((table.shape[0], 1)), s_after[:, :-1]), axis=1)
+    cifs = [np.cumsum(s_minus * table[:, rows].sum(axis=1) / y, axis=1) for rows in targets]
+    return (_conditional(*cifs) if len(cifs) > 1 else cifs[0]), s_after
 
 
 def _conditional(cif_death, cif_exposure):
@@ -184,33 +170,20 @@ def _conditional(cif_death, cif_exposure):
     return np.where(undefined, np.nan, cif_death / np.where(undefined, 1.0, denom))
 
 
-def cpf_unexposed_rows(inf, end, status):
-    """Weighted rows of :func:`cpf_unexposed`, NaN where undefined."""
-    exposed = ~np.isnan(inf)
-    times = np.where(exposed, inf, end)
-    codes = np.where(exposed, _EXPOSURE, status)
-    events = (_EXPOSURE, STATUS_DEATH, STATUS_DISCHARGE)
-    return _aj_sweep(times, codes, events, (STATUS_DEATH, _EXPOSURE), _conditional)
-
-
-def cif_counterfactual_rows(inf, end, status):
-    """Weighted rows of :func:`cif_counterfactual`."""
-    exposed = ~np.isnan(inf)
-    times = np.where(exposed, inf, end)
-    codes = np.where(exposed, STATUS_CENSORED, status)
-    return _aj_sweep(times, codes, (STATUS_DEATH, STATUS_DISCHARGE), (STATUS_DEATH,))
-
-
-def _sample_curve(records, rows) -> StepCurve:
-    """The curve of ``rows`` on the sample itself, a single row of ones."""
-    _, inf, end, status = _subject_data(records)
-    ut, values, s_after = rows(inf, end, status)(np.ones((1, end.size), dtype=np.int64))
-    values = values[0]
+def _sample_curve(records, name) -> StepCurve:
+    """The curve of reduction ``name`` on the sample, at its own exit times."""
+    times, table = _exit_table(records)
+    counts = table()
+    values, s_after = _reduction(counts, name)
+    on = counts[0, _REDUCTIONS[name][0]].any(axis=0)
+    ut, values = times[on], values[0, on]
     undefined = np.isnan(values)
+    # mass left unresolved after the last exit: the curve is frozen from there
+    truncated = s_after[0, on][-1] > _DENOM_TOL
     return StepCurve(
         ut, values, initial=0.0,
         undefined_from=float(ut[undefined.argmax()]) if undefined.any() else None,
-        truncated_from=_truncation(ut, s_after[0]),
+        truncated_from=float(ut[-1]) if truncated else None,
     )
 
 
@@ -220,28 +193,21 @@ def overall_death_risk(records: TransitionRecords) -> StepCurve:
     Death and discharge are pooled across exposure status, so the Markov
     assumption is never used.
     """
-    return _sample_curve(records, overall_death_risk_rows)
+    return _sample_curve(records, "overall_death_risk")
 
 
 def cpf_unexposed(records: TransitionRecords) -> StepCurve:
     """P(death by t | still unexposed at t), via the three-state reduction."""
-    return _sample_curve(records, cpf_unexposed_rows)
+    return _sample_curve(records, "cpf_unexposed")
 
 
 def cif_counterfactual(records: TransitionRecords) -> StepCurve:
     """Death CIF with the exposure hazard set to zero.
 
-    Exposure transitions are recoded as censorings at the exposure time;
-    the result estimates the death risk of the no-exposure path.
+    Exposure transitions count as censorings at the exposure time; the
+    result estimates the death risk of the no-exposure path.
     """
-    return _sample_curve(records, cif_counterfactual_rows)
-
-
-def _truncation(ut, s_after):
-    """Time from which the curve is frozen with unresolved mass, if any."""
-    if ut.size and s_after[-1] > _DENOM_TOL:
-        return float(ut[-1])
-    return None
+    return _sample_curve(records, "cif_counterfactual")
 
 
 def _exposure_survival(times, counts, y0):
@@ -328,4 +294,4 @@ def nelson_aalen(records: TransitionRecords, k: int, l: int) -> HazardIncrements
     dn = counts[_ROWS[k, l]]
     on = dn > 0
     y = y0 if k == 0 else y1
-    return HazardIncrements(times[on], dn[on].astype(float), y[on].astype(float))
+    return HazardIncrements(times[on], dn[on], y[on])

@@ -7,6 +7,7 @@ bands and stratified output.
 
 from __future__ import annotations
 
+import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -22,8 +23,8 @@ from .cohort import (
     to_transitions,
 )
 from . import continuous
-from .continuous import overall_death_risk, overall_death_risk_rows
-from .curves import StepCurve, union_grid
+from .continuous import overall_death_risk
+from .curves import _CSV_CHUNK, StepCurve, union_grid
 from .discrete import (
     _death_proportion,
     empirical_weights,
@@ -58,13 +59,10 @@ ESTIMAND_ESTIMATORS = {
     "paf_c": ("multistate", "ipw"),
 }
 
-# The multistate curve each estimand subtracts from P(death by t): the
-# names in .continuous of its point estimator and of its weighted rows.
-# Both are looked up there at call time, so a patched attribute is used.
-_SUBTRACTED = {
-    "paf_o": ("cpf_unexposed", "cpf_unexposed_rows"),
-    "paf_c": ("cif_counterfactual", "cif_counterfactual_rows"),
-}
+# The multistate curve each estimand subtracts from P(death by t): the name
+# in .continuous of its point estimator and of its reduction of the exit
+# table.  The estimator is looked up at call time, so a patched one is used.
+_SUBTRACTED = {"paf_o": "cpf_unexposed", "paf_c": "cif_counterfactual"}
 
 
 @dataclass(frozen=True)
@@ -207,7 +205,7 @@ def _inputs(cohort: Cohort, estimator, allow_drop):
 def _paf_from(estimand, estimator, covariates, records, panel) -> PafCurve:
     if estimator == "multistate":
         overall = overall_death_risk(records)
-        other = getattr(continuous, _SUBTRACTED[estimand][0])(records)
+        other = getattr(continuous, _SUBTRACTED[estimand])(records)
     else:
         overall = _death_proportion(panel)
         if estimator == "naive":
@@ -240,19 +238,25 @@ class CurveWithBands:
 
     def to_csv(self) -> str:
         def fmt(v):
-            return "" if not np.isfinite(v) else format(v, ".12g")
+            return format(v, ".12g") if math.isfinite(v) else ""
 
         grid = self.lower.times
-        rows = zip(grid, np.atleast_1d(self.estimate(grid)), self.lower.values, self.upper.values)
-        return "t,estimate,lower,upper,defined\n" + "".join(
-            f"{t:.12g},{fmt(e)},{fmt(lo)},{fmt(hi)},{int(np.isfinite(lo) and np.isfinite(hi))}\n"
-            for t, e, lo, hi in rows
-        )
+        columns = (grid, np.atleast_1d(self.estimate(grid)), self.lower.values, self.upper.values)
+        buf = io.StringIO()
+        buf.write("t,estimate,lower,upper,defined\n")
+        # formatted from Python floats, a chunk of rows per write, as StepCurve.to_csv
+        for k in range(0, grid.size, _CSV_CHUNK):
+            rows = zip(*(c[k : k + _CSV_CHUNK].tolist() for c in columns))
+            buf.write("".join([
+                f"{t:.12g},{fmt(e)},{fmt(lo)},{fmt(hi)},{int(math.isfinite(lo) and math.isfinite(hi))}\n"
+                for t, e, lo, hi in rows
+            ]))
+        return buf.getvalue()
 
 
-# Multistate replicates are computed in blocks of at most this many
-# (replicate x subject) cells, so that memory grows with n + B * len(grid)
-# and not with B * n.
+# Multistate replicates are computed in blocks whose exit table, and whose
+# (replicate x subject) count matrix, hold at most this many cells, so that
+# memory grows with n + B * len(grid) and not with B * n.
 _BLOCK_CELLS = 1 << 17
 
 
@@ -266,24 +270,28 @@ def _multistate_replicates(records, estimand, streams, grid):
     """PAF of every replicate on ``grid``, one row per stream.
 
     A replicate is the vector of how often each subject was drawn; the
-    weighted Aalen-Johansen rows then give exactly the curves of the
-    resampled cohorts, in blocks of replicates.
+    exit table weighted by those counts gives exactly the curves of the
+    resampled cohorts, a block of replicates per table.
     """
-    _, inf, end, status = records.subject_arrays()
-    n = end.size
-    block = max(1, _BLOCK_CELLS // n)
-    overall = overall_death_risk_rows(inf, end, status)
-    subtracted = getattr(continuous, _SUBTRACTED[estimand][1])(inf, end, status)
+    n = records.end.size
+    times, table = continuous._exit_table(records)
+    block = max(1, _BLOCK_CELLS // max(7 * times.size, n))
     est = np.empty((len(streams), grid.size))
     for first in range(0, len(streams), block):
         part = streams[first:first + block]
-        draws = [np.random.default_rng(s).integers(0, n, size=n) for s in part]
-        cells = (np.arange(len(part)) * n).repeat(n) + np.concatenate(draws)
-        freq = np.bincount(cells, minlength=len(part) * n).reshape(len(part), n)
-        pd = _on_grid(*overall(freq)[:2], grid)
-        q = _on_grid(*subtracted(freq)[:2], grid)
+        counts = table(_draw_counts(part, n))
+        pd, q = (_on_grid(times, continuous._reduction(counts, name)[0], grid)
+                 for name in ("overall_death_risk", _SUBTRACTED[estimand]))
         est[first:first + len(part)] = _paf_values(pd, q)
     return est
+
+
+def _draw_counts(streams, n):
+    """(k x n) matrix of how often the replicate of each stream drew each
+    subject, as floats: the weights of the exit table, cast once."""
+    cells = np.concatenate([np.random.default_rng(s).integers(0, n, size=n) + r * n
+                            for r, s in enumerate(streams)])
+    return np.bincount(cells, minlength=len(streams) * n).reshape(len(streams), n).astype(float)
 
 
 def bootstrap_ci(

@@ -103,6 +103,40 @@ def test_missing_input_is_data_error(capsys):
     assert run(["estimate", "--input", "nope.csv", "--estimand", "paf_o"]) == 2
 
 
+@pytest.mark.parametrize("option, command", [
+    ("--input", ["validate"]),
+    ("--input", ["estimate", "--estimand", "paf_o"]),
+    ("--spec", ["oracle"]),
+    ("--spec", ["simulate", "--n", "3", "--seed", "1"]),
+])
+@pytest.mark.parametrize("kind", ["invalid utf-8", "directory"])
+def test_unreadable_input_file_is_data_error(tmp_path, capsys, option, command, kind):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+        message = f"data error: cannot read {option[2:]} file {path}: Is a directory\n"
+    else:
+        path.write_bytes(b"id,inf_time,end_time,end_status\nA,,5,d\xe9c\xe8s\n")
+        message = f"data error: {option[2:]} file {path} is not UTF-8 text: 'utf-8' codec"
+    assert run([command[0], option, str(path), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+
+
+@pytest.mark.parametrize("command", [
+    ["estimate", "--estimand", "paf_o"],
+    ["bootstrap", "--estimand", "paf_o", "--B", "2", "--seed", "1"],
+    ["cox"],
+])
+def test_out_naming_an_existing_file_is_a_usage_error(cohort_file, tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    assert run(command + ["--input", cohort_file, "--out", str(taken)]) == 1
+    assert capsys.readouterr().err == f"usage error: --out {taken}: File exists\n"
+    assert taken.read_text() == "keep\n"
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert run(["frobnicate"]) == 1
 

@@ -1,4 +1,5 @@
 import io
+import math
 from unittest import mock
 
 import numpy as np
@@ -225,6 +226,14 @@ def test_explicit_transition_rows_are_validated():
         TransitionRecords([rows[1], TransitionRow("B", 1, 4, 3.0, 7.0)])
     with pytest.raises(DataError, match="t_start"):
         TransitionRecords([TransitionRow("A", 0, 3, 5.0, 5.0)])
+    for t_start, t_stop in ((0.0, math.inf), (0.0, math.nan), (-math.inf, 3.0)):
+        with pytest.raises(DataError, match="subject A: t_start and t_stop must be finite"):
+            TransitionRecords([TransitionRow("A", 0, 3, t_start, t_stop)])
+    with pytest.raises(DataError, match="subject A: t_start and t_stop must be finite"):
+        TransitionRecords([TransitionRow("A", 0, 1, 0.0, 2.0), TransitionRow("A", 1, 5, 2.0, math.inf)])
+    for t_start in (1.0, -1.0):  # would be read as entry at time 0
+        with pytest.raises(DataError, match="subject A: a state-0 row must start at time 0"):
+            TransitionRecords([TransitionRow("A", 0, 3, t_start, 5.0)])
 
 
 def test_lone_exposure_row_is_rejected():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from pafmsm import paf as paf_module
+
 from pafmsm import (
     Cohort,
     HazardSpec,
@@ -17,6 +19,7 @@ from pafmsm import (
     to_transitions,
 )
 from pafmsm.cohort import STATUS_CENSORED, STATUS_DEATH, STATUS_DISCHARGE
+from pafmsm.curves import StepCurve
 from pafmsm.simulate import icu_like_spec
 
 from conftest import integer_cohort
@@ -224,3 +227,121 @@ def test_aalen_johansen_equals_the_per_event_time_loop(name):
         assert curve.initial == (1.0 if k == 0 else 0.0)
     if name == "all censored":
         assert times.size == 0
+
+
+# The weighted competing-risks core as it was before every reduction read
+# the exit table: one sort per reduction, with the exposure recoded per
+# reduction.  The package must reproduce it bit for bit.
+
+def reference_aj_sweep(times, codes, event_codes, targets, combine=lambda cif: cif):
+    """Weighted Aalen-Johansen CIFs of a competing-risks model on the unique
+    grid of ``times``: a function of a (k x n) count matrix that returns
+    (grid, combined CIF rows, all-cause survival rows)."""
+    order = np.argsort(times, kind="stable")
+    t = times[order]
+    starts = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))
+    c = codes[order]
+    is_event = np.isin(c, event_codes)
+    is_target = [c == target for target in targets]
+
+    def sweep(freq):
+        w = freq[:, order].astype(float)
+
+        def counts(mask):
+            return np.add.reduceat(w * mask, starts, axis=1)
+
+        at_or_after = np.cumsum(np.add.reduceat(w, starts, axis=1)[:, ::-1], axis=1)[:, ::-1]
+        y = np.maximum(at_or_after, 1.0)
+        s_after = np.cumprod(1.0 - counts(is_event) / y, axis=1)
+        s_minus = np.concatenate((np.ones((w.shape[0], 1)), s_after[:, :-1]), axis=1)
+        cifs = [np.cumsum(s_minus * counts(mask) / y, axis=1) for mask in is_target]
+        return t[starts], combine(*cifs), s_after
+
+    return sweep
+
+
+_EXPOSURE = 9  # event code for 0->1 in the three-state reduction
+
+
+def reference_overall_death_risk_rows(inf, end, status):
+    return reference_aj_sweep(end, status, (STATUS_DEATH, STATUS_DISCHARGE), (STATUS_DEATH,))
+
+
+def reference_cpf_unexposed_rows(inf, end, status):
+    def conditional(cif_death, cif_exposure):
+        denom = 1.0 - cif_exposure
+        undefined = denom <= 1e-12
+        return np.where(undefined, np.nan, cif_death / np.where(undefined, 1.0, denom))
+
+    exposed = ~np.isnan(inf)
+    times = np.where(exposed, inf, end)
+    codes = np.where(exposed, _EXPOSURE, status)
+    events = (_EXPOSURE, STATUS_DEATH, STATUS_DISCHARGE)
+    return reference_aj_sweep(times, codes, events, (STATUS_DEATH, _EXPOSURE), conditional)
+
+
+def reference_cif_counterfactual_rows(inf, end, status):
+    exposed = ~np.isnan(inf)
+    times = np.where(exposed, inf, end)
+    codes = np.where(exposed, STATUS_CENSORED, status)
+    return reference_aj_sweep(times, codes, (STATUS_DEATH, STATUS_DISCHARGE), (STATUS_DEATH,))
+
+
+REFERENCE_ROWS = {
+    overall_death_risk: reference_overall_death_risk_rows,
+    cpf_unexposed: reference_cpf_unexposed_rows,
+    cif_counterfactual: reference_cif_counterfactual_rows,
+}
+REFERENCE_SUBTRACTED = {"paf_o": reference_cpf_unexposed_rows,
+                        "paf_c": reference_cif_counterfactual_rows}
+
+
+def reference_curve(records, rows):
+    """The curve of ``rows`` on the sample, a single row of ones."""
+    _, inf, end, status = records.subject_arrays()
+    ut, values, s_after = rows(inf, end, status)(np.ones((1, end.size), dtype=np.int64))
+    values, s_after = values[0], s_after[0]
+    undefined = np.isnan(values)
+    truncated = ut.size and s_after[-1] > 1e-12
+    return StepCurve(ut, values, initial=0.0,
+                     undefined_from=float(ut[undefined.argmax()]) if undefined.any() else None,
+                     truncated_from=float(ut[-1]) if truncated else None)
+
+
+def reference_replicates(records, estimand, streams, grid):
+    """PAF rows of the replicates of ``streams`` on ``grid``, all in one sweep."""
+    _, inf, end, status = records.subject_arrays()
+    n = end.size
+    freq = np.array([np.bincount(np.random.default_rng(s).integers(0, n, size=n), minlength=n)
+                     for s in streams])
+    pd = paf_module._on_grid(*reference_overall_death_risk_rows(inf, end, status)(freq)[:2], grid)
+    q = paf_module._on_grid(*REFERENCE_SUBTRACTED[estimand](inf, end, status)(freq)[:2], grid)
+    return paf_module._paf_values(pd, q)
+
+
+def assert_same_curve(curve, reference):
+    """Equal jump times and values in bytes, and the same cut-offs."""
+    for got, want in ((curve.times, reference.times), (curve.values, reference.values)):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    assert (curve.initial, curve.undefined_from, curve.truncated_from) == (
+        reference.initial, reference.undefined_from, reference.truncated_from)
+
+
+def assert_continuous_side_matches_reference(cohort, seed=0, B=12):
+    """Point curves and bootstrap replicates equal the per-reduction sweeps
+    bit for bit, on a grid from before the first exit to past the last."""
+    records = to_transitions(cohort)
+    for estimator, rows in REFERENCE_ROWS.items():
+        assert_same_curve(estimator(records), reference_curve(records, rows))
+    times = np.concatenate((cohort.end, cohort.inf[~np.isnan(cohort.inf)]))
+    grid = np.unique(np.concatenate((times, times + 0.25, [times.min() / 2, cohort.horizon + 1.0])))
+    streams = np.random.SeedSequence(seed).spawn(B)
+    for estimand in ("paf_o", "paf_c"):
+        got = paf_module._multistate_replicates(records, estimand, streams, grid)
+        want = reference_replicates(records, estimand, streams, grid)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", list(_aj_cohorts()))
+def test_exit_table_reductions_equal_the_per_reduction_sweeps(name):
+    assert_continuous_side_matches_reference(_aj_cohorts()[name])

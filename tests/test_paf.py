@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from pafmsm import (
     to_transitions,
 )
 from pafmsm import paf as paf_module
+from pafmsm.curves import _CSV_CHUNK, StepCurve
+from pafmsm.simulate import icu_like_spec
 
 from conftest import integer_cohort
 
@@ -182,6 +186,19 @@ def test_replicate_blocks_do_not_change_the_bands(monkeypatch, cells):
     assert np.array_equal(blocked.upper.values, whole.upper.values, equal_nan=True)
 
 
+def test_multistate_bootstrap_memory_stays_within_its_blocks():
+    # a block of replicates holds one weighted exit table of at most
+    # _BLOCK_CELLS cells; sweeps of (block x n) float temporaries took 14.6 MB
+    cohort = simulate_cohort(icu_like_spec(), 1000, seed=3)
+    tracemalloc.start()
+    try:
+        bootstrap_ci(cohort, "paf_o", B=500, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 @pytest.mark.parametrize("failing", [9, 11])
 def test_bootstrap_counts_failed_replicates(monkeypatch, failing):
     calls = []
@@ -201,6 +218,35 @@ def test_bootstrap_counts_failed_replicates(monkeypatch, failing):
         assert np.isnan(bands.lower.values).all() and np.isnan(bands.upper.values).all()
     else:
         assert np.isfinite(bands.lower.values).all() and np.isfinite(bands.upper.values).all()
+
+
+def reference_bands_csv(bands):
+    """``CurveWithBands.to_csv`` formatted from numpy scalars, row by row."""
+    def fmt(v):
+        return "" if not np.isfinite(v) else format(v, ".12g")
+
+    grid = bands.lower.times
+    rows = zip(grid, np.atleast_1d(bands.estimate(grid)), bands.lower.values, bands.upper.values)
+    return "t,estimate,lower,upper,defined\n" + "".join(
+        f"{t:.12g},{fmt(e)},{fmt(lo)},{fmt(hi)},{int(np.isfinite(lo) and np.isfinite(hi))}\n"
+        for t, e, lo, hi in rows
+    )
+
+
+@pytest.mark.parametrize("n", [0, 1, _CSV_CHUNK - 1, _CSV_CHUNK, 2 * _CSV_CHUNK + 17])
+def test_bands_csv_equals_the_per_row_reference(n):
+    rng = np.random.default_rng(n)
+    grid = np.cumsum(rng.exponential(1.0, n)) * 10.0 ** rng.integers(-8, 8)
+    lo, hi, est = (rng.normal(0.0, 10.0 ** rng.integers(-300, 300, n).astype(float) / 100.0)
+                   for _ in range(3))
+    specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308, 1 / 3, 123456789012345.0]
+    if n:
+        for values in (lo, hi, est):
+            values[rng.integers(0, n, len(specials))] = specials
+    estimate = StepCurve(grid, est, initial=np.nan, undefined_from=grid[-1] if n else None)
+    bands = paf_module.CurveWithBands(estimate, StepCurve(grid, lo, initial=np.nan),
+                                      StepCurve(grid, hi, initial=np.nan), B=2, seed=0, failed=0)
+    assert bands.to_csv() == reference_bands_csv(bands)
 
 
 def test_bootstrap_rejects_tiny_b():

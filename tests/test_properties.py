@@ -24,6 +24,7 @@ from pafmsm.cohort import _split_rows
 from pafmsm.continuous import exposure_survival
 
 from test_cohort import parse_both_ways
+from test_continuous import assert_continuous_side_matches_reference
 from test_discrete import assert_matches_reference, assert_same
 
 
@@ -68,6 +69,27 @@ def test_columnar_panel_equals_the_dense_reference(cohort):
     assert_same(panel.a, a)
     assert_same(panel.eps, eps)
     assert_matches_reference(panel)
+
+
+@st.composite
+def tied_day_cohorts(draw, max_size=20):
+    """Whole days 1..6, so exposures tie with other subjects' exits, with
+    every subject, none or some exposed, and censored rows."""
+    exposure = draw(st.sampled_from(["all", "none", "some"]))
+    subjects = []
+    for i in range(draw(st.integers(1, max_size))):
+        end = draw(st.integers(2 if exposure == "all" else 1, 6))
+        status = draw(st.sampled_from(["death", "discharge", "censored"]))
+        exposed = exposure == "all" or exposure == "some" and end >= 2 and draw(st.booleans())
+        inf = draw(st.integers(1, end - 1)) if exposed else None
+        subjects.append(Subject(str(i), float(inf) if inf else None, float(end), status))
+    return Cohort(tuple(subjects), horizon=6.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(fractional_cohorts(), tied_day_cohorts()), st.integers(0, 2**32 - 1))
+def test_exit_table_equals_the_per_reduction_sweeps(cohort, seed):
+    assert_continuous_side_matches_reference(cohort, seed)
 
 
 # cells for plain cohort text: mostly valid, with every kind of fault the
