@@ -8,8 +8,10 @@ input bytes produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -110,7 +112,8 @@ def _load_cohort(args) -> Cohort:
 
 
 def _read_input(path, what, read):
-    """``read(path)``, with a file that cannot be read as text as a data error."""
+    """``read(path)``, with a file that cannot be read as text as a data error
+    (``parse_cohort`` reports a file that is not UTF-8 itself)."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"{what} file not found: {path}")
@@ -120,6 +123,16 @@ def _read_input(path, what, read):
         raise DataError(f"cannot read {what} file {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{what} file {path} is not UTF-8 text: {exc}") from None
+
+
+def _check_out(out):
+    """Before any work: a usage error if ``--out`` names a file or a path
+    under one, with the message ``mkdir`` would give.  Creates nothing."""
+    path = Path(out)
+    existing = next((p for p in (path, *path.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        code = errno.EEXIST if existing == path else errno.ENOTDIR
+        raise _UsageError(f"--out {out}: {os.strerror(code)}")
 
 
 def _emit(text: str, out, filename: str):
@@ -290,10 +303,11 @@ def _cmd_check(args) -> int:
         return float(np.max(np.abs(av[mask] - bv[mask]))) if mask.any() else 0.0
 
     weights = empirical_weights(panel)
+    counterfactual = cif_counterfactual(records)
     checks = [
         ("naive == cpf_unexposed", compare(naive_f01(panel), cpf_unexposed(records))),
-        ("ipw == counterfactual_cif", compare(ipw_f01(panel, weights), cif_counterfactual(records))),
-        ("horvitz_thompson == counterfactual_cif", compare(ht_cif(records), cif_counterfactual(records))),
+        ("ipw == counterfactual_cif", compare(ipw_f01(panel, weights), counterfactual)),
+        ("horvitz_thompson == counterfactual_cif", compare(ht_cif(records), counterfactual)),
     ]
     failed = False
     for label, dev in checks:
@@ -323,6 +337,8 @@ def run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "out", None) is not None:
+            _check_out(args.out)
         return _COMMANDS[args.subcommand](args)
     except (_UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -205,7 +205,7 @@ class Cohort:
         if bad.any():  # the first bad subject raises its own message
             k = slice(np.argmax(bad), np.argmax(bad) + 1)
             _subjects(self.ids[k], inf[k], end[k], self.status[k], {})[0].validate()
-        if len(set(self.ids.tolist())) < len(self):
+        if len(set(ids)) < len(self):
             repeated = np.ones(len(self), dtype=bool)
             repeated[np.unique(self.ids, return_index=True)[1]] = False
             raise DataError(f"duplicate subject id {self.ids[np.argmax(repeated)]!r}")
@@ -383,17 +383,22 @@ def parse_cohort(source, tie_policy: TiePolicy = TiePolicy.shift(), horizon=None
 
     ``source`` is a path (``os.PathLike``, or a ``str`` without a line
     break), CSV text (a ``str`` or ``bytes`` with a "\\n" or "\\r"), or a
-    file object.
+    file object.  Input that does not decode as UTF-8 raises ParseError.
     """
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    is_text = isinstance(source, str) and ("\n" in source or "\r" in source)
-    if isinstance(source, os.PathLike) or isinstance(source, str) and not is_text:
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            source = fh.read()
-    elif hasattr(source, "read"):
-        source = source.read()
-        source = source.decode("utf-8") if isinstance(source, bytes) else source
+    what = "input"
+    try:
+        if isinstance(source, bytes):
+            source = source.decode("utf-8")
+        is_text = isinstance(source, str) and ("\n" in source or "\r" in source)
+        if isinstance(source, os.PathLike) or isinstance(source, str) and not is_text:
+            what = f"input file {os.fspath(source)}"
+            with open(source, "r", encoding="utf-8", newline="") as fh:
+                source = fh.read()
+        elif hasattr(source, "read"):
+            source = source.read()
+            source = source.decode("utf-8") if isinstance(source, bytes) else source
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} is not UTF-8 text: {exc}") from None
     if isinstance(source, str):
         return _parse(source, tie_policy, horizon)
     raise TypeError("source must be a path, text, bytes, or file object")
@@ -406,22 +411,34 @@ def _is_number(text):
         return False
 
 
-def _stripped(cells):
-    """Stripped cells and the mask of blank ones."""
-    text = list(map(str.strip, cells))
-    return text, ~np.fromiter(map(bool, text), bool, len(text))
-
-
 def _text_column(cells):
-    """Stripped cells, their floats (NaN where blank or not a number), and
-    the masks of blank cells and of cells that read as numbers."""
-    text, blank = _stripped(cells)
-    values = np.full(len(text), math.nan)
+    """The cells (stripped if one does not read as a number as given), their
+    floats (NaN where blank or not a number), and the masks of blank cells
+    and of cells that read as numbers.
+
+    ``float`` strips the whitespace that ``str.strip`` strips, so a column
+    of numbers and exact "" cells is read in one pass; only a column with
+    any other cell is stripped first.
+    """
+    n = len(cells)
+    try:
+        if "" not in cells:
+            values = np.fromiter(map(float, cells), float, n)
+            return cells, values, np.zeros(n, bool), np.ones(n, bool)
+        number = np.fromiter(map(bool, cells), bool, n)
+        values = np.full(n, math.nan)
+        values[number] = np.fromiter(map(float, filter(None, cells)), float, int(number.sum()))
+        return cells, values, ~number, number
+    except ValueError:
+        pass
+    text = list(map(str.strip, cells))
+    blank = ~np.fromiter(map(bool, text), bool, n)
+    values = np.full(n, math.nan)
     try:
         number = ~blank
         values[number] = list(map(float, compress(text, number.tolist())))
     except ValueError:
-        number = np.fromiter(map(_is_number, text), bool, len(text))
+        number = np.fromiter(map(_is_number, text), bool, n)
         values[number] = list(map(float, compress(text, number.tolist())))
     return text, values, blank, number
 
@@ -485,33 +502,38 @@ def _parse(text, tie_policy, horizon):
     # body row k is file row k + 2; rows with no non-blank cell are skipped
     n = lengths.size
     wrong_width = lengths != width
-    ids, no_id = _stripped(columns[0])
+    ids = list(map(str.strip, columns[0]))
+    no_id = ~np.fromiter(map(bool, ids), bool, n) if "" in ids else np.zeros(n, bool)
     blank = no_id & ~wrong_width
     for k in np.flatnonzero(blank):
         blank[k] = not any(column[k].strip() for column in columns)
     keep = ~blank
     inf_text, raw_inf, no_inf, inf_number = _text_column(columns[1])
     end_text, end, no_end, end_number = _text_column(columns[2])
-    status_text, _ = _stripped(columns[3])
+    status_text = columns[3]
     status = np.fromiter(map(_STATUS_CODE.get, status_text, repeat(-1)), np.int64, n)
+    if (status < 0).any():  # padded, blank or unknown cells
+        status = np.fromiter(map(_STATUS_CODE.get, map(str.strip, status_text), repeat(-1)),
+                             np.int64, n)
     exposed = ~no_inf
     tied = exposed & (raw_inf == end)
     inf = np.where(tied, end - tie_policy.eps, raw_inf) if tie_policy.kind == "shift" else raw_inf
     covariates = {name: _text_column(cells) for name, cells in zip(header[4:], columns[4:])}
 
     # one mask per check, in the order a row is checked; the first row
-    # that fails any check reports the first check it fails
+    # that fails any check reports the first check it fails (quoting the
+    # cell stripped: a column read as given holds its cells unstripped)
     checks = [
         (wrong_width, lambda k: f"expected {width} fields, got {lengths[k]}"),
         (no_id & ~blank, lambda k: "empty id"),
-        (exposed & ~inf_number, lambda k: f"bad inf_time {inf_text[k]!r}"),
-        (inf_number & ~np.isfinite(raw_inf), lambda k: f"non-finite inf_time {inf_text[k]!r}"),
+        (exposed & ~inf_number, lambda k: f"bad inf_time {inf_text[k].strip()!r}"),
+        (inf_number & ~np.isfinite(raw_inf), lambda k: f"non-finite inf_time {inf_text[k].strip()!r}"),
         (raw_inf < 0, lambda k: "negative inf_time"),
         (no_end, lambda k: "missing end_time"),
-        (~no_end & ~end_number, lambda k: f"bad end_time {end_text[k]!r}"),
-        (end_number & ~np.isfinite(end), lambda k: f"non-finite end_time {end_text[k]!r}"),
+        (~no_end & ~end_number, lambda k: f"bad end_time {end_text[k].strip()!r}"),
+        (end_number & ~np.isfinite(end), lambda k: f"non-finite end_time {end_text[k].strip()!r}"),
         (end < 0, lambda k: "negative end_time"),
-        (status < 0, lambda k: f"unknown status {status_text[k]!r}"),
+        (status < 0, lambda k: f"unknown status {status_text[k].strip()!r}"),
         (end <= 0, lambda k: "end_time must be positive"),
         (raw_inf > end, lambda k: "inf_time > end_time"),
         (tied & (tie_policy.kind == "reject"),
@@ -533,13 +555,16 @@ def _parse(text, tie_policy, horizon):
     columns = {}
     for name, (text, values, _, number) in covariates.items():
         if number[keep].all():
-            columns[name] = values[keep]
-        else:  # mixed: numbers as floats, the rest as text
+            columns[name] = values
+        else:  # mixed: numbers as floats, the rest as (stripped) text
             cells = [v if ok else t for t, v, ok in zip(text, values.tolist(), number.tolist())]
-            columns[name] = np.fromiter(compress(cells, keep.tolist()), object, int(keep.sum()))
-    ids = list(compress(ids, keep.tolist()))
+            columns[name] = np.fromiter(cells, object, n)
+    if not keep.all():  # drop the blank rows
+        ids = list(compress(ids, keep.tolist()))
+        inf, end, status = inf[keep], end[keep], status[keep]
+        columns = {name: column[keep] for name, column in columns.items()}
     return Cohort.from_columns(
-        ids, inf[keep], end[keep], status[keep], columns,
+        ids, inf, end, status, columns,
         tie_policy=tie_policy, horizon=horizon or 0.0, diagnostics=diagnostics,
     )
 

@@ -294,6 +294,21 @@ def _draw_counts(streams, n):
     return np.bincount(cells, minlength=len(streams) * n).reshape(len(streams), n).astype(float)
 
 
+def _percentile_band(est):
+    """Per column of ``est``, the 2.5th and 97.5th percentiles of its values
+    that are not NaN (NaN if it has none), as ``np.nanpercentile`` gives
+    them: one vectorised call for the columns without NaN, ``nanpercentile``,
+    a Python loop over columns, only for the rest."""
+    band = np.full((2, est.shape[1]), np.nan)
+    whole = ~np.isnan(est).any(axis=0)
+    band[:, whole] = np.percentile(est[:, whole], [2.5, 97.5], axis=0)
+    if not whole.all():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN columns
+            band[:, ~whole] = np.nanpercentile(est[:, ~whole], [2.5, 97.5], axis=0)
+    return band
+
+
 def bootstrap_ci(
     cohort: Cohort,
     estimand: str,
@@ -339,10 +354,7 @@ def bootstrap_ci(
             est[r] = curve(grid)
 
     defined_frac = np.isfinite(est).mean(axis=0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        lo = np.nanpercentile(est, 2.5, axis=0)
-        hi = np.nanpercentile(est, 97.5, axis=0)
+    lo, hi = _percentile_band(est)
     bad = defined_frac < 0.5
     lo[bad] = np.nan
     hi[bad] = np.nan

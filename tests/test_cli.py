@@ -137,6 +137,23 @@ def test_out_naming_an_existing_file_is_a_usage_error(cohort_file, tmp_path, cap
     assert taken.read_text() == "keep\n"
 
 
+def test_out_is_checked_before_any_work(cohort_file, tmp_path, capsys, monkeypatch):
+    def bootstrap_ci(*args, **kwargs):
+        raise AssertionError("the bootstrap ran before --out was checked")
+
+    monkeypatch.setattr(pafmsm.cli, "bootstrap_ci", bootstrap_ci)
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    before = sorted(tmp_path.rglob("*"))
+    for out, reason in [(taken, "File exists"), (taken / "sub", "Not a directory"),
+                        (taken / "a" / "b", "Not a directory")]:
+        assert run(["bootstrap", "--input", cohort_file, "--estimand", "paf_o", "--B", "500",
+                    "--seed", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"usage error: --out {out}: {reason}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+    assert taken.read_text() == "keep\n"
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert run(["frobnicate"]) == 1
 

@@ -43,6 +43,30 @@ def test_parse_accepts_path(tmp_path):
     assert len(parse_cohort(p)) == 3
 
 
+NOT_UTF8 = b"id,inf_time,end_time,end_status\nA,,5,d\xe9c\n"
+
+
+@pytest.mark.parametrize("kind", ["bytes", "path", "str path", "binary file", "text file"])
+def test_input_that_is_not_utf8_raises_parse_error(tmp_path, kind):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(NOT_UTF8)
+    codec = "'utf-8' codec can't decode byte 0xe9 in position "
+    with pytest.raises(ParseError) as info:
+        if kind == "bytes":
+            parse_cohort(NOT_UTF8)
+        elif kind.endswith("path"):
+            parse_cohort(path if kind == "path" else str(path))
+        elif kind == "binary file":
+            with open(path, "rb") as fh:
+                parse_cohort(fh)
+        else:
+            with open(path, encoding="utf-8") as fh:
+                parse_cohort(fh)
+    what = f"input file {path}" if kind.endswith("path") else "input"
+    assert str(info.value).startswith(f"{what} is not UTF-8 text: {codec}")
+    assert info.value.row is None
+
+
 def test_round_trip_through_csv():
     cohort = parse_cohort(CSV)
     again = parse_cohort(cohort_to_csv(cohort))
@@ -301,6 +325,36 @@ def cohort_columns(cohort):
             cohort.status.tobytes(), cohort.horizon, cohort.diagnostics, covariates)
 
 
+def reference_text_column(cells):
+    """The strip-then-float conversion that ``_text_column`` falls back on:
+    stripped cells, their floats (NaN where blank or not a number), and the
+    masks of blank cells and of cells that read as numbers."""
+    text = list(map(str.strip, cells))
+    blank = ~np.fromiter(map(bool, text), bool, len(text))
+    values = np.full(len(text), math.nan)
+
+    def is_number(cell):
+        try:
+            return float(cell) is not None
+        except ValueError:
+            return False
+
+    try:
+        number = ~blank
+        values[number] = [float(t) for t, ok in zip(text, number) if ok]
+    except ValueError:
+        number = np.fromiter(map(is_number, text), bool, len(text))
+        values[number] = [float(t) for t, ok in zip(text, number) if ok]
+    return text, values, blank, number
+
+
+def test_a_column_of_numbers_and_empty_cells_is_read_as_given():
+    for cells in (["1", " 2.5\t", "-0"], ["", "\u30007", ""]):
+        text, values, blank, number = pafmsm.cohort._text_column(cells)
+        assert text is cells  # not stripped
+        assert values.tobytes() == reference_text_column(cells)[1].tobytes()
+
+
 def parse_both_ways(text, **kwargs):
     """Parse ``text`` as read from a file object, once as ``parse_cohort``
     does (by ``str.split`` when the text is plain) and once by
@@ -356,8 +410,16 @@ def test_both_parse_paths_read_the_same_cells(text, plain, ids):
     (HEADER + '"A,,5,death\n', 2, "expected 4 fields, got 1"),
     (HEADER + "A,,5,death\nB,," + "9" * 140_000 + ",death\n", 3,
      "field larger than field limit (131072)"),
+    # padded cells are quoted stripped, whichever way the column was read
+    (HEADER + "A,,5,death\nB, inf ,5,death\n", 3, "non-finite inf_time 'inf'"),
+    (HEADER + "A,\tnan\x0b,5,death\n", 2, "non-finite inf_time 'nan'"),
+    (HEADER + "A,,\xa01e400\u3000,death\n", 2, "non-finite end_time '1e400'"),
+    (HEADER + "A,\x85x\u2003,5,death\n", 2, "bad inf_time 'x'"),
+    (HEADER + "A,,5,death\nB,, 1 2 ,death\n", 3, "bad end_time '1 2'"),
+    (HEADER + "A,,5, dead\t\n", 2, "unknown status 'dead'"),
 ], ids=["empty", "short-row", "long-row", "after-blank-full-width", "after-blank-lines", "crlf", "cr",
-        "header", "open-quote", "huge-cell"])
+        "header", "open-quote", "huge-cell", "padded-inf", "padded-nan", "padded-overflow",
+        "padded-text", "inner-space", "padded-status"])
 def test_both_parse_paths_raise_the_same_parse_error(text, row, message):
     expected = message if row is None else f"row {row}: {message}"
     assert parse_both_ways(text) == ("ParseError", expected, row)

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,24 @@ def test_bootstrap_undefined_majority_blanks_the_band():
     assert np.isnan(bands.lower(1.0))
     assert bands.lower(3.0) == 0.0
     assert "1,,,,0" in bands.to_csv()
+
+
+@pytest.mark.parametrize("columns", ["mixed", "no NaN", "all NaN", "no columns"])
+def test_percentile_band_equals_the_per_column_nanpercentile(columns):
+    rng = np.random.default_rng(11)
+    est = rng.normal(size=(40, 7))
+    est[:, 1] = np.round(est[:, 1])  # ties
+    est[:, 2] = 0.25  # a constant column
+    est[rng.permutation(40)[:4], 3] = np.nan  # partly NaN
+    est[rng.permutation(40)[:25], 4] = np.nan  # more than half NaN
+    est[rng.permutation(40)[:39], 5] = np.nan  # one value left
+    est[:, 6] = np.nan
+    est = {"mixed": est, "no NaN": est[:, :3], "all NaN": est[:, 6:], "no columns": est[:, :0]}[columns]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN columns
+        expected = [[np.nanpercentile(est[:, j], q) for j in range(est.shape[1])]
+                    for q in (2.5, 97.5)]
+    assert paf_module._percentile_band(est).tobytes() == np.array(expected).reshape(2, -1).tobytes()
 
 
 def _loop_replicates(cohort, estimand, B, seed, grid):

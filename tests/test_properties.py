@@ -20,10 +20,10 @@ from pafmsm import (
     overall_death_risk,
     to_transitions,
 )
-from pafmsm.cohort import _split_rows
+from pafmsm.cohort import _split_rows, _text_column
 from pafmsm.continuous import exposure_survival
 
-from test_cohort import parse_both_ways
+from test_cohort import parse_both_ways, reference_text_column
 from test_continuous import assert_continuous_side_matches_reference
 from test_discrete import assert_matches_reference, assert_same
 
@@ -199,3 +199,34 @@ def test_death_risk_is_monotone_and_paf_bounded(cohort):
         vals = paf.values[~np.isnan(paf.values)]
         if vals.size:
             assert np.max(vals) <= 1.0 + 1e-12
+
+
+# whitespace that str.strip and float strip (and \x1c, which only str.strip
+# strips), and cell cores: numbers, overflow, underscores, non-ASCII digits, text
+_PADDING = ["", "", " ", "\t", "\x0b", "\x85", "\xa0", "\u2003", "\u3000", "\x1c"]
+_NUMBERS = ["1", "-0", "2.5", "1e-3", "nan", "-nan", "inf", "-inf", "1e400", "1_0", "\u0663"]
+_CORES = _NUMBERS + ["", "x", "abc", "1 2", "1__0", "\xe9", "0x1"]
+
+
+@st.composite
+def padded_cell(draw):
+    return draw(st.sampled_from(_PADDING)) + draw(st.sampled_from(_CORES)) + draw(
+        st.sampled_from(_PADDING))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.lists(st.sampled_from(_NUMBERS), max_size=8),  # read in one pass
+    st.lists(st.sampled_from(_NUMBERS + [""]), max_size=8),  # one pass past exact "" cells
+    st.lists(padded_cell(), max_size=8),  # mostly the strip fallback
+))
+def test_text_column_agrees_with_the_strip_then_float_reference(cells):
+    text, values, blank, number = _text_column(cells)
+    ref_text, ref_values, ref_blank, ref_number = reference_text_column(cells)
+    assert values.tobytes() == ref_values.tobytes()
+    assert blank.tolist() == ref_blank.tolist()
+    assert number.tolist() == ref_number.tolist()
+    # messages quote a cell stripped; a mixed covariate keeps text cells as read
+    assert [t.strip() for t in text] == ref_text
+    assert [t for t, ok in zip(text, number.tolist()) if not ok] == [
+        t for t, ok in zip(ref_text, ref_number.tolist()) if not ok]
