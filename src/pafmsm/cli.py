@@ -29,7 +29,7 @@ from .cohort import (
 )
 from .continuous import cif_counterfactual, cpf_unexposed, ht_cif
 from .cox import fit_cox_td, markov_test
-from .curves import StepCurve
+from .curves import StepCurve, _csv_rows
 from .discrete import empirical_weights, ipw_f01, naive_f01
 from .errors import DataError, NumericalError
 from .paf import ESTIMAND_ESTIMATORS, bootstrap_ci, estimate_paf
@@ -38,6 +38,12 @@ from .simulate import HazardSpec, analytic_curves, simulate_cohort
 __all__ = ["main", "run"]
 
 _EXIT_OK, _EXIT_USAGE, _EXIT_DATA, _EXIT_NUMERICAL = 0, 1, 2, 3
+
+# The most an option may ask for.  Memory grows with each: about 2 kB per
+# oracle grid point, 0.4 kB per simulated subject and 3 kB per replicate.
+_MAX_GRID_POINTS = 10**6
+_MAX_SUBJECTS = 10**7
+_MAX_REPLICATES = 10**6
 
 
 class _UsageError(Exception):
@@ -163,7 +169,9 @@ def _cmd_summary(args) -> int:
     s = summarize(_load_cohort(args))
     print("field,value")
     for f in fields(s):
-        print(f"{f.name},{getattr(s, f.name):g}")
+        value = getattr(s, f.name)  # the counts as integers, person_days to 0.01 day
+        text = format(round(value, 2), ".12g") if isinstance(value, float) else str(value)
+        print(f"{f.name},{text}")
     return _EXIT_OK
 
 
@@ -176,6 +184,13 @@ def _check_pair(args):
     if args.estimator != "ipw" and _covariate_list(args):
         raise _UsageError(f"--covariates: --estimator {args.estimator} uses no covariates; "
                           "only ipw does")
+
+
+def _check_size(option, size, bound, unit):
+    """A usage error naming ``option`` if its ``size`` (computed from the
+    arguments, before anything is allocated) is over ``bound``."""
+    if not size <= bound:
+        raise _UsageError(f"{option} asks for {size:.4g} {unit}; at most {bound} are allowed")
 
 
 def _check_seed(args):
@@ -214,6 +229,7 @@ def _cmd_bootstrap(args) -> int:
     _check_seed(args)
     if args.B < 2:
         raise _UsageError("--B must be >= 2")
+    _check_size("--B", args.B, _MAX_REPLICATES, "replicates")
     cohort = _load_cohort(args)
     # the panel estimators' curves step on exactly the days
     if args.grid == "jumps" and args.estimator == "multistate":
@@ -256,6 +272,7 @@ def _read_spec(path) -> HazardSpec:
 def _cmd_simulate(args) -> int:
     if args.n < 1:
         raise _UsageError("--n must be >= 1")
+    _check_size("--n", args.n, _MAX_SUBJECTS, "subjects")
     _check_seed(args)
     spec = _read_spec(args.spec)
     cohort = simulate_cohort(spec, args.n, args.seed)
@@ -267,17 +284,12 @@ def _cmd_oracle(args) -> int:
     spec = _read_spec(args.spec)
     if not (math.isfinite(args.step) and args.step > 0):
         raise _UsageError("--step must be a finite number > 0")
+    _check_size("--step", (spec.tau + args.step / 2) / args.step, _MAX_GRID_POINTS, "grid points")
     grid = np.arange(0.0, spec.tau + args.step / 2, args.step)
     oc = analytic_curves(spec, grid)
     curves = oc.as_dict()
-    lines = ["t," + ",".join(curves)]
-    for j, t in enumerate(oc.grid):
-        row = [format(t, ".12g")]
-        for c in curves.values():
-            v = c.values[j]
-            row.append("" if np.isnan(v) else format(v, ".12g"))
-        lines.append(",".join(row))
-    _emit("\n".join(lines) + "\n", args.out, "oracle.csv")
+    rows = _csv_rows((oc.grid, *(c.values for c in curves.values())))
+    _emit("t," + ",".join(curves) + "\n" + "".join(rows), args.out, "oracle.csv")
     return _EXIT_OK
 
 

@@ -20,6 +20,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from .curves import _csv_rows
 from .errors import DataError, ParseError
 
 __all__ = [
@@ -448,23 +449,24 @@ def _split_rows(text):
 
     Plain means no ``"``, ``\\r`` or NUL, no line longer than the csv field
     limit, and as many commas on every line as on the header: on such text
-    ``csv.reader`` returns the same cells.
+    ``csv.reader`` returns the same cells.  One scan of the UTF-8 bytes
+    decides it: there "," and "\\n" are single bytes that no longer
+    character contains, and a line has at least as many bytes as characters.
     """
-    if '"' in text or "\r" in text or "\0" in text:
+    if not text or '"' in text or "\r" in text or "\0" in text:
         return None
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()  # the newline that ends the last row
-    if not lines:
+    body = text if text.endswith("\n") else text + "\n"
+    raw = np.frombuffer(body.encode("utf-8", "surrogatepass"), np.uint8)
+    seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+    newline = raw[seps] == ord("\n")
+    # plain: (width - 1) commas and a newline, once per row
+    width, rows = int(np.argmax(newline)) + 1, np.count_nonzero(newline)
+    if (newline.size != rows * width or not newline[width - 1::width].all()
+            or np.diff(seps[newline], prepend=-1).max() > csv.field_size_limit() + 1):
         return None
-    commas = lines[0].count(",")
-    if list(map(str.count, lines, repeat(","))).count(commas) < len(lines):
-        return None
-    if max(map(len, lines)) > csv.field_size_limit():
-        return None
-    width = commas + 1
-    cells = ",".join(lines).split(",")
-    return cells[:width], [cells[width + j::width] for j in range(width)], np.full(len(lines) - 1, width)
+    cells = body.replace("\n", ",").split(",")
+    cells.pop()  # after the newline that ends the last row
+    return cells[:width], [cells[width + j::width] for j in range(width)], np.full(rows - 1, width)
 
 
 def _reader_rows(text):
@@ -615,12 +617,9 @@ def discretize(cohort: Cohort, allow_drop: bool = False) -> DailyPanel:
 
 def cohort_to_csv(cohort: Cohort) -> str:
     """Serialize a cohort in the same CSV format parse_cohort reads."""
-    columns = [
-        _csv_cells(map(str, cohort.ids)),
-        ["" if t != t else format(t, ".12g") for t in cohort.inf.tolist()],
-        [format(e, ".12g") for e in cohort.end.tolist()],
-        [_STATUS_NAME[s] for s in cohort.status.tolist()],
-    ]
+    times = "".join(_csv_rows((cohort.inf, cohort.end), first_as_is=False)).splitlines()
+    columns = [_csv_cells(map(str, cohort.ids)), times,
+               [_STATUS_NAME[s] for s in cohort.status.tolist()]]
     for column in cohort.covariates.values():
         columns.append(_csv_cells("" if v is _ABSENT else f"{v}" for v in column.tolist()))
     lines = [",".join(_csv_cells(["id", "inf_time", "end_time", "end_status",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass, field
 
@@ -11,6 +10,18 @@ import numpy as np
 __all__ = ["StepCurve", "union_grid"]
 
 _CSV_CHUNK = 4096  # rows formatted per write by the CSV writers
+
+
+def _csv_rows(columns, first_as_is=True):
+    """CSV rows of equal-length float ``columns``, one ``%`` format per
+    ``_CSV_CHUNK`` rows: each cell as ``format(v, ".12g")`` (``inf``, ``-0``),
+    a NaN cell blank, except in a first column kept ``first_as_is``."""
+    row = ",".join(["%.12g"] * len(columns)) + "\n"
+    # %.12g writes "nan" for NaN only, and a first cell follows no comma
+    nan, blank = (",nan", ",") if first_as_is else ("nan", "")
+    for k in range(0, len(columns[0]), _CSV_CHUNK):
+        block = np.column_stack([c[k : k + _CSV_CHUNK] for c in columns])
+        yield (row * len(block) % tuple(block.ravel().tolist())).replace(nan, blank)
 
 
 @dataclass(frozen=True)
@@ -63,17 +74,8 @@ class StepCurve:
         return np.asarray(t, dtype=float) < self.undefined_from
 
     def to_csv(self) -> str:
-        """Two-column CSV ``t,value`` at the jump times."""
-        buf = io.StringIO()
-        buf.write("t,value\n")
-        # formatted from Python floats, a chunk of rows per write: a list of
-        # every row would raise the peak memory by about the text's size
-        for k in range(0, self.times.size, _CSV_CHUNK):
-            times = self.times[k : k + _CSV_CHUNK].tolist()
-            values = self.values[k : k + _CSV_CHUNK].tolist()
-            buf.write("".join([f"{t:.12g},{v:.12g}\n" if v == v else f"{t:.12g},\n"
-                               for t, v in zip(times, values)]))
-        return buf.getvalue()
+        """Two-column CSV ``t,value`` at the jump times (a NaN value blank)."""
+        return "t,value\n" + "".join(_csv_rows((self.times, self.values)))
 
     def to_json(self) -> str:
         return json.dumps(

@@ -7,7 +7,6 @@ bands and stratified output.
 
 from __future__ import annotations
 
-import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from .cohort import (
 )
 from . import continuous
 from .continuous import overall_death_risk
-from .curves import _CSV_CHUNK, StepCurve, union_grid
+from .curves import StepCurve, _csv_rows, union_grid
 from .discrete import (
     _death_proportion,
     empirical_weights,
@@ -237,21 +236,13 @@ class CurveWithBands:
     failed: int
 
     def to_csv(self) -> str:
-        def fmt(v):
-            return format(v, ".12g") if math.isfinite(v) else ""
-
         grid = self.lower.times
-        columns = (grid, np.atleast_1d(self.estimate(grid)), self.lower.values, self.upper.values)
-        buf = io.StringIO()
-        buf.write("t,estimate,lower,upper,defined\n")
-        # formatted from Python floats, a chunk of rows per write, as StepCurve.to_csv
-        for k in range(0, grid.size, _CSV_CHUNK):
-            rows = zip(*(c[k : k + _CSV_CHUNK].tolist() for c in columns))
-            buf.write("".join([
-                f"{t:.12g},{fmt(e)},{fmt(lo)},{fmt(hi)},{int(math.isfinite(lo) and math.isfinite(hi))}\n"
-                for t, e, lo, hi in rows
-            ]))
-        return buf.getvalue()
+        columns = (np.atleast_1d(self.estimate(grid)), self.lower.values, self.upper.values)
+        defined = np.isfinite(columns[1]) & np.isfinite(columns[2])
+        # a non-finite cell is written blank, as NaN
+        cells = [np.where(np.isfinite(c), c, np.nan) for c in columns]
+        return "t,estimate,lower,upper,defined\n" + "".join(
+            _csv_rows((grid, *cells, defined.astype(float))))
 
 
 # Multistate replicates are computed in blocks whose exit table, and whose
@@ -288,10 +279,12 @@ def _multistate_replicates(records, estimand, streams, grid):
 
 def _draw_counts(streams, n):
     """(k x n) matrix of how often the replicate of each stream drew each
-    subject, as floats: the weights of the exit table, cast once."""
-    cells = np.concatenate([np.random.default_rng(s).integers(0, n, size=n) + r * n
-                            for r, s in enumerate(streams)])
-    return np.bincount(cells, minlength=len(streams) * n).reshape(len(streams), n).astype(float)
+    subject, as floats: the weights of the exit table, one ``bincount`` per
+    stream written into one preallocated matrix."""
+    out = np.empty((len(streams), n))
+    for row, stream in zip(out, streams):
+        row[:] = np.bincount(np.random.default_rng(stream).integers(0, n, size=n), minlength=n)
+    return out
 
 
 def _percentile_band(est):

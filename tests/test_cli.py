@@ -4,10 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pafmsm
-from pafmsm import cohort_to_csv, discretize
+from pafmsm import HazardSpec, analytic_curves, cohort_to_csv, discretize
 from pafmsm.cli import run
 
 from conftest import integer_cohort
@@ -53,6 +54,18 @@ def test_summary_output(cohort_file, capsys):
     assert run(["summary", "--input", cohort_file]) == 0
     out = capsys.readouterr().out
     assert out.startswith("field,value\nn,150")
+
+
+def test_summary_prints_counts_as_integers_and_person_days_without_exponent(
+        cohort_file, capsys, monkeypatch):
+    counts = dict(n=1_234_567, exposed=1_000_000, unexposed_deaths=99, unexposed_discharges=5,
+                  unexposed_censored=0, exposed_deaths=7, exposed_discharges=123_456_789,
+                  exposed_censored=1)
+    summary = pafmsm.cohort.CohortSummary(**counts, person_days=11_983_140.314)
+    monkeypatch.setattr(pafmsm.cli, "summarize", lambda cohort: summary)
+    assert run(["summary", "--input", cohort_file]) == 0
+    expected = "".join(f"{k},{v}\n" for k, v in counts.items()) + "person_days,11983140.31\n"
+    assert capsys.readouterr().out == "field,value\n" + expected
 
 
 def test_estimate_at_a_time_point(cohort_file, capsys):
@@ -253,6 +266,59 @@ def test_oracle_csv(spec_file, capsys):
     assert header[0] == "t"
     for name in ("p00", "p030", "overall_death", "cpf", "paf_o", "paf_c"):
         assert name in header
+
+
+def reference_oracle_csv(spec, step):
+    """``oracle`` output written cell by cell, a NaN cell blank."""
+    oc = analytic_curves(spec, np.arange(0.0, spec.tau + step / 2, step))
+    curves = oc.as_dict()
+    lines = ["t," + ",".join(curves)]
+    for j, t in enumerate(oc.grid):
+        values = [c.values[j] for c in curves.values()]
+        cells = ["" if np.isnan(v) else format(v, ".12g") for v in values]
+        lines.append(",".join([format(t, ".12g"), *cells]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("step", [10.0, 0.3, 0.007])
+def test_oracle_csv_equals_the_per_cell_reference(spec_file, capsys, step):
+    assert run(["oracle", "--spec", spec_file, "--step", str(step)]) == 0
+    out = capsys.readouterr().out
+    assert out == reference_oracle_csv(HazardSpec.from_json(json.dumps(SPEC)), step)
+    assert "\n0,1,0,0,0,0,0," in out  # the PAFs are undefined at t = 0
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["oracle", "--step", "1e-9"], "--step"),  # 4e10 grid points on [0, 40]
+    (["oracle", "--step", "5e-324"], "--step"),  # more points than a float counts
+    (["simulate", "--n", str(10**12), "--seed", "1"], "--n"),
+    (["bootstrap", "--estimand", "paf_o", "--B", str(10**12), "--seed", "1"], "--B"),
+])
+def test_an_oversize_option_is_a_usage_error_before_any_work(
+        spec_file, cohort_file, capsys, monkeypatch, argv, option):
+    for name in ("analytic_curves", "simulate_cohort", "bootstrap_ci", "parse_cohort"):
+        monkeypatch.setattr(pafmsm.cli, name, lambda *a, **k: pytest.fail("work was started"))
+    source = ["--spec", spec_file] if argv[0] != "bootstrap" else ["--input", cohort_file]
+    assert run([argv[0], *source, *argv[1:]]) == 1
+    assert f"usage error: {option} asks for" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bound, argv, code", [
+    ("_MAX_GRID_POINTS", ["oracle", "--step", "10"], 0),  # 5 points on [0, 40]
+    ("_MAX_GRID_POINTS", ["oracle", "--step", "8"], 1),  # 6 points
+    ("_MAX_SUBJECTS", ["simulate", "--n", "5", "--seed", "1"], 0),
+    ("_MAX_SUBJECTS", ["simulate", "--n", "6", "--seed", "1"], 1),
+    ("_MAX_REPLICATES", ["bootstrap", "--estimand", "paf_o", "--B", "5", "--seed", "1"], 0),
+    ("_MAX_REPLICATES", ["bootstrap", "--estimand", "paf_o", "--B", "6", "--seed", "1"], 1),
+])
+def test_size_bounds_count_what_the_option_asks_for(
+        spec_file, cohort_file, capsys, monkeypatch, bound, argv, code):
+    monkeypatch.setattr(pafmsm.cli, bound, 5)
+    source = ["--spec", spec_file] if argv[0] != "bootstrap" else ["--input", cohort_file]
+    assert run([argv[0], *source, *argv[1:]]) == code
+    out = capsys.readouterr().out
+    if argv[0] == "oracle" and code == 0:
+        assert len(out.splitlines()) == 1 + 5
 
 
 @pytest.mark.parametrize("key, value", [

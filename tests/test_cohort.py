@@ -22,6 +22,7 @@ from pafmsm import (
     to_transitions,
 )
 from pafmsm.cohort import TransitionRow
+from pafmsm.curves import _CSV_CHUNK
 
 CSV = """id,inf_time,end_time,end_status
 A,,5,death
@@ -313,6 +314,22 @@ def test_round_trip_through_csv_quotes_cells_as_csv_does():
     again = parse_cohort(written)
     assert again.subjects == cohort.subjects
     assert again.covariate_names() == ["note, free", "site"]
+
+
+def test_cohort_csv_writes_times_as_12_digit_floats_and_never_exposed_blank():
+    rng = np.random.default_rng(3)
+    n = 2 * _CSV_CHUNK + 5
+    end = 10.0 ** rng.uniform(-300, 300, n)
+    end[:5] = [5e-324, 1e308, 1 / 3, 123456789012345.0, 1e16]
+    inf = np.where(rng.random(n) < 0.5, end * rng.uniform(0.01, 0.99, n), np.nan)
+    inf[:2] = np.nan
+    status = rng.integers(0, 3, n)
+    cohort = Cohort.from_columns([f"s{i}" for i in range(n)], inf, end, status, {"x": end})
+    names = ("censored", "death", "discharge")
+    assert cohort_to_csv(cohort).splitlines()[1:] == [
+        f"s{i},{'' if np.isnan(t) else format(t, '.12g')},{format(e, '.12g')},{names[c]},{e}"
+        for i, (t, e, c) in enumerate(zip(inf.tolist(), end.tolist(), status.tolist()))
+    ]
 
 
 def cohort_columns(cohort):

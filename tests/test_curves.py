@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pafmsm import StepCurve, union_grid
-from pafmsm.curves import _CSV_CHUNK
+from pafmsm.curves import _CSV_CHUNK, _csv_rows
 
 
 def reference_to_csv(curve):
@@ -79,3 +79,10 @@ def test_csv_equals_the_per_row_reference(n):
 def test_csv_writes_nan_blank_and_signed_zero():
     c = StepCurve(np.array([0.5, 1.0, 2.0, 3.0]), np.array([-0.0, np.nan, np.inf, -np.inf]))
     assert c.to_csv() == "t,value\n0.5,-0\n1,\n2,inf\n3,-inf\n"
+
+
+def test_csv_rows_blank_nan_cells_past_the_first_column_or_in_all():
+    columns = (np.array([np.nan, 1.0, -0.0]), np.array([np.nan, np.inf, 2.5]))
+    assert "".join(_csv_rows(columns)) == "nan,\n1,inf\n-0,2.5\n"
+    assert "".join(_csv_rows(columns, first_as_is=False)) == ",\n1,inf\n-0,2.5\n"
+    assert StepCurve(np.array([np.nan]), np.array([np.nan])).to_csv() == "t,value\nnan,\n"

@@ -268,6 +268,16 @@ def test_bands_csv_equals_the_per_row_reference(n):
     assert bands.to_csv() == reference_bands_csv(bands)
 
 
+@pytest.mark.parametrize("k, n", [(0, 5), (1, 1), (7, 13), (3, 1000)])
+def test_draw_counts_equal_one_bincount_over_every_stream(k, n):
+    streams = np.random.SeedSequence(k + n).spawn(k)
+    cells = [np.random.default_rng(s).integers(0, n, size=n) + r * n for r, s in enumerate(streams)]
+    expected = np.bincount(np.concatenate([np.empty(0, np.int64), *cells]), minlength=k * n)
+    counts = paf_module._draw_counts(streams, n)
+    assert counts.dtype == np.float64
+    assert np.array_equal(counts, expected.reshape(k, n).astype(float))
+
+
 def test_bootstrap_rejects_tiny_b():
     with pytest.raises(DataError):
         bootstrap_ci(TWO, "paf_o", B=1, seed=0)

@@ -1,7 +1,9 @@
 """Randomized invariants over generated cohorts."""
 
+import csv
+
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pafmsm import (
     Cohort,
@@ -23,7 +25,7 @@ from pafmsm import (
 from pafmsm.cohort import _split_rows, _text_column
 from pafmsm.continuous import exposure_survival
 
-from test_cohort import parse_both_ways, reference_text_column
+from test_cohort import HEADER, parse_both_ways, reference_text_column
 from test_continuous import assert_continuous_side_matches_reference
 from test_discrete import assert_matches_reference, assert_same
 
@@ -128,15 +130,41 @@ def plain_cohort_text(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(plain_cohort_text(), st.sampled_from(["reject", "shift"]))
-def test_split_and_reader_parse_paths_agree_on_plain_text(text, policy):
+@given(plain_cohort_text(), st.sampled_from(["reject", "shift"]), st.sampled_from([None, 40]))
+# multi-byte UTF-8 cells, on the split path
+@example(HEADER + "é,,5,death\nB😀,2,7,discharge\n", "shift", None)
+@example(HEADER + "A,,5,death,é\n", "shift", None)
+@example(HEADER + "A\udcff,,5,death\n", "shift", None)  # a surrogate, as surrogateescape reads
+# ragged rows whose separators still add up to full-width rows
+@example("a,b\n1,2,3\n4\n", "shift", None)
+@example(HEADER + "A,,5,death,1\nB,,7\n", "shift", None)
+# no final newline, the header alone, a lone newline
+@example(HEADER + "A,,5,death", "reject", None)
+@example(HEADER, "shift", None)
+@example(HEADER[:-1], "shift", None)
+@example("\n", "shift", None)
+# a csv field limit of 40: lines of 38 and 41 characters, a 41-character
+# cell, and 25 characters that take 41 bytes
+@example(HEADER + "A" * 29 + ",,5,death\n", "shift", 40)
+@example(HEADER + "A" * 32 + ",,5,death\n", "shift", 40)
+@example(HEADER + "A" * 41 + ",,5,death\n", "shift", 40)
+@example(HEADER + "é" * 16 + ",,5,death\n", "shift", 40)
+def test_split_and_reader_parse_paths_agree_on_plain_text(text, policy, field_limit):
     tie_policy = TiePolicy.parse(policy)
-    either = parse_both_ways(text, tie_policy=tie_policy)
-    # the same rows with CRLF endings take the reader path to the same result
-    assert parse_both_ways(text.replace("\n", "\r\n"), tie_policy=tie_policy) == either
-    lines = text.split("\n")[: -1 if text.endswith("\n") else None]
-    if len({line.count(",") for line in lines}) == 1:
-        assert _split_rows(text) is not None
+    default = csv.field_size_limit()
+    csv.field_size_limit(field_limit or default)
+    try:
+        either = parse_both_ways(text, tie_policy=tie_policy)
+        # the same rows with CRLF endings take the reader path to the same result
+        assert parse_both_ways(text.replace("\n", "\r\n"), tie_policy=tie_policy) == either
+        # the split path takes exactly the lines of one width that fit the
+        # field limit in UTF-8 bytes
+        lines = text.split("\n")[: -1 if text.endswith("\n") else None]
+        longest = max(len(line.encode("utf-8", "surrogatepass")) for line in lines)
+        plain = len({line.count(",") for line in lines}) == 1 and longest <= csv.field_size_limit()
+        assert (_split_rows(text) is not None) == plain
+    finally:
+        csv.field_size_limit(default)
 
 
 @settings(max_examples=60, deadline=None)
