@@ -7,151 +7,21 @@ estimands are supported: the observable PAF against the still-unexposed
 (paf_o) and the counterfactual PAF against the no-exposure world (paf_c),
 each with a continuous-time multistate estimator and a discrete-time
 person-day estimator.
+
+The public names are those each module lists in its ``__all__``.
 """
 
-from .cohort import (
-    CENSORED,
-    Cohort,
-    CohortSummary,
-    DailyPanel,
-    Diagnostic,
-    Subject,
-    TiePolicy,
-    TransitionRecords,
-    cohort_to_csv,
-    discretize,
-    parse_cohort,
-    subjects_from_transitions,
-    summarize,
-    to_transitions,
-)
-from .continuous import (
-    HazardIncrements,
-    OccupationCurves,
-    aalen_johansen_extended,
-    cif_counterfactual,
-    cpf_unexposed,
-    exposure_survival,
-    ht_cif,
-    kaplan_meier,
-    nelson_aalen,
-    overall_death_risk,
-)
-from .cox import CoxFit, fit_cox_td, markov_test
-from .curves import StepCurve, union_grid
-from .discrete import (
-    ExposureModel,
-    PersonDayRecords,
-    WeightTable,
-    compute_weights,
-    empirical_weights,
-    expand_person_days,
-    fit_pooled_logistic,
-    ipw_f01,
-    model_weights,
-    naive_f01,
-    nonparametric_daily_hazard,
-)
-from .errors import (
-    ConvergenceError,
-    DataError,
-    NumericalError,
-    PafmsmError,
-    ParseError,
-    PositivityError,
-    SeparationError,
-)
-from .paf import (
-    CurveWithBands,
-    FourfoldTable,
-    PafCurve,
-    bootstrap_ci,
-    estimate_paf,
-    fourfold_at,
-    paf_c,
-    paf_fixed,
-    paf_o,
-    preventable_count,
-    stratified_paf,
-)
-from .simulate import (
-    BruteForceCurves,
-    HazardSpec,
-    OracleCurves,
-    PiecewiseHazard,
-    analytic_curves,
-    brute_force_estimates,
-    icu_like_spec,
-    simulate_cohort,
-)
+from . import cohort, continuous, cox, curves, discrete, errors, paf, simulate
+from .cohort import *
+from .continuous import *
+from .cox import *
+from .curves import *
+from .discrete import *
+from .errors import *
+from .paf import *
+from .simulate import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CENSORED",
-    "Cohort",
-    "CohortSummary",
-    "DailyPanel",
-    "Diagnostic",
-    "Subject",
-    "TiePolicy",
-    "TransitionRecords",
-    "cohort_to_csv",
-    "discretize",
-    "parse_cohort",
-    "subjects_from_transitions",
-    "summarize",
-    "to_transitions",
-    "HazardIncrements",
-    "OccupationCurves",
-    "aalen_johansen_extended",
-    "cif_counterfactual",
-    "cpf_unexposed",
-    "exposure_survival",
-    "ht_cif",
-    "kaplan_meier",
-    "nelson_aalen",
-    "overall_death_risk",
-    "CoxFit",
-    "fit_cox_td",
-    "markov_test",
-    "StepCurve",
-    "union_grid",
-    "ExposureModel",
-    "PersonDayRecords",
-    "WeightTable",
-    "compute_weights",
-    "empirical_weights",
-    "expand_person_days",
-    "fit_pooled_logistic",
-    "ipw_f01",
-    "model_weights",
-    "naive_f01",
-    "nonparametric_daily_hazard",
-    "ConvergenceError",
-    "DataError",
-    "NumericalError",
-    "PafmsmError",
-    "ParseError",
-    "PositivityError",
-    "SeparationError",
-    "CurveWithBands",
-    "FourfoldTable",
-    "PafCurve",
-    "bootstrap_ci",
-    "estimate_paf",
-    "fourfold_at",
-    "paf_c",
-    "paf_fixed",
-    "paf_o",
-    "preventable_count",
-    "stratified_paf",
-    "BruteForceCurves",
-    "HazardSpec",
-    "OracleCurves",
-    "PiecewiseHazard",
-    "analytic_curves",
-    "brute_force_estimates",
-    "icu_like_spec",
-    "simulate_cohort",
-]
+__all__ = [name for module in (cohort, continuous, cox, curves, discrete, errors, paf, simulate)
+           for name in module.__all__]

@@ -352,7 +352,7 @@ def run(argv) -> int:
         if getattr(args, "out", None) is not None:
             _check_out(args.out)
         return _COMMANDS[args.subcommand](args)
-    except (_UsageError, ValueError) as exc:
+    except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     except DataError as exc:

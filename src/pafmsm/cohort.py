@@ -37,7 +37,6 @@ __all__ = [
     "summarize",
     "to_transitions",
     "discretize",
-    "subjects_from_transitions",
 ]
 
 CENSORED = -1
@@ -140,7 +139,8 @@ def _as_column(values):
 
 def covariate_column(columns, name, ids, numeric=False) -> np.ndarray:
     """Covariate ``name`` (as float64 if ``numeric``); DataError naming the
-    first subject without it, or if a numeric covariate holds text."""
+    first subject without it, or if a numeric covariate holds text or a
+    value that is not finite (NaN, inf)."""
     column = columns[name] if name in columns else np.full(len(ids), _ABSENT, dtype=object)
     if column.dtype == object:
         absent = column == _ABSENT
@@ -148,7 +148,13 @@ def covariate_column(columns, name, ids, numeric=False) -> np.ndarray:
             raise DataError(f"subject {ids[np.argmax(absent)]} has no covariate {name!r}")
         if numeric and not all(isinstance(v, (int, float)) for v in column.tolist()):
             raise DataError(f"covariate {name!r} is not numeric; encode it first")
-    return column.astype(float) if numeric else column
+    if not numeric:
+        return column
+    column = column.astype(float)
+    if not np.isfinite(column).all():
+        k = np.argmax(~np.isfinite(column))
+        raise DataError(f"subject {ids[k]}: covariate {name!r} is {column[k]}, not a finite number")
+    return column
 
 
 def _subjects(ids, inf, end, status, covariates):
@@ -345,8 +351,9 @@ class DailyPanel:
     if never exposed), ``terminal_day`` the first day s with end_time <= s,
     and ``status`` its event (1 death, 2 discharge).  Censored subjects are
     excluded and listed in ``dropped``.  ``covariates`` maps name -> column
-    over the panel's subjects.  ``a`` and ``eps`` build the dense (n, n_days)
-    indicator matrices A(s) and eps(s) on request.
+    over the panel's subjects.  No estimator reads a dense (n, n_days)
+    matrix; ``a`` builds one only for the benchmark's ``panel_cells``
+    counter, which still reads its size.
     """
 
     ids: tuple[str, ...]
@@ -365,12 +372,6 @@ class DailyPanel:
     def a(self) -> np.ndarray:
         """a[i, s-1] = 1 once subject i is exposed (s >= exposure_day), uint8."""
         return (np.arange(1, self.n_days + 1) >= self.exposure_day[:, None]).view(np.uint8)
-
-    @property
-    def eps(self) -> np.ndarray:
-        """eps[i, s-1] = status once s >= terminal_day, else 0, uint8."""
-        ended = np.arange(1, self.n_days + 1) >= self.terminal_day[:, None]
-        return ended.view(np.uint8) * self.status.astype(np.uint8)[:, None]
 
     def take(self, idx) -> "DailyPanel":
         """Subjects ``idx`` as a panel; the ids, which only label exports, stay this panel's."""
@@ -585,11 +586,6 @@ def to_transitions(cohort: Cohort) -> TransitionRecords:
     """The six-state counting-process view of a cohort's columns."""
     return TransitionRecords.from_arrays(cohort.ids, cohort.inf, cohort.end, cohort.status,
                                          cohort.covariates)
-
-
-def subjects_from_transitions(records: TransitionRecords) -> list[Subject]:
-    """Inverse of :func:`to_transitions`."""
-    return list(_subjects(*records.subject_arrays(), records.covariates))
 
 
 def discretize(cohort: Cohort, allow_drop: bool = False) -> DailyPanel:

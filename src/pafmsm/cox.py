@@ -44,7 +44,8 @@ class CoxFit:
 
     @property
     def ci_upper(self) -> np.ndarray:
-        return np.exp(self.coefficients + _Z975 * self.standard_errors)
+        with np.errstate(over="ignore"):  # a bound past the float range is inf
+            return np.exp(self.coefficients + _Z975 * self.standard_errors)
 
     @property
     def p_values(self) -> np.ndarray:
@@ -149,8 +150,10 @@ def _cox_engine(start, stop, event, x, term_names):
                     "singular information matrix; a covariate is constant "
                     "within every risk set"
                 ) from None
-            se = np.sqrt(np.diag(cov))
-            return beta, se, ll, it
+            var = np.diag(cov)
+            if not (var > 0).all():  # a flat ridge, not a maximum
+                raise SeparationError("information matrix not positive definite at convergence")
+            return beta, np.sqrt(var), ll, it
         try:
             step = np.linalg.solve(info, score)
         except np.linalg.LinAlgError:

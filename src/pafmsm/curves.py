@@ -47,7 +47,7 @@ class StepCurve:
         v = np.asarray(self.values, dtype=float)
         if t.ndim != 1 or v.shape != t.shape:
             raise ValueError("times and values must be 1-d arrays of equal length")
-        if t.size and np.any(np.diff(t) <= 0):
+        if not (np.diff(t) > 0).all():  # NaN fails the comparison
             raise ValueError("jump times must be strictly increasing")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)

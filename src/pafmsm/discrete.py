@@ -51,13 +51,13 @@ class PersonDayRecords:
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write(",".join(("id", "day", "at_risk", "infected_today") + self.covariate_names) + "\n")
-        # formatted from Python values, a chunk of rows per write
+        # formatted from Python values (covariates as repr, exact), a chunk of rows per write
         for k in range(0, len(self), _CSV_CHUNK):
             part = slice(k, k + _CSV_CHUNK)
             ids = map(self.ids.__getitem__, self.subject_ids[part].tolist())
             rows = zip(ids, self.days[part].tolist(), self.infected_today[part].astype(int).tolist(),
                        self.covariates[part].tolist())
-            buf.write("".join([f"{i},{d},1,{e}" + "".join([f",{c:g}" for c in covs]) + "\n"
+            buf.write("".join([f"{i},{d},1,{e}" + "".join([f",{c}" for c in covs]) + "\n"
                                for i, d, e, covs in rows]))
         return buf.getvalue()
 
@@ -75,16 +75,6 @@ class ExposureModel:
         x = np.column_stack([np.ones(len(covariates)), covariates])
         return _logistic(x @ self.coefficients)
 
-    def daily_probabilities(self, panel: DailyPanel) -> np.ndarray:
-        """Fitted p-hat per subject-day, shape (n_subjects, n_days).
-
-        Covariates are baseline-only, so each subject's probability is
-        constant over days.
-        """
-        covs = _covariate_matrix(panel, self.covariate_names)
-        p = self.predict(covs)
-        return np.repeat(p[:, None], panel.n_days, axis=1)
-
 
 # Weights are built and summed in blocks of at most this many (subject x
 # day) cells, so that memory grows with n_subjects + n_days.
@@ -100,8 +90,7 @@ class WeightTable:
     The factors 1 - p are rows, ``factors[row[i]]`` for subject i: one
     shared row for the empirical hazard, one (k, 1) row per distinct
     fitted probability of a pooled logistic model, or one row per subject.
-    The (n_subjects, n_days) matrix is built only on request (``weights``);
-    the estimator reads it block by block.
+    The estimator and the CSV writer fill it block by block, never whole.
     """
 
     factors: np.ndarray  # (k, n_days), or (k, 1) for a probability constant over days
@@ -114,14 +103,6 @@ class WeightTable:
     @property
     def n_subjects(self) -> int:
         return self.row.size
-
-    @property
-    def weights(self) -> np.ndarray:
-        """The dense (n_subjects, n_days) matrix."""
-        out = np.empty((self.n_subjects, self.n_days))
-        for part, inverse, local in self._blocks():
-            self._fill(part, inverse, local, out[part])
-        return out
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -366,8 +347,8 @@ def empirical_weights(panel: DailyPanel) -> WeightTable:
 
 
 def model_weights(panel: DailyPanel, model: ExposureModel) -> WeightTable:
-    """``compute_weights(panel, model.daily_probabilities(panel))`` with one
-    row of factors per distinct fitted probability."""
+    """``compute_weights`` for the model's fitted probabilities, constant
+    over days, with one row of factors per distinct probability."""
     p = model.predict(_covariate_matrix(panel, model.covariate_names))
     values, row = np.unique(p, return_inverse=True)
     return _weight_table(panel, np.subtract(1.0, values)[:, None], row, _at_risk_days(panel))

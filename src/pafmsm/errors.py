@@ -1,5 +1,8 @@
 """Exception hierarchy shared across the package."""
 
+__all__ = ["PafmsmError", "DataError", "ParseError", "NumericalError", "ConvergenceError",
+           "SeparationError", "PositivityError"]
+
 
 class PafmsmError(Exception):
     """Base class for all errors raised by this package."""

@@ -39,7 +39,6 @@ __all__ = [
     "PafCurve",
     "CurveWithBands",
     "FourfoldTable",
-    "ESTIMAND_ESTIMATORS",
     "paf_o",
     "paf_c",
     "paf_fixed",

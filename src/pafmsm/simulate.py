@@ -1,9 +1,8 @@
 """Cohort generator and oracle curves for piecewise-constant hazards.
 
 Everything here exists to test the estimators: ``simulate_cohort`` draws
-event histories from a known multistate model, ``analytic_curves``
-computes the same model's curves exactly, and ``brute_force_estimates``
-recomputes the estimators on small uncensored cohorts by direct counting.
+event histories from a known multistate model, and ``analytic_curves``
+computes the same model's curves exactly.
 """
 
 from __future__ import annotations
@@ -22,10 +21,8 @@ __all__ = [
     "PiecewiseHazard",
     "HazardSpec",
     "OracleCurves",
-    "BruteForceCurves",
     "simulate_cohort",
     "analytic_curves",
-    "brute_force_estimates",
     "icu_like_spec",
 ]
 
@@ -432,63 +429,3 @@ def analytic_curves(spec: HazardSpec, grid) -> OracleCurves:
         return StepCurve(grid, v, initial=v[0] if not nan[0] else 0.0, undefined_from=undef)
 
     return OracleCurves(grid=grid, **{k: curve(k) for k in vals})
-
-
-@dataclass(frozen=True)
-class BruteForceCurves:
-    """Direct-counting versions of the three building-block curves."""
-
-    overall_death: StepCurve
-    cpf: StepCurve
-    p030: StepCurve
-
-
-def brute_force_estimates(cohort: Cohort) -> BruteForceCurves:
-    """Recompute the estimators on an uncensored cohort by explicit loops.
-
-    Deliberately naive: plain per-event loops, no product-integral code,
-    so the output is an independent check on the estimator modules.
-    """
-    if any(s.end_status == "censored" for s in cohort.subjects):
-        raise DataError("brute-force oracles require an uncensored cohort")
-    if len(cohort) > 10_000:
-        raise DataError("brute-force oracles are meant for small cohorts")
-    n = len(cohort)
-    times = sorted({s.end_time for s in cohort.subjects} | {s.inf_time for s in cohort.subjects if s.exposed})
-    times = np.array(times, dtype=float)
-
-    death = np.array([
-        sum(1 for s in cohort.subjects if s.end_status == "death" and s.end_time <= t)
-        / n
-        for t in times
-    ])
-
-    cpf_vals, cpf_undef = [], None
-    for t in times:
-        unexposed = [s for s in cohort.subjects if not s.exposed or s.inf_time > t]
-        dead = sum(1 for s in unexposed if not s.exposed and s.end_status == "death" and s.end_time <= t)
-        if unexposed:
-            cpf_vals.append(dead / len(unexposed))
-        else:
-            cpf_vals.append(float("nan"))
-            if cpf_undef is None:
-                cpf_undef = float(t)
-
-    # censor-at-exposure Kaplan-Meier CIF of death, events before censorings
-    obs = [(s.inf_time if s.exposed else s.end_time, None if s.exposed else s.end_status) for s in cohort.subjects]
-    surv, cif = 1.0, 0.0
-    cif_vals = []
-    for t in times:
-        at_risk = sum(1 for o, _ in obs if o >= t)
-        d_death = sum(1 for o, e in obs if o == t and e == "death")
-        d_disch = sum(1 for o, e in obs if o == t and e == "discharge")
-        if at_risk > 0:
-            cif += surv * d_death / at_risk
-            surv *= 1.0 - (d_death + d_disch) / at_risk
-        cif_vals.append(cif)
-
-    return BruteForceCurves(
-        overall_death=StepCurve(times, death),
-        cpf=StepCurve(times, np.array(cpf_vals), undefined_from=cpf_undef),
-        p030=StepCurve(times, np.array(cif_vals)),
-    )

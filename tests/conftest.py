@@ -3,10 +3,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pafmsm import Cohort, HazardSpec, parse_cohort, simulate_cohort
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+# every run draws the same examples (no replay of saved failures), and a
+# slow first example is not a failure
+settings.register_profile("pafmsm", derandomize=True, deadline=None, database=None)
+settings.load_profile("pafmsm")
 
 SIR3_NOTICE = (
     "SIR-3 cohort file not found. The reproduction tests need the public "

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import pafmsm
 from pafmsm import HazardSpec, analytic_curves, cohort_to_csv, discretize
@@ -432,3 +435,96 @@ def test_version_matches_pyproject():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with open(pyproject, "rb") as fh:
         assert pafmsm.__version__ == tomllib.load(fh)["project"]["version"]
+
+
+def test_a_value_error_inside_an_estimator_is_a_bug_not_a_usage_error(
+        cohort_file, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(pafmsm.cli, "estimate_paf", broken)
+    with pytest.raises(ValueError, match="broadcast"):
+        run(["estimate", "--input", cohort_file, "--estimand", "paf_c"])
+    assert "usage error" not in capsys.readouterr().err
+
+
+# fuzzed cohort files: rows valid by construction, ties included (an
+# exposure on the day of death or discharge), then now and then a fault
+_FUZZ_VALID = {"x": ["0", "1", "1", "0.5"], "site": ["n", "s", "n,s", 'say "n"']}
+_FUZZ_FAULTS = ["", " ", "nan", "inf", "-inf", "-1", "0", "text", "1e400", "death?"]
+
+
+@st.composite
+def fuzzed_cohort_file(draw):
+    """Cohort CSV bytes with quoted cells, CR or CRLF line endings, ragged
+    rows, NaN/inf, ties, text covariates and, now and then, invalid UTF-8."""
+    covariates = draw(st.lists(st.sampled_from(["x", "site"]), max_size=2, unique=True))
+    rows = [["id", "inf_time", "end_time", "end_status", *covariates]]
+    for i in range(draw(st.integers(1, 10))):
+        end = draw(st.sampled_from([1.0, 2.0, 3.0, 3.0, 4.0, 6.5]))
+        inf = draw(st.sampled_from([None, None, end, 1.0, 2.0, 0.5]))
+        inf = "" if inf is None or inf > end else f"{inf:g}"
+        status = draw(st.sampled_from(["death", "death", "discharge", "discharge", "censored"]))
+        rows.append([f"s{i}", inf, f"{end:g}", status]
+                    + [draw(st.sampled_from(_FUZZ_VALID[c])) for c in covariates])
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        r = draw(st.integers(1, len(rows) - 1))
+        fault = draw(st.sampled_from(["cell", "cell", "short", "long", "blank", "repeat id"]))
+        if not rows[r]:  # blanked by an earlier fault
+            continue
+        if fault == "cell":
+            rows[r][draw(st.integers(0, len(rows[r]) - 1))] = draw(st.sampled_from(_FUZZ_FAULTS))
+        elif fault == "short":
+            rows[r] = rows[r][:-1]
+        elif fault == "long":
+            rows[r] = rows[r] + ["1"]
+        elif fault == "blank":
+            rows[r] = []
+        else:
+            rows[r][0] = "s0"
+
+    def cell(text):
+        if any(c in text for c in ',"') or draw(st.integers(0, 9)) == 0:
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    data = newline.join(",".join(map(cell, r)) for r in rows) + draw(st.sampled_from([newline, ""]))
+    data = data.encode("utf-8")
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xe9", b"\xc3"])) + data[at:]
+    return data
+
+
+_FUZZ_COMMANDS = [
+    ["validate"],
+    ["summary"],
+    ["estimate", "--estimand", "paf_c"],
+    ["estimate", "--estimand", "paf_o", "--estimator", "naive", "--allow-drop-censored"],
+    ["estimate", "--estimand", "paf_c", "--estimator", "ipw", "--allow-drop-censored"],
+    ["estimate", "--estimand", "paf_c", "--estimator", "ipw", "--covariates", "x"],
+    ["bootstrap", "--estimand", "paf_c", "--B", "5", "--seed", "1"],
+    ["cox"],
+    ["cox", "--covariates", "x"],
+    ["cox", "--markov-test"],
+    ["check"],
+]
+_HEADER_X = "id,inf_time,end_time,end_status,x\n"
+
+
+@settings(max_examples=60)
+@given(fuzzed_cohort_file())
+# tie-heavy edge cases: everyone exposed, nobody exposed, everyone dead on day 1
+@example((_HEADER_X + "A,1,3,death,0\nB,2,2,discharge,1\nC,1,4,death,1\n").encode())
+@example((_HEADER_X + "A,,3,death,0\nB,,2,discharge,1\nC,,3,death,1\n").encode())
+@example((_HEADER_X + "A,,1,death,0\nB,1,1,death,1\nC,0.5,1,death,1\n").encode())
+def test_every_fuzzed_cohort_file_ends_in_a_classified_exit(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "cohort.csv"
+    path.write_bytes(data)
+    for command in _FUZZ_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([command[0], "--input", str(path), *command[1:]])
+        assert code in (0, 1, 2, 3), (command, code)
+        assert "Traceback" not in err.getvalue()

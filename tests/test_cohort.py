@@ -17,12 +17,13 @@ from pafmsm import (
     cohort_to_csv,
     discretize,
     parse_cohort,
-    subjects_from_transitions,
     summarize,
     to_transitions,
 )
-from pafmsm.cohort import TransitionRow
+from pafmsm.cohort import _ABSENT, TransitionRow
 from pafmsm.curves import _CSV_CHUNK
+
+from test_discrete import reference_indicators
 
 CSV = """id,inf_time,end_time,end_status
 A,,5,death
@@ -148,10 +149,28 @@ def test_transitions_shape():
     assert [(r.from_state, r.to_state) for r in by_id["C"]] == [(0, CENSORED)]
 
 
+def reference_subjects_from_transitions(records):
+    """The inverse of ``to_transitions``: one ``Subject`` per chain of
+    transition rows, with the covariates a subject has in the columns."""
+    chains = {}
+    for r in records.rows:
+        chains.setdefault(r.subject_id, []).append(r)
+    outcome = {CENSORED: "censored", 2: "discharge", 3: "death", 4: "discharge", 5: "death"}
+    columns = {name: column.tolist() for name, column in records.covariates.items()}
+    return [
+        Subject(sid, rows[0].t_stop if len(rows) == 2 else None, rows[-1].t_stop,
+                outcome[rows[-1].to_state],
+                {name: column[k] for name, column in columns.items() if column[k] is not _ABSENT})
+        for k, (sid, rows) in enumerate(chains.items())
+    ]
+
+
 def test_subjects_round_trip_through_transitions():
-    cohort = parse_cohort(CSV)
-    back = subjects_from_transitions(to_transitions(cohort))
-    assert tuple(back) == cohort.subjects
+    uneven = Cohort((Subject("A", None, 5.0, "death", {"x": 1.0}), Subject("B", 2.0, 7.0, "censored"),
+                     Subject("C", None, 3.0, "discharge", {"x": 2, "site": "n"})))
+    for cohort in (parse_cohort(CSV), uneven):
+        back = reference_subjects_from_transitions(to_transitions(cohort))
+        assert tuple(back) == cohort.subjects
 
 
 def test_discretize_rejects_censored_by_default():
@@ -165,8 +184,9 @@ def test_discretize_rejects_censored_by_default():
 def test_discretize_indicator_paths():
     cohort = Cohort((Subject("A", 2.0, 4.0, "death"),), horizon=5)
     panel = discretize(cohort)
-    np.testing.assert_array_equal(panel.a[0], [0, 1, 1, 1, 1])
-    np.testing.assert_array_equal(panel.eps[0], [0, 0, 0, 1, 1])
+    a, eps = reference_indicators(panel)
+    np.testing.assert_array_equal(a[0], [0, 1, 1, 1, 1])
+    np.testing.assert_array_equal(eps[0], [0, 0, 0, 1, 1])
     assert panel.exposure_day[0] == 2
     assert panel.terminal_day[0] == 4
 
@@ -292,9 +312,7 @@ def test_discretize_matches_a_per_subject_fill():
     a = np.array([days >= (s.inf_time if s.exposed else np.inf) for s in kept], dtype=np.uint8)
     codes = {"death": 1, "discharge": 2}
     eps = np.array([np.where(days >= s.end_time, codes[s.end_status], 0) for s in kept], dtype=np.uint8)
-    assert panel.a.dtype == np.uint8 and panel.eps.dtype == np.uint8
-    np.testing.assert_array_equal(panel.a, a)
-    np.testing.assert_array_equal(panel.eps, eps)
+    np.testing.assert_array_equal(reference_indicators(panel), (a, eps))
     assert panel.ids == tuple(s.id for s in kept)
 
 

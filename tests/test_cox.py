@@ -166,6 +166,23 @@ def test_divergent_coefficient_raises_separation():
         fit_cox_td(to_transitions(Cohort(tuple(subjects))), "death", extra_covariates=("z",))
 
 
+def test_a_flat_ridge_at_convergence_raises_separation():
+    # the score vanishes where the likelihood has flattened out, and the
+    # inverse information has a negative variance: no Wald test exists
+    cohort = parse_cohort("id,inf_time,end_time,end_status\nA,4,4,death\nB,2,4,discharge\n"
+                          "C,,1,death\nD,2,4,discharge\nE,,1,death\nF,1,1,death\n"
+                          "G,1,1,discharge\n")
+    with pytest.raises(SeparationError, match="not positive definite at convergence"):
+        markov_test(to_transitions(cohort), "death_after")
+
+
+def test_an_upper_bound_past_the_float_range_prints_as_inf():
+    cohort = parse_cohort("id,inf_time,end_time,end_status\nA,,1,death\nB,,1,death\n"
+                          "C,,1,death\nD,,1,death\nE,1,1,discharge\n")
+    fit = fit_cox_td(to_transitions(cohort), "death")
+    assert fit.summary_csv().splitlines()[1].split(",")[5:7] == ["0", "inf"]
+
+
 def test_markov_test_requires_post_exposure_rows():
     cohort = Cohort((Subject("A", None, 3.0, "death"),), horizon=3)
     with pytest.raises(DataError):

@@ -50,6 +50,8 @@ def test_non_increasing_times_rejected():
         StepCurve(np.array([2.0, 1.0]), np.array([0.1, 0.2]))
     with pytest.raises(ValueError):
         StepCurve(np.array([1.0, 1.0]), np.array([0.1, 0.2]))
+    with pytest.raises(ValueError):  # NaN fails every comparison
+        StepCurve(np.array([1.0, np.nan, 3.0]), np.array([0.1, 0.2, 0.3]))
 
 
 def test_csv_and_json_round_trip_fields():

@@ -39,15 +39,25 @@ def panel_of(*subjects, horizon=0.0):
     return discretize(Cohort(tuple(subjects), horizon=horizon))
 
 
-# Dense (n x days) reference formulas over the indicator matrices panel.a
-# and panel.eps.  The package computes the same quantities from the
-# per-subject day columns; the results must agree bit for bit.
+# Dense (n x days) reference formulas over the indicator matrices A and
+# eps.  The package computes the same quantities from the per-subject day
+# columns; the results must agree bit for bit.
+
+def reference_indicators(panel):
+    """The dense uint8 matrices a[i, s-1] = 1 once subject i is exposed
+    (s >= exposure_day), and eps[i, s-1] = its status once s >= terminal_day."""
+    days = np.arange(1, panel.n_days + 1)
+    a = (days >= panel.exposure_day[:, None]).astype(np.uint8)
+    ended = (days >= panel.terminal_day[:, None]).astype(np.uint8)
+    return a, ended * panel.status.astype(np.uint8)[:, None]
+
 
 def reference_at_risk(panel):
     """at_risk[i, s-1]: A(s-1) = 0 and eps(s-1) = 0 (at risk of new exposure)."""
     start = np.zeros((panel.n_subjects, 1), dtype=np.uint8)
-    prev_a = np.concatenate([start, panel.a[:, :-1]], axis=1)
-    prev_e = np.concatenate([start, panel.eps[:, :-1]], axis=1)
+    a, eps = reference_indicators(panel)
+    prev_a = np.concatenate([start, a[:, :-1]], axis=1)
+    prev_e = np.concatenate([start, eps[:, :-1]], axis=1)
     return (prev_a == 0) & (prev_e == 0)
 
 
@@ -58,7 +68,7 @@ def reference_first_day(mask):
 
 def reference_person_days(panel):
     subj, day_idx = np.nonzero(reference_at_risk(panel))
-    return subj, day_idx + 1, panel.a[subj, day_idx] == 1
+    return subj, day_idx + 1, reference_indicators(panel)[0][subj, day_idx] == 1
 
 
 def _reference_ratio(num, den):
@@ -69,15 +79,17 @@ def _reference_ratio(num, den):
 
 
 def reference_naive(panel):
-    died_unexposed = (panel.eps == 1) & (panel.a == 0)
+    a, eps = reference_indicators(panel)
+    died_unexposed = (eps == 1) & (a == 0)
     num = died_unexposed.sum(axis=0).astype(float)
-    return _reference_ratio(num, (panel.a == 0).sum(axis=0).astype(float))
+    return _reference_ratio(num, (a == 0).sum(axis=0).astype(float))
 
 
 def reference_hazard(panel):
+    a, eps = reference_indicators(panel)
     at_risk = reference_at_risk(panel)
-    infected_today = at_risk & (panel.a == 1)
-    terminal_today = at_risk & (panel.eps != 0) & (panel.a == 0)
+    infected_today = at_risk & (a == 1)
+    terminal_today = at_risk & (eps != 0) & (a == 0)
     n_at_risk = at_risk.sum(axis=0).astype(float)
     survivors = n_at_risk - terminal_today.sum(axis=0)
     dn = infected_today.sum(axis=0).astype(float)
@@ -88,9 +100,18 @@ def reference_hazard(panel):
     return probs
 
 
+def reference_daily_probabilities(model, panel):
+    """The model's fitted p-hat per subject-day, shape (n_subjects, n_days):
+    covariates are baseline-only, so each subject's row is constant."""
+    covs = np.array([panel.covariates[name] for name in model.covariate_names], dtype=float)
+    p = model.predict(covs.reshape(-1, panel.n_subjects).T)
+    return np.repeat(p[:, None], panel.n_days, axis=1)
+
+
 def reference_weights(panel, daily_probs):
-    exposure_day = reference_first_day(panel.a > 0)
-    t_i = np.minimum(exposure_day, reference_first_day(panel.eps > 0))
+    a, eps = reference_indicators(panel)
+    exposure_day = reference_first_day(a > 0)
+    t_i = np.minimum(exposure_day, reference_first_day(eps > 0))
     days = np.arange(1, panel.n_days + 1)
     one_minus = np.where(days[None, :] <= t_i[:, None], 1.0 - daily_probs, 1.0)
     with np.errstate(divide="ignore"):
@@ -104,19 +125,27 @@ def reference_weights(panel, daily_probs):
 def reference_ipw(panel, weights):
     # a masked sum, as the dense estimator took it: with one day numpy sums
     # the column pairwise, and a product with 0/1 would add the zeros in
-    died = panel.eps == 1
+    died = reference_indicators(panel)[1] == 1
     return _reference_ratio(weights.sum(axis=0, where=died), weights.sum(axis=0))
 
 
 def reference_death_proportion(panel):
-    return (panel.eps == 1).mean(axis=0)
+    return (reference_indicators(panel)[1] == 1).mean(axis=0)
+
+
+def reference_weight_matrix(table):
+    """The table's dense (n_subjects, n_days) weights, filled block by block."""
+    out = np.empty((table.n_subjects, table.n_days))
+    for part, inverse, local in table._blocks():
+        table._fill(part, inverse, local, out[part])
+    return out
 
 
 def reference_weight_csv(table):
     """``WeightTable.to_csv`` as one formatted write per numpy cell."""
     buf = io.StringIO()
     buf.write("id,day,weight\n")
-    weights = table.weights
+    weights = reference_weight_matrix(table)
     n, m = weights.shape
     for i in range(n):
         for t in range(m):
@@ -135,7 +164,7 @@ def reference_person_day_csv(records):
         buf.write(f"{records.ids[records.subject_ids[r]]},{records.days[r]},1,"
                   f"{int(records.infected_today[r])}")
         for c in range(records.covariates.shape[1]):
-            buf.write(f",{records.covariates[r, c]:g}")
+            buf.write(f",{float(records.covariates[r, c])}")
         buf.write("\n")
     return buf.getvalue()
 
@@ -156,8 +185,9 @@ def assert_curve_is(curve, reference):
 
 def assert_matches_reference(panel):
     """Every panel estimator equals its dense reference bit for bit."""
-    assert_same(panel.exposure_day, reference_first_day(panel.a > 0))
-    assert_same(panel.terminal_day, reference_first_day(panel.eps > 0))
+    a, eps = reference_indicators(panel)
+    assert_same(panel.exposure_day, reference_first_day(a > 0))
+    assert_same(panel.terminal_day, reference_first_day(eps > 0))
     rec = expand_person_days(panel)
     for got, want in zip((rec.subject_ids, rec.days, rec.infected_today),
                          reference_person_days(panel)):
@@ -170,7 +200,8 @@ def assert_matches_reference(panel):
     # also fitted-model probabilities, arbitrary ones, and a first day certain exposure
     names = ("x",) if "x" in panel.covariates else ()
     model = ExposureModel(np.array([-2.5, 0.8][:1 + len(names)]), names, 0, 0.0)
-    assert_weights_match(panel, lambda p: model_weights(p, model), model.daily_probabilities(panel))
+    assert_weights_match(panel, lambda p: model_weights(p, model),
+                         reference_daily_probabilities(model, panel))
     shape = (panel.n_subjects, panel.n_days)
     certain = np.zeros(shape)
     certain[:, 0] = 1.0
@@ -188,7 +219,7 @@ def assert_weights_match(panel, weigh, daily_probs):
             weigh(panel)
         return
     table = weigh(panel)
-    assert_same(table.weights, expected)
+    assert_same(reference_weight_matrix(table), expected)
     assert_curve_is(ipw_f01(panel, table), reference_ipw(panel, expected))
 
 
@@ -321,6 +352,22 @@ def test_person_day_csv_header():
     assert out.splitlines()[0] == "id,day,at_risk,infected_today"
 
 
+def test_person_day_csv_covariates_read_back_exactly():
+    values = (1234567.891, 0.1234567)
+    panel = panel_of(*(Subject(f"s{i}", None, 2.0, "death", {"x": v}) for i, v in enumerate(values)),
+                     horizon=2)
+    lines = expand_person_days(panel, ("x",)).to_csv().splitlines()[1:]
+    assert [float(line.split(",")[-1]) for line in lines] == [v for v in values for _ in (1, 2)]
+
+
+def test_a_covariate_that_is_not_finite_is_a_data_error():
+    for value in (float("nan"), float("inf")):
+        panel = panel_of(Subject("A", 1.0, 2.0, "death", {"x": 0.0}),
+                         Subject("B", None, 2.0, "death", {"x": value}), horizon=2)
+        with pytest.raises(DataError, match="subject B: covariate 'x' is"):
+            expand_person_days(panel, ("x",))
+
+
 def test_naive_equals_cpf_on_integer_cohorts():
     for seed in (1, 2, 3):
         cohort = integer_cohort(seed, n=120)
@@ -348,13 +395,14 @@ def test_weights_sum_to_n_each_day():
     cohort = integer_cohort(7, n=150)
     panel = discretize(cohort)
     weights = compute_weights(panel, nonparametric_daily_hazard(panel))
-    np.testing.assert_allclose(weights.weights.sum(axis=0), panel.n_subjects, atol=1e-9)
+    np.testing.assert_allclose(reference_weight_matrix(weights).sum(axis=0), panel.n_subjects,
+                               atol=1e-9)
 
 
 def test_weights_zero_after_exposure():
     panel = panel_of(Subject("A", 2.0, 5.0, "death"), Subject("B", None, 5.0, "death"), horizon=5)
     weights = compute_weights(panel, nonparametric_daily_hazard(panel))
-    assert np.all(weights.weights[0, 1:] == 0.0)  # exposed on day 2
+    assert np.all(reference_weight_matrix(weights)[0, 1:] == 0.0)  # exposed on day 2
 
 
 def test_ipw_diverges_from_aj_when_exposure_exhausts_the_risk_set():

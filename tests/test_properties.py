@@ -27,7 +27,7 @@ from pafmsm.continuous import exposure_survival
 
 from test_cohort import HEADER, parse_both_ways, reference_text_column
 from test_continuous import assert_continuous_side_matches_reference
-from test_discrete import assert_matches_reference, assert_same
+from test_discrete import assert_matches_reference, assert_same, reference_indicators
 
 
 @st.composite
@@ -57,7 +57,7 @@ def fractional_cohorts(draw, max_size=20):
     return Cohort(tuple(subjects), horizon=max(s.end_time for s in subjects) + extra)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(fractional_cohorts())
 def test_columnar_panel_equals_the_dense_reference(cohort):
     panel = discretize(cohort, allow_drop=True)
@@ -68,8 +68,7 @@ def test_columnar_panel_equals_the_dense_reference(cohort):
     codes = {"death": 1, "discharge": 2}
     eps = np.array([np.where(days >= s.end_time, codes[s.end_status], 0) for s in kept],
                    dtype=np.uint8)
-    assert_same(panel.a, a)
-    assert_same(panel.eps, eps)
+    assert_same(reference_indicators(panel), (a, eps))
     assert_matches_reference(panel)
 
 
@@ -88,7 +87,7 @@ def tied_day_cohorts(draw, max_size=20):
     return Cohort(tuple(subjects), horizon=6.0)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(st.one_of(fractional_cohorts(), tied_day_cohorts()), st.integers(0, 2**32 - 1))
 def test_exit_table_equals_the_per_reduction_sweeps(cohort, seed):
     assert_continuous_side_matches_reference(cohort, seed)
@@ -129,7 +128,7 @@ def plain_cohort_text(draw):
     return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(plain_cohort_text(), st.sampled_from(["reject", "shift"]), st.sampled_from([None, 40]))
 # multi-byte UTF-8 cells, on the split path
 @example(HEADER + "é,,5,death\nB😀,2,7,discharge\n", "shift", None)
@@ -167,7 +166,7 @@ def test_split_and_reader_parse_paths_agree_on_plain_text(text, policy, field_li
         csv.field_size_limit(default)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(integer_cohorts())
 def test_naive_always_equals_cpf(cohort):
     panel = discretize(cohort)
@@ -180,7 +179,7 @@ def test_naive_always_equals_cpf(cohort):
         assert np.max(np.abs(a[mask] - b[mask])) < 1e-12
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(integer_cohorts())
 def test_ht_always_equals_counterfactual(cohort):
     records = to_transitions(cohort)
@@ -190,7 +189,7 @@ def test_ht_always_equals_counterfactual(cohort):
     assert np.max(np.abs(a - b)) < 1e-12
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(integer_cohorts())
 def test_ipw_equals_counterfactual_while_weights_are_bounded(cohort):
     # the identity needs a never-exhausted unexposed risk set; cohorts
@@ -206,7 +205,7 @@ def test_ipw_equals_counterfactual_while_weights_are_bounded(cohort):
     assert np.nanmax(np.abs(a - b)) < 1e-12
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(integer_cohorts())
 def test_occupation_probabilities_are_a_distribution(cohort):
     occ = aalen_johansen_extended(to_transitions(cohort))
@@ -217,7 +216,7 @@ def test_occupation_probabilities_are_a_distribution(cohort):
     assert np.max(np.abs(sums - 1.0)) < 1e-12
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(integer_cohorts())
 def test_death_risk_is_monotone_and_paf_bounded(cohort):
     curve = overall_death_risk(to_transitions(cohort))
@@ -242,7 +241,7 @@ def padded_cell(draw):
         st.sampled_from(_PADDING))
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(st.one_of(
     st.lists(st.sampled_from(_NUMBERS), max_size=8),  # read in one pass
     st.lists(st.sampled_from(_NUMBERS + [""]), max_size=8),  # one pass past exact "" cells

@@ -9,8 +9,8 @@ from pafmsm import (
     HazardSpec,
     PiecewiseHazard,
     Subject,
+    StepCurve,
     analytic_curves,
-    brute_force_estimates,
     cif_counterfactual,
     cpf_unexposed,
     icu_like_spec,
@@ -20,6 +20,50 @@ from pafmsm import (
 )
 
 CONST = HazardSpec.constant(0.05, 0.05, 0.02, 0.05, 0.03, tau=100.0)
+
+
+def reference_brute_force(cohort):
+    """The overall death risk, the unexposed death proportion and the
+    counterfactual CIF of an uncensored cohort, by plain per-event loops
+    (no product-integral code): an independent check on the estimators."""
+    subjects = cohort.subjects
+    assert all(s.end_status != "censored" for s in subjects)
+    n = len(subjects)
+    times = sorted({s.end_time for s in subjects} | {s.inf_time for s in subjects if s.exposed})
+    times = np.array(times, dtype=float)
+
+    death = np.array([
+        sum(1 for s in subjects if s.end_status == "death" and s.end_time <= t) / n for t in times
+    ])
+
+    cpf_vals, cpf_undef = [], None
+    for t in times:
+        unexposed = [s for s in subjects if not s.exposed or s.inf_time > t]
+        dead = sum(1 for s in unexposed if not s.exposed and s.end_status == "death" and s.end_time <= t)
+        if unexposed:
+            cpf_vals.append(dead / len(unexposed))
+        else:
+            cpf_vals.append(float("nan"))
+            if cpf_undef is None:
+                cpf_undef = float(t)
+
+    # censor-at-exposure Kaplan-Meier CIF of death, events before censorings
+    obs = [(s.inf_time if s.exposed else s.end_time, None if s.exposed else s.end_status)
+           for s in subjects]
+    surv, cif = 1.0, 0.0
+    cif_vals = []
+    for t in times:
+        at_risk = sum(1 for o, _ in obs if o >= t)
+        d_death = sum(1 for o, e in obs if o == t and e == "death")
+        d_disch = sum(1 for o, e in obs if o == t and e == "discharge")
+        if at_risk > 0:
+            cif += surv * d_death / at_risk
+            surv *= 1.0 - (d_death + d_disch) / at_risk
+        cif_vals.append(cif)
+
+    return (StepCurve(times, death),
+            StepCurve(times, np.array(cpf_vals), undefined_from=cpf_undef),
+            StepCurve(times, np.array(cif_vals)))
 
 
 def test_piecewise_hazard_rate_and_cumulative():
@@ -157,41 +201,30 @@ def test_analytic_requires_markov():
 
 def test_brute_force_hand_cohort():
     cohort = Cohort((Subject("A", None, 1.0, "death"), Subject("B", 1.0, 2.0, "death")), horizon=2)
-    bf = brute_force_estimates(cohort)
-    assert bf.cpf(1.0) == 1.0
-    assert bf.overall_death(2.0) == 1.0
-    assert bf.p030(1.0) == 0.5
+    overall_death, cpf, p030 = reference_brute_force(cohort)
+    assert cpf(1.0) == 1.0
+    assert overall_death(2.0) == 1.0
+    assert p030(1.0) == 0.5
 
 
 def test_brute_force_zero_death_cohort():
     cohort = Cohort(tuple(Subject(str(i), None, float(i + 1), "discharge") for i in range(5)))
-    bf = brute_force_estimates(cohort)
-    assert np.all(bf.overall_death.values == 0.0)
-    assert np.all(bf.p030.values == 0.0)
+    overall_death, _, p030 = reference_brute_force(cohort)
+    assert np.all(overall_death.values == 0.0)
+    assert np.all(p030.values == 0.0)
 
 
 def test_brute_force_matches_estimators():
     spec = HazardSpec.constant(0.1, 0.08, 0.05, 0.09, 0.07, tau=40.0, round_days=True)
     cohort = simulate_cohort(spec, 300, seed=9)
     cohort = Cohort(tuple(s for s in cohort.subjects if s.end_status != "censored"))
-    bf = brute_force_estimates(cohort)
     records = to_transitions(cohort)
     grid = np.arange(1.0, 41.0)
-    pairs = [
-        (bf.overall_death, overall_death_risk(records)),
-        (bf.cpf, cpf_unexposed(records)),
-        (bf.p030, cif_counterfactual(records)),
-    ]
-    for ours, theirs in pairs:
+    estimators = (overall_death_risk(records), cpf_unexposed(records), cif_counterfactual(records))
+    for ours, theirs in zip(reference_brute_force(cohort), estimators):
         a, b = np.atleast_1d(ours(grid)), np.atleast_1d(theirs(grid))
         mask = ~(np.isnan(a) | np.isnan(b))
         assert np.max(np.abs(a[mask] - b[mask])) < 1e-12
-
-
-def test_brute_force_rejects_censoring():
-    cohort = Cohort((Subject("A", None, 2.0, "censored"),), horizon=2)
-    with pytest.raises(DataError):
-        brute_force_estimates(cohort)
 
 
 def _constant_closed_form(a01, a02, a03, a14, a15, t):
