@@ -11,7 +11,7 @@ construction; in the second the post-exposure death hazard is scaled by
 exp(0.5 * acquisition time), and the diagnostic recovers that 0.5.
 """
 
-from pafmsm import HazardSpec, fit_cox_td, markov_test, simulate_cohort, to_transitions
+from pafmsm import HazardSpec, fit_cox_td, markov_test, simulate_cohort
 
 
 def report(fit):
@@ -22,17 +22,17 @@ def report(fit):
 
 
 markov = HazardSpec.constant(0.05, 0.05, 0.02, 0.05, 0.03, tau=100.0)
-records = to_transitions(simulate_cohort(markov, 20_000, seed=13))
+cohort = simulate_cohort(markov, 20_000, seed=13)
 
 print("Markov cohort (n = 20 000, constant hazards)")
-print(f"  exposure on death:      {report(fit_cox_td(records, 'death'))}")
-print(f"  exposure on discharge:  {report(fit_cox_td(records, 'discharge'))}")
-print(f"  diagnostic (inf_time):  {report(markov_test(records, 'death_after'))}")
+print(f"  exposure on death:      {report(fit_cox_td(cohort, 'death'))}")
+print(f"  exposure on discharge:  {report(fit_cox_td(cohort, 'discharge'))}")
+print(f"  diagnostic (inf_time):  {report(markov_test(cohort, 'death_after'))}")
 print()
 
 violated = HazardSpec.constant(0.08, 0.05, 0.02, 0.03, 0.02, gamma=0.5, tau=30.0)
-records = to_transitions(simulate_cohort(violated, 20_000, seed=14))
-fit = markov_test(records, "death_after")
+cohort = simulate_cohort(violated, 20_000, seed=14)
+fit = markov_test(cohort, "death_after")
 print("non-Markov cohort (post-exposure death hazard scaled by exp(0.5 t_inf))")
 print(f"  diagnostic (inf_time):  {report(fit)}")
 print()

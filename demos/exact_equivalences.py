@@ -27,7 +27,6 @@ from pafmsm import (
     ipw_f01,
     naive_f01,
     simulate_cohort,
-    to_transitions,
 )
 
 spec = HazardSpec.constant(0.08, 0.07, 0.04, 0.08, 0.05, tau=40.0, round_days=True)
@@ -36,15 +35,14 @@ cohort = Cohort(tuple(s for s in drawn.subjects if s.end_status != "censored"))
 print(f"cohort: {len(cohort)} fully observed subjects, integer event days")
 
 panel = discretize(cohort)
-records = to_transitions(cohort)
 days = np.arange(1.0, panel.n_days + 1.0)
 
 naive = naive_f01(panel)(days)
-cpf = cpf_unexposed(records)(days)
+cpf = cpf_unexposed(cohort)(days)
 weights = empirical_weights(panel)
 ipw = ipw_f01(panel, weights)(days)
-aj = cif_counterfactual(records)(days)
-ht = ht_cif(records)(days)
+aj = cif_counterfactual(cohort)(days)
+ht = ht_cif(cohort)(days)
 
 
 def sup(a, b):

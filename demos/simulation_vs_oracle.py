@@ -13,7 +13,6 @@ from pafmsm import (
     analytic_curves,
     estimate_paf,
     simulate_cohort,
-    to_transitions,
 )
 from pafmsm.continuous import cif_counterfactual, cpf_unexposed, overall_death_risk
 
@@ -21,14 +20,13 @@ spec = HazardSpec.constant(0.05, 0.05, 0.02, 0.05, 0.03, tau=100.0)
 n = 50_000
 
 cohort = simulate_cohort(spec, n, seed=2024)
-records = to_transitions(cohort)
 oracle = analytic_curves(spec, np.arange(0.0, 101.0))
 grid = np.arange(1.0, 101.0)
 
 curves = {
-    "P(D)": (overall_death_risk(records), oracle.overall_death),
-    "CPF": (cpf_unexposed(records), oracle.cpf),
-    "P030": (cif_counterfactual(records), oracle.p030),
+    "P(D)": (overall_death_risk(cohort), oracle.overall_death),
+    "CPF": (cpf_unexposed(cohort), oracle.cpf),
+    "P030": (cif_counterfactual(cohort), oracle.p030),
     "PAF_o": (estimate_paf(cohort, "paf_o").curve, oracle.paf_o),
     "PAF_c": (estimate_paf(cohort, "paf_c").curve, oracle.paf_c),
 }

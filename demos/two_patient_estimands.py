@@ -17,7 +17,7 @@ The gap is a property of the estimands, not an estimation artifact.
 
 import numpy as np
 
-from pafmsm import Cohort, Subject, estimate_paf, to_transitions
+from pafmsm import Cohort, Subject, estimate_paf
 from pafmsm.continuous import cif_counterfactual, cpf_unexposed, overall_death_risk
 
 cohort = Cohort(
@@ -28,10 +28,9 @@ cohort = Cohort(
     horizon=2,
 )
 
-records = to_transitions(cohort)
-death = overall_death_risk(records)
-cpf = cpf_unexposed(records)
-counterfactual = cif_counterfactual(records)
+death = overall_death_risk(cohort)
+cpf = cpf_unexposed(cohort)
+counterfactual = cif_counterfactual(cohort)
 
 print("building blocks at t = 2")
 print(f"  overall death risk      P(D(2)=1)        = {death(2.0):.3f}")

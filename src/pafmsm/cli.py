@@ -25,7 +25,6 @@ from .cohort import (
     discretize,
     parse_cohort,
     summarize,
-    to_transitions,
 )
 from .continuous import cif_counterfactual, cpf_unexposed, ht_cif
 from .cox import fit_cox_td, markov_test
@@ -254,12 +253,11 @@ def _cmd_cox(args) -> int:
     if args.markov_test and _covariate_list(args):
         raise _UsageError("--covariates: --markov-test uses no covariates")
     cohort = _load_cohort(args)
-    records = to_transitions(cohort)
     if args.markov_test:
-        fit = markov_test(records, f"{args.outcome}_after")
+        fit = markov_test(cohort, f"{args.outcome}_after")
         name = f"markov_{args.outcome}.csv"
     else:
-        fit = fit_cox_td(records, args.outcome, extra_covariates=_covariate_list(args))
+        fit = fit_cox_td(cohort, args.outcome, extra_covariates=_covariate_list(args))
         name = f"cox_{args.outcome}.csv"
     _emit(fit.summary_csv(), args.out, name)
     return _EXIT_OK
@@ -304,10 +302,9 @@ def _cmd_check(args) -> int:
             "is not an integer day; the exact equivalences hold on integer-time cohorts"
         )
     panel = discretize(cohort)  # rejects censored cohorts
-    records = to_transitions(cohort)
     days = np.arange(1.0, panel.n_days + 1.0)
 
-    def compare(a, b):
+    def compare(a, b, days=days):
         av, bv = np.atleast_1d(a(days)), np.atleast_1d(b(days))
         if not np.array_equal(np.isnan(av), np.isnan(bv)):
             return math.inf
@@ -315,17 +312,23 @@ def _cmd_check(args) -> int:
         return float(np.max(np.abs(av[mask] - bv[mask]))) if mask.any() else 0.0
 
     weights = empirical_weights(panel)
-    counterfactual = cif_counterfactual(records)
+    counterfactual = cif_counterfactual(cohort)
+    # from truncated_from, the first day with empirical exposure hazard 1, no
+    # subject is left on the unexposed path and the ipw identity does not apply
+    cut = counterfactual.truncated_from
+    ipw_days, ipw_note = (days, "") if cut is None else (
+        days[days < cut], f" (not applicable from day {cut:g}: no subject left unexposed)")
     checks = [
-        ("naive == cpf_unexposed", compare(naive_f01(panel), cpf_unexposed(records))),
-        ("ipw == counterfactual_cif", compare(ipw_f01(panel, weights), counterfactual)),
-        ("horvitz_thompson == counterfactual_cif", compare(ht_cif(records), counterfactual)),
+        ("naive == cpf_unexposed", compare(naive_f01(panel), cpf_unexposed(cohort)), ""),
+        ("ipw == counterfactual_cif", compare(ipw_f01(panel, weights), counterfactual, ipw_days),
+         ipw_note),
+        ("horvitz_thompson == counterfactual_cif", compare(ht_cif(cohort), counterfactual), ""),
     ]
     failed = False
-    for label, dev in checks:
+    for label, dev, note in checks:
         ok = dev < 1e-12
         failed = failed or not ok
-        print(f"{label}: max deviation {dev:.3e} {'PASS' if ok else 'FAIL'}")
+        print(f"{label}: max deviation {dev:.3e} {'PASS' if ok else 'FAIL'}{note}")
     if failed:
         print("check failed: an exact equivalence exceeded 1e-12")
         return _EXIT_NUMERICAL

@@ -30,7 +30,6 @@ __all__ = [
     "Diagnostic",
     "Cohort",
     "CohortSummary",
-    "TransitionRecords",
     "DailyPanel",
     "parse_cohort",
     "cohort_to_csv",
@@ -170,9 +169,11 @@ def _subjects(ids, inf, end, status, covariates):
 class Cohort:
     """A validated cohort stored as per-subject columns.
 
-    ``Cohort(subjects, ...)`` builds it from :class:`Subject` objects and
-    :meth:`from_columns` from arrays; ``subjects`` is a view built on first
-    use.  The columns are read-only.
+    ``Cohort(subjects, ...)`` builds it from :class:`Subject` objects,
+    :meth:`from_columns` from arrays and :meth:`from_transitions` from
+    transition rows; ``subjects`` is a view built on first use.  The
+    read-only columns are the counting-process data that every
+    continuous-time estimator reads.
     """
 
     def __init__(self, subjects=(), tie_policy: TiePolicy = TiePolicy.shift(), horizon=0.0,
@@ -197,6 +198,59 @@ class Cohort:
         self = cls.__new__(cls)
         self._set(ids, inf, end, status, covariates or {}, tie_policy, horizon, diagnostics)
         return self
+
+    @classmethod
+    def from_transitions(cls, rows, covariates=None) -> "Cohort":
+        """Build from explicit :class:`TransitionRow`s, checked as a chain per
+        subject, with ``covariates`` as subject id -> dict."""
+        by_subject = {}
+        for r in rows:
+            if not (math.isfinite(r.t_start) and math.isfinite(r.t_stop)):
+                raise DataError(f"subject {r.subject_id}: t_start and t_stop must be finite")
+            if not r.t_start < r.t_stop:
+                raise DataError(f"subject {r.subject_id}: t_start must be < t_stop")
+            if r.from_state == 0 and r.t_start != 0:
+                raise DataError(f"subject {r.subject_id}: a state-0 row must start at time 0")
+            if r.from_state == 0 and r.to_state not in (1, 2, 3, CENSORED):
+                raise DataError(f"subject {r.subject_id}: invalid transition 0->{r.to_state}")
+            if r.from_state == 1 and r.to_state not in (4, 5, CENSORED):
+                raise DataError(f"subject {r.subject_id}: invalid transition 1->{r.to_state}")
+            by_subject.setdefault(r.subject_id, []).append(r)
+        inf, end, status = [], [], []
+        for sid, rs in by_subject.items():
+            rs.sort(key=lambda r: r.t_start)
+            if len(rs) == 1:
+                if rs[0].from_state != 0:
+                    raise DataError(f"subject {sid}: single row must start in state 0")
+                if rs[0].to_state == 1:
+                    raise DataError(f"subject {sid}: exposure row 0->1 has no follow-up row")
+            elif len(rs) == 2:
+                first, second = rs
+                if not (first.from_state == 0 and first.to_state == 1 and second.from_state == 1):
+                    raise DataError(f"subject {sid}: rows must chain 0->1 then 1->...")
+                if first.t_stop != second.t_start:
+                    raise DataError(f"subject {sid}: chained rows must share the exposure time")
+            else:
+                raise DataError(f"subject {sid}: more than two rows")
+            inf.append(rs[0].t_stop if len(rs) == 2 else math.nan)
+            end.append(rs[-1].t_stop)
+            to = rs[-1].to_state
+            status.append(STATUS_CENSORED if to == CENSORED
+                          else STATUS_DEATH if to in (3, 5) else STATUS_DISCHARGE)
+        ids = list(by_subject)
+        covariates = _covariate_columns([(covariates or {}).get(sid, {}) for sid in ids])
+        return cls.from_columns(ids, inf, end, status, covariates)
+
+    def transition_rows(self) -> tuple[TransitionRow, ...]:
+        """One :class:`TransitionRow` per interval, for export."""
+        out = []
+        for sid, t, e, s in zip(list(self.ids), self.inf.tolist(), self.end.tolist(), self.status.tolist()):
+            if t == t:
+                out.append(TransitionRow(sid, 0, 1, 0.0, t))
+                out.append(TransitionRow(sid, 1, int(EXIT_STATE[1, s]), t, e))
+            else:
+                out.append(TransitionRow(sid, 0, int(EXIT_STATE[0, s]), 0.0, e))
+        return tuple(out)
 
     def _set(self, ids, inf, end, status, covariates, tie_policy, horizon, diagnostics):
         # private read-only copies: views handed out cannot change the cohort
@@ -265,82 +319,6 @@ class TransitionRow:
     to_state: int  # 1..5 or CENSORED
     t_start: float
     t_stop: float
-
-
-class TransitionRecords:
-    """Counting-process view of a cohort: its per-subject columns, which
-    ``subject_arrays`` returns as stored, and ``covariates`` as name -> column.
-
-    ``rows``, one :class:`TransitionRow` per interval, is built on first use
-    for export.  Explicit rows (with ``covariates`` as subject id -> dict)
-    are validated as a chain per subject and the columns derived from them.
-    """
-
-    def __init__(self, rows, covariates=None):
-        rows = tuple(rows)
-        by_subject = {}
-        for r in rows:
-            if not (math.isfinite(r.t_start) and math.isfinite(r.t_stop)):
-                raise DataError(f"subject {r.subject_id}: t_start and t_stop must be finite")
-            if not r.t_start < r.t_stop:
-                raise DataError(f"subject {r.subject_id}: t_start must be < t_stop")
-            if r.from_state == 0 and r.t_start != 0:
-                raise DataError(f"subject {r.subject_id}: a state-0 row must start at time 0")
-            if r.from_state == 0 and r.to_state not in (1, 2, 3, CENSORED):
-                raise DataError(f"subject {r.subject_id}: invalid transition 0->{r.to_state}")
-            if r.from_state == 1 and r.to_state not in (4, 5, CENSORED):
-                raise DataError(f"subject {r.subject_id}: invalid transition 1->{r.to_state}")
-            by_subject.setdefault(r.subject_id, []).append(r)
-        inf, end, status = [], [], []
-        for sid, rs in by_subject.items():
-            rs.sort(key=lambda r: r.t_start)
-            if len(rs) == 1:
-                if rs[0].from_state != 0:
-                    raise DataError(f"subject {sid}: single row must start in state 0")
-                if rs[0].to_state == 1:
-                    raise DataError(f"subject {sid}: exposure row 0->1 has no follow-up row")
-            elif len(rs) == 2:
-                first, second = rs
-                if not (first.from_state == 0 and first.to_state == 1 and second.from_state == 1):
-                    raise DataError(f"subject {sid}: rows must chain 0->1 then 1->...")
-                if first.t_stop != second.t_start:
-                    raise DataError(f"subject {sid}: chained rows must share the exposure time")
-            else:
-                raise DataError(f"subject {sid}: more than two rows")
-            inf.append(rs[0].t_stop if len(rs) == 2 else math.nan)
-            end.append(rs[-1].t_stop)
-            to = rs[-1].to_state
-            status.append(STATUS_CENSORED if to == CENSORED
-                          else STATUS_DEATH if to in (3, 5) else STATUS_DISCHARGE)
-        ids = list(by_subject)
-        self.ids = np.fromiter(ids, dtype=object, count=len(ids))
-        self.inf, self.end = np.array(inf, dtype=float), np.array(end, dtype=float)
-        self.status = np.array(status, dtype=np.int64)
-        self.covariates = _covariate_columns([(covariates or {}).get(sid, {}) for sid in ids])
-        self.__dict__["rows"] = rows
-
-    @classmethod
-    def from_arrays(cls, ids, inf, end, status, covariates=None) -> "TransitionRecords":
-        """A view of per-subject arrays as taken; no copy and no validation."""
-        self = cls.__new__(cls)
-        self.ids, self.inf, self.end, self.status = ids, inf, end, status
-        self.covariates = covariates if covariates is not None else {}
-        return self
-
-    def subject_arrays(self):
-        """Per-subject view: (ids, inf_time with NaN, end_time, status code)."""
-        return self.ids, self.inf, self.end, self.status
-
-    @cached_property
-    def rows(self) -> tuple[TransitionRow, ...]:
-        out = []
-        for sid, t, e, s in zip(list(self.ids), self.inf.tolist(), self.end.tolist(), self.status.tolist()):
-            if t == t:
-                out.append(TransitionRow(sid, 0, 1, 0.0, t))
-                out.append(TransitionRow(sid, 1, int(EXIT_STATE[1, s]), t, e))
-            else:
-                out.append(TransitionRow(sid, 0, int(EXIT_STATE[0, s]), 0.0, e))
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -582,10 +560,9 @@ def summarize(cohort: Cohort) -> CohortSummary:
                          person_days=float(cohort.end.sum()), **by_group)
 
 
-def to_transitions(cohort: Cohort) -> TransitionRecords:
-    """The six-state counting-process view of a cohort's columns."""
-    return TransitionRecords.from_arrays(cohort.ids, cohort.inf, cohort.end, cohort.status,
-                                         cohort.covariates)
+def to_transitions(cohort: Cohort) -> Cohort:
+    """The cohort itself: its columns are the six-state counting-process data."""
+    return cohort
 
 
 def discretize(cohort: Cohort, allow_drop: bool = False) -> DailyPanel:

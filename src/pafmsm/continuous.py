@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohort import STATUS_DEATH, STATUS_DISCHARGE, TransitionRecords
+from .cohort import STATUS_DEATH, STATUS_DISCHARGE, Cohort
 from .curves import StepCurve
 from .errors import DataError, PositivityError
 
@@ -95,7 +95,7 @@ def _kinds(status, base):
 _ROWS = {(0, 1): 0, (0, 2): 1, (0, 3): 2, (1, 4): 4, (1, 5): 5}
 
 
-def _exit_table(records: TransitionRecords):
+def _exit_table(cohort: Cohort):
     """The exit table of the six-state model, from one sort of its exit times.
 
     Every subject exits state 0 (at the exposure time if exposed, else at
@@ -106,7 +106,7 @@ def _exit_table(records: TransitionRecords):
     replicate counts how often each subject was drawn.  The counts are
     integers, held exactly as floats.
     """
-    _, inf, end, status = records.subject_arrays()
+    inf, end, status = cohort.inf, cohort.end, cohort.status
     if end.size == 0:
         raise DataError("empty transition records")
     exposed = ~np.isnan(inf)
@@ -126,9 +126,9 @@ def _exit_table(records: TransitionRecords):
     return ut, table
 
 
-def _six_state(records: TransitionRecords):
+def _six_state(cohort: Cohort):
     """The sample's (7 x T) exit table, its times and the risk sets Y0(t-) and Y1(t-)."""
-    times, table = _exit_table(records)
+    times, table = _exit_table(cohort)
     counts = table()[0]
     y0 = _at_risk(counts[:4].sum(axis=0))
     y1 = _at_risk(counts[4:].sum(axis=0)) - _at_risk(counts[0])
@@ -170,9 +170,9 @@ def _conditional(cif_death, cif_exposure):
     return np.where(undefined, np.nan, cif_death / np.where(undefined, 1.0, denom))
 
 
-def _sample_curve(records, name) -> StepCurve:
+def _sample_curve(cohort, name) -> StepCurve:
     """The curve of reduction ``name`` on the sample, at its own exit times."""
-    times, table = _exit_table(records)
+    times, table = _exit_table(cohort)
     counts = table()
     values, s_after = _reduction(counts, name)
     on = counts[0, _REDUCTIONS[name][0]].any(axis=0)
@@ -187,27 +187,27 @@ def _sample_curve(records, name) -> StepCurve:
     )
 
 
-def overall_death_risk(records: TransitionRecords) -> StepCurve:
+def overall_death_risk(cohort: Cohort) -> StepCurve:
     """P(death by t), from the combined-state competing-risks reduction.
 
     Death and discharge are pooled across exposure status, so the Markov
     assumption is never used.
     """
-    return _sample_curve(records, "overall_death_risk")
+    return _sample_curve(cohort, "overall_death_risk")
 
 
-def cpf_unexposed(records: TransitionRecords) -> StepCurve:
+def cpf_unexposed(cohort: Cohort) -> StepCurve:
     """P(death by t | still unexposed at t), via the three-state reduction."""
-    return _sample_curve(records, "cpf_unexposed")
+    return _sample_curve(cohort, "cpf_unexposed")
 
 
-def cif_counterfactual(records: TransitionRecords) -> StepCurve:
+def cif_counterfactual(cohort: Cohort) -> StepCurve:
     """Death CIF with the exposure hazard set to zero.
 
     Exposure transitions count as censorings at the exposure time; the
     result estimates the death risk of the no-exposure path.
     """
-    return _sample_curve(records, "cif_counterfactual")
+    return _sample_curve(cohort, "cif_counterfactual")
 
 
 def _exposure_survival(times, counts, y0):
@@ -219,24 +219,24 @@ def _exposure_survival(times, counts, y0):
     return StepCurve(times[on], np.cumprod(1.0 - _divide(dn, at_risk)), initial=1.0), on
 
 
-def exposure_survival(records: TransitionRecords) -> StepCurve:
+def exposure_survival(cohort: Cohort) -> StepCurve:
     """Kaplan-Meier of the exposure-time distribution S01.
 
     Exposure is the event; leaving state 0 any other way censors.  Tied
     non-exposure exits are removed from the risk set before the exposure
     events at the same time, matching the discrete-time weight denominator.
     """
-    times, counts, y0, _ = _six_state(records)
+    times, counts, y0, _ = _six_state(cohort)
     return _exposure_survival(times, counts, y0)[0]
 
 
-def ht_cif(records: TransitionRecords) -> StepCurve:
+def ht_cif(cohort: Cohort) -> StepCurve:
     """Horvitz-Thompson form of the counterfactual death CIF.
 
     Each death without exposure is weighted by the inverse probability of
     having remained unexposed just before its time.
     """
-    times, counts, y0, _ = _six_state(records)
+    times, counts, y0, _ = _six_state(cohort)
     s01, on = _exposure_survival(times, counts, y0)
     s01_minus = np.concatenate(([1.0], s01.values[:-1]))
     dn_death = counts[_ROWS[0, 3], on]
@@ -249,13 +249,13 @@ def ht_cif(records: TransitionRecords) -> StepCurve:
     return StepCurve(s01.times, np.cumsum(_divide(dn_death, s01_minus)) / y0[0], initial=0.0)
 
 
-def aalen_johansen_extended(records: TransitionRecords) -> OccupationCurves:
+def aalen_johansen_extended(cohort: Cohort) -> OccupationCurves:
     """Product-integral occupation probabilities of the six-state model.
 
     The transitions out of state 1 pool all current occupants regardless
     of their exposure time (Markov assumption).
     """
-    times, counts, y0, y1 = _six_state(records)
+    times, counts, y0, y1 = _six_state(cohort)
     on = np.delete(counts, (3, 6), axis=0).any(axis=0)  # a transition, not only censorings
     ut = times[on]
     h01, h02, h03 = (_divide(counts[_ROWS[0, l], on], y0[on]) for l in (1, 2, 3))
@@ -286,11 +286,11 @@ def kaplan_meier(times, event_flags) -> StepCurve:
     return StepCurve(ut, np.cumprod(1.0 - dn / _at_risk(np.bincount(idx))), initial=1.0)
 
 
-def nelson_aalen(records: TransitionRecords, k: int, l: int) -> HazardIncrements:
+def nelson_aalen(cohort: Cohort, k: int, l: int) -> HazardIncrements:
     """Increments of the cause-specific hazard for the k -> l transition."""
     if (k, l) not in _ROWS:
         raise ValueError(f"no {k}->{l} transition in the six-state model")
-    times, counts, y0, y1 = _six_state(records)
+    times, counts, y0, y1 = _six_state(cohort)
     dn = counts[_ROWS[k, l]]
     on = dn > 0
     y = y0 if k == 0 else y1

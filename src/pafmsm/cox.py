@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohort import EXIT_STATE, STATUS_DEATH, STATUS_DISCHARGE, TransitionRecords, covariate_column
+from .cohort import EXIT_STATE, STATUS_DEATH, STATUS_DISCHARGE, Cohort, covariate_column
 from .errors import ConvergenceError, DataError, SeparationError
 
 __all__ = ["CoxFit", "fit_cox_td", "markov_test"]
@@ -189,10 +189,10 @@ def _log_partial_likelihood(start, stop, event, x, beta):
 _OUTCOME_STATES = {"death": (3, 5), "discharge": (2, 4)}
 
 
-def _interval_arrays(records: TransitionRecords, extra_covariates):
+def _interval_arrays(cohort: Cohort, extra_covariates):
     """(start, stop, to_state, x) of the risk intervals in row order: each
     subject's state-0 interval, then its state-1 interval if exposed."""
-    ids, inf, end, status = records.subject_arrays()
+    inf, end, status = cohort.inf, cohort.end, cohort.status
     exposed = ~np.isnan(inf)
     subject = np.repeat(np.arange(end.size), np.where(exposed, 2, 1))
     after = np.zeros(subject.size, dtype=bool)  # the second interval of a subject
@@ -201,7 +201,7 @@ def _interval_arrays(records: TransitionRecords, extra_covariates):
     to_state = np.where(after | ~exposed, EXIT_STATE[after.astype(int), status], 1)
     cols = [after.astype(float)]
     for name in extra_covariates:
-        cols.append(covariate_column(records.covariates, name, ids, numeric=True)[subject])
+        cols.append(covariate_column(cohort.covariates, name, cohort.ids, numeric=True)[subject])
     return (
         np.where(after, inf, 0.0),
         np.where(after | ~exposed, end, inf),
@@ -210,7 +210,7 @@ def _interval_arrays(records: TransitionRecords, extra_covariates):
     )
 
 
-def fit_cox_td(records: TransitionRecords, outcome: str, extra_covariates=()) -> CoxFit:
+def fit_cox_td(cohort: Cohort, outcome: str, extra_covariates=()) -> CoxFit:
     """Hazard ratio of the exposure for death or discharge.
 
     The exposure enters as a time-varying 0/1 covariate: each subject
@@ -219,14 +219,14 @@ def fit_cox_td(records: TransitionRecords, outcome: str, extra_covariates=()) ->
     """
     if outcome not in _OUTCOME_STATES:
         raise ValueError("outcome must be 'death' or 'discharge'")
-    start, stop, to_state, x = _interval_arrays(records, extra_covariates)
+    start, stop, to_state, x = _interval_arrays(cohort, extra_covariates)
     event = np.isin(to_state, _OUTCOME_STATES[outcome])
     terms = ("exposure",) + tuple(extra_covariates)
     beta, se, ll, it = _cox_engine(start, stop, event, x, terms)
     return CoxFit(outcome, terms, beta, se, ll, it, int(event.sum()))
 
 
-def markov_test(records: TransitionRecords, outcome: str = "death_after") -> CoxFit:
+def markov_test(cohort: Cohort, outcome: str = "death_after") -> CoxFit:
     """Wald test of the exposure time as a covariate after exposure.
 
     Under the Markov assumption the post-exposure hazards do not depend
@@ -235,8 +235,8 @@ def markov_test(records: TransitionRecords, outcome: str = "death_after") -> Cox
     targets = {"death_after": STATUS_DEATH, "discharge_after": STATUS_DISCHARGE}
     if outcome not in targets:
         raise ValueError("outcome must be 'death_after' or 'discharge_after'")
-    _, inf, end, status = records.subject_arrays()
-    exposed = ~np.isnan(inf)
+    inf, end, status = cohort.inf, cohort.end, cohort.status
+    exposed = cohort.exposed
     if not exposed.any():
         raise DataError("no post-exposure intervals; nothing to test")
     start, stop = inf[exposed], end[exposed]

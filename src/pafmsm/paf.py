@@ -183,7 +183,7 @@ def estimate_paf(
     weights; without them the weights use the empirical daily hazard.
     """
     _check_pair(estimand, estimator)
-    return _paf_from(estimand, estimator, covariates, *_inputs(cohort, estimator, allow_drop))
+    return _paf_from(estimand, estimator, covariates, _inputs(cohort, estimator, allow_drop))
 
 
 def _check_pair(estimand, estimator):
@@ -194,22 +194,23 @@ def _check_pair(estimand, estimator):
 
 
 def _inputs(cohort: Cohort, estimator, allow_drop):
-    """What the estimator reads: (counting-process records, None) or (None, daily panel)."""
+    """What the estimator reads: the cohort (multistate) or its daily panel."""
     if estimator == "multistate":
-        return to_transitions(cohort), None
-    return None, discretize(cohort, allow_drop=allow_drop)
+        return to_transitions(cohort)
+    return discretize(cohort, allow_drop=allow_drop)
 
 
-def _paf_from(estimand, estimator, covariates, records, panel) -> PafCurve:
+def _paf_from(estimand, estimator, covariates, data) -> PafCurve:
+    """The PAF curve of ``data``, what :func:`_inputs` returns for ``estimator``."""
     if estimator == "multistate":
-        overall = overall_death_risk(records)
-        other = getattr(continuous, _SUBTRACTED[estimand])(records)
+        overall = overall_death_risk(data)
+        other = getattr(continuous, _SUBTRACTED[estimand])(data)
     else:
-        overall = _death_proportion(panel)
+        overall = _death_proportion(data)
         if estimator == "naive":
-            other = naive_f01(panel)
+            other = naive_f01(data)
         else:
-            other = ipw_f01(panel, _panel_weights(panel, covariates))
+            other = ipw_f01(data, _panel_weights(data, covariates))
     return _ratio(overall, other, estimand, estimator)
 
 
@@ -256,15 +257,15 @@ def _on_grid(ut, rows, grid):
     return np.where(cols < 0, 0.0, rows[:, np.maximum(cols, 0)])
 
 
-def _multistate_replicates(records, estimand, streams, grid):
+def _multistate_replicates(cohort, estimand, streams, grid):
     """PAF of every replicate on ``grid``, one row per stream.
 
     A replicate is the vector of how often each subject was drawn; the
     exit table weighted by those counts gives exactly the curves of the
     resampled cohorts, a block of replicates per table.
     """
-    n = records.end.size
-    times, table = continuous._exit_table(records)
+    n = len(cohort)
+    times, table = continuous._exit_table(cohort)
     block = max(1, _BLOCK_CELLS // max(7 * times.size, n))
     est = np.empty((len(streams), grid.size))
     for first in range(0, len(streams), block):
@@ -323,23 +324,23 @@ def bootstrap_ci(
     if B < 2:
         raise DataError("B must be >= 2")
     _check_pair(estimand, estimator)
-    records, panel = _inputs(cohort, estimator, allow_drop)
-    point = _paf_from(estimand, estimator, covariates, records, panel)
+    data = _inputs(cohort, estimator, allow_drop)
+    point = _paf_from(estimand, estimator, covariates, data)
     if grid is None:
         grid = np.arange(1.0, math.ceil(cohort.horizon) + 1.0)
     grid = np.asarray(grid, dtype=float)
 
     streams = np.random.SeedSequence(seed).spawn(B)
     failed = 0
-    if panel is None:
-        est = _multistate_replicates(records, estimand, streams, grid)
+    if estimator == "multistate":
+        est = _multistate_replicates(data, estimand, streams, grid)
     else:
-        n = panel.n_subjects
+        n = data.n_subjects
         est = np.full((B, grid.size), np.nan)
         for r in range(B):
             idx = np.random.default_rng(streams[r]).integers(0, n, size=n)
             try:
-                curve = _paf_from(estimand, estimator, covariates, None, panel.take(idx))
+                curve = _paf_from(estimand, estimator, covariates, data.take(idx))
             except NumericalError:
                 failed += 1  # the replicate contributes an undefined row
                 continue

@@ -222,14 +222,20 @@ def _invert_linear(knots, cum_at_knots, slopes, targets):
     rows = np.arange(targets.size) if cum.shape[0] > 1 else np.zeros(targets.size, dtype=int)
     sl = slopes[rows, idx] if slopes.ndim == 2 else slopes[idx]
     c0 = cum[rows, idx]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a flat final segment never reaches the target, nor does one so nearly
+    # flat (a denormal rate) that the crossing is past the float range
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = np.where(sl > 0, knots[idx] + (targets - c0) / np.where(sl > 0, sl, 1.0), np.inf)
-    # a flat final segment never reaches the target
     return t
 
 
 def simulate_cohort(spec: HazardSpec, n: int, seed: int) -> Cohort:
-    """Draw n independent subject histories; deterministic per (seed, row)."""
+    """Draw n independent subject histories; deterministic per (seed, row).
+
+    A spec whose total hazard out of a state, or its cumulative hazard at a
+    knot, is past the float range, or so large that a drawn exit time rounds
+    onto its entry time, raises DataError naming the rate.
+    """
     if n < 1:
         raise DataError("n must be >= 1")
     hazards = (spec.alpha01, spec.alpha02, spec.alpha03, spec.alpha14, spec.alpha15)
@@ -242,15 +248,18 @@ def simulate_cohort(spec: HazardSpec, n: int, seed: int) -> Cohort:
 
     # state 0: competing 01 / 02 / 03 / censor
     knots0 = _sum_knots(spec.alpha01, spec.alpha02, spec.alpha03)
-    slope0 = (
-        spec.alpha01.rate_at(knots0)
-        + spec.alpha02.rate_at(knots0)
-        + spec.alpha03.rate_at(knots0)
-        + c
-    )
-    cum0 = np.concatenate([[0.0], np.cumsum(slope0[:-1] * np.diff(knots0))])
+    with np.errstate(over="ignore"):
+        slope0 = (
+            spec.alpha01.rate_at(knots0)
+            + spec.alpha02.rate_at(knots0)
+            + spec.alpha03.rate_at(knots0)
+            + c
+        )
+        cum0 = np.concatenate([[0.0], np.cumsum(slope0[:-1] * np.diff(knots0))])
+    _check_mass("alpha01 + alpha02 + alpha03 + censor_rate", slope0, cum0)
     e0 = -np.log(u[:, 0])
     t0 = _invert_linear(knots0, cum0, slope0, e0)
+    _check_exits("alpha01 + alpha02 + alpha03 + censor_rate", slope0, np.zeros(n), t0)
 
     # cause split at the event time
     r01 = spec.alpha01.rate_at(t0)
@@ -276,18 +285,29 @@ def simulate_cohort(spec: HazardSpec, n: int, seed: int) -> Cohort:
     if np.any(exposed):
         idx = np.nonzero(exposed)[0]
         tinf = t0[idx]
-        factor = np.exp(spec.gamma * tinf) if spec.gamma != 0 else np.ones(idx.size)
+        with np.errstate(over="ignore"):
+            factor = np.exp(spec.gamma * tinf) if spec.gamma != 0 else np.ones(idx.size)
+        if not np.isfinite(factor).all():
+            raise DataError(f"gamma = {spec.gamma:g}: the post-exposure hazard factor "
+                            f"exp(gamma * inf_time) is past the float range at inf_time "
+                            f"{tinf[np.argmax(~np.isfinite(factor))]:g}")
         knots1 = _sum_knots(spec.alpha14, spec.alpha15)
-        base_rate = spec.alpha14.rate_at(knots1) + spec.alpha15.rate_at(knots1)
-        base_cum = np.concatenate([[0.0], np.cumsum(base_rate[:-1] * np.diff(knots1))])
-        # per subject: cum(t) = factor * (A1(t) - A1(tinf)) + c * (t - tinf)
-        a1_tinf = _cum_from_table(knots1, base_cum, base_rate, tinf)
-        cum1 = factor[:, None] * (base_cum[None, :] - a1_tinf[:, None]) + c * (
-            knots1[None, :] - tinf[:, None]
-        )
-        slope1 = factor[:, None] * base_rate[None, :] + c
+        with np.errstate(over="ignore"):
+            base_rate = spec.alpha14.rate_at(knots1) + spec.alpha15.rate_at(knots1)
+            base_cum = np.concatenate([[0.0], np.cumsum(base_rate[:-1] * np.diff(knots1))])
+        _check_mass("alpha14 + alpha15", base_rate, base_cum)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # per subject: cum(t) = factor * (A1(t) - A1(tinf)) + c * (t - tinf)
+            a1_tinf = _cum_from_table(knots1, base_cum, base_rate, tinf)
+            cum1 = factor[:, None] * (base_cum[None, :] - a1_tinf[:, None]) + c * (
+                knots1[None, :] - tinf[:, None]
+            )
+            slope1 = factor[:, None] * base_rate[None, :] + c
+        _check_mass("exp(gamma * inf_time) * (alpha14 + alpha15) + censor_rate", slope1, cum1)
         e1 = -np.log(u[idx, 2])
         t1 = _invert_linear(knots1, cum1, slope1, e1)
+        if not spec.round_days:  # whole days keep them apart (the bump below)
+            _check_exits("exp(gamma * inf_time) * (alpha14 + alpha15) + censor_rate", slope1, tinf, t1)
         r14 = factor * spec.alpha14.rate_at(t1)
         r15 = factor * spec.alpha15.rate_at(t1)
         tot1 = r14 + r15 + c
@@ -320,6 +340,25 @@ def simulate_cohort(spec: HazardSpec, n: int, seed: int) -> Cohort:
         status,
         horizon=max(horizon, float(end_time.max())),
     )
+
+
+def _check_mass(hazards, slopes, cum):
+    """DataError, naming the largest rate, if the total hazard ``hazards``
+    (its rates ``slopes`` on the knots) or its cumulative hazard ``cum`` at
+    the knots is past the float range."""
+    if not (np.isfinite(slopes).all() and np.isfinite(cum).all()):
+        raise DataError(f"{hazards} reaches {np.max(slopes):g} per day: "
+                        "its cumulative hazard is past the float range")
+
+
+def _check_exits(hazards, slopes, entry, exit_time):
+    """DataError, naming the largest rate, if an exit time drawn from the
+    total hazard ``hazards`` is so close to its entry time that it rounds
+    onto it."""
+    early = ~(exit_time > entry)
+    if early.any():
+        raise DataError(f"{hazards} reaches {np.max(slopes):g} per day: an exit after time "
+                        f"{entry[np.argmax(early)]:g} rounds onto that time")
 
 
 def _cum_from_table(knots, cum_at_knots, rates, t):
@@ -378,10 +417,17 @@ def _occupation(rates: np.ndarray, dt: np.ndarray) -> np.ndarray:
     0->3, 1->4 and 1->5 are the constant columns of rates (J, 5)."""
     q = np.zeros((dt.size, 6, 6))
     q[:, [0, 0, 0, 1, 1], [1, 2, 3, 4, 5]] = rates
-    q[:, range(6), range(6)] = -q.sum(axis=2)
+    with np.errstate(over="ignore"):
+        q[:, range(6), range(6)] = -q.sum(axis=2)
+        a = q * dt[:, None, None]
+        norm = np.abs(a).sum(axis=2)  # what _expm scales by
+    if not np.isfinite(norm).all():
+        j, k = np.unravel_index(np.argmax(~np.isfinite(norm)), norm.shape)
+        raise DataError(f"the hazards out of state {k} sum to {-q[j, k, k]:g} per day: "
+                        f"over a step of {dt[j]:g} days that is past the float range")
     p = np.zeros((dt.size + 1, 6))
     p[0, 0] = 1.0
-    for j, step in enumerate(_expm(q * dt[:, None, None])):
+    for j, step in enumerate(_expm(a)):
         p[j + 1] = p[j] @ step
     return p
 

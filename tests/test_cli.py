@@ -246,6 +246,23 @@ def test_simulate_and_check_pipeline(spec_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 3
     assert "all equivalences hold" in out
+    assert "not applicable" not in out  # somebody stays unexposed to the end
+
+
+@pytest.mark.parametrize("rows", [["s0,2,3,discharge"], ["s0,2,3,discharge", "s1,,1,death"]])
+def test_check_compares_ipw_only_while_somebody_is_unexposed(tmp_path, capsys, rows):
+    # on day 2 the last unexposed subject is exposed: the empirical exposure
+    # hazard is 1, ipw is forced to the all-exposed ratio and the CIF is frozen
+    path = tmp_path / "positivity.csv"
+    path.write_text("id,inf_time,end_time,end_status\n" + "\n".join(rows) + "\n")
+    assert run(["check", "--input", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "naive == cpf_unexposed: max deviation 0.000e+00 PASS",
+        "ipw == counterfactual_cif: max deviation 0.000e+00 PASS "
+        "(not applicable from day 2: no subject left unexposed)",
+        "horvitz_thompson == counterfactual_cif: max deviation 0.000e+00 PASS",
+        "all equivalences hold",
+    ]
 
 
 def test_check_rejects_non_integer_times(tmp_path, capsys):
@@ -528,3 +545,88 @@ def test_every_fuzzed_cohort_file_ends_in_a_classified_exit(tmp_path_factory, da
             code = run([command[0], "--input", str(path), *command[1:]])
         assert code in (0, 1, 2, 3), (command, code)
         assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("command, change, message", [
+    (["oracle", "--step", "5"], {"alpha01": 1e308},
+     "the hazards out of state 0 sum to 1e+308 per day: over a step of 5 days"),
+    (["simulate", "--n", "20", "--seed", "1"], {"alpha01": 0.5, "gamma": 800},
+     "gamma = 800: the post-exposure hazard factor exp(gamma * inf_time) is past the float range"),
+    (["simulate", "--n", "20", "--seed", "1"], {"alpha15": 1e150, "round_days": False},
+     "(alpha14 + alpha15) + censor_rate reaches 1e+150 per day: an exit after time"),
+    (["simulate", "--n", "20", "--seed", "1"], {"alpha01": [{"until": 1e300, "rate": 1e10},
+                                                            {"until": None, "rate": 0.1}]},
+     "alpha01 + alpha02 + alpha03 + censor_rate reaches 1e+10 per day: its cumulative hazard"),
+])
+def test_a_spec_past_the_float_range_is_a_data_error(tmp_path, capsys, command, change, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**SPEC, **change}))
+    assert run([command[0], "--spec", str(path), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("data error: ") and message in captured.err
+
+
+def test_a_denormal_rate_never_fires(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**SPEC, "alpha14": 5e-324, "alpha15": 5e-324}))
+    assert run(["simulate", "--spec", str(path), "--n", "200", "--seed", "1"]) == 0
+    cohort = pafmsm.parse_cohort(capsys.readouterr().out)
+    assert not (cohort.exposed & (cohort.status != 0)).any()  # exposed: censored at tau
+
+
+# fuzzed --spec files: hazards as numbers or piece lists, with rates from
+# denormal to near the float maximum, extreme gamma, tau and censoring
+# rates, and now and then a fault
+_SPEC_RATES = [0, 0.05, 0.05, 0.5, 3, 5e-324, 1e-300, 1e3, 1e150, 1e308]
+_SPEC_FAULTS = [-0.1, float("nan"), float("inf"), "0.1", None, [], [{"until": 5}]]
+
+
+@st.composite
+def fuzzed_spec(draw):
+    """A --spec JSON text, valid more often than not."""
+    rate = st.sampled_from(_SPEC_RATES)
+    spec = {}
+    for name in ("alpha01", "alpha02", "alpha03", "alpha14", "alpha15"):
+        if draw(st.integers(0, 2)):
+            spec[name] = draw(rate)
+        else:  # pieces; the last may be left open
+            until = sorted(draw(st.sets(st.sampled_from([1, 5, 7.5, 40, 1e300]), min_size=1)))
+            if draw(st.booleans()):
+                until[-1] = None
+            spec[name] = [{"until": u, "rate": draw(rate)} for u in until]
+    for name, values in (("gamma", [0, 0, 0, 0, 0, 0.05, -0.5, 2, 50, 800, -800, 1e308]),
+                         ("censor_rate", [0, 0, 0.01, 1, 1e308]),
+                         ("tau", [1, 10, 40, 40, 100, 0.5, 1e6, 1e300])):
+        if draw(st.booleans()):
+            spec[name] = draw(st.sampled_from(values))
+    spec["round_days"] = draw(st.booleans())
+    if draw(st.integers(0, 7)) == 0:
+        name = draw(st.sampled_from(sorted(spec)))
+        fault = draw(st.sampled_from(_SPEC_FAULTS + ["missing", "until"]))
+        if fault == "missing":
+            del spec[name]
+        elif fault == "until" and isinstance(spec[name], list):
+            spec[name][0]["until"] = draw(st.sampled_from([0, -1, 1e301, "5"]))
+        else:
+            spec[name] = fault
+    return json.dumps(spec)
+
+
+@settings(max_examples=100)
+@given(fuzzed_spec(), st.sampled_from(["1", "5", "0.5"]), st.sampled_from(["1", "7", "30"]))
+def test_every_fuzzed_spec_ends_in_a_classified_exit(tmp_path_factory, text, step, n):
+    path = tmp_path_factory.mktemp("spec") / "spec.json"
+    path.write_text(text)
+    for command in (["oracle", "--step", step], ["simulate", "--n", n, "--seed", "3"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([command[0], "--spec", str(path), *command[1:]])
+        assert code in (0, 1, 2), (command, code, err.getvalue())
+        # a spec's data error names the spec, never a subject of the cohort drawn from it
+        assert "subject" not in err.getvalue()
+        if code == 0 and command[0] == "oracle":
+            rows = np.array([line.split(",")[1:7] for line in out.getvalue().splitlines()[1:]])
+            assert (rows != "").all(), "an occupation probability is blank"
+        if code == 0 and command[0] == "simulate":
+            assert len(pafmsm.parse_cohort(out.getvalue())) == int(n)

@@ -1,5 +1,6 @@
 import io
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,6 @@ from pafmsm import (
     ParseError,
     Subject,
     TiePolicy,
-    TransitionRecords,
     cohort_to_csv,
     discretize,
     parse_cohort,
@@ -23,7 +23,9 @@ from pafmsm import (
 from pafmsm.cohort import _ABSENT, TransitionRow
 from pafmsm.curves import _CSV_CHUNK
 
-from test_discrete import reference_indicators
+from test_discrete import assert_same, reference_indicators
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 CSV = """id,inf_time,end_time,end_status
 A,,5,death
@@ -140,23 +142,22 @@ def test_summary_counts():
 
 
 def test_transitions_shape():
-    records = to_transitions(parse_cohort(CSV))
     by_id = {}
-    for r in records.rows:
+    for r in parse_cohort(CSV).transition_rows():
         by_id.setdefault(r.subject_id, []).append(r)
     assert [(r.from_state, r.to_state) for r in by_id["A"]] == [(0, 3)]
     assert [(r.from_state, r.to_state) for r in by_id["B"]] == [(0, 1), (1, 4)]
     assert [(r.from_state, r.to_state) for r in by_id["C"]] == [(0, CENSORED)]
 
 
-def reference_subjects_from_transitions(records):
-    """The inverse of ``to_transitions``: one ``Subject`` per chain of
+def reference_subjects_from_transitions(cohort):
+    """The inverse of ``Cohort.transition_rows``: one ``Subject`` per chain of
     transition rows, with the covariates a subject has in the columns."""
     chains = {}
-    for r in records.rows:
+    for r in cohort.transition_rows():
         chains.setdefault(r.subject_id, []).append(r)
     outcome = {CENSORED: "censored", 2: "discharge", 3: "death", 4: "discharge", 5: "death"}
-    columns = {name: column.tolist() for name, column in records.covariates.items()}
+    columns = {name: column.tolist() for name, column in cohort.covariates.items()}
     return [
         Subject(sid, rows[0].t_stop if len(rows) == 2 else None, rows[-1].t_stop,
                 outcome[rows[-1].to_state],
@@ -169,7 +170,7 @@ def test_subjects_round_trip_through_transitions():
     uneven = Cohort((Subject("A", None, 5.0, "death", {"x": 1.0}), Subject("B", 2.0, 7.0, "censored"),
                      Subject("C", None, 3.0, "discharge", {"x": 2, "site": "n"})))
     for cohort in (parse_cohort(CSV), uneven):
-        back = reference_subjects_from_transitions(to_transitions(cohort))
+        back = reference_subjects_from_transitions(cohort)
         assert tuple(back) == cohort.subjects
 
 
@@ -258,33 +259,56 @@ def test_parse_builds_columns():
 
 def test_transitions_share_the_cohort_columns():
     cohort = parse_cohort(CSV)
-    ids, inf, end, status = to_transitions(cohort).subject_arrays()
-    assert inf is cohort.inf and end is cohort.end and status is cohort.status
+    assert to_transitions(cohort) is cohort
 
 
 def test_explicit_transition_rows_are_validated():
-    rows = to_transitions(parse_cohort(CSV)).rows
-    again = TransitionRecords(rows)
-    for got, want in zip(again.subject_arrays(), to_transitions(parse_cohort(CSV)).subject_arrays()):
-        np.testing.assert_array_equal(got, want)
+    rows = parse_cohort(CSV).transition_rows()
+    again = Cohort.from_transitions(rows)
+    for name in ("ids", "inf", "end", "status"):
+        np.testing.assert_array_equal(getattr(again, name), getattr(parse_cohort(CSV), name))
     with pytest.raises(DataError, match="chain"):
-        TransitionRecords([rows[1], TransitionRow("B", 1, 4, 3.0, 7.0)])
+        Cohort.from_transitions([rows[1], TransitionRow("B", 1, 4, 3.0, 7.0)])
     with pytest.raises(DataError, match="t_start"):
-        TransitionRecords([TransitionRow("A", 0, 3, 5.0, 5.0)])
+        Cohort.from_transitions([TransitionRow("A", 0, 3, 5.0, 5.0)])
     for t_start, t_stop in ((0.0, math.inf), (0.0, math.nan), (-math.inf, 3.0)):
         with pytest.raises(DataError, match="subject A: t_start and t_stop must be finite"):
-            TransitionRecords([TransitionRow("A", 0, 3, t_start, t_stop)])
+            Cohort.from_transitions([TransitionRow("A", 0, 3, t_start, t_stop)])
     with pytest.raises(DataError, match="subject A: t_start and t_stop must be finite"):
-        TransitionRecords([TransitionRow("A", 0, 1, 0.0, 2.0), TransitionRow("A", 1, 5, 2.0, math.inf)])
+        Cohort.from_transitions([TransitionRow("A", 0, 1, 0.0, 2.0),
+                                 TransitionRow("A", 1, 5, 2.0, math.inf)])
     for t_start in (1.0, -1.0):  # would be read as entry at time 0
         with pytest.raises(DataError, match="subject A: a state-0 row must start at time 0"):
-            TransitionRecords([TransitionRow("A", 0, 3, t_start, 5.0)])
+            Cohort.from_transitions([TransitionRow("A", 0, 3, t_start, 5.0)])
 
 
 def test_lone_exposure_row_is_rejected():
     # without a 1->... row the subject would read as discharged and never exposed
     with pytest.raises(DataError, match="subject A: exposure row 0->1 has no follow-up row"):
-        TransitionRecords([TransitionRow("A", 0, 1, 0.0, 3.0)])
+        Cohort.from_transitions([TransitionRow("A", 0, 1, 0.0, 3.0)])
+
+
+def rebuilt_from_transition_rows(cohort):
+    """``cohort`` built again from its transition rows and its subjects' covariates."""
+    return Cohort.from_transitions(cohort.transition_rows(),
+                                   {s.id: s.covariates for s in cohort.subjects})
+
+
+def test_transition_rows_round_trip_the_columns_and_uneven_covariates():
+    mixed = parse_cohort("id,inf_time,end_time,end_status,age,x\n"
+                         "A,,5,death,70,1\nB,2.5,7,discharge,old,0\nC,,3,censored,3,1\n")
+    uneven = Cohort((Subject("A", None, 5.0, "death", {"x": 1.0}), Subject("B", 2.0, 7.0, "censored"),
+                     Subject("C", None, 3.0, "discharge", {"x": 2, "site": "n"})))
+    for cohort in (parse_cohort(GOLDEN / "daily" / "cohort.csv"), mixed, uneven):
+        again = rebuilt_from_transition_rows(cohort)
+        for name in ("inf", "end", "status"):
+            assert_same(getattr(again, name), getattr(cohort, name))
+        assert again.ids.tolist() == cohort.ids.tolist()
+        assert list(again.covariates) == list(cohort.covariates)
+        for name, column in cohort.covariates.items():
+            assert again.covariates[name].dtype == column.dtype
+            assert again.covariates[name].tolist() == column.tolist()
+        assert again.subjects == cohort.subjects
 
 
 def test_subjects_view_round_trips_uneven_covariates():

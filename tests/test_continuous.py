@@ -11,10 +11,13 @@ from pafmsm import (
     cif_counterfactual,
     cpf_unexposed,
     exposure_survival,
+    fit_cox_td,
     ht_cif,
+    markov_test,
     kaplan_meier,
     nelson_aalen,
     overall_death_risk,
+    parse_cohort,
     simulate_cohort,
     to_transitions,
 )
@@ -23,6 +26,7 @@ from pafmsm.curves import StepCurve
 from pafmsm.simulate import icu_like_spec
 
 from conftest import integer_cohort
+from test_cohort import GOLDEN, rebuilt_from_transition_rows
 
 TWO = Cohort((Subject("A", None, 1.0, "death"), Subject("B", 1.0, 2.0, "death")), horizon=2)
 
@@ -150,9 +154,9 @@ def test_nelson_aalen_hand_counts():
         np.testing.assert_array_equal(inc.at_risk, at_risk)
 
 
-def reference_aalen_johansen(records):
+def reference_aalen_johansen(cohort):
     """The six-state product integral, one event time at a time."""
-    _, inf, end, status = records.subject_arrays()
+    inf, end, status = cohort.inf, cohort.end, cohort.status
     exposed = ~np.isnan(inf)
     stop0 = np.where(exposed, inf, end)
     ut = np.unique(np.concatenate((inf[exposed], end[status != STATUS_CENSORED])))
@@ -296,9 +300,9 @@ REFERENCE_SUBTRACTED = {"paf_o": reference_cpf_unexposed_rows,
                         "paf_c": reference_cif_counterfactual_rows}
 
 
-def reference_curve(records, rows):
+def reference_curve(cohort, rows):
     """The curve of ``rows`` on the sample, a single row of ones."""
-    _, inf, end, status = records.subject_arrays()
+    inf, end, status = cohort.inf, cohort.end, cohort.status
     ut, values, s_after = rows(inf, end, status)(np.ones((1, end.size), dtype=np.int64))
     values, s_after = values[0], s_after[0]
     undefined = np.isnan(values)
@@ -308,9 +312,9 @@ def reference_curve(records, rows):
                      truncated_from=float(ut[-1]) if truncated else None)
 
 
-def reference_replicates(records, estimand, streams, grid):
+def reference_replicates(cohort, estimand, streams, grid):
     """PAF rows of the replicates of ``streams`` on ``grid``, all in one sweep."""
-    _, inf, end, status = records.subject_arrays()
+    inf, end, status = cohort.inf, cohort.end, cohort.status
     n = end.size
     freq = np.array([np.bincount(np.random.default_rng(s).integers(0, n, size=n), minlength=n)
                      for s in streams])
@@ -345,3 +349,28 @@ def assert_continuous_side_matches_reference(cohort, seed=0, B=12):
 @pytest.mark.parametrize("name", list(_aj_cohorts()))
 def test_exit_table_reductions_equal_the_per_reduction_sweeps(name):
     assert_continuous_side_matches_reference(_aj_cohorts()[name])
+
+
+@pytest.mark.parametrize("name", ["daily", "constant"])
+def test_estimators_agree_on_a_cohort_rebuilt_from_its_transition_rows(name):
+    parsed = parse_cohort(GOLDEN / name / "cohort.csv")
+    rebuilt = rebuilt_from_transition_rows(parsed)
+    for estimator in (overall_death_risk, cpf_unexposed, cif_counterfactual, exposure_survival,
+                      ht_cif):
+        assert_same_curve(estimator(rebuilt), estimator(parsed))
+    for got, want in zip(aalen_johansen_extended(rebuilt).as_tuple(),
+                         aalen_johansen_extended(parsed).as_tuple()):
+        assert_same_curve(got, want)
+    for k, l in ((0, 1), (0, 2), (0, 3), (1, 4), (1, 5)):
+        got, want = nelson_aalen(rebuilt, k, l), nelson_aalen(parsed, k, l)
+        for field in ("times", "dn", "at_risk"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+    fits = [lambda c: fit_cox_td(c, "death"), lambda c: fit_cox_td(c, "discharge"),
+            lambda c: markov_test(c, "death_after"), lambda c: markov_test(c, "discharge_after")]
+    if "x" in parsed.covariates:
+        fits.append(lambda c: fit_cox_td(c, "death", extra_covariates=("x",)))
+    for fit in fits:
+        got, want = fit(rebuilt), fit(parsed)
+        assert got.summary_csv() == want.summary_csv()
+        assert (got.coefficients.tobytes(), got.standard_errors.tobytes()) == (
+            want.coefficients.tobytes(), want.standard_errors.tobytes())

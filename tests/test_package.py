@@ -26,8 +26,23 @@ def test_public_names_are_the_modules_lists_once_each():
     ("discrete.ExposureModel", "daily_probabilities"),
 ])
 def test_test_only_code_is_not_in_the_package(module, name):
-    module, _, cls = module.partition(".")
+    assert_gone(module, name)
+
+
+def assert_gone(owner, name):
+    """``name`` is neither on ``owner`` ("module" or "module.Class") nor public."""
+    module, _, cls = owner.partition(".")
     owner = importlib.import_module(f"pafmsm.{module}")
     owner = getattr(owner, cls) if cls else owner
     assert not hasattr(owner, name)
     assert name not in pafmsm.__all__ and not hasattr(pafmsm, name)
+
+
+@pytest.mark.parametrize("owner, name", [
+    ("cohort", "TransitionRecords"),
+    ("cohort.Cohort", "from_arrays"),
+    ("cohort.Cohort", "subject_arrays"),
+])
+def test_the_cohort_is_the_one_continuous_time_representation(owner, name):
+    assert_gone(owner, name)
+    assert len(pafmsm.__all__) == 62

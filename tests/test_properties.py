@@ -23,7 +23,7 @@ from pafmsm import (
     to_transitions,
 )
 from pafmsm.cohort import _split_rows, _text_column
-from pafmsm.continuous import exposure_survival
+from pafmsm.discrete import _daily_hazard
 
 from test_cohort import HEADER, parse_both_ways, reference_text_column
 from test_continuous import assert_continuous_side_matches_reference
@@ -191,18 +191,25 @@ def test_ht_always_equals_counterfactual(cohort):
 
 @settings(max_examples=60)
 @given(integer_cohorts())
+@example(Cohort((Subject("0", 2.0, 3.0, "discharge"),), horizon=3.0))
+@example(Cohort((Subject("0", 2.0, 3.0, "discharge"), Subject("1", None, 1.0, "death")), horizon=3.0))
 def test_ipw_equals_counterfactual_while_weights_are_bounded(cohort):
-    # the identity needs a never-exhausted unexposed risk set; cohorts
-    # where exposures empty it are the documented divergence case
-    records = to_transitions(cohort)
-    if np.min(exposure_survival(records).values) <= 0.0:
-        return
+    # the identity needs a never-exhausted unexposed risk set.  From the
+    # first day whose exposure hazard is 1 nobody is left unexposed: the
+    # counterfactual CIF is cut there (truncated_from), and before it the
+    # identity holds (the days ``paf-msm check`` compares)
     panel = discretize(cohort)
+    hazard, _ = _daily_hazard(panel)
+    certain = np.flatnonzero(hazard == 1.0) + 1.0
+    counterfactual = cif_counterfactual(cohort)
+    assert counterfactual.truncated_from == (certain[0] if certain.size else None)
     weights = compute_weights(panel, nonparametric_daily_hazard(panel))
     days = np.arange(1.0, panel.n_days + 1.0)
+    days = days[days < certain[0]] if certain.size else days
     a = np.atleast_1d(ipw_f01(panel, weights)(days))
-    b = np.atleast_1d(cif_counterfactual(records)(days))
-    assert np.nanmax(np.abs(a - b)) < 1e-12
+    b = np.atleast_1d(counterfactual(days))
+    assert np.array_equal(np.isnan(a), np.isnan(b))
+    assert np.all(np.abs(a - b)[~np.isnan(a)] < 1e-12)
 
 
 @settings(max_examples=60)
