@@ -15,7 +15,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -48,6 +48,7 @@ _STATUS_NAME = {v: k for k, v in _STATUS_CODE.items()}
 # EXIT_STATE[exposed, status code]: the state a subject's last interval ends in
 EXIT_STATE = np.array([[CENSORED, 3, 2], [CENSORED, 5, 4]])
 _ABSENT = object()  # the cell of a covariate that a subject does not have
+_PARSE_CHUNK = 1 << 16  # characters of CSV text read, checked and converted at a time
 
 
 @dataclass(frozen=True)
@@ -364,6 +365,11 @@ def parse_cohort(source, tie_policy: TiePolicy = TiePolicy.shift(), horizon=None
     ``source`` is a path (``os.PathLike``, or a ``str`` without a line
     break), CSV text (a ``str`` or ``bytes`` with a "\\n" or "\\r"), or a
     file object.  Input that does not decode as UTF-8 raises ParseError.
+
+    Rows are read, checked and converted in chunks of about 64k characters
+    cut at line ends, so a parse holds the kept columns plus the cell
+    strings of one chunk, and the first faulty row in the file raises.
+    Text with a quote, a CR or a NUL is read by ``csv.reader`` in one pass.
     """
     what = "input"
     try:
@@ -472,15 +478,71 @@ def _reader_rows(text):
     return header, [list(map(itemgetter(j), records)) for j in range(width)], lengths
 
 
-def _parse(text, tie_policy, horizon):
-    header, columns, lengths = _split_rows(text) or _reader_rows(text)
-    header = [h.strip() for h in header]
-    required = ["id", "inf_time", "end_time", "end_status"]
-    if header[: len(required)] != required:
-        raise ParseError(f"header must start with {','.join(required)}", row=1)
-    width = len(header)
+def _row_chunks(text):
+    """The header, columns and row widths of each chunk of rows, in file order.
 
-    # body row k is file row k + 2; rows with no non-blank cell are skipped
+    Text with a ``"``, a ``\\r`` or a NUL is one chunk read by ``csv.reader``:
+    a quoted cell may hold a line break, so it is never cut at one.  Other
+    text is cut at line ends into slices of about ``_PARSE_CHUNK``
+    characters; a longer line is a slice of its own.  Each slice is read
+    with the header line in front, by ``_split_rows`` or, if it is ragged or
+    has a line over the field limit, by ``csv.reader`` on that slice alone.
+    Row numbers of a ParseError count the rows of the slices before it.
+    """
+    if not text or '"' in text or "\r" in text or "\0" in text:
+        yield _reader_rows(text)
+        return
+    head, _, body = text.partition("\n")
+    head += "\n"
+    start, rows = 0, 0
+    while True:
+        stop = body.rfind("\n", start, start + _PARSE_CHUNK) + 1
+        if not stop:  # no line end in the window: the line is a slice of its own
+            stop = body.find("\n", start) + 1 or len(body)
+        piece = head + body[start:stop]
+        try:
+            chunk = _split_rows(piece) or _reader_rows(piece)
+        except ParseError as exc:
+            raise ParseError(str(exc).partition(": ")[2], row=exc.row + rows) from None
+        yield chunk
+        rows, start = rows + chunk[2].size, stop
+        if start >= len(body):
+            return
+
+
+def _parse(text, tie_policy, horizon):
+    required = ["id", "inf_time", "end_time", "end_status"]
+    header, parts, rows = None, [], 0
+    for cells, columns, lengths in _row_chunks(text):
+        if header is None:
+            header = [h.strip() for h in cells]
+            if header[: len(required)] != required:
+                raise ParseError(f"header must start with {','.join(required)}", row=1)
+        parts.append(_read_rows(header, columns, lengths, tie_policy, rows))
+        rows += lengths.size
+    ids, inf, end, status, diagnostics, *covariates = zip(*parts)
+    columns = {}
+    for name, pieces in zip(header[4:], covariates):
+        # float only if every chunk of the column is; else floats and text
+        mixed = any(piece.dtype == object for piece in pieces)
+        columns[name] = np.concatenate([piece.astype(object) for piece in pieces] if mixed
+                                       else pieces)
+    return Cohort.from_columns(
+        list(chain.from_iterable(ids)), np.concatenate(inf), np.concatenate(end),
+        np.concatenate(status), columns, tie_policy=tie_policy, horizon=horizon or 0.0,
+        diagnostics=tuple(chain.from_iterable(diagnostics)),
+    )
+
+
+def _read_rows(header, columns, lengths, tie_policy, first):
+    """One chunk of rows, checked and converted: the ids, ``inf``, ``end``,
+    ``status``, tie diagnostics and covariate columns of its non-blank rows.
+    A covariate column is float64, or object (floats and stripped text) if
+    a cell is not a number.  ``first`` is the number of body rows before
+    the chunk; the first row that fails a check raises ParseError.
+    """
+    width = len(header)
+    # body row k is file row first + k + 2; rows with no non-blank cell are skipped
     n = lengths.size
     wrong_width = lengths != width
     ids = list(map(str.strip, columns[0]))
@@ -527,27 +589,23 @@ def _parse(text, tie_policy, horizon):
     hits = [(int(np.argmax(m)), j) for j, m in enumerate(masks) if m.any()]
     if hits:
         k, j = min(hits)
-        raise ParseError(checks[j][1](k), row=k + 2)
+        raise ParseError(checks[j][1](k), row=first + k + 2)
 
-    diagnostics = tuple(
+    diagnostics = [
         Diagnostic(ids[k], f"inf_time tied with end_time; shifted to {inf[k]:g}")
         for k in np.flatnonzero(tied & keep)
-    )
-    columns = {}
-    for name, (text, values, _, number) in covariates.items():
+    ]
+    columns = []
+    for text, values, _, number in covariates.values():
         if number[keep].all():
-            columns[name] = values
+            columns.append(values[keep])
         else:  # mixed: numbers as floats, the rest as (stripped) text
             cells = [v if ok else t for t, v, ok in zip(text, values.tolist(), number.tolist())]
-            columns[name] = np.fromiter(cells, object, n)
+            columns.append(np.fromiter(cells, object, n)[keep])
     if not keep.all():  # drop the blank rows
         ids = list(compress(ids, keep.tolist()))
         inf, end, status = inf[keep], end[keep], status[keep]
-        columns = {name: column[keep] for name, column in columns.items()}
-    return Cohort.from_columns(
-        ids, inf, end, status, columns,
-        tie_policy=tie_policy, horizon=horizon or 0.0, diagnostics=diagnostics,
-    )
+    return ids, inf, end, status, diagnostics, *columns
 
 
 def summarize(cohort: Cohort) -> CohortSummary:

@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _DENOM_TOL = 1e-12
+_AJ_SLICE = 1 << 13  # event times per slice of the Aalen-Johansen p00/p01 scan
 
 
 @dataclass(frozen=True)
@@ -260,15 +261,21 @@ def aalen_johansen_extended(cohort: Cohort) -> OccupationCurves:
     ut = times[on]
     h01, h02, h03 = (_divide(counts[_ROWS[0, l], on], y0[on]) for l in (1, 2, 3))
     h14, h15 = (_divide(counts[_ROWS[1, l], on], y1[on]) for l in (4, 5))
-    # p00 and p01 depend on each other: one scan on Python floats.  The
-    # lists start with the initial values, so [:-1] holds p00(t-), p01(t-).
-    a, b = 1.0, 0.0
-    p0, p1 = [a], [b]
-    for x01, x0, x1 in zip(h01.tolist(), (h01 + h02 + h03).tolist(), (h14 + h15).tolist()):
-        a, b = a - a * x0, b + a * x01 - b * x1
-        p0.append(a)
-        p1.append(b)
-    p0, p1 = np.array(p0), np.array(p1)
+    # p00 and p01 depend on each other: one scan on Python floats, run over
+    # slices of _AJ_SLICE event times so that only one slice is held as
+    # Python floats.  The arrays start with the initial values, so [:-1]
+    # holds p00(t-), p01(t-).
+    x0, x1 = h01 + h02 + h03, h14 + h15
+    p0, p1 = np.empty(ut.size + 1), np.empty(ut.size + 1)
+    p0[0], p1[0] = a, b = 1.0, 0.0
+    for k in range(0, ut.size, _AJ_SLICE):
+        part, after = slice(k, k + _AJ_SLICE), slice(k + 1, k + 1 + _AJ_SLICE)
+        s0, s1 = [], []
+        for x01, x0k, x1k in zip(h01[part].tolist(), x0[part].tolist(), x1[part].tolist()):
+            a, b = a - a * x0k, b + a * x01 - b * x1k
+            s0.append(a)
+            s1.append(b)
+        p0[after], p1[after] = s0, s1
     values = (p0[1:], p1[1:], np.cumsum(p0[:-1] * h02), np.cumsum(p0[:-1] * h03),
               np.cumsum(p1[:-1] * h14), np.cumsum(p1[:-1] * h15))
     initials = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)

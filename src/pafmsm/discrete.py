@@ -328,6 +328,11 @@ def compute_weights(panel: DailyPanel, daily_probs: np.ndarray) -> WeightTable:
     daily_probs = np.asarray(daily_probs, dtype=float)
     if daily_probs.shape != (panel.n_subjects, panel.n_days):
         raise DataError("daily_probs must have shape (n_subjects, n_days)")
+    bad = ~((daily_probs >= 0.0) & (daily_probs <= 1.0))  # NaN fails both
+    if bad.any():
+        i, s = np.unravel_index(np.argmax(bad), bad.shape)
+        raise DataError(f"subject {panel.ids[i]}, day {s + 1}: probability {daily_probs[i, s]} "
+                        "is not a finite number in [0, 1]")
     return _weight_table(panel, np.subtract(1.0, daily_probs), np.arange(panel.n_subjects),
                          _at_risk_days(panel))
 

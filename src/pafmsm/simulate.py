@@ -59,7 +59,9 @@ class PiecewiseHazard:
 
     @classmethod
     def from_json(cls, obj) -> "PiecewiseHazard":
-        if isinstance(obj, (int, float)):
+        """A JSON number (a constant rate) or a list of {"until", "rate"}
+        pieces whose values are numbers or null."""
+        if _is_number(obj):
             return cls.constant(obj)
         try:
             until = [p["until"] for p in obj]
@@ -68,13 +70,11 @@ class PiecewiseHazard:
             raise DataError(
                 "a hazard is either a number or a list of {'until', 'rate'} pieces"
             ) from None
-        try:
-            u, r = np.array(until, dtype=float), np.array(rates, dtype=float)
-        except (TypeError, ValueError):
+        if not all(v is None or _is_number(v) for v in until + rates):
             raise DataError(
                 f"hazard pieces must hold numbers, got until {until!r} and rate {rates!r}"
-            ) from None
-        return cls(u, r)
+            )
+        return cls(np.array(until, dtype=float), np.array(rates, dtype=float))
 
     def to_json(self):
         return [
@@ -104,6 +104,11 @@ class PiecewiseHazard:
 
     def is_zero(self) -> bool:
         return bool(np.all(self.rates == 0))
+
+
+def _is_number(value) -> bool:
+    """Whether a JSON value is a number: an int or a float, not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _sum_knots(*hazards: PiecewiseHazard) -> np.ndarray:
@@ -154,15 +159,20 @@ class HazardSpec:
         missing = [n for n in names if n not in obj]
         if missing:
             raise DataError(f"hazard spec is missing {', '.join(missing)}")
+        for name in names:
+            if isinstance(obj[name], (bool, str)):
+                raise DataError(f"{name} must be a number or a list of pieces, got {obj[name]!r}")
         hazards = {n: PiecewiseHazard.from_json(obj[n]) for n in names}
         numbers = {}
         for name, default in (("gamma", 0.0), ("censor_rate", 0.0), ("tau", 100.0)):
             value = obj.get(name, default)
-            try:
-                numbers[name] = float(value)
-            except (TypeError, ValueError):
-                raise DataError(f"{name} must be a number, got {value!r}") from None
-        return cls(**hazards, **numbers, round_days=bool(obj.get("round_days", False)))
+            if not _is_number(value):
+                raise DataError(f"{name} must be a number, got {value!r}")
+            numbers[name] = float(value)
+        round_days = obj.get("round_days", False)
+        if not isinstance(round_days, bool):
+            raise DataError(f"round_days must be true or false, got {round_days!r}")
+        return cls(**hazards, **numbers, round_days=round_days)
 
     def to_json(self) -> str:
         return json.dumps(

@@ -420,7 +420,10 @@ def test_input_path_with_a_comma(cohort_file, tmp_path, capsys):
     (json.dumps(dict(SPEC, gamma="abc")), "gamma must be a number, got 'abc'"),
     (json.dumps(dict(SPEC, alpha03=[{"until": "x", "rate": 0.1}])),
      "hazard pieces must hold numbers, got until ['x'] and rate [0.1]"),
-], ids=["number", "null", "tau-list", "gamma-text", "until-text"])
+    (json.dumps(dict(SPEC, alpha01=True, round_days="false")),
+     "alpha01 must be a number or a list of pieces, got True"),
+    (json.dumps(dict(SPEC, round_days="false")), "round_days must be true or false, got 'false'"),
+], ids=["number", "null", "tau-list", "gamma-text", "until-text", "rate-true", "round-days-text"])
 @pytest.mark.parametrize("command", [["oracle"], ["simulate", "--n", "3", "--seed", "1"]])
 def test_malformed_spec_is_data_error(tmp_path, capsys, text, message, command):
     path = tmp_path / "spec.json"

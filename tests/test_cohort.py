@@ -1,5 +1,8 @@
+import csv
 import io
 import math
+import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -11,12 +14,14 @@ from pafmsm import (
     CENSORED,
     Cohort,
     DataError,
+    HazardSpec,
     ParseError,
     Subject,
     TiePolicy,
     cohort_to_csv,
     discretize,
     parse_cohort,
+    simulate_cohort,
     summarize,
     to_transitions,
 )
@@ -435,7 +440,7 @@ def parse_both_ways(text, **kwargs):
 HEADER = "id,inf_time,end_time,end_status\n"
 
 
-@pytest.mark.parametrize("text, plain, ids", [
+SAME_CELLS = [
     (HEADER + '"a,b",,3,death\nc,1,4,discharge\n', False, ["a,b", "c"]),
     (CSV.replace("\n", "\r\n"), False, ["A", "B", "C"]),
     (CSV.replace("\n", "\r"), False, ["A", "B", "C"]),
@@ -449,15 +454,20 @@ HEADER = "id,inf_time,end_time,end_status\n"
     (HEADER + "A\0B,,5,death\n", False, ["A\0B"]),
     (HEADER, True, []),
     (HEADER.rstrip("\n"), True, []),
-], ids=["quoted-comma", "crlf", "cr", "quoted-header", "padded", "blank-rows", "blank-full-width",
-        "no-final-newline", "final-blank-line", "nul", "header-only", "header-only-no-newline"])
+]
+SAME_CELLS_IDS = ["quoted-comma", "crlf", "cr", "quoted-header", "padded", "blank-rows",
+                  "blank-full-width", "no-final-newline", "final-blank-line", "nul", "header-only",
+                  "header-only-no-newline"]
+
+
+@pytest.mark.parametrize("text, plain, ids", SAME_CELLS, ids=SAME_CELLS_IDS)
 def test_both_parse_paths_read_the_same_cells(text, plain, ids):
     assert (pafmsm.cohort._split_rows(text) is not None) == plain
     columns = parse_both_ways(text)
     assert columns[0] == ids
 
 
-@pytest.mark.parametrize("text, row, message", [
+PARSE_ERRORS = [
     ("", None, "empty input"),
     (HEADER + "A,,5,death\nB,,4\n", 3, "expected 4 fields, got 3"),
     (HEADER + "A,,5,death\nB,,4,death,x\n", 3, "expected 4 fields, got 5"),
@@ -476,9 +486,13 @@ def test_both_parse_paths_read_the_same_cells(text, plain, ids):
     (HEADER + "A,\x85x\u2003,5,death\n", 2, "bad inf_time 'x'"),
     (HEADER + "A,,5,death\nB,, 1 2 ,death\n", 3, "bad end_time '1 2'"),
     (HEADER + "A,,5, dead\t\n", 2, "unknown status 'dead'"),
-], ids=["empty", "short-row", "long-row", "after-blank-full-width", "after-blank-lines", "crlf", "cr",
-        "header", "open-quote", "huge-cell", "padded-inf", "padded-nan", "padded-overflow",
-        "padded-text", "inner-space", "padded-status"])
+]
+PARSE_ERRORS_IDS = ["empty", "short-row", "long-row", "after-blank-full-width", "after-blank-lines",
+                    "crlf", "cr", "header", "open-quote", "huge-cell", "padded-inf", "padded-nan",
+                    "padded-overflow", "padded-text", "inner-space", "padded-status"]
+
+
+@pytest.mark.parametrize("text, row, message", PARSE_ERRORS, ids=PARSE_ERRORS_IDS)
 def test_both_parse_paths_raise_the_same_parse_error(text, row, message):
     expected = message if row is None else f"row {row}: {message}"
     assert parse_both_ways(text) == ("ParseError", expected, row)
@@ -501,3 +515,112 @@ def test_text_with_any_line_ending_is_text_as_str_and_bytes(tmp_path, ending):
     assert cohort_columns(parse_cohort(str(path))) == on_disk
     lone_cr = "id,inf_time,end_time,end_status\rA,,5,death\r"
     assert parse_cohort(lone_cr).ids.tolist() == parse_cohort(lone_cr.encode()).ids.tolist() == ["A"]
+
+
+
+def parse_in_chunks(text, chunk, **kwargs):
+    """``parse_both_ways`` with the CSV body cut into slices of about
+    ``chunk`` characters."""
+    with mock.patch.object(pafmsm.cohort, "_PARSE_CHUNK", chunk):
+        return parse_both_ways(text, **kwargs)
+
+
+def assert_chunks_read_as_one(text, **kwargs):
+    """The columns and diagnostics, or the (ParseError, message, row), are
+    those of a parse in one chunk, whatever the chunk size; returns them."""
+    whole = parse_in_chunks(text, sys.maxsize, **kwargs)
+    for chunk in (1, 2, 3, 5, 8, 13, 21, 34):
+        assert parse_in_chunks(text, chunk, **kwargs) == whole, chunk
+    return whole
+
+
+@pytest.mark.parametrize("text", [case[0] for case in SAME_CELLS + PARSE_ERRORS],
+                         ids=SAME_CELLS_IDS + PARSE_ERRORS_IDS)
+def test_chunks_of_rows_read_the_parse_table_inputs_as_one(text):
+    assert_chunks_read_as_one(text)
+
+
+def rows(prefix):
+    """Twelve valid rows with ids prefix0, prefix1, ...; some exposed, some censored."""
+    statuses = ("death", "discharge", "censored")
+    return "".join(f"{prefix}{i},{i % 3 or ''},{i + 4},{statuses[i % 4 % 3]}\n" for i in range(12))
+
+
+ROWS = rows("s")
+
+
+@pytest.mark.parametrize("text, row, message", [
+    (HEADER + ROWS + "B,x,5,death\n" + ROWS, 14, "bad inf_time 'x'"),
+    (HEADER + ROWS + "B,,4\n" + ROWS, 14, "expected 4 fields, got 3"),
+    (HEADER + ROWS + rows("t") + "B,,4,death,1\n", 26, "expected 4 fields, got 5"),
+    (HEADER + "\n" + ROWS + "\n , , , \nB,9,5,death\n", 17, "inf_time > end_time"),
+], ids=["bad-cell", "short-row", "long-row", "after-blank-rows"])
+def test_an_error_in_a_later_chunk_counts_the_rows_before_it(text, row, message):
+    assert assert_chunks_read_as_one(text) == ("ParseError", f"row {row}: {message}", row)
+
+
+def test_a_line_over_the_field_limit_in_a_later_chunk():
+    text = HEADER + ROWS + "B,," + "9" * 41 + ",death\n" + rows("t")
+    default = csv.field_size_limit()
+    csv.field_size_limit(40)
+    try:
+        got = assert_chunks_read_as_one(text)
+    finally:
+        csv.field_size_limit(default)
+    assert got == ("ParseError", "row 14: field larger than field limit (40)", 14)
+
+
+@pytest.mark.parametrize("text, n", [
+    # blank rows at the edges of chunks
+    (HEADER + "\n\n" + ROWS + "\n , , , \n,,,\n" + rows("t") + "\n", 24),
+    (HEADER + " , , , \n" + ROWS + " , , , \n", 12),
+    # multi-byte UTF-8 cells next to the cuts
+    (HEADER + "é,,5,death\nB😀,2,7,discharge\n" + "ü" * 7 + ",1,2,death\n€,,1,censored", 4),
+    # a quoted cell holding a line break: such text is one chunk, never cut
+    (HEADER + ROWS + '"A\nB",,5,death\n' + rows("t"), 25),
+], ids=["blank-rows", "blank-full-width-rows", "multi-byte", "quoted-line-break"])
+def test_chunks_of_rows_read_as_one(text, n):
+    assert len(assert_chunks_read_as_one(text)[0]) == n
+
+
+def test_ties_in_a_later_chunk_are_shifted_in_file_order_or_rejected():
+    text = HEADER + "T,5,5,death\n" + ROWS + "U,2.5,2.5,discharge\n"
+    diagnostics = assert_chunks_read_as_one(text)[5]
+    assert [(d.subject_id, d.message) for d in diagnostics] == [
+        ("T", "inf_time tied with end_time; shifted to 4.999"),
+        ("U", "inf_time tied with end_time; shifted to 2.499"),
+    ]
+    rejected = assert_chunks_read_as_one(text.replace("T,5,5", "T,4,5"),
+                                         tie_policy=TiePolicy.reject())
+    assert rejected == ("ParseError", "row 15: inf_time == end_time (tie policy: reject)", 15)
+
+
+def test_a_mixed_covariate_is_decided_over_the_whole_column():
+    numbers = "".join(f"s{i},,{i + 1},death,{i}\n" for i in range(12))
+    text = "id,inf_time,end_time,end_status,site\n" + numbers + "a,,5,death, north \nb,,5,death,2\n"
+    name, dtype, cells = assert_chunks_read_as_one(text)[6][0]
+    assert (name, dtype) == ("site", "|O")
+    assert cells == repr([float(i) for i in range(12)] + ["north", 2.0])
+    # the same column without the text rows is float64
+    assert assert_chunks_read_as_one(text.replace("a,,5,death, north \n", ""))[6][0][1] == "<f8"
+
+
+def test_parse_errors_come_in_file_order():
+    # a bad cell before an over-long field: the csv.reader of the whole
+    # file used to read every record first and report the field limit
+    text = HEADER + "A,x,5,death\nB,," + "9" * 140_000 + ",death\n"
+    assert parse_both_ways(text) == ("ParseError", "row 2: bad inf_time 'x'", 2)
+
+
+def test_parse_memory_stays_within_one_chunk_of_cells():
+    # a parse holds the kept columns (4.3 MB) and the cell strings of one
+    # chunk; the cells of the whole file took 19.5 MB, chunks take 10.3 MB
+    spec = HazardSpec.constant(0.05, 0.05, 0.02, 0.05, 0.03, tau=100, censor_rate=0.01)
+    text = cohort_to_csv(simulate_cohort(spec, 50_000, seed=1))
+    tracemalloc.start()
+    try:
+        parse_cohort(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15e6

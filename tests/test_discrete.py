@@ -477,3 +477,13 @@ def test_pooled_logistic_converges_where_the_likelihood_is_flat():
     )
     model = fit_pooled_logistic(expand_person_days(discretize(Cohort(subjects)), ("x",)))
     assert model.iterations < 20
+
+
+@pytest.mark.parametrize("value", [1.5, -0.1, np.nan, np.inf])
+def test_compute_weights_rejects_probabilities_outside_the_unit_interval(value):
+    panel = panel_of(Subject("A", 2.0, 5.0, "death"), Subject("B", None, 4.0, "death"), horizon=5)
+    probs = nonparametric_daily_hazard(panel)
+    probs[1, 2] = value
+    with pytest.raises(DataError) as info:
+        compute_weights(panel, probs)
+    assert str(info.value) == f"subject B, day 3: probability {value} is not a finite number in [0, 1]"

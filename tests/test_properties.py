@@ -1,6 +1,7 @@
 """Randomized invariants over generated cohorts."""
 
 import csv
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -22,6 +23,7 @@ from pafmsm import (
     overall_death_risk,
     to_transitions,
 )
+import pafmsm.cohort
 from pafmsm.cohort import _split_rows, _text_column
 from pafmsm.discrete import _daily_hazard
 
@@ -149,6 +151,12 @@ def plain_cohort_text(draw):
 @example(HEADER + "A" * 41 + ",,5,death\n", "shift", 40)
 @example(HEADER + "é" * 16 + ",,5,death\n", "shift", 40)
 def test_split_and_reader_parse_paths_agree_on_plain_text(text, policy, field_limit):
+    split_and_reader_parse_paths_agree(text, policy, field_limit)
+
+
+def split_and_reader_parse_paths_agree(text, policy, field_limit):
+    """Both parse paths give the same columns or error, on LF and on CRLF
+    text, and the split path takes exactly the plain texts; returns them."""
     tie_policy = TiePolicy.parse(policy)
     default = csv.field_size_limit()
     csv.field_size_limit(field_limit or default)
@@ -164,6 +172,20 @@ def test_split_and_reader_parse_paths_agree_on_plain_text(text, policy, field_li
         assert (_split_rows(text) is not None) == plain
     finally:
         csv.field_size_limit(default)
+    return either
+
+
+@settings(max_examples=150)
+@given(plain_cohort_text(), st.sampled_from(["reject", "shift"]), st.sampled_from([None, 40]),
+       st.integers(1, 40))
+@example(HEADER + "é,,5,death\nB😀,2,7,discharge\n", "shift", None, 3)
+@example(HEADER + "A,,5,death,1\nB,,7\n", "shift", None, 1)
+@example(HEADER + "A,,5,death\n\n", "reject", None, 2)
+@example(HEADER + "A" * 41 + ",,5,death\n", "shift", 40, 1)
+def test_plain_text_parses_the_same_in_chunks_of_any_size(text, policy, field_limit, chunk):
+    whole = split_and_reader_parse_paths_agree(text, policy, field_limit)
+    with mock.patch.object(pafmsm.cohort, "_PARSE_CHUNK", chunk):
+        assert split_and_reader_parse_paths_agree(text, policy, field_limit) == whole
 
 
 @settings(max_examples=60)

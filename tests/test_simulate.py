@@ -116,6 +116,35 @@ def test_hazard_spec_json_errors():
         HazardSpec.from_json("not json")
 
 
+SCALAR_SPEC = {"alpha01": 0.1, "alpha02": 0.1, "alpha03": 0.1, "alpha14": 0.1, "alpha15": 0.1,
+               "tau": 10}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"alpha01": True}, "alpha01 must be a number or a list of pieces, got True"),
+    ({"alpha14": "0.1"}, "alpha14 must be a number or a list of pieces, got '0.1'"),
+    ({"alpha02": [{"until": 5, "rate": False}]},
+     "hazard pieces must hold numbers, got until [5] and rate [False]"),
+    ({"alpha03": [{"until": True, "rate": 0.1}]},
+     "hazard pieces must hold numbers, got until [True] and rate [0.1]"),
+    ({"alpha03": [{"until": "5", "rate": 0.1}]},
+     "hazard pieces must hold numbers, got until ['5'] and rate [0.1]"),
+    ({"gamma": True}, "gamma must be a number, got True"),
+    ({"censor_rate": "0.01"}, "censor_rate must be a number, got '0.01'"),
+    ({"tau": "10"}, "tau must be a number, got '10'"),
+    ({"tau": False}, "tau must be a number, got False"),
+    ({"round_days": "false"}, "round_days must be true or false, got 'false'"),
+    ({"round_days": 0}, "round_days must be true or false, got 0"),
+    ({"round_days": None}, "round_days must be true or false, got None"),
+], ids=["rate-true", "rate-text", "piece-rate-false", "until-true", "until-text", "gamma-true",
+        "censor-rate-text", "tau-text", "tau-false", "round-days-text", "round-days-0",
+        "round-days-null"])
+def test_hazard_spec_json_values_are_not_read_by_truthiness(change, message):
+    with pytest.raises(DataError) as info:
+        HazardSpec.from_json(json.dumps(dict(SCALAR_SPEC, **change)))
+    assert str(info.value) == message
+
+
 def test_same_seed_same_cohort():
     a = simulate_cohort(CONST, 500, seed=9)
     b = simulate_cohort(CONST, 500, seed=9)
