@@ -1,9 +1,9 @@
-"""Proportional-hazards fits with time-dependent exposure.
+"""Proportional-hazards fits with time-dependent exposure and Breslow ties.
 
-The partial likelihood uses counting-process risk intervals (t_start,
-t_stop], so delayed entry (needed both for the time-varying exposure and
-for the Markov diagnostic's clock) falls out of the risk-set definition.
-Ties are handled with the Breslow approximation.
+The exposure-only fit reads the risk-set counts of the six-state exit
+table.  A fit with covariates and the Markov diagnostic use risk intervals
+(t_start, t_stop], so delayed entry falls out of the risk-set definition.
+Every fit runs the one damped Newton solver, ``newton.newton``.
 """
 
 from __future__ import annotations
@@ -15,11 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohort import EXIT_STATE, STATUS_DEATH, STATUS_DISCHARGE, Cohort, covariate_column
-from .errors import ConvergenceError, DataError, SeparationError
+from .continuous import _ROWS, _six_state
+from .errors import DataError, SeparationError
+from .newton import newton
 
 __all__ = ["CoxFit", "fit_cox_td", "markov_test"]
 
 _Z975 = 1.959963984540054
+_HALVINGS = 59  # the most times a Cox Newton step is halved: 60 trial steps
+_NO_EVENTS = "no events of the requested type"
 
 
 @dataclass(frozen=True)
@@ -104,11 +108,12 @@ def _risk_sums(start, stop, w, wx, event_times):
     return risk.sums(w[:, None])[:, 0], risk.sums(wx)
 
 
-def _cox_engine(start, stop, event, x, term_names):
-    """Damped Newton maximization of the Breslow log partial likelihood."""
-    n, p = x.shape
+def _interval_likelihood(start, stop, event, x):
+    """The Breslow log partial likelihood of the risk intervals (start,
+    stop] as a function of beta that returns it, its score and information."""
+    p = x.shape[1]
     if event.sum() == 0:
-        raise DataError("no events of the requested type")
+        raise DataError(_NO_EVENTS)
     event_times, inverse = np.unique(stop[event], return_inverse=True)
     d = np.bincount(inverse).astype(float)  # tied events per time
     x_event_sum = np.zeros((event_times.size, p))
@@ -137,53 +142,58 @@ def _cox_engine(start, stop, event, x, term_names):
         )
         return ll, score, info
 
-    beta = np.zeros(p)
-    ll, score, info = loglik_score_info(beta)
-    trace = []
-    for it in range(1, 101):
-        trace.append((it, float(np.max(np.abs(score))), ll))
-        if np.max(np.abs(score)) < 1e-8:
-            try:
-                cov = np.linalg.inv(info)
-            except np.linalg.LinAlgError:
-                raise SeparationError(
-                    "singular information matrix; a covariate is constant "
-                    "within every risk set"
-                ) from None
-            var = np.diag(cov)
-            if not (var > 0).all():  # a flat ridge, not a maximum
-                raise SeparationError("information matrix not positive definite at convergence")
-            return beta, np.sqrt(var), ll, it
-        try:
-            step = np.linalg.solve(info, score)
-        except np.linalg.LinAlgError:
-            raise SeparationError("singular information matrix in the Cox fit") from None
-        # relative slack: near the optimum a valid micro-step moves ll by
-        # less than its own rounding, so an absolute cutoff would stall
-        slack = 1e-12 * max(1.0, abs(ll))
-        scale = 1.0
-        for _ in range(60):
-            cand = beta + scale * step
-            cand_ll, cand_score, cand_info = loglik_score_info(cand)
-            if np.isfinite(cand_ll) and cand_ll >= ll - slack:
-                break
-            scale /= 2.0
-        beta, ll, score, info = cand, cand_ll, cand_score, cand_info
-        if np.max(np.abs(beta)) > 30:
-            worst = term_names[int(np.argmax(np.abs(beta)))]
-            raise SeparationError(f"Cox coefficients diverged (|beta| > 30), driven by {worst!r}")
-    raise ConvergenceError("Cox fit did not converge in 100 iterations", trace)
+    return loglik_score_info
+
+
+def _count_likelihood(cohort: Cohort, outcome: str):
+    """The exposure-only log partial likelihood beta D1 - sum_t d(t)
+    log(Y0(t-) + e^beta Y1(t-)) from the exit table, with d(t) the events
+    at t and D1 those after exposure; and the number of events."""
+    states = _OUTCOME_STATES[outcome]
+    n_events = int(np.isin(EXIT_STATE[cohort.exposed.astype(int), cohort.status], states).sum())
+    if n_events == 0:
+        raise DataError(_NO_EVENTS)
+    _, counts, y0, y1 = _six_state(cohort)
+    before, after = counts[_ROWS[0, states[0]]], counts[_ROWS[1, states[1]]]
+    at = before + after > 0
+    d, y0, y1, d1 = (before + after)[at], y0[at], y1[at], float(after.sum())
+
+    def evaluate(beta):
+        b = float(beta[0])
+        shift = max(0.0, b)  # the interval engine's shift: keeps exp() in range
+        w1 = math.exp(b - shift)
+        s0 = y0 * math.exp(-shift) + y1 * w1
+        if np.any(s0 <= 0.0):  # as in the interval engine: an underflowed risk set
+            return -np.inf, np.full(1, np.nan), np.full((1, 1), np.nan)
+        p = y1 * w1 / s0
+        ll = b * d1 - float(d @ (np.log(s0) + shift))
+        return ll, np.array([d1 - d @ p]), np.array([[d @ (p * (1.0 - p))]])
+
+    return evaluate, n_events
+
+
+def _fit(outcome, terms, evaluate, n_events) -> CoxFit:
+    """The fit that maximises ``evaluate``, with Wald standard errors."""
+    beta, ll, info, it = newton(
+        evaluate, terms, _HALVINGS,
+        singular="singular information matrix in the Cox fit",
+        diverged="Cox coefficients diverged (|beta| > 30), driven by {!r}",
+        unconverged="Cox fit did not converge in 100 iterations",
+    )
+    try:
+        cov = np.linalg.inv(info)
+    except np.linalg.LinAlgError:
+        raise SeparationError("singular information matrix; a covariate is constant "
+                              "within every risk set") from None
+    var = np.diag(cov)
+    if not (var > 0).all():  # a flat ridge, not a maximum
+        raise SeparationError("information matrix not positive definite at convergence")
+    return CoxFit(outcome, terms, beta, np.sqrt(var), ll, it, n_events)
 
 
 def _log_partial_likelihood(start, stop, event, x, beta):
     """Exposed for finite-difference checks of the analytic score."""
-    event_times, inverse = np.unique(stop[event], return_inverse=True)
-    d = np.bincount(inverse).astype(float)
-    eta = x @ beta
-    shift = eta.max()
-    w = np.exp(eta - shift)
-    s0, _ = _risk_sums(start, stop, w, w[:, None] * x, event_times)
-    return float((x[event] @ beta).sum() - (d * (np.log(s0) + shift)).sum())
+    return _interval_likelihood(start, stop, event, x)(beta)[0]
 
 
 _OUTCOME_STATES = {"death": (3, 5), "discharge": (2, 4)}
@@ -219,11 +229,12 @@ def fit_cox_td(cohort: Cohort, outcome: str, extra_covariates=()) -> CoxFit:
     """
     if outcome not in _OUTCOME_STATES:
         raise ValueError("outcome must be 'death' or 'discharge'")
+    terms = ("exposure",) + tuple(extra_covariates)
+    if not extra_covariates:
+        return _fit(outcome, terms, *_count_likelihood(cohort, outcome))
     start, stop, to_state, x = _interval_arrays(cohort, extra_covariates)
     event = np.isin(to_state, _OUTCOME_STATES[outcome])
-    terms = ("exposure",) + tuple(extra_covariates)
-    beta, se, ll, it = _cox_engine(start, stop, event, x, terms)
-    return CoxFit(outcome, terms, beta, se, ll, it, int(event.sum()))
+    return _fit(outcome, terms, _interval_likelihood(start, stop, event, x), int(event.sum()))
 
 
 def markov_test(cohort: Cohort, outcome: str = "death_after") -> CoxFit:
@@ -242,5 +253,4 @@ def markov_test(cohort: Cohort, outcome: str = "death_after") -> CoxFit:
     start, stop = inf[exposed], end[exposed]
     event = status[exposed] == targets[outcome]
     x = start[:, None].copy()  # time of exposure acquisition
-    beta, se, ll, it = _cox_engine(start, stop, event, x, ("inf_time",))
-    return CoxFit(outcome, ("inf_time",), beta, se, ll, it, int(event.sum()))
+    return _fit(outcome, ("inf_time",), _interval_likelihood(start, stop, event, x), int(event.sum()))

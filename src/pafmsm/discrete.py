@@ -17,7 +17,8 @@ import numpy as np
 
 from .cohort import STATUS_DEATH, DailyPanel, covariate_column
 from .curves import _CSV_CHUNK, StepCurve
-from .errors import ConvergenceError, DataError, PositivityError, SeparationError
+from .errors import DataError, PositivityError
+from .newton import newton
 
 __all__ = [
     "PersonDayRecords",
@@ -79,6 +80,8 @@ class ExposureModel:
 # Weights are built and summed in blocks of at most this many (subject x
 # day) cells, so that memory grows with n_subjects + n_days.
 _BLOCK_CELLS = 1 << 16
+
+_HALVINGS = 30  # the most times a pooled-logistic Newton step is halved
 
 
 @dataclass(frozen=True)
@@ -242,46 +245,20 @@ def fit_pooled_logistic(records: PersonDayRecords, covariate_names=None) -> Expo
     x = np.column_stack([np.ones(y.size), covs])
     names = ("intercept",) + tuple(covariate_names)
 
-    beta = np.zeros(x.shape[1])
-    loglik = _bernoulli_loglik(x, y, beta)
-    trace = []
-    for it in range(1, 101):
-        p = _logistic(x @ beta)
-        score = x.T @ (y - p)
-        trace.append((it, float(np.max(np.abs(score))), float(loglik)))
-        if np.max(np.abs(score)) < 1e-8:
-            return ExposureModel(beta, tuple(covariate_names), it, float(loglik))
-        w = p * (1.0 - p)
-        hess = (x * w[:, None]).T @ x
-        try:
-            step = np.linalg.solve(hess, score)
-        except np.linalg.LinAlgError:
-            raise SeparationError(
-                f"singular information matrix; check covariates {names}"
-            ) from None
-        # halve the step while the log-likelihood would decrease; relative
-        # slack as in the Cox fit: near the optimum a valid micro-step moves
-        # the log-likelihood by less than its own rounding
-        slack = 1e-12 * max(1.0, abs(loglik))
-        scale = 1.0
-        for _ in range(30):
-            cand = beta + scale * step
-            cand_ll = _bernoulli_loglik(x, y, cand)
-            if cand_ll >= loglik - slack:
-                break
-            scale /= 2.0
-        beta = beta + scale * step
-        loglik = _bernoulli_loglik(x, y, beta)
-        if np.max(np.abs(beta)) > 30:
-            worst = names[int(np.argmax(np.abs(beta)))]
-            raise SeparationError(f"coefficients diverged (|beta| > 30), driven by {worst!r}")
-    raise ConvergenceError("pooled logistic fit did not converge in 100 iterations", trace)
+    def evaluate(beta):
+        z = x @ beta
+        p = _logistic(z)
+        # log(p) and log(1-p) written stably via logaddexp
+        ll = float(np.sum(y * z - np.logaddexp(0.0, z)))
+        return ll, x.T @ (y - p), (x * (p * (1.0 - p))[:, None]).T @ x
 
-
-def _bernoulli_loglik(x, y, beta):
-    z = x @ beta
-    # log(p) and log(1-p) written stably via logaddexp
-    return float(np.sum(y * z - np.logaddexp(0.0, z)))
+    beta, loglik, _, it = newton(
+        evaluate, names, _HALVINGS,
+        singular=f"singular information matrix; check covariates {names}",
+        diverged="coefficients diverged (|beta| > 30), driven by {!r}",
+        unconverged="pooled logistic fit did not converge in 100 iterations",
+    )
+    return ExposureModel(beta, tuple(covariate_names), it, loglik)
 
 
 def _daily_hazard(panel: DailyPanel):

@@ -62,7 +62,7 @@ class PiecewiseHazard:
         """A JSON number (a constant rate) or a list of {"until", "rate"}
         pieces whose values are numbers or null."""
         if _is_number(obj):
-            return cls.constant(obj)
+            return cls.constant(_float("rate", obj))
         try:
             until = [p["until"] for p in obj]
             rates = [p["rate"] for p in obj]
@@ -74,7 +74,8 @@ class PiecewiseHazard:
             raise DataError(
                 f"hazard pieces must hold numbers, got until {until!r} and rate {rates!r}"
             )
-        return cls(np.array(until, dtype=float), np.array(rates, dtype=float))
+        return cls(np.array([v if v is None else _float("until", v) for v in until], dtype=float),
+                   np.array([v if v is None else _float("rate", v) for v in rates], dtype=float))
 
     def to_json(self):
         return [
@@ -109,6 +110,14 @@ class PiecewiseHazard:
 def _is_number(value) -> bool:
     """Whether a JSON value is a number: an int or a float, not a boolean."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _float(key, value) -> float:
+    """A JSON number as a float, naming ``key`` if it is past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise DataError(f"{key} must be a finite number, got an integer past the float range") from None
 
 
 def _sum_knots(*hazards: PiecewiseHazard) -> np.ndarray:
@@ -151,7 +160,7 @@ class HazardSpec:
     def from_json(cls, text: str) -> "HazardSpec":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer too long to convert to int
             raise DataError(f"hazard spec is not valid JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise DataError(f"hazard spec must be a JSON object, got {text.strip()[:40]!r}")
@@ -162,13 +171,14 @@ class HazardSpec:
         for name in names:
             if isinstance(obj[name], (bool, str)):
                 raise DataError(f"{name} must be a number or a list of pieces, got {obj[name]!r}")
-        hazards = {n: PiecewiseHazard.from_json(obj[n]) for n in names}
+        hazards = {n: PiecewiseHazard.from_json(_float(n, obj[n]) if _is_number(obj[n]) else obj[n])
+                   for n in names}
         numbers = {}
         for name, default in (("gamma", 0.0), ("censor_rate", 0.0), ("tau", 100.0)):
             value = obj.get(name, default)
             if not _is_number(value):
                 raise DataError(f"{name} must be a number, got {value!r}")
-            numbers[name] = float(value)
+            numbers[name] = _float(name, value)
         round_days = obj.get("round_days", False)
         if not isinstance(round_days, bool):
             raise DataError(f"round_days must be true or false, got {round_days!r}")

@@ -190,6 +190,7 @@ def test_acceptance_7_cox_numerics():
     )
 
 
+@pytest.mark.slow
 def test_acceptance_8_bootstrap_coverage():
     from pafmsm import bootstrap_ci
 

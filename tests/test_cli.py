@@ -423,7 +423,9 @@ def test_input_path_with_a_comma(cohort_file, tmp_path, capsys):
     (json.dumps(dict(SPEC, alpha01=True, round_days="false")),
      "alpha01 must be a number or a list of pieces, got True"),
     (json.dumps(dict(SPEC, round_days="false")), "round_days must be true or false, got 'false'"),
-], ids=["number", "null", "tau-list", "gamma-text", "until-text", "rate-true", "round-days-text"])
+    (json.dumps(dict(SPEC, tau=10 ** 400)), "tau must be a finite number, got an integer past the float range"),
+], ids=["number", "null", "tau-list", "gamma-text", "until-text", "rate-true", "round-days-text",
+        "tau-huge-integer"])
 @pytest.mark.parametrize("command", [["oracle"], ["simulate", "--n", "3", "--seed", "1"]])
 def test_malformed_spec_is_data_error(tmp_path, capsys, text, message, command):
     path = tmp_path / "spec.json"
@@ -533,6 +535,7 @@ _FUZZ_COMMANDS = [
 _HEADER_X = "id,inf_time,end_time,end_status,x\n"
 
 
+@pytest.mark.slow
 @settings(max_examples=60)
 @given(fuzzed_cohort_file())
 # tie-heavy edge cases: everyone exposed, nobody exposed, everyone dead on day 1
@@ -582,7 +585,7 @@ def test_a_denormal_rate_never_fires(tmp_path, capsys):
 # denormal to near the float maximum, extreme gamma, tau and censoring
 # rates, and now and then a fault
 _SPEC_RATES = [0, 0.05, 0.05, 0.5, 3, 5e-324, 1e-300, 1e3, 1e150, 1e308]
-_SPEC_FAULTS = [-0.1, float("nan"), float("inf"), "0.1", None, [], [{"until": 5}]]
+_SPEC_FAULTS = [-0.1, float("nan"), float("inf"), "0.1", None, [], [{"until": 5}], 10 ** 400, -10 ** 400]
 
 
 @st.composite
@@ -610,12 +613,13 @@ def fuzzed_spec(draw):
         if fault == "missing":
             del spec[name]
         elif fault == "until" and isinstance(spec[name], list):
-            spec[name][0]["until"] = draw(st.sampled_from([0, -1, 1e301, "5"]))
+            spec[name][0]["until"] = draw(st.sampled_from([0, -1, 1e301, "5", 10 ** 400]))
         else:
             spec[name] = fault
     return json.dumps(spec)
 
 
+@pytest.mark.slow
 @settings(max_examples=100)
 @given(fuzzed_spec(), st.sampled_from(["1", "5", "0.5"]), st.sampled_from(["1", "7", "30"]))
 def test_every_fuzzed_spec_ends_in_a_classified_exit(tmp_path_factory, text, step, n):

@@ -10,6 +10,7 @@ from pafmsm import (
     HazardSpec,
     SeparationError,
     Subject,
+    cohort_to_csv,
     fit_cox_td,
     markov_test,
     parse_cohort,
@@ -17,7 +18,9 @@ from pafmsm import (
     to_transitions,
 )
 from pafmsm import cox
-from pafmsm.cox import _interval_arrays, _log_partial_likelihood, _risk_sums
+from pafmsm.cohort import STATUS_DEATH, STATUS_DISCHARGE
+from pafmsm.cox import _interval_arrays, _interval_likelihood, _log_partial_likelihood, _risk_sums
+from pafmsm.simulate import icu_like_spec
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -144,17 +147,80 @@ def test_time_scaling_leaves_beta_unchanged():
     assert abs(b1 - b2) < 1e-10
 
 
-def test_no_events_raises():
+@pytest.fixture
+def count_route(monkeypatch):
+    """Fails any fit that builds risk intervals: the exposure-only fit reads counts."""
+    def refuse(*args):
+        raise AssertionError("the exposure-only fit built risk intervals")
+
+    monkeypatch.setattr(cox, "_interval_arrays", refuse)
+
+
+def interval_route_fit(cohort, outcome):
+    """The exposure-only fit by the interval engine that fits with covariates
+    use; it calls this module's ``_interval_arrays``, which ``count_route``
+    leaves alone."""
+    start, stop, to_state, x = _interval_arrays(cohort, ())
+    event = np.isin(to_state, cox._OUTCOME_STATES[outcome])
+    return cox._fit(outcome, ("exposure",), _interval_likelihood(start, stop, event, x), int(event.sum()))
+
+
+def tie_shifted_cohort():
+    """A whole-day cohort where every third exposed subject is exposed at its end time."""
+    lines = cohort_to_csv(simulate_cohort(icu_like_spec(round_days=True), 2_000, seed=4)).splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    for row in rows[::3]:
+        if row[1]:
+            row[1] = row[2]
+    cohort = parse_cohort("\n".join([lines[0]] + [",".join(row) for row in rows]) + "\n")
+    assert cohort.diagnostics  # the parser shifted the ties
+    return cohort
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda seed=seed: simulate_cohort(icu_like_spec(), 20_000, seed) for seed in range(1, 6)),
+    *(lambda seed=seed: simulate_cohort(icu_like_spec(round_days=True), 20_000, seed)
+      for seed in range(1, 4)),
+    tie_shifted_cohort,
+], ids=[*(f"icu-{s}" for s in range(1, 6)), *(f"icu-days-{s}" for s in range(1, 4)), "tie-shifted"])
+def test_the_count_fit_equals_the_interval_engine(make, count_route):
+    cohort = make()
+    for outcome in ("death", "discharge"):
+        want = interval_route_fit(cohort, outcome)
+        got = fit_cox_td(cohort, outcome)
+        assert got.summary_csv() == want.summary_csv()
+        assert (got.iterations, got.n_events) == (want.iterations, want.n_events)
+        for a, b in ((got.coefficients, want.coefficients),
+                     (got.standard_errors, want.standard_errors),
+                     (got.log_likelihood, want.log_likelihood)):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+
+
+def test_no_events_raises(count_route):
     cohort = Cohort((Subject("A", None, 3.0, "discharge"),), horizon=3)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="no events of the requested type"):
         fit_cox_td(to_transitions(cohort), "death")
+    with pytest.raises(DataError, match="no events of the requested type"):
+        fit_cox_td(parse_cohort("id,inf_time,end_time,end_status\n"), "death")
 
 
-def test_constant_covariate_raises_separation():
+def test_constant_covariate_raises_separation(count_route):
     # no exposed subjects: the exposure column carries no information
     subjects = tuple(Subject(str(i), None, float(i + 1), "death" if i % 2 else "discharge") for i in range(10))
-    with pytest.raises(SeparationError):
+    with pytest.raises(SeparationError, match="singular information matrix"):
         fit_cox_td(to_transitions(Cohort(subjects)), "death")
+
+
+def test_all_events_after_exposure_raise_separation(count_route):
+    # every death follows an exposure, and the unexposed outnumber the
+    # exposed enough that the score stays above tolerance until |beta| > 30
+    n = 1_000
+    inf = np.r_[np.ones(8), np.full(n, np.nan)]
+    end = np.r_[np.arange(2.0, 10.0), np.full(n, 100.0)]
+    status = np.r_[np.full(8, STATUS_DEATH), np.full(n, STATUS_DISCHARGE)]
+    cohort = Cohort.from_columns([str(i) for i in range(n + 8)], inf, end, status)
+    with pytest.raises(SeparationError, match="Cox coefficients diverged .* driven by 'exposure'"):
+        fit_cox_td(cohort, "death")
 
 
 def test_divergent_coefficient_raises_separation():
@@ -176,7 +242,7 @@ def test_a_flat_ridge_at_convergence_raises_separation():
         markov_test(to_transitions(cohort), "death_after")
 
 
-def test_an_upper_bound_past_the_float_range_prints_as_inf():
+def test_an_upper_bound_past_the_float_range_prints_as_inf(count_route):
     cohort = parse_cohort("id,inf_time,end_time,end_status\nA,,1,death\nB,,1,death\n"
                           "C,,1,death\nD,,1,death\nE,1,1,discharge\n")
     fit = fit_cox_td(to_transitions(cohort), "death")

@@ -46,3 +46,28 @@ def assert_gone(owner, name):
 def test_the_cohort_is_the_one_continuous_time_representation(owner, name):
     assert_gone(owner, name)
     assert len(pafmsm.__all__) == 62
+
+
+_TWO = pafmsm.Cohort.from_columns(["A", "B"], [float("nan"), 1.0], [1.0, 2.0], [1, 1])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pafmsm.TiePolicy("bogus"),
+    lambda: pafmsm.TiePolicy("shift", eps=0.0),
+    lambda: pafmsm.TiePolicy.parse("bogus"),
+    lambda: pafmsm.TiePolicy.parse("shift:x"),
+    lambda: pafmsm.nelson_aalen(_TWO, 1, 2),
+    lambda: pafmsm.fit_cox_td(_TWO, "relapse"),
+    lambda: pafmsm.markov_test(_TWO, "death"),
+    lambda: pafmsm.StepCurve([0.0, 1.0], [0.0]),
+    lambda: pafmsm.StepCurve([1.0, 0.0], [0.0, 0.0]),
+    lambda: pafmsm.estimate_paf(_TWO, "paf_x"),
+    lambda: pafmsm.estimate_paf(_TWO, "paf_o", "ipw"),
+    lambda: pafmsm.bootstrap_ci(_TWO, "paf_c", "naive"),
+], ids=["tie-kind", "tie-eps", "tie-parse", "tie-parse-eps", "nelson-aalen", "cox-outcome",
+        "markov-outcome", "curve-shape", "curve-order", "estimand", "estimator", "bootstrap-pair"])
+def test_a_bad_argument_to_a_library_function_is_a_value_error(call):
+    # a ValueError is the caller's argument; a DataError is the input data
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert not isinstance(caught.value, pafmsm.PafmsmError)

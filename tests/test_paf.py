@@ -93,6 +93,13 @@ def test_paf_fixed_equals_paf_o_at_the_end():
     assert fixed == pytest.approx(estimate_paf(cohort, "paf_o")(tau), abs=1e-12)
 
 
+def test_fourfold_at_counts_an_exposure_and_a_death_at_t_itself():
+    cohort = Cohort((Subject("A", 2.0, 5.0, "death"), Subject("B", None, 2.0, "death"),
+                     Subject("C", 3.0, 4.0, "discharge")), horizon=5)
+    assert fourfold_at(cohort, 2.0) == FourfoldTable(exposed_cases=0, exposed_noncases=1,
+                                                     unexposed_cases=1, unexposed_noncases=1)
+
+
 def test_paf_fixed_degenerate_tables():
     assert np.isnan(paf_fixed(FourfoldTable(0, 10, 0, 10)))
     assert paf_fixed(FourfoldTable(0, 0, 5, 5)) == 0.0
@@ -131,6 +138,18 @@ def test_bootstrap_band_ordering_and_coverage_of_point():
     bands = bootstrap_ci(cohort, "paf_o", B=100, seed=5, grid=np.array([10.0, 20.0]))
     lo, hi = bands.lower.values, bands.upper.values
     assert np.all(lo <= hi)
+
+
+def test_bootstrap_default_grid_is_every_day_up_to_the_rounded_up_horizon():
+    cohort = integer_cohort(8, n=60)
+    cohort = Cohort.from_columns(cohort.ids, cohort.inf, cohort.end, cohort.status,
+                                 horizon=cohort.horizon + 0.5)
+    days = np.arange(1.0, cohort.horizon + 1.0)  # 1 .. ceil(horizon)
+    assert days[-1] == np.ceil(cohort.horizon)
+    default = bootstrap_ci(cohort, "paf_o", B=20, seed=1)
+    explicit = bootstrap_ci(cohort, "paf_o", B=20, seed=1, grid=days)
+    np.testing.assert_array_equal(default.lower.times, days)
+    assert default.to_csv() == explicit.to_csv()
 
 
 def test_bootstrap_undefined_majority_blanks_the_band():
@@ -218,7 +237,7 @@ def test_multistate_bootstrap_memory_stays_within_its_blocks():
     assert peak < 8e6
 
 
-@pytest.mark.parametrize("failing", [9, 11])
+@pytest.mark.parametrize("failing", [9, 10, 11])
 def test_bootstrap_counts_failed_replicates(monkeypatch, failing):
     calls = []
     ipw_f01 = paf_module.ipw_f01
@@ -235,7 +254,7 @@ def test_bootstrap_counts_failed_replicates(monkeypatch, failing):
     assert bands.failed == failing
     if failing > 10:  # fewer than half the replicates are defined anywhere
         assert np.isnan(bands.lower.values).all() and np.isnan(bands.upper.values).all()
-    else:
+    else:  # exactly half of them at failing = 10
         assert np.isfinite(bands.lower.values).all() and np.isfinite(bands.upper.values).all()
 
 
@@ -279,8 +298,9 @@ def test_draw_counts_equal_one_bincount_over_every_stream(k, n):
 
 
 def test_bootstrap_rejects_tiny_b():
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="B must be >= 2"):
         bootstrap_ci(TWO, "paf_o", B=1, seed=0)
+    assert bootstrap_ci(TWO, "paf_o", B=2, seed=0).B == 2  # the smallest B that runs
 
 
 def test_stratified_single_level_matches_pooled():

@@ -4,6 +4,7 @@ import csv
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pafmsm import (
@@ -30,6 +31,8 @@ from pafmsm.discrete import _daily_hazard
 from test_cohort import HEADER, parse_both_ways, reference_text_column
 from test_continuous import assert_continuous_side_matches_reference
 from test_discrete import assert_matches_reference, assert_same, reference_indicators
+
+pytestmark = pytest.mark.slow
 
 
 @st.composite

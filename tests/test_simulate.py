@@ -145,6 +145,40 @@ def test_hazard_spec_json_values_are_not_read_by_truthiness(change, message):
     assert str(info.value) == message
 
 
+BIG = 10 ** 400  # a JSON integer past the float range
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"alpha01": BIG}, "alpha01 must be a finite number, got an integer past the float range"),
+    ({"alpha15": -BIG}, "alpha15 must be a finite number, got an integer past the float range"),
+    ({"alpha02": [{"until": 5, "rate": 0.1}, {"until": None, "rate": BIG}]},
+     "rate must be a finite number, got an integer past the float range"),
+    ({"alpha03": [{"until": BIG, "rate": 0.1}]},
+     "until must be a finite number, got an integer past the float range"),
+    ({"tau": BIG}, "tau must be a finite number, got an integer past the float range"),
+    ({"censor_rate": BIG}, "censor_rate must be a finite number, got an integer past the float range"),
+    ({"gamma": -BIG}, "gamma must be a finite number, got an integer past the float range"),
+], ids=["rate", "negative-rate", "piece-rate", "piece-until", "tau", "censor-rate", "gamma"])
+def test_an_integer_past_the_float_range_is_a_data_error_naming_its_key(change, message):
+    with pytest.raises(DataError) as info:
+        HazardSpec.from_json(json.dumps(dict(SCALAR_SPEC, **change)))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("obj, key", [(BIG, "rate"), ([{"until": None, "rate": BIG}], "rate"),
+                                      ([{"until": -BIG, "rate": 0.1}], "until")],
+                         ids=["scalar", "piece-rate", "piece-until"])
+def test_a_hazard_past_the_float_range_is_a_data_error_naming_its_key(obj, key):
+    with pytest.raises(DataError, match=f"^{key} must be a finite number, got an integer past"):
+        PiecewiseHazard.from_json(obj)
+
+
+def test_an_integer_too_long_to_read_is_a_data_error():
+    # Python refuses to convert integers of more than 4 300 digits
+    with pytest.raises(DataError, match="hazard spec is not valid JSON: Exceeds the limit"):
+        HazardSpec.from_json('{"tau": 1' + "0" * 5000 + "}")
+
+
 def test_same_seed_same_cohort():
     a = simulate_cohort(CONST, 500, seed=9)
     b = simulate_cohort(CONST, 500, seed=9)
