@@ -22,7 +22,7 @@ import numpy as np
 
 from .cohort import STATUS_DEATH, STATUS_DISCHARGE, Cohort
 from .curves import StepCurve
-from .errors import DataError, PositivityError
+from .errors import DataError
 
 __all__ = [
     "HazardIncrements",
@@ -241,11 +241,6 @@ def ht_cif(cohort: Cohort) -> StepCurve:
     s01, on = _exposure_survival(times, counts, y0)
     s01_minus = np.concatenate(([1.0], s01.values[:-1]))
     dn_death = counts[_ROWS[0, 3], on]
-    if np.any((dn_death > 0) & (s01_minus <= 0.0)):
-        raise PositivityError(
-            "exposure survival reached 0 before a contributing death; "
-            "inverse-probability weight is unbounded"
-        )
     # y0[0] is n: everybody starts in state 0
     return StepCurve(s01.times, np.cumsum(_divide(dn_death, s01_minus)) / y0[0], initial=0.0)
 

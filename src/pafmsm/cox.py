@@ -22,7 +22,6 @@ from .newton import newton
 __all__ = ["CoxFit", "fit_cox_td", "markov_test"]
 
 _Z975 = 1.959963984540054
-_HALVINGS = 59  # the most times a Cox Newton step is halved: 60 trial steps
 _NO_EVENTS = "no events of the requested type"
 
 
@@ -102,12 +101,6 @@ def _tail_sums(values, order, tail):
     return acc[tail]
 
 
-def _risk_sums(start, stop, w, wx, event_times):
-    """Sums of w and w*x over the risk sets {start < t <= stop}."""
-    risk = _RiskSets(start, stop, event_times)
-    return risk.sums(w[:, None])[:, 0], risk.sums(wx)
-
-
 def _interval_likelihood(start, stop, event, x):
     """The Breslow log partial likelihood of the risk intervals (start,
     stop] as a function of beta that returns it, its score and information."""
@@ -175,7 +168,7 @@ def _count_likelihood(cohort: Cohort, outcome: str):
 def _fit(outcome, terms, evaluate, n_events) -> CoxFit:
     """The fit that maximises ``evaluate``, with Wald standard errors."""
     beta, ll, info, it = newton(
-        evaluate, terms, _HALVINGS,
+        evaluate, terms,
         singular="singular information matrix in the Cox fit",
         diverged="Cox coefficients diverged (|beta| > 30), driven by {!r}",
         unconverged="Cox fit did not converge in 100 iterations",
@@ -189,11 +182,6 @@ def _fit(outcome, terms, evaluate, n_events) -> CoxFit:
     if not (var > 0).all():  # a flat ridge, not a maximum
         raise SeparationError("information matrix not positive definite at convergence")
     return CoxFit(outcome, terms, beta, np.sqrt(var), ll, it, n_events)
-
-
-def _log_partial_likelihood(start, stop, event, x, beta):
-    """Exposed for finite-difference checks of the analytic score."""
-    return _interval_likelihood(start, stop, event, x)(beta)[0]
 
 
 _OUTCOME_STATES = {"death": (3, 5), "discharge": (2, 4)}

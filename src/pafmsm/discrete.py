@@ -81,8 +81,6 @@ class ExposureModel:
 # day) cells, so that memory grows with n_subjects + n_days.
 _BLOCK_CELLS = 1 << 16
 
-_HALVINGS = 30  # the most times a pooled-logistic Newton step is halved
-
 
 @dataclass(frozen=True)
 class WeightTable:
@@ -253,7 +251,7 @@ def fit_pooled_logistic(records: PersonDayRecords, covariate_names=None) -> Expo
         return ll, x.T @ (y - p), (x * (p * (1.0 - p))[:, None]).T @ x
 
     beta, loglik, _, it = newton(
-        evaluate, names, _HALVINGS,
+        evaluate, names,
         singular=f"singular information matrix; check covariates {names}",
         diverged="coefficients diverged (|beta| > 30), driven by {!r}",
         unconverged="pooled logistic fit did not converge in 100 iterations",

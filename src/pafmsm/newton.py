@@ -5,12 +5,12 @@ import numpy as np
 from .errors import ConvergenceError, SeparationError
 
 
-def newton(evaluate, names, halvings, *, singular, diverged, unconverged):
+def newton(evaluate, names, *, singular, diverged, unconverged):
     """(beta, log-likelihood, information, iterations) at max|score| < 1e-8,
     from beta = 0; ``evaluate(beta)`` gives (log-likelihood, score, information).
-    A step that would lower the log-likelihood is halved at most ``halvings``
-    times, and the last candidate is taken as it is.  ``diverged`` is
-    formatted with the name of a coefficient past |beta| > 30."""
+    A step that would lower the log-likelihood is halved at most 59 times,
+    and the last candidate is taken as it is.  ``diverged`` is formatted
+    with the name of a coefficient past |beta| > 30."""
     beta = np.zeros(len(names))
     ll, score, info = evaluate(beta)
     trace = []
@@ -25,7 +25,7 @@ def newton(evaluate, names, halvings, *, singular, diverged, unconverged):
         # relative slack: near the optimum a valid micro-step moves ll by
         # less than its own rounding, so an absolute cutoff would stall
         slack = 1e-12 * max(1.0, abs(ll))
-        for k in range(halvings + 1):
+        for k in range(60):
             cand = beta + 0.5**k * step
             cand_ll, cand_score, cand_info = evaluate(cand)
             if np.isfinite(cand_ll) and cand_ll >= ll - slack:

@@ -249,6 +249,41 @@ def _invert_linear(knots, cum_at_knots, slopes, targets):
     return t
 
 
+def _competing_exit(name, hazards, factor, censor_rate, entry, u, check_exits=True):
+    """Exit times and causes out of a state entered at ``entry`` and left
+    by competing risks (Beyersmann et al. 2009, Stat Med 28:956).
+
+    The exit time is drawn from the total hazard factor * sum(hazards) +
+    censor_rate, the cause in proportion to the hazards at that time: the
+    index of a hazard, or len(hazards) for censoring.  ``u`` holds two
+    uniforms per subject.  DataError, naming the total hazard ``name`` and
+    its largest rate, if its cumulative hazard at a knot is past the float
+    range or a drawn exit time rounds onto its entry time.
+    """
+    knots = _sum_knots(*hazards)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rate = sum(h.rate_at(knots) for h in hazards)
+        at_knots = np.concatenate([[0.0], np.cumsum(rate[:-1] * np.diff(knots))])
+        k = np.searchsorted(knots, entry, side="right") - 1
+        at_entry = at_knots[k] + rate[k] * (entry - knots[k])
+        # per subject: cum(t) = factor * (A(t) - A(entry)) + censor_rate * (t - entry)
+        cum = factor[:, None] * (at_knots - at_entry[:, None]) + censor_rate * (knots - entry[:, None])
+        slope = factor[:, None] * rate + censor_rate
+    if not (np.isfinite(slope).all() and np.isfinite(cum).all()):
+        raise DataError(f"{name} reaches {np.max(slope):g} per day: "
+                        "its cumulative hazard is past the float range")
+    t = _invert_linear(knots, cum, slope, -np.log(u[:, 0]))
+    early = ~(t > entry)
+    if check_exits and early.any():
+        raise DataError(f"{name} reaches {np.max(slope):g} per day: an exit after time "
+                        f"{entry[np.argmax(early)]:g} rounds onto that time")
+    # running sums of the cause-specific hazards at t; pick falls in one
+    bounds = np.cumsum([factor * h.rate_at(t) for h in hazards], axis=0)
+    tot = bounds[-1] + censor_rate
+    pick = u[:, 1] * np.where(tot > 0, tot, 1.0)
+    return t, (bounds <= pick).sum(axis=0)
+
+
 def simulate_cohort(spec: HazardSpec, n: int, seed: int) -> Cohort:
     """Draw n independent subject histories; deterministic per (seed, row).
 
@@ -264,84 +299,34 @@ def simulate_cohort(spec: HazardSpec, n: int, seed: int) -> Cohort:
 
     rng = np.random.default_rng(seed)
     u = rng.random((n, 4))
-    c = spec.censor_rate
 
-    # state 0: competing 01 / 02 / 03 / censor
-    knots0 = _sum_knots(spec.alpha01, spec.alpha02, spec.alpha03)
-    with np.errstate(over="ignore"):
-        slope0 = (
-            spec.alpha01.rate_at(knots0)
-            + spec.alpha02.rate_at(knots0)
-            + spec.alpha03.rate_at(knots0)
-            + c
-        )
-        cum0 = np.concatenate([[0.0], np.cumsum(slope0[:-1] * np.diff(knots0))])
-    _check_mass("alpha01 + alpha02 + alpha03 + censor_rate", slope0, cum0)
-    e0 = -np.log(u[:, 0])
-    t0 = _invert_linear(knots0, cum0, slope0, e0)
-    _check_exits("alpha01 + alpha02 + alpha03 + censor_rate", slope0, np.zeros(n), t0)
-
-    # cause split at the event time
-    r01 = spec.alpha01.rate_at(t0)
-    r02 = spec.alpha02.rate_at(t0)
-    r03 = spec.alpha03.rate_at(t0)
-    tot = r01 + r02 + r03 + c
-    with np.errstate(invalid="ignore", divide="ignore"):
-        pick = u[:, 1] * np.where(tot > 0, tot, 1.0)
-    cause0 = np.full(n, 9)  # 9 = censored by the exponential clock
-    cause0[pick < r01 + r02 + r03] = 3
-    cause0[pick < r01 + r02] = 2
-    cause0[pick < r01] = 1
+    # state 0: exposure, discharge, death, or censoring as a fourth hazard
+    t0, cause0 = _competing_exit(
+        "alpha01 + alpha02 + alpha03 + censor_rate",
+        (spec.alpha01, spec.alpha02, spec.alpha03, PiecewiseHazard.constant(spec.censor_rate)),
+        np.ones(n), 0.0, np.zeros(n), u[:, :2])
     admin0 = ~(t0 < spec.tau)
-    exposed = (cause0 == 1) & ~admin0
-
+    exposed = (cause0 == 0) & ~admin0
     inf_time = np.where(exposed, t0, np.nan)
     end_time = np.where(admin0, spec.tau, t0)
-    # status codes: 1 death, 2 discharge, 0 censored
-    status = np.zeros(n, dtype=int)
-    status[(cause0 == 3) & ~admin0] = 1
-    status[(cause0 == 2) & ~admin0] = 2
+    # status codes by cause: 1 death, 2 discharge, 0 censored
+    status = np.where(admin0, 0, np.array([0, 2, 1, 0, 0])[cause0])
 
-    if np.any(exposed):
-        idx = np.nonzero(exposed)[0]
-        tinf = t0[idx]
-        with np.errstate(over="ignore"):
-            factor = np.exp(spec.gamma * tinf) if spec.gamma != 0 else np.ones(idx.size)
-        if not np.isfinite(factor).all():
-            raise DataError(f"gamma = {spec.gamma:g}: the post-exposure hazard factor "
-                            f"exp(gamma * inf_time) is past the float range at inf_time "
-                            f"{tinf[np.argmax(~np.isfinite(factor))]:g}")
-        knots1 = _sum_knots(spec.alpha14, spec.alpha15)
-        with np.errstate(over="ignore"):
-            base_rate = spec.alpha14.rate_at(knots1) + spec.alpha15.rate_at(knots1)
-            base_cum = np.concatenate([[0.0], np.cumsum(base_rate[:-1] * np.diff(knots1))])
-        _check_mass("alpha14 + alpha15", base_rate, base_cum)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # per subject: cum(t) = factor * (A1(t) - A1(tinf)) + c * (t - tinf)
-            a1_tinf = _cum_from_table(knots1, base_cum, base_rate, tinf)
-            cum1 = factor[:, None] * (base_cum[None, :] - a1_tinf[:, None]) + c * (
-                knots1[None, :] - tinf[:, None]
-            )
-            slope1 = factor[:, None] * base_rate[None, :] + c
-        _check_mass("exp(gamma * inf_time) * (alpha14 + alpha15) + censor_rate", slope1, cum1)
-        e1 = -np.log(u[idx, 2])
-        t1 = _invert_linear(knots1, cum1, slope1, e1)
-        if not spec.round_days:  # whole days keep them apart (the bump below)
-            _check_exits("exp(gamma * inf_time) * (alpha14 + alpha15) + censor_rate", slope1, tinf, t1)
-        r14 = factor * spec.alpha14.rate_at(t1)
-        r15 = factor * spec.alpha15.rate_at(t1)
-        tot1 = r14 + r15 + c
-        with np.errstate(invalid="ignore", divide="ignore"):
-            pick1 = u[idx, 3] * np.where(tot1 > 0, tot1, 1.0)
-        cause1 = np.full(idx.size, 9)
-        cause1[pick1 < r14 + r15] = 5
-        cause1[pick1 < r14] = 4
-        admin1 = ~(t1 <= spec.tau)
-        end_time[idx] = np.where(admin1, spec.tau, t1)
-        st1 = np.zeros(idx.size, dtype=int)
-        st1[(cause1 == 5) & ~admin1] = 1
-        st1[(cause1 == 4) & ~admin1] = 2
-        status[idx] = st1
+    # state 1: discharge, death or censoring, the hazards times exp(gamma * inf_time)
+    tinf = t0[exposed]
+    with np.errstate(over="ignore"):
+        factor = np.exp(spec.gamma * tinf)
+    if not np.isfinite(factor).all():
+        raise DataError(f"gamma = {spec.gamma:g}: the post-exposure hazard factor "
+                        f"exp(gamma * inf_time) is past the float range at inf_time "
+                        f"{tinf[np.argmax(~np.isfinite(factor))]:g}")
+    t1, cause1 = _competing_exit(
+        "exp(gamma * inf_time) * (alpha14 + alpha15) + censor_rate",
+        (spec.alpha14, spec.alpha15), factor, spec.censor_rate, tinf, u[exposed, 2:],
+        check_exits=not spec.round_days)  # whole days keep them apart (the bump below)
+    admin1 = ~(t1 <= spec.tau)
+    end_time[exposed] = np.where(admin1, spec.tau, t1)
+    status[exposed] = np.where(admin1, 0, np.array([2, 1, 0])[cause1])
 
     if spec.round_days:
         with np.errstate(invalid="ignore"):
@@ -355,35 +340,11 @@ def simulate_cohort(spec: HazardSpec, n: int, seed: int) -> Cohort:
 
     return Cohort.from_columns(
         [str(i) for i in range(n)],
-        np.where(exposed, inf_time, np.nan),
+        inf_time,
         end_time,
         status,
         horizon=max(horizon, float(end_time.max())),
     )
-
-
-def _check_mass(hazards, slopes, cum):
-    """DataError, naming the largest rate, if the total hazard ``hazards``
-    (its rates ``slopes`` on the knots) or its cumulative hazard ``cum`` at
-    the knots is past the float range."""
-    if not (np.isfinite(slopes).all() and np.isfinite(cum).all()):
-        raise DataError(f"{hazards} reaches {np.max(slopes):g} per day: "
-                        "its cumulative hazard is past the float range")
-
-
-def _check_exits(hazards, slopes, entry, exit_time):
-    """DataError, naming the largest rate, if an exit time drawn from the
-    total hazard ``hazards`` is so close to its entry time that it rounds
-    onto it."""
-    early = ~(exit_time > entry)
-    if early.any():
-        raise DataError(f"{hazards} reaches {np.max(slopes):g} per day: an exit after time "
-                        f"{entry[np.argmax(early)]:g} rounds onto that time")
-
-
-def _cum_from_table(knots, cum_at_knots, rates, t):
-    idx = np.minimum(np.searchsorted(knots, t, side="right") - 1, rates.size - 1)
-    return cum_at_knots[idx] + rates[idx] * (t - knots[idx])
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from pafmsm import Cohort, HazardSpec, parse_cohort, simulate_cohort
+from pafmsm import Cohort, HazardSpec, PiecewiseHazard, parse_cohort, simulate_cohort
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,18 +37,13 @@ def sir3_cohort():
     return parse_cohort(path)
 
 
-def integer_cohort(seed, n=200, censored=False):
-    """A mixed-shape integer-day cohort for equivalence testing.
-
-    The exposure hazard stops early so that the state-0 risk set is never
-    exhausted by exposures, which keeps the inverse-probability weights
-    bounded.
-    """
+def integer_spec(seed):
+    """A random whole-day spec whose exposure hazard stops early, so that
+    the state-0 risk set is never exhausted by exposures, which keeps the
+    inverse-probability weights bounded."""
     rng = np.random.default_rng(seed)
-    from pafmsm.simulate import PiecewiseHazard
-
     a01 = PiecewiseHazard(np.array([6.0, 10.0]), np.array([rng.uniform(0.05, 0.2), 0.0]))
-    spec = HazardSpec(
+    return HazardSpec(
         alpha01=a01,
         alpha02=PiecewiseHazard(np.array([5.0, 30.0]), rng.uniform(0.03, 0.15, 2)),
         alpha03=PiecewiseHazard(np.array([8.0, 30.0]), rng.uniform(0.02, 0.1, 2)),
@@ -57,6 +52,12 @@ def integer_cohort(seed, n=200, censored=False):
         tau=60.0,
         round_days=True,
     )
+
+
+def integer_cohort(seed, n=200, censored=False):
+    """A mixed-shape integer-day cohort for equivalence testing, drawn
+    from ``integer_spec(seed)``."""
+    spec = integer_spec(seed)
     cohort = simulate_cohort(spec, n, seed)
     if censored:
         return cohort

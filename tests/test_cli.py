@@ -563,6 +563,9 @@ def test_every_fuzzed_cohort_file_ends_in_a_classified_exit(tmp_path_factory, da
     (["simulate", "--n", "20", "--seed", "1"], {"alpha01": [{"until": 1e300, "rate": 1e10},
                                                             {"until": None, "rate": 0.1}]},
      "alpha01 + alpha02 + alpha03 + censor_rate reaches 1e+10 per day: its cumulative hazard"),
+    (["simulate", "--n", "20", "--seed", "1"], {"alpha01": 0.5, "alpha14": 1e308, "alpha15": 1e308},
+     "data error: exp(gamma * inf_time) * (alpha14 + alpha15) + censor_rate reaches inf per day: "
+     "its cumulative hazard"),
 ])
 def test_a_spec_past_the_float_range_is_a_data_error(tmp_path, capsys, command, change, message):
     path = tmp_path / "spec.json"

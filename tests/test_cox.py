@@ -19,7 +19,7 @@ from pafmsm import (
 )
 from pafmsm import cox
 from pafmsm.cohort import STATUS_DEATH, STATUS_DISCHARGE
-from pafmsm.cox import _interval_arrays, _interval_likelihood, _log_partial_likelihood, _risk_sums
+from pafmsm.cox import _RiskSets, _interval_arrays, _interval_likelihood
 from pafmsm.simulate import icu_like_spec
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -72,7 +72,8 @@ def _analytic_score(start, stop, event, x, beta):
     event_times, inverse = np.unique(stop[event], return_inverse=True)
     d = np.bincount(inverse).astype(float)
     w = np.exp(x @ beta)
-    s0, s1 = _risk_sums(start, stop, w, w[:, None] * x, event_times)
+    risk = _RiskSets(start, stop, event_times)
+    s0, s1 = risk.sums(w[:, None])[:, 0], risk.sums(w[:, None] * x)
     return x[event].sum(axis=0) - (d[:, None] * (s1 / s0[:, None])).sum(axis=0)
 
 
@@ -86,8 +87,8 @@ def test_score_matches_finite_differences():
         if event.sum() == 0:
             continue
         beta = rng.normal(0.0, 0.5, 1)
-        up = _log_partial_likelihood(start, stop, event, x, beta + h)
-        down = _log_partial_likelihood(start, stop, event, x, beta - h)
+        loglik = _interval_likelihood(start, stop, event, x)
+        up, down = loglik(beta + h)[0], loglik(beta - h)[0]
         grad = (up - down) / (2 * h)
         score = _analytic_score(start, stop, event, x, beta)[0]
         assert abs(grad - score) / max(1.0, abs(score)) < 1e-6
@@ -131,7 +132,7 @@ def test_loglik_nondecreasing_over_newton_steps():
     event = np.isin(to_state, (3, 5))
     fit = fit_cox_td(records, "death")
     # refitting from zero, the converged log-likelihood dominates the start
-    assert fit.log_likelihood >= _log_partial_likelihood(start, stop, event, x, np.zeros(1))
+    assert fit.log_likelihood >= _interval_likelihood(start, stop, event, x)(np.zeros(1))[0]
 
 
 def test_time_scaling_leaves_beta_unchanged():
@@ -280,7 +281,8 @@ def test_risk_sums_equal_the_per_call_sort():
         event_times = np.concatenate([[0.5], event_times, [stop.max() + 1]])
         w = rng.exponential(1.0, n)
         wx = w[:, None] * rng.normal(size=(n, p))
-        for got, want in zip(_risk_sums(start, stop, w, wx, event_times),
+        risk = _RiskSets(start, stop, event_times)
+        for got, want in zip((risk.sums(w[:, None])[:, 0], risk.sums(wx)),
                              reference_risk_sums(start, stop, w, wx, event_times)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()

@@ -31,14 +31,13 @@ def quadratic(centre):
 
 
 def test_a_quadratic_is_maximised_by_one_full_step():
-    beta, ll, info, it = newton(quadratic(np.array([1.5, -2.0])), ("a", "b"), 3, **MESSAGES)
+    beta, ll, info, it = newton(quadratic(np.array([1.5, -2.0])), ("a", "b"), **MESSAGES)
     assert beta.tolist() == [1.5, -2.0]
     assert ll == 0.0 and it == 2
     assert info.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
-@pytest.mark.parametrize("halvings", [3, 30, 59])
-def test_a_step_is_halved_at_most_halvings_times_and_the_last_is_taken(halvings):
+def test_a_step_is_halved_at_most_59_times_and_the_last_is_taken():
     # every step away from zero is infeasible, so each iteration tries all
     # its candidates and takes the smallest
     tried = []
@@ -49,9 +48,9 @@ def test_a_step_is_halved_at_most_halvings_times_and_the_last_is_taken(halvings)
         return (0.0 if beta[0] == 0.0 else -np.inf), np.array([1.0]), np.array([[1.0]])
 
     with pytest.raises(ConvergenceError):
-        newton(evaluate, ("a",), halvings, **MESSAGES)
-    assert tried[:halvings + 2] == [0.5 ** k for k in range(halvings + 1)] + [0.5 ** halvings + 1.0]
-    assert len(tried) == 100 * (halvings + 1)
+        newton(evaluate, ("a",), **MESSAGES)
+    assert tried[:61] == [0.5 ** k for k in range(60)] + [0.5 ** 59 + 1.0]
+    assert len(tried) == 100 * 60
 
 
 def test_a_step_that_does_not_lower_the_log_likelihood_is_taken_whole():
@@ -61,13 +60,13 @@ def test_a_step_that_does_not_lower_the_log_likelihood_is_taken_whole():
         calls.append(beta.copy())
         return quadratic(np.array([4.0]))(beta)
 
-    newton(evaluate, ("a",), 59, **MESSAGES)
+    newton(evaluate, ("a",), **MESSAGES)
     assert [b.tolist() for b in calls] == [[0.0], [4.0]]
 
 
 def test_a_coefficient_past_30_is_separation_naming_it():
     with pytest.raises(SeparationError, match="^diverged by 'b'$"):
-        newton(quadratic(np.array([1.0, -31.0])), ("a", "b"), 59, **MESSAGES)
+        newton(quadratic(np.array([1.0, -31.0])), ("a", "b"), **MESSAGES)
 
 
 def test_a_singular_information_is_separation():
@@ -75,7 +74,7 @@ def test_a_singular_information_is_separation():
         return 0.0, np.array([1.0, 1.0]), np.zeros((2, 2))
 
     with pytest.raises(SeparationError, match="^singular$"):
-        newton(evaluate, ("a", "b"), 59, **MESSAGES)
+        newton(evaluate, ("a", "b"), **MESSAGES)
 
 
 def test_no_convergence_in_100_iterations_carries_the_trace():
@@ -84,7 +83,7 @@ def test_no_convergence_in_100_iterations_carries_the_trace():
         return 0.0, np.array([1e-6]), np.array([[1e6]])
 
     with pytest.raises(ConvergenceError, match="^unconverged$") as caught:
-        newton(evaluate, ("a",), 59, **MESSAGES)
+        newton(evaluate, ("a",), **MESSAGES)
     trace = caught.value.trace
     assert [row[0] for row in trace] == list(range(1, 101))
     assert all(row[1:] == (1e-6, 0.0) for row in trace)
@@ -93,9 +92,9 @@ def test_no_convergence_in_100_iterations_carries_the_trace():
 def test_every_fit_runs_the_one_solver(monkeypatch):
     calls = []
 
-    def recording(evaluate, names, halvings, **messages):
-        calls.append((tuple(names), halvings))
-        return newton(evaluate, names, halvings, **messages)
+    def recording(evaluate, names, **messages):
+        calls.append(tuple(names))
+        return newton(evaluate, names, **messages)
 
     monkeypatch.setattr(cox, "newton", recording)
     monkeypatch.setattr(discrete, "newton", recording)
@@ -104,5 +103,4 @@ def test_every_fit_runs_the_one_solver(monkeypatch):
     fit_cox_td(cohort, "death", extra_covariates=("x",))
     markov_test(cohort, "death_after")
     fit_pooled_logistic(expand_person_days(discretize(cohort, allow_drop=True), ("x",)))
-    assert calls == [(("exposure",), 59), (("exposure", "x"), 59), (("inf_time",), 59),
-                     (("intercept", "x"), 30)]
+    assert calls == [("exposure",), ("exposure", "x"), ("inf_time",), ("intercept", "x")]

@@ -25,7 +25,8 @@ from pafmsm import (
     to_transitions,
 )
 import pafmsm.cohort
-from pafmsm.cohort import _split_rows, _text_column
+from pafmsm.cohort import STATUS_DEATH, _split_rows, _text_column
+from pafmsm.continuous import exposure_survival
 from pafmsm.discrete import _daily_hazard
 
 from test_cohort import HEADER, parse_both_ways, reference_text_column
@@ -212,6 +213,21 @@ def test_ht_always_equals_counterfactual(cohort):
     a = np.atleast_1d(ht_cif(records)(days))
     b = np.atleast_1d(cif_counterfactual(records)(days))
     assert np.max(np.abs(a - b)) < 1e-12
+
+
+@settings(max_examples=80)
+@given(st.one_of(integer_cohorts(), fractional_cohorts(), tied_day_cohorts()))
+@example(Cohort((Subject("0", 2.0, 3.0, "discharge"), Subject("1", None, 1.0, "death")), horizon=3.0))
+@example(Cohort((Subject("0", 1.0, 3.0, "death"), Subject("1", None, 1.0, "death")), horizon=3.0))
+def test_exposure_survival_is_positive_before_every_unexposed_death(cohort):
+    # whoever dies unexposed at t stays in every Kaplan-Meier risk set
+    # before t, so no factor there is 0: S01(t-) > 0 and ht_cif's inverse
+    # weights are finite even where S01 later reaches 0
+    s01 = exposure_survival(cohort)
+    deaths = cohort.end[~cohort.exposed & (cohort.status == STATUS_DEATH)]
+    just_before = np.r_[s01.initial, s01.values][np.searchsorted(s01.times, deaths, side="left")]
+    assert np.all(just_before > 0.0)
+    assert np.all(np.isfinite(ht_cif(cohort).values))
 
 
 @settings(max_examples=60)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,9 @@ from pafmsm import (
     simulate_cohort,
     to_transitions,
 )
+from pafmsm.simulate import _invert_linear, _sum_knots
+
+from conftest import integer_spec
 
 CONST = HazardSpec.constant(0.05, 0.05, 0.02, 0.05, 0.03, tau=100.0)
 
@@ -64,6 +68,107 @@ def reference_brute_force(cohort):
     return (StepCurve(times, death),
             StepCurve(times, np.array(cpf_vals), undefined_from=cpf_undef),
             StepCurve(times, np.array(cif_vals)))
+
+
+def reference_simulate_cohort(spec, n, seed):
+    """The draw written out once per state, as the simulator had it before
+    one competing-exit draw served both: a check on that draw's bits for
+    specs that raise no DataError."""
+    u = np.random.default_rng(seed).random((n, 4))
+    c = spec.censor_rate
+
+    # state 0: competing 01 / 02 / 03 / censor
+    knots0 = _sum_knots(spec.alpha01, spec.alpha02, spec.alpha03)
+    slope0 = spec.alpha01.rate_at(knots0) + spec.alpha02.rate_at(knots0) + spec.alpha03.rate_at(knots0) + c
+    cum0 = np.concatenate([[0.0], np.cumsum(slope0[:-1] * np.diff(knots0))])
+    t0 = _invert_linear(knots0, cum0, slope0, -np.log(u[:, 0]))
+    r01, r02, r03 = spec.alpha01.rate_at(t0), spec.alpha02.rate_at(t0), spec.alpha03.rate_at(t0)
+    tot = r01 + r02 + r03 + c
+    pick = u[:, 1] * np.where(tot > 0, tot, 1.0)
+    cause0 = np.full(n, 9)  # 9 = censored by the exponential clock
+    cause0[pick < r01 + r02 + r03] = 3
+    cause0[pick < r01 + r02] = 2
+    cause0[pick < r01] = 1
+    admin0 = ~(t0 < spec.tau)
+    exposed = (cause0 == 1) & ~admin0
+    inf_time = np.where(exposed, t0, np.nan)
+    end_time = np.where(admin0, spec.tau, t0)
+    status = np.zeros(n, dtype=int)
+    status[(cause0 == 3) & ~admin0] = 1
+    status[(cause0 == 2) & ~admin0] = 2
+
+    if np.any(exposed):
+        idx = np.nonzero(exposed)[0]
+        tinf = t0[idx]
+        factor = np.exp(spec.gamma * tinf) if spec.gamma != 0 else np.ones(idx.size)
+        knots1 = _sum_knots(spec.alpha14, spec.alpha15)
+        base_rate = spec.alpha14.rate_at(knots1) + spec.alpha15.rate_at(knots1)
+        base_cum = np.concatenate([[0.0], np.cumsum(base_rate[:-1] * np.diff(knots1))])
+        k = np.minimum(np.searchsorted(knots1, tinf, side="right") - 1, base_rate.size - 1)
+        a1_tinf = base_cum[k] + base_rate[k] * (tinf - knots1[k])
+        cum1 = factor[:, None] * (base_cum[None, :] - a1_tinf[:, None]) + c * (knots1[None, :] - tinf[:, None])
+        slope1 = factor[:, None] * base_rate[None, :] + c
+        t1 = _invert_linear(knots1, cum1, slope1, -np.log(u[idx, 2]))
+        r14 = factor * spec.alpha14.rate_at(t1)
+        r15 = factor * spec.alpha15.rate_at(t1)
+        tot1 = r14 + r15 + c
+        pick1 = u[idx, 3] * np.where(tot1 > 0, tot1, 1.0)
+        cause1 = np.full(idx.size, 9)
+        cause1[pick1 < r14 + r15] = 5
+        cause1[pick1 < r14] = 4
+        admin1 = ~(t1 <= spec.tau)
+        end_time[idx] = np.where(admin1, spec.tau, t1)
+        st1 = np.zeros(idx.size, dtype=int)
+        st1[(cause1 == 5) & ~admin1] = 1
+        st1[(cause1 == 4) & ~admin1] = 2
+        status[idx] = st1
+
+    if spec.round_days:
+        inf_time = np.ceil(inf_time)
+        end_time = np.ceil(end_time)
+        bump = exposed & (end_time <= inf_time)
+        end_time[bump] = inf_time[bump] + 1.0
+        tau = math.ceil(spec.tau)
+        horizon = tau + 1.0 if np.any(end_time > tau) else float(tau)
+    else:
+        horizon = spec.tau
+    return inf_time, end_time, status, max(horizon, float(end_time.max()))
+
+
+def _odd_knots(rates, until=(0.3, 1.7, 13.1)):
+    return PiecewiseHazard(np.array(until), np.array(rates))
+
+
+REFERENCE_SPECS = {
+    "constant-censored": HazardSpec.constant(0.05, 0.05, 0.02, 0.05, 0.03, censor_rate=0.01),
+    "icu": icu_like_spec(),
+    "icu-censored": icu_like_spec(censor_rate=0.01),
+    "icu-whole-days": icu_like_spec(round_days=True),
+    "gamma": HazardSpec.constant(0.08, 0.05, 0.02, 0.03, 0.02, gamma=0.5, tau=30.0),
+    "odd-knots-censored-gamma": HazardSpec(
+        _odd_knots([0.11, 0.0, 0.04]), _odd_knots([0.07, 0.13, 0.05], (2.2, 9.9, 31.4)),
+        _odd_knots([0.01, 0.03, 0.02]), _odd_knots([0.09, 0.02, 0.06], (0.7, 5.1, 17.3)),
+        _odd_knots([0.04, 0.0, 0.05]), gamma=-0.07, censor_rate=0.013, tau=57.3),
+    "odd-knots-whole-days": HazardSpec(
+        _odd_knots([0.11, 0.02, 0.0]), _odd_knots([0.07, 0.13, 0.05]), _odd_knots([0.01, 0.03, 0.02]),
+        _odd_knots([0.09, 0.02, 0.06], (0.7, 5.1, 17.3)), _odd_knots([0.04, 0.01, 0.05]),
+        gamma=0.1, censor_rate=0.07, tau=20.5, round_days=True),
+    "zero-rate": HazardSpec.constant(0.1, 0.05, 0.02, 0.0, 0.03, tau=50.0, censor_rate=0.02),
+    "zero-after-exposure": HazardSpec.constant(0.1, 0.05, 0.02, 0.0, 0.0, tau=50.0),
+    "random-whole-days": integer_spec(4),
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_SPECS)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_simulate_cohort_equals_the_two_block_reference_bit_for_bit(name, seed):
+    spec = REFERENCE_SPECS[name]
+    cohort = simulate_cohort(spec, 2000, seed)
+    inf_time, end_time, status, horizon = reference_simulate_cohort(spec, 2000, seed)
+    assert cohort.inf.tobytes() == inf_time.tobytes()
+    assert cohort.end.tobytes() == end_time.tobytes()
+    assert cohort.status.tolist() == status.tolist()
+    assert cohort.horizon == horizon
 
 
 def test_piecewise_hazard_rate_and_cumulative():
