@@ -4,11 +4,13 @@ import numpy as np
 
 from .errors import ConvergenceError, SeparationError
 
+HALVINGS = 59
+
 
 def newton(evaluate, names, *, singular, diverged, unconverged):
     """(beta, log-likelihood, information, iterations) at max|score| < 1e-8,
     from beta = 0; ``evaluate(beta)`` gives (log-likelihood, score, information).
-    A step that would lower the log-likelihood is halved at most 59 times,
+    A step that would lower the log-likelihood is halved at most HALVINGS times,
     and the last candidate is taken as it is.  ``diverged`` is formatted
     with the name of a coefficient past |beta| > 30."""
     beta = np.zeros(len(names))
@@ -25,7 +27,7 @@ def newton(evaluate, names, *, singular, diverged, unconverged):
         # relative slack: near the optimum a valid micro-step moves ll by
         # less than its own rounding, so an absolute cutoff would stall
         slack = 1e-12 * max(1.0, abs(ll))
-        for k in range(60):
+        for k in range(HALVINGS + 1):
             cand = beta + 0.5**k * step
             cand_ll, cand_score, cand_info = evaluate(cand)
             if np.isfinite(cand_ll) and cand_ll >= ll - slack:

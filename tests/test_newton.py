@@ -16,6 +16,7 @@ from pafmsm import (
     parse_cohort,
 )
 from pafmsm import cox, discrete
+from pafmsm import newton as newton_module
 from pafmsm.newton import newton
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -37,9 +38,11 @@ def test_a_quadratic_is_maximised_by_one_full_step():
     assert info.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
-def test_a_step_is_halved_at_most_59_times_and_the_last_is_taken():
+@pytest.mark.parametrize("halvings", [3, 30, 59])
+def test_a_step_is_halved_at_most_halvings_times_and_the_last_is_taken(halvings, monkeypatch):
     # every step away from zero is infeasible, so each iteration tries all
-    # its candidates and takes the smallest
+    # its candidates and takes the smallest; 59 is the budget of every fit
+    monkeypatch.setattr(newton_module, "HALVINGS", halvings)
     tried = []
 
     def evaluate(beta):
@@ -49,8 +52,8 @@ def test_a_step_is_halved_at_most_59_times_and_the_last_is_taken():
 
     with pytest.raises(ConvergenceError):
         newton(evaluate, ("a",), **MESSAGES)
-    assert tried[:61] == [0.5 ** k for k in range(60)] + [0.5 ** 59 + 1.0]
-    assert len(tried) == 100 * 60
+    assert tried[:halvings + 2] == [0.5 ** k for k in range(halvings + 1)] + [0.5 ** halvings + 1.0]
+    assert len(tried) == 100 * (halvings + 1)
 
 
 def test_a_step_that_does_not_lower_the_log_likelihood_is_taken_whole():
