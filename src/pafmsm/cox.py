@@ -23,6 +23,7 @@ __all__ = ["CoxFit", "fit_cox_td", "markov_test"]
 
 _Z975 = 1.959963984540054
 _NO_EVENTS = "no events of the requested type"
+_DIVERGED = "Cox coefficients diverged (|beta| > 30), driven by {!r}"
 
 
 @dataclass(frozen=True)
@@ -150,6 +151,12 @@ def _count_likelihood(cohort: Cohort, outcome: str):
     before, after = counts[_ROWS[0, states[0]]], counts[_ROWS[1, states[1]]]
     at = before + after > 0
     d, y0, y1, d1 = (before + after)[at], y0[at], y1[at], float(after.sum())
+    # the score d1 - sum_t d(t) p(t) falls from d1 - sum_{Y0(t-)=0} d(t) at
+    # beta -> -inf to d1 - sum_{Y1(t-)>0} d(t) at +inf; a limit of 0 leaves
+    # it one sign, a likelihood without maximum (equal limits: flat)
+    limits = (d1 - d[y0 == 0].sum(), d1 - d[y1 > 0].sum())
+    if 0.0 in limits and limits[0] != limits[1]:
+        raise SeparationError(_DIVERGED.format("exposure"))
 
     def evaluate(beta):
         b = float(beta[0])
@@ -170,7 +177,7 @@ def _fit(outcome, terms, evaluate, n_events) -> CoxFit:
     beta, ll, info, it = newton(
         evaluate, terms,
         singular="singular information matrix in the Cox fit",
-        diverged="Cox coefficients diverged (|beta| > 30), driven by {!r}",
+        diverged=_DIVERGED,
         unconverged="Cox fit did not converge in 100 iterations",
     )
     try:

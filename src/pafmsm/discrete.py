@@ -91,7 +91,9 @@ class WeightTable:
     The factors 1 - p are rows, ``factors[row[i]]`` for subject i: one
     shared row for the empirical hazard, one (k, 1) row per distinct
     fitted probability of a pooled logistic model, or one row per subject.
-    The estimator and the CSV writer fill it block by block, never whole.
+    The estimator and the CSV writer build one weight row per pattern of
+    subjects (see ``_Patterns``) and gather those rows block by block;
+    the whole matrix is never built.
     """
 
     factors: np.ndarray  # (k, n_days), or (k, 1) for a probability constant over days
@@ -109,59 +111,147 @@ class WeightTable:
         buf = io.StringIO()
         buf.write("id,day,weight\n")
         days = range(1, self.n_days + 1)
-        for part, inverse, local in self._blocks():
-            block = np.empty((local.size, self.n_days))
-            self._fill(part, inverse, local, block)
-            for i, row in zip(self.ids[part], block.tolist()):
+        patterns = self._patterns()
+        first = 0
+        for block, _ in _gathered(patterns.blocks(self.factors), *_buffers(patterns.step, self.n_days)):
+            ids = self.ids[first:first + len(block) - 1]
+            first += len(ids)
+            for i, row in zip(ids, block[1:].tolist()):
                 buf.write("".join([f"{i},{t},{w:.12g}\n" for t, w in zip(days, row)]))
         return buf.getvalue()
 
-    def _inverse_survival(self, factors) -> np.ndarray:
-        """1 / prod_{s <= t} f(s) for t = 0..n_days (1 at t = 0), row by row."""
-        out = np.ones((len(factors), self.n_days + 1))
-        np.cumprod(np.broadcast_to(factors, (len(factors), self.n_days)), axis=1, out=out[:, 1:])
-        with np.errstate(divide="ignore"):
-            return np.divide(1.0, out, out=out)
-
-    def _blocks(self):
-        """Per block of subjects: its slice, inverse-survival rows, and the
-        row each of its subjects reads.  Few rows are computed once."""
-        m, n = self.n_days, self.n_subjects
-        # one block when m == 1: numpy sums a single column pairwise, not row by row
-        step = n if m == 1 else max(1, min(n, _BLOCK_CELLS // max(m, 1)))
-        shared = self._inverse_survival(self.factors) if len(self.factors) <= step else None
-        for first in range(0, n, step):
-            part = slice(first, first + step)
-            rows = self.row[part]
-            if shared is not None:
-                yield part, shared, rows
-            else:
-                yield part, self._inverse_survival(self.factors[rows]), np.arange(rows.size)
-
-    def _fill(self, part, inverse, local, out):
-        """Write the weights of the subjects in ``part`` into ``out``."""
-        days = np.arange(1, self.n_days + 1)
-        cell = np.minimum(days, self.freeze_day[part, None])
-        if len(inverse) > 1:
-            cell += (local * (self.n_days + 1))[:, None]
-        np.take(inverse, cell, out=out, mode="clip")
-        np.copyto(out, 0.0, where=days >= self.exposure_day[part, None])
+    def _patterns(self, death_day=None) -> "_Patterns":
+        """The subjects' patterns; with no ``death_day``, nobody dies."""
+        if death_day is None:
+            death_day = np.full(self.n_subjects, self.n_days + 1)
+        return _Patterns(self.row, self.freeze_day, self.exposure_day, death_day, self.n_days)
 
     def _check_bounded(self):
         """PositivityError if a weight the estimator reads is not finite."""
-        checked = None
-        for part, inverse, local in self._blocks():
-            if inverse is not checked:
-                bad = ~np.isfinite(inverse)
-                first_bad = np.where(bad.any(axis=1), bad.argmax(axis=1), self.n_days + 1)
-                checked = inverse
-            # subject i reads days 1..min(freeze_day, exposure_day - 1) of its row
-            read = np.minimum(self.freeze_day[part], self.exposure_day[part] - 1)
-            if (first_bad[local] <= read).any():
+        for _ in self._patterns().blocks(self.factors):
+            pass
+
+
+def _inverse_survival(factors, m) -> np.ndarray:
+    """1 / prod_{s <= t} f(s) for t = 0..m (1 at t = 0), row by row."""
+    out = np.ones((len(factors), m + 1))
+    np.cumprod(np.broadcast_to(factors, (len(factors), m)), axis=1, out=out[:, 1:])
+    with np.errstate(divide="ignore"):
+        return np.divide(1.0, out, out=out)
+
+
+def _weight_cells(row, freeze_day, exposure_day, death_day, m):
+    """For the weight rows of some subjects or patterns: the factor rows
+    they read, the cell of those rows' inverse survival each weight is,
+    where the weights are 0 (from the exposure day on), and the days dead."""
+    days = np.arange(1, m + 1)
+    rows, local = np.unique(row, return_inverse=True)
+    cells = (local * (m + 1))[:, None] + np.minimum(days, freeze_day[:, None])
+    return rows, cells, days >= exposure_day[:, None], days >= death_day[:, None]
+
+
+def _weight_rows(factors, rows, cells, exposed, died):
+    """The weight rows that ``_weight_cells`` located in ``factors``, their
+    death masks, and which rows are finite throughout."""
+    weights = np.take(_inverse_survival(factors[rows], cells.shape[1]), cells, mode="clip")
+    np.copyto(weights, 0.0, where=exposed)
+    return weights, died, np.isfinite(weights).all(axis=1)
+
+
+class _Patterns:
+    """Subjects grouped by their weight row and their days dead.
+
+    A pattern is a distinct (factor row, freeze day, exposure day, death
+    day), the death day kept only when on or before the exposure day.
+    From the exposure day on the weights are 0, so a later death masks
+    only zeros, and a row-by-row masked sum that adds a 0 or skips it
+    gives the same bits.  A single column numpy sums pairwise, in runs of
+    unmasked cells, where the mask could move bits; but with one day no
+    death comes after the exposure day.  A pattern's subjects share one
+    weight row and one death mask.  Resampling subjects keeps their
+    patterns, so a replicate only brings new factors.
+    """
+
+    def __init__(self, row, freeze_day, exposure_day, death_day, n_days):
+        m, base = n_days, n_days + 2  # every day column lies in 0..m+1
+        # one integer per pattern, exact while len(factors) * base**3 < 2**63
+        key = ((row * base + freeze_day) * base + exposure_day) * base
+        key += np.where(death_day <= exposure_day, death_day, m + 1)
+        keys, self.index = np.unique(key, return_inverse=True)
+        self.columns = []  # (row, freeze day, exposure day, death day) per pattern
+        for _ in range(3):
+            keys, day = np.divmod(keys, base)
+            self.columns.insert(0, day)
+        self.columns.insert(0, keys)
+        # subjects per block; one block when m == 1: numpy sums a single
+        # column pairwise, not row by row
+        self.n_days, n = m, row.size
+        self.step = max(1, n if m == 1 else min(n, _BLOCK_CELLS // max(m, 1)))
+        # the rows of at most a block's worth of patterns are built once a
+        # call; with more, each block builds one row per subject
+        self.cells = _weight_cells(*self.columns, m) if keys.size <= self.step else None
+
+    def blocks(self, factors, order=None):
+        """Per block of n subjects, in ``order`` (by default each subject
+        once, in turn): weight rows for these ``factors``, their death masks
+        and the row of each subject.  Raises PositivityError if a weight of
+        one of these subjects is not finite."""
+        if self.cells is not None:
+            weights, died, finite = _weight_rows(factors, *self.cells)
+        for first in range(0, self.index.size, self.step):
+            part = slice(first, first + self.step)
+            local = self.index[part] if order is None else self.index[order[part]]
+            if self.cells is None:
+                cells = _weight_cells(*(c[local] for c in self.columns), self.n_days)
+                weights, died, finite = _weight_rows(factors, *cells)
+                local = np.arange(local.size)
+            # a row holds the cells of its inverse survival that the subject
+            # reads, days 1..min(freeze_day, exposure_day - 1), and zeros
+            if not finite[local].all():
                 raise PositivityError(
                     "a daily exposure probability reached 1 on an unexposed path; "
                     "weights are unbounded"
                 )
+            yield weights, died, local
+
+
+def _buffers(step, m):
+    """Block buffers of weights and death masks: ``step`` subjects below
+    one row for the running totals."""
+    dead = np.empty((step + 1, m), dtype=bool)
+    dead[0] = True
+    return np.empty((step + 1, m)), dead
+
+
+def _gathered(blocks, w, d):
+    """Each block's weights and death masks, subject by subject, gathered
+    into rows 1.. of the reused buffers ``w`` and ``d``: views of the rows
+    in use, row 0 included."""
+    for weights, died, local in blocks:
+        k = local.size + 1
+        np.take(weights, local, axis=0, out=w[1:k], mode="clip")
+        np.take(died, local, axis=0, out=d[1:k], mode="clip")
+        yield w[:k], d[:k]
+
+
+def _ipw_sums(blocks, w, d):
+    """Per day, the sums of the subjects' weights and of their weights on
+    the days they are dead, from ``blocks`` gathered into ``w`` and ``d``
+    (see ``_buffers``)."""
+    total = died = None
+    # numpy sums axis 0 row by row, so each block summed below the running
+    # total adds the rows in the order of one sum over the whole matrix
+    for block, dead in _gathered(blocks, w, d):
+        if total is None:  # the first block starts the sums
+            total, died = block[1:].sum(axis=0), block[1:].sum(axis=0, where=dead[1:])
+        else:
+            block[0] = total
+            total = block.sum(axis=0)
+            block[0] = died
+            died = block.sum(axis=0, where=dead)
+    if total is None:
+        total = died = np.zeros(w.shape[1])
+    return total, died
 
 
 def _logistic(z):
@@ -185,13 +275,20 @@ def _on_or_before(days, m) -> np.ndarray:
     return np.cumsum(np.bincount(days, minlength=m + 2))[:-1]
 
 
-def _day_ratio(num, den) -> StepCurve:
-    """num / den on days 1, 2, ..., undefined where den is 0."""
+def _ratio_values(num, den):
+    """num / den on days 1, 2, ..., NaN where den is 0, and the first such
+    day (None if there is none)."""
     defined = den > 0
     values = np.where(defined, num / np.where(defined, den, 1.0), np.nan)
-    days = np.arange(1, num.size + 1, dtype=float)
-    undefined_from = float(days[~defined][0]) if (~defined).any() else None
-    return StepCurve(days, values, initial=0.0, undefined_from=undefined_from)
+    undefined = np.flatnonzero(~defined)
+    return values, float(undefined[0] + 1) if undefined.size else None
+
+
+def _day_ratio(num, den) -> StepCurve:
+    """num / den on days 1, 2, ..., undefined where den is 0."""
+    values, undefined_from = _ratio_values(num, den)
+    return StepCurve(np.arange(1, num.size + 1, dtype=float), values, initial=0.0,
+                     undefined_from=undefined_from)
 
 
 def expand_person_days(panel: DailyPanel, covariate_names=()) -> PersonDayRecords:
@@ -210,9 +307,14 @@ def expand_person_days(panel: DailyPanel, covariate_names=()) -> PersonDayRecord
     )
 
 
+def _death_days(panel: DailyPanel) -> np.ndarray:
+    """Per subject, its terminal day if it died, else n_days + 1."""
+    return np.where(panel.status == STATUS_DEATH, panel.terminal_day, panel.n_days + 1)
+
+
 def _death_proportion(panel: DailyPanel) -> StepCurve:
     """Share of the panel dead by each day."""
-    deaths = _on_or_before(panel.terminal_day[panel.status == STATUS_DEATH], panel.n_days)[1:]
+    deaths = _on_or_before(_death_days(panel), panel.n_days)[1:]
     days = np.arange(1, panel.n_days + 1, dtype=float)
     return StepCurve(days, deaths / panel.n_subjects, initial=0.0)
 
@@ -259,13 +361,13 @@ def fit_pooled_logistic(records: PersonDayRecords, covariate_names=None) -> Expo
     return ExposureModel(beta, tuple(covariate_names), it, loglik)
 
 
-def _daily_hazard(panel: DailyPanel):
-    """The empirical exposure hazard of each day, and the subjects who
-    leave unexposed (their own probability is 0 on their terminal day)."""
-    m, n = panel.n_days, panel.n_subjects
-    exposure, terminal = panel.exposure_day, panel.terminal_day
+def _daily_hazard(exposure, terminal, m):
+    """The empirical exposure hazard of each day 1..m for subjects with
+    these exposure and terminal days, and the subjects who leave unexposed
+    (their own probability is 0 on their terminal day)."""
+    n = exposure.size
     left_unexposed = np.flatnonzero(terminal < exposure)
-    n_at_risk = (n - _on_or_before(_at_risk_days(panel), m)[:-1]).astype(float)
+    n_at_risk = (n - _on_or_before(np.minimum(exposure, terminal), m)[:-1]).astype(float)
     survivors = n_at_risk - np.diff(_on_or_before(terminal[left_unexposed], m))
     dn = np.diff(_on_or_before(exposure, m)).astype(float)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -280,7 +382,7 @@ def nonparametric_daily_hazard(panel: DailyPanel) -> np.ndarray:
     terminal event on s have already left, so their own probability on
     that day is 0 and the shared hazard divides by the day's survivors.
     """
-    hazard, left_unexposed = _daily_hazard(panel)
+    hazard, left_unexposed = _daily_hazard(panel.exposure_day, panel.terminal_day, panel.n_days)
     probs = np.repeat(hazard[None, :], panel.n_subjects, axis=0)
     probs[left_unexposed, panel.terminal_day[left_unexposed] - 1] = 0.0
     return probs
@@ -319,7 +421,7 @@ def empirical_weights(panel: DailyPanel) -> WeightTable:
     A subject who leaves unexposed on day T has probability 0 that day, a
     factor of exactly 1, so its product stops at T - 1.
     """
-    hazard, left_unexposed = _daily_hazard(panel)
+    hazard, left_unexposed = _daily_hazard(panel.exposure_day, panel.terminal_day, panel.n_days)
     freeze_day = _at_risk_days(panel)
     freeze_day[left_unexposed] -= 1
     return _weight_table(panel, np.subtract(1.0, hazard)[None, :],
@@ -338,26 +440,6 @@ def ipw_f01(panel: DailyPanel, weights: WeightTable) -> StepCurve:
     """Weighted death proportion under the no-exposure path."""
     if (weights.n_subjects, weights.n_days) != (panel.n_subjects, panel.n_days):
         raise DataError("weight table does not match the panel")
-    m = panel.n_days
-    days = np.arange(1, m + 1)
-    death_day = np.where(panel.status == STATUS_DEATH, panel.terminal_day, m + 1)
-    total = died = None
-    # numpy sums axis 0 row by row, so each block summed below the running
-    # total adds the rows in the order of one sum over the whole matrix
-    for part, inverse, local in weights._blocks():
-        if total is None:  # the first block is the largest
-            buf, mask = np.empty((local.size + 1, m)), np.empty((local.size + 1, m), dtype=bool)
-            mask[0] = True
-        w, d = buf[: local.size + 1], mask[: local.size + 1]
-        weights._fill(part, inverse, local, w[1:])
-        np.greater_equal(days, death_day[part, None], out=d[1:])
-        if total is None:  # the first block starts the sums
-            total, died = w[1:].sum(axis=0), w[1:].sum(axis=0, where=d[1:])
-        else:
-            w[0] = total
-            total = w.sum(axis=0)
-            w[0] = died
-            died = w.sum(axis=0, where=d)
-    if total is None:
-        total = died = np.zeros(m)
+    patterns = weights._patterns(_death_days(panel))
+    total, died = _ipw_sums(patterns.blocks(weights.factors), *_buffers(patterns.step, panel.n_days))
     return _day_ratio(died, total)

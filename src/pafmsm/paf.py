@@ -25,7 +25,13 @@ from . import continuous
 from .continuous import overall_death_risk
 from .curves import StepCurve, _csv_rows, union_grid
 from .discrete import (
+    _buffers,
+    _daily_hazard,
+    _death_days,
     _death_proportion,
+    _ipw_sums,
+    _on_or_before,
+    _ratio_values,
     empirical_weights,
     expand_person_days,
     fit_pooled_logistic,
@@ -33,7 +39,7 @@ from .discrete import (
     model_weights,
     naive_f01,
 )
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, PositivityError
 
 __all__ = [
     "PafCurve",
@@ -277,6 +283,41 @@ def _multistate_replicates(cohort, estimand, streams, grid):
     return est
 
 
+def _ipw_replicates(panel, streams, grid):
+    """PAF_c by IPW with empirical weights of every replicate on ``grid``,
+    one row per stream, and how many replicates have unbounded weights
+    (their rows stay NaN).
+
+    A replicate's panel is the drawn subjects in draw order.  They keep
+    their weight patterns, so a replicate brings only a new daily hazard,
+    from the drawn day counts: its weights are the patterns' rows for that
+    hazard, summed in draw order, bit for bit those of a refit of the
+    resampled panel.
+    """
+    n, m = panel.n_subjects, panel.n_days
+    exposure, terminal, death_day = panel.exposure_day, panel.terminal_day, _death_days(panel)
+    patterns = empirical_weights(panel)._patterns(death_day)
+    buffers = _buffers(patterns.step, m)
+    days = np.arange(1.0, m + 1.0)
+    est = np.full((len(streams), grid.size), np.nan)
+    failed = 0
+    for row, stream in zip(est, streams):
+        idx = np.random.default_rng(stream).integers(0, n, size=n)
+        hazard = _daily_hazard(exposure[idx], terminal[idx], m)[0]
+        try:
+            total, died = _ipw_sums(patterns.blocks(np.subtract(1.0, hazard)[None, :], idx), *buffers)
+        except PositivityError:
+            failed += 1  # the replicate keeps its undefined row
+            continue
+        # the two curves of _paf_from on days 1..m, taken at grid; the IPW
+        # ratio is NaN from its undefined_from on, as the weights sum to 0
+        # only once everybody is exposed
+        q = _ratio_values(died, total)[0]
+        pd = _on_or_before(death_day[idx], m)[1:] / n
+        row[:] = _paf_values(*_on_grid(days, np.array([pd, q]), grid))
+    return est, failed
+
+
 def _draw_counts(streams, n):
     """(k x n) matrix of how often the replicate of each stream drew each
     subject, as floats: the weights of the exit table, one ``bincount`` per
@@ -317,9 +358,11 @@ def bootstrap_ci(
     Replicate r resamples the subjects with
     ``default_rng(SeedSequence(seed).spawn(B)[r]).integers(0, n, size=n)``,
     so results are reproducible and independent of execution order.
-    Multistate replicates are evaluated together as count weights; the
-    panel estimators refit each resampled panel.  Grid points where more
-    than half the replicates are undefined get no band.
+    Multistate replicates are evaluated together as count weights, and
+    IPW replicates without covariates from the weight patterns of the
+    original panel; the naive estimator and IPW with covariates refit each
+    resampled panel.  Grid points where more than half the replicates are
+    undefined get no band.
     """
     if B < 2:
         raise DataError("B must be >= 2")
@@ -334,6 +377,8 @@ def bootstrap_ci(
     failed = 0
     if estimator == "multistate":
         est = _multistate_replicates(data, estimand, streams, grid)
+    elif estimator == "ipw" and not covariates:
+        est, failed = _ipw_replicates(data, streams, grid)
     else:
         n = data.n_subjects
         est = np.full((B, grid.size), np.nan)

@@ -18,6 +18,7 @@ from pafmsm import (
     to_transitions,
 )
 from pafmsm import cox
+from pafmsm.cli import run
 from pafmsm.cohort import STATUS_DEATH, STATUS_DISCHARGE
 from pafmsm.cox import _RiskSets, _interval_arrays, _interval_likelihood
 from pafmsm.simulate import icu_like_spec
@@ -224,6 +225,23 @@ def test_all_events_after_exposure_raise_separation(count_route):
         fit_cox_td(cohort, "death")
 
 
+@pytest.mark.parametrize("exposed_die", [True, False], ids=["beta-to-inf", "beta-to-minus-inf"])
+def test_a_monotone_count_likelihood_raises_separation(count_route, tmp_path, exposed_die):
+    # 8 deaths, at t = 2..9, all after exposure at t = 1 (or all without
+    # it), and 10 subjects of the other group discharged at t = 100: the
+    # score keeps one sign, yet fell below the tolerance at |beta| = 21.86
+    # (se 10 695) before beta passed 30
+    inf = np.where(np.r_[np.full(8, exposed_die), np.full(10, not exposed_die)], 1.0, np.nan)
+    end = np.r_[np.arange(2.0, 10.0), np.full(10, 100.0)]
+    status = np.r_[np.full(8, STATUS_DEATH), np.full(10, STATUS_DISCHARGE)]
+    cohort = Cohort.from_columns([str(i) for i in range(18)], inf, end, status)
+    with pytest.raises(SeparationError, match=r"^Cox coefficients diverged .* driven by 'exposure'$"):
+        fit_cox_td(cohort, "death")
+    path = tmp_path / "cohort.csv"
+    path.write_text(cohort_to_csv(cohort))
+    assert run(["cox", "--input", str(path), "--outcome", "death"]) == 3
+
+
 def test_divergent_coefficient_raises_separation():
     # a small-scale covariate that perfectly separates deaths pushes its
     # coefficient past the divergence bound
@@ -243,10 +261,9 @@ def test_a_flat_ridge_at_convergence_raises_separation():
         markov_test(to_transitions(cohort), "death_after")
 
 
-def test_an_upper_bound_past_the_float_range_prints_as_inf(count_route):
-    cohort = parse_cohort("id,inf_time,end_time,end_status\nA,,1,death\nB,,1,death\n"
-                          "C,,1,death\nD,,1,death\nE,1,1,discharge\n")
-    fit = fit_cox_td(to_transitions(cohort), "death")
+def test_an_upper_bound_past_the_float_range_prints_as_inf():
+    # a fit so flat that exp(coef + 1.96 se) passes the float range
+    fit = cox.CoxFit("death", ("exposure",), np.array([-21.0]), np.array([400.0]), -5.5, 12, 4)
     assert fit.summary_csv().splitlines()[1].split(",")[5:7] == ["0", "inf"]
 
 

@@ -134,11 +134,17 @@ def reference_death_proportion(panel):
 
 
 def reference_weight_matrix(table):
-    """The table's dense (n_subjects, n_days) weights, filled block by block."""
-    out = np.empty((table.n_subjects, table.n_days))
-    for part, inverse, local in table._blocks():
-        table._fill(part, inverse, local, out[part])
-    return out
+    """The table's dense (n_subjects, n_days) weights from its columns: 1 /
+    prod_{s <= min(t, freeze_day)} factors[row][s] before the exposure day,
+    0 from it on."""
+    n, m = table.n_subjects, table.n_days
+    survival = np.cumprod(np.broadcast_to(table.factors[table.row], (n, m)), axis=1)
+    with np.errstate(divide="ignore"):
+        inverse = np.concatenate([np.ones((n, 1)), 1.0 / survival], axis=1)
+    days = np.arange(1, m + 1)
+    weights = np.take_along_axis(inverse, np.minimum(days, table.freeze_day[:, None]), axis=1)
+    weights[days >= table.exposure_day[:, None]] = 0.0
+    return weights
 
 
 def reference_weight_csv(table):
@@ -258,6 +264,11 @@ EDGE_COHORTS = {
     "one_day": Cohort.from_columns([str(i) for i in range(600)],
                                    np.where(np.arange(600) % 3 == 0, 0.5, np.nan), np.ones(600),
                                    np.arange(600) % 2 + 1),
+    # and sums a masked column in runs of unmasked cells: deaths on the
+    # exposure day sit in runs of deaths, so their zero weights count
+    "one_day_runs": Cohort.from_columns([str(i) for i in range(600)],
+                                        np.where(np.arange(600) % 5 < 2, 0.5, np.nan), np.ones(600),
+                                        np.where(np.arange(600) % 7 < 5, 1, 2)),
     **{f"random_{seed}": _random_cohort(seed, seed % 2 == 1) for seed in range(8)},
 }
 
@@ -272,6 +283,24 @@ def test_panel_estimators_equal_the_dense_reference(name):
 def test_weight_blocks_do_not_change_the_weights(monkeypatch, name, rows):
     panel = discretize(EDGE_COHORTS[name], allow_drop=True)
     monkeypatch.setattr(discrete, "_BLOCK_CELLS", rows * panel.n_days)  # blocks of 1 and 3 subjects
+    assert_matches_reference(panel)
+
+
+@pytest.mark.parametrize("spare", [0, 19])
+@pytest.mark.parametrize("seed", range(4))
+def test_shared_pattern_rows_do_not_change_the_weights(monkeypatch, seed, spare):
+    # many subjects, few patterns (11 for the empirical weights): blocks of
+    # 11 and of 30 subjects gather from rows built once
+    rng = np.random.default_rng(seed)
+    n = 400
+    end = rng.integers(1, 5, n).astype(float)
+    inf = np.where(rng.random(n) < 0.5, np.floor(rng.uniform(0, end)), np.nan)
+    inf[inf == 0] = np.nan
+    panel = discretize(Cohort.from_columns([str(i) for i in range(n)], inf, end,
+                                           rng.choice([1, 2], n), {"x": rng.integers(0, 2, n) * 1.0}))
+    patterns = empirical_weights(panel)._patterns(discrete._death_days(panel))
+    monkeypatch.setattr(discrete, "_BLOCK_CELLS", (patterns.index.max() + 1 + spare) * panel.n_days)
+    assert empirical_weights(panel)._patterns(discrete._death_days(panel)).cells is not None
     assert_matches_reference(panel)
 
 
@@ -309,6 +338,16 @@ def test_panel_estimators_stay_linear_in_memory():
     assert peak < n * m / 4
 
 
+def short_stays_cohort(n=20_000, m=400):
+    """n subjects over m days with short stays (mean 3.3 days) and a binary x."""
+    rng = np.random.default_rng(11)
+    end = rng.geometric(0.3, n).astype(float)
+    inf = np.floor(rng.uniform(0, end))
+    inf[(inf == 0) | (rng.random(n) < 0.5)] = np.nan
+    return Cohort.from_columns(np.arange(n).astype(str), inf, end, rng.integers(1, 3, n),
+                               {"x": rng.integers(0, 2, n).astype(float)}, horizon=m)
+
+
 @pytest.mark.parametrize("covariates", [(), ("x",)])
 def test_ipw_stays_linear_in_memory(covariates):
     # the weights are built and summed in blocks of subjects: a dense
@@ -316,12 +355,7 @@ def test_ipw_stays_linear_in_memory(covariates):
     # (mean 3.3 days of 400), because the pooled logistic fit holds about
     # 100 bytes per person-day at risk; that design is not the weights.
     n, m = 20_000, 400
-    rng = np.random.default_rng(11)
-    end = rng.geometric(0.3, n).astype(float)
-    inf = np.floor(rng.uniform(0, end))
-    inf[(inf == 0) | (rng.random(n) < 0.5)] = np.nan
-    cohort = Cohort.from_columns(np.arange(n).astype(str), inf, end, rng.integers(1, 3, n),
-                                 {"x": rng.integers(0, 2, n).astype(float)}, horizon=m)
+    cohort = short_stays_cohort(n, m)
     tracemalloc.start()
     try:
         estimate_paf(cohort, "paf_c", "ipw", covariates=covariates)

@@ -9,9 +9,10 @@ from pafmsm import (
     DataError,
     FourfoldTable,
     HazardSpec,
-    PositivityError,
+    NumericalError,
     Subject,
     bootstrap_ci,
+    discretize,
     estimate_paf,
     fourfold_at,
     paf_fixed,
@@ -21,11 +22,13 @@ from pafmsm import (
     stratified_paf,
     to_transitions,
 )
+from pafmsm import discrete
 from pafmsm import paf as paf_module
 from pafmsm.curves import _CSV_CHUNK, StepCurve
 from pafmsm.simulate import icu_like_spec
 
 from conftest import integer_cohort
+from test_discrete import EDGE_COHORTS, short_stays_cohort
 
 TWO = Cohort((Subject("A", None, 1.0, "death"), Subject("B", 1.0, 2.0, "death")), horizon=2)
 
@@ -237,18 +240,95 @@ def test_multistate_bootstrap_memory_stays_within_its_blocks():
     assert peak < 8e6
 
 
+def _refit_replicates(panel, streams, grid):
+    """The per-replicate definition of the IPW bands: each resampled panel
+    refit; a replicate that raises keeps a NaN row and counts as failed."""
+    n = panel.n_subjects
+    est, failed = np.full((len(streams), grid.size), np.nan), 0
+    for row, stream in zip(est, streams):
+        idx = np.random.default_rng(stream).integers(0, n, size=n)
+        try:
+            row[:] = paf_module._paf_from("paf_c", "ipw", (), panel.take(idx))(grid)
+        except NumericalError:
+            failed += 1
+    return est, failed
+
+
+IPW_COHORTS = {
+    **{name: EDGE_COHORTS[name] for name in ("one_day", "dropped_censored", "all_exposed")},
+    "tied_days_censored": ENGINE_COHORTS["tied_days_censored"],
+}
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3])
+@pytest.mark.parametrize("name", list(IPW_COHORTS))
+def test_ipw_replicates_equal_the_refits(monkeypatch, name, rows):
+    panel = discretize(IPW_COHORTS[name], allow_drop=True)
+    if rows:  # blocks of 1 and of 3 subjects
+        monkeypatch.setattr(discrete, "_BLOCK_CELLS", rows * panel.n_days)
+    grid = np.concatenate(([0.5], np.arange(1.0, panel.n_days + 2.0)))
+    streams = np.random.SeedSequence(9).spawn(40)
+    got, failed = paf_module._ipw_replicates(panel, streams, grid)
+    want, want_failed = _refit_replicates(panel, streams, grid)
+    assert failed == want_failed
+    assert got.tobytes() == want.tobytes()
+
+
+def _certain_on_day_one(replicate):
+    """``_daily_hazard`` with the hazard of day 1 set to 1 on the panels
+    that ``replicate(exposure, terminal)`` picks.  Empirical weights never
+    exceed n, so no cohort makes an IPW replicate fail by itself; this
+    makes unbounded the weights of everybody unexposed after day 1."""
+    daily_hazard = discrete._daily_hazard
+
+    def hazard_of(exposure, terminal, m):
+        hazard, left_unexposed = daily_hazard(exposure, terminal, m)
+        if replicate(exposure, terminal):
+            hazard[0] = 1.0
+        return hazard, left_unexposed
+
+    return hazard_of
+
+
+def test_ipw_replicates_fail_where_the_refits_do(monkeypatch):
+    panel = discretize(ENGINE_COHORTS["tied_days_censored"], allow_drop=True)
+    picked = _certain_on_day_one(lambda exposure, terminal: terminal.sum() % 3 == 0
+                                 and not np.array_equal(terminal, panel.terminal_day))
+    monkeypatch.setattr(discrete, "_daily_hazard", picked)  # the refits' weights
+    monkeypatch.setattr(paf_module, "_daily_hazard", picked)  # the replicates' hazard
+    grid = np.arange(1.0, panel.n_days + 1.0)
+    streams = np.random.SeedSequence(4).spawn(40)
+    got, failed = paf_module._ipw_replicates(panel, streams, grid)
+    want, want_failed = _refit_replicates(panel, streams, grid)
+    assert 0 < failed == want_failed < 40
+    assert got.tobytes() == want.tobytes()
+
+
+def test_ipw_bootstrap_stays_linear_in_memory():
+    # replicates are summed one at a time from the rows of their weight
+    # patterns, in blocks: a dense (n x days) float matrix would take 8
+    # bytes a cell, and a batch of replicates more
+    n, m = 20_000, 400
+    cohort = short_stays_cohort(n, m)
+    tracemalloc.start()
+    try:
+        bootstrap_ci(cohort, "paf_c", "ipw", B=3, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * m
+
+
 @pytest.mark.parametrize("failing", [9, 10, 11])
 def test_bootstrap_counts_failed_replicates(monkeypatch, failing):
+    # the first ``failing`` replicates fail the bounded-weight check
     calls = []
-    ipw_f01 = paf_module.ipw_f01
 
-    def flaky(panel, weights):
+    def first_replicates(exposure, terminal):
         calls.append(None)
-        if 1 < len(calls) <= failing + 1:  # the first call is the point estimate
-            raise PositivityError("weight unbounded")
-        return ipw_f01(panel, weights)
+        return len(calls) <= failing
 
-    monkeypatch.setattr(paf_module, "ipw_f01", flaky)
+    monkeypatch.setattr(paf_module, "_daily_hazard", _certain_on_day_one(first_replicates))
     bands = bootstrap_ci(integer_cohort(8, n=80), "paf_c", "ipw", B=20, seed=1,
                          grid=np.array([20.0, 40.0]))
     assert bands.failed == failing

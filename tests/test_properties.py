@@ -240,7 +240,7 @@ def test_ipw_equals_counterfactual_while_weights_are_bounded(cohort):
     # counterfactual CIF is cut there (truncated_from), and before it the
     # identity holds (the days ``paf-msm check`` compares)
     panel = discretize(cohort)
-    hazard, _ = _daily_hazard(panel)
+    hazard, _ = _daily_hazard(panel.exposure_day, panel.terminal_day, panel.n_days)
     certain = np.flatnonzero(hazard == 1.0) + 1.0
     counterfactual = cif_counterfactual(cohort)
     assert counterfactual.truncated_from == (certain[0] if certain.size else None)
