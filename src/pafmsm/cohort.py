@@ -177,27 +177,21 @@ class Cohort:
     continuous-time estimator reads.
     """
 
-    def __init__(self, subjects=(), tie_policy: TiePolicy = TiePolicy.shift(), horizon=0.0,
-                 diagnostics=()):
+    def __init__(self, subjects=(), *, horizon=0.0):
         subjects = tuple(subjects)
         for s in subjects:
             s.validate()
-        self._set(
-            [s.id for s in subjects],
-            [math.nan if s.inf_time is None else s.inf_time for s in subjects],
-            [s.end_time for s in subjects],
-            [_STATUS_CODE[s.end_status] for s in subjects],
-            _covariate_columns([s.covariates for s in subjects]),
-            tie_policy, horizon, diagnostics,
-        )
+        self._set([s.id for s in subjects],
+                  [math.nan if s.inf_time is None else s.inf_time for s in subjects],
+                  [s.end_time for s in subjects], [_STATUS_CODE[s.end_status] for s in subjects],
+                  _covariate_columns([s.covariates for s in subjects]), horizon)
         self.__dict__["subjects"] = subjects
 
     @classmethod
-    def from_columns(cls, ids, inf, end, status, covariates=None, *,
-                     tie_policy: TiePolicy = TiePolicy.shift(), horizon=0.0, diagnostics=()):
+    def from_columns(cls, ids, inf, end, status, covariates=None, *, horizon=0.0, diagnostics=()):
         """Build from arrays: ``inf`` NaN for never exposed, ``status`` as STATUS_* codes."""
         self = cls.__new__(cls)
-        self._set(ids, inf, end, status, covariates or {}, tie_policy, horizon, diagnostics)
+        self._set(ids, inf, end, status, covariates or {}, horizon, diagnostics)
         return self
 
     @classmethod
@@ -253,7 +247,7 @@ class Cohort:
                 out.append(TransitionRow(sid, 0, int(EXIT_STATE[0, s]), 0.0, e))
         return tuple(out)
 
-    def _set(self, ids, inf, end, status, covariates, tie_policy, horizon, diagnostics):
+    def _set(self, ids, inf, end, status, covariates, horizon, diagnostics=()):
         # private read-only copies: views handed out cannot change the cohort
         self.ids = np.fromiter(ids, dtype=object, count=len(ids))
         self.inf, self.end = np.array(inf, dtype=float), np.array(end, dtype=float)
@@ -277,7 +271,7 @@ class Cohort:
             raise DataError("horizon must be >= the largest end_time")
         if not math.isfinite(horizon):
             raise DataError("horizon must be finite")
-        self.tie_policy, self.horizon, self.diagnostics = tie_policy, horizon, tuple(diagnostics)
+        self.horizon, self.diagnostics = horizon, tuple(diagnostics)
 
     @cached_property
     def subjects(self) -> tuple[Subject, ...]:
@@ -291,7 +285,7 @@ class Cohort:
         """The subjects selected by a boolean mask or index array, same horizon."""
         covariates = {k: v[mask] for k, v in self.covariates.items()}
         return Cohort.from_columns(self.ids[mask], self.inf[mask], self.end[mask], self.status[mask],
-                                   covariates, tie_policy=self.tie_policy, horizon=self.horizon)
+                                   covariates, horizon=self.horizon)
 
     def __len__(self):
         return self.end.size
@@ -359,7 +353,7 @@ class DailyPanel:
                           self.status[idx], self.n_days, covariates, self.dropped)
 
 
-def parse_cohort(source, tie_policy: TiePolicy = TiePolicy.shift(), horizon=None) -> Cohort:
+def parse_cohort(source, tie_policy: TiePolicy = TiePolicy.shift()) -> Cohort:
     """Read a cohort from CSV (``id,inf_time,end_time,end_status[,<covariate>...]``).
 
     ``source`` is a path (``os.PathLike``, or a ``str`` without a line
@@ -386,7 +380,7 @@ def parse_cohort(source, tie_policy: TiePolicy = TiePolicy.shift(), horizon=None
     except UnicodeDecodeError as exc:
         raise ParseError(f"{what} is not UTF-8 text: {exc}") from None
     if isinstance(source, str):
-        return _parse(source, tie_policy, horizon)
+        return _parse(source, tie_policy)
     raise TypeError("source must be a path, text, bytes, or file object")
 
 
@@ -510,7 +504,7 @@ def _row_chunks(text):
             return
 
 
-def _parse(text, tie_policy, horizon):
+def _parse(text, tie_policy):
     required = ["id", "inf_time", "end_time", "end_status"]
     header, parts, rows = None, [], 0
     for cells, columns, lengths in _row_chunks(text):
@@ -529,8 +523,7 @@ def _parse(text, tie_policy, horizon):
                                        else pieces)
     return Cohort.from_columns(
         list(chain.from_iterable(ids)), np.concatenate(inf), np.concatenate(end),
-        np.concatenate(status), columns, tie_policy=tie_policy, horizon=horizon or 0.0,
-        diagnostics=tuple(chain.from_iterable(diagnostics)),
+        np.concatenate(status), columns, diagnostics=tuple(chain.from_iterable(diagnostics)),
     )
 
 

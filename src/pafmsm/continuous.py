@@ -109,7 +109,7 @@ def _exit_table(cohort: Cohort):
     """
     inf, end, status = cohort.inf, cohort.end, cohort.status
     if end.size == 0:
-        raise DataError("empty transition records")
+        raise DataError("empty cohort")
     exposed = ~np.isnan(inf)
     times = np.concatenate((np.where(exposed, inf, end), end[exposed]))
     kinds = np.concatenate((np.where(exposed, 0, _kinds(status, 1)), _kinds(status[exposed], 4)))

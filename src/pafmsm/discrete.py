@@ -328,22 +328,16 @@ def naive_f01(panel: DailyPanel) -> StepCurve:
     return _day_ratio(num, den)
 
 
-def fit_pooled_logistic(records: PersonDayRecords, covariate_names=None) -> ExposureModel:
-    """Maximum-likelihood Bernoulli fit by damped Newton iterations."""
-    if covariate_names is None:
-        covariate_names = records.covariate_names
-    if tuple(covariate_names) != records.covariate_names:
-        keep = [records.covariate_names.index(n) for n in covariate_names]
-        covs = records.covariates[:, keep]
-    else:
-        covs = records.covariates
+def fit_pooled_logistic(records: PersonDayRecords) -> ExposureModel:
+    """Maximum-likelihood Bernoulli fit by damped Newton iterations, on
+    every covariate of ``records``."""
     y = records.infected_today.astype(float)
     if y.sum() == 0:
         raise DataError("no exposure events; the model has no MLE")
     if y.sum() == y.size:
         raise DataError("every person-day is an exposure; the model has no MLE")
-    x = np.column_stack([np.ones(y.size), covs])
-    names = ("intercept",) + tuple(covariate_names)
+    x = np.column_stack([np.ones(y.size), records.covariates])
+    names = ("intercept",) + records.covariate_names
 
     def evaluate(beta):
         z = x @ beta
@@ -358,7 +352,7 @@ def fit_pooled_logistic(records: PersonDayRecords, covariate_names=None) -> Expo
         diverged="coefficients diverged (|beta| > 30), driven by {!r}",
         unconverged="pooled logistic fit did not converge in 100 iterations",
     )
-    return ExposureModel(beta, tuple(covariate_names), it, loglik)
+    return ExposureModel(beta, records.covariate_names, it, loglik)
 
 
 def _daily_hazard(exposure, terminal, m):

@@ -231,7 +231,9 @@ class CurveWithBands:
     """Point estimate with pointwise percentile confidence bands.
 
     ``failed`` counts the replicates whose estimator raised a
-    :class:`NumericalError`; each contributes an undefined row.
+    :class:`NumericalError`, or a :class:`DataError` that the original
+    sample passed (no exposure drawn, say); each contributes an undefined
+    row.
     """
 
     estimate: StepCurve
@@ -386,7 +388,7 @@ def bootstrap_ci(
             idx = np.random.default_rng(streams[r]).integers(0, n, size=n)
             try:
                 curve = _paf_from(estimand, estimator, covariates, data.take(idx))
-            except NumericalError:
+            except (NumericalError, DataError):  # the point estimate passed: the draw is at fault
                 failed += 1  # the replicate contributes an undefined row
                 continue
             est[r] = curve(grid)

@@ -252,6 +252,7 @@ def _invert_linear(knots, cum_at_knots, slopes, targets):
 def _competing_exit(name, hazards, factor, censor_rate, entry, u, check_exits=True):
     """Exit times and causes out of a state entered at ``entry`` and left
     by competing risks (Beyersmann et al. 2009, Stat Med 28:956).
+    ``factor`` and ``entry`` are per subject, or 0-d when all share them.
 
     The exit time is drawn from the total hazard factor * sum(hazards) +
     censor_rate, the cause in proportion to the hazards at that time: the
@@ -267,8 +268,9 @@ def _competing_exit(name, hazards, factor, censor_rate, entry, u, check_exits=Tr
         k = np.searchsorted(knots, entry, side="right") - 1
         at_entry = at_knots[k] + rate[k] * (entry - knots[k])
         # per subject: cum(t) = factor * (A(t) - A(entry)) + censor_rate * (t - entry)
-        cum = factor[:, None] * (at_knots - at_entry[:, None]) + censor_rate * (knots - entry[:, None])
-        slope = factor[:, None] * rate + censor_rate
+        cum = (factor[..., None] * (at_knots - at_entry[..., None])
+               + censor_rate * (knots - entry[..., None]))
+        slope = factor[..., None] * rate + censor_rate
     if not (np.isfinite(slope).all() and np.isfinite(cum).all()):
         raise DataError(f"{name} reaches {np.max(slope):g} per day: "
                         "its cumulative hazard is past the float range")
@@ -276,7 +278,7 @@ def _competing_exit(name, hazards, factor, censor_rate, entry, u, check_exits=Tr
     early = ~(t > entry)
     if check_exits and early.any():
         raise DataError(f"{name} reaches {np.max(slope):g} per day: an exit after time "
-                        f"{entry[np.argmax(early)]:g} rounds onto that time")
+                        f"{np.broadcast_to(entry, t.shape)[np.argmax(early)]:g} rounds onto that time")
     # running sums of the cause-specific hazards at t; pick falls in one
     bounds = np.cumsum([factor * h.rate_at(t) for h in hazards], axis=0)
     tot = bounds[-1] + censor_rate
@@ -304,7 +306,7 @@ def simulate_cohort(spec: HazardSpec, n: int, seed: int) -> Cohort:
     t0, cause0 = _competing_exit(
         "alpha01 + alpha02 + alpha03 + censor_rate",
         (spec.alpha01, spec.alpha02, spec.alpha03, PiecewiseHazard.constant(spec.censor_rate)),
-        np.ones(n), 0.0, np.zeros(n), u[:, :2])
+        np.array(1.0), 0.0, np.array(0.0), u[:, :2])
     admin0 = ~(t0 < spec.tau)
     exposed = (cause0 == 0) & ~admin0
     inf_time = np.where(exposed, t0, np.nan)

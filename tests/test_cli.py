@@ -170,6 +170,32 @@ def test_out_is_checked_before_any_work(cohort_file, tmp_path, capsys, monkeypat
     assert taken.read_text() == "keep\n"
 
 
+@pytest.mark.parametrize("command, filename", [
+    (["estimate", "--estimand", "paf_c"], "paf_c_multistate.csv"),
+    (["bootstrap", "--estimand", "paf_o", "--B", "2", "--seed", "1"], "paf_o_multistate_bands.csv"),
+    (["cox"], "cox_death.csv"),
+])
+def test_an_output_file_that_is_a_directory_is_a_usage_error(
+        cohort_file, tmp_path, capsys, command, filename):
+    out = tmp_path / "out"
+    (out / filename).mkdir(parents=True)
+    assert run(command + ["--input", cohort_file, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"usage error: --out {out}: Is a directory\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bootstrap", "--estimand", "paf_o", "--B", "1", "--seed", "1"], "--B must be >= 2"),
+    (["simulate", "--n", "0", "--seed", "1"], "--n must be >= 1"),
+])
+def test_a_count_option_below_its_minimum_is_a_usage_error_before_any_work(
+        spec_file, cohort_file, capsys, monkeypatch, argv, message):
+    for name in ("simulate_cohort", "bootstrap_ci", "parse_cohort"):
+        monkeypatch.setattr(pafmsm.cli, name, lambda *a, **k: pytest.fail("work was started"))
+    source = ["--spec", spec_file] if argv[0] == "simulate" else ["--input", cohort_file]
+    assert run([argv[0], *source, *argv[1:]]) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert run(["frobnicate"]) == 1
 
@@ -192,6 +218,33 @@ def test_bootstrap_manifest_written(cohort_file, tmp_path):
     assert manifest["B"] == 20 and manifest["seed"] == 1
     assert manifest["failed_replicates"] == 0
     assert (out / "paf_o_multistate_bands.csv").exists()
+
+
+@pytest.mark.parametrize("estimand", ["paf_o", "paf_c"])
+def test_bootstrap_jump_grid_of_the_multistate_estimator_is_the_estimate_jumps(
+        cohort_file, capsys, estimand):
+    args = ["bootstrap", "--input", cohort_file, "--estimand", estimand, "--grid", "jumps",
+            "--B", "20", "--seed", "2"]
+    assert run(args) == 0
+    cohort = pafmsm.parse_cohort(cohort_file)
+    grid = pafmsm.estimate_paf(cohort, estimand).times
+    assert grid.size > 1 and not np.array_equal(grid, np.arange(1.0, grid.size + 1.0))
+    bands = pafmsm.bootstrap_ci(cohort, estimand, B=20, seed=2, grid=grid)
+    assert capsys.readouterr().out == bands.to_csv()
+
+
+def test_a_resample_without_exposure_counts_as_a_failed_replicate(tmp_path, capsys):
+    path = tmp_path / "one_exposed.csv"
+    path.write_text("id,inf_time,end_time,end_status,x\n" + "".join(
+        f"{i},{'1' if i == 0 else ''},3,{'death' if i % 2 else 'discharge'},{i % 2}\n"
+        for i in range(12)))
+    common = ["--input", str(path), "--estimand", "paf_c", "--estimator", "ipw", "--covariates", "x"]
+    assert run(["estimate", *common]) == 0
+    out = tmp_path / "boot"
+    assert run(["bootstrap", *common, "--B", "50", "--seed", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    # the draws that miss subject 0 or that x separates (tests/test_paf.py)
+    assert json.loads((out / "manifest.json").read_text())["failed_replicates"] == 22
 
 
 @pytest.mark.parametrize("command", [
@@ -263,6 +316,27 @@ def test_check_compares_ipw_only_while_somebody_is_unexposed(tmp_path, capsys, r
         "horvitz_thompson == counterfactual_cif: max deviation 0.000e+00 PASS",
         "all equivalences hold",
     ]
+
+
+@pytest.mark.parametrize("change, deviation", [
+    (lambda v: v + 1e-9, "1.000e-09"),
+    (lambda v: np.where(np.arange(v.size) == 2, np.nan, v), "inf"),
+], ids=["1e-9-off", "nan-on-day-3"])
+def test_check_exits_3_when_an_equivalence_fails(tmp_path, capsys, monkeypatch, change, deviation):
+    path = tmp_path / "sim.csv"
+    path.write_text(cohort_to_csv(integer_cohort(3, n=150)))
+    real = pafmsm.cli.naive_f01
+
+    def off(panel):
+        curve = real(panel)
+        return pafmsm.StepCurve(curve.times, change(curve.values), initial=curve.initial)
+
+    monkeypatch.setattr(pafmsm.cli, "naive_f01", off)
+    assert run(["check", "--input", str(path)]) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"naive == cpf_unexposed: max deviation {deviation} FAIL"
+    assert "FAIL" not in "".join(out[1:3])  # the other two equivalences hold
+    assert out[3:] == ["check failed: an exact equivalence exceeded 1e-12"]
 
 
 def test_check_rejects_non_integer_times(tmp_path, capsys):
@@ -398,6 +472,15 @@ def test_validate_rejects_non_finite_times(tmp_path, capsys):
     assert "row 3" in capsys.readouterr().err
 
 
+def test_a_text_covariate_in_the_exposure_model_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "site.csv"
+    path.write_text("id,inf_time,end_time,end_status,site\nA,1,3,death,north\n"
+                    "B,,2,discharge,south\nC,,3,death,north\n")
+    assert run(["estimate", "--input", str(path), "--estimand", "paf_c", "--estimator", "ipw",
+                "--covariates", "site"]) == 2
+    assert capsys.readouterr().err == "data error: covariate 'site' is not numeric; encode it first\n"
+
+
 def test_ipw_on_non_finite_times_is_data_error(tmp_path, capsys):
     path = tmp_path / "inf.csv"
     path.write_text(NON_FINITE)
@@ -434,7 +517,8 @@ def test_malformed_spec_is_data_error(tmp_path, capsys, text, message, command):
     assert capsys.readouterr().err == f"data error: {message}\n"
 
 
-@pytest.mark.parametrize("estimand, estimator", [("paf_c", "ipw"), ("paf_o", "naive")])
+@pytest.mark.parametrize("estimand, estimator", [("paf_c", "ipw"), ("paf_o", "naive"),
+                                                 ("paf_o", "multistate"), ("paf_c", "multistate")])
 def test_empty_cohort_is_data_error(tmp_path, capsys, estimand, estimator):
     path = tmp_path / "empty.csv"
     path.write_text("id,inf_time,end_time,end_status\n")

@@ -200,6 +200,13 @@ def test_discretize_indicator_paths():
 def test_horizon_must_cover_the_data():
     with pytest.raises(DataError, match="horizon"):
         Cohort((Subject("A", None, 5.0, "death"),), horizon=3)
+    with pytest.raises(DataError, match="^horizon must be finite$"):
+        Cohort((Subject("A", None, 5.0, "death"),), horizon=math.inf)
+
+
+def test_a_source_of_another_type_is_a_type_error():
+    with pytest.raises(TypeError, match="source must be a path, text, bytes, or file object"):
+        parse_cohort(42)
 
 
 def test_subject_validation():
@@ -285,6 +292,22 @@ def test_explicit_transition_rows_are_validated():
     for t_start in (1.0, -1.0):  # would be read as entry at time 0
         with pytest.raises(DataError, match="subject A: a state-0 row must start at time 0"):
             Cohort.from_transitions([TransitionRow("A", 0, 3, t_start, 5.0)])
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([TransitionRow("A", 0, 4, 0.0, 3.0)], "invalid transition 0->4"),
+    ([TransitionRow("A", 0, 1, 0.0, 2.0), TransitionRow("A", 1, 2, 2.0, 5.0)],
+     "invalid transition 1->2"),
+    ([TransitionRow("A", 1, 5, 2.0, 5.0)], "single row must start in state 0"),
+    ([TransitionRow("A", 0, 2, 0.0, 2.0), TransitionRow("A", 1, 5, 2.0, 5.0)],
+     "rows must chain 0->1 then 1->..."),
+    ([TransitionRow("A", 0, 1, 0.0, 2.0), TransitionRow("A", 1, 4, 2.0, 5.0),
+      TransitionRow("A", 1, 5, 5.0, 6.0)], "more than two rows"),
+], ids=["0->4", "1->2", "lone-state-1-row", "broken-0->1-chain", "three-rows"])
+def test_transition_rows_outside_the_six_state_chain_are_rejected(rows, message):
+    with pytest.raises(DataError) as info:
+        Cohort.from_transitions(rows)
+    assert str(info.value) == f"subject A: {message}"
 
 
 def test_lone_exposure_row_is_rejected():

@@ -7,11 +7,15 @@ from pafmsm import continuous, paf as paf_module
 
 from pafmsm import (
     Cohort,
+    DataError,
     HazardSpec,
     Subject,
     aalen_johansen_extended,
+    bootstrap_ci,
     cif_counterfactual,
     cpf_unexposed,
+    discretize,
+    estimate_paf,
     exposure_survival,
     fit_cox_td,
     ht_cif,
@@ -111,6 +115,24 @@ def test_kaplan_meier_simple():
     assert km(1.0) == pytest.approx(2 / 3)
     assert km(2.5) == pytest.approx(2 / 3)
     assert km(3.0) == pytest.approx(0.0)
+
+
+def test_kaplan_meier_of_no_times_raises():
+    with pytest.raises(DataError, match="^empty sample$"):
+        kaplan_meier([], [])
+
+
+@pytest.mark.parametrize("estimate", [
+    overall_death_risk, cpf_unexposed, cif_counterfactual, ht_cif, exposure_survival,
+    aalen_johansen_extended, lambda c: nelson_aalen(c, 0, 3), discretize,
+    lambda c: estimate_paf(c, "paf_o"), lambda c: estimate_paf(c, "paf_c"),
+    lambda c: estimate_paf(c, "paf_c", "ipw"), lambda c: bootstrap_ci(c, "paf_c", B=2),
+], ids=["overall_death_risk", "cpf_unexposed", "cif_counterfactual", "ht_cif",
+        "exposure_survival", "aalen_johansen_extended", "nelson_aalen", "discretize",
+        "multistate-paf_o", "multistate-paf_c", "ipw-paf_c", "bootstrap"])
+def test_an_empty_cohort_raises_one_message(estimate):
+    with pytest.raises(DataError, match="^empty cohort$"):
+        estimate(Cohort())
 
 
 def test_nelson_aalen_increments():

@@ -179,12 +179,27 @@ def tie_shifted_cohort():
     return cohort
 
 
+def underflow_cohort():
+    """10 000 unexposed subjects discharged at t = 100, an unexposed death at
+    t = 1 before anyone is exposed, and three subjects exposed at t = 2.  At
+    beta = 0 the information is tiny, so the first Newton step of the death
+    fit goes past beta = 2000, where Y0(1-) e^-beta underflows to 0: that
+    trial is rejected and halved."""
+    n = 10_000
+    return Cohort.from_columns(
+        ["D0", "E1", "E2", "E3", "U2", *(f"u{i}" for i in range(n))],
+        [np.nan, 2.0, 2.0, 2.0, np.nan] + [np.nan] * n, [1.0, 3.0, 50.0, 100.0, 4.0] + [100.0] * n,
+        [STATUS_DEATH, STATUS_DEATH, STATUS_DISCHARGE, STATUS_DISCHARGE, STATUS_DEATH]
+        + [STATUS_DISCHARGE] * n)
+
+
 @pytest.mark.parametrize("make", [
     *(lambda seed=seed: simulate_cohort(icu_like_spec(), 20_000, seed) for seed in range(1, 6)),
     *(lambda seed=seed: simulate_cohort(icu_like_spec(round_days=True), 20_000, seed)
       for seed in range(1, 4)),
-    tie_shifted_cohort,
-], ids=[*(f"icu-{s}" for s in range(1, 6)), *(f"icu-days-{s}" for s in range(1, 4)), "tie-shifted"])
+    tie_shifted_cohort, underflow_cohort,
+], ids=[*(f"icu-{s}" for s in range(1, 6)), *(f"icu-days-{s}" for s in range(1, 4)), "tie-shifted",
+        "underflowed-risk-set"])
 def test_the_count_fit_equals_the_interval_engine(make, count_route):
     cohort = make()
     for outcome in ("death", "discharge"):

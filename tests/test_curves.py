@@ -45,6 +45,12 @@ def test_undefined_from_marks_a_nan_tail():
     assert not c.is_defined(2.5)
 
 
+def test_a_curve_without_an_undefined_tail_is_defined_everywhere():
+    c = StepCurve(np.array([1.0, 2.0]), np.array([0.1, 0.2]))
+    assert c.is_defined(1e9) is True
+    np.testing.assert_array_equal(c.is_defined(np.array([[0.0, 5.0]])), [[True, True]])
+
+
 def test_non_increasing_times_rejected():
     with pytest.raises(ValueError):
         StepCurve(np.array([2.0, 1.0]), np.array([0.1, 0.2]))
@@ -64,6 +70,7 @@ def test_union_grid_merges_and_sorts():
     a = StepCurve(np.array([1.0, 4.0]), np.array([0.0, 0.0]))
     b = StepCurve(np.array([2.0, 4.0]), np.array([0.0, 0.0]))
     np.testing.assert_array_equal(union_grid(a, b), [1.0, 2.0, 4.0])
+    assert union_grid().shape == (0,)
 
 
 @pytest.mark.parametrize("n", [0, 1, _CSV_CHUNK - 1, _CSV_CHUNK, 2 * _CSV_CHUNK + 17])

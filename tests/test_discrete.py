@@ -6,6 +6,7 @@ import pytest
 
 from pafmsm import (
     Cohort,
+    DailyPanel,
     DataError,
     ExposureModel,
     PositivityError,
@@ -497,6 +498,18 @@ def test_weight_table_shape_checked():
     weights = compute_weights(other, nonparametric_daily_hazard(other))
     with pytest.raises(DataError):
         ipw_f01(panel, weights)
+    for probs in (nonparametric_daily_hazard(other), np.zeros(2), np.zeros((2, 2))):
+        with pytest.raises(DataError, match=r"daily_probs must have shape \(n_subjects, n_days\)"):
+            compute_weights(panel, probs)
+
+
+def test_a_panel_of_no_subjects_is_undefined_from_day_one():
+    # discretize never builds one (an empty cohort raises); a panel built by
+    # hand has no weights to sum, and both ratios are 0 / 0 from day 1
+    none = np.empty(0, np.int64)
+    panel = DailyPanel((), none, none, none, 3, {})
+    for curve in (naive_f01(panel), ipw_f01(panel, empirical_weights(panel))):
+        assert curve.undefined_from == 1.0 and np.isnan(curve.values).all()
 
 
 def test_pooled_logistic_converges_where_the_likelihood_is_flat():

@@ -14,8 +14,13 @@ from pafmsm import (
     bootstrap_ci,
     discretize,
     estimate_paf,
+    cif_counterfactual,
+    cpf_unexposed,
     fourfold_at,
+    overall_death_risk,
+    paf_c,
     paf_fixed,
+    paf_o,
     parse_cohort,
     preventable_count,
     simulate_cohort,
@@ -106,6 +111,7 @@ def test_fourfold_at_counts_an_exposure_and_a_death_at_t_itself():
 def test_paf_fixed_degenerate_tables():
     assert np.isnan(paf_fixed(FourfoldTable(0, 10, 0, 10)))
     assert paf_fixed(FourfoldTable(0, 0, 5, 5)) == 0.0
+    assert np.isnan(paf_fixed(FourfoldTable(3, 7, 0, 0)))  # nobody unexposed
     with pytest.raises(DataError):
         paf_fixed(FourfoldTable(0, 0, 0, 0))
 
@@ -116,6 +122,17 @@ def test_preventable_counts_round_to_nearest():
     assert preventable_count(0.0, 500) == 0
     with pytest.raises(DataError):
         preventable_count(float("nan"), 10)
+
+
+def test_paf_from_its_building_blocks_equals_the_estimate():
+    cohort = integer_cohort(3, n=100)
+    overall = overall_death_risk(cohort)
+    for estimand, curve in (("paf_o", paf_o(overall, cpf_unexposed(cohort))),
+                            ("paf_c", paf_c(overall, cif_counterfactual(cohort)))):
+        want = estimate_paf(cohort, estimand)
+        assert (curve.estimand, curve.estimator) == (estimand, "multistate")
+        assert curve.to_csv() == want.to_csv() == want.curve.to_csv()
+        assert curve.to_csv().startswith("t,value\n")
 
 
 def test_bootstrap_is_deterministic():
@@ -336,6 +353,34 @@ def test_bootstrap_counts_failed_replicates(monkeypatch, failing):
         assert np.isnan(bands.lower.values).all() and np.isnan(bands.upper.values).all()
     else:  # exactly half of them at failing = 10
         assert np.isfinite(bands.lower.values).all() and np.isfinite(bands.upper.values).all()
+
+
+def one_exposed_cohort():
+    """Twelve subjects with a binary covariate, one of them exposed: a
+    resample that misses subject 0 has no exposure for the model to fit."""
+    return Cohort(tuple(Subject(str(i), 1.0 if i == 0 else None, 3.0,
+                                "death" if i % 2 else "discharge", {"x": float(i % 2)})
+                        for i in range(12)))
+
+
+def test_a_resample_without_exposure_is_a_failed_replicate():
+    cohort = one_exposed_cohort()
+    bands = bootstrap_ci(cohort, "paf_c", "ipw", B=50, seed=1, covariates=("x",))
+    draws = [np.random.default_rng(s).integers(0, 12, size=12)
+             for s in np.random.SeedSequence(1).spawn(50)]
+    # a draw without subject 0 has no exposure (a data error); one whose
+    # other subjects all have x = 1 has x separate the exposure (numerical)
+    missed = [idx for idx in draws if 0 not in idx]
+    separated = [idx for idx in draws if 0 in idx and all(i % 2 for i in idx if i)]
+    assert (bands.failed, len(missed), len(separated)) == (22, 20, 2)
+    with pytest.raises(DataError, match="no exposure events"):
+        paf_module._paf_from("paf_c", "ipw", ("x",), discretize(cohort).take(missed[0]))
+    point = estimate_paf(cohort, "paf_c", "ipw", covariates=("x",))
+    assert bands.estimate.to_csv() == point.to_csv()
+    # the sample itself keeps its data error
+    with pytest.raises(DataError, match="no exposure events"):
+        bootstrap_ci(cohort.subset(np.arange(1, 12)), "paf_c", "ipw", B=50, seed=1,
+                     covariates=("x",))
 
 
 def reference_bands_csv(bands):

@@ -183,6 +183,9 @@ def test_piecewise_hazard_rate_and_cumulative():
 def test_piecewise_hazard_validation():
     with pytest.raises(DataError):
         PiecewiseHazard(np.array([2.0, 1.0]), np.array([0.1, 0.1]))
+    for until, rates in (([2.0, 5.0], [0.1]), ([], []), ([[2.0]], [[0.1]])):
+        with pytest.raises(DataError, match="until and rates must be 1-d arrays of equal length"):
+            PiecewiseHazard(np.array(until), np.array(rates))
     with pytest.raises(DataError):
         PiecewiseHazard(np.array([2.0]), np.array([-0.1]))
     for until in ([np.nan, 5.0], [1.0, np.nan, 40.0], [1.0, np.inf, np.inf], [0.0, 5.0], [-np.inf]):
@@ -304,6 +307,12 @@ def test_all_zero_rates_rejected():
         simulate_cohort(spec, 10, seed=0)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_a_cohort_of_no_subjects_is_not_drawn(n):
+    with pytest.raises(DataError, match="^n must be >= 1$"):
+        simulate_cohort(icu_like_spec(), n, seed=0)
+
+
 def test_empirical_exposure_cif_matches_closed_form():
     cohort = simulate_cohort(CONST, 50_000, seed=42)
     a0 = 0.05 + 0.05 + 0.02
@@ -365,6 +374,13 @@ def test_analytic_requires_markov():
     spec = HazardSpec.constant(0.05, 0.05, 0.02, 0.05, 0.03, gamma=0.2, tau=10.0)
     with pytest.raises(DataError):
         analytic_curves(spec, np.array([1.0]))
+
+
+@pytest.mark.parametrize("grid", [[], [-1.0, 2.0]])
+def test_analytic_grid_must_be_non_empty_and_non_negative(grid):
+    spec = HazardSpec.constant(0.05, 0.05, 0.02, 0.05, 0.03, tau=10.0)
+    with pytest.raises(DataError, match="^grid must be non-empty and non-negative$"):
+        analytic_curves(spec, np.array(grid))
 
 
 def test_brute_force_hand_cohort():
