@@ -1,10 +1,11 @@
 """Nonparametric continuous-time estimators.
 
-Every estimator reads one exit table, built with one sort: the exits
+Every estimator reads an exit table, built with one sort: exits counted
+by kind on their distinct times.  The six-state table holds the exits
 from state 0 (at the exposure time if exposed, else at the end) and from
-state 1, counted by kind on the distinct exit times.  The table can be
-weighted by subject counts, which is how the bootstrap evaluates its
-replicates.
+state 1.  Each competing-risks reduction reads only the exits of its own
+state, state 0 or the hospital (states 0 and 1), in a table weighted by
+subject counts, which is how the bootstrap evaluates its replicates.
 
 All estimators share the same tie convention: distinct subjects may share
 event times, ties are processed simultaneously, and risk sets are always
@@ -91,100 +92,116 @@ def _kinds(status, base):
                     np.where(status == STATUS_DEATH, base + 1, base + 2))
 
 
-# Rows of the exit table: exits 0->1, 0->2, 0->3, 0->censored, 1->4, 1->5
-# and 1->censored.  This maps each transition to its row.
+# Rows of the six-state exit table: exits 0->1, 0->2, 0->3, 0->censored,
+# 1->4, 1->5 and 1->censored.  This maps each transition to its row.  The
+# tables of the exits from state 0 and from the hospital have the first
+# four: exposure (empty for the hospital), discharge, death and censored.
 _ROWS = {(0, 1): 0, (0, 2): 1, (0, 3): 2, (1, 4): 4, (1, 5): 5}
 
 
-def _exit_table(cohort: Cohort):
-    """The exit table of the six-state model, from one sort of its exit times.
+def _exit_table(cohort: Cohort, exits):
+    """Exit counts by kind on the distinct exit times, from one sort.
 
-    Every subject exits state 0 (at the exposure time if exposed, else at
-    the end) and, if exposed, state 1.  Returns the T distinct exit times
-    and a function of a (k x n) matrix of subject counts that returns the
-    (k x 7 x T) exits by row, one weighted ``bincount``.  Without an
-    argument it counts the sample itself, a single row of ones; a bootstrap
-    replicate counts how often each subject was drawn.  The counts are
-    integers, held exactly as floats.
+    ``exits`` is "state0" (each subject leaves state 0 once: at the
+    exposure time if exposed, else at the end), "hospital" (each subject
+    leaves at the end) or "six_state" (the exits from state 0 and, if
+    exposed, from state 1, counted for the sample only: (1 x 7 x T)).
+    Returns the T distinct exit times and a function of a (k x n) matrix
+    of how often each subject was drawn that returns the (k x 4 x T)
+    exits by row, one weighted ``bincount``; without an argument it counts
+    the sample, a single row of ones.  The counts are integers, held
+    exactly as floats.
     """
     inf, end, status = cohort.inf, cohort.end, cohort.status
     if end.size == 0:
         raise DataError("empty cohort")
-    exposed = ~np.isnan(inf)
-    times = np.concatenate((np.where(exposed, inf, end), end[exposed]))
-    kinds = np.concatenate((np.where(exposed, 0, _kinds(status, 1)), _kinds(status[exposed], 4)))
-    subjects = np.concatenate((np.arange(end.size), np.flatnonzero(exposed)))
+    times, kinds, rows = end, _kinds(status, 1), 4
+    if exits != "hospital":
+        exposed = ~np.isnan(inf)
+        times, kinds = np.where(exposed, inf, end), np.where(exposed, 0, kinds)
+    if exits == "six_state":
+        times = np.concatenate((times, end[exposed]))
+        kinds, rows = np.concatenate((kinds, _kinds(status[exposed], 4))), 7
     ut, idx = np.unique(times, return_inverse=True)
     cells = kinds * ut.size + idx
 
     def table(freq=None):
-        w = np.ones((1, subjects.size)) if freq is None else freq.take(subjects, axis=1)
-        offsets = np.arange(w.shape[0])[:, None] * (7 * ut.size)
+        w = np.ones((1, cells.size)) if freq is None else freq
+        offsets = np.arange(w.shape[0])[:, None] * (rows * ut.size)
         counts = np.bincount((offsets + cells).ravel(), weights=w.ravel(),
-                             minlength=w.shape[0] * 7 * ut.size)
-        return counts.reshape(w.shape[0], 7, ut.size)
+                             minlength=w.shape[0] * rows * ut.size)
+        return counts.reshape(w.shape[0], rows, ut.size)
 
     return ut, table
 
 
 def _six_state(cohort: Cohort):
     """The sample's (7 x T) exit table, its times and the risk sets Y0(t-) and Y1(t-)."""
-    times, table = _exit_table(cohort)
+    times, table = _exit_table(cohort, "six_state")
     counts = table()[0]
     y0 = _at_risk(counts[:4].sum(axis=0))
     y1 = _at_risk(counts[4:].sum(axis=0)) - _at_risk(counts[0])
     return times, counts, y0, y1
 
 
-# The competing-risks reductions of the six-state process, as row sets of
-# the exit table: risk set, events and the target whose CIF is the curve.
-# cpf_unexposed adds the exposure row, whose CIF divides its death CIF.
+# The competing-risks reductions of the six-state process: the exits whose
+# table each reads, and the rows of its events and of the target whose CIF
+# is the curve.  cpf_unexposed adds the exposure row, whose CIF divides its
+# death CIF.
 _REDUCTIONS = {
-    "overall_death_risk": (slice(1, 7), [1, 2, 4, 5], [2, 5]),
-    "cpf_unexposed": (slice(0, 4), [0, 1, 2], [2], [0]),
-    "cif_counterfactual": (slice(0, 4), [1, 2], [2]),
+    "overall_death_risk": ("hospital", slice(1, 3), (2,)),
+    "cpf_unexposed": ("state0", slice(0, 3), (2, 0)),
+    "cif_counterfactual": ("state0", slice(1, 3), (2,)),
 }
 
 
 def _reduction(table, name):
-    """Aalen-Johansen rows of reduction ``name`` on a (k x 7 x T) exit table.
+    """Aalen-Johansen rows of reduction ``name`` on its (k x 4 x T) exit table.
 
     Returns its (k x T) curves, NaN where undefined, and the (k x T)
-    all-cause survival after each time.  At a time where the reduction has
-    no exit, a step multiplies by an exact 1.0 and adds an exact 0.0, so on
-    its own exit times the curves are those of the reduction alone.  After
-    a row's last exit its risk set is empty and divided by 1 in place of 0,
+    all-cause survival after each time.  The steps run in place on the
+    table's rows.  At a time where a row has no exit (no subject drawn),
+    a step multiplies by an exact 1.0 and adds an exact 0.0.  After a
+    row's last exit its risk set is empty and divided by 1 in place of 0,
     with zero events, so its curves stay frozen.
     """
-    risk, events, *targets = _REDUCTIONS[name]
-    y = np.maximum(_at_risk(table[:, risk].sum(axis=1)), 1.0)
-    s_after = np.cumprod(1.0 - table[:, events].sum(axis=1) / y, axis=1)
-    s_minus = np.concatenate((np.ones((table.shape[0], 1)), s_after[:, :-1]), axis=1)
-    cifs = [np.cumsum(s_minus * table[:, rows].sum(axis=1) / y, axis=1) for rows in targets]
+    events, targets = _REDUCTIONS[name][1:]
+    y = _at_risk(table.sum(axis=1))
+    np.maximum(y, 1.0, out=y)
+    s_after = table[:, events].sum(axis=1)
+    np.subtract(1.0, np.divide(s_after, y, out=s_after), out=s_after)
+    np.cumprod(s_after, axis=1, out=s_after)
+    cifs = []
+    for row in targets:
+        cif = table[:, row]
+        np.multiply(s_after[:, :-1], cif[:, 1:], out=cif[:, 1:])  # S(t-) dN(t); S(0-) is 1
+        np.divide(cif, y, out=cif)
+        cifs.append(np.cumsum(cif, axis=1, out=cif))
     return (_conditional(*cifs) if len(cifs) > 1 else cifs[0]), s_after
 
 
 def _conditional(cif_death, cif_exposure):
-    """P(death by t | unexposed at t), NaN where nobody is left unexposed."""
-    denom = 1.0 - cif_exposure
+    """P(death by t | unexposed at t), NaN where nobody is left unexposed;
+    written over ``cif_death``."""
+    denom = np.subtract(1.0, cif_exposure, out=cif_exposure)
     undefined = denom <= _DENOM_TOL
-    return np.where(undefined, np.nan, cif_death / np.where(undefined, 1.0, denom))
+    np.divide(cif_death, denom, out=cif_death, where=~undefined)
+    cif_death[undefined] = np.nan
+    return cif_death
 
 
 def _sample_curve(cohort, name) -> StepCurve:
     """The curve of reduction ``name`` on the sample, at its own exit times."""
-    times, table = _exit_table(cohort)
-    counts = table()
-    values, s_after = _reduction(counts, name)
-    on = counts[0, _REDUCTIONS[name][0]].any(axis=0)
-    ut, values = times[on], values[0, on]
+    times, table = _exit_table(cohort, _REDUCTIONS[name][0])
+    values, s_after = _reduction(table(), name)
+    values = values[0].copy()  # a view would keep the whole table alive with the curve
     undefined = np.isnan(values)
     # mass left unresolved after the last exit: the curve is frozen from there
-    truncated = s_after[0, on][-1] > _DENOM_TOL
+    truncated = s_after[0, -1] > _DENOM_TOL
     return StepCurve(
-        ut, values, initial=0.0,
-        undefined_from=float(ut[undefined.argmax()]) if undefined.any() else None,
-        truncated_from=float(ut[-1]) if truncated else None,
+        times, values, initial=0.0,
+        undefined_from=float(times[undefined.argmax()]) if undefined.any() else None,
+        truncated_from=float(times[-1]) if truncated else None,
     )
 
 

@@ -253,10 +253,10 @@ class CurveWithBands:
             _csv_rows((grid, *cells, defined.astype(float))))
 
 
-# Multistate replicates are computed in blocks whose exit table, and whose
+# Multistate replicates are computed in blocks whose exit tables, and whose
 # (replicate x subject) count matrix, hold at most this many cells, so that
 # memory grows with n + B * len(grid) and not with B * n.
-_BLOCK_CELLS = 1 << 17
+_BLOCK_CELLS = 1 << 15
 
 
 def _on_grid(ut, rows, grid):
@@ -268,19 +268,20 @@ def _on_grid(ut, rows, grid):
 def _multistate_replicates(cohort, estimand, streams, grid):
     """PAF of every replicate on ``grid``, one row per stream.
 
-    A replicate is the vector of how often each subject was drawn; the
-    exit table weighted by those counts gives exactly the curves of the
-    resampled cohorts, a block of replicates per table.
+    A replicate is the vector of how often each subject was drawn; each
+    curve's exit table weighted by those counts gives exactly the curves
+    of the resampled cohorts, a block of replicates per table.
     """
     n = len(cohort)
-    times, table = continuous._exit_table(cohort)
-    block = max(1, _BLOCK_CELLS // max(7 * times.size, n))
+    names = ("overall_death_risk", _SUBTRACTED[estimand])
+    tables = [continuous._exit_table(cohort, continuous._REDUCTIONS[name][0]) for name in names]
+    block = max(1, _BLOCK_CELLS // max(4 * max(times.size for times, _ in tables), n))
     est = np.empty((len(streams), grid.size))
     for first in range(0, len(streams), block):
         part = streams[first:first + block]
-        counts = table(_draw_counts(part, n))
-        pd, q = (_on_grid(times, continuous._reduction(counts, name)[0], grid)
-                 for name in ("overall_death_risk", _SUBTRACTED[estimand]))
+        counts = _draw_counts(part, n)
+        pd, q = (_on_grid(times, continuous._reduction(table(counts), name)[0], grid)
+                 for name, (times, table) in zip(names, tables))
         est[first:first + len(part)] = _paf_values(pd, q)
     return est
 
@@ -322,7 +323,7 @@ def _ipw_replicates(panel, streams, grid):
 
 def _draw_counts(streams, n):
     """(k x n) matrix of how often the replicate of each stream drew each
-    subject, as floats: the weights of the exit table, one ``bincount`` per
+    subject, as floats: the weights of the exit tables, one ``bincount`` per
     stream written into one preallocated matrix."""
     out = np.empty((len(streams), n))
     for row, stream in zip(out, streams):

@@ -231,22 +231,30 @@ def test_count_weight_replicates_equal_the_per_replicate_estimates(name, estiman
     grid = np.concatenate(([0.5], np.arange(1.0, cohort.horizon + 2.0)))
     streams = np.random.SeedSequence(6).spawn(40)
     got = paf_module._multistate_replicates(to_transitions(cohort), estimand, streams, grid)
-    assert np.array_equal(got, _loop_replicates(cohort, estimand, 40, 6, grid), equal_nan=True)
+    assert got.tobytes() == _loop_replicates(cohort, estimand, 40, 6, grid).tobytes()
 
 
-@pytest.mark.parametrize("cells", [7, 250])
-def test_replicate_blocks_do_not_change_the_bands(monkeypatch, cells):
+# A replicate of this cohort holds 4 x 23 cells, its larger exit table: 100
+# cells make blocks of 1 replicate, and 300 blocks of 3 with a last block of 1.
+@pytest.mark.parametrize("cells, blocks", [(100, [1] * 40), (300, [3] * 13 + [1])],
+                         ids=["blocks_of_1", "blocks_of_3"])
+def test_replicate_blocks_do_not_change_the_bands(monkeypatch, cells, blocks):
     cohort = ENGINE_COHORTS["tied_days_censored"]
     whole = bootstrap_ci(cohort, "paf_c", B=40, seed=3)
-    monkeypatch.setattr(paf_module, "_BLOCK_CELLS", cells)  # blocks of 1 and of 3 replicates
+    monkeypatch.setattr(paf_module, "_BLOCK_CELLS", cells)
+    sizes, draw_counts = [], paf_module._draw_counts
+    monkeypatch.setattr(paf_module, "_draw_counts",
+                        lambda streams, n: sizes.append(len(streams)) or draw_counts(streams, n))
     blocked = bootstrap_ci(cohort, "paf_c", B=40, seed=3)
-    assert np.array_equal(blocked.lower.values, whole.lower.values, equal_nan=True)
-    assert np.array_equal(blocked.upper.values, whole.upper.values, equal_nan=True)
+    assert sizes == blocks
+    assert blocked.lower.values.tobytes() == whole.lower.values.tobytes()
+    assert blocked.upper.values.tobytes() == whole.upper.values.tobytes()
 
 
 def test_multistate_bootstrap_memory_stays_within_its_blocks():
-    # a block of replicates holds one weighted exit table of at most
-    # _BLOCK_CELLS cells; sweeps of (block x n) float temporaries took 14.6 MB
+    # a block of replicates holds weighted exit tables of at most
+    # _BLOCK_CELLS cells; sweeps of (block x n) float temporaries took
+    # 14.6 MB, and one (block x 7 x T) six-state table per block 3.16 MB
     cohort = simulate_cohort(icu_like_spec(), 1000, seed=3)
     tracemalloc.start()
     try:
@@ -254,7 +262,7 @@ def test_multistate_bootstrap_memory_stays_within_its_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8e6
+    assert peak < 2e6
 
 
 def _refit_replicates(panel, streams, grid):
