@@ -361,9 +361,15 @@ def parse_cohort(source, tie_policy: TiePolicy = TiePolicy.shift()) -> Cohort:
     file object.  Input that does not decode as UTF-8 raises ParseError.
 
     Rows are read, checked and converted in chunks of about 64k characters
-    cut at line ends, so a parse holds the kept columns plus the cell
-    strings of one chunk, and the first faulty row in the file raises.
+    cut at line ends, so a parse holds the kept columns plus the bytes and
+    cell strings of one chunk, and the first faulty row in the file raises.
     Text with a quote, a CR or a NUL is read by ``csv.reader`` in one pass.
+    In a plain chunk (see ``_split_rows``), a number column of short
+    decimals (ASCII digits, at most one ".", at most ``_SHORT`` bytes a
+    cell: whole-day times), the statuses and the ids are converted from
+    the UTF-8 bytes, bit for bit as ``float`` and the ``str`` lookups
+    would; a column with any other cell falls back to ``str`` cells and
+    ``float``, which give the same values and the same error messages.
     """
     what = "input"
     try:
@@ -380,7 +386,9 @@ def parse_cohort(source, tie_policy: TiePolicy = TiePolicy.shift()) -> Cohort:
     except UnicodeDecodeError as exc:
         raise ParseError(f"{what} is not UTF-8 text: {exc}") from None
     if isinstance(source, str):
-        return _parse(source, tie_policy)
+        header, parts = _read_chunks(source, tie_policy)
+        del source  # a text read here goes before the cohort is built
+        return _joined(header, parts)
     raise TypeError("source must be a path, text, bytes, or file object")
 
 
@@ -424,18 +432,25 @@ def _text_column(cells):
 
 
 def _split_rows(text):
-    """Header and body cells of plain text by ``str.split``, or None.
+    """Header and body cells of plain text, read from its UTF-8 bytes, or None.
 
     Plain means no ``"``, ``\\r`` or NUL, no line longer than the csv field
     limit, and as many commas on every line as on the header: on such text
     ``csv.reader`` returns the same cells.  One scan of the UTF-8 bytes
     decides it: there "," and "\\n" are single bytes that no longer
     character contains, and a line has at least as many bytes as characters.
+    The same scan gives every cell's first byte and length, so the body
+    cells stay bytes (``_ByteCells``): number columns of short decimals,
+    statuses and ids are converted from them, with the bits of ``float``
+    (m / 10**k, both exact doubles, one correctly rounded division) and
+    the strings of the ``str`` path; any other column is split into
+    ``str`` cells when it is first read.
     """
     if not text or '"' in text or "\r" in text or "\0" in text:
         return None
     body = text if text.endswith("\n") else text + "\n"
-    raw = np.frombuffer(body.encode("utf-8", "surrogatepass"), np.uint8)
+    # 8 NUL bytes after the last line: every cell can be read 8 bytes at a time
+    raw = np.frombuffer(body.encode("utf-8", "surrogatepass") + bytes(8), np.uint8)
     seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
     newline = raw[seps] == ord("\n")
     # plain: (width - 1) commas and a newline, once per row
@@ -443,9 +458,164 @@ def _split_rows(text):
     if (newline.size != rows * width or not newline[width - 1::width].all()
             or np.diff(seps[newline], prepend=-1).max() > csv.field_size_limit() + 1):
         return None
-    cells = body.replace("\n", ",").split(",")
-    cells.pop()  # after the newline that ends the last row
-    return cells[:width], [cells[width + j::width] for j in range(width)], np.full(rows - 1, width)
+    header = body[:body.find("\n")].split(",")
+    return header, _ByteCells(body, raw, seps, width), np.full(rows - 1, width)
+
+
+class _Cells:
+    """The body cells of one chunk of rows, as one list of ``str`` per
+    column, and their conversions for ``_read_rows``."""
+
+    def __init__(self, columns):
+        self.columns, self.width = columns, len(columns)
+
+    def text(self, j):
+        """The cells of column ``j`` as given."""
+        return self.columns[j]
+
+    def row(self, k):
+        """The cells of body row ``k`` as given."""
+        return [self.text(j)[k] for j in range(self.width)]
+
+    def ids(self):
+        """The id cells, stripped."""
+        return list(map(str.strip, self.text(0)))
+
+    def numbers(self, js):
+        """For each column in ``js``: its floats (NaN where blank or not a
+        number) and the masks of blank cells and of cells that are numbers."""
+        return [_text_column(self.text(j))[1:] for j in js]
+
+    def statuses(self, j):
+        """The status codes of column ``j``, -1 where unknown or blank."""
+        status = np.fromiter(map(_STATUS_CODE.get, self.text(j), repeat(-1)), np.int64)
+        if (status < 0).any():  # padded, blank or unknown cells
+            status = np.fromiter(map(_STATUS_CODE.get, map(str.strip, self.text(j)), repeat(-1)),
+                                 np.int64)
+        return status
+
+
+class _ByteCells(_Cells):
+    """The body cells of plain text as UTF-8 bytes ``raw`` and the positions
+    ``seps`` of the "," or "\\n" after every cell, header cells first.
+
+    Ids are one ``decode`` and ``split`` of their gathered bytes.  A status
+    is matched byte for byte against the three names.  A column of numbers
+    whose non-blank cells are all ASCII digits with at most one "." and at
+    most ``_SHORT`` bytes is decoded from its bytes (``_short_decimals``).
+    Any other column goes through the ``str`` conversion of ``_Cells``, on
+    cells that are split from the text only then.
+    """
+
+    def __init__(self, body, raw, seps, width):
+        self.columns, self.width = None, width
+        self.body, self.raw, self.seps = body, raw, seps
+
+    def _bounds(self, j):
+        """The first byte and the length of each body cell of column ``j``."""
+        w = self.width
+        stops = self.seps[w + j::w]
+        starts = self.seps[w + j - 1:-1:w] + 1
+        return starts, stops - starts
+
+    def text(self, j):
+        if self.columns is None:
+            cells = self.body.replace("\n", ",").split(",")
+            cells.pop()  # after the newline that ends the last row
+            self.columns = [cells[self.width + i::self.width] for i in range(self.width)]
+        return self.columns[j]
+
+    def ids(self):
+        starts, length = self._bounds(0)
+        size = length + 1  # each id cell and the "," after it
+        gathered = self.raw[np.repeat(starts - np.cumsum(size) + size, size)
+                            + np.arange(size.sum())]
+        ids = gathered.tobytes().decode("utf-8", "surrogatepass").split(",")
+        ids.pop()
+        # str.strip strips only characters below "!" or of more than one byte
+        if ((gathered < ord("!")) | (gathered >= 0x80)).any():
+            ids = list(map(str.strip, ids))
+        return ids
+
+    def numbers(self, js):
+        out = []
+        for j in js:
+            starts, length = self._bounds(j)
+            if length.max(initial=0) <= _SHORT:
+                values, ok = _short_decimals(self.raw, starts, length)
+                if ok.all():
+                    out.append((values, length == 0, length > 0))
+                    continue
+            out.extend(super().numbers([j]))
+        return out
+
+    def statuses(self, j):
+        starts, length = self._bounds(j)
+        head = _words(self.raw)[starts]  # the first 8 bytes of each cell
+        status = np.full(length.size, -1)
+        for name, code in _STATUS_CODE.items():
+            name = name.encode()
+            first = np.uint64(int.from_bytes(name[:8], "little"))
+            mask = np.uint64((1 << 8 * len(name[:8])) - 1)
+            hit = (length == len(name)) & ((head & mask) == first)
+            for i in range(8, len(name)):  # the ninth byte of "discharge"
+                hit &= self.raw[starts + i] == name[i]
+            status[hit] = code
+        return status if (status >= 0).all() else super().statuses(j)
+
+
+_SHORT = 6  # bytes of the longest cell that _short_decimals reads; at most 8
+_POW10 = np.array([float(10 ** k) for k in range(8)])  # exact: below 2**53
+# a word times _BYTE_SUM, shifted right by 56, is the sum of its bytes (if
+# below 256); times _BYTES_AFTER, the sum of each byte times the number of
+# bytes after it
+_BYTE_SUM, _BYTES_AFTER = np.uint64(0x0101010101010101), np.uint64(0x0706050403020100)
+
+
+def _words(raw):
+    """The 8 bytes of ``raw`` from each offset as one little-endian word (a view)."""
+    return np.ndarray((raw.size - 7,), "<u8", raw, strides=(1,))
+
+
+def _byte_sums(words, weights=_BYTE_SUM):
+    """The (weighted) sum of the bytes of each word, each byte 0 or 1."""
+    return (words * weights) >> np.uint64(56)
+
+
+def _decimal_value(words):
+    """The integer each word spells with one decimal digit (0..9) per byte,
+    the first byte most significant: three multiply-and-shift steps join
+    digits in pairs, fours and eights (Lemire's eight-digit parse)."""
+    words = (words * np.uint64(10 << 8 | 1)) >> np.uint64(8)
+    words = ((words & np.uint64(0x00FF00FF00FF00FF)) * np.uint64(100 << 16 | 1)) >> np.uint64(16)
+    return ((words & np.uint64(0x0000FFFF0000FFFF)) * np.uint64(10000 << 32 | 1)) >> np.uint64(32)
+
+
+def _short_decimals(raw, starts, length):
+    """The floats of the cells of ``raw`` at ``starts`` (NaN where blank),
+    and whether each is blank or ASCII digits with at most one ".".
+
+    A cell of at most 8 bytes is read as one word and shifted so that its
+    bytes end the word, behind zeros.  Its digits make an integer m < 10**8
+    and its dot a power 10**k, both exact doubles, so m / 10**k, one
+    correctly rounded division, has the bits of ``float(cell)``, which is
+    correctly rounded too (Clinger 1990).
+    """
+    words = _words(raw)[starts]
+    words <<= ((8 - length) * 8).astype(np.uint64)
+    cells = words.view(np.uint8).reshape(-1, 8)
+    dot = (cells == ord(".")).view("<u8").ravel()  # a 1 in the dot's byte
+    cells -= np.uint8(ord("0"))
+    is_digit = cells < 10
+    cells *= is_digit  # words: the digits, 0 in every other byte
+    n_digit, n_dot = _byte_sums(is_digit.view("<u8").ravel()), _byte_sums(dot)
+    ok = (n_digit + n_dot == length) & (n_dot <= 1) & ((n_digit > 0) | (length == 0))
+    # the digits before the dot move one byte on, onto the dot: m's digits
+    before = dot - (dot > 0)  # 0xff in the bytes before the dot
+    m = _decimal_value(((words & before) << np.uint64(8)) | (words & ~before))
+    values = m / _POW10[np.where(ok, _byte_sums(dot, _BYTES_AFTER), 0)]
+    values[length == 0] = math.nan
+    return values, ok
 
 
 def _reader_rows(text):
@@ -472,8 +642,15 @@ def _reader_rows(text):
     return header, [list(map(itemgetter(j), records)) for j in range(width)], lengths
 
 
+def _read_cells(text):
+    """``_reader_rows`` with its columns as ``_Cells``."""
+    header, columns, lengths = _reader_rows(text)
+    return header, _Cells(columns), lengths
+
+
 def _row_chunks(text):
-    """The header, columns and row widths of each chunk of rows, in file order.
+    """The header cells, body cells (``_Cells``) and row widths of each chunk
+    of rows, in file order.
 
     Text with a ``"``, a ``\\r`` or a NUL is one chunk read by ``csv.reader``:
     a quoted cell may hold a line break, so it is never cut at one.  Other
@@ -484,92 +661,103 @@ def _row_chunks(text):
     Row numbers of a ParseError count the rows of the slices before it.
     """
     if not text or '"' in text or "\r" in text or "\0" in text:
-        yield _reader_rows(text)
+        yield _read_cells(text)
         return
-    head, _, body = text.partition("\n")
-    head += "\n"
-    start, rows = 0, 0
+    newline = text.find("\n")
+    head = (text if newline < 0 else text[:newline]) + "\n"
+    start, rows = len(head), 0  # slices of the body are cut from the text itself
     while True:
-        stop = body.rfind("\n", start, start + _PARSE_CHUNK) + 1
+        stop = text.rfind("\n", start, start + _PARSE_CHUNK) + 1
         if not stop:  # no line end in the window: the line is a slice of its own
-            stop = body.find("\n", start) + 1 or len(body)
-        piece = head + body[start:stop]
+            stop = text.find("\n", start) + 1 or len(text)
+        piece = head + text[start:stop]
         try:
-            chunk = _split_rows(piece) or _reader_rows(piece)
+            chunk = _split_rows(piece) or _read_cells(piece)
         except ParseError as exc:
             raise ParseError(str(exc).partition(": ")[2], row=exc.row + rows) from None
-        yield chunk
         rows, start = rows + chunk[2].size, stop
-        if start >= len(body):
+        yield chunk
+        del chunk  # a chunk's cells go before the next chunk is read
+        if start >= len(text):
             return
 
 
-def _parse(text, tie_policy):
+def _read_chunks(text, tie_policy):
+    """The header and, per chunk of rows, the columns of ``_read_rows``."""
     required = ["id", "inf_time", "end_time", "end_status"]
     header, parts, rows = None, [], 0
-    for cells, columns, lengths in _row_chunks(text):
+    for head, cells, lengths in _row_chunks(text):
         if header is None:
-            header = [h.strip() for h in cells]
+            header = [h.strip() for h in head]
             if header[: len(required)] != required:
                 raise ParseError(f"header must start with {','.join(required)}", row=1)
-        parts.append(_read_rows(header, columns, lengths, tie_policy, rows))
+        parts.append(_read_rows(header, cells, lengths, tie_policy, rows))
         rows += lengths.size
+        del cells  # a chunk's cells go before the next chunk is read
+    return header, parts
+
+
+def _joined(header, parts):
+    """The cohort of the chunks' columns; empties ``parts``."""
     ids, inf, end, status, diagnostics, *covariates = zip(*parts)
-    columns = {}
-    for name, pieces in zip(header[4:], covariates):
-        # float only if every chunk of the column is; else floats and text
-        mixed = any(piece.dtype == object for piece in pieces)
-        columns[name] = np.concatenate([piece.astype(object) for piece in pieces] if mixed
-                                       else pieces)
-    return Cohort.from_columns(
-        list(chain.from_iterable(ids)), np.concatenate(inf), np.concatenate(end),
-        np.concatenate(status), columns, diagnostics=tuple(chain.from_iterable(diagnostics)),
-    )
+    parts.clear()  # each column's chunks go once the column is joined
+    # a covariate is float only if every chunk of it is; else floats and text
+    columns = {name: np.concatenate([piece.astype(object) for piece in pieces]
+                                    if any(piece.dtype == object for piece in pieces) else pieces)
+               for name, pieces in zip(header[4:], covariates)}
+    del covariates
+    ids = list(chain.from_iterable(ids))
+    inf = np.concatenate(inf)
+    end = np.concatenate(end)
+    status = np.concatenate(status)
+    return Cohort.from_columns(ids, inf, end, status, columns,
+                               diagnostics=tuple(chain.from_iterable(diagnostics)))
 
 
-def _read_rows(header, columns, lengths, tie_policy, first):
-    """One chunk of rows, checked and converted: the ids, ``inf``, ``end``,
-    ``status``, tie diagnostics and covariate columns of its non-blank rows.
-    A covariate column is float64, or object (floats and stripped text) if
-    a cell is not a number.  ``first`` is the number of body rows before
-    the chunk; the first row that fails a check raises ParseError.
+def _read_rows(header, cells, lengths, tie_policy, first):
+    """One chunk of rows (``_Cells``), checked and converted: the ids,
+    ``inf``, ``end``, ``status``, tie diagnostics and covariate columns of
+    its non-blank rows.  A covariate column is float64, or object (floats
+    and stripped text) if a cell is not a number.  ``first`` is the number
+    of body rows before the chunk; the first row that fails a check raises
+    ParseError.
     """
     width = len(header)
     # body row k is file row first + k + 2; rows with no non-blank cell are skipped
     n = lengths.size
     wrong_width = lengths != width
-    ids = list(map(str.strip, columns[0]))
+    ids = cells.ids()
     no_id = ~np.fromiter(map(bool, ids), bool, n) if "" in ids else np.zeros(n, bool)
     blank = no_id & ~wrong_width
     for k in np.flatnonzero(blank):
-        blank[k] = not any(column[k].strip() for column in columns)
+        blank[k] = not any(cell.strip() for cell in cells.row(k))
     keep = ~blank
-    inf_text, raw_inf, no_inf, inf_number = _text_column(columns[1])
-    end_text, end, no_end, end_number = _text_column(columns[2])
-    status_text = columns[3]
-    status = np.fromiter(map(_STATUS_CODE.get, status_text, repeat(-1)), np.int64, n)
-    if (status < 0).any():  # padded, blank or unknown cells
-        status = np.fromiter(map(_STATUS_CODE.get, map(str.strip, status_text), repeat(-1)),
-                             np.int64, n)
+    (raw_inf, no_inf, inf_number), (end, no_end, end_number), *numbers = cells.numbers(
+        [1, 2, *range(4, width)])
+    status = cells.statuses(3)
     exposed = ~no_inf
     tied = exposed & (raw_inf == end)
     inf = np.where(tied, end - tie_policy.eps, raw_inf) if tie_policy.kind == "shift" else raw_inf
-    covariates = {name: _text_column(cells) for name, cells in zip(header[4:], columns[4:])}
+    covariates = {name: (j, *number)
+                  for name, j, number in zip(header[4:], range(4, width), numbers)}
+
+    def quoted(j, k):
+        return repr(cells.text(j)[k].strip())
 
     # one mask per check, in the order a row is checked; the first row
-    # that fails any check reports the first check it fails (quoting the
-    # cell stripped: a column read as given holds its cells unstripped)
+    # that fails any check reports the first check it fails, quoting the
+    # cell stripped
     checks = [
         (wrong_width, lambda k: f"expected {width} fields, got {lengths[k]}"),
         (no_id & ~blank, lambda k: "empty id"),
-        (exposed & ~inf_number, lambda k: f"bad inf_time {inf_text[k].strip()!r}"),
-        (inf_number & ~np.isfinite(raw_inf), lambda k: f"non-finite inf_time {inf_text[k].strip()!r}"),
+        (exposed & ~inf_number, lambda k: f"bad inf_time {quoted(1, k)}"),
+        (inf_number & ~np.isfinite(raw_inf), lambda k: f"non-finite inf_time {quoted(1, k)}"),
         (raw_inf < 0, lambda k: "negative inf_time"),
         (no_end, lambda k: "missing end_time"),
-        (~no_end & ~end_number, lambda k: f"bad end_time {end_text[k].strip()!r}"),
-        (end_number & ~np.isfinite(end), lambda k: f"non-finite end_time {end_text[k].strip()!r}"),
+        (~no_end & ~end_number, lambda k: f"bad end_time {quoted(2, k)}"),
+        (end_number & ~np.isfinite(end), lambda k: f"non-finite end_time {quoted(2, k)}"),
         (end < 0, lambda k: "negative end_time"),
-        (status < 0, lambda k: f"unknown status {status_text[k].strip()!r}"),
+        (status < 0, lambda k: f"unknown status {quoted(3, k)}"),
         (end <= 0, lambda k: "end_time must be positive"),
         (raw_inf > end, lambda k: "inf_time > end_time"),
         (tied & (tie_policy.kind == "reject"),
@@ -589,12 +777,13 @@ def _read_rows(header, columns, lengths, tie_policy, first):
         for k in np.flatnonzero(tied & keep)
     ]
     columns = []
-    for text, values, _, number in covariates.values():
+    for j, values, _, number in covariates.values():
         if number[keep].all():
             columns.append(values[keep])
-        else:  # mixed: numbers as floats, the rest as (stripped) text
-            cells = [v if ok else t for t, v, ok in zip(text, values.tolist(), number.tolist())]
-            columns.append(np.fromiter(cells, object, n)[keep])
+        else:  # mixed: numbers as floats, the rest as stripped text
+            mixed = [v if ok else t.strip()
+                     for t, v, ok in zip(cells.text(j), values.tolist(), number.tolist())]
+            columns.append(np.fromiter(mixed, object, n)[keep])
     if not keep.all():  # drop the blank rows
         ids = list(compress(ids, keep.tolist()))
         inf, end, status = inf[keep], end[keep], status[keep]
@@ -625,10 +814,9 @@ def discretize(cohort: Cohort, allow_drop: bool = False) -> DailyPanel:
     """
     censored = cohort.status == STATUS_CENSORED
     dropped = tuple(cohort.ids[censored])
-    if dropped and not allow_drop:
-        raise DataError(
-            "censored subjects present (pass allow_drop to exclude them): " + ", ".join(dropped)
-        )
+    if dropped and not allow_drop:  # the count and the first five ids
+        raise DataError(f"{len(dropped)} censored subjects present (pass allow_drop to exclude "
+                        "them): " + ", ".join(dropped[:5] + ("...",) * (len(dropped) > 5)))
     kept = cohort.subset(~censored) if dropped else cohort
     if not len(kept):
         raise DataError("empty cohort")

@@ -77,6 +77,9 @@ class ExposureModel:
         return _logistic(x @ self.coefficients)
 
 
+_UNBOUNDED = ("a daily exposure probability reached 1 on an unexposed path; "
+              "weights are unbounded")
+
 # Weights are built and summed in blocks of at most this many (subject x
 # day) cells, so that memory grows with n_subjects + n_days.
 _BLOCK_CELLS = 1 << 16
@@ -127,9 +130,25 @@ class WeightTable:
         return _Patterns(self.row, self.freeze_day, self.exposure_day, death_day, self.n_days)
 
     def _check_bounded(self):
-        """PositivityError if a weight the estimator reads is not finite."""
-        for _ in self._patterns().blocks(self.factors):
-            pass
+        """PositivityError if a weight the estimator reads is not finite.
+
+        Subject i reads cells 0..min(freeze_day, exposure_day - 1, n_days)
+        of its row's inverse survival.  Factors lie in [0, 1], so that never
+        decreases along a row: the last cell it reads is finite exactly when
+        all are.  Shared rows are built once, rows of one subject each a
+        block of subjects at a time.
+        """
+        m, n = self.n_days, self.n_subjects
+        last = np.minimum(self.freeze_day, np.minimum(self.exposure_day - 1, m))
+        step = max(1, _BLOCK_CELLS // (m + 1))
+        if len(self.factors) <= step:  # shared rows: each built once
+            blocks = [(self.factors, self.row, last)]
+        else:
+            blocks = ((self.factors[self.row[first:first + step]], np.arange(min(step, n - first)),
+                       last[first:first + step]) for first in range(0, n, step))
+        if not all(np.isfinite(_inverse_survival(factors, m)[row, cell]).all()
+                   for factors, row, cell in blocks):
+            raise PositivityError(_UNBOUNDED)
 
 
 def _inverse_survival(factors, m) -> np.ndarray:
@@ -208,10 +227,7 @@ class _Patterns:
             # a row holds the cells of its inverse survival that the subject
             # reads, days 1..min(freeze_day, exposure_day - 1), and zeros
             if not finite[local].all():
-                raise PositivityError(
-                    "a daily exposure probability reached 1 on an unexposed path; "
-                    "weights are unbounded"
-                )
+                raise PositivityError(_UNBOUNDED)
             yield weights, died, local
 
 

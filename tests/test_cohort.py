@@ -20,12 +20,13 @@ from pafmsm import (
     TiePolicy,
     cohort_to_csv,
     discretize,
+    icu_like_spec,
     parse_cohort,
     simulate_cohort,
     summarize,
     to_transitions,
 )
-from pafmsm.cohort import _ABSENT, TransitionRow
+from pafmsm.cohort import _ABSENT, TransitionRow, _Cells, _split_rows, _text_column
 from pafmsm.curves import _CSV_CHUNK
 
 from test_discrete import assert_same, reference_indicators
@@ -180,8 +181,15 @@ def test_subjects_round_trip_through_transitions():
 
 
 def test_discretize_rejects_censored_by_default():
-    with pytest.raises(DataError, match="censored"):
+    with pytest.raises(DataError) as exc:
         discretize(parse_cohort(CSV))
+    assert str(exc.value) == "1 censored subjects present (pass allow_drop to exclude them): C"
+    # a long list is cut to the count and the first five ids
+    many = HEADER + "".join(f"{i},,{i % 3 + 1},{('censored', 'death')[i % 2]}\n" for i in range(20))
+    with pytest.raises(DataError) as exc:
+        discretize(parse_cohort(many))
+    assert str(exc.value) == ("10 censored subjects present (pass allow_drop to exclude them): "
+                              "0, 2, 4, 6, 8, ...")
     panel = discretize(parse_cohort(CSV), allow_drop=True)
     assert panel.dropped == ("C",)
     assert panel.n_subjects == 2
@@ -477,10 +485,13 @@ SAME_CELLS = [
     (HEADER + "A\0B,,5,death\n", False, ["A\0B"]),
     (HEADER, True, []),
     (HEADER.rstrip("\n"), True, []),
+    # padded ids beside columns read from their bytes
+    (HEADER + " A ,,5,death\n\tB\x1c,2,7,discharge\n\u3000C\x85,,3,censored\n", True,
+     ["A", "B", "C"]),
 ]
 SAME_CELLS_IDS = ["quoted-comma", "crlf", "cr", "quoted-header", "padded", "blank-rows",
                   "blank-full-width", "no-final-newline", "final-blank-line", "nul", "header-only",
-                  "header-only-no-newline"]
+                  "header-only-no-newline", "padded-ids"]
 
 
 @pytest.mark.parametrize("text, plain, ids", SAME_CELLS, ids=SAME_CELLS_IDS)
@@ -647,3 +658,58 @@ def test_parse_memory_stays_within_one_chunk_of_cells():
     finally:
         tracemalloc.stop()
     assert peak < 15e6
+
+
+# (cell, read from its bytes): short decimals are; a cell ``float`` reads
+# some other way, or one longer than _SHORT, sends its column to ``float``
+DECIMAL_CELLS = [
+    ("4.", True), (".5", True), ("007", True), ("0.0", True), ("999999", True), ("3.0625", True),
+    ("", True), (".", False), ("1.2.3", False), ("1_0", False), ("\u0663", False),
+    ("+1", False), ("-0", False), ("1234567", False), ("1e1", False), (" 1", False),
+]
+
+
+@pytest.mark.parametrize("cell, decoded", DECIMAL_CELLS)
+def test_a_short_decimal_cell_is_decoded_to_the_bits_of_float(cell, decoded):
+    _, cells, _ = _split_rows(HEADER + f"A,,{cell},death\nB,,5,death\n")
+    with mock.patch.object(pafmsm.cohort, "_text_column", wraps=_text_column) as by_float:
+        values, blank, number = cells.numbers([2])[0]
+    assert by_float.called != decoded
+    expected = _text_column([cell, "5"])[1:]
+    assert values.tobytes() == expected[0].tobytes()
+    assert (blank.tolist(), number.tolist()) == (expected[1].tolist(), expected[2].tolist())
+    if decoded and cell:
+        assert values[:1].tobytes() == np.float64(float(cell)).tobytes()
+
+
+@pytest.mark.parametrize("cell, matched", [
+    ("death", True), ("discharge", True), ("censored", True), ("Death", False), ("deat", False),
+    ("death ", False), ("dischargE", False), ("censore", False), ("", False),
+])
+def test_a_status_is_matched_byte_for_byte_or_read_as_text(cell, matched):
+    _, cells, _ = _split_rows(HEADER + f"A,,5,{cell}\nB,,5,death\n")
+    with mock.patch.object(_Cells, "statuses", autospec=True,
+                           side_effect=_Cells.statuses) as by_text:
+        status = cells.statuses(3)
+    assert by_text.called != matched
+    assert status.tolist() == _Cells([[], [], [], [cell, "death"]]).statuses(3).tolist()
+
+
+def test_a_whole_day_file_reads_the_same_from_bytes_and_by_csv_reader():
+    # 2e4 whole-day rows in several chunks; covariate x (one decimal place)
+    # is read from its bytes, z (up to 17 digits) by float
+    cohort = simulate_cohort(icu_like_spec(round_days=True), 20_000, seed=5)
+    rng = np.random.default_rng(5)
+    x = np.round(rng.uniform(0, 10, len(cohort)), 1)
+    text = cohort_to_csv(Cohort.from_columns(cohort.ids, cohort.inf, cohort.end, cohort.status,
+                                             {"x": x}))
+    with mock.patch.object(pafmsm.cohort, "_text_column", wraps=_text_column) as by_float:
+        parse_cohort(text)
+    assert not by_float.called  # every number read from its bytes
+    assert parse_both_ways(text)[6] == [("x", "<f8", x.tobytes())]
+    z = rng.normal(size=len(cohort))
+    text = cohort_to_csv(Cohort.from_columns(cohort.ids, cohort.inf, cohort.end, cohort.status,
+                                             {"x": x, "z": z}))
+    columns = parse_both_ways(text)
+    assert columns[1:4] == (cohort.inf.tobytes(), cohort.end.tobytes(), cohort.status.tobytes())
+    assert columns[6] == [("x", "<f8", x.tobytes()), ("z", "<f8", z.tobytes())]

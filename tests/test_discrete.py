@@ -534,3 +534,24 @@ def test_compute_weights_rejects_probabilities_outside_the_unit_interval(value):
     with pytest.raises(DataError) as info:
         compute_weights(panel, probs)
     assert str(info.value) == f"subject B, day 3: probability {value} is not a finite number in [0, 1]"
+
+
+@pytest.mark.parametrize("block_cells", [1 << 16, 6])  # one block, or one subject a block
+@pytest.mark.parametrize("subject, day, unbounded", [
+    (1, 4, True), (1, 5, False),  # B, never exposed, leaves on day 4: reads days 1..4
+    (0, 1, True), (0, 2, False),  # A, exposed on day 2: reads day 1 only
+])
+def test_positivity_check_reads_the_last_cell_each_subject_reads(monkeypatch, block_cells,
+                                                                 subject, day, unbounded):
+    # a probability of 1 makes the inverse survival inf from that day on
+    panel = panel_of(Subject("A", 2.0, 5.0, "death"), Subject("B", None, 4.0, "discharge"),
+                     horizon=5)
+    monkeypatch.setattr(discrete, "_BLOCK_CELLS", block_cells)
+    probs = np.full((2, 5), 0.25)
+    probs[subject, day - 1] = 1.0
+    if unbounded:
+        with pytest.raises(PositivityError) as info:
+            compute_weights(panel, probs)
+        assert str(info.value) == ("a daily exposure probability reached 1 on an unexposed path; "
+                                   "weights are unbounded")
+    assert_weights_match(panel, lambda p: compute_weights(p, probs), probs)

@@ -100,12 +100,17 @@ def test_exit_table_equals_the_per_reduction_sweeps(cohort, seed):
 
 
 # cells for plain cohort text: mostly valid, with every kind of fault the
-# parser reports, padding and characters that some line splitters break on
+# parser reports, padding and characters that some line splitters break on;
+# short decimals that the byte decoder reads and near misses it leaves to
+# ``float`` ("٣" reads as 3.0, "1234567" is longer than ``_SHORT``)
+_DECIMALS = ["4.", ".5", "007", "0.0", ".", "1.2.3", "1_0", "\u0663", "+1", "-0", "1234567"]
 _PLAIN_CELLS = {
-    "inf_time": ["", "", "", "1", "2.5", " 3 ", "1e-3", "0", "-1", "nan", "inf", "x", "7"],
-    "end_time": ["5", "7.25", " 9 ", "12", "3", "", "inf", "0", "-2", "abc", "1e1"],
-    "end_status": ["death", "discharge", "censored", " death", "\tdischarge\x0b", "dead", ""],
-    "covariate": ["1", "0.5", "-2", "a", " b ", "", "nan", "\x85c\u2028", "1e400"],
+    "inf_time": ["", "", "", "1", "2.5", " 3 ", "1e-3", "0", "-1", "nan", "inf", "x", "7",
+                 *_DECIMALS],
+    "end_time": ["5", "7.25", " 9 ", "12", "3", "", "inf", "0", "-2", "abc", "1e1", *_DECIMALS],
+    "end_status": ["death", "discharge", "censored", " death", "\tdischarge\x0b", "dead", "",
+                   "Death", "deat", "death "],
+    "covariate": ["1", "0.5", "-2", "a", " b ", "", "nan", "\x85c\u2028", "1e400", *_DECIMALS],
 }
 
 
