@@ -27,8 +27,8 @@ curves = {
     "P(D)": (overall_death_risk(cohort), oracle.overall_death),
     "CPF": (cpf_unexposed(cohort), oracle.cpf),
     "P030": (cif_counterfactual(cohort), oracle.p030),
-    "PAF_o": (estimate_paf(cohort, "paf_o").curve, oracle.paf_o),
-    "PAF_c": (estimate_paf(cohort, "paf_c").curve, oracle.paf_c),
+    "PAF_o": (estimate_paf(cohort, "paf_o"), oracle.paf_o),
+    "PAF_c": (estimate_paf(cohort, "paf_c"), oracle.paf_c),
 }
 
 print(f"n = {n}, constant hazards, grid = days 1..100")

@@ -218,7 +218,7 @@ def _cmd_estimate(args) -> int:
         value = paf(args.at)
         print("nan" if np.isnan(value) else format(value, ".6g"))
         return _EXIT_OK
-    curve = _on_grid(paf.curve, args.grid, cohort.horizon)
+    curve = _on_grid(paf, args.grid, cohort.horizon)
     _emit(curve.to_csv(), args.out, f"{args.estimand}_{args.estimator}.csv")
     return _EXIT_OK
 

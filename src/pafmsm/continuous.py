@@ -26,7 +26,6 @@ from .curves import StepCurve
 from .errors import DataError
 
 __all__ = [
-    "HazardIncrements",
     "OccupationCurves",
     "aalen_johansen_extended",
     "overall_death_risk",
@@ -34,28 +33,10 @@ __all__ = [
     "cif_counterfactual",
     "exposure_survival",
     "ht_cif",
-    "kaplan_meier",
-    "nelson_aalen",
 ]
 
 _DENOM_TOL = 1e-12
 _AJ_SLICE = 1 << 13  # event times per slice of the Aalen-Johansen p00/p01 scan
-
-
-@dataclass(frozen=True)
-class HazardIncrements:
-    """Counting-process increments dN(t), Y(t-) at the observed event times."""
-
-    times: np.ndarray
-    dn: np.ndarray
-    at_risk: np.ndarray
-
-    @property
-    def increments(self) -> np.ndarray:
-        return self.dn / self.at_risk
-
-    def cumulative_hazard(self) -> StepCurve:
-        return StepCurve(self.times, np.cumsum(self.increments), initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -71,9 +52,6 @@ class OccupationCurves:
 
     def as_tuple(self):
         return (self.p00, self.p01, self.p02, self.p03, self.p04, self.p05)
-
-    def sum_at(self, t):
-        return sum(c(t) for c in self.as_tuple())
 
 
 def _at_risk(exits):
@@ -292,25 +270,3 @@ def aalen_johansen_extended(cohort: Cohort) -> OccupationCurves:
               np.cumsum(p1[:-1] * h14), np.cumsum(p1[:-1] * h15))
     initials = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     return OccupationCurves(*(StepCurve(ut, v, initial=i) for v, i in zip(values, initials)))
-
-
-def kaplan_meier(times, event_flags) -> StepCurve:
-    """Standard Kaplan-Meier survival curve (1 at time 0)."""
-    times = np.asarray(times, dtype=float)
-    flags = np.asarray(event_flags, dtype=bool)
-    if times.size == 0:
-        raise DataError("empty sample")
-    ut, idx = np.unique(times, return_inverse=True)
-    dn = np.bincount(idx[flags], minlength=ut.size)
-    return StepCurve(ut, np.cumprod(1.0 - dn / _at_risk(np.bincount(idx))), initial=1.0)
-
-
-def nelson_aalen(cohort: Cohort, k: int, l: int) -> HazardIncrements:
-    """Increments of the cause-specific hazard for the k -> l transition."""
-    if (k, l) not in _ROWS:
-        raise ValueError(f"no {k}->{l} transition in the six-state model")
-    times, counts, y0, y1 = _six_state(cohort)
-    dn = counts[_ROWS[k, l]]
-    on = dn > 0
-    y = y0 if k == 0 else y1
-    return HazardIncrements(times[on], dn[on], y[on])

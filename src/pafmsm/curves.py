@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,32 +60,9 @@ class StepCurve:
             out = np.where(t >= self.undefined_from, np.nan, out)
         return float(out) if out.ndim == 0 else out
 
-    def left_value(self, t):
-        """Value at t- (just before t)."""
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.times, t, side="left") - 1
-        out = np.where(idx < 0, self.initial, self.values[np.clip(idx, 0, None)])
-        return float(out) if out.ndim == 0 else out
-
-    def is_defined(self, t):
-        if self.undefined_from is None:
-            return np.full(np.shape(t), True) if np.ndim(t) else True
-        return np.asarray(t, dtype=float) < self.undefined_from
-
     def to_csv(self) -> str:
         """Two-column CSV ``t,value`` at the jump times (a NaN value blank)."""
         return "t,value\n" + "".join(_csv_rows((self.times, self.values)))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "initial": self.initial,
-                "times": self.times.tolist(),
-                "values": [None if np.isnan(v) else v for v in self.values],
-                "undefined_from": self.undefined_from,
-                "truncated_from": self.truncated_from,
-            }
-        )
 
 
 def union_grid(*curves: StepCurve) -> np.ndarray:

@@ -42,7 +42,6 @@ from .discrete import (
 from .errors import DataError, NumericalError, PositivityError
 
 __all__ = [
-    "PafCurve",
     "CurveWithBands",
     "FourfoldTable",
     "paf_o",
@@ -69,59 +68,32 @@ ESTIMAND_ESTIMATORS = {
 _SUBTRACTED = {"paf_o": "cpf_unexposed", "paf_c": "cif_counterfactual"}
 
 
-@dataclass(frozen=True)
-class PafCurve:
-    """A PAF step curve tagged with what it estimates and how."""
-
-    curve: StepCurve
-    estimand: str
-    estimator: str
-
-    def __call__(self, t):
-        return self.curve(t)
-
-    @property
-    def times(self):
-        return self.curve.times
-
-    @property
-    def values(self):
-        return self.curve.values
-
-    def to_csv(self) -> str:
-        return self.curve.to_csv()
-
-
 def _paf_values(pd, q):
     """(pd - q) / pd where both are finite and pd > 0; NaN elsewhere."""
     defined = np.isfinite(pd) & np.isfinite(q) & (pd > _DENOM_TOL)
     return np.where(defined, (pd - q) / np.where(defined, pd, 1.0), np.nan)
 
 
-def _ratio(overall: StepCurve, subtracted: StepCurve, estimand, estimator) -> PafCurve:
+def _ratio(overall: StepCurve, subtracted: StepCurve) -> StepCurve:
     grid = union_grid(overall, subtracted)
     values = _paf_values(np.atleast_1d(overall(grid)), np.atleast_1d(subtracted(grid)))
     undef = [c.undefined_from for c in (overall, subtracted) if c.undefined_from is not None]
-    return PafCurve(
-        StepCurve(
-            grid,
-            values,
-            initial=np.nan,  # PAF is 0/0 before the first death
-            undefined_from=min(undef) if undef else None,
-        ),
-        estimand,
-        estimator,
+    return StepCurve(
+        grid,
+        values,
+        initial=np.nan,  # PAF is 0/0 before the first death
+        undefined_from=min(undef) if undef else None,
     )
 
 
-def paf_o(overall: StepCurve, cpf: StepCurve, estimator="multistate") -> PafCurve:
+def paf_o(overall: StepCurve, cpf: StepCurve) -> StepCurve:
     """PAF against the observable proportion among the still-unexposed."""
-    return _ratio(overall, cpf, "paf_o", estimator)
+    return _ratio(overall, cpf)
 
 
-def paf_c(overall: StepCurve, counterfactual: StepCurve, estimator="multistate") -> PafCurve:
+def paf_c(overall: StepCurve, counterfactual: StepCurve) -> StepCurve:
     """PAF against the counterfactual no-exposure death risk."""
-    return _ratio(overall, counterfactual, "paf_c", estimator)
+    return _ratio(overall, counterfactual)
 
 
 @dataclass(frozen=True)
@@ -182,7 +154,7 @@ def estimate_paf(
     estimator: str = "multistate",
     covariates=(),
     allow_drop=False,
-) -> PafCurve:
+) -> StepCurve:
     """Run one of the four estimand/estimator pipelines end to end.
 
     covariates selects a pooled logistic exposure model for the IPW
@@ -206,7 +178,7 @@ def _inputs(cohort: Cohort, estimator, allow_drop):
     return discretize(cohort, allow_drop=allow_drop)
 
 
-def _paf_from(estimand, estimator, covariates, data) -> PafCurve:
+def _paf_from(estimand, estimator, covariates, data) -> StepCurve:
     """The PAF curve of ``data``, what :func:`_inputs` returns for ``estimator``."""
     if estimator == "multistate":
         overall = overall_death_risk(data)
@@ -217,7 +189,7 @@ def _paf_from(estimand, estimator, covariates, data) -> PafCurve:
             other = naive_f01(data)
         else:
             other = ipw_f01(data, _panel_weights(data, covariates))
-    return _ratio(overall, other, estimand, estimator)
+    return _ratio(overall, other)
 
 
 def _panel_weights(panel: DailyPanel, covariates):
@@ -365,16 +337,20 @@ def bootstrap_ci(
     IPW replicates without covariates from the weight patterns of the
     original panel; the naive estimator and IPW with covariates refit each
     resampled panel.  Grid points where more than half the replicates are
-    undefined get no band.
+    undefined get no band.  A ``B`` below 2 or a ``grid`` that is not 1-d
+    and strictly increasing is a ValueError, raised before any replicate
+    is drawn.
     """
     if B < 2:
-        raise DataError("B must be >= 2")
+        raise ValueError("B must be >= 2")
     _check_pair(estimand, estimator)
-    data = _inputs(cohort, estimator, allow_drop)
-    point = _paf_from(estimand, estimator, covariates, data)
     if grid is None:
         grid = np.arange(1.0, math.ceil(cohort.horizon) + 1.0)
     grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or not (np.diff(grid) > 0).all():  # NaN fails the comparison
+        raise ValueError("grid must be a 1-d array of strictly increasing times")
+    data = _inputs(cohort, estimator, allow_drop)
+    point = _paf_from(estimand, estimator, covariates, data)
 
     streams = np.random.SeedSequence(seed).spawn(B)
     failed = 0
@@ -400,7 +376,7 @@ def bootstrap_ci(
     lo[bad] = np.nan
     hi[bad] = np.nan
     return CurveWithBands(
-        estimate=point.curve,
+        estimate=point,
         lower=StepCurve(grid, lo, initial=np.nan),
         upper=StepCurve(grid, hi, initial=np.nan),
         B=B,
@@ -415,7 +391,7 @@ def stratified_paf(
     estimand: str,
     estimator: str = "multistate",
 ) -> dict:
-    """One PafCurve per level of a categorical baseline covariate."""
+    """The PAF curve of each level of a categorical baseline covariate."""
     column = covariate_column(cohort.covariates, covariate_name, cohort.ids)
     nan = column != column  # NaN values form one stratum
     levels = sorted(dict.fromkeys(math.nan if v != v else v for v in column.tolist()), key=str)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,15 +92,6 @@ class PiecewiseHazard:
         t = np.asarray(t, dtype=float)
         idx = np.minimum(np.searchsorted(self.until, t, side="right"), self.rates.size - 1)
         out = self.rates[idx]
-        return float(out) if out.ndim == 0 else out
-
-    def cumulative(self, t):
-        """Integral of the rate from 0 to t, exact."""
-        t = np.asarray(t, dtype=float)
-        starts = np.concatenate([[0.0], self.until[:-1]])
-        cum_at_start = np.concatenate([[0.0], np.cumsum(self.rates[:-1] * np.diff(starts))]) if self.until.size > 1 else np.array([0.0])
-        idx = np.minimum(np.searchsorted(self.until, t, side="right"), self.rates.size - 1)
-        out = cum_at_start[idx] + self.rates[idx] * (t - starts[idx])
         return float(out) if out.ndim == 0 else out
 
     def is_zero(self) -> bool:

@@ -85,8 +85,8 @@ def test_acceptance_3_oracle_convergence():
         "P(D)": _compare(overall_death_risk(records), oracle.overall_death, grid),
         "CPF": _compare(cpf_unexposed(records), oracle.cpf, grid),
         "P030": _compare(cif_counterfactual(records), oracle.p030, grid),
-        "PAF_o": _compare(estimate_paf(cohort, "paf_o").curve, oracle.paf_o, grid),
-        "PAF_c": _compare(estimate_paf(cohort, "paf_c").curve, oracle.paf_c, grid),
+        "PAF_o": _compare(estimate_paf(cohort, "paf_o"), oracle.paf_o, grid),
+        "PAF_c": _compare(estimate_paf(cohort, "paf_c"), oracle.paf_c, grid),
     }
     assert max(distances.values()) < 0.02, distances
     report = ", ".join(f"{k} {v:.4f}" for k, v in distances.items())

@@ -20,8 +20,6 @@ from pafmsm import (
     fit_cox_td,
     ht_cif,
     markov_test,
-    kaplan_meier,
-    nelson_aalen,
     overall_death_risk,
     parse_cohort,
     simulate_cohort,
@@ -81,7 +79,7 @@ def test_occupation_rows_sum_to_one():
     cohort = integer_cohort(5, n=120, censored=True)
     occ = aalen_johansen_extended(to_transitions(cohort))
     for t in occ.p00.times:
-        assert occ.sum_at(t) == pytest.approx(1.0, abs=1e-12)
+        assert sum(c(t) for c in occ.as_tuple()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_occupation_matches_reduction_on_uncensored_data():
@@ -110,38 +108,33 @@ def test_ht_stays_finite_when_exposure_survival_hits_zero():
     assert ht_cif(records)(2.0) == 0.5
 
 
-def test_kaplan_meier_simple():
-    km = kaplan_meier(np.array([1.0, 2.0, 3.0]), np.array([True, False, True]))
-    assert km(1.0) == pytest.approx(2 / 3)
-    assert km(2.5) == pytest.approx(2 / 3)
-    assert km(3.0) == pytest.approx(0.0)
-
-
-def test_kaplan_meier_of_no_times_raises():
-    with pytest.raises(DataError, match="^empty sample$"):
-        kaplan_meier([], [])
-
-
 @pytest.mark.parametrize("estimate", [
     overall_death_risk, cpf_unexposed, cif_counterfactual, ht_cif, exposure_survival,
-    aalen_johansen_extended, lambda c: nelson_aalen(c, 0, 3), discretize,
+    aalen_johansen_extended, discretize,
     lambda c: estimate_paf(c, "paf_o"), lambda c: estimate_paf(c, "paf_c"),
     lambda c: estimate_paf(c, "paf_c", "ipw"), lambda c: bootstrap_ci(c, "paf_c", B=2),
 ], ids=["overall_death_risk", "cpf_unexposed", "cif_counterfactual", "ht_cif",
-        "exposure_survival", "aalen_johansen_extended", "nelson_aalen", "discretize",
+        "exposure_survival", "aalen_johansen_extended", "discretize",
         "multistate-paf_o", "multistate-paf_c", "ipw-paf_c", "bootstrap"])
 def test_an_empty_cohort_raises_one_message(estimate):
     with pytest.raises(DataError, match="^empty cohort$"):
         estimate(Cohort())
 
 
+def hazard_counts(cohort, k, l):
+    """The Nelson-Aalen counts of the k -> l transition in the six-state
+    exit table: its event times, dN(t) and Y(t-) there."""
+    times, counts, y0, y1 = continuous._six_state(cohort)
+    dn = counts[continuous._ROWS[k, l]]
+    on = dn > 0
+    return times[on], dn[on], (y0 if k == 0 else y1)[on]
+
+
 def test_nelson_aalen_increments():
     cohort = Cohort((Subject("A", None, 2.0, "death"), Subject("B", None, 3.0, "discharge")), horizon=3)
-    inc = nelson_aalen(to_transitions(cohort), 0, 3)
-    np.testing.assert_array_equal(inc.times, [2.0])
-    assert inc.cumulative_hazard()(2.0) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        nelson_aalen(to_transitions(cohort), 0, 5)
+    times, dn, at_risk = hazard_counts(to_transitions(cohort), 0, 3)
+    np.testing.assert_array_equal(times, [2.0])
+    np.testing.assert_array_equal(dn / at_risk, [0.5])
 
 
 def test_nelson_aalen_post_exposure_risk_set():
@@ -150,9 +143,9 @@ def test_nelson_aalen_post_exposure_risk_set():
          Subject("C", None, 5.0, "discharge")),
         horizon=5,
     )
-    inc = nelson_aalen(to_transitions(cohort), 1, 5)
-    np.testing.assert_array_equal(inc.times, [4.0])
-    assert inc.increments[0] == pytest.approx(2 / 2)
+    times, dn, at_risk = hazard_counts(to_transitions(cohort), 1, 5)
+    np.testing.assert_array_equal(times, [4.0])
+    np.testing.assert_array_equal(dn / at_risk, [2 / 2])
 
 
 def test_nelson_aalen_hand_counts():
@@ -171,11 +164,9 @@ def test_nelson_aalen_hand_counts():
         (1, 4): ([3.0], [1.0], [2.0]),
         (1, 5): ([4.0], [1.0], [1.0]),
     }
-    for (k, l), (times, dn, at_risk) in expected.items():
-        inc = nelson_aalen(records, k, l)
-        np.testing.assert_array_equal(inc.times, times)
-        np.testing.assert_array_equal(inc.dn, dn)
-        np.testing.assert_array_equal(inc.at_risk, at_risk)
+    for (k, l), want in expected.items():
+        for got, column in zip(hazard_counts(records, k, l), want):
+            np.testing.assert_array_equal(got, column)
 
 
 def reference_aalen_johansen(cohort):
@@ -426,10 +417,8 @@ def test_estimators_agree_on_a_cohort_rebuilt_from_its_transition_rows(name):
     for got, want in zip(aalen_johansen_extended(rebuilt).as_tuple(),
                          aalen_johansen_extended(parsed).as_tuple()):
         assert_same_curve(got, want)
-    for k, l in ((0, 1), (0, 2), (0, 3), (1, 4), (1, 5)):
-        got, want = nelson_aalen(rebuilt, k, l), nelson_aalen(parsed, k, l)
-        for field in ("times", "dn", "at_risk"):
-            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+    for got, want in zip(continuous._six_state(rebuilt), continuous._six_state(parsed)):
+        assert got.tobytes() == want.tobytes()
     fits = [lambda c: fit_cox_td(c, "death"), lambda c: fit_cox_td(c, "discharge"),
             lambda c: markov_test(c, "death_after"), lambda c: markov_test(c, "discharge_after")]
     if "x" in parsed.covariates:

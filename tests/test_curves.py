@@ -25,13 +25,6 @@ def test_right_continuous_evaluation():
     assert c(10.0) == 0.8
 
 
-def test_left_value_is_the_left_limit():
-    c = StepCurve(np.array([1.0, 3.0]), np.array([0.5, 0.8]))
-    assert c.left_value(1.0) == 0.0
-    assert c.left_value(3.0) == 0.5
-    assert c.left_value(4.0) == 0.8
-
-
 def test_vectorized_call():
     c = StepCurve(np.array([1.0, 2.0]), np.array([0.1, 0.2]))
     np.testing.assert_allclose(c(np.array([0.0, 1.5, 2.5])), [0.0, 0.1, 0.2])
@@ -41,14 +34,6 @@ def test_undefined_from_marks_a_nan_tail():
     c = StepCurve(np.array([1.0, 2.0]), np.array([0.1, np.nan]), undefined_from=2.0)
     assert c(1.5) == 0.1
     assert np.isnan(c(2.0))
-    assert c.is_defined(1.0)
-    assert not c.is_defined(2.5)
-
-
-def test_a_curve_without_an_undefined_tail_is_defined_everywhere():
-    c = StepCurve(np.array([1.0, 2.0]), np.array([0.1, 0.2]))
-    assert c.is_defined(1e9) is True
-    np.testing.assert_array_equal(c.is_defined(np.array([[0.0, 5.0]])), [[True, True]])
 
 
 def test_non_increasing_times_rejected():
@@ -58,12 +43,6 @@ def test_non_increasing_times_rejected():
         StepCurve(np.array([1.0, 1.0]), np.array([0.1, 0.2]))
     with pytest.raises(ValueError):  # NaN fails every comparison
         StepCurve(np.array([1.0, np.nan, 3.0]), np.array([0.1, 0.2, 0.3]))
-
-
-def test_csv_and_json_round_trip_fields():
-    c = StepCurve(np.array([1.0]), np.array([0.25]), truncated_from=1.0)
-    assert c.to_csv() == "t,value\n1,0.25\n"
-    assert '"truncated_from": 1.0' in c.to_json()
 
 
 def test_union_grid_merges_and_sorts():

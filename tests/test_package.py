@@ -1,4 +1,6 @@
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,15 @@ def test_public_names_are_the_modules_lists_once_each():
     ("cohort.DailyPanel", "eps"),
     ("discrete.WeightTable", "weights"),
     ("discrete.ExposureModel", "daily_probabilities"),
+    ("paf", "PafCurve"),
+    ("continuous", "kaplan_meier"),
+    ("continuous", "nelson_aalen"),
+    ("continuous", "HazardIncrements"),
+    ("curves.StepCurve", "left_value"),
+    ("curves.StepCurve", "is_defined"),
+    ("curves.StepCurve", "to_json"),
+    ("continuous.OccupationCurves", "sum_at"),
+    ("simulate.PiecewiseHazard", "cumulative"),
 ])
 def test_test_only_code_is_not_in_the_package(module, name):
     assert_gone(module, name)
@@ -45,7 +56,7 @@ def assert_gone(owner, name):
 ])
 def test_the_cohort_is_the_one_continuous_time_representation(owner, name):
     assert_gone(owner, name)
-    assert len(pafmsm.__all__) == 62
+    assert len(pafmsm.__all__) == 58
 
 
 _TWO = pafmsm.Cohort.from_columns(["A", "B"], [float("nan"), 1.0], [1.0, 2.0], [1, 1])
@@ -56,7 +67,6 @@ _TWO = pafmsm.Cohort.from_columns(["A", "B"], [float("nan"), 1.0], [1.0, 2.0], [
     lambda: pafmsm.TiePolicy("shift", eps=0.0),
     lambda: pafmsm.TiePolicy.parse("bogus"),
     lambda: pafmsm.TiePolicy.parse("shift:x"),
-    lambda: pafmsm.nelson_aalen(_TWO, 1, 2),
     lambda: pafmsm.fit_cox_td(_TWO, "relapse"),
     lambda: pafmsm.markov_test(_TWO, "death"),
     lambda: pafmsm.StepCurve([0.0, 1.0], [0.0]),
@@ -64,10 +74,39 @@ _TWO = pafmsm.Cohort.from_columns(["A", "B"], [float("nan"), 1.0], [1.0, 2.0], [
     lambda: pafmsm.estimate_paf(_TWO, "paf_x"),
     lambda: pafmsm.estimate_paf(_TWO, "paf_o", "ipw"),
     lambda: pafmsm.bootstrap_ci(_TWO, "paf_c", "naive"),
-], ids=["tie-kind", "tie-eps", "tie-parse", "tie-parse-eps", "nelson-aalen", "cox-outcome",
-        "markov-outcome", "curve-shape", "curve-order", "estimand", "estimator", "bootstrap-pair"])
+    lambda: pafmsm.bootstrap_ci(_TWO, "paf_c", B=1),
+    lambda: pafmsm.bootstrap_ci(_TWO, "paf_c", grid=[3.0, 1.0]),
+    lambda: pafmsm.bootstrap_ci(_TWO, "paf_c", grid=[[1.0, 2.0]]),
+], ids=["tie-kind", "tie-eps", "tie-parse", "tie-parse-eps", "cox-outcome", "markov-outcome",
+        "curve-shape", "curve-order", "estimand", "estimator", "bootstrap-pair", "bootstrap-b",
+        "bootstrap-grid-order", "bootstrap-grid-shape"])
 def test_a_bad_argument_to_a_library_function_is_a_value_error(call):
     # a ValueError is the caller's argument; a DataError is the input data
     with pytest.raises(ValueError) as caught:
         call()
     assert not isinstance(caught.value, pafmsm.PafmsmError)
+
+
+def unused_imports(source):
+    """(line, name) of each name the module ``source`` imports and never reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_the_package_imports_nothing_it_does_not_use():
+    assert unused_imports("import json\nfrom dataclasses import dataclass, field\n"
+                          "import numpy.linalg\n@dataclass\nclass A:\n    x: numpy.ndarray\n"
+                          ) == [(1, "json"), (2, "field")]
+    found = {path.name: unused_imports(path.read_text())
+             for path in sorted(Path(pafmsm.__file__).parent.glob("*.py"))}
+    assert {name: unused for name, unused in found.items() if unused} == {}

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from pafmsm import (
     Cohort,
+    PafmsmError,
     Subject,
     TiePolicy,
     aalen_johansen_extended,
@@ -17,6 +18,7 @@ from pafmsm import (
     cpf_unexposed,
     discretize,
     estimate_paf,
+    fit_cox_td,
     ht_cif,
     ipw_f01,
     naive_f01,
@@ -25,7 +27,7 @@ from pafmsm import (
     to_transitions,
 )
 import pafmsm.cohort
-from pafmsm.cohort import STATUS_DEATH, _split_rows, _text_column
+from pafmsm.cohort import STATUS_CENSORED, STATUS_DEATH, _split_rows, _text_column
 from pafmsm.continuous import exposure_survival
 from pafmsm.discrete import _daily_hazard
 
@@ -279,6 +281,84 @@ def test_death_risk_is_monotone_and_paf_bounded(cohort):
         vals = paf.values[~np.isnan(paf.values)]
         if vals.size:
             assert np.max(vals) <= 1.0 + 1e-12
+
+
+def _outcome(estimate, cohort):
+    """What ``estimate`` gives on ``cohort``: its result, or the type of
+    the package error it raised (a message may name a subject)."""
+    try:
+        return estimate(cohort)
+    except PafmsmError as exc:
+        return type(exc)
+
+
+def _bits(curve):
+    return (curve.times.tobytes(), curve.values.tobytes(),
+            repr((curve.initial, curve.undefined_from, curve.truncated_from)))
+
+
+# estimates that neither the order of the subjects nor a second copy of
+# each subject may move by a single bit: every sum they take is of counts
+_EXACT = {
+    "multistate paf_o": lambda c: _bits(estimate_paf(c, "paf_o")),
+    "multistate paf_c": lambda c: _bits(estimate_paf(c, "paf_c")),
+    "naive paf_o": lambda c: _bits(estimate_paf(c, "paf_o", "naive", allow_drop=True)),
+    "p00": lambda c: _bits(aalen_johansen_extended(c).p00),
+    "p01": lambda c: _bits(aalen_johansen_extended(c).p01),
+}
+
+
+def _rearranged(cohort, seed):
+    """The cohort with its subjects in a random order, and the cohort
+    stacked twice, the second copy under new ids."""
+    order = np.random.default_rng(seed).permutation(len(cohort))
+    stacked = Cohort.from_columns(
+        np.concatenate((cohort.ids, ["copy " + i for i in cohort.ids])),
+        *(np.tile(column, 2) for column in (cohort.inf, cohort.end, cohort.status)),
+        horizon=cohort.horizon)
+    return cohort.subset(order), stacked
+
+
+_COHORTS = st.one_of(integer_cohorts(), fractional_cohorts(), tied_day_cohorts())
+
+
+@settings(max_examples=100)
+@given(_COHORTS, st.integers(0, 2**32 - 1))
+def test_estimates_ignore_the_order_and_the_multiplicity_of_the_subjects(cohort, seed):
+    permuted, stacked = _rearranged(cohort, seed)
+    # only the order: the Newton solver stops at an absolute score bound,
+    # which the doubled score of a stacked cohort may cross a step later
+    cox = [_outcome(lambda c: fit_cox_td(c, "death").coefficients.tobytes(), c)
+           for c in (permuted, cohort)]
+    assert cox[0] == cox[1]
+    for other in (permuted, stacked):
+        for name, estimate in _EXACT.items():
+            assert _outcome(estimate, other) == _outcome(estimate, cohort), name
+        # IPW adds float weights in subject order
+        got, want = (_outcome(lambda c: estimate_paf(c, "paf_c", "ipw", allow_drop=True), c)
+                     for c in (other, cohort))
+        if isinstance(want, type):
+            assert got is want
+            continue
+        assert got.times.tobytes() == want.times.tobytes()
+        assert np.array_equal(np.isnan(got.values), np.isnan(want.values))
+        assert np.all(np.abs(got.values - want.values)[~np.isnan(want.values)] <= 1e-12)
+
+
+@settings(max_examples=100)
+@given(_COHORTS)
+def test_without_exposure_both_pafs_are_exactly_zero(cohort):
+    unexposed = Cohort.from_columns(cohort.ids, np.full(len(cohort), np.nan), cohort.end,
+                                    cohort.status, horizon=cohort.horizon)
+    died = bool((cohort.status == STATUS_DEATH).any())
+    pipelines = [("paf_o", "multistate"), ("paf_c", "multistate")]
+    if not (cohort.status == STATUS_CENSORED).all():  # the panel drops censored subjects
+        pipelines += [("paf_o", "naive"), ("paf_c", "ipw")]
+    for estimand, estimator in pipelines:
+        values = estimate_paf(unexposed, estimand, estimator, allow_drop=True).values
+        defined = values[~np.isnan(values)]
+        assert defined.tolist() == [0.0] * defined.size, (estimand, estimator)
+        assert (defined.size > 0) == died, (estimand, estimator)
 
 
 # whitespace that str.strip and float strip (and \x1c, which only str.strip

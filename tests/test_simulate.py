@@ -171,13 +171,11 @@ def test_simulate_cohort_equals_the_two_block_reference_bit_for_bit(name, seed):
     assert cohort.horizon == horizon
 
 
-def test_piecewise_hazard_rate_and_cumulative():
+def test_piecewise_hazard_rate():
     h = PiecewiseHazard(np.array([2.0, 5.0]), np.array([0.3, 0.1]))
     assert h.rate_at(1.0) == 0.3
     assert h.rate_at(2.0) == 0.1  # segments are [start, until)
     assert h.rate_at(99.0) == 0.1  # last rate continues
-    assert h.cumulative(2.0) == pytest.approx(0.6)
-    assert h.cumulative(4.0) == pytest.approx(0.6 + 0.2)
 
 
 def test_piecewise_hazard_validation():
@@ -198,7 +196,6 @@ def test_piecewise_hazard_last_endpoint_may_be_open(last):
     h = PiecewiseHazard.from_json([{"until": 10, "rate": 0.08}, {"until": last, "rate": 0.04}])
     np.testing.assert_array_equal(h.breakpoints, [10.0])
     assert h.rate_at(99.0) == 0.04
-    assert h.cumulative(20.0) == pytest.approx(0.8 + 0.4)
     assert h.to_json()[-1]["until"] is None  # JSON null, not NaN or Infinity
 
 
