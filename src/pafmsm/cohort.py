@@ -364,12 +364,14 @@ def parse_cohort(source, tie_policy: TiePolicy = TiePolicy.shift()) -> Cohort:
     cut at line ends, so a parse holds the kept columns plus the bytes and
     cell strings of one chunk, and the first faulty row in the file raises.
     Text with a quote, a CR or a NUL is read by ``csv.reader`` in one pass.
-    In a plain chunk (see ``_split_rows``), a number column of short
-    decimals (ASCII digits, at most one ".", at most ``_SHORT`` bytes a
-    cell: whole-day times), the statuses and the ids are converted from
-    the UTF-8 bytes, bit for bit as ``float`` and the ``str`` lookups
-    would; a column with any other cell falls back to ``str`` cells and
-    ``float``, which give the same values and the same error messages.
+    In a plain chunk (see ``_split_rows``), the number cells that are
+    decimals (ASCII digits, at most one ".", at most ``_SHORT`` bytes: the
+    whole-day and the 12-digit times), the statuses and the ids are
+    converted from the UTF-8 bytes, bit for bit as ``float`` and the
+    ``str`` lookups would; any other number cell is read by ``float`` one
+    by one.  Only a column with a cell that ``float`` rejects, or with a
+    status that is not one of the three names, falls back to ``str``
+    cells, which give the same values and the same error messages.
     """
     what = "input"
     try:
@@ -440,23 +442,25 @@ def _split_rows(text):
     decides it: there "," and "\\n" are single bytes that no longer
     character contains, and a line has at least as many bytes as characters.
     The same scan gives every cell's first byte and length, so the body
-    cells stay bytes (``_ByteCells``): number columns of short decimals,
-    statuses and ids are converted from them, with the bits of ``float``
-    (m / 10**k, both exact doubles, one correctly rounded division) and
-    the strings of the ``str`` path; any other column is split into
-    ``str`` cells when it is first read.
+    cells stay bytes (``_ByteCells``): decimal number cells, statuses and
+    ids are converted from them, with the bits of ``float`` (m / 10**k,
+    both exact doubles, one correctly rounded division) and the strings of
+    the ``str`` path; the text is split into ``str`` cells only for a
+    column that needs the ``str`` path.
     """
     if not text or '"' in text or "\r" in text or "\0" in text:
         return None
     body = text if text.endswith("\n") else text + "\n"
-    # 8 NUL bytes after the last line: every cell can be read 8 bytes at a time
-    raw = np.frombuffer(body.encode("utf-8", "surrogatepass") + bytes(8), np.uint8)
+    # NUL bytes around the text: every cell can be read 8 bytes at a time,
+    # from its first byte or back from its end
+    raw = np.frombuffer(b"".join((bytes(_PAD), body.encode("utf-8", "surrogatepass"), bytes(8))),
+                        np.uint8)
     seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
     newline = raw[seps] == ord("\n")
     # plain: (width - 1) commas and a newline, once per row
     width, rows = int(np.argmax(newline)) + 1, np.count_nonzero(newline)
     if (newline.size != rows * width or not newline[width - 1::width].all()
-            or np.diff(seps[newline], prepend=-1).max() > csv.field_size_limit() + 1):
+            or np.diff(seps[newline], prepend=_PAD - 1).max() > csv.field_size_limit() + 1):
         return None
     header = body[:body.find("\n")].split(",")
     return header, _ByteCells(body, raw, seps, width), np.full(rows - 1, width)
@@ -500,10 +504,13 @@ class _ByteCells(_Cells):
     ``seps`` of the "," or "\\n" after every cell, header cells first.
 
     Ids are one ``decode`` and ``split`` of their gathered bytes.  A status
-    is matched byte for byte against the three names.  A column of numbers
-    whose non-blank cells are all ASCII digits with at most one "." and at
-    most ``_SHORT`` bytes is decoded from its bytes (``_short_decimals``).
-    Any other column goes through the ``str`` conversion of ``_Cells``, on
+    is matched byte for byte against the three names.  In a number column,
+    cells of ASCII digits with at most one "." and at most ``_SHORT``
+    bytes are decoded from their bytes (``_short_decimals``), and the
+    other cells (an exponent, a sign, padding, ``nan``, a longer cell) are
+    gathered, decoded as one ``str`` and read by ``float`` one by one.  A
+    column with a cell that ``float`` rejects, or a status column with an
+    unknown name, goes through the ``str`` conversion of ``_Cells``, on
     cells that are split from the text only then.
     """
 
@@ -525,13 +532,19 @@ class _ByteCells(_Cells):
             self.columns = [cells[self.width + i::self.width] for i in range(self.width)]
         return self.columns[j]
 
+    def _gathered(self, starts, length):
+        """The cells at ``starts`` as ``str`` (one decode and split of their
+        gathered bytes) and those bytes, each cell followed by a ","."""
+        size = length + 1  # each cell and the "," or "\n" after it
+        ends = np.cumsum(size)
+        gathered = self.raw[np.repeat(starts - ends + size, size) + np.arange(size.sum())]
+        gathered[ends - 1] = ord(",")
+        cells = gathered.tobytes().decode("utf-8", "surrogatepass").split(",")
+        cells.pop()
+        return cells, gathered
+
     def ids(self):
-        starts, length = self._bounds(0)
-        size = length + 1  # each id cell and the "," after it
-        gathered = self.raw[np.repeat(starts - np.cumsum(size) + size, size)
-                            + np.arange(size.sum())]
-        ids = gathered.tobytes().decode("utf-8", "surrogatepass").split(",")
-        ids.pop()
+        ids, gathered = self._gathered(*self._bounds(0))
         # str.strip strips only characters below "!" or of more than one byte
         if ((gathered < ord("!")) | (gathered >= 0x80)).any():
             ids = list(map(str.strip, ids))
@@ -541,12 +554,15 @@ class _ByteCells(_Cells):
         out = []
         for j in js:
             starts, length = self._bounds(j)
-            if length.max(initial=0) <= _SHORT:
-                values, ok = _short_decimals(self.raw, starts, length)
-                if ok.all():
-                    out.append((values, length == 0, length > 0))
+            values, ok = _short_decimals(self.raw, starts, length)
+            if not ok.all():  # the cells the decoder leaves, each by float
+                other = np.flatnonzero(~ok)
+                try:
+                    values[other] = list(map(float, self._gathered(starts[other], length[other])[0]))
+                except ValueError:  # the str path, with its masks and messages
+                    out.extend(super().numbers([j]))
                     continue
-            out.extend(super().numbers([j]))
+            out.append((values, length == 0, length > 0))
         return out
 
     def statuses(self, j):
@@ -564,12 +580,20 @@ class _ByteCells(_Cells):
         return status if (status >= 0).all() else super().statuses(j)
 
 
-_SHORT = 6  # bytes of the longest cell that _short_decimals reads; at most 8
-_POW10 = np.array([float(10 ** k) for k in range(8)])  # exact: below 2**53
+_SHORT = 16  # bytes of the longest cell that _short_decimals reads, in two words
+_PAD = 16  # NUL bytes in front of the text: no cell's two words start before it
+_POW10 = np.array([float(10 ** k) for k in range(_SHORT)])  # exact: below 2**53
+_EXACT = np.uint64(1 << 53)  # every integer m up to it is an exact double
+# _LO_KEEP[n], _HI_KEEP[n]: 0xff in the bytes of a cell of n bytes in the
+# word that ends with it and in the word before that
+_LO_KEEP = np.array([((1 << 8 * n) - 1) << 64 - 8 * n for n in range(9)], np.uint64)
+_HI_KEEP = np.r_[np.zeros(8, np.uint64), _LO_KEEP]
 # a word times _BYTE_SUM, shifted right by 56, is the sum of its bytes (if
 # below 256); times _BYTES_AFTER, the sum of each byte times the number of
-# bytes after it
+# bytes after it; times _BYTES_AFTER_HI, that number plus the 8 bytes of
+# the next word
 _BYTE_SUM, _BYTES_AFTER = np.uint64(0x0101010101010101), np.uint64(0x0706050403020100)
+_BYTES_AFTER_HI = np.uint64(0x0F0E0D0C0B0A0908)
 
 
 def _words(raw):
@@ -591,29 +615,66 @@ def _decimal_value(words):
     return ((words & np.uint64(0x0000FFFF0000FFFF)) * np.uint64(10000 << 32 | 1)) >> np.uint64(32)
 
 
-def _short_decimals(raw, starts, length):
-    """The floats of the cells of ``raw`` at ``starts`` (NaN where blank),
-    and whether each is blank or ASCII digits with at most one ".".
-
-    A cell of at most 8 bytes is read as one word and shifted so that its
-    bytes end the word, behind zeros.  Its digits make an integer m < 10**8
-    and its dot a power 10**k, both exact doubles, so m / 10**k, one
-    correctly rounded division, has the bits of ``float(cell)``, which is
-    correctly rounded too (Clinger 1990).
-    """
-    words = _words(raw)[starts]
-    words <<= ((8 - length) * 8).astype(np.uint64)
+def _digit_words(raw, at, keep):
+    """For each word of ``raw`` at ``at``, and-ed with ``keep``: its digits
+    (0 in every other byte), a 1 in each "." byte, and a 1 in each digit
+    or "." byte."""
+    words = _words(raw)[at]
+    words &= keep
     cells = words.view(np.uint8).reshape(-1, 8)
-    dot = (cells == ord(".")).view("<u8").ravel()  # a 1 in the dot's byte
+    dot = (cells == ord(".")).view("<u8").ravel()
     cells -= np.uint8(ord("0"))
     is_digit = cells < 10
-    cells *= is_digit  # words: the digits, 0 in every other byte
-    n_digit, n_dot = _byte_sums(is_digit.view("<u8").ravel()), _byte_sums(dot)
-    ok = (n_digit + n_dot == length) & (n_dot <= 1) & ((n_digit > 0) | (length == 0))
-    # the digits before the dot move one byte on, onto the dot: m's digits
-    before = dot - (dot > 0)  # 0xff in the bytes before the dot
-    m = _decimal_value(((words & before) << np.uint64(8)) | (words & ~before))
-    values = m / _POW10[np.where(ok, _byte_sums(dot, _BYTES_AFTER), 0)]
+    cells *= is_digit
+    return words, dot, is_digit.view("<u8").ravel() | dot
+
+
+def _without_dot(words, before):
+    """Move the bytes ``before`` (0xff in each) of ``words`` one byte on, in
+    place, onto a dot's 0; returns them as they were."""
+    moved = words & before
+    words ^= moved
+    words |= moved << np.uint64(8)
+    return moved
+
+
+def _short_decimals(raw, starts, length):
+    """The floats of the cells of ``raw`` at ``starts`` (NaN where blank),
+    and whether each is blank or ASCII digits with at most one "." and at
+    most ``_SHORT`` bytes that spell an integer m <= 2**53.
+
+    A cell is read as the 8 bytes that end with it (``lo``) and, if a cell
+    of the column is longer than 8 bytes, the 8 before them (``hi``); the
+    bytes of earlier cells are set to 0, and ``_PAD`` NUL bytes in front
+    of the text keep both reads inside ``raw``.  The digits before the dot
+    move one byte on, onto the dot (the last digit of ``hi`` to the front
+    of ``lo`` when the dot is in ``lo``), and make m; the bytes after the
+    dot give a power 10**k.  Both are exact doubles, so m / 10**k, one
+    correctly rounded division, has the bits of ``float(cell)``, which is
+    correctly rounded too (Clinger 1990).  Every cell of at most 15
+    digits has m < 2**53.
+    """
+    stops = starts + length
+    lo, dot, used = _digit_words(raw, stops - 8, _LO_KEEP.take(length, mode="clip"))
+    two = length.max(initial=0) > 8
+    if two:  # both words in one byte sum: no byte or sum reaches 256
+        hi, hi_dot, hi_used = _digit_words(raw, stops - 16, _HI_KEEP.take(length, mode="clip"))
+        n_dot, count = _byte_sums(dot + hi_dot), _byte_sums(used + hi_used)
+        k = (dot * _BYTES_AFTER + hi_dot * _BYTES_AFTER_HI) >> np.uint64(56)
+        # the bytes of hi before the dot, all of them (0 - 1) if the dot is
+        # in lo; then the last digit of hi moves to the front of lo
+        last = _without_dot(hi, hi_dot - n_dot) >> np.uint64(56)
+        _without_dot(lo, dot - (dot > 0))
+        m = _decimal_value(lo)
+        m += _decimal_value(hi) * np.uint64(10 ** 8) + last * np.uint64(10 ** 7)
+    else:
+        n_dot, count, k = _byte_sums(dot), _byte_sums(used), _byte_sums(dot, _BYTES_AFTER)
+        _without_dot(lo, dot - n_dot)  # 0xff in the bytes before the dot
+        m = _decimal_value(lo)
+    ok = (count == length) & (n_dot <= 1) & ((n_dot < count) | (length == 0))
+    if two:
+        ok &= m <= _EXACT
+    values = m / _POW10.take(k, mode="clip")
     values[length == 0] = math.nan
     return values, ok
 

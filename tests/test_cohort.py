@@ -26,7 +26,8 @@ from pafmsm import (
     summarize,
     to_transitions,
 )
-from pafmsm.cohort import _ABSENT, TransitionRow, _Cells, _split_rows, _text_column
+from pafmsm.cohort import (_ABSENT, TransitionRow, _Cells, _short_decimals, _split_rows,
+                           _text_column)
 from pafmsm.curves import _CSV_CHUNK
 
 from test_discrete import assert_same, reference_indicators
@@ -660,26 +661,71 @@ def test_parse_memory_stays_within_one_chunk_of_cells():
     assert peak < 15e6
 
 
-# (cell, read from its bytes): short decimals are; a cell ``float`` reads
-# some other way, or one longer than _SHORT, sends its column to ``float``
+# (cell, read from its bytes): decimals of at most 16 bytes whose digits
+# make an integer m <= 2**53 are; the decoder leaves any other cell to
+# ``float``, one by one, and a column reaches ``_text_column`` only if
+# ``float`` rejects a cell of it
 DECIMAL_CELLS = [
     ("4.", True), (".5", True), ("007", True), ("0.0", True), ("999999", True), ("3.0625", True),
     ("", True), (".", False), ("1.2.3", False), ("1_0", False), ("\u0663", False),
-    ("+1", False), ("-0", False), ("1234567", False), ("1e1", False), (" 1", False),
+    ("+1", False), ("-0", False), ("1234567", True), ("1e1", False), (" 1", False),
+    ("15.4584950304", True), ("0.300747995124", True), ("0.000123456789012", False),
+    ("2.4816497366e-05", False), ("9007199254740992", True), ("9007199254740993", False),
+    (".123456789012345", True), ("123456789012345.", True),
 ]
+FLOAT_REJECTS = {".", "1.2.3"}
 
 
 @pytest.mark.parametrize("cell, decoded", DECIMAL_CELLS)
 def test_a_short_decimal_cell_is_decoded_to_the_bits_of_float(cell, decoded):
     _, cells, _ = _split_rows(HEADER + f"A,,{cell},death\nB,,5,death\n")
-    with mock.patch.object(pafmsm.cohort, "_text_column", wraps=_text_column) as by_float:
+    assert _short_decimals(cells.raw, *cells._bounds(2))[1].tolist() == [decoded, True]
+    with mock.patch.object(pafmsm.cohort, "_text_column", wraps=_text_column) as by_text:
         values, blank, number = cells.numbers([2])[0]
-    assert by_float.called != decoded
+    assert by_text.called == (cell in FLOAT_REJECTS)
     expected = _text_column([cell, "5"])[1:]
     assert values.tobytes() == expected[0].tobytes()
     assert (blank.tolist(), number.tolist()) == (expected[1].tolist(), expected[2].tolist())
-    if decoded and cell:
+    if cell and cell not in FLOAT_REJECTS:
         assert values[:1].tobytes() == np.float64(float(cell)).tobytes()
+
+
+def test_the_decoder_gives_the_bits_of_float_at_every_offset():
+    # 200 000 random cells of 1-16 bytes of digits and dots, each read
+    # with its first byte at every offset mod 8 behind digits of the cell
+    # before it; the first cell's 16 bytes start before the text
+    rng = np.random.default_rng(20)
+    n = 200_000
+    length = rng.integers(1, 17, n)
+    cells = rng.integers(ord("0"), ord("9") + 1, (n, 16)).astype(np.uint8)
+    for _ in range(2):  # none, one or two dots
+        dotted = rng.random(n) < 0.45
+        cells[dotted, rng.integers(0, length[dotted])] = ord(".")
+    cells = ["9825979.1"] + [row[:k].tobytes().decode() for row, k in zip(cells, length)]
+    length = np.array([len(cell) for cell in cells])
+
+    def by_float(cell):
+        try:
+            return float(cell)
+        except ValueError:
+            return math.nan
+
+    expected = np.array([by_float(cell) for cell in cells])
+    header = "a,x\n"
+    for offset in range(8):
+        # the "a" cells before each cell put its first byte at the offset
+        pad = np.empty(length.size, int)
+        pad[0] = (offset - len(header) - 1) % 8
+        pad[1:] = (-length[:-1] - 2) % 8
+        text = header + "".join(f"{'1' * k},{cell}\n" for k, cell in zip(pad.tolist(), cells))
+        _, byte_cells, _ = _split_rows(text)
+        starts, sizes = byte_cells._bounds(1)
+        assert (starts % 8 == offset).all() and (sizes == length).all()
+        values, ok = _short_decimals(byte_cells.raw, starts, sizes)
+        assert values[ok].tobytes() == expected[ok].tobytes()
+        # every cell of at most 15 bytes that float reads is decoded
+        assert ok[(length <= 15) & ~np.isnan(expected)].all()
+    assert ok[0] and ok.mean() > 0.5
 
 
 @pytest.mark.parametrize("cell, matched", [
@@ -697,7 +743,8 @@ def test_a_status_is_matched_byte_for_byte_or_read_as_text(cell, matched):
 
 def test_a_whole_day_file_reads_the_same_from_bytes_and_by_csv_reader():
     # 2e4 whole-day rows in several chunks; covariate x (one decimal place)
-    # is read from its bytes, z (up to 17 digits) by float
+    # is read from its bytes, z (up to 17 digits) mostly by float, cell by
+    # cell: no column takes the str path
     cohort = simulate_cohort(icu_like_spec(round_days=True), 20_000, seed=5)
     rng = np.random.default_rng(5)
     x = np.round(rng.uniform(0, 10, len(cohort)), 1)
@@ -710,6 +757,9 @@ def test_a_whole_day_file_reads_the_same_from_bytes_and_by_csv_reader():
     z = rng.normal(size=len(cohort))
     text = cohort_to_csv(Cohort.from_columns(cohort.ids, cohort.inf, cohort.end, cohort.status,
                                              {"x": x, "z": z}))
+    with mock.patch.object(pafmsm.cohort, "_text_column", wraps=_text_column) as by_float:
+        parse_cohort(text)
+    assert not by_float.called
     columns = parse_both_ways(text)
     assert columns[1:4] == (cohort.inf.tobytes(), cohort.end.tobytes(), cohort.status.tobytes())
     assert columns[6] == [("x", "<f8", x.tobytes()), ("z", "<f8", z.tobytes())]

@@ -103,9 +103,13 @@ def test_exit_table_equals_the_per_reduction_sweeps(cohort, seed):
 
 # cells for plain cohort text: mostly valid, with every kind of fault the
 # parser reports, padding and characters that some line splitters break on;
-# short decimals that the byte decoder reads and near misses it leaves to
-# ``float`` ("٣" reads as 3.0, "1234567" is longer than ``_SHORT``)
-_DECIMALS = ["4.", ".5", "007", "0.0", ".", "1.2.3", "1_0", "\u0663", "+1", "-0", "1234567"]
+# decimals that the byte decoder reads in one word or two, and near misses
+# it leaves to ``float`` ("٣" reads as 3.0; a cell over ``_SHORT`` bytes,
+# an exponent, 2**53 + 1) or that ``float`` rejects too
+_DECIMALS = ["4.", ".5", "007", "0.0", ".", "1.2.3", "1_0", "\u0663", "+1", "-0", "1234567",
+             "15.4584950304", "0.300747995124", "123456789012345.", "9007199254740991",
+             "9007199254740992", "9007199254740993", "0.000123456789012", "2.4816497366e-05",
+             "1.23456789.0123"]
 _PLAIN_CELLS = {
     "inf_time": ["", "", "", "1", "2.5", " 3 ", "1e-3", "0", "-1", "nan", "inf", "x", "7",
                  *_DECIMALS],
@@ -359,6 +363,47 @@ def test_without_exposure_both_pafs_are_exactly_zero(cohort):
         defined = values[~np.isnan(values)]
         assert defined.tolist() == [0.0] * defined.size, (estimand, estimator)
         assert (defined.size > 0) == died, (estimand, estimator)
+
+
+def _doubled_bits(curve):
+    """``_bits`` of the curve with its times, ``undefined_from`` and
+    ``truncated_from`` doubled."""
+    cuts = (None if t is None else 2 * t for t in (curve.undefined_from, curve.truncated_from))
+    return ((2 * curve.times).tobytes(), curve.values.tobytes(), repr((curve.initial, *cuts)))
+
+
+# estimates whose values depend on the order of the times alone
+_CURVES = {
+    "overall_death_risk": overall_death_risk,
+    "cpf_unexposed": cpf_unexposed,
+    "cif_counterfactual": cif_counterfactual,
+    "ht_cif": ht_cif,
+    "exposure_survival": exposure_survival,
+    "multistate paf_o": lambda c: estimate_paf(c, "paf_o"),
+    "multistate paf_c": lambda c: estimate_paf(c, "paf_c"),
+    **{f"p0{j}": lambda c, j=j: aalen_johansen_extended(c).as_tuple()[j] for j in range(6)},
+}
+
+
+@settings(max_examples=100)
+@given(st.one_of(integer_cohorts(), fractional_cohorts()))
+def test_doubling_every_time_doubles_the_times_of_the_estimates_and_nothing_else(cohort):
+    doubled = Cohort.from_columns(cohort.ids, 2 * cohort.inf, 2 * cohort.end, cohort.status,
+                                  horizon=2 * cohort.horizon)
+    for name, estimate in _CURVES.items():
+        got = _outcome(lambda c: _bits(estimate(c)), doubled)
+        assert got == _outcome(lambda c: _doubled_bits(estimate(c)), cohort), name
+    x = {"x": np.arange(len(cohort)) % 3.0}
+
+    def cox(c, terms):
+        c = Cohort.from_columns(c.ids, c.inf, c.end, c.status, x, horizon=c.horizon)
+        fit = fit_cox_td(c, "death", terms)
+        return fit.coefficients.tobytes(), fit.standard_errors.tobytes()
+
+    # the exposure-only fit, and with a covariate the interval engine
+    for terms in ((), ("x",)):
+        fits = [_outcome(lambda c: cox(c, terms), c) for c in (doubled, cohort)]
+        assert fits[0] == fits[1], terms
 
 
 # whitespace that str.strip and float strip (and \x1c, which only str.strip
