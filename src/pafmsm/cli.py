@@ -153,7 +153,11 @@ def _emit(text: str, out, filename: str):
 
 
 def _covariate_list(args):
-    return tuple(c for c in args.covariates.split(",") if c) if getattr(args, "covariates", "") else ()
+    names = tuple(c for c in args.covariates.split(",") if c) if getattr(args, "covariates", "") else ()
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise _UsageError(f"--covariates: {name!r} is repeated")
+    return names
 
 
 def _cmd_validate(args) -> int:
@@ -180,7 +184,7 @@ def _check_pair(args):
             f"--estimator {args.estimator} does not estimate {args.estimand}; "
             f"valid: {', '.join(ESTIMAND_ESTIMATORS[args.estimand])}"
         )
-    if args.estimator != "ipw" and _covariate_list(args):
+    if _covariate_list(args) and args.estimator != "ipw":
         raise _UsageError(f"--covariates: --estimator {args.estimator} uses no covariates; "
                           "only ipw does")
 
@@ -250,14 +254,15 @@ def _cmd_bootstrap(args) -> int:
 
 
 def _cmd_cox(args) -> int:
-    if args.markov_test and _covariate_list(args):
+    covariates = _covariate_list(args)
+    if args.markov_test and covariates:
         raise _UsageError("--covariates: --markov-test uses no covariates")
     cohort = _load_cohort(args)
     if args.markov_test:
         fit = markov_test(cohort, f"{args.outcome}_after")
         name = f"markov_{args.outcome}.csv"
     else:
-        fit = fit_cox_td(cohort, args.outcome, extra_covariates=_covariate_list(args))
+        fit = fit_cox_td(cohort, args.outcome, extra_covariates=covariates)
         name = f"cox_{args.outcome}.csv"
     _emit(fit.summary_csv(), args.out, name)
     return _EXIT_OK

@@ -10,21 +10,18 @@ estimator exactly.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cohort import STATUS_DEATH, DailyPanel, covariate_column
-from .curves import _CSV_CHUNK, StepCurve
+from .curves import StepCurve
 from .errors import DataError, PositivityError
 from .newton import newton
 
 __all__ = [
-    "PersonDayRecords",
     "ExposureModel",
     "WeightTable",
-    "expand_person_days",
     "naive_f01",
     "fit_pooled_logistic",
     "nonparametric_daily_hazard",
@@ -33,34 +30,6 @@ __all__ = [
     "model_weights",
     "ipw_f01",
 ]
-
-
-@dataclass(frozen=True)
-class PersonDayRecords:
-    """Long format: one row per subject-day at risk of new exposure."""
-
-    subject_ids: np.ndarray  # row -> panel subject index
-    days: np.ndarray
-    infected_today: np.ndarray  # bool
-    covariates: np.ndarray  # (rows, k) float design columns (no intercept)
-    covariate_names: tuple[str, ...]
-    ids: tuple[str, ...]  # panel subject ids, for export
-
-    def __len__(self):
-        return self.days.size
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(",".join(("id", "day", "at_risk", "infected_today") + self.covariate_names) + "\n")
-        # formatted from Python values (covariates as repr, exact), a chunk of rows per write
-        for k in range(0, len(self), _CSV_CHUNK):
-            part = slice(k, k + _CSV_CHUNK)
-            ids = map(self.ids.__getitem__, self.subject_ids[part].tolist())
-            rows = zip(ids, self.days[part].tolist(), self.infected_today[part].astype(int).tolist(),
-                       self.covariates[part].tolist())
-            buf.write("".join([f"{i},{d},1,{e}" + "".join([f",{c}" for c in covs]) + "\n"
-                               for i, d, e, covs in rows]))
-        return buf.getvalue()
 
 
 @dataclass(frozen=True)
@@ -94,9 +63,9 @@ class WeightTable:
     The factors 1 - p are rows, ``factors[row[i]]`` for subject i: one
     shared row for the empirical hazard, one (k, 1) row per distinct
     fitted probability of a pooled logistic model, or one row per subject.
-    The estimator and the CSV writer build one weight row per pattern of
-    subjects (see ``_Patterns``) and gather those rows block by block;
-    the whole matrix is never built.
+    The estimator builds one weight row per pattern of subjects (see
+    ``_Patterns``) and gathers those rows block by block; the whole matrix
+    is never built.
     """
 
     factors: np.ndarray  # (k, n_days), or (k, 1) for a probability constant over days
@@ -104,29 +73,12 @@ class WeightTable:
     freeze_day: np.ndarray  # (n_subjects,) the last day whose factor enters the product
     exposure_day: np.ndarray  # (n_subjects,)
     n_days: int
-    ids: tuple[str, ...]
 
     @property
     def n_subjects(self) -> int:
         return self.row.size
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("id,day,weight\n")
-        days = range(1, self.n_days + 1)
-        patterns = self._patterns()
-        first = 0
-        for block, _ in _gathered(patterns.blocks(self.factors), *_buffers(patterns.step, self.n_days)):
-            ids = self.ids[first:first + len(block) - 1]
-            first += len(ids)
-            for i, row in zip(ids, block[1:].tolist()):
-                buf.write("".join([f"{i},{t},{w:.12g}\n" for t, w in zip(days, row)]))
-        return buf.getvalue()
-
-    def _patterns(self, death_day=None) -> "_Patterns":
-        """The subjects' patterns; with no ``death_day``, nobody dies."""
-        if death_day is None:
-            death_day = np.full(self.n_subjects, self.n_days + 1)
+    def _patterns(self, death_day) -> "_Patterns":
         return _Patterns(self.row, self.freeze_day, self.exposure_day, death_day, self.n_days)
 
     def _check_bounded(self):
@@ -307,22 +259,6 @@ def _day_ratio(num, den) -> StepCurve:
                      undefined_from=undefined_from)
 
 
-def expand_person_days(panel: DailyPanel, covariate_names=()) -> PersonDayRecords:
-    """Rows exactly for the subject-days at risk of new exposure, subject-major."""
-    at_risk = _at_risk_days(panel)
-    subj = np.repeat(np.arange(panel.n_subjects), at_risk)
-    days = np.arange(1, subj.size + 1) - np.repeat(np.cumsum(at_risk) - at_risk, at_risk)
-    covs = _covariate_matrix(panel, covariate_names)
-    return PersonDayRecords(
-        subject_ids=subj,
-        days=days,
-        infected_today=days == panel.exposure_day[subj],
-        covariates=covs[subj] if covs.size else np.empty((subj.size, 0)),
-        covariate_names=tuple(covariate_names),
-        ids=panel.ids,
-    )
-
-
 def _death_days(panel: DailyPanel) -> np.ndarray:
     """Per subject, its terminal day if it died, else n_days + 1."""
     return np.where(panel.status == STATUS_DEATH, panel.terminal_day, panel.n_days + 1)
@@ -344,23 +280,37 @@ def naive_f01(panel: DailyPanel) -> StepCurve:
     return _day_ratio(num, den)
 
 
-def fit_pooled_logistic(records: PersonDayRecords) -> ExposureModel:
-    """Maximum-likelihood Bernoulli fit by damped Newton iterations, on
-    every covariate of ``records``."""
-    y = records.infected_today.astype(float)
+def fit_pooled_logistic(panel: DailyPanel, covariate_names) -> ExposureModel:
+    """Maximum-likelihood fit, by damped Newton iterations, of the daily
+    exposure probability on an intercept and the baseline covariates
+    ``covariate_names`` (``()`` for the intercept alone), pooled over the
+    subject-days at risk of new exposure.
+
+    With no day terms, every subject-day of a covariate pattern g shares
+    one linear predictor z_g, so the Bernoulli likelihood of the
+    subject-days collapses exactly onto the patterns: sum_g Y_g z_g -
+    D_g log(1 + e^{z_g}), with D_g the pattern's days at risk and Y_g its
+    exposures (D'Agostino et al. 1990, Stat Med 9:1501).  The fit holds
+    one row per pattern, never one per subject-day.
+    """
+    covs = _covariate_matrix(panel, covariate_names)
+    patterns, group = np.unique(covs, axis=0, return_inverse=True)
+    d = np.bincount(group, weights=_at_risk_days(panel), minlength=len(patterns))
+    y = np.bincount(group, weights=panel.exposure_day <= panel.terminal_day,
+                    minlength=len(patterns))
     if y.sum() == 0:
         raise DataError("no exposure events; the model has no MLE")
-    if y.sum() == y.size:
+    if y.sum() == d.sum():
         raise DataError("every person-day is an exposure; the model has no MLE")
-    x = np.column_stack([np.ones(y.size), records.covariates])
-    names = ("intercept",) + records.covariate_names
+    x = np.column_stack([np.ones(len(patterns)), patterns])
+    names = ("intercept",) + tuple(covariate_names)
 
     def evaluate(beta):
         z = x @ beta
         p = _logistic(z)
         # log(p) and log(1-p) written stably via logaddexp
-        ll = float(np.sum(y * z - np.logaddexp(0.0, z)))
-        return ll, x.T @ (y - p), (x * (p * (1.0 - p))[:, None]).T @ x
+        ll = float(np.sum(y * z - d * np.logaddexp(0.0, z)))
+        return ll, x.T @ (y - d * p), (x * (d * p * (1.0 - p))[:, None]).T @ x
 
     beta, loglik, _, it = newton(
         evaluate, names,
@@ -368,7 +318,7 @@ def fit_pooled_logistic(records: PersonDayRecords) -> ExposureModel:
         diverged="coefficients diverged (|beta| > 30), driven by {!r}",
         unconverged="pooled logistic fit did not converge in 100 iterations",
     )
-    return ExposureModel(beta, records.covariate_names, it, loglik)
+    return ExposureModel(beta, tuple(covariate_names), it, loglik)
 
 
 def _daily_hazard(exposure, terminal, m):
@@ -399,7 +349,7 @@ def nonparametric_daily_hazard(panel: DailyPanel) -> np.ndarray:
 
 
 def _weight_table(panel: DailyPanel, factors, row, freeze_day) -> WeightTable:
-    table = WeightTable(factors, row, freeze_day, panel.exposure_day, panel.n_days, panel.ids)
+    table = WeightTable(factors, row, freeze_day, panel.exposure_day, panel.n_days)
     table._check_bounded()
     return table
 

@@ -33,7 +33,6 @@ from .discrete import (
     _on_or_before,
     _ratio_values,
     empirical_weights,
-    expand_person_days,
     fit_pooled_logistic,
     ipw_f01,
     model_weights,
@@ -194,7 +193,7 @@ def _paf_from(estimand, estimator, covariates, data) -> StepCurve:
 
 def _panel_weights(panel: DailyPanel, covariates):
     if covariates:
-        return model_weights(panel, fit_pooled_logistic(expand_person_days(panel, covariates)))
+        return model_weights(panel, fit_pooled_logistic(panel, covariates))
     return empirical_weights(panel)
 
 
@@ -336,10 +335,10 @@ def bootstrap_ci(
     Multistate replicates are evaluated together as count weights, and
     IPW replicates without covariates from the weight patterns of the
     original panel; the naive estimator and IPW with covariates refit each
-    resampled panel.  Grid points where more than half the replicates are
-    undefined get no band.  A ``B`` below 2 or a ``grid`` that is not 1-d
-    and strictly increasing is a ValueError, raised before any replicate
-    is drawn.
+    resampled panel, the pooled logistic model on its covariate patterns.
+    Grid points where more than half the replicates are undefined get no
+    band.  A ``B`` below 2 or a ``grid`` that is not 1-d and strictly
+    increasing is a ValueError, raised before any replicate is drawn.
     """
     if B < 2:
         raise ValueError("B must be >= 2")

@@ -274,6 +274,21 @@ def test_covariates_that_would_be_ignored_are_a_usage_error(cohort_file, capsys,
     assert captured.err.startswith(f"usage error: --covariates: {user} uses no covariates")
 
 
+@pytest.mark.parametrize("command", [
+    ["estimate", "--estimand", "paf_c", "--estimator", "ipw"],
+    ["bootstrap", "--estimand", "paf_c", "--estimator", "ipw", "--B", "20", "--seed", "1"],
+    ["cox"],
+], ids=["estimate", "bootstrap", "cox"])
+def test_a_repeated_covariate_is_a_usage_error(tmp_path, capsys, command):
+    # not a singular information matrix (exit 3): the same column twice is
+    # the caller's mistake, reported before the input is read
+    missing = str(tmp_path / "missing.csv")
+    assert run(command + ["--input", missing, "--covariates", "x,y,x"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --covariates: 'x' is repeated\n"
+
+
 def test_cox_table(cohort_file, capsys):
     assert run(["cox", "--input", cohort_file, "--outcome", "discharge"]) == 0
     out = capsys.readouterr().out

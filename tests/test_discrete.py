@@ -1,4 +1,3 @@
-import io
 import tracemalloc
 
 import numpy as np
@@ -19,7 +18,6 @@ from pafmsm import (
     discretize,
     empirical_weights,
     estimate_paf,
-    expand_person_days,
     fit_pooled_logistic,
     icu_like_spec,
     ipw_f01,
@@ -32,6 +30,7 @@ from pafmsm import (
 )
 from pafmsm import discrete
 from pafmsm.discrete import _death_proportion
+from pafmsm.newton import newton
 
 from conftest import integer_cohort
 
@@ -148,34 +147,6 @@ def reference_weight_matrix(table):
     return weights
 
 
-def reference_weight_csv(table):
-    """``WeightTable.to_csv`` as one formatted write per numpy cell."""
-    buf = io.StringIO()
-    buf.write("id,day,weight\n")
-    weights = reference_weight_matrix(table)
-    n, m = weights.shape
-    for i in range(n):
-        for t in range(m):
-            buf.write(f"{table.ids[i]},{t + 1},{weights[i, t]:.12g}\n")
-    return buf.getvalue()
-
-
-def reference_person_day_csv(records):
-    """``PersonDayRecords.to_csv`` as one formatted write per numpy cell."""
-    buf = io.StringIO()
-    buf.write("id,day,at_risk,infected_today")
-    for name in records.covariate_names:
-        buf.write(f",{name}")
-    buf.write("\n")
-    for r in range(len(records)):
-        buf.write(f"{records.ids[records.subject_ids[r]]},{records.days[r]},1,"
-                  f"{int(records.infected_today[r])}")
-        for c in range(records.covariates.shape[1]):
-            buf.write(f",{float(records.covariates[r, c])}")
-        buf.write("\n")
-    return buf.getvalue()
-
-
 def assert_same(actual, expected):
     """Equal in dtype, shape and bytes (NaN payloads included)."""
     actual, expected = np.asarray(actual), np.asarray(expected)
@@ -195,10 +166,6 @@ def assert_matches_reference(panel):
     a, eps = reference_indicators(panel)
     assert_same(panel.exposure_day, reference_first_day(a > 0))
     assert_same(panel.terminal_day, reference_first_day(eps > 0))
-    rec = expand_person_days(panel)
-    for got, want in zip((rec.subject_ids, rec.days, rec.infected_today),
-                         reference_person_days(panel)):
-        assert_same(got, want)
     assert_curve_is(naive_f01(panel), reference_naive(panel))
     assert_same(_death_proportion(panel).values, reference_death_proportion(panel))
     hazard = nonparametric_daily_hazard(panel)
@@ -305,30 +272,21 @@ def test_shared_pattern_rows_do_not_change_the_weights(monkeypatch, seed, spare)
     assert_matches_reference(panel)
 
 
-@pytest.mark.parametrize("name", ["fractional", "shifted_ties", "random_2", "random_3"])
-def test_csv_writers_equal_the_row_loops(monkeypatch, name):
-    panel = discretize(EDGE_COHORTS[name], allow_drop=True)
-    names = ("x",) if "x" in panel.covariates else ()
-    records = expand_person_days(panel, names)
-    table = empirical_weights(panel)
-    assert records.to_csv() == reference_person_day_csv(records)
-    assert table.to_csv() == reference_weight_csv(table)
-    monkeypatch.setattr(discrete, "_CSV_CHUNK", 3)
-    monkeypatch.setattr(discrete, "_BLOCK_CELLS", 2 * panel.n_days)
-    assert records.to_csv() == reference_person_day_csv(records)
-    assert table.to_csv() == reference_weight_csv(table)
+def uniform_stays_cohort(n=20_000, m=400):
+    """n subjects over m days, stays uniform on 1..m, and a binary x."""
+    rng = np.random.default_rng(11)
+    end = rng.integers(1, m + 1, n).astype(float)
+    inf = np.floor(rng.uniform(0, end))
+    inf[(inf == 0) | (rng.random(n) < 0.5)] = np.nan
+    return Cohort.from_columns(np.arange(n).astype(str), inf, end, rng.integers(1, 3, n),
+                               {"x": rng.integers(0, 2, n).astype(float)}, horizon=m)
 
 
 def test_panel_estimators_stay_linear_in_memory():
     # naive and the death proportion are day counts: nothing of size
     # n x days may be allocated, as a dense panel of uint8 would be
     n, m = 20_000, 400
-    rng = np.random.default_rng(11)
-    end = rng.integers(1, m + 1, n).astype(float)
-    inf = np.floor(rng.uniform(0, end))
-    inf[(inf == 0) | (rng.random(n) < 0.5)] = np.nan
-    cohort = Cohort.from_columns(np.arange(n).astype(str), inf, end, rng.integers(1, 3, n),
-                                 horizon=m)
+    cohort = uniform_stays_cohort(n, m)
     tracemalloc.start()
     try:
         panel = discretize(cohort)
@@ -339,24 +297,13 @@ def test_panel_estimators_stay_linear_in_memory():
     assert peak < n * m / 4
 
 
-def short_stays_cohort(n=20_000, m=400):
-    """n subjects over m days with short stays (mean 3.3 days) and a binary x."""
-    rng = np.random.default_rng(11)
-    end = rng.geometric(0.3, n).astype(float)
-    inf = np.floor(rng.uniform(0, end))
-    inf[(inf == 0) | (rng.random(n) < 0.5)] = np.nan
-    return Cohort.from_columns(np.arange(n).astype(str), inf, end, rng.integers(1, 3, n),
-                               {"x": rng.integers(0, 2, n).astype(float)}, horizon=m)
-
-
 @pytest.mark.parametrize("covariates", [(), ("x",)])
 def test_ipw_stays_linear_in_memory(covariates):
-    # the weights are built and summed in blocks of subjects: a dense
-    # (n x days) float array would take 8 bytes a cell.  Stays are short
-    # (mean 3.3 days of 400), because the pooled logistic fit holds about
-    # 100 bytes per person-day at risk; that design is not the weights.
+    # the weights are built and summed in blocks of subjects, and the
+    # pooled logistic fit holds one row per covariate pattern: a dense
+    # (n x days) float array would take 8 bytes a cell
     n, m = 20_000, 400
-    cohort = short_stays_cohort(n, m)
+    cohort = uniform_stays_cohort(n, m)
     tracemalloc.start()
     try:
         estimate_paf(cohort, "paf_c", "ipw", covariates=covariates)
@@ -366,41 +313,12 @@ def test_ipw_stays_linear_in_memory(covariates):
     assert peak < n * m
 
 
-def test_expand_person_days_stops_at_exposure():
-    panel = panel_of(Subject("A", 2.0, 4.0, "death"), horizon=5)
-    rec = expand_person_days(panel)
-    # at risk of new exposure on days 1 and 2 only
-    np.testing.assert_array_equal(rec.days, [1, 2])
-    np.testing.assert_array_equal(rec.infected_today, [False, True])
-
-
-def test_expand_person_days_stops_at_terminal():
-    panel = panel_of(Subject("A", None, 3.0, "discharge"), horizon=5)
-    rec = expand_person_days(panel)
-    np.testing.assert_array_equal(rec.days, [1, 2, 3])
-    assert not rec.infected_today.any()
-
-
-def test_person_day_csv_header():
-    panel = panel_of(Subject("A", None, 2.0, "death"), horizon=2)
-    out = expand_person_days(panel).to_csv()
-    assert out.splitlines()[0] == "id,day,at_risk,infected_today"
-
-
-def test_person_day_csv_covariates_read_back_exactly():
-    values = (1234567.891, 0.1234567)
-    panel = panel_of(*(Subject(f"s{i}", None, 2.0, "death", {"x": v}) for i, v in enumerate(values)),
-                     horizon=2)
-    lines = expand_person_days(panel, ("x",)).to_csv().splitlines()[1:]
-    assert [float(line.split(",")[-1]) for line in lines] == [v for v in values for _ in (1, 2)]
-
-
 def test_a_covariate_that_is_not_finite_is_a_data_error():
     for value in (float("nan"), float("inf")):
         panel = panel_of(Subject("A", 1.0, 2.0, "death", {"x": 0.0}),
                          Subject("B", None, 2.0, "death", {"x": value}), horizon=2)
         with pytest.raises(DataError, match="subject B: covariate 'x' is"):
-            expand_person_days(panel, ("x",))
+            fit_pooled_logistic(panel, ("x",))
 
 
 def test_naive_equals_cpf_on_integer_cohorts():
@@ -456,24 +374,79 @@ def test_naive_undefined_when_everyone_exposed():
     assert curve.undefined_from == 1.0
 
 
-def test_pooled_logistic_recovers_coefficients():
+def normal_x_cohort(n=20_000):
+    """One person-day per subject, exposed on day 1 or out on day 1, with a
+    normal x: logit P(exposed) = -3 + x."""
     rng = np.random.default_rng(0)
-    n = 20_000
     x = rng.normal(size=n)
     p = 1.0 / (1.0 + np.exp(-(-3.0 + 1.0 * x)))
     y = rng.random(n) < p
-
-    # one person-day per subject: exposed on day 1 or out on day 1
-    subjects = tuple(
+    return Cohort(tuple(
         Subject(str(i), 1.0 if y[i] else None, 2.0 if y[i] else 1.0, "discharge", {"x": float(x[i])})
         for i in range(n)
-    )
-    panel = discretize(Cohort(subjects, horizon=2))
-    rec = expand_person_days(panel, covariate_names=("x",))
-    assert len(rec) == n
-    model = fit_pooled_logistic(rec)
+    ), horizon=2)
+
+
+def flat_likelihood_cohort():
+    """An ICU-like whole-day cohort with a binary x, whose pooled logistic
+    likelihood is flat near its optimum."""
+    drawn = simulate_cohort(icu_like_spec(round_days=True), 2000, 2)
+    rng = np.random.default_rng(3)
+    return Cohort(tuple(
+        Subject(s.id, s.inf_time, s.end_time, s.end_status, {"x": float(rng.integers(0, 2))})
+        for s in drawn.subjects if s.end_status != "censored"
+    ))
+
+
+def test_pooled_logistic_recovers_coefficients():
+    panel = discretize(normal_x_cohort())
+    assert reference_person_days(panel)[0].size == panel.n_subjects
+    model = fit_pooled_logistic(panel, ("x",))
     assert model.coefficients[0] == pytest.approx(-3.0, abs=0.15)
     assert model.coefficients[1] == pytest.approx(1.0, abs=0.15)
+
+
+def reference_pooled_logistic(panel, names):
+    """The pooled logistic fit on one row per subject-day at risk, from the
+    dense person-day reference: the row-level Bernoulli likelihood, through
+    the same solver with the same messages."""
+    subj, _, infected = reference_person_days(panel)
+    y = infected.astype(float)
+    covs = np.array([panel.covariates[name] for name in names], dtype=float)
+    x = np.column_stack([np.ones(y.size), covs.reshape(len(names), panel.n_subjects).T[subj]])
+    terms = ("intercept",) + tuple(names)
+
+    def evaluate(beta):
+        z = x @ beta
+        p = 1.0 / (1.0 + np.exp(-z))
+        ll = float(np.sum(y * z - np.logaddexp(0.0, z)))
+        return ll, x.T @ (y - p), (x * (p * (1.0 - p))[:, None]).T @ x
+
+    beta, ll, _, it = newton(
+        evaluate, terms,
+        singular=f"singular information matrix; check covariates {terms}",
+        diverged="coefficients diverged (|beta| > 30), driven by {!r}",
+        unconverged="pooled logistic fit did not converge in 100 iterations",
+    )
+    return ExposureModel(beta, tuple(names), it, ll)
+
+
+FIT_COHORTS = {"normal_x": normal_x_cohort, "flat_likelihood": flat_likelihood_cohort}
+
+
+@pytest.mark.parametrize("names", [(), ("x",)])
+@pytest.mark.parametrize("name", [*(name for name, cohort in EDGE_COHORTS.items()
+                                    if "x" in cohort.covariates), *FIT_COHORTS])
+def test_pooled_logistic_equals_the_person_day_fit(name, names):
+    # the sums per covariate pattern add the person-day terms in another
+    # order: the same fit up to rounding, in as many iterations
+    cohort = FIT_COHORTS[name]() if name in FIT_COHORTS else EDGE_COHORTS[name]
+    panel = discretize(cohort, allow_drop=True)
+    model, want = fit_pooled_logistic(panel, names), reference_pooled_logistic(panel, names)
+    assert model.covariate_names == want.covariate_names
+    assert model.iterations == want.iterations
+    np.testing.assert_allclose(model.coefficients, want.coefficients, rtol=1e-12, atol=0)
+    assert model.log_likelihood == pytest.approx(want.log_likelihood, rel=1e-12, abs=0)
 
 
 def test_pooled_logistic_separation():
@@ -483,13 +456,13 @@ def test_pooled_logistic_separation():
     )
     panel = discretize(Cohort(subjects, horizon=2))
     with pytest.raises(SeparationError):
-        fit_pooled_logistic(expand_person_days(panel, covariate_names=("x",)))
+        fit_pooled_logistic(panel, ("x",))
 
 
 def test_pooled_logistic_needs_both_outcomes():
     panel = panel_of(Subject("A", None, 2.0, "death"), Subject("B", None, 2.0, "death"), horizon=2)
     with pytest.raises(DataError, match="no exposure events"):
-        fit_pooled_logistic(expand_person_days(panel))
+        fit_pooled_logistic(panel, ())
 
 
 def test_weight_table_shape_checked():
@@ -516,13 +489,7 @@ def test_pooled_logistic_converges_where_the_likelihood_is_flat():
     # near this fit's optimum a Newton step changes the log-likelihood
     # (about -2e3) by less than its rounding; without a relative slack the
     # step-halving rejects every step and the fit stops after 100 iterations
-    drawn = simulate_cohort(icu_like_spec(round_days=True), 2000, 2)
-    rng = np.random.default_rng(3)
-    subjects = tuple(
-        Subject(s.id, s.inf_time, s.end_time, s.end_status, {"x": float(rng.integers(0, 2))})
-        for s in drawn.subjects if s.end_status != "censored"
-    )
-    model = fit_pooled_logistic(expand_person_days(discretize(Cohort(subjects)), ("x",)))
+    model = fit_pooled_logistic(discretize(flat_likelihood_cohort()), ("x",))
     assert model.iterations < 20
 
 

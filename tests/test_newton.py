@@ -9,7 +9,6 @@ from pafmsm import (
     ConvergenceError,
     SeparationError,
     discretize,
-    expand_person_days,
     fit_cox_td,
     fit_pooled_logistic,
     markov_test,
@@ -105,5 +104,5 @@ def test_every_fit_runs_the_one_solver(monkeypatch):
     fit_cox_td(cohort, "death")
     fit_cox_td(cohort, "death", extra_covariates=("x",))
     markov_test(cohort, "death_after")
-    fit_pooled_logistic(expand_person_days(discretize(cohort, allow_drop=True), ("x",)))
+    fit_pooled_logistic(discretize(cohort, allow_drop=True), ("x",))
     assert calls == [("exposure",), ("exposure", "x"), ("inf_time",), ("intercept", "x")]

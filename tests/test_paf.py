@@ -33,7 +33,7 @@ from pafmsm.curves import _CSV_CHUNK, StepCurve
 from pafmsm.simulate import icu_like_spec
 
 from conftest import integer_cohort
-from test_discrete import EDGE_COHORTS, short_stays_cohort
+from test_discrete import EDGE_COHORTS, uniform_stays_cohort
 
 TWO = Cohort((Subject("A", None, 1.0, "death"), Subject("B", 1.0, 2.0, "death")), horizon=2)
 
@@ -328,18 +328,20 @@ def test_ipw_replicates_fail_where_the_refits_do(monkeypatch):
 
 
 def test_ipw_bootstrap_stays_linear_in_memory():
-    # replicates are summed one at a time from the rows of their weight
-    # patterns, in blocks: a dense (n x days) float matrix would take 8
-    # bytes a cell, and a batch of replicates more
+    # replicates without covariates are summed one at a time from the rows
+    # of their weight patterns, in blocks, and those with covariates refit
+    # one row per covariate pattern: a dense (n x days) float matrix would
+    # take 8 bytes a cell, and a batch of replicates more
     n, m = 20_000, 400
-    cohort = short_stays_cohort(n, m)
-    tracemalloc.start()
-    try:
-        bootstrap_ci(cohort, "paf_c", "ipw", B=3, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < n * m
+    cohort = uniform_stays_cohort(n, m)
+    for covariates in ((), ("x",)):
+        tracemalloc.start()
+        try:
+            bootstrap_ci(cohort, "paf_c", "ipw", B=3, seed=1, covariates=covariates)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * m, covariates
 
 
 @pytest.mark.parametrize("failing", [9, 10, 11])
