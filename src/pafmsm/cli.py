@@ -19,8 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from .cohort import (
+    _MAX_GRID_POINTS,
     Cohort,
     TiePolicy,
+    _horizon_days,
     cohort_to_csv,
     discretize,
     parse_cohort,
@@ -38,11 +40,13 @@ __all__ = ["main", "run"]
 
 _EXIT_OK, _EXIT_USAGE, _EXIT_DATA, _EXIT_NUMERICAL = 0, 1, 2, 3
 
-# The most an option may ask for.  Memory grows with each: about 2 kB per
-# oracle grid point, 0.4 kB per simulated subject and 3 kB per replicate.
-_MAX_GRID_POINTS = 10**6
+# The most an option may ask for (_MAX_GRID_POINTS also bounds the days of a
+# day grid).  Memory grows with each: about 2 kB per oracle grid point,
+# 0.4 kB per simulated subject, and 8 bytes per replicate and grid point of
+# the bootstrap bands' (B x grid) matrix, which may hold at most 3 GB.
 _MAX_SUBJECTS = 10**7
 _MAX_REPLICATES = 10**6
+_MAX_BAND_CELLS = 3 * 10**9 // 8
 
 
 class _UsageError(Exception):
@@ -204,7 +208,7 @@ def _check_seed(args):
 def _on_grid(curve: StepCurve, kind: str, horizon: float) -> StepCurve:
     if kind == "jumps":
         return curve
-    days = np.arange(1.0, math.ceil(horizon) + 1.0)
+    days = np.arange(1.0, _horizon_days(horizon) + 1.0)
     return StepCurve(days, np.atleast_1d(curve(days)), initial=curve.initial,
                      undefined_from=curve.undefined_from)
 
@@ -238,7 +242,8 @@ def _cmd_bootstrap(args) -> int:
     if args.grid == "jumps" and args.estimator == "multistate":
         grid = estimate_paf(cohort, args.estimand, args.estimator).times
     else:
-        grid = np.arange(1.0, math.ceil(cohort.horizon) + 1.0)
+        grid = np.arange(1.0, _horizon_days(cohort.horizon) + 1.0)
+    _check_size("--B", args.B * len(grid), _MAX_BAND_CELLS, "band cells (replicates x grid points)")
     bands = bootstrap_ci(
         cohort, args.estimand, args.estimator, B=args.B, seed=args.seed,
         grid=grid, covariates=_covariate_list(args), allow_drop=args.allow_drop_censored,
@@ -292,7 +297,7 @@ def _cmd_oracle(args) -> int:
     oc = analytic_curves(spec, grid)
     curves = oc.as_dict()
     rows = _csv_rows((oc.grid, *(c.values for c in curves.values())))
-    _emit("t," + ",".join(curves) + "\n" + "".join(rows), args.out, "oracle.csv")
+    _emit("".join(["t," + ",".join(curves) + "\n", *rows]), args.out, "oracle.csv")
     return _EXIT_OK
 
 

@@ -49,6 +49,7 @@ _STATUS_NAME = {v: k for k, v in _STATUS_CODE.items()}
 EXIT_STATE = np.array([[CENSORED, 3, 2], [CENSORED, 5, 4]])
 _ABSENT = object()  # the cell of a covariate that a subject does not have
 _PARSE_CHUNK = 1 << 16  # characters of CSV text read, checked and converted at a time
+_MAX_GRID_POINTS = 10**6  # the most points of a grid, and the most days of a day grid
 
 
 @dataclass(frozen=True)
@@ -866,6 +867,16 @@ def to_transitions(cohort: Cohort) -> Cohort:
     return cohort
 
 
+def _horizon_days(horizon: float) -> int:
+    """The days of a day grid or daily panel over ``horizon``, ceil(horizon):
+    a DataError past ``_MAX_GRID_POINTS``, before anything that size exists."""
+    days = math.ceil(horizon)
+    if days > _MAX_GRID_POINTS:
+        raise DataError(f"horizon {horizon:g} spans {days} days; a day grid or daily panel "
+                        f"may have at most {_MAX_GRID_POINTS}")
+    return days
+
+
 def discretize(cohort: Cohort, allow_drop: bool = False) -> DailyPanel:
     """Build the integer-day panel over days 1..ceil(horizon).
 
@@ -881,7 +892,7 @@ def discretize(cohort: Cohort, allow_drop: bool = False) -> DailyPanel:
     kept = cohort.subset(~censored) if dropped else cohort
     if not len(kept):
         raise DataError("empty cohort")
-    m = int(math.ceil(cohort.horizon))
+    m = _horizon_days(cohort.horizon)
     exposure_day = np.nan_to_num(np.ceil(kept.inf), nan=m + 1).astype(np.int64)
     return DailyPanel(ids=tuple(kept.ids), exposure_day=exposure_day,
                       terminal_day=np.ceil(kept.end).astype(np.int64), status=kept.status,

@@ -17,6 +17,7 @@ from .cohort import (
     STATUS_DEATH,
     Cohort,
     DailyPanel,
+    _horizon_days,
     covariate_column,
     discretize,
     to_transitions,
@@ -220,8 +221,8 @@ class CurveWithBands:
         defined = np.isfinite(columns[1]) & np.isfinite(columns[2])
         # a non-finite cell is written blank, as NaN
         cells = [np.where(np.isfinite(c), c, np.nan) for c in columns]
-        return "t,estimate,lower,upper,defined\n" + "".join(
-            _csv_rows((grid, *cells, defined.astype(float))))
+        return "".join(["t,estimate,lower,upper,defined\n",
+                        *_csv_rows((grid, *cells, defined.astype(float)))])
 
 
 # Multistate replicates are computed in blocks whose exit tables, and whose
@@ -344,7 +345,7 @@ def bootstrap_ci(
         raise ValueError("B must be >= 2")
     _check_pair(estimand, estimator)
     if grid is None:
-        grid = np.arange(1.0, math.ceil(cohort.horizon) + 1.0)
+        grid = np.arange(1.0, _horizon_days(cohort.horizon) + 1.0)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or not (np.diff(grid) > 0).all():  # NaN fails the comparison
         raise ValueError("grid must be a 1-d array of strictly increasing times")

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -428,6 +429,54 @@ def test_size_bounds_count_what_the_option_asks_for(
     out = capsys.readouterr().out
     if argv[0] == "oracle" and code == 0:
         assert len(out.splitlines()) == 1 + 5
+
+
+LONG_HORIZON = "id,inf_time,end_time,end_status\na,,5,death\nb,2,1e12,discharge\nc,1,3,death\n"
+DAY_GRID_COMMANDS = [
+    ["estimate", "--estimand", "paf_o", "--grid", "days"],
+    ["estimate", "--estimand", "paf_o", "--estimator", "naive"],
+    ["estimate", "--estimand", "paf_c", "--estimator", "ipw"],
+    ["bootstrap", "--estimand", "paf_o", "--B", "2", "--seed", "1"],
+    ["bootstrap", "--estimand", "paf_c", "--estimator", "ipw", "--B", "2", "--seed", "1"],
+    ["check"],
+]
+
+
+@pytest.mark.parametrize("argv", DAY_GRID_COMMANDS)
+def test_a_horizon_past_the_day_grid_bound_is_a_data_error(tmp_path, capsys, argv):
+    path = tmp_path / "cohort.csv"
+    path.write_text(LONG_HORIZON)  # 10**12 days: 7.3 TiB as a float day grid
+    assert run([argv[0], "--input", str(path), *argv[1:]]) == 2
+    assert capsys.readouterr().err == (
+        "data error: horizon 1e+12 spans 1000000000000 days; a day grid or daily panel "
+        "may have at most 1000000\n")
+
+
+@pytest.mark.parametrize("argv", DAY_GRID_COMMANDS)
+@pytest.mark.parametrize("days, code", [(9, 0), (8, 2)])
+def test_the_day_grid_bound_counts_the_days_of_the_horizon(
+        tmp_path, capsys, monkeypatch, argv, days, code):
+    monkeypatch.setattr(pafmsm.cohort, "_MAX_GRID_POINTS", days)
+    path = tmp_path / "cohort.csv"  # horizon 8.5: days 1..9
+    path.write_text("id,inf_time,end_time,end_status\na,,2,death\nb,3,8.5,discharge\n"
+                    "c,1,3,death\nd,,4,discharge\ne,2,5,death\n")
+    if argv[0] == "check":  # integer days only
+        path.write_text(path.read_text().replace("8.5", "9"))
+    assert run([argv[0], "--input", str(path), *argv[1:]]) == code
+    assert ("data error: horizon" in capsys.readouterr().err) == bool(code)
+
+
+@pytest.mark.parametrize("slack, code", [(0, 0), (-1, 1)])
+def test_the_band_bound_counts_replicates_times_grid_points(
+        cohort_file, capsys, monkeypatch, slack, code):
+    cells = 5 * math.ceil(pafmsm.parse_cohort(cohort_file).horizon)  # B = 5 on the day grid
+    monkeypatch.setattr(pafmsm.cli, "_MAX_BAND_CELLS", cells + slack)
+    if code:
+        monkeypatch.setattr(pafmsm.cli, "bootstrap_ci", lambda *a, **k: pytest.fail("work was started"))
+    argv = ["bootstrap", "--input", cohort_file, "--estimand", "paf_o", "--B", "5", "--seed", "1"]
+    assert run(argv) == code
+    assert (capsys.readouterr().err == f"usage error: --B asks for {cells} band cells "
+            f"(replicates x grid points); at most {cells + slack} are allowed\n") == bool(code)
 
 
 @pytest.mark.parametrize("key, value", [

@@ -1,0 +1,94 @@
+"""Compare two checkouts on one benchmark workload, in alternated pairs.
+
+    python tools/pairs.py PARENT CHANGE --workload registry_1e5 --seeds 41-50
+
+For each seed, runs ``python3 bench/run.py --workload W --seed S
+--seconds X --trace 0`` once in each checkout, the side that runs first
+switching from pair to pair.  Stops at the first run that prints
+``"correct": false``, counts a failed operation or exits non-zero.  Then
+prints, for each end-to-end metric of the CHANGE checkout's
+``BENCHMARK.json``: each side's median and quartiles, the change's wins
+(ties count for neither side), its median against the parent's as a
+share of the metric's bound, and whether it is a gain by the rule for a
+claim: the change wins at least nine tenths of the pairs, and its median
+is better than the parent's by more than the parent's quartile spread.
+
+Standard library only; it lives outside ``testpaths``, so pytest never
+collects it.  The runs write ``bench/results/`` inside each checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def _seeds(text):
+    first, _, last = text.partition("-")
+    return list(range(int(first), int(last or first) + 1))
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``--trace 0`` run in ``checkout``: its metric values by name."""
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if lines else {}
+    if proc.returncode or not result.get("correct") or result.get("failed"):
+        sys.exit(f"pairs: {checkout} seed {seed}: exit {proc.returncode}, "
+                 f"correct {result.get('correct')}, failed {result.get('failed')}\n"
+                 f"{proc.stderr.strip()}")
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def summary(metric: dict, parent: list, change: list) -> str:
+    """One metric's line: medians, quartiles, wins, the move and the verdict."""
+    sign = 1 if metric["better"] == "lower" else -1
+    q_parent, q_change = statistics.quantiles(parent, n=4), statistics.quantiles(change, n=4)
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    gap = sign * (q_parent[1] - q_change[1])  # > 0: the change is better
+    spread = q_parent[2] - q_parent[0]
+    gain = wins >= 0.9 * len(parent) and gap > spread
+    move = -gap / q_parent[1] if q_parent[1] else 0.0
+    return (f"{metric['name']:12s} parent {q_parent[1]:.4g} [{q_parent[0]:.4g}, {q_parent[2]:.4g}]"
+            f"  change {q_change[1]:.4g} [{q_change[0]:.4g}, {q_change[2]:.4g}]"
+            f"  wins {wins}/{len(parent)}  worse by {move:+.1%} (bound {metric['bound']:.0%})"
+            f"  {'GAIN' if gain else 'no gain'}")
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent", type=Path)
+    p.add_argument("change", type=Path)
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seeds", type=_seeds, required=True, help="first-last, as 41-50")
+    p.add_argument("--seconds", type=float, default=None,
+                   help="run length (default: BENCHMARK.json's run_seconds)")
+    args = p.parse_args(argv)
+    spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = args.seconds or spec["run_seconds"]
+    sides = {"parent": args.parent, "change": args.change}
+    runs = {"parent": [], "change": []}
+    for k, seed in enumerate(args.seeds):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(run_bench(sides[side], args.workload, seed, seconds))
+        print(f"seed {seed}: " + "  ".join(
+            f"{side} " + " ".join(f"{v:.4g}" for v in runs[side][-1].values())
+            for side in ("parent", "change")), flush=True)
+    if len(args.seeds) < 2:
+        return 0
+    print(f"{args.workload}, {len(args.seeds)} pairs, median [quartiles]:")
+    for metric in spec["end_to_end"]:
+        name = metric["name"]
+        print(summary(metric, [r[name] for r in runs["parent"]], [r[name] for r in runs["change"]]))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
