@@ -48,7 +48,7 @@ _STATUS_NAME = {v: k for k, v in _STATUS_CODE.items()}
 # EXIT_STATE[exposed, status code]: the state a subject's last interval ends in
 EXIT_STATE = np.array([[CENSORED, 3, 2], [CENSORED, 5, 4]])
 _ABSENT = object()  # the cell of a covariate that a subject does not have
-_PARSE_CHUNK = 1 << 16  # characters of CSV text read, checked and converted at a time
+_PARSE_CHUNK = 1 << 18  # bytes of a window: the CSV rows read, checked and converted at a time
 _MAX_GRID_POINTS = 10**6  # the most points of a grid, and the most days of a day grid
 
 
@@ -357,15 +357,17 @@ class DailyPanel:
 def parse_cohort(source, tie_policy: TiePolicy = TiePolicy.shift()) -> Cohort:
     """Read a cohort from CSV (``id,inf_time,end_time,end_status[,<covariate>...]``).
 
-    ``source`` is a path (``os.PathLike``, or a ``str`` without a line
-    break), CSV text (a ``str`` or ``bytes`` with a "\\n" or "\\r"), or a
-    file object.  Input that does not decode as UTF-8 raises ParseError.
+    ``source`` is a path (``os.PathLike``, or a ``str`` or ``bytes``
+    without a line break), CSV text (a ``str`` or ``bytes`` with a "\\n"
+    or "\\r"), or a file object.  Input that does not decode as UTF-8
+    raises ParseError; a leading byte order mark is skipped.
 
-    Rows are read, checked and converted in chunks of about 64k characters
-    cut at line ends, so a parse holds the kept columns plus the bytes and
-    cell strings of one chunk, and the first faulty row in the file raises.
+    The text is read once into one byte buffer (``_buffer``) and parsed
+    from it in windows of about ``_PARSE_CHUNK`` bytes cut at line ends,
+    so a parse holds the kept columns, the bytes of the file and the cell
+    strings of one window, and the first faulty row in the file raises.
     Text with a quote, a CR or a NUL is read by ``csv.reader`` in one pass.
-    In a plain chunk (see ``_split_rows``), the number cells that are
+    In a plain window (see ``_split_rows``), the number cells that are
     decimals (ASCII digits, at most one ".", at most ``_SHORT`` bytes: the
     whole-day and the 12-digit times), the statuses and the ids are
     converted from the UTF-8 bytes, bit for bit as ``float`` and the
@@ -374,25 +376,42 @@ def parse_cohort(source, tie_policy: TiePolicy = TiePolicy.shift()) -> Cohort:
     status that is not one of the three names, falls back to ``str``
     cells, which give the same values and the same error messages.
     """
-    what = "input"
+    header, parts = _read_chunks(_buffer(source), tie_policy)
+    return _joined(header, parts)
+
+
+def _buffer(source) -> bytearray:
+    """The UTF-8 bytes of ``source`` (see ``parse_cohort``) in one buffer,
+    with ``_PAD`` NUL bytes in front and 8 behind.  A path is read straight
+    into it; text is encoded (a lone surrogate as ``surrogatepass`` writes
+    it); bytes that are not UTF-8 raise ParseError.
+    """
+    what, text = "input", False
     try:
-        if isinstance(source, bytes):
-            source = source.decode("utf-8")
-        is_text = isinstance(source, str) and ("\n" in source or "\r" in source)
-        if isinstance(source, os.PathLike) or isinstance(source, str) and not is_text:
+        if isinstance(source, bytes) and not (b"\n" in source or b"\r" in source):
+            source = source.decode("utf-8")  # a path
+        if isinstance(source, os.PathLike) or isinstance(source, str) and not (
+                "\n" in source or "\r" in source):
             what = f"input file {os.fspath(source)}"
-            with open(source, "r", encoding="utf-8", newline="") as fh:
-                source = fh.read()
-        elif hasattr(source, "read"):
-            source = source.read()
-            source = source.decode("utf-8") if isinstance(source, bytes) else source
+            with open(source, "rb") as fh:
+                buf = bytearray(_PAD + os.fstat(fh.fileno()).st_size + 8)
+                with memoryview(buf) as view:
+                    size = fh.readinto(view[_PAD:-8])
+                buf[_PAD + size:] = fh.read() + bytes(8)  # a file that has grown, or a pipe
+        else:
+            data = source.read() if hasattr(source, "read") else source
+            text = isinstance(data, str)
+            if text:
+                data = data.encode("utf-8", "surrogatepass")
+            if not isinstance(data, bytes):
+                raise TypeError("source must be a path, text, bytes, or file object")
+            buf = bytearray(_PAD + len(data) + 8)
+            buf[_PAD:-8] = data
+        if not (text or buf.isascii()):
+            str(memoryview(buf)[_PAD:-8], "utf-8")  # raises on the first byte that is not UTF-8
     except UnicodeDecodeError as exc:
         raise ParseError(f"{what} is not UTF-8 text: {exc}") from None
-    if isinstance(source, str):
-        header, parts = _read_chunks(source, tie_policy)
-        del source  # a text read here goes before the cohort is built
-        return _joined(header, parts)
-    raise TypeError("source must be a path, text, bytes, or file object")
+    return buf
 
 
 def _is_number(text):
@@ -434,41 +453,36 @@ def _text_column(cells):
     return text, values, blank, number
 
 
-def _split_rows(text):
-    """Header and body cells of plain text, read from its UTF-8 bytes, or None.
+def _split_rows(raw, start, stop, header):
+    """The rows of ``raw[start:stop]``, whole lines of plain text after a
+    "\\n", as ``_ByteCells``, with ``header`` and each row's width; or None.
 
-    Plain means no ``"``, ``\\r`` or NUL, no line longer than the csv field
-    limit, and as many commas on every line as on the header: on such text
-    ``csv.reader`` returns the same cells.  One scan of the UTF-8 bytes
-    decides it: there "," and "\\n" are single bytes that no longer
-    character contains, and a line has at least as many bytes as characters.
-    The same scan gives every cell's first byte and length, so the body
-    cells stay bytes (``_ByteCells``): decimal number cells, statuses and
-    ids are converted from them, with the bits of ``float`` (m / 10**k,
-    both exact doubles, one correctly rounded division) and the strings of
-    the ``str`` path; the text is split into ``str`` cells only for a
-    column that needs the ``str`` path.
+    On text with no ``"``, ``\\r`` or NUL and no line longer than the csv
+    field limit (``_row_chunks`` sees to both), plain means as many commas
+    on every line as on the header: there ``csv.reader`` returns the same
+    cells.  One scan of the UTF-8 bytes decides it: "," and "\\n" are
+    single bytes that no longer character contains.  The same scan gives
+    every cell's first byte and length, so the cells stay bytes: decimal
+    number cells, statuses and ids are converted from them, with the bits
+    of ``float`` (m / 10**k, both exact doubles, one correctly rounded
+    division) and the strings of the ``str`` path; the rows are split into
+    ``str`` cells only for a column that needs the ``str`` path.
     """
-    if not text or '"' in text or "\r" in text or "\0" in text:
-        return None
-    body = text if text.endswith("\n") else text + "\n"
-    # NUL bytes around the text: every cell can be read 8 bytes at a time,
-    # from its first byte or back from its end
-    raw = np.frombuffer(b"".join((bytes(_PAD), body.encode("utf-8", "surrogatepass"), bytes(8))),
-                        np.uint8)
-    seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
-    newline = raw[seps] == ord("\n")
+    width = len(header)
+    window = raw[start - 1:stop]  # from the "\n" before the first row
+    newline = window == ord("\n")
+    seps = np.flatnonzero(newline | (window == ord(",")))
+    newline = newline[seps]
     # plain: (width - 1) commas and a newline, once per row
-    width, rows = int(np.argmax(newline)) + 1, np.count_nonzero(newline)
-    if (newline.size != rows * width or not newline[width - 1::width].all()
-            or np.diff(seps[newline], prepend=_PAD - 1).max() > csv.field_size_limit() + 1):
+    rows = np.count_nonzero(newline) - 1
+    if newline.size != 1 + rows * width or not newline[width::width].all():
         return None
-    header = body[:body.find("\n")].split(",")
-    return header, _ByteCells(body, raw, seps, width), np.full(rows - 1, width)
+    seps += start - 1
+    return header, _ByteCells(raw, seps, width), np.full(rows, width)
 
 
 class _Cells:
-    """The body cells of one chunk of rows, as one list of ``str`` per
+    """The body cells of one window of rows, as one list of ``str`` per
     column, and their conversions for ``_read_rows``."""
 
     def __init__(self, columns):
@@ -501,8 +515,9 @@ class _Cells:
 
 
 class _ByteCells(_Cells):
-    """The body cells of plain text as UTF-8 bytes ``raw`` and the positions
-    ``seps`` of the "," or "\\n" after every cell, header cells first.
+    """The body cells of a window of plain text as the positions ``seps``,
+    in the buffer ``raw`` of UTF-8 bytes, of the "\\n" before the window
+    and of the "," or "\\n" after every cell.
 
     Ids are one ``decode`` and ``split`` of their gathered bytes.  A status
     is matched byte for byte against the three names.  In a number column,
@@ -515,22 +530,22 @@ class _ByteCells(_Cells):
     cells that are split from the text only then.
     """
 
-    def __init__(self, body, raw, seps, width):
+    def __init__(self, raw, seps, width):
         self.columns, self.width = None, width
-        self.body, self.raw, self.seps = body, raw, seps
+        self.raw, self.seps = raw, seps
 
     def _bounds(self, j):
         """The first byte and the length of each body cell of column ``j``."""
-        w = self.width
-        stops = self.seps[w + j::w]
-        starts = self.seps[w + j - 1:-1:w] + 1
+        stops = self.seps[j + 1::self.width]
+        starts = self.seps[j:-1:self.width] + 1
         return starts, stops - starts
 
     def text(self, j):
         if self.columns is None:
-            cells = self.body.replace("\n", ",").split(",")
+            rows = self.raw[self.seps[0] + 1:self.seps[-1] + 1].tobytes()
+            cells = rows.decode("utf-8", "surrogatepass").replace("\n", ",").split(",")
             cells.pop()  # after the newline that ends the last row
-            self.columns = [cells[self.width + i::self.width] for i in range(self.width)]
+            self.columns = [cells[i::self.width] for i in range(self.width)]
         return self.columns[j]
 
     def _gathered(self, starts, length):
@@ -680,11 +695,12 @@ def _short_decimals(raw, starts, length):
     return values, ok
 
 
-def _reader_rows(text):
-    """Header and body cells by ``csv.reader``, which handles quoted cells and
-    every line ending: the header, one list of cells per header column, and
-    each row's field count.  A row of another width holds blank cells; if it
-    has no non-blank cell it counts as full width and is skipped as blank.
+def _reader_rows(text, first=0):
+    """Header and body cells (``_Cells``) by ``csv.reader``, which handles
+    quoted cells and every line ending, and each row's field count.  A row
+    of another width holds blank cells; if it has no non-blank cell it
+    counts as full width and is skipped as blank.  Row numbers of a
+    ParseError count ``first`` body rows before the text.
     """
     reader = csv.reader(io.StringIO(text, newline=""))
     header, records = None, []
@@ -694,76 +710,91 @@ def _reader_rows(text):
             raise ParseError("empty input")
         records.extend(reader)
     except csv.Error as exc:  # a cell over the csv field limit; a NUL before Python 3.11
-        raise ParseError(str(exc), row=len(records) + 1 + (header is not None)) from None
+        raise ParseError(str(exc), row=first + len(records) + 1 + (header is not None)) from None
     width = len(header)
     lengths = np.fromiter(map(len, records), np.intp, len(records))
     for k in np.flatnonzero(lengths != width):
         if not any(f.strip() for f in records[k]):
             lengths[k] = width
         records[k] = [""] * width
-    return header, [list(map(itemgetter(j), records)) for j in range(width)], lengths
+    return header, _Cells([list(map(itemgetter(j), records)) for j in range(width)]), lengths
 
 
-def _read_cells(text):
-    """``_reader_rows`` with its columns as ``_Cells``."""
-    header, columns, lengths = _reader_rows(text)
-    return header, _Cells(columns), lengths
+def _row_chunks(buf):
+    """The header cells, body cells (``_Cells``) and row widths of each
+    window of rows of ``_buffer``'s ``buf``, in file order.
 
-
-def _row_chunks(text):
-    """The header cells, body cells (``_Cells``) and row widths of each chunk
-    of rows, in file order.
-
-    Text with a ``"``, a ``\\r`` or a NUL is one chunk read by ``csv.reader``:
-    a quoted cell may hold a line break, so it is never cut at one.  Other
-    text is cut at line ends into slices of about ``_PARSE_CHUNK``
-    characters; a longer line is a slice of its own.  Each slice is read
-    with the header line in front, by ``_split_rows`` or, if it is ragged or
-    has a line over the field limit, by ``csv.reader`` on that slice alone.
-    Row numbers of a ParseError count the rows of the slices before it.
+    Text with a ``"``, a ``\\r`` or a NUL is one window read by
+    ``csv.reader``: a quoted cell may hold a line break, so it is never cut
+    at one.  Other text is cut at line ends into windows of about
+    ``_PARSE_CHUNK`` bytes (``_window_end``), each a view of ``buf`` read by
+    ``_split_rows`` with the header cells split once.  A ragged window, a
+    line over the csv field limit (a window of its own, so that
+    ``csv.reader`` reports it after the rows before it are checked), and
+    every window if the header line is over that limit, is decoded and
+    read by ``csv.reader`` with the header line in front.
     """
-    if not text or '"' in text or "\r" in text or "\0" in text:
-        yield _read_cells(text)
+    start = _PAD + 3 * buf.startswith(b"\xef\xbb\xbf", _PAD)  # a byte order mark, as utf-8-sig
+    end = len(buf) - 8
+    if start == end or any(buf.find(c, start, end) >= 0 for c in (b'"', b"\r", b"\0")):
+        yield _reader_rows(str(memoryview(buf)[start:end], "utf-8", "surrogatepass"))
         return
-    newline = text.find("\n")
-    head = (text if newline < 0 else text[:newline]) + "\n"
-    start, rows = len(head), 0  # slices of the body are cut from the text itself
+    if buf[end - 1] != ord("\n"):  # the last line ends in the first byte behind the text
+        buf[end] = ord("\n")
+        end += 1
+    raw, limit = np.frombuffer(buf, np.uint8), csv.field_size_limit()
+    stop = buf.find(b"\n", start) + 1
+    head = str(memoryview(buf)[start:stop], "utf-8", "surrogatepass")
+    header, plain, rows = head[:-1].split(","), stop - start <= limit + 1, 0
     while True:
-        stop = text.rfind("\n", start, start + _PARSE_CHUNK) + 1
-        if not stop:  # no line end in the window: the line is a slice of its own
-            stop = text.find("\n", start) + 1 or len(text)
-        piece = head + text[start:stop]
-        try:
-            chunk = _split_rows(piece) or _read_cells(piece)
-        except ParseError as exc:
-            raise ParseError(str(exc).partition(": ")[2], row=exc.row + rows) from None
-        rows, start = rows + chunk[2].size, stop
+        start, stop = stop, _window_end(buf, stop, end, limit)
+        fits = plain and buf.find(b"\n", start, stop) - start <= limit  # the window's first line
+        chunk = fits and _split_rows(raw, start, stop, header) or _reader_rows(
+            head + str(memoryview(buf)[start:stop], "utf-8", "surrogatepass"), rows)
+        rows += chunk[2].size
         yield chunk
-        del chunk  # a chunk's cells go before the next chunk is read
-        if start >= len(text):
+        del chunk  # a window's cells go before the next window is read
+        if stop == end:
             return
 
 
-def _read_chunks(text, tie_policy):
-    """The header and, per chunk of rows, the columns of ``_read_rows``."""
+def _window_end(buf, start, end, limit):
+    """The end of the window of rows from ``start``: its last line end
+    within ``_PARSE_CHUNK`` bytes, before the first line of more than
+    ``limit`` bytes.  A line that is longer than either is a window of its
+    own, so a window's lines fit ``limit`` if its first line does."""
+    stop, last = start, min(start + _PARSE_CHUNK, end)
+    while stop < last:  # steps of at most limit + 1 bytes, each to a line end
+        found = buf.rfind(b"\n", stop, min(stop + limit + 1, last)) + 1
+        if not found:
+            break
+        stop = found
+    return stop if stop > start else buf.find(b"\n", start, end) + 1 or end
+
+
+def _read_chunks(buf, tie_policy):
+    """The header and, per window of rows, the columns of ``_read_rows``."""
     required = ["id", "inf_time", "end_time", "end_status"]
     header, parts, rows = None, [], 0
-    for head, cells, lengths in _row_chunks(text):
+    for head, cells, lengths in _row_chunks(buf):
         if header is None:
             header = [h.strip() for h in head]
             if header[: len(required)] != required:
                 raise ParseError(f"header must start with {','.join(required)}", row=1)
+            repeated = [name for k, name in enumerate(header) if name in header[:k]]
+            if repeated:
+                raise ParseError(f"header names column {repeated[0]!r} twice", row=1)
         parts.append(_read_rows(header, cells, lengths, tie_policy, rows))
         rows += lengths.size
-        del cells  # a chunk's cells go before the next chunk is read
+        del cells  # a window's cells go before the next window is read
     return header, parts
 
 
 def _joined(header, parts):
-    """The cohort of the chunks' columns; empties ``parts``."""
+    """The cohort of the windows' columns; empties ``parts``."""
     ids, inf, end, status, diagnostics, *covariates = zip(*parts)
-    parts.clear()  # each column's chunks go once the column is joined
-    # a covariate is float only if every chunk of it is; else floats and text
+    parts.clear()  # each column's windows go once the column is joined
+    # a covariate is float only if every window of it is; else floats and text
     columns = {name: np.concatenate([piece.astype(object) for piece in pieces]
                                     if any(piece.dtype == object for piece in pieces) else pieces)
                for name, pieces in zip(header[4:], covariates)}
@@ -777,11 +808,11 @@ def _joined(header, parts):
 
 
 def _read_rows(header, cells, lengths, tie_policy, first):
-    """One chunk of rows (``_Cells``), checked and converted: the ids,
+    """One window of rows (``_Cells``), checked and converted: the ids,
     ``inf``, ``end``, ``status``, tie diagnostics and covariate columns of
     its non-blank rows.  A covariate column is float64, or object (floats
     and stripped text) if a cell is not a number.  ``first`` is the number
-    of body rows before the chunk; the first row that fails a check raises
+    of body rows before the window; the first row that fails a check raises
     ParseError.
     """
     width = len(header)

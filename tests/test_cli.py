@@ -54,6 +54,14 @@ def test_validate_bad_row_exits_2(tmp_path, capsys):
     assert "row 2" in capsys.readouterr().err
 
 
+def test_validate_rejects_a_column_named_twice(tmp_path, capsys):
+    # the first x used to be read over silently, and cox fitted the second
+    bad = tmp_path / "twice.csv"
+    bad.write_text("id,inf_time,end_time,end_status,x,x\nA,,5,death,,1\n")
+    assert run(["validate", "--input", str(bad)]) == 2
+    assert capsys.readouterr().err == "data error: row 1: header names column 'x' twice\n"
+
+
 def test_summary_output(cohort_file, capsys):
     assert run(["summary", "--input", cohort_file]) == 0
     out = capsys.readouterr().out

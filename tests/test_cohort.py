@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -26,8 +27,8 @@ from pafmsm import (
     summarize,
     to_transitions,
 )
-from pafmsm.cohort import (_ABSENT, TransitionRow, _Cells, _short_decimals, _split_rows,
-                           _text_column)
+from pafmsm.cohort import (_ABSENT, TransitionRow, _buffer, _ByteCells, _Cells, _row_chunks,
+                           _short_decimals, _text_column)
 from pafmsm.curves import _CSV_CHUNK
 
 from test_discrete import assert_same, reference_indicators
@@ -55,27 +56,44 @@ def test_parse_accepts_path(tmp_path):
 
 
 NOT_UTF8 = b"id,inf_time,end_time,end_status\nA,,5,d\xe9c\n"
+SOURCE_KINDS = ["bytes", "path", "str path", "binary file", "text file"]
 
 
-@pytest.mark.parametrize("kind", ["bytes", "path", "str path", "binary file", "text file"])
+def parse_as(kind, data, path):
+    """``parse_cohort`` of the bytes ``data`` given as ``kind``, through the
+    file ``path`` for a path or a file."""
+    path.write_bytes(data)
+    if kind == "bytes":
+        return parse_cohort(data)
+    if kind.endswith("path"):
+        return parse_cohort(path if kind == "path" else str(path))
+    with open(path, "rb") if kind == "binary file" else open(path, encoding="utf-8") as fh:
+        return parse_cohort(fh)
+
+
+@pytest.mark.parametrize("kind", SOURCE_KINDS)
 def test_input_that_is_not_utf8_raises_parse_error(tmp_path, kind):
     path = tmp_path / "latin1.csv"
-    path.write_bytes(NOT_UTF8)
     codec = "'utf-8' codec can't decode byte 0xe9 in position "
     with pytest.raises(ParseError) as info:
-        if kind == "bytes":
-            parse_cohort(NOT_UTF8)
-        elif kind.endswith("path"):
-            parse_cohort(path if kind == "path" else str(path))
-        elif kind == "binary file":
-            with open(path, "rb") as fh:
-                parse_cohort(fh)
-        else:
-            with open(path, encoding="utf-8") as fh:
-                parse_cohort(fh)
+        parse_as(kind, NOT_UTF8, path)
     what = f"input file {path}" if kind.endswith("path") else "input"
     assert str(info.value).startswith(f"{what} is not UTF-8 text: {codec}")
     assert info.value.row is None
+
+
+@pytest.mark.parametrize("kind", SOURCE_KINDS + ["str"])
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, kind):
+    # as the utf-8-sig codec skips it, on plain text and on text for csv.reader
+    for text in (CSV, CSV.replace("\n", "\r\n"), HEADER):
+        marked = "\ufeff" + text
+        if kind == "str":
+            cohort = parse_cohort(marked)
+        else:
+            cohort = parse_as(kind, marked.encode(), tmp_path / "marked.csv")
+        assert cohort_columns(cohort) == cohort_columns(parse_cohort(io.StringIO(text)))
+    with pytest.raises(ParseError, match="^empty input$"):
+        parse_cohort(io.StringIO("\ufeff"))
 
 
 def test_round_trip_through_csv():
@@ -452,21 +470,56 @@ def test_a_column_of_numbers_and_empty_cells_is_read_as_given():
 
 
 def parse_both_ways(text, **kwargs):
-    """Parse ``text`` as read from a file object, once as ``parse_cohort``
-    does (by ``str.split`` when the text is plain) and once by
-    ``csv.reader`` alone.  Both must give the same columns or raise the
-    same DataError; returns the columns or (type, message, row)."""
+    """Parse ``text`` as read from a text file, and, if it encodes as UTF-8,
+    from its bytes and from a file that holds them; each once as
+    ``parse_cohort`` does (from the bytes of a plain window) and once by
+    ``csv.reader`` alone.  All must give the same columns or raise the same
+    DataError; returns the columns or (type, message, row)."""
+    sources = [lambda: io.StringIO(text)]
+    data = text.encode("utf-8", "surrogatepass")
+    if data.decode("utf-8", "replace") == text:  # no lone surrogate
+        # bytes without a line break are a path
+        sources.append(lambda: data if b"\n" in data or b"\r" in data else io.BytesIO(data))
+        sources.append(lambda: path)
 
-    def outcome():
+    def outcome(source):
         try:
-            return cohort_columns(parse_cohort(io.StringIO(text), **kwargs))
+            return cohort_columns(parse_cohort(source(), **kwargs))
         except DataError as exc:
             return type(exc).__name__, str(exc), getattr(exc, "row", None)
 
-    either = outcome()
-    with mock.patch.object(pafmsm.cohort, "_split_rows", lambda text: None):
-        assert outcome() == either
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "cohort.csv")
+        path.write_bytes(data)
+        either = outcome(sources[0])
+        assert [outcome(source) for source in sources[1:]] == [either] * (len(sources) - 1)
+        with mock.patch.object(pafmsm.cohort, "_split_rows", lambda *window: None):
+            assert [outcome(source) for source in sources] == [either] * len(sources)
     return either
+
+
+def window_cells(text):
+    """The cells of each window of rows that ``parse_cohort`` reads ``text``
+    in, with windows of unbounded size; None for a window that raises."""
+    cells = []
+    with mock.patch.object(pafmsm.cohort, "_PARSE_CHUNK", sys.maxsize):
+        try:
+            cells.extend(window for _, window, _ in _row_chunks(_buffer(io.StringIO(text))))
+        except ParseError:
+            cells.append(None)
+    return cells
+
+
+def read_from_bytes(text):
+    """Whether every window of ``text`` is read from its bytes."""
+    return all(isinstance(cells, _ByteCells) for cells in window_cells(text))
+
+
+def byte_cells(text):
+    """The cells of plain ``text``, read from its bytes in one window."""
+    (cells,) = window_cells(text)
+    assert isinstance(cells, _ByteCells)
+    return cells
 
 
 HEADER = "id,inf_time,end_time,end_status\n"
@@ -497,7 +550,7 @@ SAME_CELLS_IDS = ["quoted-comma", "crlf", "cr", "quoted-header", "padded", "blan
 
 @pytest.mark.parametrize("text, plain, ids", SAME_CELLS, ids=SAME_CELLS_IDS)
 def test_both_parse_paths_read_the_same_cells(text, plain, ids):
-    assert (pafmsm.cohort._split_rows(text) is not None) == plain
+    assert read_from_bytes(text) == plain
     columns = parse_both_ways(text)
     assert columns[0] == ids
 
@@ -511,6 +564,7 @@ PARSE_ERRORS = [
     (HEADER.replace("\n", "\r\n") + "A,,5,death\r\nB,,4\r\n", 3, "expected 4 fields, got 3"),
     (HEADER.replace("\n", "\r") + "A,,5,death\rB,x,4,death\r", 3, "bad inf_time 'x'"),
     ("id,inf_time,end_time\nA,,5\n", 1, "header must start with id,inf_time,end_time,end_status"),
+    ("id,inf_time,end_time,end_status,x, x \nA,,5,death,1,2\n", 1, "header names column 'x' twice"),
     (HEADER + '"A,,5,death\n', 2, "expected 4 fields, got 1"),
     (HEADER + "A,,5,death\nB,," + "9" * 140_000 + ",death\n", 3,
      "field larger than field limit (131072)"),
@@ -523,7 +577,7 @@ PARSE_ERRORS = [
     (HEADER + "A,,5, dead\t\n", 2, "unknown status 'dead'"),
 ]
 PARSE_ERRORS_IDS = ["empty", "short-row", "long-row", "after-blank-full-width", "after-blank-lines",
-                    "crlf", "cr", "header", "open-quote", "huge-cell", "padded-inf", "padded-nan",
+                    "crlf", "cr", "header", "repeated-column", "open-quote", "huge-cell", "padded-inf", "padded-nan",
                     "padded-overflow", "padded-text", "inner-space", "padded-status"]
 
 
@@ -647,18 +701,44 @@ def test_parse_errors_come_in_file_order():
     assert parse_both_ways(text) == ("ParseError", "row 2: bad inf_time 'x'", 2)
 
 
-def test_parse_memory_stays_within_one_chunk_of_cells():
-    # a parse holds the kept columns (4.3 MB) and the cell strings of one
-    # chunk; the cells of the whole file took 19.5 MB, chunks take 10.3 MB
-    spec = HazardSpec.constant(0.05, 0.05, 0.02, 0.05, 0.03, tau=100, censor_rate=0.01)
-    text = cohort_to_csv(simulate_cohort(spec, 50_000, seed=1))
+def parse_peak(source):
+    """The ``tracemalloc`` peak of ``parse_cohort(source)``, in bytes."""
     tracemalloc.start()
     try:
-        parse_cohort(text)
-        peak = tracemalloc.get_traced_memory()[1]
+        parse_cohort(source)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 15e6
+
+
+def registry_text(**covariates):
+    spec = HazardSpec.constant(0.05, 0.05, 0.02, 0.05, 0.03, tau=100, censor_rate=0.01)
+    cohort = simulate_cohort(spec, 50_000, seed=1)
+    return cohort_to_csv(Cohort.from_columns(cohort.ids, cohort.inf, cohort.end, cohort.status,
+                                             covariates))
+
+
+def test_parse_memory_stays_within_one_chunk_of_cells():
+    # a parse holds the kept columns (4.3 MB), the bytes of the text and
+    # the cell strings of one window; the cells of the whole file took 19.5 MB
+    assert parse_peak(registry_text()) < 15e6
+
+
+def test_parse_memory_from_a_path_stays_within_one_window_of_cells(tmp_path):
+    path = tmp_path / "cohort.csv"
+    path.write_text(registry_text())
+    assert parse_peak(path) < 15e6
+
+
+def test_parse_memory_with_a_text_covariate_stays_within_one_window_of_cells():
+    # a text cell in every window: each window splits its rows into str cells
+    site = np.random.default_rng(1).choice(["north", "south", "east", "west"], 50_000)
+    text = registry_text(site=site.astype(object))
+    with mock.patch.object(_Cells, "numbers", autospec=True, side_effect=_Cells.numbers) as by_str, \
+            mock.patch.object(pafmsm.cohort, "_split_rows", wraps=pafmsm.cohort._split_rows) as windows:
+        assert parse_cohort(text).covariates["site"].tolist() == site.tolist()
+    assert windows.call_count > 1 and by_str.call_count == windows.call_count
+    assert parse_peak(text) < 15e6
 
 
 # (cell, read from its bytes): decimals of at most 16 bytes whose digits
@@ -678,7 +758,7 @@ FLOAT_REJECTS = {".", "1.2.3"}
 
 @pytest.mark.parametrize("cell, decoded", DECIMAL_CELLS)
 def test_a_short_decimal_cell_is_decoded_to_the_bits_of_float(cell, decoded):
-    _, cells, _ = _split_rows(HEADER + f"A,,{cell},death\nB,,5,death\n")
+    cells = byte_cells(HEADER + f"A,,{cell},death\nB,,5,death\n")
     assert _short_decimals(cells.raw, *cells._bounds(2))[1].tolist() == [decoded, True]
     with mock.patch.object(pafmsm.cohort, "_text_column", wraps=_text_column) as by_text:
         values, blank, number = cells.numbers([2])[0]
@@ -718,10 +798,10 @@ def test_the_decoder_gives_the_bits_of_float_at_every_offset():
         pad[0] = (offset - len(header) - 1) % 8
         pad[1:] = (-length[:-1] - 2) % 8
         text = header + "".join(f"{'1' * k},{cell}\n" for k, cell in zip(pad.tolist(), cells))
-        _, byte_cells, _ = _split_rows(text)
-        starts, sizes = byte_cells._bounds(1)
+        window = byte_cells(text)
+        starts, sizes = window._bounds(1)
         assert (starts % 8 == offset).all() and (sizes == length).all()
-        values, ok = _short_decimals(byte_cells.raw, starts, sizes)
+        values, ok = _short_decimals(window.raw, starts, sizes)
         assert values[ok].tobytes() == expected[ok].tobytes()
         # every cell of at most 15 bytes that float reads is decoded
         assert ok[(length <= 15) & ~np.isnan(expected)].all()
@@ -733,7 +813,7 @@ def test_the_decoder_gives_the_bits_of_float_at_every_offset():
     ("death ", False), ("dischargE", False), ("censore", False), ("", False),
 ])
 def test_a_status_is_matched_byte_for_byte_or_read_as_text(cell, matched):
-    _, cells, _ = _split_rows(HEADER + f"A,,5,{cell}\nB,,5,death\n")
+    cells = byte_cells(HEADER + f"A,,5,{cell}\nB,,5,death\n")
     with mock.patch.object(_Cells, "statuses", autospec=True,
                            side_effect=_Cells.statuses) as by_text:
         status = cells.statuses(3)

@@ -27,11 +27,11 @@ from pafmsm import (
     to_transitions,
 )
 import pafmsm.cohort
-from pafmsm.cohort import STATUS_CENSORED, STATUS_DEATH, _split_rows, _text_column
+from pafmsm.cohort import STATUS_CENSORED, STATUS_DEATH, _text_column
 from pafmsm.continuous import exposure_survival
 from pafmsm.discrete import _daily_hazard
 
-from test_cohort import HEADER, parse_both_ways, reference_text_column
+from test_cohort import HEADER, parse_both_ways, read_from_bytes, reference_text_column
 from test_continuous import assert_continuous_side_matches_reference
 from test_discrete import assert_matches_reference, assert_same, reference_indicators
 
@@ -184,7 +184,7 @@ def split_and_reader_parse_paths_agree(text, policy, field_limit):
         lines = text.split("\n")[: -1 if text.endswith("\n") else None]
         longest = max(len(line.encode("utf-8", "surrogatepass")) for line in lines)
         plain = len({line.count(",") for line in lines}) == 1 and longest <= csv.field_size_limit()
-        assert (_split_rows(text) is not None) == plain
+        assert read_from_bytes(text) == plain
     finally:
         csv.field_size_limit(default)
     return either

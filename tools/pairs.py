@@ -1,6 +1,6 @@
 """Compare two checkouts on one benchmark workload, in alternated pairs.
 
-    python tools/pairs.py PARENT CHANGE --workload registry_1e5 --seeds 41-50
+    python tools/pairs.py PARENT CHANGE --workload registry_1e5 --seeds 41-50 [--json BENCH.json]
 
 For each seed, runs ``python3 bench/run.py --workload W --seed S
 --seconds X --trace 0`` once in each checkout, the side that runs first
@@ -12,6 +12,9 @@ prints, for each end-to-end metric of the CHANGE checkout's
 share of the metric's bound, and whether it is a gain by the rule for a
 claim: the change wins at least nine tenths of the pairs, and its median
 is better than the parent's by more than the parent's quartile spread.
+``--json PATH`` also writes that summary as JSON: each side's git commit,
+the workload, the seeds, the pair count and, per metric, each side's
+median and quartiles, the wins and the verdict.
 
 Standard library only; it lives outside ``testpaths``, so pytest never
 collects it.  The runs write ``bench/results/`` inside each checkout.
@@ -46,19 +49,33 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def summary(metric: dict, parent: list, change: list) -> str:
-    """One metric's line: medians, quartiles, wins, the move and the verdict."""
+def compare(metric: dict, parent: list, change: list) -> dict:
+    """One metric over the pairs: each side's quartiles, the change's wins,
+    its move against the parent's median and whether it is a gain."""
     sign = 1 if metric["better"] == "lower" else -1
     q_parent, q_change = statistics.quantiles(parent, n=4), statistics.quantiles(change, n=4)
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     gap = sign * (q_parent[1] - q_change[1])  # > 0: the change is better
     spread = q_parent[2] - q_parent[0]
-    gain = wins >= 0.9 * len(parent) and gap > spread
-    move = -gap / q_parent[1] if q_parent[1] else 0.0
-    return (f"{metric['name']:12s} parent {q_parent[1]:.4g} [{q_parent[0]:.4g}, {q_parent[2]:.4g}]"
-            f"  change {q_change[1]:.4g} [{q_change[0]:.4g}, {q_change[2]:.4g}]"
-            f"  wins {wins}/{len(parent)}  worse by {move:+.1%} (bound {metric['bound']:.0%})"
-            f"  {'GAIN' if gain else 'no gain'}")
+    return {"parent": {"median": q_parent[1], "quartiles": [q_parent[0], q_parent[2]]},
+            "change": {"median": q_change[1], "quartiles": [q_change[0], q_change[2]]},
+            "wins": wins, "pairs": len(parent),
+            "worse_by": -gap / q_parent[1] if q_parent[1] else 0.0, "bound": metric["bound"],
+            "gain": wins >= 0.9 * len(parent) and gap > spread}
+
+
+def summary(name: str, c: dict) -> str:
+    """One metric's line: medians, quartiles, wins, the move and the verdict."""
+    sides = "".join(f"  {k} {c[k]['median']:.4g} [{c[k]['quartiles'][0]:.4g}, "
+                    f"{c[k]['quartiles'][1]:.4g}]" for k in ("parent", "change"))
+    return (f"{name:12s}{sides}  wins {c['wins']}/{c['pairs']}  worse by {c['worse_by']:+.1%} (bound {c['bound']:.0%})"
+            f"  {'GAIN' if c['gain'] else 'no gain'}")
+
+
+def commit(checkout: Path):
+    """The git commit checked out in ``checkout``, or None outside a git tree."""
+    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def main(argv=None) -> int:
@@ -69,6 +86,7 @@ def main(argv=None) -> int:
     p.add_argument("--seeds", type=_seeds, required=True, help="first-last, as 41-50")
     p.add_argument("--seconds", type=float, default=None,
                    help="run length (default: BENCHMARK.json's run_seconds)")
+    p.add_argument("--json", type=Path, default=None, help="also write the summary to this file")
     args = p.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = args.seconds or spec["run_seconds"]
@@ -84,9 +102,17 @@ def main(argv=None) -> int:
     if len(args.seeds) < 2:
         return 0
     print(f"{args.workload}, {len(args.seeds)} pairs, median [quartiles]:")
+    metrics = {}
     for metric in spec["end_to_end"]:
         name = metric["name"]
-        print(summary(metric, [r[name] for r in runs["parent"]], [r[name] for r in runs["change"]]))
+        metrics[name] = compare(metric, [r[name] for r in runs["parent"]],
+                                [r[name] for r in runs["change"]])
+        print(summary(name, metrics[name]))
+    if args.json:
+        report = {"commits": {side: commit(path) for side, path in sides.items()},
+                  "workload": args.workload, "seeds": args.seeds, "pairs": len(args.seeds),
+                  "seconds": seconds, "metrics": metrics}
+        args.json.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return 0
 
 
