@@ -386,7 +386,7 @@ def _buffer(source) -> bytearray:
     into it; text is encoded (a lone surrogate as ``surrogatepass`` writes
     it); bytes that are not UTF-8 raise ParseError.
     """
-    what, text = "input", False
+    what, is_str = "input", False
     try:
         if isinstance(source, bytes) and not (b"\n" in source or b"\r" in source):
             source = source.decode("utf-8")  # a path
@@ -400,14 +400,14 @@ def _buffer(source) -> bytearray:
                 buf[_PAD + size:] = fh.read() + bytes(8)  # a file that has grown, or a pipe
         else:
             data = source.read() if hasattr(source, "read") else source
-            text = isinstance(data, str)
-            if text:
+            is_str = isinstance(data, str)
+            if is_str:
                 data = data.encode("utf-8", "surrogatepass")
             if not isinstance(data, bytes):
                 raise TypeError("source must be a path, text, bytes, or file object")
             buf = bytearray(_PAD + len(data) + 8)
             buf[_PAD:-8] = data
-        if not (text or buf.isascii()):
+        if not (is_str or buf.isascii()):
             str(memoryview(buf)[_PAD:-8], "utf-8")  # raises on the first byte that is not UTF-8
     except UnicodeDecodeError as exc:
         raise ParseError(f"{what} is not UTF-8 text: {exc}") from None
@@ -748,7 +748,8 @@ def _row_chunks(buf):
     header, plain, rows = head[:-1].split(","), stop - start <= limit + 1, 0
     while True:
         start, stop = stop, _window_end(buf, stop, end, limit)
-        fits = plain and buf.find(b"\n", start, stop) - start <= limit  # the window's first line
+        # its lines fit the field limit if its first line does (_window_end)
+        fits = plain and buf.find(b"\n", start, stop) - start <= limit
         chunk = fits and _split_rows(raw, start, stop, header) or _reader_rows(
             head + str(memoryview(buf)[start:stop], "utf-8", "surrogatepass"), rows)
         rows += chunk[2].size

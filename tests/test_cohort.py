@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import os
 import sys
 import tempfile
 import tracemalloc
@@ -56,7 +57,7 @@ def test_parse_accepts_path(tmp_path):
 
 
 NOT_UTF8 = b"id,inf_time,end_time,end_status\nA,,5,d\xe9c\n"
-SOURCE_KINDS = ["bytes", "path", "str path", "binary file", "text file"]
+SOURCE_KINDS = ["bytes", "path", "str path", "bytes path", "binary file", "text file"]
 
 
 def parse_as(kind, data, path):
@@ -66,7 +67,7 @@ def parse_as(kind, data, path):
     if kind == "bytes":
         return parse_cohort(data)
     if kind.endswith("path"):
-        return parse_cohort(path if kind == "path" else str(path))
+        return parse_cohort({"path": path, "str path": str(path)}.get(kind, os.fsencode(path)))
     with open(path, "rb") if kind == "binary file" else open(path, encoding="utf-8") as fh:
         return parse_cohort(fh)
 
@@ -94,6 +95,19 @@ def test_a_leading_byte_order_mark_is_skipped(tmp_path, kind):
         assert cohort_columns(cohort) == cohort_columns(parse_cohort(io.StringIO(text)))
     with pytest.raises(ParseError, match="^empty input$"):
         parse_cohort(io.StringIO("\ufeff"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd to name a pipe by")
+def test_a_path_of_no_size_such_as_a_pipe_is_read_whole():
+    # the buffer is sized by fstat, which gives 0 for a pipe
+    read, write = os.pipe()
+    os.write(write, CSV.encode())
+    os.close(write)
+    try:
+        cohort = parse_cohort(f"/dev/fd/{read}")
+    finally:
+        os.close(read)
+    assert cohort_columns(cohort) == cohort_columns(parse_cohort(CSV))
 
 
 def test_round_trip_through_csv():
