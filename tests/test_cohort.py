@@ -591,8 +591,9 @@ PARSE_ERRORS = [
     (HEADER + "A,,5, dead\t\n", 2, "unknown status 'dead'"),
 ]
 PARSE_ERRORS_IDS = ["empty", "short-row", "long-row", "after-blank-full-width", "after-blank-lines",
-                    "crlf", "cr", "header", "repeated-column", "open-quote", "huge-cell", "padded-inf", "padded-nan",
-                    "padded-overflow", "padded-text", "inner-space", "padded-status"]
+                    "crlf", "cr", "header", "repeated-column", "open-quote", "huge-cell",
+                    "padded-inf", "padded-nan", "padded-overflow", "padded-text", "inner-space",
+                    "padded-status"]
 
 
 @pytest.mark.parametrize("text, row, message", PARSE_ERRORS, ids=PARSE_ERRORS_IDS)
@@ -748,8 +749,9 @@ def test_parse_memory_with_a_text_covariate_stays_within_one_window_of_cells():
     # a text cell in every window: each window splits its rows into str cells
     site = np.random.default_rng(1).choice(["north", "south", "east", "west"], 50_000)
     text = registry_text(site=site.astype(object))
+    split_rows = mock.patch.object(pafmsm.cohort, "_split_rows", wraps=pafmsm.cohort._split_rows)
     with mock.patch.object(_Cells, "numbers", autospec=True, side_effect=_Cells.numbers) as by_str, \
-            mock.patch.object(pafmsm.cohort, "_split_rows", wraps=pafmsm.cohort._split_rows) as windows:
+            split_rows as windows:
         assert parse_cohort(text).covariates["site"].tolist() == site.tolist()
     assert windows.call_count > 1 and by_str.call_count == windows.call_count
     assert parse_peak(text) < 15e6

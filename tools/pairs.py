@@ -68,13 +68,15 @@ def summary(name: str, c: dict) -> str:
     """One metric's line: medians, quartiles, wins, the move and the verdict."""
     sides = "".join(f"  {k} {c[k]['median']:.4g} [{c[k]['quartiles'][0]:.4g}, "
                     f"{c[k]['quartiles'][1]:.4g}]" for k in ("parent", "change"))
-    return (f"{name:12s}{sides}  wins {c['wins']}/{c['pairs']}  worse by {c['worse_by']:+.1%} (bound {c['bound']:.0%})"
+    return (f"{name:12s}{sides}  wins {c['wins']}/{c['pairs']}"
+            f"  worse by {c['worse_by']:+.1%} (bound {c['bound']:.0%})"
             f"  {'GAIN' if c['gain'] else 'no gain'}")
 
 
 def commit(checkout: Path):
     """The git commit checked out in ``checkout``, or None outside a git tree."""
-    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
+    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True,
+                          text=True)
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
