@@ -3,9 +3,13 @@
 Every estimator reads an exit table, built with one sort: exits counted
 by kind on their distinct times.  The six-state table holds the exits
 from state 0 (at the exposure time if exposed, else at the end) and from
-state 1.  Each competing-risks reduction reads only the exits of its own
-state, state 0 or the hospital (states 0 and 1), in a table weighted by
-subject counts, which is how the bootstrap evaluates its replicates.
+state 1, as integer counts; at its peak it holds the (7 x T) counts, the
+T times and the risk sets Y0(t-) and Y1(t-).  The Aalen-Johansen
+estimator lets those go once it has taken its five hazard rows on the
+event times, and sums its cumulative curves in place over them.  Each
+competing-risks reduction reads only the exits of its own state, state 0
+or the hospital (states 0 and 1), in a table weighted by subject counts,
+which is how the bootstrap evaluates its replicates.
 
 All estimators share the same tie convention: distinct subjects may share
 event times, ties are processed simultaneously, and risk sets are always
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohort import STATUS_DEATH, STATUS_DISCHARGE, Cohort
+from .cohort import STATUS_CENSORED, STATUS_DEATH, STATUS_DISCHARGE, Cohort
 from .curves import StepCurve
 from .errors import DataError
 
@@ -55,8 +59,11 @@ class OccupationCurves:
 
 
 def _at_risk(exits):
-    """Risk sets Y(t-) on a sorted grid, along the last axis: the exits at or after each time."""
-    return np.cumsum(exits[..., ::-1], axis=-1)[..., ::-1]
+    """Risk sets Y(t-) on a sorted grid, along the last axis: the exits at
+    or after each time, summed in place over ``exits``."""
+    backwards = exits[..., ::-1]
+    np.cumsum(backwards, axis=-1, out=backwards)
+    return exits
 
 
 def _divide(dn, y):
@@ -64,10 +71,14 @@ def _divide(dn, y):
     return np.divide(dn, y, out=np.zeros(dn.size), where=y > 0)
 
 
+# the exit row of each status code, after the row of the first exit kind
+_KIND = np.empty(3, np.int64)
+_KIND[[STATUS_DISCHARGE, STATUS_DEATH, STATUS_CENSORED]] = 0, 1, 2
+
+
 def _kinds(status, base):
     """Exit rows base, base + 1 and base + 2 for discharge, death and censoring."""
-    return np.where(status == STATUS_DISCHARGE, base,
-                    np.where(status == STATUS_DEATH, base + 1, base + 2))
+    return (_KIND + base)[status]
 
 
 # Rows of the six-state exit table: exits 0->1, 0->2, 0->3, 0->censored,
@@ -83,12 +94,12 @@ def _exit_table(cohort: Cohort, exits):
     ``exits`` is "state0" (each subject leaves state 0 once: at the
     exposure time if exposed, else at the end), "hospital" (each subject
     leaves at the end) or "six_state" (the exits from state 0 and, if
-    exposed, from state 1, counted for the sample only: (1 x 7 x T)).
-    Returns the T distinct exit times and a function of a (k x n) matrix
-    of how often each subject was drawn that returns the (k x 4 x T)
-    exits by row, one weighted ``bincount``; without an argument it counts
-    the sample, a single row of ones.  The counts are integers, held
-    exactly as floats.
+    exposed, from state 1, 7 rows).  Returns the T distinct exit times and
+    a function of a (k x n) matrix of how often each subject was drawn that
+    returns the (k x rows x T) exits as floats, one weighted ``bincount``;
+    without an argument it counts the sample's (rows x T) exits as
+    integers, one unweighted ``bincount``.  The counts are integers either
+    way, so every reader's float arithmetic gives the same bits on both.
     """
     inf, end, status = cohort.inf, cohort.end, cohort.status
     if end.size == 0:
@@ -101,25 +112,33 @@ def _exit_table(cohort: Cohort, exits):
         times = np.concatenate((times, end[exposed]))
         kinds, rows = np.concatenate((kinds, _kinds(status[exposed], 4))), 7
     ut, idx = np.unique(times, return_inverse=True)
-    cells = kinds * ut.size + idx
+    del times
+    cells = np.multiply(kinds, ut.size, out=kinds)
+    cells += idx
+    del idx
 
     def table(freq=None):
-        w = np.ones((1, cells.size)) if freq is None else freq
-        offsets = np.arange(w.shape[0])[:, None] * (rows * ut.size)
-        counts = np.bincount((offsets + cells).ravel(), weights=w.ravel(),
-                             minlength=w.shape[0] * rows * ut.size)
-        return counts.reshape(w.shape[0], rows, ut.size)
+        if freq is None:
+            return np.bincount(cells, minlength=rows * ut.size).reshape(rows, ut.size)
+        offsets = np.arange(freq.shape[0])[:, None] * (rows * ut.size)
+        counts = np.bincount((offsets + cells).ravel(), weights=freq.ravel(),
+                             minlength=freq.shape[0] * rows * ut.size)
+        return counts.reshape(freq.shape[0], rows, ut.size)
 
     return ut, table
 
 
 def _six_state(cohort: Cohort):
-    """The sample's (7 x T) exit table, its times and the risk sets Y0(t-) and Y1(t-)."""
+    """The sample's (7 x T) integer exit table, its times and the risk sets
+    Y0(t-) and Y1(t-): state 1 is entered by exposure and left by the exits
+    from it."""
     times, table = _exit_table(cohort, "six_state")
-    counts = table()[0]
+    counts = table()
+    del table  # and with it the cells
     y0 = _at_risk(counts[:4].sum(axis=0))
-    y1 = _at_risk(counts[4:].sum(axis=0)) - _at_risk(counts[0])
-    return times, counts, y0, y1
+    y1 = counts[4:].sum(axis=0)
+    y1 -= counts[0]
+    return times, counts, y0, _at_risk(y1)
 
 
 # The competing-risks reductions of the six-state process: the exits whose
@@ -171,7 +190,7 @@ def _conditional(cif_death, cif_exposure):
 def _sample_curve(cohort, name) -> StepCurve:
     """The curve of reduction ``name`` on the sample, at its own exit times."""
     times, table = _exit_table(cohort, _REDUCTIONS[name][0])
-    values, s_after = _reduction(table(), name)
+    values, s_after = _reduction(table(np.ones((1, len(cohort)))), name)
     values = values[0].copy()  # a view would keep the whole table alive with the curve
     undefined = np.isnan(values)
     # mass left unresolved after the last exit: the curve is frozen from there
@@ -247,15 +266,19 @@ def aalen_johansen_extended(cohort: Cohort) -> OccupationCurves:
     of their exposure time (Markov assumption).
     """
     times, counts, y0, y1 = _six_state(cohort)
-    on = np.delete(counts, (3, 6), axis=0).any(axis=0)  # a transition, not only censorings
-    ut = times[on]
-    h01, h02, h03 = (_divide(counts[_ROWS[0, l], on], y0[on]) for l in (1, 2, 3))
-    h14, h15 = (_divide(counts[_ROWS[1, l], on], y1[on]) for l in (4, 5))
+    on = counts[:3].any(axis=0) | counts[4:6].any(axis=0)  # a transition, not only censorings
+    ut, y0, y1 = times[on], y0[on], y1[on]
+    del times
+    h01, h02, h03 = (_divide(counts[_ROWS[0, l], on], y0) for l in (1, 2, 3))
+    h14, h15 = (_divide(counts[_ROWS[1, l], on], y1) for l in (4, 5))
+    del counts, y0, y1, on  # from here on: the hazards and the curves
     # p00 and p01 depend on each other: one scan on Python floats, run over
     # slices of _AJ_SLICE event times so that only one slice is held as
     # Python floats.  The arrays start with the initial values, so [:-1]
     # holds p00(t-), p01(t-).
-    x0, x1 = h01 + h02 + h03, h14 + h15
+    x0 = np.add(h01, h02)
+    x0 += h03
+    x1 = np.add(h14, h15)
     p0, p1 = np.empty(ut.size + 1), np.empty(ut.size + 1)
     p0[0], p1[0] = a, b = 1.0, 0.0
     for k in range(0, ut.size, _AJ_SLICE):
@@ -266,7 +289,10 @@ def aalen_johansen_extended(cohort: Cohort) -> OccupationCurves:
             s0.append(a)
             s1.append(b)
         p0[after], p1[after] = s0, s1
-    values = (p0[1:], p1[1:], np.cumsum(p0[:-1] * h02), np.cumsum(p0[:-1] * h03),
-              np.cumsum(p1[:-1] * h14), np.cumsum(p1[:-1] * h15))
+    del h01, x0, x1
+    for p, h in ((p0, h02), (p0, h03), (p1, h14), (p1, h15)):  # each curve over its hazard
+        np.multiply(p[:-1], h, out=h)
+        np.cumsum(h, out=h)
+    values = (p0[1:], p1[1:], h02, h03, h14, h15)
     initials = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     return OccupationCurves(*(StepCurve(ut, v, initial=i) for v, i in zip(values, initials)))

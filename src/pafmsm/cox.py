@@ -147,10 +147,11 @@ def _count_likelihood(cohort: Cohort, outcome: str):
     n_events = int(np.isin(EXIT_STATE[cohort.exposed.astype(int), cohort.status], states).sum())
     if n_events == 0:
         raise DataError(_NO_EVENTS)
-    _, counts, y0, y1 = _six_state(cohort)
-    before, after = counts[_ROWS[0, states[0]]], counts[_ROWS[1, states[1]]]
-    at = before + after > 0
-    d, y0, y1, d1 = (before + after)[at], y0[at], y1[at], float(after.sum())
+    counts, y0, y1 = _six_state(cohort)[1:]
+    after = counts[_ROWS[1, states[1]]]
+    d = counts[_ROWS[0, states[0]]] + after
+    at = d > 0
+    d, y0, y1, d1 = d[at], y0[at], y1[at], float(after.sum())
     # the score d1 - sum_t d(t) p(t) falls from d1 - sum_{Y0(t-)=0} d(t) at
     # beta -> -inf to d1 - sum_{Y1(t-)>0} d(t) at +inf; a limit of 0 leaves
     # it one sign, a likelihood without maximum (equal limits: flat)

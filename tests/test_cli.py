@@ -62,6 +62,16 @@ def test_validate_rejects_a_column_named_twice(tmp_path, capsys):
     assert capsys.readouterr().err == "data error: row 1: header names column 'x' twice\n"
 
 
+@pytest.mark.parametrize("subcommand", [["validate"], ["cox", "--outcome", "death"]])
+def test_a_repeated_id_exits_2_naming_the_first_repeat_in_file_order(tmp_path, capsys, subcommand):
+    # A is the first id that repeats; B is the id of the first row that repeats one
+    bad = tmp_path / "repeated.csv"
+    bad.write_text("id,inf_time,end_time,end_status\nA,,5,death\nB,2,5,death\nB,,4,death\n"
+                   "A,,3,death\n")
+    assert run([*subcommand, "--input", str(bad)]) == 2
+    assert capsys.readouterr().err == "data error: duplicate subject id 'B'\n"
+
+
 def test_summary_output(cohort_file, capsys):
     assert run(["summary", "--input", cohort_file]) == 0
     out = capsys.readouterr().out

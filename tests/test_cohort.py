@@ -140,6 +140,68 @@ def test_duplicate_ids_rejected():
         parse_cohort(text)
 
 
+def reference_first_repeat(ids):
+    """The first id equal to an earlier one, by a set of the ids before it."""
+    seen = set()
+    for sid in ids:
+        if sid in seen:
+            return sid
+        seen.add(sid)
+    return None
+
+
+# a set of at most _FEW_IDS ids, else the sorted hashes, tells whether an id repeats
+few_ids = pytest.mark.parametrize("few", [0, pafmsm.cohort._FEW_IDS], ids=["hashes", "set"])
+
+
+@few_ids
+@pytest.mark.parametrize("where", [0, 500, 998])
+def test_a_repeated_id_at_the_start_middle_or_end_is_named(monkeypatch, few, where):
+    monkeypatch.setattr(pafmsm.cohort, "_FEW_IDS", few)
+    ids = [f"s{k}" for k in range(1000)]
+    ids[where + 1] = ids[where]
+    with pytest.raises(DataError, match=f"^duplicate subject id '{ids[where]}'$"):
+        Cohort.from_columns(ids, np.full(1000, np.nan), np.ones(1000), np.ones(1000, int))
+    text = HEADER + "".join(f"{sid},,5,death\n" for sid in ids)
+    assert parse_both_ways(text) == ("DataError", f"duplicate subject id '{ids[where]}'", None)
+
+
+def test_the_first_repeat_in_file_order_is_named_not_the_first_id_repeated():
+    # A is the first id that repeats, B the first row that repeats an id
+    text = HEADER + "A,,5,death\nB,,5,death\nC,,5,death\nB,,5,death\nA,,5,death\n"
+    assert parse_both_ways(text) == ("DataError", "duplicate subject id 'B'", None)
+
+
+class SameHash(str):
+    """A str whose hash is the same for every value."""
+
+    def __hash__(self):
+        return 7
+
+
+@few_ids
+def test_ids_that_share_a_hash_are_compared_by_value(monkeypatch, few):
+    monkeypatch.setattr(pafmsm.cohort, "_FEW_IDS", few)
+    ids = [SameHash(f"s{k}") for k in range(50)]
+    assert len(Cohort.from_columns(ids, np.full(50, np.nan), np.ones(50), np.ones(50, int))) == 50
+    ids = ids[:10] + [SameHash("s3")] + ids[10:] + [SameHash("s1")]
+    with pytest.raises(DataError, match="^duplicate subject id 's3'$"):
+        Cohort.from_columns(ids, np.full(52, np.nan), np.ones(52), np.ones(52, int))
+
+
+@few_ids
+def test_int_ids_repeat_as_a_set_finds_them(monkeypatch, few):
+    # -1 and -2 share a hash in CPython, and are different ids
+    monkeypatch.setattr(pafmsm.cohort, "_FEW_IDS", few)
+    assert hash(-1) == hash(-2)
+    ids = [-1, -2, 3, 2**64, 4]
+    assert Cohort.from_columns(ids, [np.nan] * 5, [1.0] * 5, [1] * 5).ids.tolist() == ids
+    for ids, repeat in [([-1, -2, 5, -2, -1], -2), ([1, 2.0, 2], 2), ([3, True, 1], 1)]:
+        assert reference_first_repeat(ids) == repeat
+        with pytest.raises(DataError, match=f"^duplicate subject id {repeat!r}$"):
+            Cohort.from_columns(ids, [np.nan] * len(ids), [1.0] * len(ids), [1] * len(ids))
+
+
 def test_tie_policy_shift_moves_the_exposure():
     text = "id,inf_time,end_time,end_status\nA,5,5,death\n"
     cohort = parse_cohort(text, tie_policy=TiePolicy.shift(0.25))
@@ -582,6 +644,11 @@ PARSE_ERRORS = [
     (HEADER + '"A,,5,death\n', 2, "expected 4 fields, got 1"),
     (HEADER + "A,,5,death\nB,," + "9" * 140_000 + ",death\n", 3,
      "field larger than field limit (131072)"),
+    # the header is checked before a body row is read
+    ("id,x,end_time,end_status\nA,," + "9" * 140_000 + ",death\n", 1,
+     "header must start with id,inf_time,end_time,end_status"),
+    ("id,x,end_time,end_status\r\nA,," + "9" * 140_000 + ",death\r\n", 1,
+     "header must start with id,inf_time,end_time,end_status"),
     # padded cells are quoted stripped, whichever way the column was read
     (HEADER + "A,,5,death\nB, inf ,5,death\n", 3, "non-finite inf_time 'inf'"),
     (HEADER + "A,\tnan\x0b,5,death\n", 2, "non-finite inf_time 'nan'"),
@@ -592,8 +659,8 @@ PARSE_ERRORS = [
 ]
 PARSE_ERRORS_IDS = ["empty", "short-row", "long-row", "after-blank-full-width", "after-blank-lines",
                     "crlf", "cr", "header", "repeated-column", "open-quote", "huge-cell",
-                    "padded-inf", "padded-nan", "padded-overflow", "padded-text", "inner-space",
-                    "padded-status"]
+                    "header-before-huge-cell", "crlf-header-before-huge-cell", "padded-inf",
+                    "padded-nan", "padded-overflow", "padded-text", "inner-space", "padded-status"]
 
 
 @pytest.mark.parametrize("text, row, message", PARSE_ERRORS, ids=PARSE_ERRORS_IDS)
@@ -737,6 +804,12 @@ def test_parse_memory_stays_within_one_chunk_of_cells():
     # a parse holds the kept columns (4.3 MB), the bytes of the text and
     # the cell strings of one window; the cells of the whole file took 19.5 MB
     assert parse_peak(registry_text()) < 15e6
+
+
+def test_parse_memory_tests_ids_for_repeats_without_a_set_of_them():
+    # a set of every id for the duplicate-id test took the peak to 8.6 MB;
+    # the sorted hashes of the ids keep it at 7.0 MB
+    assert parse_peak(registry_text()) < 7.5e6
 
 
 def test_parse_memory_from_a_path_stays_within_one_window_of_cells(tmp_path):

@@ -12,9 +12,12 @@ prints, for each end-to-end metric of the CHANGE checkout's
 share of the metric's bound, and whether it is a gain by the rule for a
 claim: the change wins at least nine tenths of the pairs, and its median
 is better than the parent's by more than the parent's quartile spread.
-``--json PATH`` also writes that summary as JSON: each side's git commit,
-the workload, the seeds, the pair count and, per metric, each side's
-median and quartiles, the wins and the verdict.
+``--json PATH`` also writes that summary as JSON: each side's git commit
+and bytecode-cache state (whether ``src/pafmsm/__pycache__`` existed
+before the first run: a first import that compiles the package moves
+``setup_s`` and ``peak_mem_mb``), the workload, the seeds, the pair count
+and, per metric, each side's median and quartiles, the wins and the
+verdict.
 
 Standard library only; it lives outside ``testpaths``, so pytest never
 collects it.  The runs write ``bench/results/`` inside each checkout.
@@ -93,6 +96,8 @@ def main(argv=None) -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = args.seconds or spec["run_seconds"]
     sides = {"parent": args.parent, "change": args.change}
+    cached = {side: (path / "src" / "pafmsm" / "__pycache__").is_dir()
+              for side, path in sides.items()}
     runs = {"parent": [], "change": []}
     for k, seed in enumerate(args.seeds):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
@@ -112,8 +117,8 @@ def main(argv=None) -> int:
         print(summary(name, metrics[name]))
     if args.json:
         report = {"commits": {side: commit(path) for side, path in sides.items()},
-                  "workload": args.workload, "seeds": args.seeds, "pairs": len(args.seeds),
-                  "seconds": seconds, "metrics": metrics}
+                  "bytecode_cache": cached, "workload": args.workload, "seeds": args.seeds,
+                  "pairs": len(args.seeds), "seconds": seconds, "metrics": metrics}
         args.json.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return 0
 
