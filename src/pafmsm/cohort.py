@@ -49,7 +49,6 @@ _STATUS_NAME = {v: k for k, v in _STATUS_CODE.items()}
 EXIT_STATE = np.array([[CENSORED, 3, 2], [CENSORED, 5, 4]])
 _ABSENT = object()  # the cell of a covariate that a subject does not have
 _REQUIRED = ["id", "inf_time", "end_time", "end_status"]  # the first columns of a cohort CSV
-_FEW_IDS = 1 << 15  # ids whose repeats a set (of at most 1 MB) finds quicker than sorted hashes
 _PARSE_CHUNK = 1 << 18  # bytes of a window: the CSV rows read, checked and converted at a time
 _MAX_GRID_POINTS = 10**6  # the most points of a grid, and the most days of a day grid
 
@@ -170,31 +169,6 @@ def _subjects(ids, inf, end, status, covariates):
     )
 
 
-def _first_repeat(ids):
-    """The index of the first of ``ids`` equal to an earlier one, or None.
-
-    Ids are compared as a ``set`` compares them.  Up to ``_FEW_IDS`` ids, a
-    set of them tells whether any repeats.  Otherwise, and to find the
-    repeat, ids are compared only where their ``hash`` values repeat: the
-    hashes sorted as int64 take two (n,) arrays, where a set of every id
-    took a table of 2n to 4n entries of 16 bytes.
-    """
-    n = len(ids)
-    if n <= _FEW_IDS and len(set(ids)) == n:
-        return None
-    hashes = np.fromiter(map(hash, ids), np.int64, n)
-    ordered = np.sort(hashes)
-    tied = ordered[1:][ordered[1:] == ordered[:-1]]
-    if not tied.size:
-        return None
-    seen = set()
-    for k, sid in compress(enumerate(ids), np.isin(hashes, tied).tolist()):  # in file order
-        if sid in seen:
-            return k
-        seen.add(sid)
-    return None
-
-
 class Cohort:
     """A validated cohort stored as per-subject columns.
 
@@ -289,9 +263,10 @@ class Cohort:
         if bad.any():  # the first bad subject raises its own message
             k = slice(np.argmax(bad), np.argmax(bad) + 1)
             _subjects(self.ids[k], inf[k], end[k], self.status[k], {})[0].validate()
-        k = _first_repeat(ids)
-        if k is not None:
-            raise DataError(f"duplicate subject id {self.ids[k]!r}")
+        if len(set(ids)) < len(self):
+            repeated = np.ones(len(self), dtype=bool)
+            repeated[np.unique(self.ids, return_index=True)[1]] = False
+            raise DataError(f"duplicate subject id {self.ids[np.argmax(repeated)]!r}")
         max_end = float(self.end.max()) if len(self) else 0.0
         horizon = float(horizon) if horizon else max_end
         if len(self) and not max_end <= horizon:
@@ -721,9 +696,16 @@ def _short_decimals(raw, starts, length):
     return values, ok
 
 
-def _header(cells):
-    """The column names of the header cells, stripped; a ParseError at row 1
-    unless they start with the four required names and name no column twice."""
+def _header(reader):
+    """The column names of the first row of ``reader``, a ``csv.reader``,
+    stripped, read before any body row; a ParseError at row 1 unless they
+    start with the four required names and name no column twice."""
+    try:
+        cells = next(reader, None)
+    except csv.Error as exc:  # a cell over the csv field limit; a NUL before Python 3.11
+        raise ParseError(str(exc), row=1) from None
+    if cells is None:
+        raise ParseError("empty input")
     header = [h.strip() for h in cells]
     if header[: len(_REQUIRED)] != _REQUIRED:
         raise ParseError(f"header must start with {','.join(_REQUIRED)}", row=1)
@@ -733,25 +715,19 @@ def _header(cells):
     return header
 
 
-def _reader_rows(text, first=0, check=None):
-    """Header and body cells (``_Cells``) by ``csv.reader``, which handles
-    quoted cells and every line ending, and each row's field count.  A row
-    of another width holds blank cells; if it has no non-blank cell it
-    counts as full width and is skipped as blank.  Row numbers of a
-    ParseError count ``first`` body rows before the text.  ``check``, if
-    given, reads the header cells before any body row is read.
+def _reader_rows(reader, header, first=0):
+    """Body cells (``_Cells``) of the rows left in ``reader``, a
+    ``csv.reader``, which handles quoted cells and every line ending, with
+    ``header`` and each row's field count.  A row of another width holds
+    blank cells; if it has no non-blank cell it counts as full width and is
+    skipped as blank.  Row numbers of a ParseError count the header and
+    ``first`` body rows before the rows of ``reader``.
     """
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header, records = None, []
+    records = []
     try:
-        header = next(reader, None)
-        if header is None:
-            raise ParseError("empty input")
-        if check:
-            header = check(header)
         records.extend(reader)
     except csv.Error as exc:  # a cell over the csv field limit; a NUL before Python 3.11
-        raise ParseError(str(exc), row=first + len(records) + 1 + (header is not None)) from None
+        raise ParseError(str(exc), row=first + len(records) + 2) from None
     width = len(header)
     lengths = np.fromiter(map(len, records), np.intp, len(records))
     for k in np.flatnonzero(lengths != width):
@@ -761,41 +737,45 @@ def _reader_rows(text, first=0, check=None):
     return header, _Cells([list(map(itemgetter(j), records)) for j in range(width)]), lengths
 
 
-def _row_chunks(buf, check=None):
-    """The header cells, body cells (``_Cells``) and row widths of each
-    window of rows of ``_buffer``'s ``buf``, in file order.  ``check``, if
-    given, reads the header cells (``_header``) before any body row is read.
+def _csv_reader(buf, start, stop):
+    """A ``csv.reader`` of the text of ``buf[start:stop]``."""
+    text = str(memoryview(buf)[start:stop], "utf-8", "surrogatepass")
+    return csv.reader(io.StringIO(text, newline=""))
+
+
+def _row_chunks(buf):
+    """The header (``_header``), body cells (``_Cells``) and row widths of
+    each window of rows of ``_buffer``'s ``buf``, in file order.  The header
+    is checked before any body row is read.
 
     Text with a ``"``, a ``\\r`` or a NUL is one window read by
     ``csv.reader``: a quoted cell may hold a line break, so it is never cut
     at one.  Other text is cut at line ends into windows of about
     ``_PARSE_CHUNK`` bytes (``_window_end``), each a view of ``buf`` read by
-    ``_split_rows`` with the header cells split once.  A ragged window, a
-    line over the csv field limit (a window of its own, so that
-    ``csv.reader`` reports it after the rows before it are checked), and
-    every window if the header line is over that limit, is decoded and
-    read by ``csv.reader`` with the header line in front.
+    ``_split_rows`` with the header read once.  A ragged window, a line
+    over the csv field limit (a window of its own, so that ``csv.reader``
+    reports it after the rows before it are checked), and every window if
+    the header line is over that limit, is decoded and read by
+    ``csv.reader``.
     """
     start = _PAD + 3 * buf.startswith(b"\xef\xbb\xbf", _PAD)  # a byte order mark, as utf-8-sig
     end = len(buf) - 8
     if start == end or any(buf.find(c, start, end) >= 0 for c in (b'"', b"\r", b"\0")):
-        yield _reader_rows(str(memoryview(buf)[start:end], "utf-8", "surrogatepass"), 0, check)
+        reader = _csv_reader(buf, start, end)
+        yield _reader_rows(reader, _header(reader))
         return
     if buf[end - 1] != ord("\n"):  # the last line ends in the first byte behind the text
         buf[end] = ord("\n")
         end += 1
     raw, limit = np.frombuffer(buf, np.uint8), csv.field_size_limit()
     stop = buf.find(b"\n", start) + 1
-    head = str(memoryview(buf)[start:stop], "utf-8", "surrogatepass")
-    header, plain, rows = head[:-1].split(","), stop - start <= limit + 1, 0
-    if plain and check:  # else csv.reader reports the header line over the field limit
-        header = check(header)
+    header, plain, rows = _header(_csv_reader(buf, start, stop)), stop - start <= limit + 1, 0
     while True:
         start, stop = stop, _window_end(buf, stop, end, limit)
         # its lines fit the field limit if its first line does (_window_end)
         fits = plain and buf.find(b"\n", start, stop) - start <= limit
         chunk = fits and _split_rows(raw, start, stop, header) or _reader_rows(
-            head + str(memoryview(buf)[start:stop], "utf-8", "surrogatepass"), rows, check)
+            _csv_reader(buf, start, stop), header, rows)
         rows += chunk[2].size
         yield chunk
         del chunk  # a window's cells go before the next window is read
@@ -820,7 +800,7 @@ def _window_end(buf, start, end, limit):
 def _read_chunks(buf, tie_policy):
     """The header and, per window of rows, the columns of ``_read_rows``."""
     header, parts, rows = None, [], 0
-    for header, cells, lengths in _row_chunks(buf, _header):
+    for header, cells, lengths in _row_chunks(buf):
         parts.append(_read_rows(header, cells, lengths, tie_policy, rows))
         rows += lengths.size
         del cells  # a window's cells go before the next window is read

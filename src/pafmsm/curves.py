@@ -190,9 +190,4 @@ def union_grid(*curves: StepCurve) -> np.ndarray:
     """Union of the jump times of several curves, sorted and de-duplicated."""
     if not curves:
         return np.array([])
-    times = np.concatenate([c.times for c in curves])
-    times.sort(kind="stable")  # a merge of the sorted runs
-    new = np.empty(times.size, bool)
-    new[:1] = True
-    np.not_equal(times[1:], times[:-1], out=new[1:])
-    return times[new]
+    return np.unique(np.concatenate([c.times for c in curves]))

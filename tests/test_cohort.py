@@ -150,14 +150,8 @@ def reference_first_repeat(ids):
     return None
 
 
-# a set of at most _FEW_IDS ids, else the sorted hashes, tells whether an id repeats
-few_ids = pytest.mark.parametrize("few", [0, pafmsm.cohort._FEW_IDS], ids=["hashes", "set"])
-
-
-@few_ids
 @pytest.mark.parametrize("where", [0, 500, 998])
-def test_a_repeated_id_at_the_start_middle_or_end_is_named(monkeypatch, few, where):
-    monkeypatch.setattr(pafmsm.cohort, "_FEW_IDS", few)
+def test_a_repeated_id_at_the_start_middle_or_end_is_named(where):
     ids = [f"s{k}" for k in range(1000)]
     ids[where + 1] = ids[where]
     with pytest.raises(DataError, match=f"^duplicate subject id '{ids[where]}'$"):
@@ -179,9 +173,7 @@ class SameHash(str):
         return 7
 
 
-@few_ids
-def test_ids_that_share_a_hash_are_compared_by_value(monkeypatch, few):
-    monkeypatch.setattr(pafmsm.cohort, "_FEW_IDS", few)
+def test_ids_that_share_a_hash_are_compared_by_value():
     ids = [SameHash(f"s{k}") for k in range(50)]
     assert len(Cohort.from_columns(ids, np.full(50, np.nan), np.ones(50), np.ones(50, int))) == 50
     ids = ids[:10] + [SameHash("s3")] + ids[10:] + [SameHash("s1")]
@@ -189,10 +181,8 @@ def test_ids_that_share_a_hash_are_compared_by_value(monkeypatch, few):
         Cohort.from_columns(ids, np.full(52, np.nan), np.ones(52), np.ones(52, int))
 
 
-@few_ids
-def test_int_ids_repeat_as_a_set_finds_them(monkeypatch, few):
+def test_int_ids_repeat_as_a_set_finds_them():
     # -1 and -2 share a hash in CPython, and are different ids
-    monkeypatch.setattr(pafmsm.cohort, "_FEW_IDS", few)
     assert hash(-1) == hash(-2)
     ids = [-1, -2, 3, 2**64, 4]
     assert Cohort.from_columns(ids, [np.nan] * 5, [1.0] * 5, [1] * 5).ids.tolist() == ids
@@ -649,6 +639,8 @@ PARSE_ERRORS = [
      "header must start with id,inf_time,end_time,end_status"),
     ("id,x,end_time,end_status\r\nA,," + "9" * 140_000 + ",death\r\n", 1,
      "header must start with id,inf_time,end_time,end_status"),
+    (HEADER[:-1] + ",x" + "9" * 140_000 + "\nA,,5,death,1\n", 1,
+     "field larger than field limit (131072)"),
     # padded cells are quoted stripped, whichever way the column was read
     (HEADER + "A,,5,death\nB, inf ,5,death\n", 3, "non-finite inf_time 'inf'"),
     (HEADER + "A,\tnan\x0b,5,death\n", 2, "non-finite inf_time 'nan'"),
@@ -659,8 +651,9 @@ PARSE_ERRORS = [
 ]
 PARSE_ERRORS_IDS = ["empty", "short-row", "long-row", "after-blank-full-width", "after-blank-lines",
                     "crlf", "cr", "header", "repeated-column", "open-quote", "huge-cell",
-                    "header-before-huge-cell", "crlf-header-before-huge-cell", "padded-inf",
-                    "padded-nan", "padded-overflow", "padded-text", "inner-space", "padded-status"]
+                    "header-before-huge-cell", "crlf-header-before-huge-cell", "huge-header-cell",
+                    "padded-inf", "padded-nan", "padded-overflow", "padded-text", "inner-space",
+                    "padded-status"]
 
 
 @pytest.mark.parametrize("text, row, message", PARSE_ERRORS, ids=PARSE_ERRORS_IDS)
@@ -806,12 +799,6 @@ def test_parse_memory_stays_within_one_chunk_of_cells():
     assert parse_peak(registry_text()) < 15e6
 
 
-def test_parse_memory_tests_ids_for_repeats_without_a_set_of_them():
-    # a set of every id for the duplicate-id test took the peak to 8.6 MB;
-    # the sorted hashes of the ids keep it at 7.0 MB
-    assert parse_peak(registry_text()) < 7.5e6
-
-
 def test_parse_memory_from_a_path_stays_within_one_window_of_cells(tmp_path):
     path = tmp_path / "cohort.csv"
     path.write_text(registry_text())
@@ -880,13 +867,13 @@ def test_the_decoder_gives_the_bits_of_float_at_every_offset():
             return math.nan
 
     expected = np.array([by_float(cell) for cell in cells])
-    header = "a,x\n"
     for offset in range(8):
-        # the "a" cells before each cell put its first byte at the offset
+        # the id cells before each inf_time cell put its first byte at the offset
         pad = np.empty(length.size, int)
-        pad[0] = (offset - len(header) - 1) % 8
-        pad[1:] = (-length[:-1] - 2) % 8
-        text = header + "".join(f"{'1' * k},{cell}\n" for k, cell in zip(pad.tolist(), cells))
+        pad[0] = (offset - len(HEADER) - 1) % 8
+        pad[1:] = (-length[:-1] - len(",1,death\n") - 1) % 8
+        text = HEADER + "".join(f"{'1' * k},{cell},1,death\n"
+                                for k, cell in zip(pad.tolist(), cells))
         window = byte_cells(text)
         starts, sizes = window._bounds(1)
         assert (starts % 8 == offset).all() and (sizes == length).all()

@@ -52,20 +52,6 @@ def test_union_grid_merges_and_sorts():
     assert union_grid().shape == (0,)
 
 
-@pytest.mark.parametrize("case", ["overlapping", "disjoint", "identical", "empty", "one empty",
-                                  "three", "one"])
-def test_union_grid_equals_the_unique_of_the_jump_times(case):
-    rng = np.random.default_rng(3)
-    t = np.unique(rng.exponential(10.0, 2000).round(2))
-    grids = {"overlapping": [t[::2], t[::3]], "disjoint": [t[:1000], t[1000:]],
-             "identical": [t, t.copy()], "empty": [t[:0], t[:0]], "one empty": [t[:0], t],
-             "three": [t[1::2], t[::5], t[-10:]], "one": [t]}[case]
-    curves = [StepCurve(g, np.zeros(g.size)) for g in grids]
-    want = np.unique(np.concatenate(grids))
-    got = union_grid(*curves)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-
 @pytest.mark.parametrize("n", [0, 1, _CSV_CHUNK - 1, _CSV_CHUNK, 2 * _CSV_CHUNK + 17])
 def test_csv_equals_the_per_row_reference(n):
     rng = np.random.default_rng(n)

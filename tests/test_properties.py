@@ -184,7 +184,9 @@ def split_and_reader_parse_paths_agree(text, policy, field_limit):
         lines = text.split("\n")[: -1 if text.endswith("\n") else None]
         longest = max(len(line.encode("utf-8", "surrogatepass")) for line in lines)
         plain = len({line.count(",") for line in lines}) == 1 and longest <= csv.field_size_limit()
-        assert read_from_bytes(text) == plain
+        # no window of a text whose header raises is read
+        header_raises = either[0] == "ParseError" and either[2] == 1
+        assert read_from_bytes(text) == (plain and not header_raises)
     finally:
         csv.field_size_limit(default)
     return either
