@@ -159,6 +159,12 @@ def covariate_column(columns, name, ids, numeric=False) -> np.ndarray:
     return column
 
 
+def _read_only(column):
+    """``column``, made read-only."""
+    column.flags.writeable = False
+    return column
+
+
 def _subjects(ids, inf, end, status, covariates):
     names = list(covariates)
     rows = zip(*(c.tolist() for c in covariates.values())) if names else repeat(())
@@ -251,19 +257,23 @@ class Cohort:
 
     def _set(self, ids, inf, end, status, covariates, horizon, diagnostics=()):
         # private read-only copies: views handed out cannot change the cohort
-        self.ids = np.fromiter(ids, dtype=object, count=len(ids))
+        if isinstance(ids, _IdBytes) and ids.unique():
+            self._id_bytes, ids = ids.gathered, None  # strings on first read of ``ids``
+        else:
+            ids = _strings(ids)
+            self.ids = _read_only(np.fromiter(ids, dtype=object, count=len(ids)))
         self.inf, self.end = np.array(inf, dtype=float), np.array(end, dtype=float)
         self.status = np.array(status, dtype=np.int64)
         self.covariates = {k: np.array(_as_column(v)) for k, v in covariates.items()}
-        for column in (self.ids, self.inf, self.end, self.status, *self.covariates.values()):
-            column.flags.writeable = False
+        for column in (self.inf, self.end, self.status, *self.covariates.values()):
+            _read_only(column)
         inf, end = self.inf, self.end
         bad = ~np.isin(self.status, list(_STATUS_NAME)) | ~((end > 0) & np.isfinite(end))
         bad |= self.exposed & ~((0 < inf) & (inf < end))
         if bad.any():  # the first bad subject raises its own message
             k = slice(np.argmax(bad), np.argmax(bad) + 1)
             _subjects(self.ids[k], inf[k], end[k], self.status[k], {})[0].validate()
-        if len(set(ids)) < len(self):
+        if ids is not None and len(set(ids)) < len(self):
             repeated = np.ones(len(self), dtype=bool)
             repeated[np.unique(self.ids, return_index=True)[1]] = False
             raise DataError(f"duplicate subject id {self.ids[np.argmax(repeated)]!r}")
@@ -274,6 +284,13 @@ class Cohort:
         if not math.isfinite(horizon):
             raise DataError("horizon must be finite")
         self.horizon, self.diagnostics = horizon, tuple(diagnostics)
+
+    @cached_property
+    def ids(self) -> np.ndarray:
+        """The subject ids, a read-only object array.  A parsed cohort whose
+        ids ``_IdBytes`` showed to be distinct keeps their bytes until here."""
+        ids = _split(self.__dict__.pop("_id_bytes"))
+        return _read_only(np.fromiter(ids, dtype=object, count=len(ids)))
 
     @cached_property
     def subjects(self) -> tuple[Subject, ...]:
@@ -376,6 +393,11 @@ def parse_cohort(source, tie_policy: TiePolicy = TiePolicy.shift()) -> Cohort:
     by one.  Only a column with a cell that ``float`` rejects, or with a
     status that is not one of the three names, falls back to ``str``
     cells, which give the same values and the same error messages.
+
+    Ids with no byte that ``str.strip`` may strip stay bytes: the cohort
+    builds its ``ids`` strings when they are first read, and if every id
+    has at most 16 bytes, one sort of a word per id (``_IdBytes``) tests
+    them for a repeat.  Other ids are strings from the start.
     """
     header, parts = _read_chunks(_buffer(source), tie_policy)
     return _joined(header, parts)
@@ -550,22 +572,21 @@ class _ByteCells(_Cells):
         return self.columns[j]
 
     def _gathered(self, starts, length):
-        """The cells at ``starts`` as ``str`` (one decode and split of their
-        gathered bytes) and those bytes, each cell followed by a ","."""
+        """The bytes of the cells at ``starts``, each followed by a ","."""
         size = length + 1  # each cell and the "," or "\n" after it
         ends = np.cumsum(size)
         gathered = self.raw[np.repeat(starts - ends + size, size) + np.arange(size.sum())]
         gathered[ends - 1] = ord(",")
-        cells = gathered.tobytes().decode("utf-8", "surrogatepass").split(",")
-        cells.pop()
-        return cells, gathered
+        return gathered
 
     def ids(self):
-        ids, gathered = self._gathered(*self._bounds(0))
-        # str.strip strips only characters below "!" or of more than one byte
+        """The ids as ``_IdBytes``; stripped ``str`` if a byte is one that
+        ``str.strip`` may strip: below "!", or of a longer character."""
+        starts, length = self._bounds(0)
+        gathered = self._gathered(starts, length)
         if ((gathered < ord("!")) | (gathered >= 0x80)).any():
-            ids = list(map(str.strip, ids))
-        return ids
+            return list(map(str.strip, _split(gathered)))
+        return _IdBytes(gathered, length, _id_words(self.raw, starts + length, length))
 
     def numbers(self, js):
         out = []
@@ -575,7 +596,8 @@ class _ByteCells(_Cells):
             if not ok.all():  # the cells the decoder leaves, each by float
                 other = np.flatnonzero(~ok)
                 try:
-                    values[other] = list(map(float, self._gathered(starts[other], length[other])[0]))
+                    values[other] = list(map(float, _split(self._gathered(starts[other],
+                                                                          length[other]))))
                 except ValueError:  # the str path, with its masks and messages
                     out.extend(super().numbers([j]))
                     continue
@@ -595,6 +617,66 @@ class _ByteCells(_Cells):
                 hit &= self.raw[starts + i] == name[i]
             status[hit] = code
         return status if (status >= 0).all() else super().statuses(j)
+
+
+def _split(gathered):
+    """The cells of ``gathered`` bytes, each followed by a ",", as ``str``."""
+    cells = gathered.tobytes().decode("utf-8", "surrogatepass").split(",")
+    cells.pop()
+    return cells
+
+
+class _IdBytes:
+    """The ids of rows of plain text as their bytes, each followed by a ","
+    (``gathered``), with each id's length and, if every id has at most
+    ``_SHORT`` bytes, its word (``_id_words``; else None).  A parsed cohort
+    keeps the bytes and builds the ``str`` ids when they are first read."""
+
+    def __init__(self, gathered, length, words):
+        self.gathered, self.length, self.words = gathered, length, words
+
+    def take(self, rows):
+        """The ids of the rows of the mask ``rows``."""
+        words = None if self.words is None else self.words[rows]
+        return _IdBytes(self.gathered[np.repeat(rows, self.length + 1)], self.length[rows], words)
+
+    def strings(self):
+        return _split(self.gathered)
+
+    def unique(self):
+        """Whether one sort of the words shows no two the same: False for a
+        repeated id, two ids of one word, or ids without words."""
+        if self.words is None:
+            return False
+        words = np.sort(self.words)
+        return not (words[1:] == words[:-1]).any()
+
+    @classmethod
+    def joined(cls, parts):
+        words = [part.words for part in parts]
+        return cls(np.concatenate([part.gathered for part in parts]),
+                   np.concatenate([part.length for part in parts]),
+                   None if any(w is None for w in words) else np.concatenate(words))
+
+
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd, so times it is one to one on 64-bit words
+
+
+def _id_words(raw, stops, length):
+    """One word per id of at most ``_SHORT`` bytes, none of them below "!",
+    that end at ``stops`` in ``raw``: the 8 bytes that end with it, as
+    ``_short_decimals`` reads them (``lo``, with the bytes of earlier cells
+    set to 0), xor the 8 before them (``hi``) times ``_MIX``.  Ids of at
+    most 8 bytes have the same word only if they are the same; longer ids
+    may share a word.  None if an id is longer than ``_SHORT`` bytes."""
+    longest = length.max(initial=0)
+    if longest > _SHORT:
+        return None
+    words = _words(raw)
+    key = words[stops - 8] & _LO_KEEP.take(length, mode="clip")
+    if longest > 8:
+        key ^= (words[stops - 16] & _HI_KEEP[length]) * _MIX
+    return key
 
 
 _SHORT = 16  # bytes of the longest cell that _short_decimals reads, in two words
@@ -816,7 +898,8 @@ def _joined(header, parts):
                                     if any(piece.dtype == object for piece in pieces) else pieces)
                for name, pieces in zip(header[4:], covariates)}
     del covariates
-    ids = list(chain.from_iterable(ids))
+    ids = (_IdBytes.joined(ids) if all(isinstance(part, _IdBytes) for part in ids)
+           else list(chain.from_iterable(_strings(part) for part in ids)))
     inf = np.concatenate(inf)
     end = np.concatenate(end)
     status = np.concatenate(status)
@@ -837,7 +920,10 @@ def _read_rows(header, cells, lengths, tie_policy, first):
     n = lengths.size
     wrong_width = lengths != width
     ids = cells.ids()
-    no_id = ~np.fromiter(map(bool, ids), bool, n) if "" in ids else np.zeros(n, bool)
+    if isinstance(ids, _IdBytes):
+        no_id = ids.length == 0
+    else:
+        no_id = ~np.fromiter(map(bool, ids), bool, n) if "" in ids else np.zeros(n, bool)
     blank = no_id & ~wrong_width
     for k in np.flatnonzero(blank):
         blank[k] = not any(cell.strip() for cell in cells.row(k))
@@ -882,10 +968,9 @@ def _read_rows(header, cells, lengths, tie_policy, first):
         k, j = min(hits)
         raise ParseError(checks[j][1](k), row=first + k + 2)
 
-    diagnostics = [
-        Diagnostic(ids[k], f"inf_time tied with end_time; shifted to {inf[k]:g}")
-        for k in np.flatnonzero(tied & keep)
-    ]
+    shifted = tied & keep
+    diagnostics = [Diagnostic(sid, f"inf_time tied with end_time; shifted to {t:g}")
+                   for sid, t in zip(_strings(_take(ids, shifted)), inf[shifted].tolist())]
     columns = []
     for j, values, _, number in covariates.values():
         if number[keep].all():
@@ -895,9 +980,19 @@ def _read_rows(header, cells, lengths, tie_policy, first):
                      for t, v, ok in zip(cells.text(j), values.tolist(), number.tolist())]
             columns.append(np.fromiter(mixed, object, n)[keep])
     if not keep.all():  # drop the blank rows
-        ids = list(compress(ids, keep.tolist()))
+        ids = _take(ids, keep)
         inf, end, status = inf[keep], end[keep], status[keep]
     return ids, inf, end, status, diagnostics, *columns
+
+
+def _take(ids, rows):
+    """The ids (``_IdBytes`` or a list of ``str``) of the rows of the mask ``rows``."""
+    return ids.take(rows) if isinstance(ids, _IdBytes) else list(compress(ids, rows.tolist()))
+
+
+def _strings(ids):
+    """The ids (``_IdBytes`` or a list of ``str``) as a list of ``str``."""
+    return ids.strings() if isinstance(ids, _IdBytes) else ids
 
 
 def summarize(cohort: Cohort) -> CohortSummary:

@@ -88,7 +88,7 @@ def _kinds(status, base):
 _ROWS = {(0, 1): 0, (0, 2): 1, (0, 3): 2, (1, 4): 4, (1, 5): 5}
 
 
-def _exit_table(cohort: Cohort, exits):
+def _exit_table(cohort: Cohort, exits, merge=None):
     """Exit counts by kind on the distinct exit times, from one sort.
 
     ``exits`` is "state0" (each subject leaves state 0 once: at the
@@ -100,6 +100,8 @@ def _exit_table(cohort: Cohort, exits):
     without an argument it counts the sample's (rows x T) exits as
     integers, one unweighted ``bincount``.  The counts are integers either
     way, so every reader's float arithmetic gives the same bits on both.
+    ``merge``, one row number per row, counts each row's exits in that row
+    of a smaller table.
     """
     inf, end, status = cohort.inf, cohort.end, cohort.status
     if end.size == 0:
@@ -111,6 +113,8 @@ def _exit_table(cohort: Cohort, exits):
     if exits == "six_state":
         times = np.concatenate((times, end[exposed]))
         kinds, rows = np.concatenate((kinds, _kinds(status[exposed], 4))), 7
+    if merge is not None:
+        kinds, rows = merge[kinds], merge.max() + 1
     ut, idx = np.unique(times, return_inverse=True)
     del times
     cells = np.multiply(kinds, ut.size, out=kinds)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohort import EXIT_STATE, STATUS_DEATH, STATUS_DISCHARGE, Cohort, covariate_column
-from .continuous import _ROWS, _six_state
+from .continuous import _ROWS, _at_risk, _exit_table
 from .errors import DataError, SeparationError
 from .newton import newton
 
@@ -141,17 +141,25 @@ def _interval_likelihood(start, stop, event, x):
 
 def _count_likelihood(cohort: Cohort, outcome: str):
     """The exposure-only log partial likelihood beta D1 - sum_t d(t)
-    log(Y0(t-) + e^beta Y1(t-)) from the exit table, with d(t) the events
-    at t and D1 those after exposure; and the number of events."""
+    log(Y0(t-) + e^beta Y1(t-)) from the six-state exits, with d(t) the
+    events at t and D1 those after exposure; and the number of events."""
     states = _OUTCOME_STATES[outcome]
     n_events = int(np.isin(EXIT_STATE[cohort.exposed.astype(int), cohort.status], states).sum())
     if n_events == 0:
         raise DataError(_NO_EVENTS)
-    counts, y0, y1 = _six_state(cohort)[1:]
-    after = counts[_ROWS[1, states[1]]]
-    d = counts[_ROWS[0, states[0]]] + after
+    # the six-state exits in five rows: exposures, the outcome's exits from
+    # states 0 and 1, and the other exits from each state; summed in place
+    # to all exits from state 0, and the exits from state 1 less exposures
+    merge = np.array([0, 3, 3, 3, 4, 4, 4])
+    merge[[_ROWS[0, states[0]], _ROWS[1, states[1]]]] = 1, 2
+    exposures, before, after, y0, y1 = _exit_table(cohort, "six_state", merge)[1]()
+    y0 += before
+    y0 += exposures
+    y1 += after
+    y1 -= exposures
+    d = np.add(before, after, out=exposures)
     at = d > 0
-    d, y0, y1, d1 = d[at], y0[at], y1[at], float(after.sum())
+    d, y0, y1, d1 = d[at], _at_risk(y0)[at], _at_risk(y1)[at], float(after.sum())
     # the score d1 - sum_t d(t) p(t) falls from d1 - sum_{Y0(t-)=0} d(t) at
     # beta -> -inf to d1 - sum_{Y1(t-)>0} d(t) at +inf; a limit of 0 leaves
     # it one sign, a likelihood without maximum (equal limits: flat)

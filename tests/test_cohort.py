@@ -22,6 +22,8 @@ from pafmsm import (
     TiePolicy,
     cohort_to_csv,
     discretize,
+    estimate_paf,
+    fit_cox_td,
     icu_like_spec,
     parse_cohort,
     simulate_cohort,
@@ -190,6 +192,106 @@ def test_int_ids_repeat_as_a_set_finds_them():
         assert reference_first_repeat(ids) == repeat
         with pytest.raises(DataError, match=f"^duplicate subject id {repeat!r}$"):
             Cohort.from_columns(ids, [np.nan] * len(ids), [1.0] * len(ids), [1] * len(ids))
+
+
+def parse_ids(ids, chunk=sys.maxsize, tie_every=0):
+    """``parse_in_chunks`` of a cohort with id cells ``ids``; every
+    ``tie_every``-th row (if any) has inf_time == end_time.  The statuses
+    take turns, so the bytes before an id differ from row to row."""
+    statuses = ("death", "discharge", "censored")
+    rows = "".join(f"{sid},{5 if tie_every and k % tie_every == 0 else ''},5,{statuses[k % 3]}\n"
+                   for k, sid in enumerate(ids))
+    return parse_in_chunks(HEADER + rows, chunk)
+
+
+def reference_ids(ids, tie_every=0):
+    """What a parse of ``parse_ids`` gives: the stripped ids and the ids
+    of the tied rows; or the ParseError of the first empty id, else the
+    DataError of the first id that repeats an earlier one."""
+    ids = [sid.strip() for sid in ids]
+    if "" in ids:
+        row = ids.index("") + 2
+        return "ParseError", f"row {row}: empty id", row
+    repeat = reference_first_repeat(ids)
+    if repeat is not None:
+        return "DataError", f"duplicate subject id {repeat!r}", None
+    return ids, [sid for k, sid in enumerate(ids) if tie_every and k % tie_every == 0]
+
+
+def assert_ids_parse_as_reference(ids, chunk=sys.maxsize, tie_every=0):
+    """Every source and both parse paths (``parse_both_ways``) give the
+    ids, tie diagnostics or error of ``reference_ids``."""
+    got = parse_ids(ids, chunk, tie_every)
+    expected = reference_ids(ids, tie_every)
+    if isinstance(expected[0], list):
+        assert (got[0], [d.subject_id for d in got[5]]) == expected
+    else:
+        assert got == expected
+
+
+# ids of 8, 9, 16 and 17 bytes: one word, two words, the longest read as
+# words, and the first left to the set of strings
+@pytest.mark.parametrize("size", [1, 8, 9, 16, 17])
+def test_ids_of_one_or_two_words_or_longer_repeat_as_strings(size):
+    ids = [f"{k:0{size}d}" for k in range(40)]
+    assert_ids_parse_as_reference(ids, tie_every=7)
+    for where in (0, 20, 38):
+        repeated = ids[:where + 1] + [ids[where]] + ids[where + 1:]
+        for chunk in (sys.maxsize, 40):
+            assert_ids_parse_as_reference(repeated, chunk)
+
+
+def test_ids_that_differ_only_before_their_last_8_bytes_are_distinct():
+    for a, b in [("A2345678", "B2345678"), ("A23456789", "B23456789"),
+                 ("A234567890123456", "B234567890123456"), ("x" * 16, "y" + "x" * 15)]:
+        assert_ids_parse_as_reference([a, b])
+        assert_ids_parse_as_reference([a, b, a])
+
+
+def test_padded_ids_repeat_once_stripped():
+    assert_ids_parse_as_reference(["A", " A"])
+    assert_ids_parse_as_reference(["A", "", "A"])  # an empty id comes first
+    assert_ids_parse_as_reference(["A", " ", "A"])
+    assert_ids_parse_as_reference(["B", "A\t", "C", "A"])
+    # the padded repeat in a later window, the first id in one of plain ids
+    assert_ids_parse_as_reference(["A", "B", "C", "D", " A"], chunk=13)
+
+
+@pytest.mark.parametrize("rows", [
+    # a ragged window (a blank row of 3 cells) is read by csv.reader
+    ["A,,5,death", "B,,5,death", ",,", "A,,5,death", "C,,5,death"],
+    ["A,,5,death", ",,", "B,,5,death", "C,,5,death", "A,,5,death"],
+    # a text covariate: the window's columns are split into str cells
+    ["A,,5,death,1", "B,,5,death,2", "C,,5,death,n", "A,,5,death,s"],
+], ids=["reader-window-second", "reader-window-first", "text-covariate"])
+def test_a_repeat_beside_a_window_read_from_str_cells_is_named(rows):
+    header = HEADER if rows[0].count(",") == 3 else HEADER[:-1] + ",site\n"
+    text = header + "\n".join(rows) + "\n"
+    by_reader = mock.patch.object(pafmsm.cohort, "_reader_rows", wraps=pafmsm.cohort._reader_rows)
+    by_str = mock.patch.object(_ByteCells, "text", autospec=True, side_effect=_ByteCells.text)
+    assert parse_in_chunks(text, 22) == ("DataError", "duplicate subject id 'A'", None)
+    # windows of both kinds: ids from bytes and ids from str cells
+    with mock.patch.object(pafmsm.cohort, "_PARSE_CHUNK", 22), by_reader as reader, \
+            by_str as split, pytest.raises(DataError):
+        parse_cohort(text)
+    assert (reader.call_count, split.call_count > 0) in [(1, False), (0, True)]
+
+
+def test_a_parsed_cohort_builds_its_id_strings_only_when_read():
+    text = registry_text()
+    cohort = parse_cohort(text)
+    for estimand in ("paf_o", "paf_c"):
+        estimate_paf(cohort, estimand)
+    fit_cox_td(cohort, "death")
+    assert "ids" not in cohort.__dict__
+    # the array of the csv.reader path, which builds the strings as it reads
+    with mock.patch.object(pafmsm.cohort, "_split_rows", lambda *window: None):
+        eager = parse_cohort(text)
+    assert "ids" in eager.__dict__
+    ids = cohort.ids
+    assert ids is cohort.ids and "_id_bytes" not in cohort.__dict__
+    assert ids.dtype == object and not ids.flags.writeable
+    assert ids.tolist() == eager.ids.tolist() == [str(k) for k in range(len(cohort))]
 
 
 def test_tie_policy_shift_moves_the_exposure():
@@ -794,15 +896,16 @@ def registry_text(**covariates):
 
 
 def test_parse_memory_stays_within_one_chunk_of_cells():
-    # a parse holds the kept columns (4.3 MB), the bytes of the text and
-    # the cell strings of one window; the cells of the whole file took 19.5 MB
-    assert parse_peak(registry_text()) < 15e6
+    # a parse holds the kept columns (1.5 MB: the ids stay bytes), the
+    # bytes of the text and the cells of one window: 5.2 MB; the cells of
+    # the whole file took 19.5 MB, and the ids as strings 8.6 MB
+    assert parse_peak(registry_text()) < 7e6
 
 
 def test_parse_memory_from_a_path_stays_within_one_window_of_cells(tmp_path):
     path = tmp_path / "cohort.csv"
     path.write_text(registry_text())
-    assert parse_peak(path) < 15e6
+    assert parse_peak(path) < 7e6
 
 
 def test_parse_memory_with_a_text_covariate_stays_within_one_window_of_cells():
@@ -814,7 +917,7 @@ def test_parse_memory_with_a_text_covariate_stays_within_one_window_of_cells():
             split_rows as windows:
         assert parse_cohort(text).covariates["site"].tolist() == site.tolist()
     assert windows.call_count > 1 and by_str.call_count == windows.call_count
-    assert parse_peak(text) < 15e6
+    assert parse_peak(text) < 11e6  # 9.5 MB; 12.1 MB with the ids as strings
 
 
 # (cell, read from its bytes): decimals of at most 16 bytes whose digits

@@ -1,6 +1,7 @@
 """Randomized invariants over generated cohorts."""
 
 import csv
+import sys
 from unittest import mock
 
 import numpy as np
@@ -31,7 +32,8 @@ from pafmsm.cohort import STATUS_CENSORED, STATUS_DEATH, _text_column
 from pafmsm.continuous import exposure_survival
 from pafmsm.discrete import _daily_hazard
 
-from test_cohort import HEADER, parse_both_ways, read_from_bytes, reference_text_column
+from test_cohort import (HEADER, assert_ids_parse_as_reference, parse_both_ways,
+                         read_from_bytes, reference_text_column)
 from test_continuous import assert_continuous_side_matches_reference
 from test_discrete import assert_matches_reference, assert_same, reference_indicators
 
@@ -203,6 +205,36 @@ def test_plain_text_parses_the_same_in_chunks_of_any_size(text, policy, field_li
     whole = split_and_reader_parse_paths_agree(text, policy, field_limit)
     with mock.patch.object(pafmsm.cohort, "_PARSE_CHUNK", chunk):
         assert split_and_reader_parse_paths_agree(text, policy, field_limit) == whole
+
+
+# id characters: plain ASCII, which the reader takes as id words; padding
+# and characters of several bytes, which take ids to the strings of
+# str.strip; "\x85" and "\u3000" strip, "é" and "😀" do not
+_PLAIN_ID_CHARS = "ab9Z_-."
+_ID_CHARS = _PLAIN_ID_CHARS + " \t\x0c\x85é\u3000😀"
+
+
+@st.composite
+def id_columns(draw):
+    """1 to 24 id cells of 1 to 24 UTF-8 bytes: distinct, or drawn from a
+    few so that ids repeat, in a window or across windows."""
+    chars = draw(st.sampled_from([_PLAIN_ID_CHARS, _ID_CHARS]))
+    cell = st.text(st.sampled_from(chars), min_size=1, max_size=24).filter(
+        lambda sid: len(sid.encode()) <= 24)
+    if draw(st.booleans()):
+        return draw(st.lists(cell, min_size=1, max_size=24, unique=True))
+    pool = draw(st.lists(cell, min_size=1, max_size=6, unique=True))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=24))
+
+
+@settings(max_examples=200)
+@given(id_columns(), st.sampled_from([sys.maxsize, 40, 100]), st.integers(0, 3))
+@example(["A", "B", "C", "A"], 40, 0)  # a repeat in a later window
+@example(["x" * 9, "y" + "x" * 8, "x" * 9], 100, 2)  # ids that differ before their last 8 bytes
+@example(["A", " A"], sys.maxsize, 0)  # the same id once stripped
+@example(["0123456789abcdefg", "0123456789abcdefg"], sys.maxsize, 1)  # 17 bytes
+def test_both_parse_paths_read_the_same_ids_and_repeats(ids, chunk, tie_every):
+    assert_ids_parse_as_reference(ids, chunk, tie_every)
 
 
 @settings(max_examples=60)

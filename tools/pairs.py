@@ -1,10 +1,11 @@
-"""Compare two checkouts on one benchmark workload, in alternated pairs.
+"""Compare two checkouts on benchmark workloads, in alternated pairs.
 
     python tools/pairs.py PARENT CHANGE --workload registry_1e5 --seeds 41-50 [--json BENCH.json]
+    python tools/pairs.py PARENT CHANGE --workload registry_1e5,simstudy_1e3,panel_1e5 --seeds 41-50
 
-For each seed, runs ``python3 bench/run.py --workload W --seed S
---seconds X --trace 0`` once in each checkout, the side that runs first
-switching from pair to pair.  Stops at the first run that prints
+For each workload in turn and each seed, runs ``python3 bench/run.py
+--workload W --seed S --seconds X --trace 0`` once in each checkout, the
+side that runs first switching from pair to pair.  Stops at the first run that prints
 ``"correct": false``, counts a failed operation or exits non-zero.  Then
 prints, for each end-to-end metric of the CHANGE checkout's
 ``BENCHMARK.json``: each side's median and quartiles, the change's wins
@@ -12,12 +13,12 @@ prints, for each end-to-end metric of the CHANGE checkout's
 share of the metric's bound, and whether it is a gain by the rule for a
 claim: the change wins at least nine tenths of the pairs, and its median
 is better than the parent's by more than the parent's quartile spread.
-``--json PATH`` also writes that summary as JSON: each side's git commit
-and bytecode-cache state (whether ``src/pafmsm/__pycache__`` existed
-before the first run: a first import that compiles the package moves
-``setup_s`` and ``peak_mem_mb``), the workload, the seeds, the pair count
-and, per metric, each side's median and quartiles, the wins and the
-verdict.
+``--json PATH`` also writes that summary as JSON, one file for every
+workload: each side's git commit and bytecode-cache state (whether
+``src/pafmsm/__pycache__`` existed before the first run: a first import
+that compiles the package moves ``setup_s`` and ``peak_mem_mb``), the
+seeds, the pair count and, per workload and metric, each side's median
+and quartiles, the wins and the verdict.
 
 Standard library only; it lives outside ``testpaths``, so pytest never
 collects it.  The runs write ``bench/results/`` inside each checkout.
@@ -83,11 +84,35 @@ def commit(checkout: Path):
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
+def pairs(sides: dict, spec: dict, workload: str, seeds: list, seconds: float):
+    """The alternated pairs of one workload: each end-to-end metric's
+    summary (``compare``) by name, printed as it goes."""
+    runs = {"parent": [], "change": []}
+    for k, seed in enumerate(seeds):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(run_bench(sides[side], workload, seed, seconds))
+        print(f"{workload} seed {seed}: " + "  ".join(
+            f"{side} " + " ".join(f"{v:.4g}" for v in runs[side][-1].values())
+            for side in ("parent", "change")), flush=True)
+    if len(seeds) < 2:
+        return {}
+    print(f"{workload}, {len(seeds)} pairs, median [quartiles]:")
+    metrics = {}
+    for metric in spec["end_to_end"]:
+        name = metric["name"]
+        metrics[name] = compare(metric, [r[name] for r in runs["parent"]],
+                                [r[name] for r in runs["change"]])
+        print(summary(name, metrics[name]))
+    return metrics
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent", type=Path)
     p.add_argument("change", type=Path)
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", required=True, type=lambda text: text.split(","),
+                   help="one workload, or several separated by commas")
     p.add_argument("--seeds", type=_seeds, required=True, help="first-last, as 41-50")
     p.add_argument("--seconds", type=float, default=None,
                    help="run length (default: BENCHMARK.json's run_seconds)")
@@ -98,27 +123,11 @@ def main(argv=None) -> int:
     sides = {"parent": args.parent, "change": args.change}
     cached = {side: (path / "src" / "pafmsm" / "__pycache__").is_dir()
               for side, path in sides.items()}
-    runs = {"parent": [], "change": []}
-    for k, seed in enumerate(args.seeds):
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        for side in order:
-            runs[side].append(run_bench(sides[side], args.workload, seed, seconds))
-        print(f"seed {seed}: " + "  ".join(
-            f"{side} " + " ".join(f"{v:.4g}" for v in runs[side][-1].values())
-            for side in ("parent", "change")), flush=True)
-    if len(args.seeds) < 2:
-        return 0
-    print(f"{args.workload}, {len(args.seeds)} pairs, median [quartiles]:")
-    metrics = {}
-    for metric in spec["end_to_end"]:
-        name = metric["name"]
-        metrics[name] = compare(metric, [r[name] for r in runs["parent"]],
-                                [r[name] for r in runs["change"]])
-        print(summary(name, metrics[name]))
-    if args.json:
+    workloads = {w: pairs(sides, spec, w, args.seeds, seconds) for w in args.workload}
+    if args.json and len(args.seeds) > 1:
         report = {"commits": {side: commit(path) for side, path in sides.items()},
-                  "bytecode_cache": cached, "workload": args.workload, "seeds": args.seeds,
-                  "pairs": len(args.seeds), "seconds": seconds, "metrics": metrics}
+                  "bytecode_cache": cached, "seeds": args.seeds, "pairs": len(args.seeds),
+                  "seconds": seconds, "workloads": workloads}
         args.json.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return 0
 
