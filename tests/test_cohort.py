@@ -229,8 +229,8 @@ def assert_ids_parse_as_reference(ids, chunk=sys.maxsize, tie_every=0):
         assert got == expected
 
 
-# ids of 8, 9, 16 and 17 bytes: one word, two words, the longest read as
-# words, and the first left to the set of strings
+# ids of up to 8 bytes are one word each, of 9 to 16 bytes two words
+# mixed into one; an id of 17 bytes takes the column to the set of strings
 @pytest.mark.parametrize("size", [1, 8, 9, 16, 17])
 def test_ids_of_one_or_two_words_or_longer_repeat_as_strings(size):
     ids = [f"{k:0{size}d}" for k in range(40)]
