@@ -14,6 +14,7 @@ import math
 import os
 import sys
 from dataclasses import fields
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@cache  # one parser per process: parse_args leaves it as it was
 def _build_parser() -> _Parser:
     parser = _Parser(prog="paf-msm", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)

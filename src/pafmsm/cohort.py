@@ -20,7 +20,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .curves import _csv_rows
+from .curves import _CSV_CHUNK, _buffers, _csv_cells, _pack
 from .errors import DataError, ParseError
 
 __all__ = [
@@ -255,10 +255,11 @@ class Cohort:
                 out.append(TransitionRow(sid, 0, int(EXIT_STATE[0, s]), 0.0, e))
         return tuple(out)
 
-    def _set(self, ids, inf, end, status, covariates, horizon, diagnostics=()):
-        # private read-only copies: views handed out cannot change the cohort
-        if isinstance(ids, _IdBytes) and ids.unique():
-            self._id_bytes, ids = ids.gathered, None  # strings on first read of ``ids``
+    def _set(self, ids, inf, end, status, covariates, horizon, diagnostics=(), distinct=False):
+        # private read-only copies: views handed out cannot change the cohort;
+        # ids ``distinct`` (taken by a mask from a cohort's) are not tested again
+        if isinstance(ids, _IdBytes) and (distinct or ids.unique()):
+            self._id_bytes, distinct = ids.gathered, True  # strings on first read of ``ids``
         else:
             ids = _strings(ids)
             self.ids = _read_only(np.fromiter(ids, dtype=object, count=len(ids)))
@@ -273,7 +274,7 @@ class Cohort:
         if bad.any():  # the first bad subject raises its own message
             k = slice(np.argmax(bad), np.argmax(bad) + 1)
             _subjects(self.ids[k], inf[k], end[k], self.status[k], {})[0].validate()
-        if ids is not None and len(set(ids)) < len(self):
+        if not distinct and len(set(ids)) < len(self):
             repeated = np.ones(len(self), dtype=bool)
             repeated[np.unique(self.ids, return_index=True)[1]] = False
             raise DataError(f"duplicate subject id {self.ids[np.argmax(repeated)]!r}")
@@ -301,10 +302,15 @@ class Cohort:
         return ~np.isnan(self.inf)
 
     def subset(self, mask) -> "Cohort":
-        """The subjects selected by a boolean mask or index array, same horizon."""
-        covariates = {k: v[mask] for k, v in self.covariates.items()}
-        return Cohort.from_columns(self.ids[mask], self.inf[mask], self.end[mask], self.status[mask],
-                                   covariates, horizon=self.horizon)
+        """The subjects selected by a boolean mask or index array, same horizon;
+        by a mask, ids held as bytes stay bytes and are not tested again."""
+        ids, by_mask = self.__dict__.get("_id_bytes"), np.asarray(mask).dtype == bool
+        inf, end, status = self.inf[mask], self.end[mask], self.status[mask]
+        ids = _IdBytes(ids).take(mask) if ids is not None and by_mask else self.ids[mask]
+        subset = Cohort.__new__(Cohort)
+        subset._set(ids, inf, end, status, {k: v[mask] for k, v in self.covariates.items()},
+                    self.horizon, distinct=by_mask)
+        return subset
 
     def __len__(self):
         return self.end.size
@@ -627,12 +633,15 @@ def _split(gathered):
 
 
 class _IdBytes:
-    """The ids of rows of plain text as their bytes, each followed by a ","
-    (``gathered``), with each id's length and, if every id has at most
-    ``_SHORT`` bytes, its word (``_id_words``; else None).  A parsed cohort
-    keeps the bytes and builds the ``str`` ids when they are first read."""
+    """The ids of rows of plain text, or of a simulated cohort, as their
+    bytes, each followed by a "," (``gathered``; no id holds a "," or a
+    quote), with each id's length and, if every id has at most ``_SHORT``
+    bytes, its word (``_id_words``, or the number of a counted id; else
+    None).  A cohort keeps the bytes and builds ``str`` ids on first read."""
 
-    def __init__(self, gathered, length, words):
+    def __init__(self, gathered, length=None, words=None):
+        if length is None:  # from the "," after each id
+            length = np.diff(np.flatnonzero(gathered == ord(",")), prepend=-1) - 1
         self.gathered, self.length, self.words = gathered, length, words
 
     def take(self, rows):
@@ -650,6 +659,18 @@ class _IdBytes:
             return False
         words = np.sort(self.words)
         return not (words[1:] == words[:-1]).any()
+
+    @classmethod
+    def counting(cls, n):
+        """The ids "0", "1", ... of ``n`` subjects, from their digits: for
+        each number of digits ``d``, a matrix of rows of ``d`` digits and a ","."""
+        rows = []
+        for d in range(1, len(str(n - 1)) + 1):
+            k = np.arange(10 ** (d - 1) if d > 1 else 0, min(n, 10**d), dtype=np.uint32)
+            rows.append(np.full((k.size, d + 1), ord(","), np.uint8))
+            for j in range(d - 1, -1, -1):
+                rows[-1][:, j], k = k % 10 + ord("0"), k // 10
+        return cls(np.concatenate([r.ravel() for r in rows]), words=np.arange(n, dtype=np.uint64))
 
     @classmethod
     def joined(cls, parts):
@@ -1042,20 +1063,76 @@ def discretize(cohort: Cohort, allow_drop: bool = False) -> DailyPanel:
                       n_days=m, covariates=kept.covariates, dropped=dropped)
 
 
+_STATUS_CELLS = _pack([b"," + _STATUS_NAME[code].encode() for code in range(3)], 12).view(np.uint32)
+_UNPAD = bytes.maketrans(b"\xfe", b"\0")  # a text cell's NUL byte, as 0xFE: never in UTF-8
+_FIRST_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)  # the first k bytes of a word
+
+
 def cohort_to_csv(cohort: Cohort) -> str:
-    """Serialize a cohort in the same CSV format parse_cohort reads."""
-    times = "".join(_csv_rows((cohort.inf, cohort.end), first_as_is=False)).splitlines()
-    columns = [_csv_cells(map(str, cohort.ids)), times,
-               [_STATUS_NAME[s] for s in cohort.status.tolist()]]
+    """Serialize a cohort in the same CSV format parse_cohort reads.
+
+    Each chunk of ``_CSV_CHUNK`` rows is a matrix of 4-byte words, a row per
+    subject, whose NUL padding one ``bytes.translate`` deletes: the id cell
+    ("\\n" and the id's UTF-8 bytes; from the bytes a cohort still holds),
+    the time cells of ``curves._csv_cells``, the status cell, and the
+    covariate cells (``f"{v}"``, once per distinct float).  A chunk whose
+    text cells would pad to over 1 MB is halved until they do not.
+    """
+    ids = cohort.__dict__.get("_id_bytes")
+    texts = [_text_cells(map(str, cohort.ids), "\n") if ids is None else
+             _cells(b"\n" + ids.tobytes().replace(b",", b"\n"), _IdBytes(ids).length)]
     for column in cohort.covariates.values():
-        columns.append(_csv_cells("" if v is _ABSENT else f"{v}" for v in column.tolist()))
-    lines = [",".join(_csv_cells(["id", "inf_time", "end_time", "end_status",
-                                  *cohort.covariate_names()]))]
-    lines += map(",".join, zip(*columns))
-    return "\n".join(lines) + "\n"
+        if column.dtype == object:
+            texts.append(_text_cells(("" if v is _ABSENT else f"{v}" for v in column.tolist()), ","))
+        else:  # the text of each distinct value, by its bits
+            values, inverse = np.unique(column.view(np.int64), return_inverse=True)
+            data, starts, length = _text_cells((f"{v}" for v in values.view(float).tolist()), ",")
+            texts.append((data, starts[inverse], length[inverse]))
+    out = [",".join(_quoted(["id", "inf_time", "end_time", "end_status", *cohort.covariate_names()]))]
+    buffers = _buffers(2 * _CSV_CHUNK)
+    spans = [(a, min(a + _CSV_CHUNK, len(cohort))) for a in range(0, len(cohort), _CSV_CHUNK)][::-1]
+    while spans:
+        a, b = spans.pop()
+        if b - a > 1 and (b - a) * sum(int(length[a:b].max()) for *_, length in texts) > 1 << 20:
+            spans += [((a + b) // 2, b), (a, (a + b) // 2)]
+            continue
+        ids, *covariates = [_padded(data, starts[a:b], length[a:b]) for data, starts, length in texts]
+        times = np.column_stack((cohort.inf[a:b], cohort.end[a:b])).ravel()
+        times = _csv_cells(times, 0, 2, False, buffers)  # each after a ",", NaN blank
+        matrix = np.concatenate([ids, times.T.reshape(b - a, 12),
+                                 _STATUS_CELLS[cohort.status[a:b]], *covariates], axis=1)
+        out.append(matrix.tobytes().translate(_UNPAD, b"\0").decode("utf-8", "surrogatepass"))
+    out.append("\n")
+    return "".join(out)
 
 
-def _csv_cells(cells):
+def _padded(data, starts, length):
+    """(rows x words) uint32: the cells of ``_cells`` at ``starts``, each
+    with the separator before it, NUL-padded to the longest; as 8-byte words."""
+    at = np.arange(0, int(length.max(initial=0)) + 1, 8)
+    cells = _words(data)[np.minimum(starts[:, None] - 1 + at, data.size - 8)]  # past the end: masked
+    cells &= _FIRST_BYTES.take(length[:, None] + 1 - at, mode="clip")
+    return cells.view(np.uint32)
+
+
+def _cells(data, length):
+    """Cells of ``length`` bytes in ``data``, each after a separator byte,
+    as the bytes with 8 NUL bytes after them, and each cell's first byte and length."""
+    return np.frombuffer(data + bytes(8), np.uint8), np.cumsum(length + 1) - length, length
+
+
+def _text_cells(cells, sep):
+    """``_cells`` of text cells as ``csv`` writes them (``_quoted``), each
+    after ``sep``, in UTF-8 with a NUL byte as 0xFE."""
+    cells = _quoted(cells)
+    text = sep + sep.join(cells)
+    data = text.encode("utf-8", "surrogatepass")
+    lengths = map(len, cells) if len(data) == len(text) else (  # else a character of several bytes
+        len(cell.encode("utf-8", "surrogatepass")) for cell in cells)
+    return _cells(data.replace(b"\0", b"\xfe"), np.fromiter(lengths, np.intp, len(cells)))
+
+
+def _quoted(cells):
     """Text cells as ``csv`` writes them: a cell holding a comma, a quote or
     a line break is quoted, with its quotes doubled; others are as given."""
     cells = list(cells)

@@ -71,9 +71,21 @@ def _csv_tables():
 _WORDS, _LAST_DIGIT, _OFFSETS = _csv_tables()
 
 
-def _csv_cells(v, sep, width, first_as_is):
-    """The cells of ``v`` (rows of ``width`` cells, flattened), each prefixed
-    by its separator (``sep``: 0 for ",", 20 for "\\n"), as ASCII bytes."""
+def _buffers(cells):
+    """The kernel's largest temporaries for chunks of up to ``cells`` cells,
+    made once per writer call, not per chunk."""
+    return (np.empty(4 * cells), np.empty(4 * cells, np.intp),
+            np.empty(6 * cells, np.intp), np.empty(6 * cells, np.uint32))
+
+
+def _csv_cells(v, sep, width, first_as_is, buffers):
+    """The cells of ``v`` (rows of ``width`` cells, flattened) as (6 x cells)
+    words of ASCII bytes and NUL padding, a view of ``buffers``; each cell
+    starts with its separator (``sep``: 0 for ",", 20 for "\\n", per cell
+    or one for all)."""
+    n = v.size
+    q, group = (b[: 4 * n].reshape(4, n) for b in buffers[:2])
+    index, words = (b[: 6 * n].reshape(6, n) for b in buffers[2:])
     with np.errstate(divide="ignore", invalid="ignore"):
         a = np.abs(v)
         e = np.log10(a)
@@ -96,11 +108,10 @@ def _csv_cells(v, sep, width, first_as_is):
         ok &= y <= 0.5 - 2.0**-12
     bad = np.flatnonzero(~ok)
     m[bad] = 0.0
-    q = np.empty((4, v.size))
     np.divide(m, _DIVISORS, out=q)  # exact floors: m < 1e12
     np.floor(q, out=q)
     q[1:] -= 1000.0 * q[:-1]
-    group = q.astype(np.intp)
+    np.copyto(group, q, casting="unsafe")
     last = _LAST_DIGIT.take(group)
     last += _GROUP_END
     # digits kept: up to the last nonzero one, and every one of the e + 1 integer digits
@@ -114,17 +125,17 @@ def _csv_cells(v, sep, width, first_as_is):
         if first_as_is:
             kind += nan & (bad % width == 0)
         code[bad] = _CODES + kind
-    index = _OFFSETS.take(code, axis=1)
+    np.take(_OFFSETS, code, axis=1, out=index, mode="clip")  # unbuffered: codes are in range
     index[2:] += group
     index[:2] += sep
-    words = _WORDS.take(index)
+    np.take(_WORDS, index, out=words, mode="clip")
     if bad.size:
         other = bad[~(nan | inf | zero)]
-        if other.size:
-            text = [(b"," if i % width else b"\n") + format(x, ".12g").encode()
-                    for i, x in zip(other.tolist(), v[other].tolist())]
+        if other.size:  # each cell's separator is the low byte of its first word
+            text = [bytes([s]) + format(x, ".12g").encode()
+                    for s, x in zip((words[0, other] & 0xFF).tolist(), v[other].tolist())]
             words[:, other] = _pack(text, 24).view(np.uint32).T
-    return words.T.tobytes().translate(None, b"\0")
+    return words
 
 
 def _csv_rows(columns, first_as_is=True):
@@ -137,9 +148,11 @@ def _csv_rows(columns, first_as_is=True):
     sep = np.zeros((min(n, _CSV_CHUNK), width), np.intp)
     sep[:, 0] = 20  # each row's first cell follows the "\n" of the row before
     sep = sep.ravel()
+    buffers = _buffers(sep.size)
     for k in range(0, n, _CSV_CHUNK):
         block = np.column_stack([c[k : k + _CSV_CHUNK] for c in columns]).ravel()
-        text = _csv_cells(block, sep[: block.size], width, first_as_is).decode("ascii")
+        words = _csv_cells(block, sep[: block.size], width, first_as_is, buffers)
+        text = words.T.tobytes().translate(None, b"\0").decode("ascii")
         yield text[1:] if k == 0 else text  # the first row follows no "\n"
     yield "\n"
 

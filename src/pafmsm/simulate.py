@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohort import Cohort
+from .cohort import Cohort, _IdBytes
 from .curves import StepCurve
 from .errors import DataError
 
@@ -279,6 +279,7 @@ def _competing_exit(name, hazards, factor, censor_rate, entry, u, check_exits=Tr
 
 def simulate_cohort(spec: HazardSpec, n: int, seed: int) -> Cohort:
     """Draw n independent subject histories; deterministic per (seed, row).
+    The ids are "0" ... str(n - 1), held as bytes until ``ids`` is read.
 
     A spec whose total hazard out of a state, or its cumulative hazard at a
     knot, is past the float range, or so large that a drawn exit time rounds
@@ -332,7 +333,7 @@ def simulate_cohort(spec: HazardSpec, n: int, seed: int) -> Cohort:
         horizon = spec.tau
 
     return Cohort.from_columns(
-        [str(i) for i in range(n)],
+        _IdBytes.counting(n),
         inf_time,
         end_time,
         status,

@@ -618,6 +618,44 @@ def test_python_dash_m_runs_the_cli(cohort_file):
     assert done.stdout.startswith("ok: n=150")
 
 
+# subcommands, help and usage errors, run one after another in one process
+SEQUENCE = [
+    ["--help"],
+    ["validate", "--input", "{cohort}"],
+    ["estimate", "--help"],
+    ["estimate", "--input", "{cohort}", "--estimand", "paf_o", "--at", "5"],
+    ["estimate", "--input", "{cohort}"],  # no --estimand
+    ["summary", "--input", "{cohort}"],
+    ["nosuch"],
+    ["oracle", "--spec", "{spec}", "--step", "10"],
+    ["estimate", "--input", "{cohort}", "--estimand", "paf_c", "--at", "5", "--tie-policy", "x"],
+    ["validate", "--input", "{cohort}"],
+]
+
+
+def test_commands_in_one_process_exit_and_print_as_fresh_runs(cohort_file, spec_file, monkeypatch):
+    # the parser is built once per process and shared by every run
+    monkeypatch.setenv("COLUMNS", "80")  # help text is wrapped to the terminal's width
+    argvs = [[arg.format(cohort=cohort_file, spec=spec_file) for arg in argv] for argv in SEQUENCE]
+    in_process = []
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = run(argv)
+            except SystemExit as exc:  # --help
+                code = exc.code
+        in_process.append((code, out.getvalue(), err.getvalue()))
+    assert pafmsm.cli._build_parser() is pafmsm.cli._build_parser()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fresh = [subprocess.run([sys.executable, "-m", "pafmsm", *argv], capture_output=True,
+                            text=True, env=env, timeout=60) for argv in argvs]
+    assert in_process == [(done.returncode, done.stdout, done.stderr) for done in fresh]
+    assert [code for code, *_ in in_process] == [0, 0, 0, 0, 1, 0, 1, 0, 1, 0]
+
+
 def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"

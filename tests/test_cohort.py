@@ -902,6 +902,20 @@ def test_parse_memory_stays_within_one_chunk_of_cells():
     assert parse_peak(registry_text()) < 7e6
 
 
+def test_csv_writer_memory_stays_within_four_times_the_file():
+    # the chunks' text and their join (2x), the id offsets and one chunk's
+    # matrix: 3.0x; the per-row writer held lists of row strings, 7.3x
+    spec = HazardSpec.constant(0.05, 0.05, 0.02, 0.05, 0.03, tau=100, censor_rate=0.01)
+    cohort = simulate_cohort(spec, 100_000, seed=1)
+    tracemalloc.start()
+    try:
+        text = cohort_to_csv(cohort)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(text)
+
+
 def test_parse_memory_from_a_path_stays_within_one_window_of_cells(tmp_path):
     path = tmp_path / "cohort.csv"
     path.write_text(registry_text())
