@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._bytes import _csv_table
 from .cohort import (
     _MAX_GRID_POINTS,
     Cohort,
@@ -31,7 +32,7 @@ from .cohort import (
 )
 from .continuous import cif_counterfactual, cpf_unexposed, ht_cif
 from .cox import fit_cox_td, markov_test
-from .curves import StepCurve, _csv_rows
+from .curves import StepCurve
 from .discrete import empirical_weights, ipw_f01, naive_f01
 from .errors import DataError, NumericalError
 from .paf import ESTIMAND_ESTIMATORS, bootstrap_ci, estimate_paf
@@ -298,8 +299,8 @@ def _cmd_oracle(args) -> int:
     grid = np.arange(0.0, spec.tau + args.step / 2, args.step)
     oc = analytic_curves(spec, grid)
     curves = oc.as_dict()
-    rows = _csv_rows((oc.grid, *(c.values for c in curves.values())))
-    _emit("".join(["t," + ",".join(curves) + "\n", *rows]), args.out, "oracle.csv")
+    table = _csv_table(["t", *curves], [oc.grid, *(c.values for c in curves.values())])
+    _emit(table, args.out, "oracle.csv")
     return _EXIT_OK
 
 

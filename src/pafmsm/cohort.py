@@ -20,7 +20,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .curves import _CSV_CHUNK, _buffers, _csv_cells, _pack
+from ._bytes import _PAD, _Text, _csv_table, _id_words, _short_decimals, _text_cells, _words
 from .errors import DataError, ParseError
 
 __all__ = [
@@ -383,27 +383,17 @@ def parse_cohort(source, tie_policy: TiePolicy = TiePolicy.shift()) -> Cohort:
 
     ``source`` is a path (``os.PathLike``, or a ``str`` or ``bytes``
     without a line break), CSV text (a ``str`` or ``bytes`` with a "\\n"
-    or "\\r"), or a file object.  Input that does not decode as UTF-8
-    raises ParseError; a leading byte order mark is skipped.
+    or "\\r"), or a file object.  A ``str`` or ``bytes`` without a line
+    break that names no file, and input that does not decode as UTF-8,
+    raise ParseError; a leading byte order mark is skipped.
 
     The text is read once into one byte buffer (``_buffer``) and parsed
     from it in windows of about ``_PARSE_CHUNK`` bytes cut at line ends,
     so a parse holds the kept columns, the bytes of the file and the cell
     strings of one window, and the first faulty row in the file raises.
-    Text with a quote, a CR or a NUL is read by ``csv.reader`` in one pass.
-    In a plain window (see ``_split_rows``), the number cells that are
-    decimals (ASCII digits, at most one ".", at most ``_SHORT`` bytes: the
-    whole-day and the 12-digit times), the statuses and the ids are
-    converted from the UTF-8 bytes, bit for bit as ``float`` and the
-    ``str`` lookups would; any other number cell is read by ``float`` one
-    by one.  Only a column with a cell that ``float`` rejects, or with a
-    status that is not one of the three names, falls back to ``str``
-    cells, which give the same values and the same error messages.
-
-    Ids with no byte that ``str.strip`` may strip stay bytes: the cohort
-    builds its ``ids`` strings when they are first read, and if every id
-    has at most 16 bytes, one sort of a word per id (``_IdBytes``) tests
-    them for a repeat.  Other ids are strings from the start.
+    Text with a quote, a CR or a NUL is read by ``csv.reader`` in one pass;
+    a plain window is read from its UTF-8 bytes (``_split_rows``), with the
+    values and the error messages of ``str`` cells.
     """
     header, parts = _read_chunks(_buffer(source), tie_policy)
     return _joined(header, parts)
@@ -413,15 +403,17 @@ def _buffer(source) -> bytearray:
     """The UTF-8 bytes of ``source`` (see ``parse_cohort``) in one buffer,
     with ``_PAD`` NUL bytes in front and 8 behind.  A path is read straight
     into it; text is encoded (a lone surrogate as ``surrogatepass`` writes
-    it); bytes that are not UTF-8 raise ParseError.
+    it); bytes that are not UTF-8 and a text path to no file raise ParseError.
     """
-    what, is_str = "input", False
+    what, is_str, given = "input", False, source
     try:
         if isinstance(source, bytes) and not (b"\n" in source or b"\r" in source):
             source = source.decode("utf-8")  # a path
         if isinstance(source, os.PathLike) or isinstance(source, str) and not (
                 "\n" in source or "\r" in source):
             what = f"input file {os.fspath(source)}"
+            if not isinstance(source, os.PathLike) and not os.path.exists(source):
+                raise ParseError(f"{given!r} names no file, and CSV text needs a line break")
             with open(source, "rb") as fh:
                 buf = bytearray(_PAD + os.fstat(fh.fileno()).st_size + 8)
                 with memoryview(buf) as view:
@@ -491,11 +483,7 @@ def _split_rows(raw, start, stop, header):
     on every line as on the header: there ``csv.reader`` returns the same
     cells.  One scan of the UTF-8 bytes decides it: "," and "\\n" are
     single bytes that no longer character contains.  The same scan gives
-    every cell's first byte and length, so the cells stay bytes: decimal
-    number cells, statuses and ids are converted from them, with the bits
-    of ``float`` (m / 10**k, both exact doubles, one correctly rounded
-    division) and the strings of the ``str`` path; the rows are split into
-    ``str`` cells only for a column that needs the ``str`` path.
+    every cell's first byte and length (``_ByteCells``).
     """
     width = len(header)
     window = raw[start - 1:stop]  # from the "\n" before the first row
@@ -678,125 +666,6 @@ class _IdBytes:
         return cls(np.concatenate([part.gathered for part in parts]),
                    np.concatenate([part.length for part in parts]),
                    None if any(w is None for w in words) else np.concatenate(words))
-
-
-_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd, so times it is one to one on 64-bit words
-
-
-def _id_words(raw, stops, length):
-    """One word per id of at most ``_SHORT`` bytes, none of them below "!",
-    that end at ``stops`` in ``raw``: the 8 bytes that end with it, as
-    ``_short_decimals`` reads them (``lo``, with the bytes of earlier cells
-    set to 0), xor the 8 before them (``hi``) times ``_MIX``.  Ids of at
-    most 8 bytes have the same word only if they are the same; longer ids
-    may share a word.  None if an id is longer than ``_SHORT`` bytes."""
-    longest = length.max(initial=0)
-    if longest > _SHORT:
-        return None
-    words = _words(raw)
-    key = words[stops - 8] & _LO_KEEP.take(length, mode="clip")
-    if longest > 8:
-        key ^= (words[stops - 16] & _HI_KEEP[length]) * _MIX
-    return key
-
-
-_SHORT = 16  # bytes of the longest cell that _short_decimals reads, in two words
-_PAD = 16  # NUL bytes in front of the text: no cell's two words start before it
-_POW10 = np.array([float(10 ** k) for k in range(_SHORT)])  # exact: below 2**53
-_EXACT = np.uint64(1 << 53)  # every integer m up to it is an exact double
-# _LO_KEEP[n], _HI_KEEP[n]: 0xff in the bytes of a cell of n bytes in the
-# word that ends with it and in the word before that
-_LO_KEEP = np.array([((1 << 8 * n) - 1) << 64 - 8 * n for n in range(9)], np.uint64)
-_HI_KEEP = np.r_[np.zeros(8, np.uint64), _LO_KEEP]
-# a word times _BYTE_SUM, shifted right by 56, is the sum of its bytes (if
-# below 256); times _BYTES_AFTER, the sum of each byte times the number of
-# bytes after it; times _BYTES_AFTER_HI, that number plus the 8 bytes of
-# the next word
-_BYTE_SUM, _BYTES_AFTER = np.uint64(0x0101010101010101), np.uint64(0x0706050403020100)
-_BYTES_AFTER_HI = np.uint64(0x0F0E0D0C0B0A0908)
-
-
-def _words(raw):
-    """The 8 bytes of ``raw`` from each offset as one little-endian word (a view)."""
-    return np.ndarray((raw.size - 7,), "<u8", raw, strides=(1,))
-
-
-def _byte_sums(words, weights=_BYTE_SUM):
-    """The (weighted) sum of the bytes of each word, each byte 0 or 1."""
-    return (words * weights) >> np.uint64(56)
-
-
-def _decimal_value(words):
-    """The integer each word spells with one decimal digit (0..9) per byte,
-    the first byte most significant: three multiply-and-shift steps join
-    digits in pairs, fours and eights (Lemire's eight-digit parse)."""
-    words = (words * np.uint64(10 << 8 | 1)) >> np.uint64(8)
-    words = ((words & np.uint64(0x00FF00FF00FF00FF)) * np.uint64(100 << 16 | 1)) >> np.uint64(16)
-    return ((words & np.uint64(0x0000FFFF0000FFFF)) * np.uint64(10000 << 32 | 1)) >> np.uint64(32)
-
-
-def _digit_words(raw, at, keep):
-    """For each word of ``raw`` at ``at``, and-ed with ``keep``: its digits
-    (0 in every other byte), a 1 in each "." byte, and a 1 in each digit
-    or "." byte."""
-    words = _words(raw)[at]
-    words &= keep
-    cells = words.view(np.uint8).reshape(-1, 8)
-    dot = (cells == ord(".")).view("<u8").ravel()
-    cells -= np.uint8(ord("0"))
-    is_digit = cells < 10
-    cells *= is_digit
-    return words, dot, is_digit.view("<u8").ravel() | dot
-
-
-def _without_dot(words, before):
-    """Move the bytes ``before`` (0xff in each) of ``words`` one byte on, in
-    place, onto a dot's 0; returns them as they were."""
-    moved = words & before
-    words ^= moved
-    words |= moved << np.uint64(8)
-    return moved
-
-
-def _short_decimals(raw, starts, length):
-    """The floats of the cells of ``raw`` at ``starts`` (NaN where blank),
-    and whether each is blank or ASCII digits with at most one "." and at
-    most ``_SHORT`` bytes that spell an integer m <= 2**53.
-
-    A cell is read as the 8 bytes that end with it (``lo``) and, if a cell
-    of the column is longer than 8 bytes, the 8 before them (``hi``); the
-    bytes of earlier cells are set to 0, and ``_PAD`` NUL bytes in front
-    of the text keep both reads inside ``raw``.  The digits before the dot
-    move one byte on, onto the dot (the last digit of ``hi`` to the front
-    of ``lo`` when the dot is in ``lo``), and make m; the bytes after the
-    dot give a power 10**k.  Both are exact doubles, so m / 10**k, one
-    correctly rounded division, has the bits of ``float(cell)``, which is
-    correctly rounded too (Clinger 1990).  Every cell of at most 15
-    digits has m < 2**53.
-    """
-    stops = starts + length
-    lo, dot, used = _digit_words(raw, stops - 8, _LO_KEEP.take(length, mode="clip"))
-    two = length.max(initial=0) > 8
-    if two:  # both words in one byte sum: no byte or sum reaches 256
-        hi, hi_dot, hi_used = _digit_words(raw, stops - 16, _HI_KEEP.take(length, mode="clip"))
-        n_dot, count = _byte_sums(dot + hi_dot), _byte_sums(used + hi_used)
-        k = (dot * _BYTES_AFTER + hi_dot * _BYTES_AFTER_HI) >> np.uint64(56)
-        # the bytes of hi before the dot, all of them (0 - 1) if the dot is
-        # in lo; then the last digit of hi moves to the front of lo
-        last = _without_dot(hi, hi_dot - n_dot) >> np.uint64(56)
-        _without_dot(lo, dot - (dot > 0))
-        m = _decimal_value(lo)
-        m += _decimal_value(hi) * np.uint64(10 ** 8) + last * np.uint64(10 ** 7)
-    else:
-        n_dot, count, k = _byte_sums(dot), _byte_sums(used), _byte_sums(dot, _BYTES_AFTER)
-        _without_dot(lo, dot - n_dot)  # 0xff in the bytes before the dot
-        m = _decimal_value(lo)
-    ok = (count == length) & (n_dot <= 1) & ((n_dot < count) | (length == 0))
-    if two:
-        ok &= m <= _EXACT
-    values = m / _POW10.take(k, mode="clip")
-    values[length == 0] = math.nan
-    return values, ok
 
 
 def _header(reader):
@@ -1063,81 +932,18 @@ def discretize(cohort: Cohort, allow_drop: bool = False) -> DailyPanel:
                       n_days=m, covariates=kept.covariates, dropped=dropped)
 
 
-_STATUS_CELLS = _pack([b"," + _STATUS_NAME[code].encode() for code in range(3)], 12).view(np.uint32)
-_UNPAD = bytes.maketrans(b"\xfe", b"\0")  # a text cell's NUL byte, as 0xFE: never in UTF-8
-_FIRST_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)  # the first k bytes of a word
-
-
 def cohort_to_csv(cohort: Cohort) -> str:
-    """Serialize a cohort in the same CSV format parse_cohort reads.
-
-    Each chunk of ``_CSV_CHUNK`` rows is a matrix of 4-byte words, a row per
-    subject, whose NUL padding one ``bytes.translate`` deletes: the id cell
-    ("\\n" and the id's UTF-8 bytes; from the bytes a cohort still holds),
-    the time cells of ``curves._csv_cells``, the status cell, and the
-    covariate cells (``f"{v}"``, once per distinct float).  A chunk whose
-    text cells would pad to over 1 MB is halved until they do not.
-    """
+    """Serialize a cohort in the same CSV format parse_cohort reads: ids
+    from the bytes a cohort still holds, times, status names and covariate
+    cells (``f"{v}"``, once per distinct float), as one ``_csv_table``."""
     ids = cohort.__dict__.get("_id_bytes")
-    texts = [_text_cells(map(str, cohort.ids), "\n") if ids is None else
-             _cells(b"\n" + ids.tobytes().replace(b",", b"\n"), _IdBytes(ids).length)]
+    columns = [_text_cells(map(str, cohort.ids)) if ids is None else
+               _Text(b"," + ids.tobytes(), _IdBytes(ids).length),
+               cohort.inf, cohort.end, _text_cells(map(_STATUS_NAME.get, range(3)), cohort.status)]
     for column in cohort.covariates.values():
         if column.dtype == object:
-            texts.append(_text_cells(("" if v is _ABSENT else f"{v}" for v in column.tolist()), ","))
+            columns.append(_text_cells("" if v is _ABSENT else f"{v}" for v in column.tolist()))
         else:  # the text of each distinct value, by its bits
             values, inverse = np.unique(column.view(np.int64), return_inverse=True)
-            data, starts, length = _text_cells((f"{v}" for v in values.view(float).tolist()), ",")
-            texts.append((data, starts[inverse], length[inverse]))
-    out = [",".join(_quoted(["id", "inf_time", "end_time", "end_status", *cohort.covariate_names()]))]
-    buffers = _buffers(2 * _CSV_CHUNK)
-    spans = [(a, min(a + _CSV_CHUNK, len(cohort))) for a in range(0, len(cohort), _CSV_CHUNK)][::-1]
-    while spans:
-        a, b = spans.pop()
-        if b - a > 1 and (b - a) * sum(int(length[a:b].max()) for *_, length in texts) > 1 << 20:
-            spans += [((a + b) // 2, b), (a, (a + b) // 2)]
-            continue
-        ids, *covariates = [_padded(data, starts[a:b], length[a:b]) for data, starts, length in texts]
-        times = np.column_stack((cohort.inf[a:b], cohort.end[a:b])).ravel()
-        times = _csv_cells(times, 0, 2, False, buffers)  # each after a ",", NaN blank
-        matrix = np.concatenate([ids, times.T.reshape(b - a, 12),
-                                 _STATUS_CELLS[cohort.status[a:b]], *covariates], axis=1)
-        out.append(matrix.tobytes().translate(_UNPAD, b"\0").decode("utf-8", "surrogatepass"))
-    out.append("\n")
-    return "".join(out)
-
-
-def _padded(data, starts, length):
-    """(rows x words) uint32: the cells of ``_cells`` at ``starts``, each
-    with the separator before it, NUL-padded to the longest; as 8-byte words."""
-    at = np.arange(0, int(length.max(initial=0)) + 1, 8)
-    cells = _words(data)[np.minimum(starts[:, None] - 1 + at, data.size - 8)]  # past the end: masked
-    cells &= _FIRST_BYTES.take(length[:, None] + 1 - at, mode="clip")
-    return cells.view(np.uint32)
-
-
-def _cells(data, length):
-    """Cells of ``length`` bytes in ``data``, each after a separator byte,
-    as the bytes with 8 NUL bytes after them, and each cell's first byte and length."""
-    return np.frombuffer(data + bytes(8), np.uint8), np.cumsum(length + 1) - length, length
-
-
-def _text_cells(cells, sep):
-    """``_cells`` of text cells as ``csv`` writes them (``_quoted``), each
-    after ``sep``, in UTF-8 with a NUL byte as 0xFE."""
-    cells = _quoted(cells)
-    text = sep + sep.join(cells)
-    data = text.encode("utf-8", "surrogatepass")
-    lengths = map(len, cells) if len(data) == len(text) else (  # else a character of several bytes
-        len(cell.encode("utf-8", "surrogatepass")) for cell in cells)
-    return _cells(data.replace(b"\0", b"\xfe"), np.fromiter(lengths, np.intp, len(cells)))
-
-
-def _quoted(cells):
-    """Text cells as ``csv`` writes them: a cell holding a comma, a quote or
-    a line break is quoted, with its quotes doubled; others are as given."""
-    cells = list(cells)
-    joined = "".join(cells)
-    if not any(s in joined for s in ',"\r\n'):
-        return cells
-    return ['"' + c.replace('"', '""') + '"' if any(s in c for s in ',"\r\n') else c
-            for c in cells]
+            columns.append(_text_cells((f"{v}" for v in values.view(float).tolist()), inverse))
+    return _csv_table([*_REQUIRED, *cohort.covariate_names()], columns)

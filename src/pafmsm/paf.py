@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._bytes import _csv_table
 from .cohort import (
     STATUS_DEATH,
     Cohort,
@@ -24,7 +25,7 @@ from .cohort import (
 )
 from . import continuous
 from .continuous import overall_death_risk
-from .curves import StepCurve, _csv_rows, union_grid
+from .curves import StepCurve, union_grid
 from .discrete import (
     _buffers,
     _daily_hazard,
@@ -221,8 +222,8 @@ class CurveWithBands:
         defined = np.isfinite(columns[1]) & np.isfinite(columns[2])
         # a non-finite cell is written blank, as NaN
         cells = [np.where(np.isfinite(c), c, np.nan) for c in columns]
-        return "".join(["t,estimate,lower,upper,defined\n",
-                        *_csv_rows((grid, *cells, defined.astype(float)))])
+        return _csv_table(["t", "estimate", "lower", "upper", "defined"],
+                          [grid, *cells, defined.astype(float)])
 
 
 # Multistate replicates are computed in blocks whose exit tables, and whose

@@ -30,9 +30,9 @@ from pafmsm import (
     summarize,
     to_transitions,
 )
+from pafmsm._bytes import _CSV_CHUNK, _short_decimals
 from pafmsm.cohort import (_ABSENT, TransitionRow, _buffer, _ByteCells, _Cells, _row_chunks,
-                           _short_decimals, _text_column)
-from pafmsm.curves import _CSV_CHUNK
+                           _text_column)
 
 from test_discrete import assert_same, reference_indicators
 
@@ -402,6 +402,19 @@ def test_horizon_must_cover_the_data():
 def test_a_source_of_another_type_is_a_type_error():
     with pytest.raises(TypeError, match="source must be a path, text, bytes, or file object"):
         parse_cohort(42)
+
+
+@pytest.mark.parametrize("source", ["id,inf_time,end_time,end_status", b"id,inf_time,end_time,end_status",
+                                    "no such file.csv", "a\0b"])
+def test_text_or_bytes_without_a_line_break_that_names_no_file_is_a_parse_error(tmp_path, source):
+    with pytest.raises(ParseError) as info:
+        parse_cohort(source)
+    assert str(info.value) == f"{source!r} names no file, and CSV text needs a line break"
+    assert info.value.row is None
+    with pytest.raises(FileNotFoundError):  # a path object keeps its OSError
+        parse_cohort(tmp_path / "no such file.csv")
+    with pytest.raises(IsADirectoryError):  # as does a str that names a directory
+        parse_cohort(str(tmp_path))
 
 
 def test_subject_validation():

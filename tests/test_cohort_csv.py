@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import pafmsm._bytes
 import pafmsm.cohort
 from pafmsm import Cohort, DataError, HazardSpec, cohort_to_csv, icu_like_spec, parse_cohort
-from pafmsm import simulate_cohort
+from pafmsm import estimate_paf, simulate_cohort
+from pafmsm._bytes import _CSV_CHUNK
+from pafmsm.cli import run
 from pafmsm.cohort import _ABSENT, _IdBytes
-from pafmsm.curves import _CSV_CHUNK, _csv_rows
 
 REGISTRY = HazardSpec.constant(0.05, 0.05, 0.02, 0.05, 0.03, tau=100.0, censor_rate=0.01)
 STATUS_NAMES = ("censored", "death", "discharge")
@@ -31,9 +33,10 @@ def reference_quoted(cells):
 
 
 def reference_cohort_csv(cohort):
-    """The per-row writer: the time columns as lines of ``_csv_rows``, then
-    one ``",".join`` per row and one ``"\\n".join`` of the rows."""
-    times = "".join(_csv_rows((cohort.inf, cohort.end), first_as_is=False)).splitlines()
+    """The per-row writer: each time as ``format(t, ".12g")`` (NaN blank),
+    then one ``",".join`` per row and one ``"\\n".join`` of the rows."""
+    times = [",".join("" if t != t else format(t, ".12g") for t in row)
+             for row in zip(cohort.inf.tolist(), cohort.end.tolist())]
     columns = [reference_quoted(map(str, cohort.ids)), times,
                [STATUS_NAMES[s] for s in cohort.status.tolist()]]
     for column in cohort.covariates.values():
@@ -117,9 +120,10 @@ def test_a_chunk_of_long_text_is_halved_and_written_the_same():
     ids[5], ids[_CSV_CHUNK] = "y" * 2_000_000, "é\0" * 20 + "z"
     end = np.arange(1.0, n + 1)
     cohort = Cohort.from_columns(ids, np.full(n, np.nan), end, np.ones(n, int), {"note": ids[::-1]})
-    with mock.patch.object(pafmsm.cohort, "_padded", wraps=pafmsm.cohort._padded) as padded:
+    with mock.patch.object(pafmsm._bytes, "_padded", wraps=pafmsm._bytes._padded) as padded:
         assert cohort_to_csv(cohort) == reference_cohort_csv(cohort)
-    rows = [call.args[1].size for call in padded.call_args_list[::2]]
+    # the status names are padded once; then each chunk pads its ids and notes
+    rows = [call.args[1].size for call in padded.call_args_list[1::2]]
     assert sum(rows) == n and max(rows) < _CSV_CHUNK and min(rows) == 1
     long_ids = Cohort.from_columns(id_bytes([f"{k:0300d}" for k in range(n)]), np.full(n, np.nan),
                                    end, np.ones(n, int))
@@ -169,6 +173,26 @@ def test_simulated_ids_are_the_row_numbers(n):
 def test_simulated_cohort_csv_keeps_its_pinned_bytes(spec, seed, digest):
     text = cohort_to_csv(simulate_cohort(spec, 10**5, seed))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 of StepCurve.to_csv of estimate_paf(simulate_cohort(REGISTRY, 10**5, 1), estimand),
+# and of the oracle table, as written before _csv_table replaced the two writers
+@pytest.mark.parametrize("estimand, digest", [
+    ("paf_o", "4469d6ccc066bb8bb5bf8b2838f212d560547b5a1a1cc9b227c8eea0d876459a"),
+    ("paf_c", "1da68fab1de4ff9a064d6860084ae8642818460dcbfe6c2a72fad25fba6fdd56"),
+])
+def test_curve_csv_keeps_its_pinned_bytes(estimand, digest):
+    text = estimate_paf(simulate_cohort(REGISTRY, 10**5, 1), estimand).to_csv()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_oracle_csv_keeps_its_pinned_bytes(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(icu_like_spec().to_json())
+    assert run(["oracle", "--spec", str(spec), "--step", "0.01", "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "oracle.csv").read_bytes()
+    assert hashlib.sha256(text).hexdigest() == (
+        "a50d51767f2b11574ea9d0fd5260ac1f9bfbd585b1d3435068996f2bef42f5f9")
 
 
 def test_a_subset_by_mask_keeps_id_bytes_and_tests_no_repeat():

@@ -1,10 +1,13 @@
+import csv
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pafmsm import StepCurve, union_grid
-from pafmsm.curves import _CSV_CHUNK, _csv_rows
+from pafmsm._bytes import _CSV_CHUNK, _csv_table, _text_cells
 
 
 def reference_to_csv(curve):
@@ -43,6 +46,8 @@ def test_non_increasing_times_rejected():
         StepCurve(np.array([1.0, 1.0]), np.array([0.1, 0.2]))
     with pytest.raises(ValueError):  # NaN fails every comparison
         StepCurve(np.array([1.0, np.nan, 3.0]), np.array([0.1, 0.2, 0.3]))
+    with pytest.raises(ValueError):  # a lone NaN time too
+        StepCurve(np.array([np.nan]), np.array([0.1]))
 
 
 def test_union_grid_merges_and_sorts():
@@ -70,19 +75,16 @@ def test_csv_writes_nan_blank_and_signed_zero():
 
 
 def test_csv_rows_blank_nan_cells_past_the_first_column_or_in_all():
-    columns = (np.array([np.nan, 1.0, -0.0]), np.array([np.nan, np.inf, 2.5]))
-    assert "".join(_csv_rows(columns)) == "nan,\n1,inf\n-0,2.5\n"
-    assert "".join(_csv_rows(columns, first_as_is=False)) == ",\n1,inf\n-0,2.5\n"
-    assert StepCurve(np.array([np.nan]), np.array([np.nan])).to_csv() == "t,value\nnan,\n"
+    columns = [np.array([np.nan, 1.0, -0.0]), np.array([np.nan, np.inf, 2.5])]
+    assert _csv_table(["a", "b"], columns) == "a,b\n,\n1,inf\n-0,2.5\n"
+    assert _csv_table(["a"], [np.array([np.nan, -np.nan])]) == "a\n\n\n"
 
 
-def reference_rows(columns, first_as_is=True):
-    """``_csv_rows`` cell by cell: ``format(v, ".12g")``, a NaN blank except
-    in a first column kept ``first_as_is``."""
-    def cell(v, first):
-        return "" if v != v and not (first and first_as_is) else format(v, ".12g")
-    return "".join(",".join(cell(v, j == 0) for j, v in enumerate(row)) + "\n"
-                   for row in zip(*(c.tolist() for c in columns)))
+def reference_rows(columns):
+    """The rows of ``_csv_table`` cell by cell: ``format(v, ".12g")``, a NaN blank."""
+    def cell(v):
+        return "" if v != v else format(v, ".12g")
+    return "".join(",".join(map(cell, row)) + "\n" for row in zip(*(c.tolist() for c in columns)))
 
 
 def powers_of_ten():
@@ -123,6 +125,54 @@ def random_bits():
 def test_csv_rows_write_each_cell_as_format_12g_does(values):
     x = values()
     for columns in [(x, x[::-1]), (x[::-1], -x, x)]:
-        for first_as_is in (True, False):
-            assert "".join(_csv_rows(columns, first_as_is)) == reference_rows(columns, first_as_is)
+        header = [f"c{j}" for j in range(len(columns))]
+        assert _csv_table(header, columns) == ",".join(header) + "\n" + reference_rows(columns)
 
+
+
+FLOATS = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308,
+          0.5, 2.5, 123456789012.5, 999999999999.5, 9.9999999999995e-05, 1 / 3, 0.1, 1e-4, 1e12]
+TEXTS = [",", '"', "\r", "\n", "\r\n", "\0", "a\0b", "é", "€", "\U0001f600", "\ud800", "a,b",
+         'say "hi"', "", " ", "nan", "plain"]
+
+
+def csv_line(cells):
+    """One row as ``csv`` writes it, a cell with a comma, a quote, a CR or
+    a LF quoted, ended by a "\\n"."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\r\n").writerow(cells)
+    return out.getvalue()[:-2] + "\n"
+
+
+@st.composite
+def tables(draw):
+    """A header and 2 to 4 columns of 0 to 4097 rows, each of floats, text
+    cells one per row, or distinct text cells and a code per row; with the
+    cells each column must write."""
+    n = draw(st.sampled_from([0, 1, 2, _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["float", "text", "coded"]), min_size=2, max_size=4))
+    text = st.sampled_from(TEXTS) | st.text(max_size=6)
+    header = draw(st.lists(text, min_size=len(kinds), max_size=len(kinds)))
+    columns, cells = [], []
+    for kind in kinds:
+        if kind == "float":
+            v = np.where(rng.random(n) < 0.5, rng.choice(FLOATS, n),
+                         rng.normal(size=n) * 10.0 ** rng.integers(-320, 308, n))
+            columns.append(v)
+            cells.append(["" if x != x else format(x, ".12g") for x in v.tolist()])
+            continue
+        pool = draw(st.lists(text, min_size=1, max_size=6))
+        if draw(st.booleans()):  # pads a chunk of 4096 rows past 1 MB, so it is halved
+            pool.append("y" * 300)
+        code = rng.integers(len(pool), size=n)
+        cells.append([pool[k] for k in code.tolist()])
+        columns.append(_text_cells(cells[-1]) if kind == "text" else _text_cells(pool, code))
+    return header, columns, cells
+
+
+@settings(max_examples=40, deadline=None)
+@given(tables())
+def test_csv_table_is_csv_quoting_and_format_12g(table):
+    header, columns, cells = table
+    assert _csv_table(header, columns) == "".join(map(csv_line, [header, *zip(*cells)]))

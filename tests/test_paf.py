@@ -29,7 +29,8 @@ from pafmsm import (
 )
 from pafmsm import discrete
 from pafmsm import paf as paf_module
-from pafmsm.curves import _CSV_CHUNK, StepCurve
+from pafmsm._bytes import _CSV_CHUNK
+from pafmsm.curves import StepCurve
 from pafmsm.simulate import icu_like_spec
 
 from conftest import integer_cohort
