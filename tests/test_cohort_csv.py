@@ -1,5 +1,5 @@
-"""``cohort_to_csv`` against the per-row writer it replaced, and the ids of
-simulated and subset cohorts."""
+"""``cohort_to_csv`` against the per-row writer it replaced, the ids of
+simulated and subset cohorts, and the pinned bytes of written tables."""
 
 import hashlib
 import math

@@ -129,7 +129,6 @@ def test_csv_rows_write_each_cell_as_format_12g_does(values):
         assert _csv_table(header, columns) == ",".join(header) + "\n" + reference_rows(columns)
 
 
-
 FLOATS = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308,
           0.5, 2.5, 123456789012.5, 999999999999.5, 9.9999999999995e-05, 1 / 3, 0.1, 1e-4, 1e12]
 TEXTS = [",", '"', "\r", "\n", "\r\n", "\0", "a\0b", "é", "€", "\U0001f600", "\ud800", "a,b",
@@ -163,7 +162,7 @@ def tables(draw):
             cells.append(["" if x != x else format(x, ".12g") for x in v.tolist()])
             continue
         pool = draw(st.lists(text, min_size=1, max_size=6))
-        if draw(st.booleans()):  # pads a chunk of 4096 rows past 1 MB, so it is halved
+        if draw(st.booleans()):  # one a row pads a chunk of 4096 rows past 1 MB: halved
             pool.append("y" * 300)
         code = rng.integers(len(pool), size=n)
         cells.append([pool[k] for k in code.tolist()])
