@@ -607,8 +607,9 @@ class _ByteCells(_Cells):
             first = np.uint64(int.from_bytes(name[:8], "little"))
             mask = np.uint64((1 << 8 * len(name[:8])) - 1)
             hit = (length == len(name)) & ((head & mask) == first)
-            for i in range(8, len(name)):  # the ninth byte of "discharge"
-                hit &= self.raw[starts + i] == name[i]
+            for i in range(8, len(name)):  # the ninth byte of "discharge", read
+                # only in cells that long: the buffer pads 8 bytes past the last
+                hit[hit] = self.raw[starts[hit] + i] == name[i]
             status[hit] = code
         return status if (status >= 0).all() else super().statuses(j)
 

@@ -7,6 +7,7 @@ bands and stratified output.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -226,9 +227,9 @@ class CurveWithBands:
                           [grid, *cells, defined.astype(float)])
 
 
-# Multistate replicates are computed in blocks whose exit tables, and whose
-# (replicate x subject) count matrix, hold at most this many cells, so that
-# memory grows with n + B * len(grid) and not with B * n.
+# Multistate and naive replicates are computed in blocks whose exit tables or
+# day counts, and whose (replicate x subject) count matrix, hold at most this
+# many cells, so that memory grows with n + B * len(grid) and not with B * n.
 _BLOCK_CELLS = 1 << 15
 
 
@@ -238,8 +239,8 @@ def _on_grid(ut, rows, grid):
     return np.where(cols < 0, 0.0, rows[:, np.maximum(cols, 0)])
 
 
-def _multistate_replicates(cohort, estimand, streams, grid):
-    """PAF of every replicate on ``grid``, one row per stream.
+def _multistate_replicates(cohort, estimand, words, grid):
+    """PAF of every replicate on ``grid``, one row per row of ``words``.
 
     A replicate is the vector of how often each subject was drawn; each
     curve's exit table weighted by those counts gives exactly the curves
@@ -249,20 +250,48 @@ def _multistate_replicates(cohort, estimand, streams, grid):
     names = ("overall_death_risk", _SUBTRACTED[estimand])
     tables = [continuous._exit_table(cohort, continuous._REDUCTIONS[name][0]) for name in names]
     block = max(1, _BLOCK_CELLS // max(4 * max(times.size for times, _ in tables), n))
-    est = np.empty((len(streams), grid.size))
-    for first in range(0, len(streams), block):
-        part = streams[first:first + block]
-        counts = _draw_counts(part, n)
+    est = np.empty((len(words), grid.size))
+    for first in range(0, len(words), block):
+        counts = _draw_counts(words[first:first + block], n)
         pd, q = (_on_grid(times, continuous._reduction(table(counts), name)[0], grid)
                  for name, (times, table) in zip(names, tables))
-        est[first:first + len(part)] = _paf_values(pd, q)
+        est[first:first + len(counts)] = _paf_values(pd, q)
     return est
 
 
-def _ipw_replicates(panel, streams, grid):
+def _naive_replicates(panel, words, grid):
+    """PAF_o by the naive estimator of every replicate on ``grid``, one row
+    per row of ``words``.
+
+    Both of its curves are ratios of day counts: deaths, exposures and
+    deaths without exposure on or before each day.  A block of replicates
+    counts them with one ``bincount`` each, weighted by the draw counts; the
+    sums are whole numbers, so the ratios are bit for bit those of the
+    resampled panels.
+    """
+    n, m = panel.n_subjects, panel.n_days
+    death_day = _death_days(panel)
+    days_of = (death_day, panel.exposure_day, np.where(panel.exposure_day > m, death_day, m + 1))
+    block = max(1, _BLOCK_CELLS // max(m + 2, n))
+    days = np.arange(1.0, m + 1.0)
+    est = np.empty((len(words), grid.size))
+    for first in range(0, len(words), block):
+        counts = _draw_counts(words[first:first + block], n)
+        cells = (np.arange(len(counts)) * (m + 2))[:, None]
+        deaths, exposed, unexposed_deaths = (
+            np.cumsum(np.bincount((cells + d).ravel(), weights=counts.ravel(),
+                                  minlength=cells.size * (m + 2)).reshape(-1, m + 2), axis=1)[:, 1:-1]
+            for d in days_of)
+        q = _ratio_values(unexposed_deaths, n - exposed)[0]
+        est[first:first + len(counts)] = _paf_values(_on_grid(days, deaths / n, grid),
+                                                     _on_grid(days, q, grid))
+    return est
+
+
+def _ipw_replicates(panel, words, grid):
     """PAF_c by IPW with empirical weights of every replicate on ``grid``,
-    one row per stream, and how many replicates have unbounded weights
-    (their rows stay NaN).
+    one row per row of ``words``, and how many replicates have unbounded
+    weights (their rows stay NaN).
 
     A replicate's panel is the drawn subjects in draw order.  They keep
     their weight patterns, so a replicate brings only a new daily hazard,
@@ -275,10 +304,9 @@ def _ipw_replicates(panel, streams, grid):
     patterns = empirical_weights(panel)._patterns(death_day)
     buffers = _buffers(patterns.step, m)
     days = np.arange(1.0, m + 1.0)
-    est = np.full((len(streams), grid.size), np.nan)
+    est = np.full((len(words), grid.size), np.nan)
     failed = 0
-    for row, stream in zip(est, streams):
-        idx = np.random.default_rng(stream).integers(0, n, size=n)
+    for row, idx in zip(est, _draws(words, n)):
         hazard = _daily_hazard(exposure[idx], terminal[idx], m)[0]
         try:
             total, died = _ipw_sums(patterns.blocks(np.subtract(1.0, hazard)[None, :], idx), *buffers)
@@ -294,13 +322,91 @@ def _ipw_replicates(panel, streams, grid):
     return est, failed
 
 
-def _draw_counts(streams, n):
-    """(k x n) matrix of how often the replicate of each stream drew each
-    subject, as floats: the weights of the exit tables, one ``bincount`` per
-    stream written into one preallocated matrix."""
-    out = np.empty((len(streams), n))
-    for row, stream in zip(out, streams):
-        row[:] = np.bincount(np.random.default_rng(stream).integers(0, n, size=n), minlength=n)
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _entropy_words(entropy) -> int:
+    """How many uint32 words ``SeedSequence`` reads from ``entropy``: an
+    integer's 32-bit words (at least one), a sequence its items' words."""
+    if isinstance(entropy, str):  # as numpy reads a seed string
+        entropy = int(entropy, 16) if entropy.startswith("0x") else int(entropy)
+    if isinstance(entropy, (int, np.integer)):
+        return max(1, -(-int(entropy).bit_length() // 32))
+    return sum(_entropy_words(item) for item in entropy)
+
+
+def _child_words(seed, B) -> np.ndarray:
+    """``[s.generate_state(4, np.uint64) for s in SeedSequence(seed).spawn(B)]``
+    as one (B x 4) uint64 array, from the parent's pool in one pass.
+
+    Child r reads the parent's entropy, padded to L >= 4 words, then its
+    spawn key r.  So its pool is the parent's with r mixed into each word d:
+    mix(pool[d], hashmix(r)), the hash constant advanced past the 16 + 4 (L - 4)
+    hashes of the parent's entropy.  Its 4 state words hash that pool with
+    the INIT_B/MULT_B constants.  ``SeedSequence(seed)`` checks the seed.
+    """
+    parent = np.random.SeedSequence(seed)
+    steps = 16 + 4 * (max(4, _entropy_words(parent.entropy)) - 4)
+    const = _INIT_A * pow(_MULT_A, steps, 1 << 32) & _MASK32
+    key = np.arange(B, dtype=np.uint32)
+    pool = np.empty((B, 4), dtype=np.uint32)
+    for d, word in enumerate(parent.pool.tolist()):
+        value, const = _hashed(key, const, _MULT_A)
+        pool[:, d] = _shifted(np.uint32(_MIX_L * word & _MASK32) - np.uint32(_MIX_R) * value)
+    state = np.empty((B, 8), dtype=np.uint32)
+    const = _INIT_B
+    for i in range(8):
+        state[:, i], const = _hashed(pool[:, i % 4], const, _MULT_B)
+    return state.view(np.uint64)
+
+
+def _hashed(value, const, mult):
+    """SeedSequence's hash of the uint32 array ``value`` with the constant
+    ``const``, and the constant after it."""
+    after = const * mult & _MASK32
+    return _shifted((value ^ np.uint32(const)) * np.uint32(after)), after
+
+
+def _shifted(value):
+    """``value ^ (value >> 16)``, the last step of each SeedSequence hash."""
+    return value ^ (value >> np.uint32(16))
+
+
+@functools.cache
+def _row_seed():
+    """The ``ISeedSequence`` class whose state is a given row of words.
+    Built on first use, so that importing the package does not import
+    ``numpy.random``."""
+
+    class RowSeed(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 asks for its 4 uint64 words
+
+    return RowSeed
+
+
+def _draws(words, n):
+    """Per row of ``words`` (see ``_child_words``), the subjects its
+    replicate draws: the ``default_rng(child).integers(0, n, size=n)`` of
+    the child whose state the row is."""
+    seed, bits, generator = _row_seed(), np.random.PCG64, np.random.Generator
+    for row in words:
+        yield generator(bits(seed(row))).integers(0, n, size=n)
+
+
+def _draw_counts(words, n):
+    """(k x n) matrix of how often the replicate of each row of ``words``
+    drew each subject, as floats: the weights of the exit tables, one
+    ``bincount`` per replicate written into one preallocated matrix."""
+    out = np.empty((len(words), n))
+    for row, idx in zip(out, _draws(words, n)):
+        row[:] = np.bincount(idx, minlength=n)
     return out
 
 
@@ -333,10 +439,12 @@ def bootstrap_ci(
 
     Replicate r resamples the subjects with
     ``default_rng(SeedSequence(seed).spawn(B)[r]).integers(0, n, size=n)``,
-    so results are reproducible and independent of execution order.
-    Multistate replicates are evaluated together as count weights, and
-    IPW replicates without covariates from the weight patterns of the
-    original panel; the naive estimator and IPW with covariates refit each
+    so results are reproducible and independent of execution order.  The
+    B children's states are derived from the parent's pool in one pass
+    (``SeedSequence(seed)`` still checks the seed), with the same draws.
+    Multistate and naive replicates are evaluated in blocks from their
+    draw counts, and IPW replicates without covariates from the weight
+    patterns of the original panel; IPW with covariates refits each
     resampled panel, the pooled logistic model on its covariate patterns.
     Grid points where more than half the replicates are undefined get no
     band.  A ``B`` below 2 or a ``grid`` that is not 1-d and strictly
@@ -353,23 +461,21 @@ def bootstrap_ci(
     data = _inputs(cohort, estimator, allow_drop)
     point = _paf_from(estimand, estimator, covariates, data)
 
-    streams = np.random.SeedSequence(seed).spawn(B)
+    words = _child_words(seed, B)
     failed = 0
     if estimator == "multistate":
-        est = _multistate_replicates(data, estimand, streams, grid)
-    elif estimator == "ipw" and not covariates:
-        est, failed = _ipw_replicates(data, streams, grid)
-    else:
-        n = data.n_subjects
+        est = _multistate_replicates(data, estimand, words, grid)
+    elif estimator == "naive":
+        est = _naive_replicates(data, words, grid)
+    elif not covariates:
+        est, failed = _ipw_replicates(data, words, grid)
+    else:  # each resampled panel refit, its exposure model included
         est = np.full((B, grid.size), np.nan)
-        for r in range(B):
-            idx = np.random.default_rng(streams[r]).integers(0, n, size=n)
+        for row, idx in zip(est, _draws(words, data.n_subjects)):
             try:
-                curve = _paf_from(estimand, estimator, covariates, data.take(idx))
+                row[:] = _paf_from(estimand, estimator, covariates, data.take(idx))(grid)
             except (NumericalError, DataError):  # the point estimate passed: the draw is at fault
                 failed += 1  # the replicate contributes an undefined row
-                continue
-            est[r] = curve(grid)
 
     defined_frac = np.isfinite(est).mean(axis=0)
     lo, hi = _percentile_band(est)

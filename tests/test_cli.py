@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -618,6 +619,17 @@ def test_python_dash_m_runs_the_cli(cohort_file):
     assert done.stdout.startswith("ok: n=150")
 
 
+def test_the_module_entry_point_runs_the_cli_in_process(monkeypatch, capsys):
+    # ``python -m pafmsm`` as the subprocess tests run it, here where the
+    # coverage of the suite's own process sees it
+    cohort = Path(__file__).resolve().parent / "golden" / "daily" / "cohort.csv"
+    monkeypatch.setattr(sys, "argv", ["pafmsm", "validate", "--input", str(cohort)])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("pafmsm", run_name="__main__")
+    assert done.value.code == 0
+    assert capsys.readouterr().out.startswith("ok: n=300")
+
+
 # subcommands, help and usage errors, run one after another in one process
 SEQUENCE = [
     ["--help"],
@@ -748,6 +760,59 @@ _HEADER_X = "id,inf_time,end_time,end_status,x\n"
 @example((_HEADER_X + "A,,1,death,0\nB,1,1,death,1\nC,0.5,1,death,1\n").encode())
 def test_every_fuzzed_cohort_file_ends_in_a_classified_exit(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("fuzz") / "cohort.csv"
+    path.write_bytes(data)
+    for command in _FUZZ_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([command[0], "--input", str(path), *command[1:]])
+        assert code in (0, 1, 2, 3), (command, code)
+        assert "Traceback" not in err.getvalue()
+
+
+def test_a_short_last_status_cell_exits_2_without_a_traceback(tmp_path, capsys):
+    path = tmp_path / "cohort.csv"
+    path.write_bytes(b"id,inf_time,end_time,end_status\n1,,3,")
+    assert run(["validate", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == "data error: row 2: unknown status ''\n"
+
+
+# byte-mutated copies of the golden cohort files: cells, quotes, line
+# breaks and bytes deleted, cut, inserted or repeated anywhere
+_GOLDEN_COHORTS = [(Path(__file__).resolve().parent / "golden" / name / "cohort.csv").read_bytes()
+                   for name in ("constant", "daily")]
+_MUTATION_BYTES = [b'"', b"\r", b"\n", b"\r\n", b"\x00", b"\xef\xbb\xbf", b"\xff", b"\xc3", b",",
+                   b" ", b"1e999", b"nan", b"-1", b"death", b"discharge", b",1"]
+
+
+@st.composite
+def mutated_golden_cohort(draw):
+    """One of the golden cohort files after one to four byte mutations."""
+    data = draw(st.sampled_from(_GOLDEN_COHORTS))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(["delete", "cut", "insert", "insert", "repeat"]))
+        if kind == "delete":
+            data = data[:at] + data[at + draw(st.integers(1, 12)):]
+        elif kind == "cut":
+            data = data[:at]
+        elif kind == "insert":
+            data = data[:at] + draw(st.sampled_from(_MUTATION_BYTES)) + data[at:]
+        else:  # the line through ``at``, or a stretch of bytes, twice
+            start = data.rfind(b"\n", 0, at) + 1
+            end = data.find(b"\n", at) + 1 or len(data)
+            if draw(st.booleans()):
+                start, end = at, min(len(data), at + draw(st.integers(1, 12)))
+            data = data[:end] + data[start:end] + data[end:]
+    return data
+
+
+@pytest.mark.slow
+@settings(max_examples=300)
+@given(mutated_golden_cohort())
+@example(b"id,inf_time,end_time,end_status\n1,,3,")
+@example(_GOLDEN_COHORTS[1][:-1] + b"\n3,,5,")
+def test_every_byte_mutated_golden_cohort_ends_in_a_classified_exit(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("mutated") / "cohort.csv"
     path.write_bytes(data)
     for command in _FUZZ_COMMANDS:
         out, err = io.StringIO(), io.StringIO()

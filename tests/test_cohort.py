@@ -1049,3 +1049,16 @@ def test_a_whole_day_file_reads_the_same_from_bytes_and_by_csv_reader():
     columns = parse_both_ways(text)
     assert columns[1:4] == (cohort.inf.tobytes(), cohort.end.tobytes(), cohort.status.tobytes())
     assert columns[6] == [("x", "<f8", x.tobytes()), ("z", "<f8", z.tobytes())]
+
+
+@pytest.mark.parametrize("form", ["bytes", "str", "path"])
+@pytest.mark.parametrize("last", ["", "d", "discharg"])
+def test_a_short_last_status_cell_is_a_parse_error(tmp_path, form, last):
+    # the last cell of the data, shorter than "discharge": its ninth byte
+    # lies past the buffer's padding and was read as such (an IndexError)
+    text = f"id,inf_time,end_time,end_status\n1,,3,{last}"
+    path = tmp_path / "cohort.csv"
+    path.write_text(text)
+    source = {"bytes": text.encode(), "str": text, "path": path}[form]
+    with pytest.raises(ParseError, match=f"^row 2: unknown status '{last}'$"):
+        parse_cohort(source)

@@ -419,9 +419,9 @@ def assert_continuous_side_matches_reference(cohort, seed=0, B=12):
         assert_same_curve(estimator(records), reference_curve(records, rows))
     times = np.concatenate((cohort.end, cohort.inf[~np.isnan(cohort.inf)]))
     grid = np.unique(np.concatenate((times, times + 0.25, [times.min() / 2, cohort.horizon + 1.0])))
-    streams = np.random.SeedSequence(seed).spawn(B)
+    words, streams = paf_module._child_words(seed, B), np.random.SeedSequence(seed).spawn(B)
     for estimand in ("paf_o", "paf_c"):
-        got = paf_module._multistate_replicates(records, estimand, streams, grid)
+        got = paf_module._multistate_replicates(records, estimand, words, grid)
         want = reference_replicates(records, estimand, streams, grid)
         assert got.tobytes() == want.tobytes()
 

@@ -1,5 +1,8 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -113,3 +116,13 @@ def test_the_package_imports_nothing_it_does_not_use():
     found = {path.name: unused_imports(path.read_text())
              for path in sorted(Path(pafmsm.__file__).parent.glob("*.py"))}
     assert {name: unused for name, unused in found.items() if unused} == {}
+
+
+def test_importing_the_package_does_not_import_numpy_random():
+    # numpy loads numpy.random lazily; the bootstrap builds its seeds on
+    # first use, so that an import stays as short as it was
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", "import sys, pafmsm; print('numpy.random' in sys.modules)"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr

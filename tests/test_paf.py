@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pafmsm import (
     Cohort,
@@ -228,8 +229,8 @@ ENGINE_COHORTS = {
 def test_count_weight_replicates_equal_the_per_replicate_estimates(name, estimand):
     cohort = ENGINE_COHORTS[name]
     grid = np.concatenate(([0.5], np.arange(1.0, cohort.horizon + 2.0)))
-    streams = np.random.SeedSequence(6).spawn(40)
-    got = paf_module._multistate_replicates(to_transitions(cohort), estimand, streams, grid)
+    words = paf_module._child_words(6, 40)
+    got = paf_module._multistate_replicates(to_transitions(cohort), estimand, words, grid)
     assert got.tobytes() == _loop_replicates(cohort, estimand, 40, 6, grid).tobytes()
 
 
@@ -243,7 +244,7 @@ def test_replicate_blocks_do_not_change_the_bands(monkeypatch, cells, blocks):
     monkeypatch.setattr(paf_module, "_BLOCK_CELLS", cells)
     sizes, draw_counts = [], paf_module._draw_counts
     monkeypatch.setattr(paf_module, "_draw_counts",
-                        lambda streams, n: sizes.append(len(streams)) or draw_counts(streams, n))
+                        lambda words, n: sizes.append(len(words)) or draw_counts(words, n))
     blocked = bootstrap_ci(cohort, "paf_c", B=40, seed=3)
     assert sizes == blocks
     assert blocked.lower.values.tobytes() == whole.lower.values.tobytes()
@@ -264,15 +265,16 @@ def test_multistate_bootstrap_memory_stays_within_its_blocks():
     assert peak < 2e6
 
 
-def _refit_replicates(panel, streams, grid):
-    """The per-replicate definition of the IPW bands: each resampled panel
-    refit; a replicate that raises keeps a NaN row and counts as failed."""
+def _refit_replicates(panel, streams, grid, estimand="paf_c", estimator="ipw"):
+    """The per-replicate definition of the panel bands: each resampled
+    panel refit; a replicate that raises keeps a NaN row and counts as
+    failed."""
     n = panel.n_subjects
     est, failed = np.full((len(streams), grid.size), np.nan), 0
     for row, stream in zip(est, streams):
         idx = np.random.default_rng(stream).integers(0, n, size=n)
         try:
-            row[:] = paf_module._paf_from("paf_c", "ipw", (), panel.take(idx))(grid)
+            row[:] = paf_module._paf_from(estimand, estimator, (), panel.take(idx))(grid)
         except NumericalError:
             failed += 1
     return est, failed
@@ -282,6 +284,8 @@ IPW_COHORTS = {
     **{name: EDGE_COHORTS[name] for name in ("one_day", "dropped_censored", "all_exposed")},
     "tied_days_censored": ENGINE_COHORTS["tied_days_censored"],
 }
+PANEL_COHORTS = {**IPW_COHORTS, "engine_all_exposed": ENGINE_COHORTS["all_exposed"],
+                 **{name: ENGINE_COHORTS[name] for name in ("continuous_censored", "no_early_deaths")}}
 
 
 @pytest.mark.parametrize("rows", [None, 1, 3])
@@ -291,11 +295,30 @@ def test_ipw_replicates_equal_the_refits(monkeypatch, name, rows):
     if rows:  # blocks of 1 and of 3 subjects
         monkeypatch.setattr(discrete, "_BLOCK_CELLS", rows * panel.n_days)
     grid = np.concatenate(([0.5], np.arange(1.0, panel.n_days + 2.0)))
-    streams = np.random.SeedSequence(9).spawn(40)
-    got, failed = paf_module._ipw_replicates(panel, streams, grid)
-    want, want_failed = _refit_replicates(panel, streams, grid)
+    got, failed = paf_module._ipw_replicates(panel, paf_module._child_words(9, 40), grid)
+    want, want_failed = _refit_replicates(panel, np.random.SeedSequence(9).spawn(40), grid)
     assert failed == want_failed
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3])
+@pytest.mark.parametrize("name", list(PANEL_COHORTS))
+def test_naive_replicates_equal_the_refits(monkeypatch, name, rows):
+    panel = discretize(PANEL_COHORTS[name], allow_drop=True)
+    sizes, draw_counts = [], paf_module._draw_counts
+    monkeypatch.setattr(paf_module, "_draw_counts",
+                        lambda words, n: sizes.append(len(words)) or draw_counts(words, n))
+    if rows:  # blocks of 1 and of 3 replicates
+        monkeypatch.setattr(paf_module, "_BLOCK_CELLS",
+                            rows * max(panel.n_days + 2, panel.n_subjects))
+    grid = np.arange(0.5, panel.n_days + 2.0, 0.5)
+    got = paf_module._naive_replicates(panel, paf_module._child_words(5, 40), grid)
+    want, failed = _refit_replicates(panel, np.random.SeedSequence(5).spawn(40), grid,
+                                     "paf_o", "naive")
+    assert failed == 0
+    assert got.tobytes() == want.tobytes()
+    if rows:
+        assert sizes == [rows] * (40 // rows) + [40 % rows] * (40 % rows > 0)
 
 
 def _certain_on_day_one(replicate):
@@ -321,9 +344,8 @@ def test_ipw_replicates_fail_where_the_refits_do(monkeypatch):
     monkeypatch.setattr(discrete, "_daily_hazard", picked)  # the refits' weights
     monkeypatch.setattr(paf_module, "_daily_hazard", picked)  # the replicates' hazard
     grid = np.arange(1.0, panel.n_days + 1.0)
-    streams = np.random.SeedSequence(4).spawn(40)
-    got, failed = paf_module._ipw_replicates(panel, streams, grid)
-    want, want_failed = _refit_replicates(panel, streams, grid)
+    got, failed = paf_module._ipw_replicates(panel, paf_module._child_words(4, 40), grid)
+    want, want_failed = _refit_replicates(panel, np.random.SeedSequence(4).spawn(40), grid)
     assert 0 < failed == want_failed < 40
     assert got.tobytes() == want.tobytes()
 
@@ -343,6 +365,20 @@ def test_ipw_bootstrap_stays_linear_in_memory():
         finally:
             tracemalloc.stop()
         assert peak < n * m, covariates
+
+
+def test_naive_bootstrap_stays_linear_in_memory():
+    # naive replicates are day counts of blocks of draw counts: a resampled
+    # dense (n x days) panel would take a byte a cell, its weights 8
+    n, m = 20_000, 400
+    cohort = uniform_stays_cohort(n, m)
+    tracemalloc.start()
+    try:
+        bootstrap_ci(cohort, "paf_o", "naive", B=3, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * m
 
 
 @pytest.mark.parametrize("failing", [9, 10, 11])
@@ -426,7 +462,7 @@ def test_draw_counts_equal_one_bincount_over_every_stream(k, n):
     streams = np.random.SeedSequence(k + n).spawn(k)
     cells = [np.random.default_rng(s).integers(0, n, size=n) + r * n for r, s in enumerate(streams)]
     expected = np.bincount(np.concatenate([np.empty(0, np.int64), *cells]), minlength=k * n)
-    counts = paf_module._draw_counts(streams, n)
+    counts = paf_module._draw_counts(paf_module._child_words(k + n, k), n)
     assert counts.dtype == np.float64
     assert np.array_equal(counts, expected.reshape(k, n).astype(float))
 
@@ -484,3 +520,42 @@ def test_stratified_groups_nan_levels_into_one_stratum():
     strata = stratified_paf(cohort, "site", "paf_o")
     assert [str(k) for k in strata] == ["a", "nan"]
     np.testing.assert_array_equal(strata["a"].times, [2.0, 5.0, 6.0])
+
+
+SEEDS = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**128, 2**128 + 9, 2**200 + 3]),
+    st.integers(0, 2**300),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.integers(0, 2**32 - 1).map(np.uint32),
+    st.lists(st.one_of(st.integers(0, 2**70), st.integers(0, 2**16).map(np.int64)), max_size=9),
+)
+
+
+@settings(max_examples=60)
+@given(SEEDS, st.integers(2, 1100))
+@example(2**128 + 9, 1100)
+@example(np.uint64(9), 500)
+@example([2**32 - 1] * 6, 41)
+@example(["0x10", "010", 7], 3)  # numpy reads seed strings as hex or decimal
+def test_child_words_are_the_states_of_the_spawned_children(seed, B):
+    words = paf_module._child_words(seed, B)
+    want = np.array([s.generate_state(4, np.uint64) for s in np.random.SeedSequence(seed).spawn(B)])
+    assert (words.dtype, words.shape, words.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def test_a_draw_is_that_of_the_default_generator_of_its_child():
+    words = paf_module._child_words(3, 4)
+    for idx, child in zip(paf_module._draws(words, 50), np.random.SeedSequence(3).spawn(4)):
+        assert idx.tobytes() == np.random.default_rng(child).integers(0, 50, size=50).tobytes()
+
+
+def test_a_bad_seed_is_numpys_value_error_before_any_replicate(monkeypatch):
+    def drawn(*args):
+        raise AssertionError("a replicate was drawn")
+
+    monkeypatch.setattr(paf_module, "_multistate_replicates", drawn)
+    with pytest.raises(ValueError) as numpys:
+        np.random.SeedSequence(-1)
+    with pytest.raises(ValueError) as got:
+        bootstrap_ci(TWO, "paf_o", B=2, seed=-1)
+    assert str(got.value) == str(numpys.value)
