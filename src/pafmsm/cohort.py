@@ -371,12 +371,6 @@ class DailyPanel:
         """a[i, s-1] = 1 once subject i is exposed (s >= exposure_day), uint8."""
         return (np.arange(1, self.n_days + 1) >= self.exposure_day[:, None]).view(np.uint8)
 
-    def take(self, idx) -> "DailyPanel":
-        """Subjects ``idx`` as a panel; the ids, which only label exports, stay this panel's."""
-        covariates = {name: column[idx] for name, column in self.covariates.items()}
-        return DailyPanel(self.ids, self.exposure_day[idx], self.terminal_day[idx],
-                          self.status[idx], self.n_days, covariates, self.dropped)
-
 
 def parse_cohort(source, tie_policy: TiePolicy = TiePolicy.shift()) -> Cohort:
     """Read a cohort from CSV (``id,inf_time,end_time,end_status[,<covariate>...]``).

@@ -61,8 +61,8 @@ class WeightTable:
     Before its exposure day, subject i has W[i, t-1] = 1 / prod_{s <=
     min(t, freeze_day[i])} (1 - p_i(s)); from ``exposure_day[i]`` on, 0.
     The factors 1 - p are rows, ``factors[row[i]]`` for subject i: one
-    shared row for the empirical hazard, one (k, 1) row per distinct
-    fitted probability of a pooled logistic model, or one row per subject.
+    shared row for the empirical hazard, one (k, 1) row per covariate
+    pattern of a pooled logistic model, or one row per subject.
     The estimator builds one weight row per pattern of subjects (see
     ``_Patterns``) and gathers those rows block by block; the whole matrix
     is never built.
@@ -226,13 +226,6 @@ def _logistic(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _covariate_matrix(panel: DailyPanel, names) -> np.ndarray:
-    cols = [covariate_column(panel.covariates, name, panel.ids, numeric=True) for name in names]
-    if not cols:
-        return np.empty((panel.n_subjects, 0))
-    return np.array(cols).T
-
-
 def _at_risk_days(panel: DailyPanel) -> np.ndarray:
     """Per subject, the last day s at risk of new exposure (A(s-1) = eps(s-1) = 0)."""
     return np.minimum(panel.exposure_day, panel.terminal_day)
@@ -293,17 +286,38 @@ def fit_pooled_logistic(panel: DailyPanel, covariate_names) -> ExposureModel:
     exposures (D'Agostino et al. 1990, Stat Med 9:1501).  The fit holds
     one row per pattern, never one per subject-day.
     """
-    covs = _covariate_matrix(panel, covariate_names)
-    patterns, group = np.unique(covs, axis=0, return_inverse=True)
-    d = np.bincount(group, weights=_at_risk_days(panel), minlength=len(patterns))
-    y = np.bincount(group, weights=panel.exposure_day <= panel.terminal_day,
-                    minlength=len(patterns))
+    return _pattern_fit(panel, covariate_names)[0](slice(None))
+
+
+def _pattern_fit(panel: DailyPanel, names):
+    """For the model on the covariates ``names``: its fit to a draw ``idx``
+    of the panel's subjects, the factors 1 - p of each covariate pattern
+    for coefficients ``beta``, and each subject's pattern.  A draw's D_g
+    and Y_g are summed in draw order over the patterns drawn, in the order
+    ``np.unique`` gives the resampled panel.  p is predicted on the
+    (n_subjects x p) design: the (patterns x p) matrix may round otherwise.
+    """
+    cols = [covariate_column(panel.covariates, name, panel.ids, numeric=True) for name in names]
+    x = np.column_stack([np.ones(panel.n_subjects), *cols])
+    patterns, first, group = np.unique(x, axis=0, return_index=True, return_inverse=True)
+    at_risk, exposed = _at_risk_days(panel), panel.exposure_day <= panel.terminal_day
+    terms = ("intercept",) + tuple(names)
+
+    def fit(idx):
+        d = np.bincount(group[idx], weights=at_risk[idx], minlength=len(patterns))
+        y = np.bincount(group[idx], weights=exposed[idx], minlength=len(patterns))
+        kept = d > 0  # the patterns drawn: every subject is at risk on day 1
+        return _fit_patterns(patterns[kept], d[kept], y[kept], terms)
+
+    return fit, lambda beta: np.subtract(1.0, _logistic(x @ beta)[first])[:, None], group
+
+
+def _fit_patterns(x, d, y, names) -> ExposureModel:
+    """The fit on the patterns ``x``, columns ``names``, with D_g = ``d`` and Y_g = ``y``."""
     if y.sum() == 0:
         raise DataError("no exposure events; the model has no MLE")
     if y.sum() == d.sum():
         raise DataError("every person-day is an exposure; the model has no MLE")
-    x = np.column_stack([np.ones(len(patterns)), patterns])
-    names = ("intercept",) + tuple(covariate_names)
 
     def evaluate(beta):
         z = x @ beta
@@ -318,7 +332,7 @@ def fit_pooled_logistic(panel: DailyPanel, covariate_names) -> ExposureModel:
         diverged="coefficients diverged (|beta| > 30), driven by {!r}",
         unconverged="pooled logistic fit did not converge in 100 iterations",
     )
-    return ExposureModel(beta, tuple(covariate_names), it, loglik)
+    return ExposureModel(beta, names[1:], it, loglik)
 
 
 def _daily_hazard(exposure, terminal, m):
@@ -390,10 +404,9 @@ def empirical_weights(panel: DailyPanel) -> WeightTable:
 
 def model_weights(panel: DailyPanel, model: ExposureModel) -> WeightTable:
     """``compute_weights`` for the model's fitted probabilities, constant
-    over days, with one row of factors per distinct probability."""
-    p = model.predict(_covariate_matrix(panel, model.covariate_names))
-    values, row = np.unique(p, return_inverse=True)
-    return _weight_table(panel, np.subtract(1.0, values)[:, None], row, _at_risk_days(panel))
+    over days, with one row of factors per covariate pattern."""
+    _, factors, row = _pattern_fit(panel, model.covariate_names)
+    return _weight_table(panel, factors(model.coefficients), row, _at_risk_days(panel))
 
 
 def ipw_f01(panel: DailyPanel, weights: WeightTable) -> StepCurve:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -34,6 +35,7 @@ from .discrete import (
     _death_proportion,
     _ipw_sums,
     _on_or_before,
+    _pattern_fit,
     _ratio_values,
     empirical_weights,
     fit_pooled_logistic,
@@ -41,7 +43,7 @@ from .discrete import (
     model_weights,
     naive_f01,
 )
-from .errors import DataError, NumericalError, PositivityError
+from .errors import DataError, NumericalError
 
 __all__ = [
     "CurveWithBands",
@@ -204,10 +206,10 @@ def _panel_weights(panel: DailyPanel, covariates):
 class CurveWithBands:
     """Point estimate with pointwise percentile confidence bands.
 
-    ``failed`` counts the replicates whose estimator raised a
-    :class:`NumericalError`, or a :class:`DataError` that the original
-    sample passed (no exposure drawn, say); each contributes an undefined
-    row.
+    ``failed`` counts the replicates whose draw leaves the estimator
+    undefined where the original sample does not: unbounded weights, or a
+    pooled logistic model with no estimate on the drawn subjects (no
+    exposure drawn, say).  Each contributes an undefined row.
     """
 
     estimate: StepCurve
@@ -288,29 +290,27 @@ def _naive_replicates(panel, words, grid):
     return est
 
 
-def _ipw_replicates(panel, words, grid):
-    """PAF_c by IPW with empirical weights of every replicate on ``grid``,
-    one row per row of ``words``, and how many replicates have unbounded
-    weights (their rows stay NaN).
+def _ipw_replicates(panel, covariates, words, grid):
+    """PAF_c by IPW of every replicate on ``grid``, one row per row of
+    ``words``, and how many replicates failed (their rows stay NaN).
 
     A replicate's panel is the drawn subjects in draw order.  They keep
-    their weight patterns, so a replicate brings only a new daily hazard,
-    from the drawn day counts: its weights are the patterns' rows for that
-    hazard, summed in draw order, bit for bit those of a refit of the
-    resampled panel.
+    their weight patterns, those of the panel's own weight table, so a
+    replicate brings only new factors (``_replicate_factors``): its
+    weights are the patterns' rows for them, summed in draw order, bit for
+    bit those of the resampled panel's own estimate.
     """
-    n, m = panel.n_subjects, panel.n_days
-    exposure, terminal, death_day = panel.exposure_day, panel.terminal_day, _death_days(panel)
-    patterns = empirical_weights(panel)._patterns(death_day)
+    n, m, death_day = panel.n_subjects, panel.n_days, _death_days(panel)
+    patterns = _panel_weights(panel, covariates)._patterns(death_day)
     buffers = _buffers(patterns.step, m)
+    factors_of = _replicate_factors(panel, covariates)
     days = np.arange(1.0, m + 1.0)
     est = np.full((len(words), grid.size), np.nan)
     failed = 0
     for row, idx in zip(est, _draws(words, n)):
-        hazard = _daily_hazard(exposure[idx], terminal[idx], m)[0]
         try:
-            total, died = _ipw_sums(patterns.blocks(np.subtract(1.0, hazard)[None, :], idx), *buffers)
-        except PositivityError:
+            total, died = _ipw_sums(patterns.blocks(factors_of(idx), idx), *buffers)
+        except (NumericalError, DataError):  # the point estimate passed: the draw is at fault
             failed += 1  # the replicate keeps its undefined row
             continue
         # the two curves of _paf_from on days 1..m, taken at grid; the IPW
@@ -320,6 +320,17 @@ def _ipw_replicates(panel, words, grid):
         pd = _on_or_before(death_day[idx], m)[1:] / n
         row[:] = _paf_values(*_on_grid(days, np.array([pd, q]), grid))
     return est, failed
+
+
+def _replicate_factors(panel, covariates):
+    """The factors of a replicate's weight rows from its draw ``idx``: 1
+    minus the daily hazard of the drawn days, or with covariates those of
+    the pooled logistic model fit to the drawn subjects, a row per pattern."""
+    if covariates:
+        fit, factors, _ = _pattern_fit(panel, covariates)
+        return lambda idx: factors(fit(idx).coefficients)
+    exposure, terminal, m = panel.exposure_day, panel.terminal_day, panel.n_days
+    return lambda idx: np.subtract(1.0, _daily_hazard(exposure[idx], terminal[idx], m)[0])[None, :]
 
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx)
@@ -439,17 +450,17 @@ def bootstrap_ci(
 
     Replicate r resamples the subjects with
     ``default_rng(SeedSequence(seed).spawn(B)[r]).integers(0, n, size=n)``,
-    so results are reproducible and independent of execution order.  The
-    B children's states are derived from the parent's pool in one pass
-    (``SeedSequence(seed)`` still checks the seed), with the same draws.
-    Multistate and naive replicates are evaluated in blocks from their
-    draw counts, and IPW replicates without covariates from the weight
-    patterns of the original panel; IPW with covariates refits each
-    resampled panel, the pooled logistic model on its covariate patterns.
-    Grid points where more than half the replicates are undefined get no
-    band.  A ``B`` below 2 or a ``grid`` that is not 1-d and strictly
-    increasing is a ValueError, raised before any replicate is drawn.
+    so results are reproducible and independent of execution order; the B
+    children's states are derived from the parent's pool in one pass.  No
+    replicate builds a resampled cohort or panel: multistate and naive
+    replicates come in blocks from their draw counts, IPW replicates from
+    the original panel's weight patterns (see ``_ipw_replicates``).  Grid
+    points where more than half the replicates are undefined get no band.
+    A ``B`` that is not an integer is a TypeError; a ``B`` below 2, a
+    ``grid`` that is not 1-d and strictly increasing, or a bad ``seed`` a
+    ValueError, raised before the point estimate.
     """
+    B = operator.index(B)
     if B < 2:
         raise ValueError("B must be >= 2")
     _check_pair(estimand, estimator)
@@ -458,38 +469,19 @@ def bootstrap_ci(
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or not (np.diff(grid) > 0).all():  # NaN fails the comparison
         raise ValueError("grid must be a 1-d array of strictly increasing times")
+    words = _child_words(seed, B)
     data = _inputs(cohort, estimator, allow_drop)
     point = _paf_from(estimand, estimator, covariates, data)
-
-    words = _child_words(seed, B)
-    failed = 0
     if estimator == "multistate":
-        est = _multistate_replicates(data, estimand, words, grid)
+        est, failed = _multistate_replicates(data, estimand, words, grid), 0
     elif estimator == "naive":
-        est = _naive_replicates(data, words, grid)
-    elif not covariates:
-        est, failed = _ipw_replicates(data, words, grid)
-    else:  # each resampled panel refit, its exposure model included
-        est = np.full((B, grid.size), np.nan)
-        for row, idx in zip(est, _draws(words, data.n_subjects)):
-            try:
-                row[:] = _paf_from(estimand, estimator, covariates, data.take(idx))(grid)
-            except (NumericalError, DataError):  # the point estimate passed: the draw is at fault
-                failed += 1  # the replicate contributes an undefined row
-
-    defined_frac = np.isfinite(est).mean(axis=0)
-    lo, hi = _percentile_band(est)
-    bad = defined_frac < 0.5
-    lo[bad] = np.nan
-    hi[bad] = np.nan
-    return CurveWithBands(
-        estimate=point,
-        lower=StepCurve(grid, lo, initial=np.nan),
-        upper=StepCurve(grid, hi, initial=np.nan),
-        B=B,
-        seed=seed,
-        failed=failed,
-    )
+        est, failed = _naive_replicates(data, words, grid), 0
+    else:
+        est, failed = _ipw_replicates(data, covariates, words, grid)
+    band = _percentile_band(est)
+    band[:, np.isfinite(est).mean(axis=0) < 0.5] = np.nan  # more than half undefined
+    lower, upper = (StepCurve(grid, values, initial=np.nan) for values in band)
+    return CurveWithBands(point, lower, upper, B=B, seed=seed, failed=failed)
 
 
 def stratified_paf(

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import operator
 import tracemalloc
 import warnings
 
@@ -34,7 +37,7 @@ from pafmsm._bytes import _CSV_CHUNK
 from pafmsm.curves import StepCurve
 from pafmsm.simulate import icu_like_spec
 
-from conftest import integer_cohort
+from conftest import REPO_ROOT, integer_cohort
 from test_discrete import EDGE_COHORTS, uniform_stays_cohort
 
 TWO = Cohort((Subject("A", None, 1.0, "death"), Subject("B", 1.0, 2.0, "death")), horizon=2)
@@ -265,17 +268,39 @@ def test_multistate_bootstrap_memory_stays_within_its_blocks():
     assert peak < 2e6
 
 
-def _refit_replicates(panel, streams, grid, estimand="paf_c", estimator="ipw"):
+def covariate_cohort(names, n=300, seed=5):
+    """An ``icu_like_spec(round_days=True)`` cohort of n subjects with the
+    baseline covariates ``names`` drawn at random: ``x`` binary, ``k`` of 4
+    levels, ``u`` continuous rounded to one decimal."""
+    cohort = simulate_cohort(icu_like_spec(round_days=True), n, seed=seed)
+    rng = np.random.default_rng(seed)
+    draw = {"x": lambda: rng.integers(0, 2, n).astype(float),
+            "k": lambda: rng.integers(0, 4, n).astype(float),
+            "u": lambda: np.round(rng.normal(0.0, 1.0, n), 1)}
+    return Cohort.from_columns(cohort.ids, cohort.inf, cohort.end, cohort.status,
+                               {name: draw[name]() for name in names}, horizon=cohort.horizon)
+
+
+def _take(panel, idx):
+    """Subjects ``idx`` of ``panel`` as a panel of their own; the ids, which
+    only label exports, stay the panel's."""
+    return dataclasses.replace(
+        panel, exposure_day=panel.exposure_day[idx], terminal_day=panel.terminal_day[idx],
+        status=panel.status[idx], covariates={k: v[idx] for k, v in panel.covariates.items()})
+
+
+def _refit_replicates(panel, streams, grid, estimand="paf_c", estimator="ipw", covariates=()):
     """The per-replicate definition of the panel bands: each resampled
-    panel refit; a replicate that raises keeps a NaN row and counts as
-    failed."""
+    panel refit, its exposure model included; a replicate that raises a
+    numerical error, or a data error (no exposure drawn, say), keeps a NaN
+    row and counts as failed."""
     n = panel.n_subjects
     est, failed = np.full((len(streams), grid.size), np.nan), 0
     for row, stream in zip(est, streams):
         idx = np.random.default_rng(stream).integers(0, n, size=n)
         try:
-            row[:] = paf_module._paf_from(estimand, estimator, (), panel.take(idx))(grid)
-        except NumericalError:
+            row[:] = paf_module._paf_from(estimand, estimator, covariates, _take(panel, idx))(grid)
+        except (NumericalError, DataError):
             failed += 1
     return est, failed
 
@@ -295,8 +320,40 @@ def test_ipw_replicates_equal_the_refits(monkeypatch, name, rows):
     if rows:  # blocks of 1 and of 3 subjects
         monkeypatch.setattr(discrete, "_BLOCK_CELLS", rows * panel.n_days)
     grid = np.concatenate(([0.5], np.arange(1.0, panel.n_days + 2.0)))
-    got, failed = paf_module._ipw_replicates(panel, paf_module._child_words(9, 40), grid)
+    got, failed = paf_module._ipw_replicates(panel, (), paf_module._child_words(9, 40), grid)
     want, want_failed = _refit_replicates(panel, np.random.SeedSequence(9).spawn(40), grid)
+    assert failed == want_failed
+    assert got.tobytes() == want.tobytes()
+
+
+def one_exposed_cohort():
+    """Twelve subjects with a binary covariate, one of them exposed: a
+    resample that misses subject 0 has no exposure for the model to fit."""
+    return Cohort(tuple(Subject(str(i), 1.0 if i == 0 else None, 3.0,
+                                "death" if i % 2 else "discharge", {"x": float(i % 2)})
+                        for i in range(12)))
+
+
+COVARIATE_COHORTS = {
+    "binary": (("x",), covariate_cohort(("x",), n=150, seed=2)),
+    "four_levels": (("k",), covariate_cohort(("k",), n=150, seed=3)),
+    "two": (("x", "k"), covariate_cohort(("x", "k"), n=150, seed=4)),
+    "rounded_continuous": (("u",), covariate_cohort(("u",), n=150, seed=6)),
+    "one_exposed": (("x",), one_exposed_cohort()),  # 16 of the 40 replicates fail
+}
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3])
+@pytest.mark.parametrize("name", list(COVARIATE_COHORTS))
+def test_ipw_covariate_replicates_equal_the_refits(monkeypatch, name, rows):
+    covariates, cohort = COVARIATE_COHORTS[name]
+    panel = discretize(cohort, allow_drop=True)
+    if rows:  # blocks of 1 and of 3 subjects
+        monkeypatch.setattr(discrete, "_BLOCK_CELLS", rows * panel.n_days)
+    grid = np.concatenate(([0.5], np.arange(1.0, panel.n_days + 2.0)))
+    got, failed = paf_module._ipw_replicates(panel, covariates, paf_module._child_words(9, 40), grid)
+    want, want_failed = _refit_replicates(panel, np.random.SeedSequence(9).spawn(40), grid,
+                                          covariates=covariates)
     assert failed == want_failed
     assert got.tobytes() == want.tobytes()
 
@@ -344,7 +401,7 @@ def test_ipw_replicates_fail_where_the_refits_do(monkeypatch):
     monkeypatch.setattr(discrete, "_daily_hazard", picked)  # the refits' weights
     monkeypatch.setattr(paf_module, "_daily_hazard", picked)  # the replicates' hazard
     grid = np.arange(1.0, panel.n_days + 1.0)
-    got, failed = paf_module._ipw_replicates(panel, paf_module._child_words(4, 40), grid)
+    got, failed = paf_module._ipw_replicates(panel, (), paf_module._child_words(4, 40), grid)
     want, want_failed = _refit_replicates(panel, np.random.SeedSequence(4).spawn(40), grid)
     assert 0 < failed == want_failed < 40
     assert got.tobytes() == want.tobytes()
@@ -400,14 +457,6 @@ def test_bootstrap_counts_failed_replicates(monkeypatch, failing):
         assert np.isfinite(bands.lower.values).all() and np.isfinite(bands.upper.values).all()
 
 
-def one_exposed_cohort():
-    """Twelve subjects with a binary covariate, one of them exposed: a
-    resample that misses subject 0 has no exposure for the model to fit."""
-    return Cohort(tuple(Subject(str(i), 1.0 if i == 0 else None, 3.0,
-                                "death" if i % 2 else "discharge", {"x": float(i % 2)})
-                        for i in range(12)))
-
-
 def test_a_resample_without_exposure_is_a_failed_replicate():
     cohort = one_exposed_cohort()
     bands = bootstrap_ci(cohort, "paf_c", "ipw", B=50, seed=1, covariates=("x",))
@@ -419,13 +468,33 @@ def test_a_resample_without_exposure_is_a_failed_replicate():
     separated = [idx for idx in draws if 0 in idx and all(i % 2 for i in idx if i)]
     assert (bands.failed, len(missed), len(separated)) == (22, 20, 2)
     with pytest.raises(DataError, match="no exposure events"):
-        paf_module._paf_from("paf_c", "ipw", ("x",), discretize(cohort).take(missed[0]))
+        paf_module._paf_from("paf_c", "ipw", ("x",), _take(discretize(cohort), missed[0]))
     point = estimate_paf(cohort, "paf_c", "ipw", covariates=("x",))
     assert bands.estimate.to_csv() == point.to_csv()
     # the sample itself keeps its data error
     with pytest.raises(DataError, match="no exposure events"):
         bootstrap_ci(cohort.subset(np.arange(1, 12)), "paf_c", "ipw", B=50, seed=1,
                      covariates=("x",))
+
+
+# sha256 of to_csv() and the failed count of covariate-model IPW bands, as
+# the code that refit every resampled panel gave them
+COVARIATE_BANDS = {
+    "golden_daily_x": (lambda: parse_cohort(REPO_ROOT / "tests/golden/daily/cohort.csv"), ("x",),
+                       200, 7, "13807d607036be8da7ea9bb903b6acc4b047f4323dbbc4bd389a929d5561c110", 0),
+    "two_covariates": (lambda: covariate_cohort(("x", "k")), ("x", "k"), 200, 7,
+                       "db19d7f51d1bbb5ce71638487761063a8cbcbc962866681c1719aff22bb9d043", 0),
+    "one_exposed": (one_exposed_cohort, ("x",), 50, 1,
+                    "67a4681fa0ea9b409d0a0aeb74fa4095c43ece5ac1bb6a4bcb9cd251d818792a", 22),
+}
+
+
+@pytest.mark.parametrize("name", list(COVARIATE_BANDS))
+def test_covariate_bands_are_pinned(name):
+    make, covariates, B, seed, digest, failed = COVARIATE_BANDS[name]
+    bands = bootstrap_ci(make(), "paf_c", "ipw", B=B, seed=seed, covariates=covariates,
+                         allow_drop=True)
+    assert (hashlib.sha256(bands.to_csv().encode()).hexdigest(), bands.failed) == (digest, failed)
 
 
 def reference_bands_csv(bands):
@@ -553,9 +622,19 @@ def test_a_bad_seed_is_numpys_value_error_before_any_replicate(monkeypatch):
     def drawn(*args):
         raise AssertionError("a replicate was drawn")
 
+    def estimated(*args):
+        raise AssertionError("the point estimate was computed")
+
     monkeypatch.setattr(paf_module, "_multistate_replicates", drawn)
+    monkeypatch.setattr(paf_module, "_paf_from", estimated)
     with pytest.raises(ValueError) as numpys:
         np.random.SeedSequence(-1)
     with pytest.raises(ValueError) as got:
         bootstrap_ci(TWO, "paf_o", B=2, seed=-1)
     assert str(got.value) == str(numpys.value)
+    for B in (2.5, 3.0):  # a float B is operator.index's TypeError
+        with pytest.raises(TypeError) as pythons:
+            operator.index(B)
+        with pytest.raises(TypeError) as got:
+            bootstrap_ci(TWO, "paf_o", B=B, seed=0)
+        assert str(got.value) == str(pythons.value)
