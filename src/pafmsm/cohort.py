@@ -139,15 +139,17 @@ def _as_column(values):
     return np.fromiter(values, dtype=object, count=len(values))
 
 
-def covariate_column(columns, name, ids, numeric=False) -> np.ndarray:
-    """Covariate ``name`` (as float64 if ``numeric``); DataError naming the
-    first subject without it, or if a numeric covariate holds text or a
-    value that is not finite (NaN, inf)."""
-    column = columns[name] if name in columns else np.full(len(ids), _ABSENT, dtype=object)
+def covariate_column(owner, name, numeric=False) -> np.ndarray:
+    """Covariate ``name`` of a ``Cohort`` or ``DailyPanel`` (as float64 if
+    ``numeric``); DataError naming the first subject without it, or if a
+    numeric covariate holds text or a value that is not finite (NaN, inf).
+    Only an error reads the owner's ids."""
+    columns = owner.covariates
+    column = columns[name] if name in columns else np.full(owner.status.size, _ABSENT, dtype=object)
     if column.dtype == object:
         absent = column == _ABSENT
         if absent.any():
-            raise DataError(f"subject {ids[np.argmax(absent)]} has no covariate {name!r}")
+            raise DataError(f"subject {owner.ids[np.argmax(absent)]} has no covariate {name!r}")
         if numeric and not all(isinstance(v, (int, float)) for v in column.tolist()):
             raise DataError(f"covariate {name!r} is not numeric; encode it first")
     if not numeric:
@@ -155,7 +157,8 @@ def covariate_column(columns, name, ids, numeric=False) -> np.ndarray:
     column = column.astype(float)
     if not np.isfinite(column).all():
         k = np.argmax(~np.isfinite(column))
-        raise DataError(f"subject {ids[k]}: covariate {name!r} is {column[k]}, not a finite number")
+        raise DataError(f"subject {owner.ids[k]}: covariate {name!r} is {column[k]}, "
+                        "not a finite number")
     return column
 
 
@@ -349,18 +352,24 @@ class DailyPanel:
     if never exposed), ``terminal_day`` the first day s with end_time <= s,
     and ``status`` its event (1 death, 2 discharge).  Censored subjects are
     excluded and listed in ``dropped``.  ``covariates`` maps name -> column
-    over the panel's subjects.  No estimator reads a dense (n, n_days)
-    matrix; ``a`` builds one only for the benchmark's ``panel_cells``
-    counter, which still reads its size.
+    over the panel's subjects.  The first field holds the ids, or the
+    ``Cohort`` whose ids they are: ``ids`` builds their tuple on first
+    read, as only error messages name a subject.  No estimator reads a
+    dense (n, n_days) matrix; ``a`` builds one only for the benchmark's
+    ``panel_cells`` counter, which still reads its size.
     """
 
-    ids: tuple[str, ...]
+    _ids: object = field(repr=False)
     exposure_day: np.ndarray  # (n,) int64
     terminal_day: np.ndarray  # (n,) int64
     status: np.ndarray  # (n,) int64
     n_days: int
     covariates: dict
     dropped: tuple[str, ...] = ()
+
+    @cached_property
+    def ids(self) -> tuple[str, ...]:
+        return tuple(self._ids.ids if isinstance(self._ids, Cohort) else self._ids)
 
     @property
     def n_subjects(self) -> int:
@@ -913,7 +922,7 @@ def discretize(cohort: Cohort, allow_drop: bool = False) -> DailyPanel:
     in which case they are excluded and flagged.
     """
     censored = cohort.status == STATUS_CENSORED
-    dropped = tuple(cohort.ids[censored])
+    dropped = tuple(cohort.subset(censored).ids) if censored.any() else ()
     if dropped and not allow_drop:  # the count and the first five ids
         raise DataError(f"{len(dropped)} censored subjects present (pass allow_drop to exclude "
                         "them): " + ", ".join(dropped[:5] + ("...",) * (len(dropped) > 5)))
@@ -922,7 +931,7 @@ def discretize(cohort: Cohort, allow_drop: bool = False) -> DailyPanel:
         raise DataError("empty cohort")
     m = _horizon_days(cohort.horizon)
     exposure_day = np.nan_to_num(np.ceil(kept.inf), nan=m + 1).astype(np.int64)
-    return DailyPanel(ids=tuple(kept.ids), exposure_day=exposure_day,
+    return DailyPanel(kept, exposure_day=exposure_day,
                       terminal_day=np.ceil(kept.end).astype(np.int64), status=kept.status,
                       n_days=m, covariates=kept.covariates, dropped=dropped)
 

@@ -8,8 +8,9 @@ T times and the risk sets Y0(t-) and Y1(t-).  The Aalen-Johansen
 estimator lets those go once it has taken its five hazard rows on the
 event times, and sums its cumulative curves in place over them.  Each
 competing-risks reduction reads only the exits of its own state, state 0
-or the hospital (states 0 and 1), in a table weighted by subject counts,
-which is how the bootstrap evaluates its replicates.
+or the hospital (states 0 and 1), in an integer table that also counts a
+block of drawn subjects at once, which is how the bootstrap evaluates its
+replicates.
 
 All estimators share the same tie convention: distinct subjects may share
 event times, ties are processed simultaneously, and risk sets are always
@@ -88,20 +89,21 @@ def _kinds(status, base):
 _ROWS = {(0, 1): 0, (0, 2): 1, (0, 3): 2, (1, 4): 4, (1, 5): 5}
 
 
-def _exit_table(cohort: Cohort, exits, merge=None):
+def _exit_table(cohort: Cohort, exits, merge=None, until=None):
     """Exit counts by kind on the distinct exit times, from one sort.
 
     ``exits`` is "state0" (each subject leaves state 0 once: at the
     exposure time if exposed, else at the end), "hospital" (each subject
     leaves at the end) or "six_state" (the exits from state 0 and, if
     exposed, from state 1, 7 rows).  Returns the T distinct exit times and
-    a function of a (k x n) matrix of how often each subject was drawn that
-    returns the (k x rows x T) exits as floats, one weighted ``bincount``;
-    without an argument it counts the sample's (rows x T) exits as
-    integers, one unweighted ``bincount``.  The counts are integers either
-    way, so every reader's float arithmetic gives the same bits on both.
-    ``merge``, one row number per row, counts each row's exits in that row
-    of a smaller table.
+    a function that counts exits as integers, with one unweighted
+    ``bincount``: without an argument the sample's (rows x T) table; of a
+    (k x d) block of draws, indices into the exits (in the state-0 and
+    hospital tables exit i is subject i's), the (k x rows x T) tables of
+    the k resampled samples.  ``merge``, one row number per row, counts
+    each row's exits in that row of a smaller table.  ``until`` keeps only
+    the times up to it, and counts the later exits in one more column, the
+    last, which has no time: only the risk sets read it.
     """
     inf, end, status = cohort.inf, cohort.end, cohort.status
     if end.size == 0:
@@ -117,17 +119,22 @@ def _exit_table(cohort: Cohort, exits, merge=None):
         kinds, rows = merge[kinds], merge.max() + 1
     ut, idx = np.unique(times, return_inverse=True)
     del times
-    cells = np.multiply(kinds, ut.size, out=kinds)
+    columns = ut.size
+    if until is not None:  # the later exits fold into column ut.size
+        ut = ut[:np.searchsorted(ut, until, side="right")]
+        np.minimum(idx, ut.size, out=idx)
+        columns = ut.size + 1
+    cells = np.multiply(kinds, columns, out=kinds)
     cells += idx
     del idx
 
-    def table(freq=None):
-        if freq is None:
-            return np.bincount(cells, minlength=rows * ut.size).reshape(rows, ut.size)
-        offsets = np.arange(freq.shape[0])[:, None] * (rows * ut.size)
-        counts = np.bincount((offsets + cells).ravel(), weights=freq.ravel(),
-                             minlength=freq.shape[0] * rows * ut.size)
-        return counts.reshape(freq.shape[0], rows, ut.size)
+    def table(draws=None):
+        if draws is None:
+            return np.bincount(cells, minlength=rows * columns).reshape(rows, columns)
+        drawn = np.take(cells, draws)
+        drawn += np.arange(0, len(draws) * rows * columns, rows * columns)[:, None]
+        return np.bincount(drawn.ravel(), minlength=drawn.shape[0] * rows * columns).reshape(
+            -1, rows, columns)
 
     return ut, table
 
@@ -157,24 +164,26 @@ _REDUCTIONS = {
 
 
 def _reduction(table, name):
-    """Aalen-Johansen rows of reduction ``name`` on its (k x 4 x T) exit table.
+    """Aalen-Johansen rows of reduction ``name`` on its (k x 4 x T) integer
+    exit table.
 
     Returns its (k x T) curves, NaN where undefined, and the (k x T)
-    all-cause survival after each time.  The steps run in place on the
-    table's rows.  At a time where a row has no exit (no subject drawn),
-    a step multiplies by an exact 1.0 and adds an exact 0.0.  After a
-    row's last exit its risk set is empty and divided by 1 in place of 0,
-    with zero events, so its curves stay frozen.
+    all-cause survival after each time.  The risk sets are integer
+    reverse sums, exact in any order; then the float steps run, each a
+    new array.  At a time where a row has no exit (no subject drawn), a
+    step multiplies by an exact 1.0 and adds an exact 0.0.  After a row's
+    last exit its risk set is empty and divided by 1 in place of 0, with
+    zero events, so its curves stay frozen.  A last column of later exits
+    (``_exit_table``'s ``until``) gets values too, which no time reads.
     """
     events, targets = _REDUCTIONS[name][1:]
-    y = _at_risk(table.sum(axis=1))
-    np.maximum(y, 1.0, out=y)
-    s_after = table[:, events].sum(axis=1)
-    np.subtract(1.0, np.divide(s_after, y, out=s_after), out=s_after)
+    y = np.maximum(_at_risk(table.sum(axis=1)), 1.0)
+    s_after = np.divide(table[:, events].sum(axis=1), y)
+    np.subtract(1.0, s_after, out=s_after)
     np.cumprod(s_after, axis=1, out=s_after)
     cifs = []
     for row in targets:
-        cif = table[:, row]
+        cif = table[:, row].astype(float)
         np.multiply(s_after[:, :-1], cif[:, 1:], out=cif[:, 1:])  # S(t-) dN(t); S(0-) is 1
         np.divide(cif, y, out=cif)
         cifs.append(np.cumsum(cif, axis=1, out=cif))
@@ -194,7 +203,7 @@ def _conditional(cif_death, cif_exposure):
 def _sample_curve(cohort, name) -> StepCurve:
     """The curve of reduction ``name`` on the sample, at its own exit times."""
     times, table = _exit_table(cohort, _REDUCTIONS[name][0])
-    values, s_after = _reduction(table(np.ones((1, len(cohort)))), name)
+    values, s_after = _reduction(table()[None], name)
     values = values[0].copy()  # a view would keep the whole table alive with the curve
     undefined = np.isnan(values)
     # mass left unresolved after the last exit: the curve is frozen from there
@@ -276,10 +285,10 @@ def aalen_johansen_extended(cohort: Cohort) -> OccupationCurves:
     h01, h02, h03 = (_divide(counts[_ROWS[0, l], on], y0) for l in (1, 2, 3))
     h14, h15 = (_divide(counts[_ROWS[1, l], on], y1) for l in (4, 5))
     del counts, y0, y1, on  # from here on: the hazards and the curves
-    # p00 and p01 depend on each other: one scan on Python floats, run over
-    # slices of _AJ_SLICE event times so that only one slice is held as
-    # Python floats.  The arrays start with the initial values, so [:-1]
-    # holds p00(t-), p01(t-).
+    # p00 is a scan on Python floats, and p01 a second one over p00(t-) h01,
+    # each run over slices of _AJ_SLICE event times so that only one slice
+    # is held as Python floats.  The arrays start with the initial values,
+    # so [:-1] holds p00(t-), p01(t-).
     x0 = np.add(h01, h02)
     x0 += h03
     x1 = np.add(h14, h15)
@@ -287,12 +296,10 @@ def aalen_johansen_extended(cohort: Cohort) -> OccupationCurves:
     p0[0], p1[0] = a, b = 1.0, 0.0
     for k in range(0, ut.size, _AJ_SLICE):
         part, after = slice(k, k + _AJ_SLICE), slice(k + 1, k + 1 + _AJ_SLICE)
-        s0, s1 = [], []
-        for x01, x0k, x1k in zip(h01[part].tolist(), x0[part].tolist(), x1[part].tolist()):
-            a, b = a - a * x0k, b + a * x01 - b * x1k
-            s0.append(a)
-            s1.append(b)
-        p0[after], p1[after] = s0, s1
+        p0[after] = [a := a - a * x for x in x0[part].tolist()]
+        # b + a*x01 - b*x1k in that order, with a*x01 = p00(t-) h01 in one multiply
+        u = np.multiply(p0[:-1][part], h01[part])
+        p1[after] = [b := b + v - b * y for v, y in zip(u.tolist(), x1[part].tolist())]
     del h01, x0, x1
     for p, h in ((p0, h02), (p0, h03), (p1, h14), (p1, h15)):  # each curve over its hazard
         np.multiply(p[:-1], h, out=h)

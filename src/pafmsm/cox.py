@@ -215,7 +215,7 @@ def _interval_arrays(cohort: Cohort, extra_covariates):
     to_state = np.where(after | ~exposed, EXIT_STATE[after.astype(int), status], 1)
     cols = [after.astype(float)]
     for name in extra_covariates:
-        cols.append(covariate_column(cohort.covariates, name, cohort.ids, numeric=True)[subject])
+        cols.append(covariate_column(cohort, name, numeric=True)[subject])
     return (
         np.where(after, inf, 0.0),
         np.where(after | ~exposed, end, inf),

@@ -121,10 +121,17 @@ def _weight_cells(row, freeze_day, exposure_day, death_day, m):
     return rows, cells, days >= exposure_day[:, None], days >= death_day[:, None]
 
 
-def _weight_rows(factors, rows, cells, exposed, died):
-    """The weight rows that ``_weight_cells`` located in ``factors``, their
-    death masks, and which rows are finite throughout."""
-    weights = np.take(_inverse_survival(factors[rows], cells.shape[1]), cells, mode="clip")
+def _inverse_rows(factors, m):
+    """The function of some rows of ``factors`` that builds their inverse
+    survivals (``_inverse_survival``), as ``_Patterns.blocks`` reads them."""
+    return lambda rows: _inverse_survival(factors[rows], m)
+
+
+def _weight_rows(inverse, rows, cells, exposed, died):
+    """The weight rows that ``_weight_cells`` located in the factor rows
+    whose inverse survivals ``inverse(rows)`` gives, their death masks, and
+    which rows are finite throughout."""
+    weights = np.take(inverse(rows), cells, mode="clip")
     np.copyto(weights, 0.0, where=exposed)
     return weights, died, np.isfinite(weights).all(axis=1)
 
@@ -158,24 +165,35 @@ class _Patterns:
         # column pairwise, not row by row
         self.n_days, n = m, row.size
         self.step = max(1, n if m == 1 else min(n, _BLOCK_CELLS // max(m, 1)))
-        # the rows of at most a block's worth of patterns are built once a
-        # call; with more, each block builds one row per subject
-        self.cells = _weight_cells(*self.columns, m) if keys.size <= self.step else None
+        # the cells of at most a block's worth of patterns are located once
+        self.cells = self._cells(slice(None)) if keys.size <= self.step else None
 
-    def blocks(self, factors, order=None):
+    def _cells(self, patterns):
+        """``_weight_cells`` of the patterns ``patterns``."""
+        return _weight_cells(*(c[patterns] for c in self.columns), self.n_days)
+
+    def blocks(self, inverse, order=None):
         """Per block of n subjects, in ``order`` (by default each subject
-        once, in turn): weight rows for these ``factors``, their death masks
-        and the row of each subject.  Raises PositivityError if a weight of
-        one of these subjects is not finite."""
+        once, in turn): weight rows, their death masks and the row of each
+        subject, for the factor rows whose inverse survivals ``inverse(rows)``
+        gives.  A call builds each pattern's row once, or, if its patterns
+        fill more than a block, each block those of its own patterns.  Raises
+        PositivityError if a weight of one of these subjects is not finite."""
+        index = self.index if order is None else self.index[order]
+        rows = None
         if self.cells is not None:
-            weights, died, finite = _weight_rows(factors, *self.cells)
-        for first in range(0, self.index.size, self.step):
-            part = slice(first, first + self.step)
-            local = self.index[part] if order is None else self.index[order[part]]
-            if self.cells is None:
-                cells = _weight_cells(*(c[local] for c in self.columns), self.n_days)
-                weights, died, finite = _weight_rows(factors, *cells)
-                local = np.arange(local.size)
+            rows = _weight_rows(inverse, *self.cells)
+        else:
+            patterns, local = np.unique(index, return_inverse=True)
+            if patterns.size <= self.step:
+                rows, index = _weight_rows(inverse, *self._cells(patterns)), local
+        for first in range(0, index.size, self.step):
+            local = index[first:first + self.step]
+            if rows is None:
+                patterns, local = np.unique(local, return_inverse=True)
+                weights, died, finite = _weight_rows(inverse, *self._cells(patterns))
+            else:
+                weights, died, finite = rows
             # a row holds the cells of its inverse survival that the subject
             # reads, days 1..min(freeze_day, exposure_day - 1), and zeros
             if not finite[local].all():
@@ -231,9 +249,17 @@ def _at_risk_days(panel: DailyPanel) -> np.ndarray:
     return np.minimum(panel.exposure_day, panel.terminal_day)
 
 
-def _on_or_before(days, m) -> np.ndarray:
-    """How many of ``days`` (each in 1..m+1) are <= s, for s = 0..m."""
-    return np.cumsum(np.bincount(days, minlength=m + 2))[:-1]
+def _on_or_before(days, m, draws=None) -> np.ndarray:
+    """How many of ``days`` (each in 1..m+1) are <= s, for s = 0..m.  With
+    ``draws``, a (k x n) block of draws of the subjects whose days these
+    are, the (k x (m+1)) counts of the k draws, from one offset ``bincount``
+    of the drawn days."""
+    if draws is None:
+        return np.cumsum(np.bincount(days, minlength=m + 2))[:-1]
+    cells = np.take(days, draws)
+    cells += np.arange(0, len(draws) * (m + 2), m + 2)[:, None]
+    counts = np.bincount(cells.ravel(), minlength=len(cells) * (m + 2))
+    return np.cumsum(counts.reshape(-1, m + 2), axis=1)[:, :-1]
 
 
 def _ratio_values(num, den):
@@ -297,7 +323,7 @@ def _pattern_fit(panel: DailyPanel, names):
     ``np.unique`` gives the resampled panel.  p is predicted on the
     (n_subjects x p) design: the (patterns x p) matrix may round otherwise.
     """
-    cols = [covariate_column(panel.covariates, name, panel.ids, numeric=True) for name in names]
+    cols = [covariate_column(panel, name, numeric=True) for name in names]
     x = np.column_stack([np.ones(panel.n_subjects), *cols])
     patterns, first, group = np.unique(x, axis=0, return_index=True, return_inverse=True)
     at_risk, exposed = _at_risk_days(panel), panel.exposure_day <= panel.terminal_day
@@ -335,15 +361,18 @@ def _fit_patterns(x, d, y, names) -> ExposureModel:
     return ExposureModel(beta, names[1:], it, loglik)
 
 
-def _daily_hazard(exposure, terminal, m):
+def _daily_hazard(exposure, terminal, m, draws=None):
     """The empirical exposure hazard of each day 1..m for subjects with
-    these exposure and terminal days, and the subjects who leave unexposed
-    (their own probability is 0 on their terminal day)."""
-    n = exposure.size
-    left_unexposed = np.flatnonzero(terminal < exposure)
-    n_at_risk = (n - _on_or_before(np.minimum(exposure, terminal), m)[:-1]).astype(float)
-    survivors = n_at_risk - np.diff(_on_or_before(terminal[left_unexposed], m))
-    dn = np.diff(_on_or_before(exposure, m)).astype(float)
+    these exposure and terminal days, and the mask of the subjects who
+    leave unexposed (their own probability is 0 on their terminal day).
+    With ``draws``, a (k x n) block of draws of the n subjects, the (k x m)
+    hazards of the k drawn panels, from their day counts (``_on_or_before``)."""
+    left_unexposed = terminal < exposure
+    at_risk, left, exposed = (_on_or_before(days, m, draws) for days in (
+        np.minimum(exposure, terminal), np.where(left_unexposed, terminal, m + 1), exposure))
+    n_at_risk = (exposure.size - at_risk[..., :-1]).astype(float)
+    survivors = n_at_risk - np.diff(left, axis=-1)
+    dn = np.diff(exposed, axis=-1).astype(float)
     with np.errstate(invalid="ignore", divide="ignore"):
         hazard = np.where(dn > 0, dn / survivors, 0.0)
     return hazard, left_unexposed
@@ -414,5 +443,6 @@ def ipw_f01(panel: DailyPanel, weights: WeightTable) -> StepCurve:
     if (weights.n_subjects, weights.n_days) != (panel.n_subjects, panel.n_days):
         raise DataError("weight table does not match the panel")
     patterns = weights._patterns(_death_days(panel))
-    total, died = _ipw_sums(patterns.blocks(weights.factors), *_buffers(patterns.step, panel.n_days))
+    total, died = _ipw_sums(patterns.blocks(_inverse_rows(weights.factors, panel.n_days)),
+                            *_buffers(patterns.step, panel.n_days))
     return _day_ratio(died, total)

@@ -33,6 +33,8 @@ from .discrete import (
     _daily_hazard,
     _death_days,
     _death_proportion,
+    _inverse_rows,
+    _inverse_survival,
     _ipw_sums,
     _on_or_before,
     _pattern_fit,
@@ -229,9 +231,12 @@ class CurveWithBands:
                           [grid, *cells, defined.astype(float)])
 
 
-# Multistate and naive replicates are computed in blocks whose exit tables or
-# day counts, and whose (replicate x subject) count matrix, hold at most this
-# many cells, so that memory grows with n + B * len(grid) and not with B * n.
+# Replicates come in blocks of draws, the (k x n) subjects drawn by k
+# replicates (``_draw_block``).  A block's draws, each (k x n) gather of
+# them and its exit tables or day counts hold at most this many cells, so
+# that memory grows with n + B * len(grid) and not with B * n.  An IPW
+# block keeps its draws through the weight sums, the estimator's peak, so
+# its blocks hold a sixteenth as many draws.
 _BLOCK_CELLS = 1 << 15
 
 
@@ -244,20 +249,23 @@ def _on_grid(ut, rows, grid):
 def _multistate_replicates(cohort, estimand, words, grid):
     """PAF of every replicate on ``grid``, one row per row of ``words``.
 
-    A replicate is the vector of how often each subject was drawn; each
-    curve's exit table weighted by those counts gives exactly the curves
-    of the resampled cohorts, a block of replicates per table.
+    Each curve's exit table counts a block of draws with one ``bincount``
+    of the drawn subjects' cells: exactly the integer tables of the
+    resampled cohorts, on the original's exit times up to the grid's last
+    point, with the later exits in one more column that only the risk sets
+    read.  So a table has a column even where no time lies on the grid.
     """
     n = len(cohort)
     names = ("overall_death_risk", _SUBTRACTED[estimand])
-    tables = [continuous._exit_table(cohort, continuous._REDUCTIONS[name][0]) for name in names]
-    block = max(1, _BLOCK_CELLS // max(4 * max(times.size for times, _ in tables), n))
+    until = grid[-1] if grid.size else None
+    tables = [continuous._exit_table(cohort, continuous._REDUCTIONS[name][0], until=until)
+              for name in names]
+    cells = max(4 * (max(times.size for times, _ in tables) + 1), n)
     est = np.empty((len(words), grid.size))
-    for first in range(0, len(words), block):
-        counts = _draw_counts(words[first:first + block], n)
-        pd, q = (_on_grid(times, continuous._reduction(table(counts), name)[0], grid)
+    for first, draws in _draw_blocks(words, n, cells):
+        pd, q = (_on_grid(times, continuous._reduction(table(draws), name)[0], grid)
                  for name, (times, table) in zip(names, tables))
-        est[first:first + len(counts)] = _paf_values(pd, q)
+        est[first:first + len(draws)] = _paf_values(pd, q)
     return est
 
 
@@ -267,26 +275,20 @@ def _naive_replicates(panel, words, grid):
 
     Both of its curves are ratios of day counts: deaths, exposures and
     deaths without exposure on or before each day.  A block of replicates
-    counts them with one ``bincount`` each, weighted by the draw counts; the
-    sums are whole numbers, so the ratios are bit for bit those of the
+    counts them with one ``bincount`` each of the drawn subjects' days; the
+    counts are whole numbers, so the ratios are bit for bit those of the
     resampled panels.
     """
     n, m = panel.n_subjects, panel.n_days
     death_day = _death_days(panel)
     days_of = (death_day, panel.exposure_day, np.where(panel.exposure_day > m, death_day, m + 1))
-    block = max(1, _BLOCK_CELLS // max(m + 2, n))
     days = np.arange(1.0, m + 1.0)
     est = np.empty((len(words), grid.size))
-    for first in range(0, len(words), block):
-        counts = _draw_counts(words[first:first + block], n)
-        cells = (np.arange(len(counts)) * (m + 2))[:, None]
-        deaths, exposed, unexposed_deaths = (
-            np.cumsum(np.bincount((cells + d).ravel(), weights=counts.ravel(),
-                                  minlength=cells.size * (m + 2)).reshape(-1, m + 2), axis=1)[:, 1:-1]
-            for d in days_of)
+    for first, draws in _draw_blocks(words, n, max(m + 2, n)):
+        deaths, exposed, unexposed_deaths = (_on_or_before(d, m, draws)[:, 1:] for d in days_of)
         q = _ratio_values(unexposed_deaths, n - exposed)[0]
-        est[first:first + len(counts)] = _paf_values(_on_grid(days, deaths / n, grid),
-                                                     _on_grid(days, q, grid))
+        est[first:first + len(draws)] = _paf_values(_on_grid(days, deaths / n, grid),
+                                                    _on_grid(days, q, grid))
     return est
 
 
@@ -296,41 +298,56 @@ def _ipw_replicates(panel, covariates, words, grid):
 
     A replicate's panel is the drawn subjects in draw order.  They keep
     their weight patterns, those of the panel's own weight table, so a
-    replicate brings only new factors (``_replicate_factors``): its
+    replicate brings only new factors (``_replicate_inverses``): its
     weights are the patterns' rows for them, summed in draw order, bit for
-    bit those of the resampled panel's own estimate.
+    bit those of the resampled panel's own estimate.  A block of draws
+    takes its hazards, inverse survivals and death counts at once; only
+    the sums in draw order run replicate by replicate.
     """
     n, m, death_day = panel.n_subjects, panel.n_days, _death_days(panel)
     patterns = _panel_weights(panel, covariates)._patterns(death_day)
     buffers = _buffers(patterns.step, m)
-    factors_of = _replicate_factors(panel, covariates)
+    inverses_of = _replicate_inverses(panel, covariates)
     days = np.arange(1.0, m + 1.0)
-    est = np.full((len(words), grid.size), np.nan)
+    est = np.empty((len(words), grid.size))
     failed = 0
-    for row, idx in zip(est, _draws(words, n)):
-        try:
-            total, died = _ipw_sums(patterns.blocks(factors_of(idx), idx), *buffers)
-        except (NumericalError, DataError):  # the point estimate passed: the draw is at fault
-            failed += 1  # the replicate keeps its undefined row
-            continue
+    for first, draws in _draw_blocks(words, n, 16 * max(n, m + 2)):
+        inverse_of = inverses_of(draws)
+        sums = np.full((2, len(draws), m), np.nan)  # a failed replicate's stay NaN
+        for r, idx in enumerate(draws):
+            try:
+                sums[:, r] = _ipw_sums(patterns.blocks(inverse_of(r), idx), *buffers)
+            except (NumericalError, DataError):  # the point estimate passed: the draw is at fault
+                failed += 1
         # the two curves of _paf_from on days 1..m, taken at grid; the IPW
         # ratio is NaN from its undefined_from on, as the weights sum to 0
         # only once everybody is exposed
-        q = _ratio_values(died, total)[0]
-        pd = _on_or_before(death_day[idx], m)[1:] / n
-        row[:] = _paf_values(*_on_grid(days, np.array([pd, q]), grid))
+        q = _ratio_values(sums[1], sums[0])[0]
+        pd = _on_or_before(death_day, m, draws)[:, 1:] / n
+        est[first:first + len(draws)] = _paf_values(_on_grid(days, pd, grid),
+                                                    _on_grid(days, q, grid))
     return est, failed
 
 
-def _replicate_factors(panel, covariates):
-    """The factors of a replicate's weight rows from its draw ``idx``: 1
-    minus the daily hazard of the drawn days, or with covariates those of
-    the pooled logistic model fit to the drawn subjects, a row per pattern."""
+def _replicate_inverses(panel, covariates):
+    """A function of a (k x n) block of draws that gives, for replicate r
+    of the block, the function of factor rows that ``_Patterns.blocks``
+    reads.  Without covariates the factors are 1 minus the daily hazard of
+    the drawn days, one row, taken for the whole block at once; with them,
+    those of the pooled logistic model fit to the drawn subjects, a row
+    per pattern, and a draw the model cannot fit raises its error."""
+    m = panel.n_days
     if covariates:
         fit, factors, _ = _pattern_fit(panel, covariates)
-        return lambda idx: factors(fit(idx).coefficients)
-    exposure, terminal, m = panel.exposure_day, panel.terminal_day, panel.n_days
-    return lambda idx: np.subtract(1.0, _daily_hazard(exposure[idx], terminal[idx], m)[0])[None, :]
+        return lambda draws: lambda r: _inverse_rows(factors(fit(draws[r]).coefficients), m)
+    exposure, terminal = panel.exposure_day, panel.terminal_day
+
+    def block(draws):
+        hazards = _daily_hazard(exposure, terminal, m, draws)[0]
+        inverse = _inverse_survival(np.subtract(1.0, hazards, out=hazards), m)
+        return lambda r: lambda rows: inverse[r:r + 1][rows]
+
+    return block
 
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx)
@@ -411,14 +428,22 @@ def _draws(words, n):
         yield generator(bits(seed(row))).integers(0, n, size=n)
 
 
-def _draw_counts(words, n):
-    """(k x n) matrix of how often the replicate of each row of ``words``
-    drew each subject, as floats: the weights of the exit tables, one
-    ``bincount`` per replicate written into one preallocated matrix."""
-    out = np.empty((len(words), n))
+def _draw_block(words, n):
+    """The (k x n) block of draws of the k rows of ``words``: the rows of
+    ``_draws``, stacked."""
+    out = np.empty((len(words), n), dtype=np.int64)
     for row, idx in zip(out, _draws(words, n)):
-        row[:] = np.bincount(idx, minlength=n)
+        row[:] = idx
     return out
+
+
+def _draw_blocks(words, n, cells):
+    """Per block of the rows of ``words``, as many as ``_BLOCK_CELLS`` holds
+    at ``cells`` cells a replicate (one at least): the first row's number
+    and the block's draws (``_draw_block``)."""
+    block = max(1, _BLOCK_CELLS // cells)
+    for first in range(0, len(words), block):
+        yield first, _draw_block(words[first:first + block], n)
 
 
 def _percentile_band(est):
@@ -452,10 +477,12 @@ def bootstrap_ci(
     ``default_rng(SeedSequence(seed).spawn(B)[r]).integers(0, n, size=n)``,
     so results are reproducible and independent of execution order; the B
     children's states are derived from the parent's pool in one pass.  No
-    replicate builds a resampled cohort or panel: multistate and naive
-    replicates come in blocks from their draw counts, IPW replicates from
-    the original panel's weight patterns (see ``_ipw_replicates``).  Grid
-    points where more than half the replicates are undefined get no band.
+    replicate builds a resampled cohort or panel: every path reads blocks
+    of draws (``_draw_block``), multistate and naive replicates as integer
+    exit tables or day counts of the drawn subjects, IPW replicates as the
+    original panel's weight patterns with a block's hazards taken at once
+    (see ``_ipw_replicates``).  Grid points where more than half the
+    replicates are undefined get no band.
     A ``B`` that is not an integer is a TypeError; a ``B`` below 2, a
     ``grid`` that is not 1-d and strictly increasing, or a bad ``seed`` a
     ValueError, raised before the point estimate.
@@ -491,7 +518,7 @@ def stratified_paf(
     estimator: str = "multistate",
 ) -> dict:
     """The PAF curve of each level of a categorical baseline covariate."""
-    column = covariate_column(cohort.covariates, covariate_name, cohort.ids)
+    column = covariate_column(cohort, covariate_name)
     nan = column != column  # NaN values form one stratum
     levels = sorted(dict.fromkeys(math.nan if v != v else v for v in column.tolist()), key=str)
     strata = {level: nan if level != level else column == level for level in levels}

@@ -24,6 +24,7 @@ from pafmsm import (
     discretize,
     estimate_paf,
     fit_cox_td,
+    fit_pooled_logistic,
     icu_like_spec,
     parse_cohort,
     simulate_cohort,
@@ -574,6 +575,23 @@ def test_discretize_matches_a_per_subject_fill():
     eps = np.array([np.where(days >= s.end_time, codes[s.end_status], 0) for s in kept], dtype=np.uint8)
     np.testing.assert_array_equal(reference_indicators(panel), (a, eps))
     assert panel.ids == tuple(s.id for s in kept)
+
+
+@pytest.mark.parametrize("censored", [False, True])
+def test_discretize_splits_no_id_it_does_not_report(censored):
+    # a parsed cohort keeps its ids as bytes: the panel reads the dropped
+    # subjects' ids at once, and its own only when an error names one
+    rows = "".join(f"s{i},{'' if i % 3 else i % 5 + 1},{i % 7 + 6},"
+                   f"{('death', 'discharge', 'censored' if censored else 'death')[i % 3]}\n"
+                   for i in range(30))
+    cohort = parse_cohort(HEADER + rows)
+    panel = discretize(cohort, allow_drop=True)
+    assert "_id_bytes" in cohort.__dict__ and "ids" not in panel.__dict__
+    kept = cohort.status != 0
+    assert panel.dropped == tuple(f"s{i}" for i in np.flatnonzero(~kept))
+    assert panel.ids == tuple(f"s{i}" for i in np.flatnonzero(kept))
+    with pytest.raises(DataError, match="^subject s0 has no covariate 'x'$"):
+        fit_pooled_logistic(discretize(cohort, allow_drop=True), ("x",))
 
 
 def test_discretize_rejects_an_empty_cohort():

@@ -237,21 +237,49 @@ def test_count_weight_replicates_equal_the_per_replicate_estimates(name, estiman
     assert got.tobytes() == _loop_replicates(cohort, estimand, 40, 6, grid).tobytes()
 
 
-# A replicate of this cohort holds 4 x 23 cells, its larger exit table: 100
-# cells make blocks of 1 replicate, and 300 blocks of 3 with a last block of 1.
-@pytest.mark.parametrize("cells, blocks", [(100, [1] * 40), (300, [3] * 13 + [1])],
-                         ids=["blocks_of_1", "blocks_of_3"])
-def test_replicate_blocks_do_not_change_the_bands(monkeypatch, cells, blocks):
+def _recorded_blocks(monkeypatch):
+    """The sizes of the blocks of draws that ``paf._draw_block`` makes from here on."""
+    sizes, draw_block = [], paf_module._draw_block
+    monkeypatch.setattr(paf_module, "_draw_block",
+                        lambda words, n: sizes.append(len(words)) or draw_block(words, n))
+    return sizes
+
+
+# Per replicate of this cohort (n = 80 over 60 days), a multistate block
+# holds 4 x 24 cells, its larger exit table with the column of later exits,
+# a naive block the 80 draws and an IPW block 16 x 80: these _BLOCK_CELLS
+# make blocks of 1, or blocks of 3 with a last block of 1.
+BLOCK_ESTIMATORS = {"multistate": ("paf_c", 96), "naive": ("paf_o", 80), "ipw": ("paf_c", 1280)}
+
+
+@pytest.mark.parametrize("rows", [1, 3], ids=["blocks_of_1", "blocks_of_3"])
+def test_replicate_blocks_do_not_change_the_bands(monkeypatch, rows):
     cohort = ENGINE_COHORTS["tied_days_censored"]
-    whole = bootstrap_ci(cohort, "paf_c", B=40, seed=3)
-    monkeypatch.setattr(paf_module, "_BLOCK_CELLS", cells)
-    sizes, draw_counts = [], paf_module._draw_counts
-    monkeypatch.setattr(paf_module, "_draw_counts",
-                        lambda words, n: sizes.append(len(words)) or draw_counts(words, n))
-    blocked = bootstrap_ci(cohort, "paf_c", B=40, seed=3)
-    assert sizes == blocks
-    assert blocked.lower.values.tobytes() == whole.lower.values.tobytes()
-    assert blocked.upper.values.tobytes() == whole.upper.values.tobytes()
+    for estimator, (estimand, cells) in BLOCK_ESTIMATORS.items():
+        whole = bootstrap_ci(cohort, estimand, estimator, B=40, seed=3, allow_drop=True)
+        monkeypatch.setattr(paf_module, "_BLOCK_CELLS", rows * cells + 2)
+        sizes = _recorded_blocks(monkeypatch)
+        blocked = bootstrap_ci(cohort, estimand, estimator, B=40, seed=3, allow_drop=True)
+        monkeypatch.undo()
+        assert sizes == [rows] * (40 // rows) + [1] * (rows == 3), estimator
+        assert blocked.to_csv() == whole.to_csv(), estimator
+        assert blocked.failed == whole.failed == 0
+
+
+@pytest.mark.parametrize("estimand", ["paf_o", "paf_c"])
+@pytest.mark.parametrize("name", list(ENGINE_COHORTS))
+def test_replicates_on_grids_that_end_before_at_and_past_the_exits(name, estimand):
+    # the exit tables keep the times up to the grid's last point only
+    cohort = ENGINE_COHORTS[name]
+    times = np.unique(np.concatenate((cohort.end, cohort.inf[cohort.exposed])))
+    ends = {"before the first exit": times[0] / 2, "at the first exit": times[0],
+            "at an exit time": times[times.size // 2], "at the last exit": times[-1],
+            "past the last exit": times[-1] + 0.5}
+    words = paf_module._child_words(6, 40)
+    for where, end in ends.items():
+        grid = np.array([end / 4, end / 2, end])
+        got = paf_module._multistate_replicates(to_transitions(cohort), estimand, words, grid)
+        assert got.tobytes() == _loop_replicates(cohort, estimand, 40, 6, grid).tobytes(), where
 
 
 def test_multistate_bootstrap_memory_stays_within_its_blocks():
@@ -358,13 +386,35 @@ def test_ipw_covariate_replicates_equal_the_refits(monkeypatch, name, rows):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("name", ["four_levels", "two", "rounded_continuous"])
+def test_each_drawn_pattern_row_is_built_once_a_replicate(monkeypatch, name):
+    # more weight patterns than a block of subjects holds, but fewer drawn
+    # by each replicate: one set of rows a replicate, the drawn patterns'
+    covariates, cohort = COVARIATE_COHORTS[name]
+    panel = discretize(cohort, allow_drop=True)
+    index = paf_module._panel_weights(panel, covariates)._patterns(discrete._death_days(panel)).index
+    words, streams = paf_module._child_words(9, 40), np.random.SeedSequence(9).spawn(40)
+    drawn = [np.unique(index[idx]).size for idx in paf_module._draws(words, panel.n_subjects)]
+    step = max(drawn)
+    assert step < index.max() + 1
+    monkeypatch.setattr(discrete, "_BLOCK_CELLS", step * panel.n_days)
+    built, weight_rows = [], discrete._weight_rows
+    monkeypatch.setattr(discrete, "_weight_rows",
+                        lambda inverse, rows, cells, *masks: built.append(len(cells))
+                        or weight_rows(inverse, rows, cells, *masks))
+    grid = np.arange(1.0, panel.n_days + 1.0)
+    got, failed = paf_module._ipw_replicates(panel, covariates, words, grid)
+    assert built == drawn
+    want, want_failed = _refit_replicates(panel, streams, grid, covariates=covariates)
+    assert failed == want_failed == 0
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("rows", [None, 1, 3])
 @pytest.mark.parametrize("name", list(PANEL_COHORTS))
 def test_naive_replicates_equal_the_refits(monkeypatch, name, rows):
     panel = discretize(PANEL_COHORTS[name], allow_drop=True)
-    sizes, draw_counts = [], paf_module._draw_counts
-    monkeypatch.setattr(paf_module, "_draw_counts",
-                        lambda words, n: sizes.append(len(words)) or draw_counts(words, n))
+    sizes = _recorded_blocks(monkeypatch)
     if rows:  # blocks of 1 and of 3 replicates
         monkeypatch.setattr(paf_module, "_BLOCK_CELLS",
                             rows * max(panel.n_days + 2, panel.n_subjects))
@@ -380,15 +430,18 @@ def test_naive_replicates_equal_the_refits(monkeypatch, name, rows):
 
 def _certain_on_day_one(replicate):
     """``_daily_hazard`` with the hazard of day 1 set to 1 on the panels
-    that ``replicate(exposure, terminal)`` picks.  Empirical weights never
+    that ``replicate(exposure, terminal)`` picks: the panel's own, or each
+    drawn panel of a block of draws in turn.  Empirical weights never
     exceed n, so no cohort makes an IPW replicate fail by itself; this
     makes unbounded the weights of everybody unexposed after day 1."""
     daily_hazard = discrete._daily_hazard
 
-    def hazard_of(exposure, terminal, m):
-        hazard, left_unexposed = daily_hazard(exposure, terminal, m)
-        if replicate(exposure, terminal):
-            hazard[0] = 1.0
+    def hazard_of(exposure, terminal, m, draws=None):
+        hazard, left_unexposed = daily_hazard(exposure, terminal, m, draws)
+        drawn = [np.arange(exposure.size)] if draws is None else draws
+        for row, idx in zip(hazard.reshape(-1, m), drawn):
+            if replicate(exposure[idx], terminal[idx]):
+                row[0] = 1.0
         return hazard, left_unexposed
 
     return hazard_of
@@ -405,6 +458,47 @@ def test_ipw_replicates_fail_where_the_refits_do(monkeypatch):
     want, want_failed = _refit_replicates(panel, np.random.SeedSequence(4).spawn(40), grid)
     assert 0 < failed == want_failed < 40
     assert got.tobytes() == want.tobytes()
+
+
+def test_a_failed_replicate_inside_a_block_leaves_its_neighbours_as_the_refits(monkeypatch):
+    # blocks of 3 IPW replicates, and the middle replicate of the second
+    # block certain to be exposed on day 1: its weights are unbounded
+    panel = discretize(ENGINE_COHORTS["tied_days_censored"], allow_drop=True)
+    n, streams = panel.n_subjects, np.random.SeedSequence(4).spawn(6)
+    middle = np.random.default_rng(streams[4]).integers(0, n, size=n)
+    picked = _certain_on_day_one(lambda exposure, terminal: np.array_equal(
+        exposure, panel.exposure_day[middle]) and np.array_equal(terminal, panel.terminal_day[middle]))
+    monkeypatch.setattr(discrete, "_daily_hazard", picked)  # the refits' weights
+    monkeypatch.setattr(paf_module, "_daily_hazard", picked)  # the replicates' hazards
+    monkeypatch.setattr(paf_module, "_BLOCK_CELLS", 3 * 16 * n)
+    sizes = _recorded_blocks(monkeypatch)
+    grid = np.arange(1.0, panel.n_days + 1.0)
+    got, failed = paf_module._ipw_replicates(panel, (), paf_module._child_words(4, 6), grid)
+    want, want_failed = _refit_replicates(panel, streams, grid)
+    assert sizes == [3, 3]
+    assert failed == want_failed == 1
+    assert np.isnan(got[4]).all() and np.isfinite(got[[3, 5], -1]).all()
+    assert got[[3, 5]].tobytes() == want[[3, 5]].tobytes()
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["one_day", "one_day_runs"])
+def test_one_day_panels_in_blocks_of_replicates_equal_the_refits(monkeypatch, name):
+    panel = discretize(EDGE_COHORTS[name], allow_drop=True)
+    n, grid = panel.n_subjects, np.array([0.5, 1.0, 2.0])
+    assert panel.n_days == 1
+    words, streams = paf_module._child_words(8, 7), np.random.SeedSequence(8).spawn(7)
+    sizes = _recorded_blocks(monkeypatch)
+    monkeypatch.setattr(paf_module, "_BLOCK_CELLS", 3 * 16 * n)  # IPW blocks of 3
+    got, failed = paf_module._ipw_replicates(panel, (), words, grid)
+    want, want_failed = _refit_replicates(panel, streams, grid)
+    assert failed == want_failed == 0
+    assert got.tobytes() == want.tobytes()
+    monkeypatch.setattr(paf_module, "_BLOCK_CELLS", 3 * n)  # naive blocks of 3
+    got = paf_module._naive_replicates(panel, words, grid)
+    want, _ = _refit_replicates(panel, streams, grid, "paf_o", "naive")
+    assert got.tobytes() == want.tobytes()
+    assert sizes == [3, 3, 1] * 2
 
 
 def test_ipw_bootstrap_stays_linear_in_memory():
@@ -527,13 +621,12 @@ def test_bands_csv_equals_the_per_row_reference(n):
 
 
 @pytest.mark.parametrize("k, n", [(0, 5), (1, 1), (7, 13), (3, 1000)])
-def test_draw_counts_equal_one_bincount_over_every_stream(k, n):
+def test_a_draw_block_stacks_the_draws_of_every_stream(k, n):
     streams = np.random.SeedSequence(k + n).spawn(k)
-    cells = [np.random.default_rng(s).integers(0, n, size=n) + r * n for r, s in enumerate(streams)]
-    expected = np.bincount(np.concatenate([np.empty(0, np.int64), *cells]), minlength=k * n)
-    counts = paf_module._draw_counts(paf_module._child_words(k + n, k), n)
-    assert counts.dtype == np.float64
-    assert np.array_equal(counts, expected.reshape(k, n).astype(float))
+    expected = np.array([np.random.default_rng(s).integers(0, n, size=n) for s in streams],
+                        dtype=np.int64).reshape(k, n)
+    block = paf_module._draw_block(paf_module._child_words(k + n, k), n)
+    assert (block.dtype, block.shape, block.tobytes()) == (np.int64, (k, n), expected.tobytes())
 
 
 def test_bootstrap_rejects_tiny_b():
@@ -546,12 +639,22 @@ def test_bootstrap_checks_its_grid_before_it_draws(monkeypatch):
     def drawn(*args):
         raise AssertionError("a replicate was drawn")
 
+    pairs = [("paf_o", "multistate"), ("paf_c", "multistate"), ("paf_o", "naive"), ("paf_c", "ipw")]
     monkeypatch.setattr(paf_module, "_multistate_replicates", drawn)
-    for grid in ([3.0, 1.0], [1.0, 1.0], [[1.0, 2.0]], [1.0, np.nan]):
-        with pytest.raises(ValueError, match="^grid must be a 1-d array of strictly increasing times$"):
-            bootstrap_ci(TWO, "paf_o", B=2, seed=0, grid=grid)
+    monkeypatch.setattr(paf_module, "_draw_block", drawn)
+    for estimand, estimator in pairs:
+        for grid in ([3.0, 1.0], [1.0, 1.0], [[1.0, 2.0]], [1.0, np.nan]):
+            with pytest.raises(ValueError,
+                               match="^grid must be a 1-d array of strictly increasing times$"):
+                bootstrap_ci(TWO, estimand, estimator, B=2, seed=0, grid=grid)
     monkeypatch.undo()
-    assert bootstrap_ci(TWO, "paf_o", B=2, seed=0, grid=[]).lower.times.size == 0
+    # an empty grid is no error: the replicates are drawn, and the bands are empty
+    for estimand, estimator in pairs:
+        sizes = _recorded_blocks(monkeypatch)
+        bands = bootstrap_ci(TWO, estimand, estimator, B=2, seed=0, grid=[])
+        monkeypatch.undo()
+        assert sizes == [2] and bands.lower.times.size == bands.upper.times.size == 0
+        assert bands.to_csv() == "t,estimate,lower,upper,defined\n"
 
 
 def test_stratified_single_level_matches_pooled():
