@@ -183,7 +183,7 @@ class _Patterns:
         rows = None
         if self.cells is not None:
             rows = _weight_rows(inverse, *self.cells)
-        else:
+        elif order is not None:  # without an order all the patterns are used: too many
             patterns, local = np.unique(index, return_inverse=True)
             if patterns.size <= self.step:
                 rows, index = _weight_rows(inverse, *self._cells(patterns)), local

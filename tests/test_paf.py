@@ -230,11 +230,17 @@ ENGINE_COHORTS = {
 @pytest.mark.parametrize("estimand", ["paf_o", "paf_c"])
 @pytest.mark.parametrize("name", list(ENGINE_COHORTS))
 def test_count_weight_replicates_equal_the_per_replicate_estimates(name, estimand):
+    # the exit tables keep the times up to the grid's last point only: grids
+    # that end before the first exit, at exit times and past the last one
     cohort = ENGINE_COHORTS[name]
-    grid = np.concatenate(([0.5], np.arange(1.0, cohort.horizon + 2.0)))
+    times = np.unique(np.concatenate((cohort.end, cohort.inf[cohort.exposed])))
+    grids = [np.concatenate(([0.5], np.arange(1.0, cohort.horizon + 2.0)))]
+    grids += [np.array([end / 4, end / 2, end]) for end in (
+        times[0] / 2, times[0], times[times.size // 2], times[-1], times[-1] + 0.5)]
     words = paf_module._child_words(6, 40)
-    got = paf_module._multistate_replicates(to_transitions(cohort), estimand, words, grid)
-    assert got.tobytes() == _loop_replicates(cohort, estimand, 40, 6, grid).tobytes()
+    for grid in grids:
+        got = paf_module._multistate_replicates(to_transitions(cohort), estimand, words, grid)
+        assert got.tobytes() == _loop_replicates(cohort, estimand, 40, 6, grid).tobytes(), grid
 
 
 def _recorded_blocks(monkeypatch):
@@ -266,24 +272,8 @@ def test_replicate_blocks_do_not_change_the_bands(monkeypatch, rows):
         assert blocked.failed == whole.failed == 0
 
 
-@pytest.mark.parametrize("estimand", ["paf_o", "paf_c"])
-@pytest.mark.parametrize("name", list(ENGINE_COHORTS))
-def test_replicates_on_grids_that_end_before_at_and_past_the_exits(name, estimand):
-    # the exit tables keep the times up to the grid's last point only
-    cohort = ENGINE_COHORTS[name]
-    times = np.unique(np.concatenate((cohort.end, cohort.inf[cohort.exposed])))
-    ends = {"before the first exit": times[0] / 2, "at the first exit": times[0],
-            "at an exit time": times[times.size // 2], "at the last exit": times[-1],
-            "past the last exit": times[-1] + 0.5}
-    words = paf_module._child_words(6, 40)
-    for where, end in ends.items():
-        grid = np.array([end / 4, end / 2, end])
-        got = paf_module._multistate_replicates(to_transitions(cohort), estimand, words, grid)
-        assert got.tobytes() == _loop_replicates(cohort, estimand, 40, 6, grid).tobytes(), where
-
-
 def test_multistate_bootstrap_memory_stays_within_its_blocks():
-    # a block of replicates holds weighted exit tables of at most
+    # a block of replicates holds integer exit tables of at most
     # _BLOCK_CELLS cells; sweeps of (block x n) float temporaries took
     # 14.6 MB, and one (block x 7 x T) six-state table per block 3.16 MB
     cohort = simulate_cohort(icu_like_spec(), 1000, seed=3)
@@ -519,7 +509,7 @@ def test_ipw_bootstrap_stays_linear_in_memory():
 
 
 def test_naive_bootstrap_stays_linear_in_memory():
-    # naive replicates are day counts of blocks of draw counts: a resampled
+    # naive replicates are day counts of blocks of draws: a resampled
     # dense (n x days) panel would take a byte a cell, its weights 8
     n, m = 20_000, 400
     cohort = uniform_stays_cohort(n, m)
