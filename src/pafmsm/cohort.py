@@ -14,7 +14,7 @@ import io
 import math
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, compress, repeat
 from operator import itemgetter
 
@@ -344,6 +344,23 @@ class TransitionRow:
     t_stop: float
 
 
+class _IdsOnRead:
+    """The ``ids`` field of a ``DailyPanel``: a tuple of str, given as one
+    or as a function of no arguments whose result it is built from on
+    first read (``discretize``: only error messages name a subject)."""
+
+    def __get__(self, panel, owner=None):
+        if panel is None:  # read on the class: the field has no default
+            raise AttributeError("ids")
+        ids = panel.__dict__["ids"]
+        if callable(ids):
+            ids = panel.__dict__["ids"] = tuple(ids())
+        return ids
+
+    def __set__(self, panel, ids):
+        panel.__dict__["ids"] = ids
+
+
 @dataclass(frozen=True)
 class DailyPanel:
     """Integer-day discretization over days s = 1..n_days, as per-subject columns.
@@ -352,24 +369,18 @@ class DailyPanel:
     if never exposed), ``terminal_day`` the first day s with end_time <= s,
     and ``status`` its event (1 death, 2 discharge).  Censored subjects are
     excluded and listed in ``dropped``.  ``covariates`` maps name -> column
-    over the panel's subjects.  The first field holds the ids, or the
-    ``Cohort`` whose ids they are: ``ids`` builds their tuple on first
-    read, as only error messages name a subject.  No estimator reads a
-    dense (n, n_days) matrix; ``a`` builds one only for the benchmark's
-    ``panel_cells`` counter, which still reads its size.
+    over the panel's subjects.  No estimator reads a dense (n, n_days)
+    matrix; ``a`` builds one only for the benchmark's ``panel_cells``
+    counter, which still reads its size.
     """
 
-    _ids: object = field(repr=False)
+    ids: tuple[str, ...] = _IdsOnRead()
     exposure_day: np.ndarray  # (n,) int64
     terminal_day: np.ndarray  # (n,) int64
     status: np.ndarray  # (n,) int64
     n_days: int
     covariates: dict
     dropped: tuple[str, ...] = ()
-
-    @cached_property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(self._ids.ids if isinstance(self._ids, Cohort) else self._ids)
 
     @property
     def n_subjects(self) -> int:
@@ -931,7 +942,9 @@ def discretize(cohort: Cohort, allow_drop: bool = False) -> DailyPanel:
         raise DataError("empty cohort")
     m = _horizon_days(cohort.horizon)
     exposure_day = np.nan_to_num(np.ceil(kept.inf), nan=m + 1).astype(np.int64)
-    return DailyPanel(kept, exposure_day=exposure_day,
+    ids = kept.__dict__.get("_id_bytes")  # the bytes of parsed ids, split on first read
+    return DailyPanel(ids=kept.ids.tolist if ids is None else partial(_split, ids),
+                      exposure_day=exposure_day,
                       terminal_day=np.ceil(kept.end).astype(np.int64), status=kept.status,
                       n_days=m, covariates=kept.covariates, dropped=dropped)
 

@@ -89,7 +89,7 @@ def _kinds(status, base):
 _ROWS = {(0, 1): 0, (0, 2): 1, (0, 3): 2, (1, 4): 4, (1, 5): 5}
 
 
-def _exit_table(cohort: Cohort, exits, merge=None, until=None):
+def _exit_table(cohort: Cohort, exits, merge=None):
     """Exit counts by kind on the distinct exit times, from one sort.
 
     ``exits`` is "state0" (each subject leaves state 0 once: at the
@@ -101,9 +101,7 @@ def _exit_table(cohort: Cohort, exits, merge=None, until=None):
     (k x d) block of draws, indices into the exits (in the state-0 and
     hospital tables exit i is subject i's), the (k x rows x T) tables of
     the k resampled samples.  ``merge``, one row number per row, counts
-    each row's exits in that row of a smaller table.  ``until`` keeps only
-    the times up to it, and counts the later exits in one more column, the
-    last, which has no time: only the risk sets read it.
+    each row's exits in that row of a smaller table.
     """
     inf, end, status = cohort.inf, cohort.end, cohort.status
     if end.size == 0:
@@ -119,22 +117,17 @@ def _exit_table(cohort: Cohort, exits, merge=None, until=None):
         kinds, rows = merge[kinds], merge.max() + 1
     ut, idx = np.unique(times, return_inverse=True)
     del times
-    columns = ut.size
-    if until is not None:  # the later exits fold into column ut.size
-        ut = ut[:np.searchsorted(ut, until, side="right")]
-        np.minimum(idx, ut.size, out=idx)
-        columns = ut.size + 1
-    cells = np.multiply(kinds, columns, out=kinds)
+    cells = np.multiply(kinds, ut.size, out=kinds)
     cells += idx
     del idx
 
     def table(draws=None):
         if draws is None:
-            return np.bincount(cells, minlength=rows * columns).reshape(rows, columns)
+            return np.bincount(cells, minlength=rows * ut.size).reshape(rows, ut.size)
         drawn = np.take(cells, draws)
-        drawn += np.arange(0, len(draws) * rows * columns, rows * columns)[:, None]
-        return np.bincount(drawn.ravel(), minlength=drawn.shape[0] * rows * columns).reshape(
-            -1, rows, columns)
+        drawn += np.arange(0, len(draws) * rows * ut.size, rows * ut.size)[:, None]
+        return np.bincount(drawn.ravel(), minlength=drawn.shape[0] * rows * ut.size).reshape(
+            -1, rows, ut.size)
 
     return ut, table
 
@@ -165,26 +158,32 @@ _REDUCTIONS = {
 
 def _reduction(table, name):
     """Aalen-Johansen rows of reduction ``name`` on its (k x 4 x T) integer
-    exit table.
+    exit table, whose rows it overwrites if k is 1.
 
     Returns its (k x T) curves, NaN where undefined, and the (k x T)
     all-cause survival after each time.  The risk sets are integer
-    reverse sums, exact in any order; then the float steps run, each a
-    new array.  At a time where a row has no exit (no subject drawn), a
-    step multiplies by an exact 1.0 and adds an exact 0.0.  After a row's
-    last exit its risk set is empty and divided by 1 in place of 0, with
-    zero events, so its curves stay frozen.  A last column of later exits
-    (``_exit_table``'s ``until``) gets values too, which no time reads.
+    reverse sums, exact in any order, taken as floats once clamped.  Then
+    the float steps run in place on each target's CIF row.  At a time
+    where a row has no exit (no subject drawn), a step multiplies by an
+    exact 1.0 and adds an exact 0.0.  After a row's last exit its risk set
+    is empty and divided by 1 in place of 0, with zero events, so its
+    curves stay frozen.
     """
     events, targets = _REDUCTIONS[name][1:]
     y = np.maximum(_at_risk(table.sum(axis=1)), 1.0)
-    s_after = np.divide(table[:, events].sum(axis=1), y)
-    np.subtract(1.0, s_after, out=s_after)
+    s_after = table[:, events].sum(axis=1, dtype=np.float64)  # whole numbers, summed exactly
+    np.subtract(1.0, np.divide(s_after, y, out=s_after), out=s_after)
     np.cumprod(s_after, axis=1, out=s_after)
+    # a sample's table (k = 1) takes each CIF over a row that no later step
+    # reads, so it needs no float copy; a block's rows interleave, and new
+    # rows are faster there
+    spare = [row for row in range(table.shape[1]) if row not in targets]
     cifs = []
-    for row in targets:
-        cif = table[:, row].astype(float)
-        np.multiply(s_after[:, :-1], cif[:, 1:], out=cif[:, 1:])  # S(t-) dN(t); S(0-) is 1
+    for row, free in zip(targets, spare):
+        counts = table[:, row]
+        cif = table[:, free].view(np.float64) if len(table) == 1 else np.empty(counts.shape)
+        cif[:, 0] = counts[:, 0]
+        np.multiply(s_after[:, :-1], counts[:, 1:], out=cif[:, 1:])  # S(t-) dN(t); S(0-) is 1
         np.divide(cif, y, out=cif)
         cifs.append(np.cumsum(cif, axis=1, out=cif))
     return (_conditional(*cifs) if len(cifs) > 1 else cifs[0]), s_after
@@ -203,7 +202,9 @@ def _conditional(cif_death, cif_exposure):
 def _sample_curve(cohort, name) -> StepCurve:
     """The curve of reduction ``name`` on the sample, at its own exit times."""
     times, table = _exit_table(cohort, _REDUCTIONS[name][0])
-    values, s_after = _reduction(table()[None], name)
+    counts = table()[None]
+    del table  # and with it the cells
+    values, s_after = _reduction(counts, name)
     values = values[0].copy()  # a view would keep the whole table alive with the curve
     undefined = np.isnan(values)
     # mass left unresolved after the last exit: the curve is frozen from there

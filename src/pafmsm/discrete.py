@@ -121,17 +121,10 @@ def _weight_cells(row, freeze_day, exposure_day, death_day, m):
     return rows, cells, days >= exposure_day[:, None], days >= death_day[:, None]
 
 
-def _inverse_rows(factors, m):
-    """The function of some rows of ``factors`` that builds their inverse
-    survivals (``_inverse_survival``), as ``_Patterns.blocks`` reads them."""
-    return lambda rows: _inverse_survival(factors[rows], m)
-
-
-def _weight_rows(inverse, rows, cells, exposed, died):
-    """The weight rows that ``_weight_cells`` located in the factor rows
-    whose inverse survivals ``inverse(rows)`` gives, their death masks, and
-    which rows are finite throughout."""
-    weights = np.take(inverse(rows), cells, mode="clip")
+def _weight_rows(factors, rows, cells, exposed, died):
+    """The weight rows that ``_weight_cells`` located in ``factors``, their
+    death masks, and which rows are finite throughout."""
+    weights = np.take(_inverse_survival(factors[rows], cells.shape[1]), cells, mode="clip")
     np.copyto(weights, 0.0, where=exposed)
     return weights, died, np.isfinite(weights).all(axis=1)
 
@@ -172,26 +165,26 @@ class _Patterns:
         """``_weight_cells`` of the patterns ``patterns``."""
         return _weight_cells(*(c[patterns] for c in self.columns), self.n_days)
 
-    def blocks(self, inverse, order=None):
+    def blocks(self, factors, order=None):
         """Per block of n subjects, in ``order`` (by default each subject
-        once, in turn): weight rows, their death masks and the row of each
-        subject, for the factor rows whose inverse survivals ``inverse(rows)``
-        gives.  A call builds each pattern's row once, or, if its patterns
-        fill more than a block, each block those of its own patterns.  Raises
-        PositivityError if a weight of one of these subjects is not finite."""
+        once, in turn): weight rows for these ``factors``, their death masks
+        and the row of each subject.  A call builds each pattern's row once,
+        or, if its patterns fill more than a block, each block those of its
+        own patterns.  Raises PositivityError if a weight of one of these
+        subjects is not finite."""
         index = self.index if order is None else self.index[order]
         rows = None
         if self.cells is not None:
-            rows = _weight_rows(inverse, *self.cells)
+            rows = _weight_rows(factors, *self.cells)
         elif order is not None:  # without an order all the patterns are used: too many
             patterns, local = np.unique(index, return_inverse=True)
             if patterns.size <= self.step:
-                rows, index = _weight_rows(inverse, *self._cells(patterns)), local
+                rows, index = _weight_rows(factors, *self._cells(patterns)), local
         for first in range(0, index.size, self.step):
             local = index[first:first + self.step]
             if rows is None:
                 patterns, local = np.unique(local, return_inverse=True)
-                weights, died, finite = _weight_rows(inverse, *self._cells(patterns))
+                weights, died, finite = _weight_rows(factors, *self._cells(patterns))
             else:
                 weights, died, finite = rows
             # a row holds the cells of its inverse survival that the subject
@@ -361,18 +354,15 @@ def _fit_patterns(x, d, y, names) -> ExposureModel:
     return ExposureModel(beta, names[1:], it, loglik)
 
 
-def _daily_hazard(exposure, terminal, m, draws=None):
+def _daily_hazard(exposure, terminal, m):
     """The empirical exposure hazard of each day 1..m for subjects with
-    these exposure and terminal days, and the mask of the subjects who
-    leave unexposed (their own probability is 0 on their terminal day).
-    With ``draws``, a (k x n) block of draws of the n subjects, the (k x m)
-    hazards of the k drawn panels, from their day counts (``_on_or_before``)."""
-    left_unexposed = terminal < exposure
-    at_risk, left, exposed = (_on_or_before(days, m, draws) for days in (
-        np.minimum(exposure, terminal), np.where(left_unexposed, terminal, m + 1), exposure))
-    n_at_risk = (exposure.size - at_risk[..., :-1]).astype(float)
-    survivors = n_at_risk - np.diff(left, axis=-1)
-    dn = np.diff(exposed, axis=-1).astype(float)
+    these exposure and terminal days, and the subjects who leave unexposed
+    (their own probability is 0 on their terminal day)."""
+    n = exposure.size
+    left_unexposed = np.flatnonzero(terminal < exposure)
+    n_at_risk = (n - _on_or_before(np.minimum(exposure, terminal), m)[:-1]).astype(float)
+    survivors = n_at_risk - np.diff(_on_or_before(terminal[left_unexposed], m))
+    dn = np.diff(_on_or_before(exposure, m)).astype(float)
     with np.errstate(invalid="ignore", divide="ignore"):
         hazard = np.where(dn > 0, dn / survivors, 0.0)
     return hazard, left_unexposed
@@ -443,6 +433,5 @@ def ipw_f01(panel: DailyPanel, weights: WeightTable) -> StepCurve:
     if (weights.n_subjects, weights.n_days) != (panel.n_subjects, panel.n_days):
         raise DataError("weight table does not match the panel")
     patterns = weights._patterns(_death_days(panel))
-    total, died = _ipw_sums(patterns.blocks(_inverse_rows(weights.factors, panel.n_days)),
-                            *_buffers(patterns.step, panel.n_days))
+    total, died = _ipw_sums(patterns.blocks(weights.factors), *_buffers(patterns.step, panel.n_days))
     return _day_ratio(died, total)

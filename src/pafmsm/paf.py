@@ -33,8 +33,6 @@ from .discrete import (
     _daily_hazard,
     _death_days,
     _death_proportion,
-    _inverse_rows,
-    _inverse_survival,
     _ipw_sums,
     _on_or_before,
     _pattern_fit,
@@ -231,12 +229,11 @@ class CurveWithBands:
                           [grid, *cells, defined.astype(float)])
 
 
-# Replicates come in blocks of draws, the (k x n) subjects drawn by k
-# replicates (``_draw_block``).  A block's draws, each (k x n) gather of
-# them and its exit tables or day counts hold at most this many cells, so
-# that memory grows with n + B * len(grid) and not with B * n.  An IPW
-# block keeps its draws through the weight sums, the estimator's peak, so
-# its blocks hold a sixteenth as many draws.
+# Multistate and naive replicates come in blocks of draws, the (k x n)
+# subjects drawn by k replicates (``_draw_block``).  A block's draws, each
+# (k x n) gather of them and its exit tables or day counts hold at most
+# this many cells, so that memory grows with n + B * len(grid) and not
+# with B * n.
 _BLOCK_CELLS = 1 << 15
 
 
@@ -251,16 +248,12 @@ def _multistate_replicates(cohort, estimand, words, grid):
 
     Each curve's exit table counts a block of draws with one ``bincount``
     of the drawn subjects' cells: exactly the integer tables of the
-    resampled cohorts, on the original's exit times up to the grid's last
-    point, with the later exits in one more column that only the risk sets
-    read.  So a table has a column even where no time lies on the grid.
+    resampled cohorts, on the original's exit times.
     """
     n = len(cohort)
     names = ("overall_death_risk", _SUBTRACTED[estimand])
-    until = grid[-1] if grid.size else None
-    tables = [continuous._exit_table(cohort, continuous._REDUCTIONS[name][0], until=until)
-              for name in names]
-    cells = max(4 * (max(times.size for times, _ in tables) + 1), n)
+    tables = [continuous._exit_table(cohort, continuous._REDUCTIONS[name][0]) for name in names]
+    cells = max(4 * max(times.size for times, _ in tables), n)
     est = np.empty((len(words), grid.size))
     for first, draws in _draw_blocks(words, n, cells):
         pd, q = (_on_grid(times, continuous._reduction(table(draws), name)[0], grid)
@@ -298,56 +291,41 @@ def _ipw_replicates(panel, covariates, words, grid):
 
     A replicate's panel is the drawn subjects in draw order.  They keep
     their weight patterns, those of the panel's own weight table, so a
-    replicate brings only new factors (``_replicate_inverses``): its
+    replicate brings only new factors (``_replicate_factors``): its
     weights are the patterns' rows for them, summed in draw order, bit for
-    bit those of the resampled panel's own estimate.  A block of draws
-    takes its hazards, inverse survivals and death counts at once; only
-    the sums in draw order run replicate by replicate.
+    bit those of the resampled panel's own estimate.
     """
     n, m, death_day = panel.n_subjects, panel.n_days, _death_days(panel)
     patterns = _panel_weights(panel, covariates)._patterns(death_day)
     buffers = _buffers(patterns.step, m)
-    inverses_of = _replicate_inverses(panel, covariates)
+    factors_of = _replicate_factors(panel, covariates)
     days = np.arange(1.0, m + 1.0)
-    est = np.empty((len(words), grid.size))
+    est = np.full((len(words), grid.size), np.nan)
     failed = 0
-    for first, draws in _draw_blocks(words, n, 16 * max(n, m + 2)):
-        inverse_of = inverses_of(draws)
-        sums = np.full((2, len(draws), m), np.nan)  # a failed replicate's stay NaN
-        for r, idx in enumerate(draws):
-            try:
-                sums[:, r] = _ipw_sums(patterns.blocks(inverse_of(r), idx), *buffers)
-            except (NumericalError, DataError):  # the point estimate passed: the draw is at fault
-                failed += 1
+    for row, idx in zip(est, _draws(words, n)):
+        try:
+            total, died = _ipw_sums(patterns.blocks(factors_of(idx), idx), *buffers)
+        except (NumericalError, DataError):  # the point estimate passed: the draw is at fault
+            failed += 1  # the replicate keeps its undefined row
+            continue
         # the two curves of _paf_from on days 1..m, taken at grid; the IPW
         # ratio is NaN from its undefined_from on, as the weights sum to 0
         # only once everybody is exposed
-        q = _ratio_values(sums[1], sums[0])[0]
-        pd = _on_or_before(death_day, m, draws)[:, 1:] / n
-        est[first:first + len(draws)] = _paf_values(_on_grid(days, pd, grid),
-                                                    _on_grid(days, q, grid))
+        q = _ratio_values(died, total)[0]
+        pd = _on_or_before(death_day[idx], m)[1:] / n
+        row[:] = _paf_values(*_on_grid(days, np.array([pd, q]), grid))
     return est, failed
 
 
-def _replicate_inverses(panel, covariates):
-    """A function of a (k x n) block of draws that gives, for replicate r
-    of the block, the function of factor rows that ``_Patterns.blocks``
-    reads.  Without covariates the factors are 1 minus the daily hazard of
-    the drawn days, one row, taken for the whole block at once; with them,
-    those of the pooled logistic model fit to the drawn subjects, a row
-    per pattern, and a draw the model cannot fit raises its error."""
-    m = panel.n_days
+def _replicate_factors(panel, covariates):
+    """The factors of a replicate's weight rows from its draw ``idx``: 1
+    minus the daily hazard of the drawn days, or with covariates those of
+    the pooled logistic model fit to the drawn subjects, a row per pattern."""
     if covariates:
         fit, factors, _ = _pattern_fit(panel, covariates)
-        return lambda draws: lambda r: _inverse_rows(factors(fit(draws[r]).coefficients), m)
-    exposure, terminal = panel.exposure_day, panel.terminal_day
-
-    def block(draws):
-        hazards = _daily_hazard(exposure, terminal, m, draws)[0]
-        inverse = _inverse_survival(np.subtract(1.0, hazards, out=hazards), m)
-        return lambda r: lambda rows: inverse[r:r + 1][rows]
-
-    return block
+        return lambda idx: factors(fit(idx).coefficients)
+    exposure, terminal, m = panel.exposure_day, panel.terminal_day, panel.n_days
+    return lambda idx: np.subtract(1.0, _daily_hazard(exposure[idx], terminal[idx], m)[0])[None, :]
 
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx)
@@ -477,12 +455,12 @@ def bootstrap_ci(
     ``default_rng(SeedSequence(seed).spawn(B)[r]).integers(0, n, size=n)``,
     so results are reproducible and independent of execution order; the B
     children's states are derived from the parent's pool in one pass.  No
-    replicate builds a resampled cohort or panel: every path reads blocks
-    of draws (``_draw_block``), multistate and naive replicates as integer
-    exit tables or day counts of the drawn subjects, IPW replicates as the
-    original panel's weight patterns with a block's hazards taken at once
-    (see ``_ipw_replicates``).  Grid points where more than half the
-    replicates are undefined get no band.
+    replicate builds a resampled cohort or panel: multistate and naive
+    replicates read blocks of draws (``_draw_block``) as integer exit
+    tables or day counts of the drawn subjects, IPW replicates each draw
+    as the original panel's weight patterns (see ``_ipw_replicates``).
+    Grid points where more than half the replicates are undefined get no
+    band.
     A ``B`` that is not an integer is a TypeError; a ``B`` below 2, a
     ``grid`` that is not 1-d and strictly increasing, or a bad ``seed`` a
     ValueError, raised before the point estimate.

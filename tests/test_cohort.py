@@ -578,18 +578,21 @@ def test_discretize_matches_a_per_subject_fill():
 
 
 @pytest.mark.parametrize("censored", [False, True])
-def test_discretize_splits_no_id_it_does_not_report(censored):
-    # a parsed cohort keeps its ids as bytes: the panel reads the dropped
-    # subjects' ids at once, and its own only when an error names one
+def test_discretize_splits_no_id_it_does_not_report(monkeypatch, censored):
+    # a parsed cohort keeps its ids as bytes: the panel splits the dropped
+    # subjects' ids at once, and its own only when they are read, once
     rows = "".join(f"s{i},{'' if i % 3 else i % 5 + 1},{i % 7 + 6},"
                    f"{('death', 'discharge', 'censored' if censored else 'death')[i % 3]}\n"
                    for i in range(30))
     cohort = parse_cohort(HEADER + rows)
+    split, split_ids = [], pafmsm.cohort._split
+    monkeypatch.setattr(pafmsm.cohort, "_split", lambda ids: split.append(ids) or split_ids(ids))
     panel = discretize(cohort, allow_drop=True)
-    assert "_id_bytes" in cohort.__dict__ and "ids" not in panel.__dict__
     kept = cohort.status != 0
+    assert len(split) == censored  # the dropped subjects' ids
     assert panel.dropped == tuple(f"s{i}" for i in np.flatnonzero(~kept))
     assert panel.ids == tuple(f"s{i}" for i in np.flatnonzero(kept))
+    assert panel.ids is panel.ids and len(split) == 1 + censored
     with pytest.raises(DataError, match="^subject s0 has no covariate 'x'$"):
         fit_pooled_logistic(discretize(cohort, allow_drop=True), ("x",))
 

@@ -276,24 +276,16 @@ def test_a_block_of_draws_counts_the_tables_of_the_resampled_cohorts(name, exits
     cohort = _aj_cohorts()[name]
     n = len(cohort)
     draws = np.random.default_rng(3).integers(0, n, size=(4, n))
-    ends = np.unique(cohort.end)
-    for until in (None, ends[0] / 2, ends[0], ends[ends.size // 2], ends[-1], ends[-1] + 1.0):
-        times, table = continuous._exit_table(cohort, exits, until=until)
-        block = table(draws)
-        full_times = continuous._exit_table(cohort, exits)[0]
-        kept = full_times.size if until is None else np.searchsorted(full_times, until, "right")
-        assert times.tobytes() == full_times[:kept].tobytes()
-        assert block.dtype == np.int64
-        assert block.shape == (4, 4, times.size + (until is not None))
-        for rows, idx in zip(block, draws):
-            drawn = Cohort.from_columns([str(i) for i in range(n)], cohort.inf[idx], cohort.end[idx],
-                                        cohort.status[idx], horizon=cohort.horizon)
-            drawn_times, drawn_table = continuous._exit_table(drawn, exits)
-            want = np.zeros((4, full_times.size), dtype=np.int64)
-            want[:, np.searchsorted(full_times, drawn_times)] = drawn_table()
-            # the later exits, if cut, fill the last column
-            assert np.array_equal(rows[:, :kept], want[:, :kept])
-            assert rows.sum() == n and rows[:, kept:].sum() == want[:, kept:].sum()
+    times, table = continuous._exit_table(cohort, exits)
+    block = table(draws)
+    assert block.dtype == np.int64 and block.shape == (4, 4, times.size)
+    for rows, idx in zip(block, draws):
+        drawn = Cohort.from_columns([str(i) for i in range(n)], cohort.inf[idx], cohort.end[idx],
+                                    cohort.status[idx], horizon=cohort.horizon)
+        drawn_times, drawn_table = continuous._exit_table(drawn, exits)
+        want = np.zeros((4, times.size), dtype=np.int64)
+        want[:, np.searchsorted(times, drawn_times)] = drawn_table()
+        assert np.array_equal(rows, want)
 
 
 @pytest.mark.parametrize("size", [1, 3])

@@ -230,8 +230,8 @@ ENGINE_COHORTS = {
 @pytest.mark.parametrize("estimand", ["paf_o", "paf_c"])
 @pytest.mark.parametrize("name", list(ENGINE_COHORTS))
 def test_count_weight_replicates_equal_the_per_replicate_estimates(name, estimand):
-    # the exit tables keep the times up to the grid's last point only: grids
-    # that end before the first exit, at exit times and past the last one
+    # on the day grid, and on grids that end before the first exit, at exit
+    # times and past the last one
     cohort = ENGINE_COHORTS[name]
     times = np.unique(np.concatenate((cohort.end, cohort.inf[cohort.exposed])))
     grids = [np.concatenate(([0.5], np.arange(1.0, cohort.horizon + 2.0)))]
@@ -252,22 +252,30 @@ def _recorded_blocks(monkeypatch):
 
 
 # Per replicate of this cohort (n = 80 over 60 days), a multistate block
-# holds 4 x 24 cells, its larger exit table with the column of later exits,
-# a naive block the 80 draws and an IPW block 16 x 80: these _BLOCK_CELLS
-# make blocks of 1, or blocks of 3 with a last block of 1.
-BLOCK_ESTIMATORS = {"multistate": ("paf_c", 96), "naive": ("paf_o", 80), "ipw": ("paf_c", 1280)}
+# of draws holds 4 x 23 cells, its larger exit table, and a naive block the
+# 80 draws; an IPW replicate sums its subjects in blocks of a day's cells
+# each.  These _BLOCK_CELLS make blocks of 1, or blocks of 3 with a last
+# block of 1.
+BLOCK_ESTIMATORS = {"multistate": ("paf_c", paf_module, 92), "naive": ("paf_o", paf_module, 80),
+                    "ipw": ("paf_c", discrete, 60)}
 
 
 @pytest.mark.parametrize("rows", [1, 3], ids=["blocks_of_1", "blocks_of_3"])
 def test_replicate_blocks_do_not_change_the_bands(monkeypatch, rows):
     cohort = ENGINE_COHORTS["tied_days_censored"]
-    for estimator, (estimand, cells) in BLOCK_ESTIMATORS.items():
+    for estimator, (estimand, module, cells) in BLOCK_ESTIMATORS.items():
         whole = bootstrap_ci(cohort, estimand, estimator, B=40, seed=3, allow_drop=True)
-        monkeypatch.setattr(paf_module, "_BLOCK_CELLS", rows * cells + 2)
+        monkeypatch.setattr(module, "_BLOCK_CELLS", rows * cells + 2)
         sizes = _recorded_blocks(monkeypatch)
         blocked = bootstrap_ci(cohort, estimand, estimator, B=40, seed=3, allow_drop=True)
         monkeypatch.undo()
-        assert sizes == [rows] * (40 // rows) + [1] * (rows == 3), estimator
+        draw_blocks = [rows] * (40 // rows) + [1] * (rows == 3)
+        assert sizes == ([] if estimator == "ipw" else draw_blocks), estimator
+        grid = whole.lower.times
+        assert blocked.lower.times.tobytes() == grid.tobytes(), estimator
+        assert blocked.lower.values.tobytes() == whole.lower.values.tobytes(), estimator
+        assert blocked.upper.values.tobytes() == whole.upper.values.tobytes(), estimator
+        assert blocked.estimate(grid).tobytes() == whole.estimate(grid).tobytes(), estimator
         assert blocked.to_csv() == whole.to_csv(), estimator
         assert blocked.failed == whole.failed == 0
 
@@ -390,8 +398,8 @@ def test_each_drawn_pattern_row_is_built_once_a_replicate(monkeypatch, name):
     monkeypatch.setattr(discrete, "_BLOCK_CELLS", step * panel.n_days)
     built, weight_rows = [], discrete._weight_rows
     monkeypatch.setattr(discrete, "_weight_rows",
-                        lambda inverse, rows, cells, *masks: built.append(len(cells))
-                        or weight_rows(inverse, rows, cells, *masks))
+                        lambda factors, rows, cells, *masks: built.append(len(cells))
+                        or weight_rows(factors, rows, cells, *masks))
     grid = np.arange(1.0, panel.n_days + 1.0)
     got, failed = paf_module._ipw_replicates(panel, covariates, words, grid)
     assert built == drawn
@@ -420,18 +428,15 @@ def test_naive_replicates_equal_the_refits(monkeypatch, name, rows):
 
 def _certain_on_day_one(replicate):
     """``_daily_hazard`` with the hazard of day 1 set to 1 on the panels
-    that ``replicate(exposure, terminal)`` picks: the panel's own, or each
-    drawn panel of a block of draws in turn.  Empirical weights never
+    that ``replicate(exposure, terminal)`` picks.  Empirical weights never
     exceed n, so no cohort makes an IPW replicate fail by itself; this
     makes unbounded the weights of everybody unexposed after day 1."""
     daily_hazard = discrete._daily_hazard
 
-    def hazard_of(exposure, terminal, m, draws=None):
-        hazard, left_unexposed = daily_hazard(exposure, terminal, m, draws)
-        drawn = [np.arange(exposure.size)] if draws is None else draws
-        for row, idx in zip(hazard.reshape(-1, m), drawn):
-            if replicate(exposure[idx], terminal[idx]):
-                row[0] = 1.0
+    def hazard_of(exposure, terminal, m):
+        hazard, left_unexposed = daily_hazard(exposure, terminal, m)
+        if replicate(exposure, terminal):
+            hazard[0] = 1.0
         return hazard, left_unexposed
 
     return hazard_of
@@ -450,9 +455,9 @@ def test_ipw_replicates_fail_where_the_refits_do(monkeypatch):
     assert got.tobytes() == want.tobytes()
 
 
-def test_a_failed_replicate_inside_a_block_leaves_its_neighbours_as_the_refits(monkeypatch):
-    # blocks of 3 IPW replicates, and the middle replicate of the second
-    # block certain to be exposed on day 1: its weights are unbounded
+def test_a_failed_replicate_leaves_its_neighbours_as_the_refits(monkeypatch):
+    # the fifth of six IPW replicates certain to be exposed on day 1: its
+    # weights are unbounded, and those of the replicates around it are not
     panel = discretize(ENGINE_COHORTS["tied_days_censored"], allow_drop=True)
     n, streams = panel.n_subjects, np.random.SeedSequence(4).spawn(6)
     middle = np.random.default_rng(streams[4]).integers(0, n, size=n)
@@ -460,12 +465,9 @@ def test_a_failed_replicate_inside_a_block_leaves_its_neighbours_as_the_refits(m
         exposure, panel.exposure_day[middle]) and np.array_equal(terminal, panel.terminal_day[middle]))
     monkeypatch.setattr(discrete, "_daily_hazard", picked)  # the refits' weights
     monkeypatch.setattr(paf_module, "_daily_hazard", picked)  # the replicates' hazards
-    monkeypatch.setattr(paf_module, "_BLOCK_CELLS", 3 * 16 * n)
-    sizes = _recorded_blocks(monkeypatch)
     grid = np.arange(1.0, panel.n_days + 1.0)
     got, failed = paf_module._ipw_replicates(panel, (), paf_module._child_words(4, 6), grid)
     want, want_failed = _refit_replicates(panel, streams, grid)
-    assert sizes == [3, 3]
     assert failed == want_failed == 1
     assert np.isnan(got[4]).all() and np.isfinite(got[[3, 5], -1]).all()
     assert got[[3, 5]].tobytes() == want[[3, 5]].tobytes()
@@ -473,22 +475,21 @@ def test_a_failed_replicate_inside_a_block_leaves_its_neighbours_as_the_refits(m
 
 
 @pytest.mark.parametrize("name", ["one_day", "one_day_runs"])
-def test_one_day_panels_in_blocks_of_replicates_equal_the_refits(monkeypatch, name):
+def test_one_day_panels_equal_the_refits(monkeypatch, name):
     panel = discretize(EDGE_COHORTS[name], allow_drop=True)
     n, grid = panel.n_subjects, np.array([0.5, 1.0, 2.0])
     assert panel.n_days == 1
     words, streams = paf_module._child_words(8, 7), np.random.SeedSequence(8).spawn(7)
-    sizes = _recorded_blocks(monkeypatch)
-    monkeypatch.setattr(paf_module, "_BLOCK_CELLS", 3 * 16 * n)  # IPW blocks of 3
     got, failed = paf_module._ipw_replicates(panel, (), words, grid)
     want, want_failed = _refit_replicates(panel, streams, grid)
     assert failed == want_failed == 0
     assert got.tobytes() == want.tobytes()
+    sizes = _recorded_blocks(monkeypatch)
     monkeypatch.setattr(paf_module, "_BLOCK_CELLS", 3 * n)  # naive blocks of 3
     got = paf_module._naive_replicates(panel, words, grid)
     want, _ = _refit_replicates(panel, streams, grid, "paf_o", "naive")
     assert got.tobytes() == want.tobytes()
-    assert sizes == [3, 3, 1] * 2
+    assert sizes == [3, 3, 1]
 
 
 def test_ipw_bootstrap_stays_linear_in_memory():
@@ -631,7 +632,7 @@ def test_bootstrap_checks_its_grid_before_it_draws(monkeypatch):
 
     pairs = [("paf_o", "multistate"), ("paf_c", "multistate"), ("paf_o", "naive"), ("paf_c", "ipw")]
     monkeypatch.setattr(paf_module, "_multistate_replicates", drawn)
-    monkeypatch.setattr(paf_module, "_draw_block", drawn)
+    monkeypatch.setattr(paf_module, "_draws", drawn)
     for estimand, estimator in pairs:
         for grid in ([3.0, 1.0], [1.0, 1.0], [[1.0, 2.0]], [1.0, np.nan]):
             with pytest.raises(ValueError,
@@ -643,7 +644,8 @@ def test_bootstrap_checks_its_grid_before_it_draws(monkeypatch):
         sizes = _recorded_blocks(monkeypatch)
         bands = bootstrap_ci(TWO, estimand, estimator, B=2, seed=0, grid=[])
         monkeypatch.undo()
-        assert sizes == [2] and bands.lower.times.size == bands.upper.times.size == 0
+        assert sizes == ([] if estimator == "ipw" else [2])
+        assert bands.lower.times.size == bands.upper.times.size == 0
         assert bands.to_csv() == "t,estimate,lower,upper,defined\n"
 
 
