@@ -171,8 +171,8 @@ def _reduction(table, name):
     """
     events, targets = _REDUCTIONS[name][1:]
     y = np.maximum(_at_risk(table.sum(axis=1)), 1.0)
-    s_after = table[:, events].sum(axis=1, dtype=np.float64)  # whole numbers, summed exactly
-    np.subtract(1.0, np.divide(s_after, y, out=s_after), out=s_after)
+    s_after = np.divide(table[:, events].sum(axis=1), y)
+    np.subtract(1.0, s_after, out=s_after)
     np.cumprod(s_after, axis=1, out=s_after)
     # a sample's table (k = 1) takes each CIF over a row that no later step
     # reads, so it needs no float copy; a block's rows interleave, and new

@@ -408,10 +408,28 @@ def _draws(words, n):
 
 def _draw_block(words, n):
     """The (k x n) block of draws of the k rows of ``words``: the rows of
-    ``_draws``, stacked."""
-    out = np.empty((len(words), n), dtype=np.int64)
-    for row, idx in zip(out, _draws(words, n)):
-        row[:] = idx
+    ``_draws``, stacked, drawn as ``integers`` draws them.
+
+    For n < 2**32 ``integers`` takes each value by Lemire's method from the
+    32-bit halves of the generator's 64-bit outputs, low half first: the
+    high word of u * n for the next half u that leaves a low word of at
+    least (2**32 - n) % n.  A block takes the first n halves of each row
+    at once, from one ``random_raw`` call per row.  A row that rejects one
+    of them, rare while n * n is small against 2**32, is drawn by
+    ``_draws``.
+    """
+    seed, bits = _row_seed(), np.random.PCG64
+    raw = np.empty((len(words), (n + 1) // 2), dtype=np.uint64)
+    for row, word in zip(raw, words):
+        row[:] = bits(seed(word)).random_raw(row.size)
+    halves = raw.astype("<u8", copy=False).view("<u4")[:, :n]  # low half first
+    values = np.multiply(halves, np.uint64(n), dtype=np.uint64)
+    del raw, halves
+    rejected = values.astype(np.uint32) < ((1 << 32) - n) % n  # by the low words
+    values >>= np.uint64(32)
+    out = values.view(np.int64)
+    for r in np.flatnonzero(rejected.any(axis=1)):
+        out[r] = next(_draws(words[r:r + 1], n))
     return out
 
 

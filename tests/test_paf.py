@@ -611,13 +611,26 @@ def test_bands_csv_equals_the_per_row_reference(n):
     assert bands.to_csv() == reference_bands_csv(bands)
 
 
-@pytest.mark.parametrize("k, n", [(0, 5), (1, 1), (7, 13), (3, 1000)])
+@pytest.mark.parametrize("k, n", [(0, 5), (1, 1), (7, 13), (3, 1000), (4, 2), (2, 65536)])
 def test_a_draw_block_stacks_the_draws_of_every_stream(k, n):
     streams = np.random.SeedSequence(k + n).spawn(k)
     expected = np.array([np.random.default_rng(s).integers(0, n, size=n) for s in streams],
                         dtype=np.int64).reshape(k, n)
     block = paf_module._draw_block(paf_module._child_words(k + n, k), n)
     assert (block.dtype, block.shape, block.tobytes()) == (np.int64, (k, n), expected.tobytes())
+
+
+def test_a_row_that_rejects_a_draw_comes_from_numpy(monkeypatch):
+    # at n = 100003 two of these three rows reject one of their first n
+    # 32-bit halves: their values shift, and numpy's own draws replace them
+    n, streams = 100_003, np.random.SeedSequence(1).spawn(3)
+    redrawn, draws = [], paf_module._draws
+    monkeypatch.setattr(paf_module, "_draws", lambda words, n: redrawn.append(len(words))
+                        or draws(words, n))
+    block = paf_module._draw_block(paf_module._child_words(1, 3), n)
+    assert redrawn == [1, 1]
+    for row, stream in zip(block, streams):
+        assert row.tobytes() == np.random.default_rng(stream).integers(0, n, size=n).tobytes()
 
 
 def test_bootstrap_rejects_tiny_b():
