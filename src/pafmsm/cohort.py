@@ -249,14 +249,20 @@ class Cohort:
 
     def transition_rows(self) -> tuple[TransitionRow, ...]:
         """One :class:`TransitionRow` per interval, for export."""
-        out = []
-        for sid, t, e, s in zip(list(self.ids), self.inf.tolist(), self.end.tolist(), self.status.tolist()):
-            if t == t:
-                out.append(TransitionRow(sid, 0, 1, 0.0, t))
-                out.append(TransitionRow(sid, 1, int(EXIT_STATE[1, s]), t, e))
-            else:
-                out.append(TransitionRow(sid, 0, int(EXIT_STATE[0, s]), 0.0, e))
-        return tuple(out)
+        subject, *columns = self._intervals()
+        return tuple(map(TransitionRow, self.ids[subject].tolist(), *(c.tolist() for c in columns)))
+
+    def _intervals(self):
+        """(subject, from_state, to_state, t_start, t_stop) of the risk
+        intervals in row order: each subject's state-0 interval, then its
+        state-1 interval if exposed."""
+        exposed = self.exposed
+        subject = np.repeat(np.arange(len(self)), np.where(exposed, 2, 1))
+        state = np.zeros(subject.size, dtype=np.int64)  # 1 on a subject's second interval
+        state[1:] = subject[1:] == subject[:-1]
+        inf, end, last = self.inf[subject], self.end[subject], (state == 1) | ~exposed[subject]
+        to_state = np.where(last, EXIT_STATE[state, self.status[subject]], 1)
+        return subject, state, to_state, np.where(state == 1, inf, 0.0), np.where(last, end, inf)
 
     def _set(self, ids, inf, end, status, covariates, horizon, diagnostics=(), distinct=False):
         # private read-only copies: views handed out cannot change the cohort;

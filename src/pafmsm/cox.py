@@ -204,24 +204,11 @@ _OUTCOME_STATES = {"death": (3, 5), "discharge": (2, 4)}
 
 
 def _interval_arrays(cohort: Cohort, extra_covariates):
-    """(start, stop, to_state, x) of the risk intervals in row order: each
-    subject's state-0 interval, then its state-1 interval if exposed."""
-    inf, end, status = cohort.inf, cohort.end, cohort.status
-    exposed = ~np.isnan(inf)
-    subject = np.repeat(np.arange(end.size), np.where(exposed, 2, 1))
-    after = np.zeros(subject.size, dtype=bool)  # the second interval of a subject
-    after[1:] = subject[1:] == subject[:-1]
-    inf, end, exposed, status = inf[subject], end[subject], exposed[subject], status[subject]
-    to_state = np.where(after | ~exposed, EXIT_STATE[after.astype(int), status], 1)
-    cols = [after.astype(float)]
-    for name in extra_covariates:
-        cols.append(covariate_column(cohort, name, numeric=True)[subject])
-    return (
-        np.where(after, inf, 0.0),
-        np.where(after | ~exposed, end, inf),
-        to_state,
-        np.column_stack(cols),
-    )
+    """(start, stop, to_state, x) of the risk intervals in row order
+    (``Cohort._intervals``), x the exposure and the ``extra_covariates``."""
+    subject, state, to_state, start, stop = cohort._intervals()
+    cols = [covariate_column(cohort, name, numeric=True)[subject] for name in extra_covariates]
+    return start, stop, to_state, np.column_stack([state.astype(float), *cols])
 
 
 def fit_cox_td(cohort: Cohort, outcome: str, extra_covariates=()) -> CoxFit:

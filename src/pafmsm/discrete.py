@@ -145,15 +145,20 @@ class _Patterns:
 
     def __init__(self, row, freeze_day, exposure_day, death_day, n_days):
         m, base = n_days, n_days + 2  # every day column lies in 0..m+1
-        # one integer per pattern, exact while len(factors) * base**3 < 2**63
-        key = ((row * base + freeze_day) * base + exposure_day) * base
-        key += np.where(death_day <= exposure_day, death_day, m + 1)
-        keys, self.index = np.unique(key, return_inverse=True)
-        self.columns = []  # (row, freeze day, exposure day, death day) per pattern
-        for _ in range(3):
-            keys, day = np.divmod(keys, base)
-            self.columns.insert(0, day)
-        self.columns.insert(0, keys)
+        # the days as one integer, exact as base**3 < 2**63 for m <= 10**6
+        days = (freeze_day * base + exposure_day) * base
+        days += np.where(death_day <= exposure_day, death_day, m + 1)
+        width, triples = base**3, None
+        if (int(row.max(initial=0)) + 1) * width >= 2**63:  # the row would overflow the key:
+            triples, days = np.unique(days, return_inverse=True)  # key the days by their rank
+            width = triples.size
+        # one integer per pattern, ordered by row, then days
+        keys, self.index = np.unique(row * width + days, return_inverse=True)
+        rows, days = np.divmod(keys, width)
+        days = days if triples is None else triples[days]
+        freeze, days = np.divmod(days, base * base)
+        # (row, freeze day, exposure day, death day) per pattern
+        self.columns = [rows, freeze, *np.divmod(days, base)]
         # subjects per block; one block when m == 1: numpy sums a single
         # column pairwise, not row by row
         self.n_days, n = m, row.size
@@ -276,20 +281,31 @@ def _death_days(panel: DailyPanel) -> np.ndarray:
     return np.where(panel.status == STATUS_DEATH, panel.terminal_day, panel.n_days + 1)
 
 
+def _death_rows(panel: DailyPanel, draws=None) -> np.ndarray:
+    """Share of the panel dead by each day 1..m; with ``draws``, a (k x n)
+    block of draws of its subjects, one row per draw."""
+    return _on_or_before(_death_days(panel), panel.n_days, draws)[..., 1:] / panel.n_subjects
+
+
 def _death_proportion(panel: DailyPanel) -> StepCurve:
     """Share of the panel dead by each day."""
-    deaths = _on_or_before(_death_days(panel), panel.n_days)[1:]
     days = np.arange(1, panel.n_days + 1, dtype=float)
-    return StepCurve(days, deaths / panel.n_subjects, initial=0.0)
+    return StepCurve(days, _death_rows(panel), initial=0.0)
+
+
+def _naive_rows(panel: DailyPanel, draws=None):
+    """Per day 1..m, the deaths without exposure on or before it and the
+    subjects still unexposed; with ``draws`` (see ``_death_rows``), one row
+    of each per draw."""
+    m, exposure = panel.n_days, panel.exposure_day
+    died_unexposed = np.where(exposure > m, _death_days(panel), m + 1)
+    num = _on_or_before(died_unexposed, m, draws)[..., 1:]
+    return num, panel.n_subjects - _on_or_before(exposure, m, draws)[..., 1:]
 
 
 def naive_f01(panel: DailyPanel) -> StepCurve:
     """Deaths without exposure by t over subjects unexposed until t."""
-    m, exposure = panel.n_days, panel.exposure_day
-    died_unexposed = (panel.status == STATUS_DEATH) & (exposure > m)
-    num = _on_or_before(panel.terminal_day[died_unexposed], m)[1:].astype(float)
-    den = (panel.n_subjects - _on_or_before(exposure, m)[1:]).astype(float)
-    return _day_ratio(num, den)
+    return _day_ratio(*_naive_rows(panel))
 
 
 def fit_pooled_logistic(panel: DailyPanel, covariate_names) -> ExposureModel:

@@ -33,8 +33,9 @@ from .discrete import (
     _daily_hazard,
     _death_days,
     _death_proportion,
+    _death_rows,
     _ipw_sums,
-    _on_or_before,
+    _naive_rows,
     _pattern_fit,
     _ratio_values,
     empirical_weights,
@@ -229,18 +230,17 @@ class CurveWithBands:
                           [grid, *cells, defined.astype(float)])
 
 
-# Multistate and naive replicates come in blocks of draws, the (k x n)
-# subjects drawn by k replicates (``_draw_block``).  A block's draws, each
-# (k x n) gather of them and its exit tables or day counts hold at most
-# this many cells, so that memory grows with n + B * len(grid) and not
-# with B * n.
+# Replicates come in blocks of draws, the (k x n) subjects drawn by k
+# replicates (``_draw_block``).  A block's draws, each (k x n) gather of
+# them and its exit tables or day counts hold at most this many cells, so
+# that memory grows with n + B * len(grid) and not with B * n.
 _BLOCK_CELLS = 1 << 15
 
 
 def _on_grid(ut, rows, grid):
-    """Evaluate (k x T) step-curve rows, 0 before ``ut[0]``, at ``grid``."""
+    """Evaluate (... x T) step-curve rows, 0 before ``ut[0]``, at ``grid``."""
     cols = np.searchsorted(ut, grid, side="right") - 1
-    return np.where(cols < 0, 0.0, rows[:, np.maximum(cols, 0)])
+    return np.where(cols < 0, 0.0, rows[..., np.maximum(cols, 0)])
 
 
 def _multistate_replicates(cohort, estimand, words, grid):
@@ -266,22 +266,17 @@ def _naive_replicates(panel, words, grid):
     """PAF_o by the naive estimator of every replicate on ``grid``, one row
     per row of ``words``.
 
-    Both of its curves are ratios of day counts: deaths, exposures and
-    deaths without exposure on or before each day.  A block of replicates
-    counts them with one ``bincount`` each of the drawn subjects' days; the
-    counts are whole numbers, so the ratios are bit for bit those of the
-    resampled panels.
+    Both of its curves are ratios of day counts, which a block of
+    replicates takes from the estimators' own row functions
+    (``_death_rows``, ``_naive_rows``): one offset ``bincount`` each of the
+    drawn subjects' days.  The counts are whole numbers, so the ratios are
+    bit for bit those of the resampled panels.
     """
     n, m = panel.n_subjects, panel.n_days
-    death_day = _death_days(panel)
-    days_of = (death_day, panel.exposure_day, np.where(panel.exposure_day > m, death_day, m + 1))
-    days = np.arange(1.0, m + 1.0)
     est = np.empty((len(words), grid.size))
     for first, draws in _draw_blocks(words, n, max(m + 2, n)):
-        deaths, exposed, unexposed_deaths = (_on_or_before(d, m, draws)[:, 1:] for d in days_of)
-        q = _ratio_values(unexposed_deaths, n - exposed)[0]
-        est[first:first + len(draws)] = _paf_values(_on_grid(days, deaths / n, grid),
-                                                    _on_grid(days, q, grid))
+        curves = np.array([_death_rows(panel, draws), _ratio_values(*_naive_rows(panel, draws))[0]])
+        est[first:first + len(draws)] = _paf_values(*_on_grid(np.arange(1.0, m + 1.0), curves, grid))
     return est
 
 
@@ -293,27 +288,28 @@ def _ipw_replicates(panel, covariates, words, grid):
     their weight patterns, those of the panel's own weight table, so a
     replicate brings only new factors (``_replicate_factors``): its
     weights are the patterns' rows for them, summed in draw order, bit for
-    bit those of the resampled panel's own estimate.
+    bit those of the resampled panel's own estimate.  Its deaths are
+    counted a block of draws at a time (``_death_rows``).
     """
-    n, m, death_day = panel.n_subjects, panel.n_days, _death_days(panel)
-    patterns = _panel_weights(panel, covariates)._patterns(death_day)
+    n, m = panel.n_subjects, panel.n_days
+    patterns = _panel_weights(panel, covariates)._patterns(_death_days(panel))
     buffers = _buffers(patterns.step, m)
     factors_of = _replicate_factors(panel, covariates)
     days = np.arange(1.0, m + 1.0)
     est = np.full((len(words), grid.size), np.nan)
     failed = 0
-    for row, idx in zip(est, _draws(words, n)):
-        try:
-            total, died = _ipw_sums(patterns.blocks(factors_of(idx), idx), *buffers)
-        except (NumericalError, DataError):  # the point estimate passed: the draw is at fault
-            failed += 1  # the replicate keeps its undefined row
-            continue
-        # the two curves of _paf_from on days 1..m, taken at grid; the IPW
-        # ratio is NaN from its undefined_from on, as the weights sum to 0
-        # only once everybody is exposed
-        q = _ratio_values(died, total)[0]
-        pd = _on_or_before(death_day[idx], m)[1:] / n
-        row[:] = _paf_values(*_on_grid(days, np.array([pd, q]), grid))
+    for first, draws in _draw_blocks(words, n, max(m + 2, n)):
+        for row, idx, pd in zip(est[first:], draws, _death_rows(panel, draws)):
+            try:
+                total, died = _ipw_sums(patterns.blocks(factors_of(idx), idx), *buffers)
+            except (NumericalError, DataError):  # the point estimate passed: the draw is at fault
+                failed += 1  # the replicate keeps its undefined row
+                continue
+            # the two curves of _paf_from on days 1..m, taken at grid; the IPW
+            # ratio is NaN from its undefined_from on, as the weights sum to 0
+            # only once everybody is exposed
+            q = _ratio_values(died, total)[0]
+            row[:] = _paf_values(*_on_grid(days, np.array([pd, q]), grid))
     return est, failed
 
 
@@ -397,18 +393,10 @@ def _row_seed():
     return RowSeed
 
 
-def _draws(words, n):
-    """Per row of ``words`` (see ``_child_words``), the subjects its
-    replicate draws: the ``default_rng(child).integers(0, n, size=n)`` of
-    the child whose state the row is."""
-    seed, bits, generator = _row_seed(), np.random.PCG64, np.random.Generator
-    for row in words:
-        yield generator(bits(seed(row))).integers(0, n, size=n)
-
-
 def _draw_block(words, n):
-    """The (k x n) block of draws of the k rows of ``words``: the rows of
-    ``_draws``, stacked, drawn as ``integers`` draws them.
+    """The (k x n) block of draws of the k rows of ``words``: row r the
+    ``default_rng(child).integers(0, n, size=n)`` of the child whose state
+    is ``words[r]`` (see ``_child_words``), as ``integers`` draws them.
 
     For n < 2**32 ``integers`` takes each value by Lemire's method from the
     32-bit halves of the generator's 64-bit outputs, low half first: the
@@ -416,7 +404,7 @@ def _draw_block(words, n):
     least (2**32 - n) % n.  A block takes the first n halves of each row
     at once, from one ``random_raw`` call per row.  A row that rejects one
     of them, rare while n * n is small against 2**32, is drawn by
-    ``_draws``.
+    ``integers`` itself.
     """
     seed, bits = _row_seed(), np.random.PCG64
     raw = np.empty((len(words), (n + 1) // 2), dtype=np.uint64)
@@ -429,7 +417,7 @@ def _draw_block(words, n):
     values >>= np.uint64(32)
     out = values.view(np.int64)
     for r in np.flatnonzero(rejected.any(axis=1)):
-        out[r] = next(_draws(words[r:r + 1], n))
+        out[r] = np.random.Generator(bits(seed(words[r]))).integers(0, n, size=n)
     return out
 
 
@@ -473,10 +461,10 @@ def bootstrap_ci(
     ``default_rng(SeedSequence(seed).spawn(B)[r]).integers(0, n, size=n)``,
     so results are reproducible and independent of execution order; the B
     children's states are derived from the parent's pool in one pass.  No
-    replicate builds a resampled cohort or panel: multistate and naive
-    replicates read blocks of draws (``_draw_block``) as integer exit
-    tables or day counts of the drawn subjects, IPW replicates each draw
-    as the original panel's weight patterns (see ``_ipw_replicates``).
+    replicate builds a resampled cohort or panel: every replicate reads
+    blocks of draws (``_draw_block``), multistate ones as integer exit
+    tables, naive ones as the estimators' own day counts, IPW ones each
+    draw as the original panel's weight patterns (``_ipw_replicates``).
     Grid points where more than half the replicates are undefined get no
     band.
     A ``B`` that is not an integer is a TypeError; a ``B`` below 2, a

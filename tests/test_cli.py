@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -806,11 +807,47 @@ def mutated_golden_cohort(draw):
     return data
 
 
+def reference_columns(data):
+    """The ids, inf_time, end_time, status codes and x cells of a cohort
+    file, read by ``csv.reader`` from its text decoded as UTF-8 (a leading
+    byte order mark skipped), each cell stripped: blank rows skipped, a
+    blank inf_time NaN, times by ``float``, the three status names, x by
+    ``float`` or as text.  None where the file does not read so."""
+    try:
+        header, *rows = csv.reader(io.StringIO(data.decode("utf-8-sig"), newline=""))
+        header = [name.strip() for name in header]
+        x = header.index("x") if "x" in header else None
+        columns = ([], [], [], [], [])
+        for row in rows:
+            cells = [cell.strip() for cell in row]
+            if not any(cells):
+                continue
+            if len(cells) != len(header):
+                return None
+            columns[0].append(cells[0])
+            columns[1].append(float(cells[1]) if cells[1] else math.nan)
+            columns[2].append(float(cells[2]))
+            columns[3].append({"censored": 0, "death": 1, "discharge": 2}[cells[3]])
+            if x is not None:
+                columns[4].append(_number_or_text(cells[x]))
+        return columns
+    except (UnicodeDecodeError, csv.Error, ValueError, KeyError):
+        return None
+
+
+def _number_or_text(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
 @pytest.mark.slow
 @settings(max_examples=300)
 @given(mutated_golden_cohort())
 @example(b"id,inf_time,end_time,end_status\n1,,3,")
 @example(_GOLDEN_COHORTS[1][:-1] + b"\n3,,5,")
+@example(_GOLDEN_COHORTS[1].replace(b"\n1,6,10,", b'\r\n" 1 ", 6 ,10 ,', 1))  # read by csv.reader
 def test_every_byte_mutated_golden_cohort_ends_in_a_classified_exit(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("mutated") / "cohort.csv"
     path.write_bytes(data)
@@ -820,6 +857,14 @@ def test_every_byte_mutated_golden_cohort_ends_in_a_classified_exit(tmp_path_fac
             code = run([command[0], "--input", str(path), *command[1:]])
         assert code in (0, 1, 2, 3), (command, code)
         assert "Traceback" not in err.getvalue()
+    # a file that parses holds the columns of an independent reader
+    try:
+        cohort = pafmsm.parse_cohort(data, pafmsm.TiePolicy.reject())
+    except pafmsm.DataError:  # a ParseError, or a column the Cohort rejects
+        return
+    got = [cohort.ids.tolist(), cohort.inf.tolist(), cohort.end.tolist(), cohort.status.tolist(),
+           cohort.covariates["x"].tolist() if "x" in cohort.covariates else []]
+    assert list(map(repr, got)) == list(map(repr, reference_columns(data) or [None] * 5))
 
 
 @pytest.mark.parametrize("command, change, message", [

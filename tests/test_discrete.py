@@ -272,6 +272,25 @@ def test_shared_pattern_rows_do_not_change_the_weights(monkeypatch, seed, spare)
     assert_matches_reference(panel)
 
 
+def test_patterns_of_many_factor_rows_over_a_million_days_are_the_subjects_own():
+    # 12 factor rows (one per level of k) over 10**6 days: the row and the
+    # three day columns packed into one integer would pass 2**63
+    inf = np.array([np.nan, 5e5, np.nan, 3, 999_000, np.nan, 2, np.nan, 7e5, np.nan, 40, np.nan])
+    end = np.array([10, 6e5, 1e6, 9, 999_999, 123_456, 3, 5e5, 8e5, 1, 41, 77])
+    cohort = Cohort.from_columns([str(i) for i in range(12)], inf, end,
+                                 [1, 1, 2, 2, 1, 2, 1, 1, 2, 2, 1, 1], {"k": np.arange(12.0)},
+                                 horizon=1e6)
+    panel = discretize(cohort)
+    weights = model_weights(panel, fit_pooled_logistic(panel, ("k",)))
+    death = discrete._death_days(panel)
+    patterns = weights._patterns(death)
+    own = [weights.row, weights.freeze_day, weights.exposure_day,
+           np.where(death <= panel.exposure_day, death, panel.n_days + 1)]
+    assert len(np.unique(weights.row)) == 12
+    for c, column in enumerate(own):
+        assert patterns.columns[c][patterns.index].tolist() == column.tolist(), c
+
+
 def uniform_stays_cohort(n=20_000, m=400):
     """n subjects over m days, stays uniform on 1..m, and a binary x."""
     rng = np.random.default_rng(11)

@@ -252,25 +252,26 @@ def _recorded_blocks(monkeypatch):
 
 
 # Per replicate of this cohort (n = 80 over 60 days), a multistate block
-# of draws holds 4 x 23 cells, its larger exit table, and a naive block the
-# 80 draws; an IPW replicate sums its subjects in blocks of a day's cells
-# each.  These _BLOCK_CELLS make blocks of 1, or blocks of 3 with a last
-# block of 1.
-BLOCK_ESTIMATORS = {"multistate": ("paf_c", paf_module, 92), "naive": ("paf_o", paf_module, 80),
-                    "ipw": ("paf_c", discrete, 60)}
+# of draws holds 4 x 23 cells, its larger exit table, and a naive or IPW
+# block the 80 draws; an IPW replicate also sums its subjects in blocks of
+# a day's cells each.  These _BLOCK_CELLS make blocks of 1, or blocks of 3
+# with a last block of 1.
+BLOCK_ESTIMATORS = {"multistate": ("paf_c", [(paf_module, 92)]),
+                    "naive": ("paf_o", [(paf_module, 80)]),
+                    "ipw": ("paf_c", [(paf_module, 80), (discrete, 60)])}
 
 
 @pytest.mark.parametrize("rows", [1, 3], ids=["blocks_of_1", "blocks_of_3"])
 def test_replicate_blocks_do_not_change_the_bands(monkeypatch, rows):
     cohort = ENGINE_COHORTS["tied_days_censored"]
-    for estimator, (estimand, module, cells) in BLOCK_ESTIMATORS.items():
+    for estimator, (estimand, blocks) in BLOCK_ESTIMATORS.items():
         whole = bootstrap_ci(cohort, estimand, estimator, B=40, seed=3, allow_drop=True)
-        monkeypatch.setattr(module, "_BLOCK_CELLS", rows * cells + 2)
+        for module, cells in blocks:
+            monkeypatch.setattr(module, "_BLOCK_CELLS", rows * cells + 2)
         sizes = _recorded_blocks(monkeypatch)
         blocked = bootstrap_ci(cohort, estimand, estimator, B=40, seed=3, allow_drop=True)
         monkeypatch.undo()
-        draw_blocks = [rows] * (40 // rows) + [1] * (rows == 3)
-        assert sizes == ([] if estimator == "ipw" else draw_blocks), estimator
+        assert sizes == [rows] * (40 // rows) + [1] * (rows == 3), estimator
         grid = whole.lower.times
         assert blocked.lower.times.tobytes() == grid.tobytes(), estimator
         assert blocked.lower.values.tobytes() == whole.lower.values.tobytes(), estimator
@@ -392,7 +393,7 @@ def test_each_drawn_pattern_row_is_built_once_a_replicate(monkeypatch, name):
     panel = discretize(cohort, allow_drop=True)
     index = paf_module._panel_weights(panel, covariates)._patterns(discrete._death_days(panel)).index
     words, streams = paf_module._child_words(9, 40), np.random.SeedSequence(9).spawn(40)
-    drawn = [np.unique(index[idx]).size for idx in paf_module._draws(words, panel.n_subjects)]
+    drawn = [np.unique(index[idx]).size for idx in paf_module._draw_block(words, panel.n_subjects)]
     step = max(drawn)
     assert step < index.max() + 1
     monkeypatch.setattr(discrete, "_BLOCK_CELLS", step * panel.n_days)
@@ -611,7 +612,7 @@ def test_bands_csv_equals_the_per_row_reference(n):
     assert bands.to_csv() == reference_bands_csv(bands)
 
 
-@pytest.mark.parametrize("k, n", [(0, 5), (1, 1), (7, 13), (3, 1000), (4, 2), (2, 65536)])
+@pytest.mark.parametrize("k, n", [(0, 5), (1, 1), (7, 13), (3, 1000), (4, 2), (2, 65536), (4, 50)])
 def test_a_draw_block_stacks_the_draws_of_every_stream(k, n):
     streams = np.random.SeedSequence(k + n).spawn(k)
     expected = np.array([np.random.default_rng(s).integers(0, n, size=n) for s in streams],
@@ -624,11 +625,11 @@ def test_a_row_that_rejects_a_draw_comes_from_numpy(monkeypatch):
     # at n = 100003 two of these three rows reject one of their first n
     # 32-bit halves: their values shift, and numpy's own draws replace them
     n, streams = 100_003, np.random.SeedSequence(1).spawn(3)
-    redrawn, draws = [], paf_module._draws
-    monkeypatch.setattr(paf_module, "_draws", lambda words, n: redrawn.append(len(words))
-                        or draws(words, n))
+    redrawn, generator = [], np.random.Generator
+    monkeypatch.setattr(np.random, "Generator", lambda bits: redrawn.append(bits) or generator(bits))
     block = paf_module._draw_block(paf_module._child_words(1, 3), n)
-    assert redrawn == [1, 1]
+    monkeypatch.undo()
+    assert len(redrawn) == 2
     for row, stream in zip(block, streams):
         assert row.tobytes() == np.random.default_rng(stream).integers(0, n, size=n).tobytes()
 
@@ -644,8 +645,7 @@ def test_bootstrap_checks_its_grid_before_it_draws(monkeypatch):
         raise AssertionError("a replicate was drawn")
 
     pairs = [("paf_o", "multistate"), ("paf_c", "multistate"), ("paf_o", "naive"), ("paf_c", "ipw")]
-    monkeypatch.setattr(paf_module, "_multistate_replicates", drawn)
-    monkeypatch.setattr(paf_module, "_draws", drawn)
+    monkeypatch.setattr(paf_module, "_draw_block", drawn)
     for estimand, estimator in pairs:
         for grid in ([3.0, 1.0], [1.0, 1.0], [[1.0, 2.0]], [1.0, np.nan]):
             with pytest.raises(ValueError,
@@ -657,7 +657,7 @@ def test_bootstrap_checks_its_grid_before_it_draws(monkeypatch):
         sizes = _recorded_blocks(monkeypatch)
         bands = bootstrap_ci(TWO, estimand, estimator, B=2, seed=0, grid=[])
         monkeypatch.undo()
-        assert sizes == ([] if estimator == "ipw" else [2])
+        assert sizes == [2]
         assert bands.lower.times.size == bands.upper.times.size == 0
         assert bands.to_csv() == "t,estimate,lower,upper,defined\n"
 
@@ -718,12 +718,6 @@ def test_child_words_are_the_states_of_the_spawned_children(seed, B):
     words = paf_module._child_words(seed, B)
     want = np.array([s.generate_state(4, np.uint64) for s in np.random.SeedSequence(seed).spawn(B)])
     assert (words.dtype, words.shape, words.tobytes()) == (want.dtype, want.shape, want.tobytes())
-
-
-def test_a_draw_is_that_of_the_default_generator_of_its_child():
-    words = paf_module._child_words(3, 4)
-    for idx, child in zip(paf_module._draws(words, 50), np.random.SeedSequence(3).spawn(4)):
-        assert idx.tobytes() == np.random.default_rng(child).integers(0, 50, size=50).tobytes()
 
 
 def test_a_bad_seed_is_numpys_value_error_before_any_replicate(monkeypatch):
