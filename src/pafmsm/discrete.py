@@ -148,17 +148,14 @@ class _Patterns:
         # the days as one integer, exact as base**3 < 2**63 for m <= 10**6
         days = (freeze_day * base + exposure_day) * base
         days += np.where(death_day <= exposure_day, death_day, m + 1)
-        width, triples = base**3, None
-        if (int(row.max(initial=0)) + 1) * width >= 2**63:  # the row would overflow the key:
-            triples, days = np.unique(days, return_inverse=True)  # key the days by their rank
-            width = triples.size
-        # one integer per pattern, ordered by row, then days
-        keys, self.index = np.unique(row * width + days, return_inverse=True)
+        triples = None  # the distinct days, where row * base**3 + days would pass 2**63
+        if (int(row.max(initial=0)) + 1) * base**3 >= 2**63:
+            triples, days = np.unique(days, return_inverse=True)
+        width = base**3 if triples is None else triples.size
+        keys, self.index = np.unique(row * width + days, return_inverse=True)  # by row, then days
         rows, days = np.divmod(keys, width)
-        days = days if triples is None else triples[days]
-        freeze, days = np.divmod(days, base * base)
-        # (row, freeze day, exposure day, death day) per pattern
-        self.columns = [rows, freeze, *np.divmod(days, base)]
+        freeze, days = np.divmod(days if triples is None else triples[days], base * base)
+        self.columns = [rows, freeze, *np.divmod(days, base)]  # (row, freeze, exposure, death day)
         # subjects per block; one block when m == 1: numpy sums a single
         # column pairwise, not row by row
         self.n_days, n = m, row.size

@@ -273,10 +273,11 @@ def _naive_replicates(panel, words, grid):
     bit for bit those of the resampled panels.
     """
     n, m = panel.n_subjects, panel.n_days
+    days = np.arange(1.0, m + 1.0)
     est = np.empty((len(words), grid.size))
     for first, draws in _draw_blocks(words, n, max(m + 2, n)):
         curves = np.array([_death_rows(panel, draws), _ratio_values(*_naive_rows(panel, draws))[0]])
-        est[first:first + len(draws)] = _paf_values(*_on_grid(np.arange(1.0, m + 1.0), curves, grid))
+        est[first:first + len(draws)] = _paf_values(*_on_grid(days, curves, grid))
     return est
 
 
@@ -298,7 +299,9 @@ def _ipw_replicates(panel, covariates, words, grid):
     days = np.arange(1.0, m + 1.0)
     est = np.full((len(words), grid.size), np.nan)
     failed = 0
-    for first, draws in _draw_blocks(words, n, max(m + 2, n)):
+    # a replicate's weight buffers sit beside its block: a quarter of a naive
+    # block keeps the peak near that of one replicate, as a draw at a time
+    for first, draws in _draw_blocks(words, n, 4 * max(m + 2, n)):
         for row, idx, pd in zip(est[first:], draws, _death_rows(panel, draws)):
             try:
                 total, died = _ipw_sums(patterns.blocks(factors_of(idx), idx), *buffers)

@@ -252,13 +252,13 @@ def _recorded_blocks(monkeypatch):
 
 
 # Per replicate of this cohort (n = 80 over 60 days), a multistate block
-# of draws holds 4 x 23 cells, its larger exit table, and a naive or IPW
-# block the 80 draws; an IPW replicate also sums its subjects in blocks of
-# a day's cells each.  These _BLOCK_CELLS make blocks of 1, or blocks of 3
-# with a last block of 1.
+# of draws holds 4 x 23 cells, its larger exit table, a naive block the 80
+# draws and an IPW block 4 x 80; an IPW replicate also sums its subjects
+# in blocks of a day's cells each.  These _BLOCK_CELLS make blocks of 1,
+# or blocks of 3 with a last block of 1.
 BLOCK_ESTIMATORS = {"multistate": ("paf_c", [(paf_module, 92)]),
                     "naive": ("paf_o", [(paf_module, 80)]),
-                    "ipw": ("paf_c", [(paf_module, 80), (discrete, 60)])}
+                    "ipw": ("paf_c", [(paf_module, 320), (discrete, 60)])}
 
 
 @pytest.mark.parametrize("rows", [1, 3], ids=["blocks_of_1", "blocks_of_3"])
