@@ -134,6 +134,20 @@ def _id_words(raw, stops, length):
     return key
 
 
+_BANG = _BYTE_SUM * np.uint64(ord("!"))  # "!" in every byte
+_HIGH_BITS = _BYTE_SUM * np.uint64(0x80)
+
+
+def _strippable(words, length):
+    """Whether an id of at most 8 bytes, in its word of ``_id_words``, has
+    a byte outside "!"..0x7F: one that ``str.strip`` may strip, or that
+    belongs to a longer character.  The NUL bytes before each id count as
+    "!"; then, with no byte at 0x80 or over, a byte below "!" is the one
+    whose subtraction of "!" borrows (Mycroft's test for a byte below n)."""
+    words = words | _BANG & ~_LO_KEEP[length]
+    return bool((((words - _BANG) & ~words | words) & _HIGH_BITS).any())
+
+
 _CSV_CHUNK = 4096  # rows of a CSV table written at a time
 
 # A float cell is six 4-byte words, NUL-padded.  With 1e-4 <= |v| < 1e12 it

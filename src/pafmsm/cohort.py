@@ -14,13 +14,14 @@ import io
 import math
 import os
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import itemgetter
 
 import numpy as np
 
-from ._bytes import _PAD, _Text, _csv_table, _id_words, _short_decimals, _text_cells, _words
+from ._bytes import (_FIRST_BYTES, _PAD, _Text, _csv_table, _id_words, _short_decimals,
+                     _strippable, _text_cells, _words)
 from .errors import DataError, ParseError
 
 __all__ = [
@@ -45,6 +46,23 @@ STATUSES = ("death", "discharge", "censored")
 STATUS_CENSORED, STATUS_DEATH, STATUS_DISCHARGE = 0, 1, 2
 _STATUS_CODE = {"censored": STATUS_CENSORED, "death": STATUS_DEATH, "discharge": STATUS_DISCHARGE}
 _STATUS_NAME = {v: k for k, v in _STATUS_CODE.items()}
+
+
+def _status_tables():
+    """Indexed by the length of a status cell, up to 9 bytes, and at 10 for
+    every longer cell: the code of the status name of that many UTF-8 bytes
+    (-1: none), its first 8 bytes as a word, and the mask of those bytes;
+    then the ninth byte of the name of 9 bytes.  No two names have one
+    length, and none is longer than 9 bytes."""
+    code, head = np.full(11, -1), np.zeros(11, np.uint64)
+    for name, c in _STATUS_CODE.items():
+        name = name.encode()
+        code[len(name)], head[len(name)] = c, int.from_bytes(name[:8], "little")
+    ninth = [name.encode()[8] for name in STATUSES if len(name.encode()) == 9]
+    return code, head, _FIRST_BYTES.take(np.arange(11), mode="clip"), (ninth or [0])[0]
+
+
+_STATUS_OF_LENGTH, _STATUS_HEAD, _STATUS_KEEP, _STATUS_NINTH = _status_tables()
 # EXIT_STATE[exposed, status code]: the state a subject's last interval ends in
 EXIT_STATE = np.array([[CENSORED, 3, 2], [CENSORED, 5, 4]])
 _ABSENT = object()  # the cell of a covariate that a subject does not have
@@ -268,7 +286,7 @@ class Cohort:
         # private read-only copies: views handed out cannot change the cohort;
         # ids ``distinct`` (taken by a mask from a cohort's) are not tested again
         if isinstance(ids, _IdBytes) and (distinct or ids.unique()):
-            self._id_bytes, distinct = ids.gathered, True  # strings on first read of ``ids``
+            self._id_bytes, distinct = ids, True  # strings on first read of ``ids``
         else:
             ids = _strings(ids)
             self.ids = _read_only(np.fromiter(ids, dtype=object, count=len(ids)))
@@ -298,8 +316,9 @@ class Cohort:
     @cached_property
     def ids(self) -> np.ndarray:
         """The subject ids, a read-only object array.  A parsed cohort whose
-        ids ``_IdBytes`` showed to be distinct keeps their bytes until here."""
-        ids = _split(self.__dict__.pop("_id_bytes"))
+        ids ``_IdBytes`` showed to be distinct keeps them as bytes (or
+        words) until here."""
+        ids = self.__dict__.pop("_id_bytes").strings()
         return _read_only(np.fromiter(ids, dtype=object, count=len(ids)))
 
     @cached_property
@@ -315,7 +334,7 @@ class Cohort:
         by a mask, ids held as bytes stay bytes and are not tested again."""
         ids, by_mask = self.__dict__.get("_id_bytes"), np.asarray(mask).dtype == bool
         inf, end, status = self.inf[mask], self.end[mask], self.status[mask]
-        ids = _IdBytes(ids).take(mask) if ids is not None and by_mask else self.ids[mask]
+        ids = ids.take(mask) if ids is not None and by_mask else self.ids[mask]
         subset = Cohort.__new__(Cohort)
         subset._set(ids, inf, end, status, {k: v[mask] for k, v in self.covariates.items()},
                     self.horizon, distinct=by_mask)
@@ -413,7 +432,9 @@ def parse_cohort(source, tie_policy: TiePolicy = TiePolicy.shift()) -> Cohort:
     strings of one window, and the first faulty row in the file raises.
     Text with a quote, a CR or a NUL is read by ``csv.reader`` in one pass;
     a plain window is read from its UTF-8 bytes (``_split_rows``), with the
-    values and the error messages of ``str`` cells.
+    values and the error messages of ``str`` cells.  Ids of at most 8
+    bytes are kept as one word each (``_IdBytes``) until ``Cohort.ids``
+    is read.
     """
     header, parts = _read_chunks(_buffer(source), tie_policy)
     return _joined(header, parts)
@@ -556,8 +577,11 @@ class _ByteCells(_Cells):
     in the buffer ``raw`` of UTF-8 bytes, of the "\\n" before the window
     and of the "," or "\\n" after every cell.
 
-    Ids are one ``decode`` and ``split`` of their gathered bytes.  A status
-    is matched byte for byte against the three names.  In a number column,
+    Ids of at most 8 bytes are read as one word each (``_id_words``) and
+    checked for bytes that ``str.strip`` may strip on those words; longer
+    ids are gathered and checked byte by byte.  A status cell's length
+    picks the one name it may be (``_status_tables``): one masked compare
+    of its first word, and of its ninth byte if it has 9.  In a number column,
     cells of ASCII digits with at most one "." and at most ``_SHORT``
     bytes are decoded from their bytes (``_short_decimals``), and the
     other cells (an exponent, a sign, padding, ``nan``, a longer cell) are
@@ -594,13 +618,17 @@ class _ByteCells(_Cells):
         return gathered
 
     def ids(self):
-        """The ids as ``_IdBytes``; stripped ``str`` if a byte is one that
-        ``str.strip`` may strip: below "!", or of a longer character."""
+        """The ids as ``_IdBytes``, as their words alone if none has more
+        than 8 bytes; stripped ``str`` if a byte is one that ``str.strip``
+        may strip: below "!", or of a longer character."""
         starts, length = self._bounds(0)
+        words, short = _id_words(self.raw, starts + length, length), length.max(initial=0) <= 8
+        if short and not _strippable(words, length):
+            return _IdBytes(length, words)
         gathered = self._gathered(starts, length)
-        if ((gathered < ord("!")) | (gathered >= 0x80)).any():
+        if short or ((gathered < ord("!")) | (gathered >= 0x80)).any():
             return list(map(str.strip, _split(gathered)))
-        return _IdBytes(gathered, length, _id_words(self.raw, starts + length, length))
+        return _IdBytes(length, words, gathered)
 
     def numbers(self, js):
         out = []
@@ -620,46 +648,63 @@ class _ByteCells(_Cells):
 
     def statuses(self, j):
         starts, length = self._bounds(j)
+        status = _STATUS_OF_LENGTH.take(length, mode="clip")  # the one name that long
         head = _words(self.raw)[starts]  # the first 8 bytes of each cell
-        status = np.full(length.size, -1)
-        for name, code in _STATUS_CODE.items():
-            name = name.encode()
-            first = np.uint64(int.from_bytes(name[:8], "little"))
-            mask = np.uint64((1 << 8 * len(name[:8])) - 1)
-            hit = (length == len(name)) & ((head & mask) == first)
-            for i in range(8, len(name)):  # the ninth byte of "discharge", read
-                # only in cells that long: the buffer pads 8 bytes past the last
-                hit[hit] = self.raw[starts[hit] + i] == name[i]
-            status[hit] = code
+        head &= _STATUS_KEEP.take(length, mode="clip")
+        status[head != _STATUS_HEAD.take(length, mode="clip")] = -1
+        nine = np.flatnonzero(length == 9)  # the ninth byte, read only in cells that long
+        status[nine[self.raw[starts[nine] + 8] != _STATUS_NINTH]] = -1
         return status if (status >= 0).all() else super().statuses(j)
 
 
-def _split(gathered):
-    """The cells of ``gathered`` bytes, each followed by a ",", as ``str``."""
-    cells = gathered.tobytes().decode("utf-8", "surrogatepass").split(",")
+def _split(data):
+    """The cells of ``data``, bytes (or a uint8 array) of cells each
+    followed by a ",", as ``str``."""
+    cells = bytes(data).decode("utf-8", "surrogatepass").split(",")
     cells.pop()
     return cells
 
 
 class _IdBytes:
-    """The ids of rows of plain text, or of a simulated cohort, as their
-    bytes, each followed by a "," (``gathered``; no id holds a "," or a
-    quote), with each id's length and, if every id has at most ``_SHORT``
-    bytes, its word (``_id_words``, or the number of a counted id; else
-    None).  A cohort keeps the bytes and builds ``str`` ids on first read."""
+    """The ids of rows of plain text, or of a simulated cohort, as bytes
+    (no id holds a "," or a quote, nor a byte below "!"): each id's
+    ``length`` and, if every id has at most ``_SHORT`` bytes, its word
+    (``_id_words``; else None).  If no id has more than 8 bytes the word
+    is the id itself, its bytes after NUL bytes, and the words are all
+    that is kept.  Else the ids are also kept as ``gathered`` bytes, each
+    followed by a ",", and the words only tell ids apart.  A cohort keeps
+    an ``_IdBytes`` and builds ``str`` ids on first read; ``data`` builds
+    the bytes of ids held as words only when they are read or written."""
 
-    def __init__(self, gathered, length=None, words=None):
-        if length is None:  # from the "," after each id
-            length = np.diff(np.flatnonzero(gathered == ord(",")), prepend=-1) - 1
-        self.gathered, self.length, self.words = gathered, length, words
+    def __init__(self, length, words, gathered=None):
+        self.length, self.words, self.gathered = length, words, gathered
+
+    @classmethod
+    def of(cls, data, length):
+        """The ids of ``data``, bytes of ids each followed by a ",", of
+        ``length`` bytes each: their words read as a parse reads them."""
+        raw = np.frombuffer(bytes(_PAD) + data + bytes(8), np.uint8)
+        words = _id_words(raw, np.cumsum(length + 1) + (_PAD - 1), length)
+        return cls(length, words, None if length.max(initial=0) <= 8 else raw[_PAD:-8])
+
+    def data(self) -> bytes:
+        """The ids' bytes, each followed by a ","."""
+        if self.gathered is not None:
+            return self.gathered.tobytes()
+        cells = np.full((self.words.size, 9), ord(","), np.uint8)
+        cells[:, :8] = self.words.view(np.uint8).reshape(-1, 8)
+        return cells.tobytes().translate(None, b"\0")  # the NUL bytes before each id
 
     def take(self, rows):
         """The ids of the rows of the mask ``rows``."""
         words = None if self.words is None else self.words[rows]
-        return _IdBytes(self.gathered[np.repeat(rows, self.length + 1)], self.length[rows], words)
+        if self.gathered is None:
+            return _IdBytes(self.length[rows], words)
+        return _IdBytes(self.length[rows], words,
+                        self.gathered[np.repeat(rows, self.length + 1)])
 
     def strings(self):
-        return _split(self.gathered)
+        return _split(self.data())
 
     def unique(self):
         """Whether one sort of the words shows no two the same: False for a
@@ -673,20 +718,25 @@ class _IdBytes:
     def counting(cls, n):
         """The ids "0", "1", ... of ``n`` subjects, from their digits: for
         each number of digits ``d``, a matrix of rows of ``d`` digits and a ","."""
-        rows = []
+        rows, length = [], []
         for d in range(1, len(str(n - 1)) + 1):
             k = np.arange(10 ** (d - 1) if d > 1 else 0, min(n, 10**d), dtype=np.uint32)
             rows.append(np.full((k.size, d + 1), ord(","), np.uint8))
+            length.append(np.full(k.size, d))
             for j in range(d - 1, -1, -1):
                 rows[-1][:, j], k = k % 10 + ord("0"), k // 10
-        return cls(np.concatenate([r.ravel() for r in rows]), words=np.arange(n, dtype=np.uint64))
+        return cls.of(b"".join(r.tobytes() for r in rows), np.concatenate(length))
 
     @classmethod
     def joined(cls, parts):
         words = [part.words for part in parts]
-        return cls(np.concatenate([part.gathered for part in parts]),
-                   np.concatenate([part.length for part in parts]),
-                   None if any(w is None for w in words) else np.concatenate(words))
+        words = None if any(w is None for w in words) else np.concatenate(words)
+        length = np.concatenate([part.length for part in parts])
+        if all(part.gathered is None for part in parts):
+            return cls(length, words)
+        return cls(length, words, np.concatenate([
+            np.frombuffer(part.data(), np.uint8) if part.gathered is None else part.gathered
+            for part in parts]))
 
 
 def _header(reader):
@@ -948,8 +998,8 @@ def discretize(cohort: Cohort, allow_drop: bool = False) -> DailyPanel:
         raise DataError("empty cohort")
     m = _horizon_days(cohort.horizon)
     exposure_day = np.nan_to_num(np.ceil(kept.inf), nan=m + 1).astype(np.int64)
-    ids = kept.__dict__.get("_id_bytes")  # the bytes of parsed ids, split on first read
-    return DailyPanel(ids=kept.ids.tolist if ids is None else partial(_split, ids),
+    ids = kept.__dict__.get("_id_bytes")  # parsed ids, as strings on first read
+    return DailyPanel(ids=kept.ids.tolist if ids is None else ids.strings,
                       exposure_day=exposure_day,
                       terminal_day=np.ceil(kept.end).astype(np.int64), status=kept.status,
                       n_days=m, covariates=kept.covariates, dropped=dropped)
@@ -961,7 +1011,7 @@ def cohort_to_csv(cohort: Cohort) -> str:
     cells (``f"{v}"``, once per distinct float), as one ``_csv_table``."""
     ids = cohort.__dict__.get("_id_bytes")
     columns = [_text_cells(map(str, cohort.ids)) if ids is None else
-               _Text(b"," + ids.tobytes(), _IdBytes(ids).length),
+               _Text(b"," + ids.data(), ids.length),
                cohort.inf, cohort.end, _text_cells(map(_STATUS_NAME.get, range(3)), cohort.status)]
     for column in cohort.covariates.values():
         if column.dtype == object:

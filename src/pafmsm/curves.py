@@ -42,11 +42,16 @@ class StepCurve:
     def __call__(self, t):
         """Evaluate at scalar or array ``t``."""
         t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.times, t, side="right") - 1
+        out = self._at(t, np.searchsorted(self.times, t, side="right") - 1)
+        return float(out) if out.ndim == 0 else out
+
+    def _at(self, t, idx):
+        """The values at ``t``, given the index of the last jump at or
+        before each (-1 before the first)."""
         out = np.where(idx < 0, self.initial, self.values[np.clip(idx, 0, None)])
         if self.undefined_from is not None:
             out = np.where(t >= self.undefined_from, np.nan, out)
-        return float(out) if out.ndim == 0 else out
+        return out
 
     def to_csv(self) -> str:
         """Two-column CSV ``t,value`` at the jump times (a NaN value blank)."""
@@ -54,7 +59,31 @@ class StepCurve:
 
 
 def union_grid(*curves: StepCurve) -> np.ndarray:
-    """Union of the jump times of several curves, sorted and de-duplicated."""
+    """Union of the jump times of several curves, sorted and de-duplicated
+    (``_merged``)."""
     if not curves:
         return np.array([])
-    return np.unique(np.concatenate([c.times for c in curves]))
+    return _merged(curves)[0]
+
+
+def _merged(curves):
+    """The sorted union of the jump times of ``curves``, and for each curve
+    the index of its last jump at or before each point of it (-1 before
+    its first), from one stable sort of all the times and one ``cumsum``
+    per curve but the last.
+
+    The stable sort of sorted runs is a merge of them (timsort).  A run of
+    equal times in the merge holds at most one time of each curve, whose
+    times strictly increase, and the jumps of a curve at or before a point
+    are its times up to the end of the point's run.
+    """
+    times = np.concatenate([c.times for c in curves])
+    order = np.argsort(times, kind="stable")
+    times = times[order]
+    last = np.ones(times.size, bool)  # the last time of each run of equal times
+    np.not_equal(times[1:], times[:-1], out=last[:-1])
+    ends = np.flatnonzero(last)
+    # the jumps of the curves before curve c, up to the end of each run
+    bounds = np.cumsum([c.times.size for c in curves])
+    before = [0, *(np.cumsum(order < b)[ends] for b in bounds[:-1]), ends + 1]
+    return times[ends], [b - a - 1 for a, b in zip(before, before[1:])]

@@ -27,7 +27,7 @@ from .cohort import (
 )
 from . import continuous
 from .continuous import overall_death_risk
-from .curves import StepCurve, union_grid
+from .curves import StepCurve, _merged
 from .discrete import (
     _buffers,
     _daily_hazard,
@@ -80,8 +80,10 @@ def _paf_values(pd, q):
 
 
 def _ratio(overall: StepCurve, subtracted: StepCurve) -> StepCurve:
-    grid = union_grid(overall, subtracted)
-    values = _paf_values(np.atleast_1d(overall(grid)), np.atleast_1d(subtracted(grid)))
+    """The PAF curve of the two on the union of their jump times, each
+    evaluated there by its index from the one merge of ``curves._merged``."""
+    grid, (i, j) = _merged((overall, subtracted))
+    values = _paf_values(overall._at(grid, i), subtracted._at(grid, j))
     undef = [c.undefined_from for c in (overall, subtracted) if c.undefined_from is not None]
     return StepCurve(
         grid,

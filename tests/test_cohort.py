@@ -32,9 +32,10 @@ from pafmsm import (
     to_transitions,
 )
 from pafmsm._bytes import _CSV_CHUNK, _short_decimals
-from pafmsm.cohort import (_ABSENT, TransitionRow, _buffer, _ByteCells, _Cells, _row_chunks,
-                           _text_column)
+from pafmsm.cohort import (_ABSENT, STATUSES, TransitionRow, _buffer, _ByteCells, _Cells,
+                           _row_chunks, _text_column)
 
+from test_cli import reference_columns
 from test_discrete import assert_same, reference_indicators
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -293,6 +294,112 @@ def test_a_parsed_cohort_builds_its_id_strings_only_when_read():
     assert ids is cohort.ids and "_id_bytes" not in cohort.__dict__
     assert ids.dtype == object and not ids.flags.writeable
     assert ids.tolist() == eager.ids.tolist() == [str(k) for k in range(len(cohort))]
+
+
+def test_a_parsed_cohort_holds_short_ids_as_one_word_each_until_read_or_written():
+    cohort = parse_cohort(registry_text())
+    ids = cohort.__dict__["_id_bytes"]
+    assert ids.gathered is None and ids.words.dtype == np.uint64 and ids.words.size == len(cohort)
+    for estimand in ("paf_o", "paf_c"):
+        estimate_paf(cohort, estimand)
+    fit_cox_td(cohort, "death")
+    discretize(cohort, allow_drop=True)
+    assert cohort.subset(cohort.status == 1).__dict__["_id_bytes"].gathered is None
+    text = cohort_to_csv(cohort)  # the bytes are built for the writer, and not kept
+    assert cohort.__dict__["_id_bytes"] is ids and ids.gathered is None
+    assert "ids" not in cohort.__dict__
+    assert parse_cohort(text).ids.tolist() == cohort.ids.tolist()
+
+
+def reads_as_reference(text, error=None):
+    """Whether ``parse_cohort`` of ``text`` as ``str``, and
+    ``parse_both_ways`` (as text, bytes and a path, by both parse paths),
+    all give the columns of ``reference_columns``; or, with ``error``, all
+    raise it: a (DataError type, message, row) as the parser raised it
+    before ids were read as words and statuses by length."""
+    got = parse_both_ways(text)
+    try:
+        as_str = cohort_columns(parse_cohort(text))
+    except DataError as exc:
+        as_str = type(exc).__name__, str(exc), getattr(exc, "row", None)
+    assert as_str == got
+    if error is not None:
+        return got == error
+    ids, inf, end, status, _ = reference_columns(text.encode("utf-8", "surrogatepass"))
+    return got[:4] == (ids, np.array(inf, float).tobytes(), np.array(end, float).tobytes(),
+                       np.array(status, np.int64).tobytes())
+
+
+def rows_of(ids, statuses=STATUSES):
+    """Body rows of ``ids``, the statuses taking turns, half of them exposed."""
+    return "".join(f"{sid},{'' if k % 2 else 1.5},{k + 2},{statuses[k % len(statuses)]}\n"
+                   for k, sid in enumerate(ids))
+
+
+@pytest.mark.parametrize("size", [1, 7, 8, 9, 16, 17])
+def test_ids_of_one_word_two_words_or_more_read_as_the_reference(size):
+    ids = [f"{k:0{size}d}" if size > 1 else chr(ord("A") + k) for k in range(20)]
+    assert reads_as_reference(HEADER + rows_of(ids))
+    assert read_from_bytes(HEADER + rows_of(ids))
+
+
+def test_ids_of_bang_and_del_are_read_from_their_words():
+    ids = ["!", "!!!!!!!!", "a\x7f", "\x7f" * 8, "!\x7f~", "~"]
+    assert reads_as_reference(HEADER + rows_of(ids))
+    assert reads_as_reference(HEADER + rows_of([*ids, "!!!!!!!!!", "\x7f" * 9]))
+
+
+# one id with a byte below "!" or of a longer character (0x80 up), first,
+# last or inside, among ids read from their words
+@pytest.mark.parametrize("sid", [
+    "a b", "\x1fA", "A\x1c", "é", "A\x85", "\u3000A", "\x85ab", "abcde\x85", "abcdef\x85",
+    "\x1fabcdefg", "abcdefg\x1f", "abcdefg\x01", " 1234567", "1234567\t", "1234567é",
+    "\x85" + "1234567", " 12345679",
+])
+def test_an_id_with_a_byte_outside_plain_reads_as_the_reference(sid):
+    assert reads_as_reference(HEADER + rows_of(["X", sid, "Y"]))
+
+
+def test_an_empty_id_on_a_row_with_cells_is_a_parse_error():
+    for sid in ("", " ", "\t\x1f"):
+        text = HEADER + rows_of(["A", sid, "B"])
+        assert reads_as_reference(text, ("ParseError", "row 3: empty id", 3))
+
+
+def test_9_byte_ids_that_share_their_last_8_bytes_are_distinct():
+    assert reads_as_reference(HEADER + rows_of(["A12345678", "B12345678", "12345678"]))
+
+
+def test_a_repeated_8_byte_id_is_a_duplicate():
+    text = HEADER + rows_of(["12345678", "A", "12345678", "B"])
+    assert reads_as_reference(text, ("DataError", "duplicate subject id '12345678'", None))
+
+
+def test_status_names_have_distinct_utf8_lengths_of_at_most_9_bytes():
+    lengths = [len(name.encode()) for name in STATUSES]
+    assert len(set(lengths)) == len(STATUSES) and max(lengths) <= 9
+
+
+def one_byte_off(name):
+    """Cells that differ from ``name`` in one byte, or are one byte short or long."""
+    for i in range(len(name)):  # each byte changed: case flipped, or a DEL
+        yield name[:i] + chr(ord(name[i]) ^ 0x20) + name[i + 1:]
+        yield name[:i] + "\x7f" + name[i + 1:]
+    yield from (name[:-1], name[1:], name + "e", name + "!", "!" + name)
+
+
+@pytest.mark.parametrize("cell", [cell for name in STATUSES for cell in one_byte_off(name)] + [
+    "discharg﻿e", "dischargeX", "dischargee", "discharg" + "e" * 5, "discharge\x7f",
+    "discharged", "dischargé", "deathé",
+])
+def test_a_status_a_byte_off_a_name_is_unknown(cell):
+    text = HEADER + rows_of(["A", "B"]) + f"C,,9,{cell}\n"
+    assert reads_as_reference(text, ("ParseError", f"row 4: unknown status {cell!r}", 4))
+
+
+def test_padded_status_names_read_as_the_names():
+    statuses = ("discharge ", "\tdeath", "censored\x1f", " discharge　", "death\x85")
+    assert reads_as_reference(HEADER + rows_of("ABCDEFGHIJ", statuses))
 
 
 def test_tie_policy_shift_moves_the_exposure():
@@ -934,6 +1041,14 @@ def test_parse_memory_stays_within_one_chunk_of_cells():
     # bytes of the text and the cells of one window: 5.2 MB; the cells of
     # the whole file took 19.5 MB, and the ids as strings 8.6 MB
     assert parse_peak(registry_text()) < 7e6
+
+
+def test_parse_memory_of_1e5_registry_rows_stays_below_that_of_gathered_ids():
+    # the bytes of the benchmark's 1e5-row registry file: 9.27 MB when every
+    # window gathered its ids' bytes, 8.68 MB with ids of up to 8 bytes as words
+    spec = HazardSpec.constant(0.05, 0.05, 0.02, 0.05, 0.03, tau=100, censor_rate=0.01)
+    data = cohort_to_csv(simulate_cohort(spec, 100_000, seed=7)).encode()
+    assert parse_peak(data) < 9.0e6
 
 
 def test_csv_writer_memory_stays_within_four_times_the_file():

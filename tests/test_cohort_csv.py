@@ -49,10 +49,14 @@ def reference_cohort_csv(cohort):
 
 def id_bytes(ids):
     """Distinct ids as the ``_IdBytes`` a parse or ``simulate_cohort`` hands
-    to a cohort (no id holds a "," or a quote), each with a word of its own."""
-    gathered = np.frombuffer("".join(i + "," for i in ids).encode(), np.uint8)
-    return _IdBytes(gathered, np.array([len(i) for i in ids], np.intp),
-                    np.arange(len(ids), dtype=np.uint64))
+    to a cohort (no id holds a "," or a quote): as words alone if none has
+    more than 8 bytes; ids of over 16 bytes, which a parse would not keep
+    as bytes, get a distinct word each."""
+    ids = _IdBytes.of("".join(i + "," for i in ids).encode(),
+                      np.array([len(i.encode()) for i in ids], np.intp))
+    if ids.words is None:
+        ids.words = np.arange(ids.length.size, dtype=np.uint64)
+    return ids
 
 
 # the bytes of parsed ids: "!" to "~" without the separator and the quote
@@ -160,6 +164,26 @@ def test_simulated_ids_are_the_row_numbers(n):
     cohort = simulate_cohort(REGISTRY, n, seed=1)
     assert "_id_bytes" in cohort.__dict__
     assert list(cohort.ids) == [str(i) for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [1, 10, 11, 10**5])
+def test_simulated_id_words_are_those_a_parse_of_the_csv_reads(n):
+    ids = simulate_cohort(REGISTRY, n, seed=1).__dict__["_id_bytes"]
+    text = "id,inf_time,end_time,end_status\n" + "".join(f"{k},,1,death\n" for k in range(n))
+    parsed = parse_cohort(text).__dict__["_id_bytes"]
+    assert ids.gathered is None and parsed.gathered is None  # words alone
+    assert ids.words.tobytes() == parsed.words.tobytes()
+    assert ids.length.tolist() == parsed.length.tolist()
+
+
+def test_ids_of_9_to_16_bytes_have_the_words_a_parse_reads():
+    ids = ["123456789", "A" * 16, "x", "12345678", "B23456789"]
+    text = "id,inf_time,end_time,end_status\n" + "".join(f"{i},,1,death\n" for i in ids)
+    parsed = parse_cohort(text).__dict__["_id_bytes"]
+    assert parsed.gathered is not None
+    made = id_bytes(ids)
+    assert made.words.tobytes() == parsed.words.tobytes()
+    assert made.data() == parsed.data() == "".join(i + "," for i in ids).encode()
 
 
 # sha256 of cohort_to_csv(simulate_cohort(spec, 10**5, seed)) as the per-row writer wrote it

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pafmsm import StepCurve, union_grid
 from pafmsm._bytes import _CSV_CHUNK, _csv_table, _text_cells
+from pafmsm.paf import _paf_values, _ratio
 
 
 def reference_to_csv(curve):
@@ -55,6 +56,69 @@ def test_union_grid_merges_and_sorts():
     b = StepCurve(np.array([2.0, 4.0]), np.array([0.0, 0.0]))
     np.testing.assert_array_equal(union_grid(a, b), [1.0, 2.0, 4.0])
     assert union_grid().shape == (0,)
+
+
+VALUES = [math.nan, 0.0, -0.0, 1e-13, 1e-12, 0.25, 1 / 3, 1.0, -1.0, math.inf]
+
+
+@st.composite
+def curve_sets(draw, k):
+    """``k`` curves whose jump times are drawn from one pool, so that they
+    share all, some or none of them, with NaN and other values that the
+    PAF formula cuts, and an ``undefined_from`` on either or neither."""
+    pool = sorted(draw(st.sets(st.floats(-1e6, 1e300, allow_nan=False), max_size=25)))
+    curves = []
+    for _ in range(k):
+        times = sorted(draw(st.sets(st.sampled_from(pool), max_size=len(pool))) if pool else [])
+        values = draw(st.lists(st.sampled_from(VALUES), min_size=len(times), max_size=len(times)))
+        cut = draw(st.sampled_from([None, *pool[:3], *pool[-2:], 1e301]))
+        curves.append(StepCurve(np.array(times, float), np.array(values, float),
+                                initial=draw(st.sampled_from([0.0, math.nan, 0.5])),
+                                undefined_from=cut))
+    return curves
+
+
+def outcome(call):
+    """The grid, values and cut of the curve ``call`` returns, as bytes, or
+    the type of what it raises."""
+    try:
+        curve = call()
+    except Exception as exc:  # an empty curve evaluated on a grid: IndexError
+        return type(exc).__name__
+    return curve.times.tobytes(), curve.values.tobytes(), repr(curve.initial), curve.undefined_from
+
+
+def reference_ratio(overall, subtracted):
+    """``_ratio`` as it was: the grid by ``np.union1d``, and each curve on
+    it by ``StepCurve.__call__`` (one ``searchsorted`` each)."""
+    grid = np.union1d(overall.times, subtracted.times)
+    values = _paf_values(np.atleast_1d(overall(grid)), np.atleast_1d(subtracted(grid)))
+    undef = [c.undefined_from for c in (overall, subtracted) if c.undefined_from is not None]
+    return StepCurve(grid, values, initial=np.nan, undefined_from=min(undef) if undef else None)
+
+
+def curve(times, values, undefined_from=None):
+    return StepCurve(np.array(times, float), np.array(values, float), undefined_from=undefined_from)
+
+
+@settings(max_examples=300)
+@given(curve_sets(2))
+@example([curve([], []), curve([], [])])
+@example([curve([], []), curve([1.0], [0.5])])
+@example([curve([1.0, 2.0], [0.5, 0.4]), curve([], [])])
+@example([curve([1.0, 2.0, 3.0], [0.5, 0.25, math.nan]), curve([1.0, 2.0, 3.0], [0.1, 0.2, 0.3])])
+@example([curve([1.0, 3.0], [0.5, 0.25], 3.0), curve([2.0, 4.0], [0.1, 0.2])])
+@example([curve([1.0, 2.0, 5.0], [0.5, 0.2, 0.3]), curve([2.0, 4.0, 5.0], [0.1, 0.2, 0.3], 4.5)])
+def test_the_merged_ratio_is_the_union_and_searches_bit_for_bit(curves):
+    assert outcome(lambda: _ratio(*curves)) == outcome(lambda: reference_ratio(*curves))
+    grid = np.union1d(*(c.times for c in curves))
+    assert union_grid(*curves).tobytes() == grid.tobytes()
+
+
+@given(st.integers(1, 4).flatmap(curve_sets))
+def test_union_grid_of_any_number_of_curves_is_their_union(curves):
+    grid = np.unique(np.concatenate([c.times for c in curves]))
+    assert union_grid(*curves).tobytes() == grid.tobytes()
 
 
 @pytest.mark.parametrize("n", [0, 1, _CSV_CHUNK - 1, _CSV_CHUNK, 2 * _CSV_CHUNK + 17])
