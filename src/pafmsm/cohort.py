@@ -58,8 +58,8 @@ def _status_tables():
     for name, c in _STATUS_CODE.items():
         name = name.encode()
         code[len(name)], head[len(name)] = c, int.from_bytes(name[:8], "little")
-    ninth = [name.encode()[8] for name in STATUSES if len(name.encode()) == 9]
-    return code, head, _FIRST_BYTES.take(np.arange(11), mode="clip"), (ninth or [0])[0]
+    keep = _FIRST_BYTES.take(np.arange(11), mode="clip")
+    return code, head, keep, _STATUS_NAME[STATUS_DISCHARGE].encode()[8]
 
 
 _STATUS_OF_LENGTH, _STATUS_HEAD, _STATUS_KEEP, _STATUS_NINTH = _status_tables()
