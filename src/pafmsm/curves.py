@@ -48,7 +48,7 @@ class StepCurve:
     def _at(self, t, idx):
         """The values at ``t``, given the index of the last jump at or
         before each (-1 before the first)."""
-        out = np.where(idx < 0, self.initial, self.values[np.clip(idx, 0, None)])
+        out = np.where(idx < 0, self.initial, self.values.take(idx, mode="clip"))
         if self.undefined_from is not None:
             out = np.where(t >= self.undefined_from, np.nan, out)
         return out
@@ -79,11 +79,19 @@ def _merged(curves):
     """
     times = np.concatenate([c.times for c in curves])
     order = np.argsort(times, kind="stable")
+    # whether each time of the merge is one of the first c curves', for c = 1 .. k - 1
+    firsts = [order < b for b in np.cumsum([c.times.size for c in curves])[:-1]]
     times = times[order]
+    del order  # each full-length array goes once it has been read
     last = np.ones(times.size, bool)  # the last time of each run of equal times
     np.not_equal(times[1:], times[:-1], out=last[:-1])
     ends = np.flatnonzero(last)
-    # the jumps of the curves before curve c, up to the end of each run
-    bounds = np.cumsum([c.times.size for c in curves])
-    before = [0, *(np.cumsum(order < b)[ends] for b in bounds[:-1]), ends + 1]
-    return times[ends], [b - a - 1 for a, b in zip(before, before[1:])]
+    grid = times[ends]
+    del times, last
+    index, before = [], 0
+    for first in firsts:  # the jumps of the first c curves up to the end of each run
+        upto = np.cumsum(first)[ends]
+        index.append(upto - before - 1)
+        before = upto
+    ends -= before  # the last curve's jumps up to the end of each run, less one
+    return grid, [*index, ends]

@@ -83,7 +83,11 @@ def _ratio(overall: StepCurve, subtracted: StepCurve) -> StepCurve:
     """The PAF curve of the two on the union of their jump times, each
     evaluated there by its index from the one merge of ``curves._merged``."""
     grid, (i, j) = _merged((overall, subtracted))
-    values = _paf_values(overall._at(grid, i), subtracted._at(grid, j))
+    pd = overall._at(grid, i)
+    del i  # each index goes once its curve is read, before the next curve's temporaries
+    q = subtracted._at(grid, j)
+    del j
+    values = _paf_values(pd, q)
     undef = [c.undefined_from for c in (overall, subtracted) if c.undefined_from is not None]
     return StepCurve(
         grid,
