@@ -315,10 +315,11 @@ def _text_cells(cells, code=None):
     return _Text(data.replace(b"\0", b"\xfe"), np.fromiter(lengths, np.intp, len(cells)), code)
 
 
-def _csv_table(header, columns):
-    """CSV text: the ``header`` names (``_quoted``), then the rows of
-    equal-length ``columns``, each a float array, a cell as
-    ``format(v, ".12g")`` writes it and a NaN blank, or a ``_Text``.
+def _csv_chunks(header, columns):
+    """CSV text in pieces: the ``header`` names (``_quoted``), each chunk of
+    the rows of equal-length ``columns``, and the final line end, so that
+    a writer holds one chunk at a time.  A column is a float array, a cell
+    as ``format(v, ".12g")`` writes it and a NaN blank, or a ``_Text``.
 
     Each chunk of ``_CSV_CHUNK`` rows is one matrix of 4-byte words, a row
     per row, whose NUL padding one ``bytes.translate`` deletes; one kernel
@@ -328,21 +329,19 @@ def _csv_table(header, columns):
     n, floats = len(columns[0]), [c for c in columns if not isinstance(c, _Text)]
     rows = [c.length for c in columns if isinstance(c, _Text) and c.code is None]
     buffers = _buffers(min(n, _CSV_CHUNK) * len(floats))
-    out = [",".join(_quoted(header))]
+    yield ",".join(_quoted(header))
     spans = [(a, min(a + _CSV_CHUNK, n)) for a in range(0, n, _CSV_CHUNK)][::-1]
     while spans:
         a, b = spans.pop()
         if b - a > 1 and (b - a) * sum(int(length[a:b].max()) for length in rows) > 1 << 20:
             spans += [((a + b) // 2, b), (a, (a + b) // 2)]
             continue
-        out.append(_chunk(columns, floats, buffers, a, b))
-    del buffers  # before the join
-    out.append("\n")
-    return "".join(out)
+        yield _chunk(columns, floats, buffers, a, b)
+    yield "\n"
 
 
 def _chunk(columns, floats, buffers, a, b):
-    """The rows ``a`` to ``b`` of ``_csv_table``, each after a "\\n"."""
+    """The rows ``a`` to ``b`` of ``_csv_chunks``, each after a "\\n"."""
     words = _csv_cells(np.array([c[a:b] for c in floats]).T.ravel(), buffers)
     cells = iter(words.T.reshape(b - a, len(floats), 6).transpose(1, 0, 2))  # per column
     matrix = np.concatenate([c.rows(a, b) if isinstance(c, _Text) else next(cells)

@@ -19,13 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from ._bytes import _csv_table
+from ._bytes import _csv_chunks
 from .cohort import (
     _MAX_GRID_POINTS,
     Cohort,
     TiePolicy,
+    _cohort_csv_chunks,
     _horizon_days,
-    cohort_to_csv,
     discretize,
     parse_cohort,
     summarize,
@@ -147,14 +147,17 @@ def _check_out(out):
         raise _UsageError(f"--out {out}: {os.strerror(code)}")
 
 
-def _emit(text: str, out, filename: str):
+def _emit(chunks, out, filename: str):
+    """Write the text ``chunks`` to standard output, or to ``filename`` in
+    the directory ``out``, a chunk at a time: a table is never held whole."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     directory = Path(out)
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        (directory / filename).write_text(text)
+        with open(directory / filename, "w") as fh:
+            fh.writelines(chunks)
     except OSError as exc:  # an existing file, say
         raise _UsageError(f"--out {out}: {exc.strerror}") from None
 
@@ -230,7 +233,7 @@ def _cmd_estimate(args) -> int:
         print("nan" if np.isnan(value) else format(value, ".6g"))
         return _EXIT_OK
     curve = _on_grid(paf, args.grid, cohort.horizon)
-    _emit(curve.to_csv(), args.out, f"{args.estimand}_{args.estimator}.csv")
+    _emit(curve._csv_chunks(), args.out, f"{args.estimand}_{args.estimator}.csv")
     return _EXIT_OK
 
 
@@ -251,13 +254,13 @@ def _cmd_bootstrap(args) -> int:
         cohort, args.estimand, args.estimator, B=args.B, seed=args.seed,
         grid=grid, covariates=_covariate_list(args), allow_drop=args.allow_drop_censored,
     )
-    _emit(bands.to_csv(), args.out, f"{args.estimand}_{args.estimator}_bands.csv")
+    _emit(bands._csv_chunks(), args.out, f"{args.estimand}_{args.estimator}_bands.csv")
     if args.out is not None:
         manifest = dict(subcommand="bootstrap", input=args.input, tie_policy=args.tie_policy,
                         estimand=args.estimand, estimator=args.estimator, B=args.B,
                         seed=args.seed, covariates=list(_covariate_list(args)),
                         failed_replicates=bands.failed)
-        _emit(json.dumps(manifest, indent=2) + "\n", args.out, "manifest.json")
+        _emit([json.dumps(manifest, indent=2) + "\n"], args.out, "manifest.json")
     return _EXIT_OK
 
 
@@ -272,7 +275,7 @@ def _cmd_cox(args) -> int:
     else:
         fit = fit_cox_td(cohort, args.outcome, extra_covariates=covariates)
         name = f"cox_{args.outcome}.csv"
-    _emit(fit.summary_csv(), args.out, name)
+    _emit([fit.summary_csv()], args.out, name)
     return _EXIT_OK
 
 
@@ -287,7 +290,7 @@ def _cmd_simulate(args) -> int:
     _check_seed(args)
     spec = _read_spec(args.spec)
     cohort = simulate_cohort(spec, args.n, args.seed)
-    _emit(cohort_to_csv(cohort), args.out, "cohort.csv")
+    _emit(_cohort_csv_chunks(cohort), args.out, "cohort.csv")
     return _EXIT_OK
 
 
@@ -299,8 +302,8 @@ def _cmd_oracle(args) -> int:
     grid = np.arange(0.0, spec.tau + args.step / 2, args.step)
     oc = analytic_curves(spec, grid)
     curves = oc.as_dict()
-    table = _csv_table(["t", *curves], [oc.grid, *(c.values for c in curves.values())])
-    _emit(table, args.out, "oracle.csv")
+    _emit(_csv_chunks(["t", *curves], [oc.grid, *(c.values for c in curves.values())]),
+          args.out, "oracle.csv")
     return _EXIT_OK
 
 

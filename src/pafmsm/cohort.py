@@ -20,7 +20,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from ._bytes import (_FIRST_BYTES, _PAD, _Text, _csv_table, _id_words, _short_decimals,
+from ._bytes import (_FIRST_BYTES, _PAD, _Text, _csv_chunks, _id_words, _short_decimals,
                      _strippable, _text_cells, _words)
 from .errors import DataError, ParseError
 
@@ -468,7 +468,8 @@ def _buffer(source) -> bytearray:
             if not isinstance(data, bytes):
                 raise TypeError("source must be a path, text, bytes, or file object")
             buf = bytearray(_PAD + len(data) + 8)
-            buf[_PAD:-8] = data
+            with memoryview(buf) as view:  # a slice of buf itself would copy data first
+                view[_PAD:-8] = data
         if not (is_str or buf.isascii()):
             str(memoryview(buf)[_PAD:-8], "utf-8")  # raises on the first byte that is not UTF-8
     except UnicodeDecodeError as exc:
@@ -1008,7 +1009,12 @@ def discretize(cohort: Cohort, allow_drop: bool = False) -> DailyPanel:
 def cohort_to_csv(cohort: Cohort) -> str:
     """Serialize a cohort in the same CSV format parse_cohort reads: ids
     from the bytes a cohort still holds, times, status names and covariate
-    cells (``f"{v}"``, once per distinct float), as one ``_csv_table``."""
+    cells (``f"{v}"``, once per distinct float), by one ``_csv_chunks``."""
+    return "".join(_cohort_csv_chunks(cohort))
+
+
+def _cohort_csv_chunks(cohort: Cohort):
+    """The text of ``cohort_to_csv`` in pieces (``_bytes._csv_chunks``)."""
     ids = cohort.__dict__.get("_id_bytes")
     columns = [_text_cells(map(str, cohort.ids)) if ids is None else
                _Text(b"," + ids.data(), ids.length),
@@ -1019,4 +1025,4 @@ def cohort_to_csv(cohort: Cohort) -> str:
         else:  # the text of each distinct value, by its bits
             values, inverse = np.unique(column.view(np.int64), return_inverse=True)
             columns.append(_text_cells((f"{v}" for v in values.view(float).tolist()), inverse))
-    return _csv_table([*_REQUIRED, *cohort.covariate_names()], columns)
+    return _csv_chunks([*_REQUIRED, *cohort.covariate_names()], columns)

@@ -1,16 +1,17 @@
 """Nonparametric continuous-time estimators.
 
-Every estimator reads an exit table, built with one sort: exits counted
-by kind on their distinct times.  The six-state table holds the exits
-from state 0 (at the exposure time if exposed, else at the end) and from
-state 1, as integer counts; at its peak it holds the (7 x T) counts, the
-T times and the risk sets Y0(t-) and Y1(t-).  The Aalen-Johansen
-estimator lets those go once it has taken its five hazard rows on the
-event times, and sums its cumulative curves in place over them.  Each
-competing-risks reduction reads only the exits of its own state, state 0
-or the hospital (states 0 and 1), in an integer table that also counts a
-block of drawn subjects at once, which is how the bootstrap evaluates its
-replicates.
+Every estimator reads the exits, sorted once by time, and counts them by
+kind on their distinct times.  The six-state exits are those from state 0
+(at the exposure time if exposed, else at the end) and from state 1
+(``_SixState``); a count of some kinds on the event times, or a risk set
+Y0(t-) or Y1(t-), is read from one cumulative count over the sorted exits,
+one at a time, so no table of every kind is held.  The Aalen-Johansen
+estimator takes its five hazard rows that way, lets the exits go, and sums
+its cumulative curves in place over the hazards.  Each competing-risks
+reduction reads only the exits of its own state, state 0 or the hospital
+(states 0 and 1), in a (4 x T) integer table counted in sorted order, or
+of a block of drawn subjects at once, which is how the bootstrap evaluates
+its replicates.
 
 All estimators share the same tie convention: distinct subjects may share
 event times, ties are processed simultaneously, and risk sets are always
@@ -82,67 +83,121 @@ def _kinds(status, base):
     return (_KIND + base)[status]
 
 
-# Rows of the six-state exit table: exits 0->1, 0->2, 0->3, 0->censored,
-# 1->4, 1->5 and 1->censored.  This maps each transition to its row.  The
-# tables of the exits from state 0 and from the hospital have the first
-# four: exposure (empty for the hospital), discharge, death and censored.
+# Rows of the six-state exits, their kinds: exits 0->1, 0->2, 0->3,
+# 0->censored, 1->4, 1->5 and 1->censored.  This maps each transition to
+# its row, and each state to the rows of its exits.  The tables of the
+# exits from state 0 and from the hospital have the first four: exposure
+# (empty for the hospital), discharge, death and censored.
 _ROWS = {(0, 1): 0, (0, 2): 1, (0, 3): 2, (1, 4): 4, (1, 5): 5}
+_FROM = {0: (0, 1, 2, 3), 1: (4, 5, 6)}
 
 
-def _exit_table(cohort: Cohort, exits, merge=None):
+def _runs(times):
+    """The distinct values of the sorted ``times`` and whether each time
+    is the first of its run of equal values."""
+    first = np.empty(times.size, bool)
+    first[:1] = True
+    np.not_equal(times[1:], times[:-1], out=first[1:])
+    return times[first], first
+
+
+def _exit_table(cohort: Cohort, exits):
     """Exit counts by kind on the distinct exit times, from one sort.
 
     ``exits`` is "state0" (each subject leaves state 0 once: at the
-    exposure time if exposed, else at the end), "hospital" (each subject
-    leaves at the end) or "six_state" (the exits from state 0 and, if
-    exposed, from state 1, 7 rows).  Returns the T distinct exit times and
-    a function that counts exits as integers, with one unweighted
-    ``bincount``: without an argument the sample's (rows x T) table; of a
-    (k x d) block of draws, indices into the exits (in the state-0 and
-    hospital tables exit i is subject i's), the (k x rows x T) tables of
-    the k resampled samples.  ``merge``, one row number per row, counts
-    each row's exits in that row of a smaller table.
+    exposure time if exposed, else at the end) or "hospital" (each subject
+    leaves at the end).  Returns the T distinct exit times and a function
+    that counts exits as integers, with one unweighted ``bincount`` of
+    their cells (kind x T + run of equal times): without an argument the
+    sample's (4 x T) table, counted in sorted order; of a (k x d) block of
+    draws, indices into the subjects, the (k x 4 x T) tables of the k
+    resampled samples, counted from each subject's cell, scattered back
+    to subject order on the first draw.
     """
     inf, end, status = cohort.inf, cohort.end, cohort.status
     if end.size == 0:
         raise DataError("empty cohort")
-    times, kinds, rows = end, _kinds(status, 1), 4
+    times, kinds = end, _kinds(status, 1)
     if exits != "hospital":
         exposed = ~np.isnan(inf)
         times, kinds = np.where(exposed, inf, end), np.where(exposed, 0, kinds)
-    if exits == "six_state":
-        times = np.concatenate((times, end[exposed]))
-        kinds, rows = np.concatenate((kinds, _kinds(status[exposed], 4))), 7
-    if merge is not None:
-        kinds, rows = merge[kinds], merge.max() + 1
-    ut, idx = np.unique(times, return_inverse=True)
+    order = np.argsort(times)  # np.unique's sort: the same first of equal times
+    ut, first = _runs(times[order])
     del times
-    cells = np.multiply(kinds, ut.size, out=kinds)
-    cells += idx
-    del idx
+    cells = np.take(kinds, order)
+    cells *= ut.size
+    cells += np.cumsum(first)
+    cells -= 1
+    del kinds, first
+    size = 4 * ut.size
 
     def table(draws=None):
+        nonlocal cells, order
         if draws is None:
-            return np.bincount(cells, minlength=rows * ut.size).reshape(rows, ut.size)
+            return np.bincount(cells, minlength=size).reshape(4, ut.size)
+        if order is not None:  # each subject's cell, once
+            by_subject = np.empty_like(cells)
+            by_subject[order] = cells
+            cells, order = by_subject, None
         drawn = np.take(cells, draws)
-        drawn += np.arange(0, len(draws) * rows * ut.size, rows * ut.size)[:, None]
-        return np.bincount(drawn.ravel(), minlength=drawn.shape[0] * rows * ut.size).reshape(
-            -1, rows, ut.size)
+        drawn += np.arange(0, len(draws) * size, size)[:, None]
+        return np.bincount(drawn.ravel(), minlength=len(draws) * size).reshape(-1, 4, ut.size)
 
     return ut, table
 
 
-def _six_state(cohort: Cohort):
-    """The sample's (7 x T) integer exit table, its times and the risk sets
-    Y0(t-) and Y1(t-): state 1 is entered by exposure and left by the exits
-    from it."""
-    times, table = _exit_table(cohort, "six_state")
-    counts = table()
-    del table  # and with it the cells
-    y0 = _at_risk(counts[:4].sum(axis=0))
-    y1 = counts[4:].sum(axis=0)
-    y1 -= counts[0]
-    return times, counts, y0, _at_risk(y1)
+class _SixState:
+    """The six-state exits in time order, from one sort, on the distinct
+    times that hold an exit of the rows ``events``.
+
+    Each exit is kept as its row (``_ROWS``, ``_FROM``), sorted by time.
+    The counts of a set of rows at each time, and the risk sets Y0(t-) and
+    Y1(t-), are read from one cumulative count over the sorted exits each:
+    no (rows x T) table is held.  The counts are integers, so they are
+    those of a table in any order.
+    """
+
+    def __init__(self, cohort: Cohort, events):
+        inf, end, status = cohort.inf, cohort.end, cohort.status
+        if end.size == 0:
+            raise DataError("empty cohort")
+        exposed = ~np.isnan(inf)
+        times = np.concatenate((np.where(exposed, inf, end), end[exposed]))
+        kinds = np.concatenate((np.where(exposed, 0, _kinds(status, 1)), _kinds(status[exposed], 4)))
+        order = np.argsort(times)
+        times = times[order]
+        self.kinds = kinds.astype(np.int8).take(order)
+        del kinds, order
+        self.n = end.size
+        # the first exit of each run of equal times, then of each run with
+        # an event, and the end: the exits of the events from one such bound
+        # to the next are those of its run, as only other exits lie between
+        bounds = np.append(np.flatnonzero(_runs(times)[1]), times.size)
+        upto = self._cumulative(events)[bounds]
+        self.bounds = bounds[np.append(upto[1:] > upto[:-1], True)]
+        del upto, bounds
+        self.times = times[self.bounds[:-1]]
+
+    def _cumulative(self, plus, minus=()):
+        """At each sorted position and at the end, the exits before it of
+        the rows ``plus`` less those of the rows ``minus``."""
+        weight = np.zeros(7, np.int8)
+        weight[list(plus)], weight[list(minus)] = 1, -1
+        upto = np.zeros(self.kinds.size + 1, np.int64)
+        np.cumsum(weight.take(self.kinds), dtype=np.int64, out=upto[1:])
+        return upto
+
+    def count(self, rows):
+        """The exits of ``rows``, rows of the events, at each time."""
+        return np.diff(self._cumulative(rows)[self.bounds])
+
+    def at_risk(self, state):
+        """Y0(t-) or Y1(t-) at each time: state 0 holds every subject until
+        it leaves, and state 1 those who entered it (by exposure) and have
+        not left it."""
+        if state == 0:
+            return self.n - self._cumulative(_FROM[0])[self.bounds[:-1]]
+        return self._cumulative((_ROWS[0, 1],), _FROM[1])[self.bounds[:-1]]
 
 
 # The competing-risks reductions of the six-state process: the exits whose
@@ -206,6 +261,7 @@ def _sample_curve(cohort, name) -> StepCurve:
     del table  # and with it the cells
     values, s_after = _reduction(counts, name)
     values = values[0].copy()  # a view would keep the whole table alive with the curve
+    del counts
     undefined = np.isnan(values)
     # mass left unresolved after the last exit: the curve is frozen from there
     truncated = s_after[0, -1] > _DENOM_TOL
@@ -239,13 +295,13 @@ def cif_counterfactual(cohort: Cohort) -> StepCurve:
     return _sample_curve(cohort, "cif_counterfactual")
 
 
-def _exposure_survival(times, counts, y0):
-    """S01 on the state-0 exit times, and the mask of those times in the table."""
-    exits = counts[:4].sum(axis=0)
-    on = exits > 0
-    dn = counts[0, on]
-    at_risk = y0[on] - (exits[on] - dn)
-    return StepCurve(times[on], np.cumprod(1.0 - _divide(dn, at_risk)), initial=1.0), on
+def _exposure_survival(exits: _SixState) -> StepCurve:
+    """S01 on the state-0 exit times of ``exits``."""
+    dn = exits.count((_ROWS[0, 1],))
+    at_risk = exits.at_risk(0)
+    at_risk -= exits.count(_FROM[0])
+    at_risk += dn
+    return StepCurve(exits.times, np.cumprod(1.0 - _divide(dn, at_risk)), initial=1.0)
 
 
 def exposure_survival(cohort: Cohort) -> StepCurve:
@@ -255,8 +311,7 @@ def exposure_survival(cohort: Cohort) -> StepCurve:
     non-exposure exits are removed from the risk set before the exposure
     events at the same time, matching the discrete-time weight denominator.
     """
-    times, counts, y0, _ = _six_state(cohort)
-    return _exposure_survival(times, counts, y0)[0]
+    return _exposure_survival(_SixState(cohort, _FROM[0]))
 
 
 def ht_cif(cohort: Cohort) -> StepCurve:
@@ -265,12 +320,12 @@ def ht_cif(cohort: Cohort) -> StepCurve:
     Each death without exposure is weighted by the inverse probability of
     having remained unexposed just before its time.
     """
-    times, counts, y0, _ = _six_state(cohort)
-    s01, on = _exposure_survival(times, counts, y0)
+    exits = _SixState(cohort, _FROM[0])
+    s01 = _exposure_survival(exits)
     s01_minus = np.concatenate(([1.0], s01.values[:-1]))
-    dn_death = counts[_ROWS[0, 3], on]
-    # y0[0] is n: everybody starts in state 0
-    return StepCurve(s01.times, np.cumsum(_divide(dn_death, s01_minus)) / y0[0], initial=0.0)
+    dn_death = exits.count((_ROWS[0, 3],))
+    # everybody starts in state 0
+    return StepCurve(s01.times, np.cumsum(_divide(dn_death, s01_minus)) / exits.n, initial=0.0)
 
 
 def aalen_johansen_extended(cohort: Cohort) -> OccupationCurves:
@@ -279,29 +334,33 @@ def aalen_johansen_extended(cohort: Cohort) -> OccupationCurves:
     The transitions out of state 1 pool all current occupants regardless
     of their exposure time (Markov assumption).
     """
-    times, counts, y0, y1 = _six_state(cohort)
-    on = counts[:3].any(axis=0) | counts[4:6].any(axis=0)  # a transition, not only censorings
-    ut, y0, y1 = times[on], y0[on], y1[on]
-    del times
-    h01, h02, h03 = (_divide(counts[_ROWS[0, l], on], y0) for l in (1, 2, 3))
-    h14, h15 = (_divide(counts[_ROWS[1, l], on], y1) for l in (4, 5))
-    del counts, y0, y1, on  # from here on: the hazards and the curves
+    # the times of a transition, not only of censorings, and each
+    # transition's hazard there, taken one count at a time
+    exits = _SixState(cohort, tuple(_ROWS.values()))
+    hazards = []
+    for k, ls in ((0, (1, 2, 3)), (1, (4, 5))):
+        y = exits.at_risk(k)
+        hazards += [_divide(exits.count((_ROWS[k, l],)), y) for l in ls]
+        del y
+    (h01, h02, h03, h14, h15), ut = hazards, exits.times
+    del exits, hazards  # from here on: the hazards and the curves
     # p00 is a scan on Python floats, and p01 a second one over p00(t-) h01,
     # each run over slices of _AJ_SLICE event times so that only one slice
-    # is held as Python floats.  The arrays start with the initial values,
-    # so [:-1] holds p00(t-), p01(t-).
-    x0 = np.add(h01, h02)
-    x0 += h03
-    x1 = np.add(h14, h15)
+    # is held as Python floats, with the total hazards out of states 0 and
+    # 1 taken per slice.  The arrays start with the initial values, so
+    # [:-1] holds p00(t-), p01(t-).
     p0, p1 = np.empty(ut.size + 1), np.empty(ut.size + 1)
     p0[0], p1[0] = a, b = 1.0, 0.0
     for k in range(0, ut.size, _AJ_SLICE):
         part, after = slice(k, k + _AJ_SLICE), slice(k + 1, k + 1 + _AJ_SLICE)
-        p0[after] = [a := a - a * x for x in x0[part].tolist()]
+        x0 = np.add(h01[part], h02[part])
+        x0 += h03[part]
+        p0[after] = [a := a - a * x for x in x0.tolist()]
         # b + a*x01 - b*x1k in that order, with a*x01 = p00(t-) h01 in one multiply
         u = np.multiply(p0[:-1][part], h01[part])
-        p1[after] = [b := b + v - b * y for v, y in zip(u.tolist(), x1[part].tolist())]
-    del h01, x0, x1
+        x1 = np.add(h14[part], h15[part])
+        p1[after] = [b := b + v - b * y for v, y in zip(u.tolist(), x1.tolist())]
+    del h01
     for p, h in ((p0, h02), (p0, h03), (p1, h14), (p1, h15)):  # each curve over its hazard
         np.multiply(p[:-1], h, out=h)
         np.cumsum(h, out=h)

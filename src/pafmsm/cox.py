@@ -1,7 +1,7 @@
 """Proportional-hazards fits with time-dependent exposure and Breslow ties.
 
-The exposure-only fit reads the risk-set counts of the six-state exit
-table.  A fit with covariates and the Markov diagnostic use risk intervals
+The exposure-only fit reads the risk-set counts of the six-state exits
+(``continuous._SixState``).  A fit with covariates and the Markov diagnostic use risk intervals
 (t_start, t_stop], so delayed entry falls out of the risk-set definition.
 Every fit runs the one damped Newton solver, ``newton.newton``.
 """
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohort import EXIT_STATE, STATUS_DEATH, STATUS_DISCHARGE, Cohort, covariate_column
-from .continuous import _ROWS, _at_risk, _exit_table
+from .continuous import _ROWS, _SixState
 from .errors import DataError, SeparationError
 from .newton import newton
 
@@ -147,19 +147,13 @@ def _count_likelihood(cohort: Cohort, outcome: str):
     n_events = int(np.isin(EXIT_STATE[cohort.exposed.astype(int), cohort.status], states).sum())
     if n_events == 0:
         raise DataError(_NO_EVENTS)
-    # the six-state exits in five rows: exposures, the outcome's exits from
-    # states 0 and 1, and the other exits from each state; summed in place
-    # to all exits from state 0, and the exits from state 1 less exposures
-    merge = np.array([0, 3, 3, 3, 4, 4, 4])
-    merge[[_ROWS[0, states[0]], _ROWS[1, states[1]]]] = 1, 2
-    exposures, before, after, y0, y1 = _exit_table(cohort, "six_state", merge)[1]()
-    y0 += before
-    y0 += exposures
-    y1 += after
-    y1 -= exposures
-    d = np.add(before, after, out=exposures)
-    at = d > 0
-    d, y0, y1, d1 = d[at], _at_risk(y0)[at], _at_risk(y1)[at], float(after.sum())
+    # on the times of an outcome event: the events before and after
+    # exposure, and the risk sets
+    events = (_ROWS[0, states[0]], _ROWS[1, states[1]])
+    exits = _SixState(cohort, events)
+    d, y0, y1 = exits.count(events), exits.at_risk(0), exits.at_risk(1)
+    d1 = float(exits.count(events[1:]).sum())
+    del exits
     # the score d1 - sum_t d(t) p(t) falls from d1 - sum_{Y0(t-)=0} d(t) at
     # beta -> -inf to d1 - sum_{Y1(t-)>0} d(t) at +inf; a limit of 0 leaves
     # it one sign, a likelihood without maximum (equal limits: flat)

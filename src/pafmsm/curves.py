@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._bytes import _csv_table
+from ._bytes import _csv_chunks
 
 __all__ = ["StepCurve", "union_grid"]
 
@@ -16,7 +16,8 @@ class StepCurve:
     """Piecewise-constant, right-continuous function of time.
 
     ``value(t)`` is the value attached to the largest jump time <= t, or
-    ``initial`` before the first jump.  Evaluation outside the observed
+    ``initial`` before the first jump (everywhere, if it has none).
+    Evaluation outside the observed
     range clamps to the boundary values.  ``undefined_from`` marks the
     first time from which the curve is not meaningful (e.g. a vanished
     denominator); values there are NaN as well.  ``truncated_from`` marks
@@ -48,14 +49,21 @@ class StepCurve:
     def _at(self, t, idx):
         """The values at ``t``, given the index of the last jump at or
         before each (-1 before the first)."""
-        out = np.where(idx < 0, self.initial, self.values.take(idx, mode="clip"))
+        if self.values.size:
+            out = np.where(idx < 0, self.initial, self.values.take(idx, mode="clip"))
+        else:  # no jump: every index is -1
+            out = np.full(np.shape(idx), self.initial)
         if self.undefined_from is not None:
             out = np.where(t >= self.undefined_from, np.nan, out)
         return out
 
     def to_csv(self) -> str:
         """Two-column CSV ``t,value`` at the jump times (a NaN value blank)."""
-        return _csv_table(["t", "value"], [self.times, self.values])
+        return "".join(self._csv_chunks())
+
+    def _csv_chunks(self):
+        """The text of ``to_csv`` in pieces (``_bytes._csv_chunks``)."""
+        return _csv_chunks(["t", "value"], [self.times, self.values])
 
 
 def union_grid(*curves: StepCurve) -> np.ndarray:

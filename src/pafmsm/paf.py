@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._bytes import _csv_table
+from ._bytes import _csv_chunks
 from .cohort import (
     STATUS_DEATH,
     Cohort,
@@ -227,13 +227,17 @@ class CurveWithBands:
     failed: int
 
     def to_csv(self) -> str:
+        return "".join(self._csv_chunks())
+
+    def _csv_chunks(self):
+        """The text of ``to_csv`` in pieces (``_bytes._csv_chunks``)."""
         grid = self.lower.times
         columns = (np.atleast_1d(self.estimate(grid)), self.lower.values, self.upper.values)
         defined = np.isfinite(columns[1]) & np.isfinite(columns[2])
         # a non-finite cell is written blank, as NaN
         cells = [np.where(np.isfinite(c), c, np.nan) for c in columns]
-        return _csv_table(["t", "estimate", "lower", "upper", "defined"],
-                          [grid, *cells, defined.astype(float)])
+        return _csv_chunks(["t", "estimate", "lower", "upper", "defined"],
+                           [grid, *cells, defined.astype(float)])
 
 
 # Replicates come in blocks of draws, the (k x n) subjects drawn by k

@@ -123,11 +123,10 @@ def test_an_empty_cohort_raises_one_message(estimate):
 
 def hazard_counts(cohort, k, l):
     """The Nelson-Aalen counts of the k -> l transition in the six-state
-    exit table: its event times, dN(t) and Y(t-) there."""
-    times, counts, y0, y1 = continuous._six_state(cohort)
-    dn = counts[continuous._ROWS[k, l]]
-    on = dn > 0
-    return times[on], dn[on], (y0 if k == 0 else y1)[on]
+    exits: its event times, dN(t) and Y(t-) there."""
+    row = (continuous._ROWS[k, l],)
+    exits = continuous._SixState(cohort, row)
+    return exits.times, exits.count(row), exits.at_risk(k)
 
 
 def test_nelson_aalen_increments():
@@ -261,13 +260,48 @@ def test_exit_kinds_are_those_of_the_nested_status_test():
 @pytest.mark.parametrize("name", list(_aj_cohorts()))
 def test_the_sample_count_is_the_table_weighted_by_ones(name):
     # integer counts, so that every reader's float arithmetic keeps its bits;
-    # a draw that takes every exit once counts each with weight one
+    # a draw that takes every subject once counts each with weight one, and
+    # the sample's table, counted in sorted order, is the same before and
+    # after a draw has put the cells in subject order
     cohort = _aj_cohorts()[name]
-    times, table = continuous._exit_table(cohort, "six_state")
-    counts = table()
-    once = table(np.arange(len(cohort) + int(cohort.exposed.sum()))[None])
-    assert counts.dtype == once.dtype == np.int64 and counts.shape == (7, times.size)
-    assert np.array_equal(counts, once[0])
+    for exits in ("state0", "hospital"):
+        times, table = continuous._exit_table(cohort, exits)
+        counts = table()
+        once = table(np.arange(len(cohort))[None])
+        assert counts.dtype == once.dtype == np.int64 and counts.shape == (4, times.size)
+        assert np.array_equal(counts, once[0])
+        assert np.array_equal(table(), counts)
+
+
+def reference_six_state(cohort):
+    """The (7 x T) table of the six-state exits on their distinct times,
+    by ``np.unique`` and one ``bincount``, and Y0(t-), Y1(t-) as reverse
+    sums of its rows."""
+    inf, end, status = cohort.inf, cohort.end, cohort.status
+    exposed = ~np.isnan(inf)
+    kind = {STATUS_DISCHARGE: 1, STATUS_DEATH: 2, STATUS_CENSORED: 3}
+    times = np.concatenate((np.where(exposed, inf, end), end[exposed]))
+    rows = np.array([0 if e else kind[s] for e, s in zip(exposed, status)]
+                    + [kind[s] + 3 for s in status[exposed]], dtype=np.int64)
+    ut, idx = np.unique(times, return_inverse=True)
+    table = np.bincount(rows * ut.size + idx, minlength=7 * ut.size).reshape(7, ut.size)
+    reverse = lambda x: np.cumsum(x[::-1])[::-1]  # noqa: E731
+    return ut, table, reverse(table[:4].sum(axis=0)), reverse(table[4:].sum(axis=0) - table[0])
+
+
+@pytest.mark.parametrize("name", list(_aj_cohorts()))
+def test_six_state_counts_are_those_of_the_whole_table(name):
+    cohort = _aj_cohorts()[name]
+    ut, table, y0, y1 = reference_six_state(cohort)
+    death = (continuous._ROWS[0, 3], continuous._ROWS[1, 5])
+    for events in (tuple(continuous._ROWS.values()), continuous._FROM[0], death, (6,)):
+        exits = continuous._SixState(cohort, events)
+        on = table[list(events)].sum(axis=0) > 0
+        assert exits.times.tobytes() == ut[on].tobytes()
+        for rows in [events, *((row,) for row in events)]:
+            got = exits.count(rows)
+            assert got.dtype == np.int64 and np.array_equal(got, table[list(rows)][:, on].sum(axis=0))
+        assert np.array_equal(exits.at_risk(0), y0[on]) and np.array_equal(exits.at_risk(1), y1[on])
 
 
 @pytest.mark.parametrize("exits", ["state0", "hospital"])
@@ -460,8 +494,10 @@ def test_estimators_agree_on_a_cohort_rebuilt_from_its_transition_rows(name):
     for got, want in zip(aalen_johansen_extended(rebuilt).as_tuple(),
                          aalen_johansen_extended(parsed).as_tuple()):
         assert_same_curve(got, want)
-    for got, want in zip(continuous._six_state(rebuilt), continuous._six_state(parsed)):
-        assert got.tobytes() == want.tobytes()
+    rows = continuous._FROM[0] + continuous._FROM[1]
+    got, want = (continuous._SixState(c, rows) for c in (rebuilt, parsed))
+    for attribute in ("times", "bounds", "kinds"):
+        assert getattr(got, attribute).tobytes() == getattr(want, attribute).tobytes()
     fits = [lambda c: fit_cox_td(c, "death"), lambda c: fit_cox_td(c, "discharge"),
             lambda c: markov_test(c, "death_after"), lambda c: markov_test(c, "discharge_after")]
     if "x" in parsed.covariates:

@@ -7,8 +7,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pafmsm import StepCurve, union_grid
-from pafmsm._bytes import _CSV_CHUNK, _csv_table, _text_cells
+from pafmsm._bytes import _CSV_CHUNK, _csv_chunks, _text_cells
 from pafmsm.paf import _paf_values, _ratio
+
+
+def csv_table(header, columns):
+    """The text of the one CSV writer, joined."""
+    return "".join(_csv_chunks(header, columns))
 
 
 def reference_to_csv(curve):
@@ -58,6 +63,17 @@ def test_union_grid_merges_and_sorts():
     assert union_grid().shape == (0,)
 
 
+def test_an_empty_curve_is_its_initial_value_everywhere():
+    # it raised IndexError, from the gather of its empty values
+    c = StepCurve(np.array([]), np.array([]), initial=0.25, undefined_from=2.0)
+    assert c(-1.0) == c(1.0) == 0.25 and math.isnan(c(2.0))
+    np.testing.assert_array_equal(c(np.array([0.0, 1.5, 2.0, 9.0])), [0.25, 0.25, np.nan, np.nan])
+    assert c(np.array([])).shape == (0,)
+    paf = _ratio(StepCurve(np.array([1.0]), np.array([0.5])), c)
+    np.testing.assert_array_equal(paf.values, [0.5])
+    assert paf.undefined_from == 2.0
+
+
 VALUES = [math.nan, 0.0, -0.0, 1e-13, 1e-12, 0.25, 1 / 3, 1.0, -1.0, math.inf]
 
 
@@ -83,7 +99,7 @@ def outcome(call):
     the type of what it raises."""
     try:
         curve = call()
-    except Exception as exc:  # an empty curve evaluated on a grid: IndexError
+    except Exception as exc:  # inf - inf in the PAF formula: RuntimeWarning, an error here
         return type(exc).__name__
     return curve.times.tobytes(), curve.values.tobytes(), repr(curve.initial), curve.undefined_from
 
@@ -110,6 +126,7 @@ def curve(times, values, undefined_from=None):
 @example([curve([1.0, 3.0], [0.5, 0.25], 3.0), curve([2.0, 4.0], [0.1, 0.2])])
 @example([curve([1.0, 2.0, 5.0], [0.5, 0.2, 0.3]), curve([2.0, 4.0, 5.0], [0.1, 0.2, 0.3], 4.5)])
 def test_the_merged_ratio_is_the_union_and_searches_bit_for_bit(curves):
+    # an empty curve is its initial value on the grid (it raised IndexError)
     assert outcome(lambda: _ratio(*curves)) == outcome(lambda: reference_ratio(*curves))
     grid = np.union1d(*(c.times for c in curves))
     assert union_grid(*curves).tobytes() == grid.tobytes()
@@ -140,12 +157,12 @@ def test_csv_writes_nan_blank_and_signed_zero():
 
 def test_csv_rows_blank_nan_cells_past_the_first_column_or_in_all():
     columns = [np.array([np.nan, 1.0, -0.0]), np.array([np.nan, np.inf, 2.5])]
-    assert _csv_table(["a", "b"], columns) == "a,b\n,\n1,inf\n-0,2.5\n"
-    assert _csv_table(["a"], [np.array([np.nan, -np.nan])]) == "a\n\n\n"
+    assert csv_table(["a", "b"], columns) == "a,b\n,\n1,inf\n-0,2.5\n"
+    assert csv_table(["a"], [np.array([np.nan, -np.nan])]) == "a\n\n\n"
 
 
 def reference_rows(columns):
-    """The rows of ``_csv_table`` cell by cell: ``format(v, ".12g")``, a NaN blank."""
+    """The rows of ``csv_table`` cell by cell: ``format(v, ".12g")``, a NaN blank."""
     def cell(v):
         return "" if v != v else format(v, ".12g")
     return "".join(",".join(map(cell, row)) + "\n" for row in zip(*(c.tolist() for c in columns)))
@@ -190,7 +207,7 @@ def test_csv_rows_write_each_cell_as_format_12g_does(values):
     x = values()
     for columns in [(x, x[::-1]), (x[::-1], -x, x)]:
         header = [f"c{j}" for j in range(len(columns))]
-        assert _csv_table(header, columns) == ",".join(header) + "\n" + reference_rows(columns)
+        assert csv_table(header, columns) == ",".join(header) + "\n" + reference_rows(columns)
 
 
 FLOATS = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308,
@@ -238,4 +255,4 @@ def tables(draw):
 @given(tables())
 def test_csv_table_is_csv_quoting_and_format_12g(table):
     header, columns, cells = table
-    assert _csv_table(header, columns) == "".join(map(csv_line, [header, *zip(*cells)]))
+    assert csv_table(header, columns) == "".join(map(csv_line, [header, *zip(*cells)]))
