@@ -92,13 +92,13 @@ _ROWS = {(0, 1): 0, (0, 2): 1, (0, 3): 2, (1, 4): 4, (1, 5): 5}
 _FROM = {0: (0, 1, 2, 3), 1: (4, 5, 6)}
 
 
-def _runs(times):
-    """The distinct values of the sorted ``times`` and whether each time
-    is the first of its run of equal values."""
+def _run_starts(times):
+    """Whether each of the sorted ``times`` is the first of its run of
+    equal values."""
     first = np.empty(times.size, bool)
     first[:1] = True
     np.not_equal(times[1:], times[:-1], out=first[1:])
-    return times[first], first
+    return first
 
 
 def _exit_table(cohort: Cohort, exits):
@@ -122,7 +122,9 @@ def _exit_table(cohort: Cohort, exits):
         exposed = ~np.isnan(inf)
         times, kinds = np.where(exposed, inf, end), np.where(exposed, 0, kinds)
     order = np.argsort(times)  # np.unique's sort: the same first of equal times
-    ut, first = _runs(times[order])
+    times = times[order]
+    first = _run_starts(times)
+    ut = times[first]
     del times
     cells = np.take(kinds, order)
     cells *= ut.size
@@ -163,7 +165,8 @@ class _SixState:
             raise DataError("empty cohort")
         exposed = ~np.isnan(inf)
         times = np.concatenate((np.where(exposed, inf, end), end[exposed]))
-        kinds = np.concatenate((np.where(exposed, 0, _kinds(status, 1)), _kinds(status[exposed], 4)))
+        kinds = np.concatenate((np.where(exposed, 0, _kinds(status, 1)),
+                                _kinds(status[exposed], 4)))
         order = np.argsort(times)
         times = times[order]
         self.kinds = kinds.astype(np.int8).take(order)
@@ -172,7 +175,7 @@ class _SixState:
         # the first exit of each run of equal times, then of each run with
         # an event, and the end: the exits of the events from one such bound
         # to the next are those of its run, as only other exits lie between
-        bounds = np.append(np.flatnonzero(_runs(times)[1]), times.size)
+        bounds = np.append(np.flatnonzero(_run_starts(times)), times.size)
         upto = self._cumulative(events)[bounds]
         self.bounds = bounds[np.append(upto[1:] > upto[:-1], True)]
         del upto, bounds

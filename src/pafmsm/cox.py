@@ -1,8 +1,9 @@
 """Proportional-hazards fits with time-dependent exposure and Breslow ties.
 
 The exposure-only fit reads the risk-set counts of the six-state exits
-(``continuous._SixState``).  A fit with covariates and the Markov diagnostic use risk intervals
-(t_start, t_stop], so delayed entry falls out of the risk-set definition.
+(``continuous._SixState``).  A fit with covariates and the Markov
+diagnostic use risk intervals (t_start, t_stop], so delayed entry falls
+out of the risk-set definition.
 Every fit runs the one damped Newton solver, ``newton.newton``.
 """
 

@@ -17,11 +17,11 @@ class StepCurve:
 
     ``value(t)`` is the value attached to the largest jump time <= t, or
     ``initial`` before the first jump (everywhere, if it has none).
-    Evaluation outside the observed
-    range clamps to the boundary values.  ``undefined_from`` marks the
-    first time from which the curve is not meaningful (e.g. a vanished
-    denominator); values there are NaN as well.  ``truncated_from`` marks
-    risk-set exhaustion: the curve is frozen beyond that time.
+    Evaluation outside the observed range clamps to the boundary values.
+    ``undefined_from`` marks the first time from which the curve is not
+    meaningful (e.g. a vanished denominator); values there are NaN as
+    well.  ``truncated_from`` marks risk-set exhaustion: the curve is
+    frozen beyond that time.
     """
 
     times: np.ndarray

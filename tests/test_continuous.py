@@ -300,8 +300,10 @@ def test_six_state_counts_are_those_of_the_whole_table(name):
         assert exits.times.tobytes() == ut[on].tobytes()
         for rows in [events, *((row,) for row in events)]:
             got = exits.count(rows)
-            assert got.dtype == np.int64 and np.array_equal(got, table[list(rows)][:, on].sum(axis=0))
-        assert np.array_equal(exits.at_risk(0), y0[on]) and np.array_equal(exits.at_risk(1), y1[on])
+            assert got.dtype == np.int64
+            assert np.array_equal(got, table[list(rows)][:, on].sum(axis=0))
+        assert np.array_equal(exits.at_risk(0), y0[on])
+        assert np.array_equal(exits.at_risk(1), y1[on])
 
 
 @pytest.mark.parametrize("exits", ["state0", "hospital"])

@@ -1,4 +1,4 @@
-"""Memory per subject of the registry operations (ROADMAP item 11).
+"""Memory per subject of the registry operations.
 
 Each bound is the ``tracemalloc`` peak that the operation reached when the
 test was written (Python 3.11, numpy 2.4), in bytes per subject of a
