@@ -317,6 +317,7 @@ def _cmd_check(args) -> int:
             f"subject {cohort.ids[i]}: {('inf_time', 'end_time')[j]} {times[i, j]:g} "
             "is not an integer day; the exact equivalences hold on integer-time cohorts"
         )
+    del times, fractional
     panel = discretize(cohort)  # rejects censored cohorts
     days = np.arange(1.0, panel.n_days + 1.0)
 

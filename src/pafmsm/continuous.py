@@ -73,8 +73,9 @@ def _divide(dn, y):
     return np.divide(dn, y, out=np.zeros(dn.size), where=y > 0)
 
 
-# the exit row of each status code, after the row of the first exit kind
-_KIND = np.empty(3, np.int64)
+# the exit row of each status code, after the row of the first exit kind;
+# one byte per exit
+_KIND = np.empty(3, np.int8)
 _KIND[[STATUS_DISCHARGE, STATUS_DEATH, STATUS_CENSORED]] = 0, 1, 2
 
 
@@ -101,47 +102,61 @@ def _run_starts(times):
     return first
 
 
-def _exit_table(cohort: Cohort, exits):
-    """Exit counts by kind on the distinct exit times, from one sort.
+def _sorted_cells(cohort: Cohort, exits, keep_order):
+    """The exits in time order, from one sort.
 
     ``exits`` is "state0" (each subject leaves state 0 once: at the
     exposure time if exposed, else at the end) or "hospital" (each subject
-    leaves at the end).  Returns the T distinct exit times and a function
-    that counts exits as integers, with one unweighted ``bincount`` of
-    their cells (kind x T + run of equal times): without an argument the
-    sample's (4 x T) table, counted in sorted order; of a (k x d) block of
-    draws, indices into the subjects, the (k x 4 x T) tables of the k
-    resampled samples, counted from each subject's cell, scattered back
-    to subject order on the first draw.
+    leaves at the end).  Returns the T distinct exit times, each sorted
+    exit's cell (kind x T + run of equal times) and, if ``keep_order``,
+    the sort order (else None).
     """
     inf, end, status = cohort.inf, cohort.end, cohort.status
     if end.size == 0:
         raise DataError("empty cohort")
     times, kinds = end, _kinds(status, 1)
-    if exits != "hospital":
-        exposed = ~np.isnan(inf)
-        times, kinds = np.where(exposed, inf, end), np.where(exposed, 0, kinds)
+    if exits != "hospital":  # the exposure time (before the end) and kind 0 if exposed
+        times = np.fmin(inf, end)
+        kinds *= np.isnan(inf)
     order = np.argsort(times)  # np.unique's sort: the same first of equal times
-    times = times[order]
+    kinds = kinds.take(order)
+    if keep_order:
+        times = times[order]
+    else:  # each sorted time goes over the index it was read from: no third array
+        times = np.take(times, order, out=order.view(np.float64), mode="clip")
+        order = None
     first = _run_starts(times)
     ut = times[first]
     del times
-    cells = np.take(kinds, order)
-    cells *= ut.size
-    cells += np.cumsum(first)
-    cells -= 1
-    del kinds, first
+    cells = first.astype(np.int64)
+    cells[0] = 0  # the run of each exit, by one cumulative sum in place
+    np.cumsum(cells, out=cells)
+    cells += np.multiply(kinds, ut.size, dtype=np.int64)
+    return ut, cells, order
+
+
+def _exit_counts(cohort: Cohort, exits):
+    """The T distinct times of ``exits`` (see ``_sorted_cells``) and the
+    sample's (4 x T) integer table of exits by kind, counted in sorted
+    order by one ``bincount``."""
+    ut, cells, _ = _sorted_cells(cohort, exits, keep_order=False)
+    return ut, np.bincount(cells, minlength=4 * ut.size).reshape(4, ut.size)
+
+
+def _exit_table(cohort: Cohort, exits):
+    """The T distinct times of ``exits`` (see ``_sorted_cells``) and a
+    function that counts a (k x d) block of draws, indices into the
+    subjects: the (k x 4 x T) integer tables of the k resampled samples,
+    by one unweighted ``bincount`` of the drawn subjects' cells.
+    """
+    ut, cells, order = _sorted_cells(cohort, exits, keep_order=True)
+    by_subject = np.empty_like(cells)
+    by_subject[order] = cells
+    del cells, order
     size = 4 * ut.size
 
-    def table(draws=None):
-        nonlocal cells, order
-        if draws is None:
-            return np.bincount(cells, minlength=size).reshape(4, ut.size)
-        if order is not None:  # each subject's cell, once
-            by_subject = np.empty_like(cells)
-            by_subject[order] = cells
-            cells, order = by_subject, None
-        drawn = np.take(cells, draws)
+    def table(draws):
+        drawn = np.take(by_subject, draws)
         drawn += np.arange(0, len(draws) * size, size)[:, None]
         return np.bincount(drawn.ravel(), minlength=len(draws) * size).reshape(-1, 4, ut.size)
 
@@ -163,15 +178,23 @@ class _SixState:
         inf, end, status = cohort.inf, cohort.end, cohort.status
         if end.size == 0:
             raise DataError("empty cohort")
-        exposed = ~np.isnan(inf)
-        times = np.concatenate((np.where(exposed, inf, end), end[exposed]))
-        kinds = np.concatenate((np.where(exposed, 0, _kinds(status, 1)),
-                                _kinds(status[exposed], 4)))
+        self.n = n = end.size
+        exposed = np.flatnonzero(~np.isnan(inf))
+        # the exits from state 0, at the exposure time (before the end) if
+        # exposed, then those from state 1
+        times = np.empty(n + exposed.size)
+        np.fmin(inf, end, out=times[:n])
+        times[n:] = end[exposed]
+        kinds = np.empty(times.size, np.int8)
+        np.multiply(_kinds(status, 1), np.isnan(inf), out=kinds[:n])
+        kinds[n:] = _kinds(status[exposed], 4)
+        del exposed
         order = np.argsort(times)
-        times = times[order]
-        self.kinds = kinds.astype(np.int8).take(order)
-        del kinds, order
-        self.n = end.size
+        self.kinds = kinds.take(order)
+        del kinds
+        # each sorted time goes over the index it was read from: no third array
+        times = np.take(times, order, out=order.view(np.float64), mode="clip")
+        del order
         # the first exit of each run of equal times, then of each run with
         # an event, and the end: the exits of the events from one such bound
         # to the next are those of its run, as only other exits lie between
@@ -184,10 +207,14 @@ class _SixState:
     def _cumulative(self, plus, minus=()):
         """At each sorted position and at the end, the exits before it of
         the rows ``plus`` less those of the rows ``minus``."""
-        weight = np.zeros(7, np.int8)
-        weight[list(plus)], weight[list(minus)] = 1, -1
+        def member(rows):  # bit ``kind`` of the rows' mask, in int8
+            return np.bitwise_and(np.right_shift(sum(1 << row for row in rows), self.kinds), 1)
+
         upto = np.zeros(self.kinds.size + 1, np.int64)
-        np.cumsum(weight.take(self.kinds), dtype=np.int64, out=upto[1:])
+        upto[1:] = member(plus)
+        if minus:
+            upto[1:] -= member(minus)
+        np.cumsum(upto, out=upto)
         return upto
 
     def count(self, rows):
@@ -259,9 +286,8 @@ def _conditional(cif_death, cif_exposure):
 
 def _sample_curve(cohort, name) -> StepCurve:
     """The curve of reduction ``name`` on the sample, at its own exit times."""
-    times, table = _exit_table(cohort, _REDUCTIONS[name][0])
-    counts = table()[None]
-    del table  # and with it the cells
+    times, counts = _exit_counts(cohort, _REDUCTIONS[name][0])
+    counts = counts[None]
     values, s_after = _reduction(counts, name)
     values = values[0].copy()  # a view would keep the whole table alive with the curve
     del counts

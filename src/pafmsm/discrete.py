@@ -129,6 +129,19 @@ def _weight_rows(factors, rows, cells, exposed, died):
     return weights, died, np.isfinite(weights).all(axis=1)
 
 
+def _ranked(values, size):
+    """``np.unique(values, return_inverse=True)`` of integers in 0..size-1:
+    from a table over that range where it is no longer than ``values``
+    (or 2**16), which takes no sort."""
+    if size > max(values.size, 1 << 16):
+        return np.unique(values, return_inverse=True)
+    table = np.zeros(size, np.intp)
+    table[values] = 1
+    distinct = np.flatnonzero(table)
+    table[distinct] = np.arange(distinct.size)
+    return distinct, table[values]
+
+
 class _Patterns:
     """Subjects grouped by their weight row and their days dead.
 
@@ -145,17 +158,30 @@ class _Patterns:
 
     def __init__(self, row, freeze_day, exposure_day, death_day, n_days):
         m, base = n_days, n_days + 2  # every day column lies in 0..m+1
-        # the days as one integer, exact as base**3 < 2**63 for m <= 10**6
-        days = (freeze_day * base + exposure_day) * base
-        days += np.where(death_day <= exposure_day, death_day, m + 1)
-        triples = None  # the distinct days, where row * base**3 + days would pass 2**63
-        if (int(row.max(initial=0)) + 1) * base**3 >= 2**63:
-            triples, days = np.unique(days, return_inverse=True)
-        width = base**3 if triples is None else triples.size
-        keys, self.index = np.unique(row * width + days, return_inverse=True)  # by row, then days
+        # each subject's rank among the distinct (freeze, exposure) days, then
+        # among the distinct (freeze, exposure, death) days, then by factor
+        # row and those days: ranks keep the order of the columns, so the
+        # last are those of np.unique of the packed (row, freeze, exposure,
+        # death), and no key passes n * base**2
+        rank = freeze_day * base
+        rank += exposure_day
+        pairs, rank = _ranked(rank, base * base)
+        rank *= base
+        early = death_day <= exposure_day  # else the death day is m + 1
+        np.add(rank, death_day, out=rank, where=early)
+        np.add(rank, m + 1, out=rank, where=~early)
+        del early
+        triples, rank = _ranked(rank, pairs.size * base)
+        width, n_rows = triples.size, int(row.max(initial=0)) + 1
+        keys = np.arange(width)  # one factor row: the patterns are the triples
+        if n_rows > 1:
+            rank += row * width
+            keys, rank = _ranked(rank, n_rows * width)
+        self.index = rank
         rows, days = np.divmod(keys, width)
-        freeze, days = np.divmod(days if triples is None else triples[days], base * base)
-        self.columns = [rows, freeze, *np.divmod(days, base)]  # (row, freeze, exposure, death day)
+        pair, death = np.divmod(triples[days], base)
+        # (row, freeze, exposure, death day)
+        self.columns = [rows, *np.divmod(pairs[pair], base), death]
         # subjects per block; one block when m == 1: numpy sums a single
         # column pairwise, not row by row
         self.n_days, n = m, row.size
@@ -431,7 +457,7 @@ def empirical_weights(panel: DailyPanel) -> WeightTable:
     freeze_day = _at_risk_days(panel)
     freeze_day[left_unexposed] -= 1
     return _weight_table(panel, np.subtract(1.0, hazard)[None, :],
-                         np.zeros(panel.n_subjects, dtype=np.intp), freeze_day)
+                         np.broadcast_to(np.intp(0), panel.n_subjects), freeze_day)
 
 
 def model_weights(panel: DailyPanel, model: ExposureModel) -> WeightTable:

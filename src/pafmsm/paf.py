@@ -74,9 +74,11 @@ _SUBTRACTED = {"paf_o": "cpf_unexposed", "paf_c": "cif_counterfactual"}
 
 
 def _paf_values(pd, q):
-    """(pd - q) / pd where both are finite and pd > 0; NaN elsewhere."""
+    """(pd - q) / pd where both are finite and pd > 0; NaN elsewhere, where
+    nothing is computed."""
     defined = np.isfinite(pd) & np.isfinite(q) & (pd > _DENOM_TOL)
-    return np.where(defined, (pd - q) / np.where(defined, pd, 1.0), np.nan)
+    values = np.subtract(pd, q, out=np.full(defined.shape, np.nan), where=defined)
+    return np.divide(values, pd, out=values, where=defined)
 
 
 def _ratio(overall: StepCurve, subtracted: StepCurve) -> StepCurve:

@@ -254,18 +254,23 @@ def test_weight_blocks_do_not_change_the_weights(monkeypatch, name, rows):
     assert_matches_reference(panel)
 
 
+def _binary_x_panel(n, seed):
+    """A whole-day panel of n subjects over 1..4 days with a binary x."""
+    rng = np.random.default_rng(seed)
+    end = rng.integers(1, 5, n).astype(float)
+    inf = np.where(rng.random(n) < 0.5, np.floor(rng.uniform(0, end)), np.nan)
+    inf[inf == 0] = np.nan
+    status = rng.choice([1, 2], n)
+    x = rng.integers(0, 2, n) * 1.0
+    return discretize(Cohort.from_columns([str(i) for i in range(n)], inf, end, status, {"x": x}))
+
+
 @pytest.mark.parametrize("spare", [0, 19])
 @pytest.mark.parametrize("seed", range(4))
 def test_shared_pattern_rows_do_not_change_the_weights(monkeypatch, seed, spare):
     # many subjects, few patterns (11 for the empirical weights): blocks of
     # 11 and of 30 subjects gather from rows built once
-    rng = np.random.default_rng(seed)
-    n = 400
-    end = rng.integers(1, 5, n).astype(float)
-    inf = np.where(rng.random(n) < 0.5, np.floor(rng.uniform(0, end)), np.nan)
-    inf[inf == 0] = np.nan
-    panel = discretize(Cohort.from_columns([str(i) for i in range(n)], inf, end,
-                                           rng.choice([1, 2], n), {"x": rng.integers(0, 2, n) * 1.0}))
+    panel = _binary_x_panel(400, seed)
     patterns = empirical_weights(panel)._patterns(discrete._death_days(panel))
     monkeypatch.setattr(discrete, "_BLOCK_CELLS", (patterns.index.max() + 1 + spare) * panel.n_days)
     assert empirical_weights(panel)._patterns(discrete._death_days(panel)).cells is not None
@@ -289,6 +294,76 @@ def test_patterns_of_many_factor_rows_over_a_million_days_are_the_subjects_own()
     assert len(np.unique(weights.row)) == 12
     for c, column in enumerate(own):
         assert patterns.columns[c][patterns.index].tolist() == column.tolist(), c
+
+
+def unique_patterns(weights, death):
+    """The distinct (row, freeze, exposure, death day) columns and each
+    subject's pattern: ``np.unique(..., return_inverse=True)`` of the four
+    packed into one integer where that fits in int64, else of the stacked
+    columns (``axis=0``), which sorts them in the same order."""
+    m, base = weights.n_days, weights.n_days + 2
+    own = [weights.row, weights.freeze_day, weights.exposure_day,
+           np.where(death <= weights.exposure_day, death, m + 1)]
+    if (int(own[0].max()) + 1) * base**3 >= 2**63:
+        rows, index = np.unique(np.column_stack(own), axis=0, return_inverse=True)
+        return list(rows.T), index
+    keys, index = np.unique(((own[0] * base + own[1]) * base + own[2]) * base + own[3],
+                            return_inverse=True)
+    columns = []
+    for _ in range(3):
+        keys, column = np.divmod(keys, base)
+        columns.insert(0, column)
+    return [keys, *columns], index
+
+
+def _pattern_cases():
+    """Weight tables and death days: one shared row, a row per covariate
+    pattern, a row per subject, 12 rows over 10**6 days (their packed key
+    passes 2**63) and one subject over one day."""
+    icu = discretize(simulate_cohort(icu_like_spec(round_days=True), 3000, 5), allow_drop=True)
+    x = _binary_x_panel(400, 2)
+    inf = np.array([np.nan, 5e5, np.nan, 3, 999_000, np.nan, 2, np.nan, 7e5, np.nan, 40, np.nan])
+    end = np.array([10, 6e5, 1e6, 9, 999_999, 123_456, 3, 5e5, 8e5, 1, 41, 77])
+    long = discretize(Cohort.from_columns([str(i) for i in range(12)], inf, end,
+                                          [1, 1, 2, 2, 1, 2, 1, 1, 2, 2, 1, 1],
+                                          {"k": np.arange(12.0)}, horizon=1e6))
+    one = panel_of(Subject("a", None, 1.0, "death"))
+    return {
+        "empirical": (icu, empirical_weights(icu)),
+        "model": (x, model_weights(x, fit_pooled_logistic(x, ("x",)))),
+        "per subject": (x, compute_weights(x, nonparametric_daily_hazard(x))),
+        "over 2**63": (long, model_weights(long, fit_pooled_logistic(long, ("k",)))),
+        "n = m = 1": (one, empirical_weights(one)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_pattern_cases()))
+def test_patterns_are_those_of_np_unique(case):
+    panel, weights = _pattern_cases()[case]
+    death = discrete._death_days(panel)
+    patterns = weights._patterns(death)
+    columns, index = unique_patterns(weights, death)
+    assert patterns.index.dtype == index.dtype and np.array_equal(patterns.index, index)
+    for got, want in zip(patterns.columns, columns, strict=True):
+        assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("size", [1, 5, 1 << 16, (1 << 16) + 1, 10**9])
+def test_ranked_integers_are_those_of_np_unique(size):
+    # a table over 0..size-1 up to 2**16 values or as many as it ranks, a
+    # sort beyond
+    for n in (0, 1, 1000, 70_000):
+        values = np.random.default_rng(n).integers(0, size, n)
+        got, want = discrete._ranked(values, size), np.unique(values, return_inverse=True)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def test_empirical_weights_share_one_row_without_a_row_per_subject():
+    panel = discretize(simulate_cohort(icu_like_spec(round_days=True), 2000, 3), allow_drop=True)
+    row = empirical_weights(panel).row
+    assert row.shape == (panel.n_subjects,) and row.dtype == np.intp and not row.any()
+    assert row.strides == (0,)
 
 
 def uniform_stays_cohort(n=20_000, m=400):
