@@ -296,7 +296,9 @@ class Cohort:
         for column in (self.inf, self.end, self.status, *self.covariates.values()):
             _read_only(column)
         inf, end = self.inf, self.end
-        bad = ~np.isin(self.status, list(_STATUS_NAME)) | ~((end > 0) & np.isfinite(end))
+        # the status codes are 0, 1, 2: one unsigned compare tests both ends
+        bad = self.status.view(np.uint64) >= len(_STATUS_NAME)
+        bad |= ~((end > 0) & np.isfinite(end))
         bad |= self.exposed & ~((0 < inf) & (inf < end))
         if bad.any():  # the first bad subject raises its own message
             k = slice(np.argmax(bad), np.argmax(bad) + 1)

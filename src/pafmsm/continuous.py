@@ -199,10 +199,10 @@ class _SixState:
         # an event, and the end: the exits of the events from one such bound
         # to the next are those of its run, as only other exits lie between
         bounds = np.append(np.flatnonzero(_run_starts(times)), times.size)
+        times = times[bounds[:-1]]
         upto = self._cumulative(events)[bounds]
-        self.bounds = bounds[np.append(upto[1:] > upto[:-1], True)]
-        del upto, bounds
-        self.times = times[self.bounds[:-1]]
+        held = np.append(upto[1:] > upto[:-1], True)
+        self.bounds, self.times = bounds[held], times[held[:-1]]
 
     def _cumulative(self, plus, minus=()):
         """At each sorted position and at the end, the exits before it of

@@ -91,14 +91,16 @@ class WeightTable:
         block of subjects at a time.
         """
         m, n = self.n_days, self.n_subjects
-        last = np.minimum(self.freeze_day, np.minimum(self.exposure_day - 1, m))
+        last = np.subtract(self.exposure_day, 1)
+        np.minimum(last, m, out=last)
+        np.minimum(last, self.freeze_day, out=last)
         step = max(1, _BLOCK_CELLS // (m + 1))
         if len(self.factors) <= step:  # shared rows: each built once
             blocks = [(self.factors, self.row, last)]
         else:
             blocks = ((self.factors[self.row[first:first + step]], np.arange(min(step, n - first)),
                        last[first:first + step]) for first in range(0, n, step))
-        if not all(np.isfinite(_inverse_survival(factors, m)[row, cell]).all()
+        if not all(np.isfinite(_inverse_survival(factors, m))[row, cell].all()
                    for factors, row, cell in blocks):
             raise PositivityError(_UNBOUNDED)
 
@@ -132,14 +134,15 @@ def _weight_rows(factors, rows, cells, exposed, died):
 def _ranked(values, size):
     """``np.unique(values, return_inverse=True)`` of integers in 0..size-1:
     from a table over that range where it is no longer than ``values``
-    (or 2**16), which takes no sort."""
+    (or 2**16), which takes no sort, and then written over ``values``."""
     if size > max(values.size, 1 << 16):
         return np.unique(values, return_inverse=True)
-    table = np.zeros(size, np.intp)
+    table = np.zeros(size, values.dtype)
     table[values] = 1
     distinct = np.flatnonzero(table)
     table[distinct] = np.arange(distinct.size)
-    return distinct, table[values]
+    # each rank goes over the value it was read from: no second array
+    return distinct, np.take(table, values, out=values, mode="clip")
 
 
 class _Patterns:

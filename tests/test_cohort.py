@@ -397,6 +397,13 @@ def test_a_status_a_byte_off_a_name_is_unknown(cell):
     assert reads_as_reference(text, ("ParseError", f"row 4: unknown status {cell!r}", 4))
 
 
+@pytest.mark.parametrize("code", [-1, 3, 2**40, -2**63])
+def test_a_status_code_outside_the_three_is_unknown(code):
+    for status in ([code, 1], [1, code]):
+        with pytest.raises(DataError, match=f"unknown status {code}"):
+            Cohort.from_columns(["a", "b"], [np.nan, np.nan], [1.0, 2.0], status)
+
+
 def test_padded_status_names_read_as_the_names():
     statuses = ("discharge ", "\tdeath", "censored\x1f", " discharge　", "death\x85")
     assert reads_as_reference(HEADER + rows_of("ABCDEFGHIJ", statuses))

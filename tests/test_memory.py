@@ -76,21 +76,21 @@ def test_cox_death_of_the_parsed_cohort(registry):
 def test_estimate_paf_c_by_ipw_from_the_file(panel, tmp_path):
     # the parse, the panel, the empirical weights and their patterns: 146 B
     # per subject with the patterns ranked by np.unique of packed int64 keys,
-    # 100.2 B now, where the parse sets the peak
+    # 91.4 B now
     path, n = panel
     argv = ["estimate", "--input", str(path), "--estimand", "paf_c", "--estimator", "ipw",
             "--out", str(tmp_path)]
     codes = []
-    assert peak_per_subject(lambda: codes.append(cli.run(argv)), n) <= 105.2
+    assert peak_per_subject(lambda: codes.append(cli.run(argv)), n) <= 95.9
     assert codes == [0] and (tmp_path / "paf_c_ipw.csv").stat().st_size > 0
 
 
 def test_check_of_the_file(panel, capsys):
     # the parse, then the panel and each estimator beside the cohort: 163 B
     # per subject with int64 exit kinds and the times held for the whole
-    # check, 99.0 B now, where the parse sets the peak
+    # check, 94.2 B now
     path, n = panel
     codes = []
     assert peak_per_subject(lambda: codes.append(cli.run(["check", "--input", str(path)])),
-                            n) <= 104.0
+                            n) <= 98.9
     assert codes == [0] and capsys.readouterr().out.count("PASS") == 3
