@@ -122,7 +122,8 @@ def _sorted_cells(cohort: Cohort, exits, keep_order):
     kinds = kinds.take(order)
     if keep_order:
         times = times[order]
-    else:  # each sorted time goes over the index it was read from: no third array
+    else:  # each sorted time goes over the index it was read from: no third
+        # array (see _SixState on this use of np.take)
         times = np.take(times, order, out=order.view(np.float64), mode="clip")
         order = None
     first = _run_starts(times)
@@ -192,7 +193,11 @@ class _SixState:
         order = np.argsort(times)
         self.kinds = kinds.take(order)
         del kinds
-        # each sorted time goes over the index it was read from: no third array
+        # each sorted time goes over the index it was read from: no third
+        # array.  numpy checks that ``out`` does not overlap ``times``, not
+        # the indices: this relies on its take loop reading index j before
+        # it writes element j, which tests/test_continuous.py checks past
+        # any chunk width
         times = np.take(times, order, out=order.view(np.float64), mode="clip")
         del order
         # the first exit of each run of equal times, then of each run with

@@ -65,7 +65,8 @@ class WeightTable:
     pattern of a pooled logistic model, or one row per subject.
     The estimator builds one weight row per pattern of subjects (see
     ``_Patterns``) and gathers those rows block by block; the whole matrix
-    is never built.
+    is never built.  ``row`` may be a read-only view: ``empirical_weights``
+    gives every subject row 0 through one zero-stride element.
     """
 
     factors: np.ndarray  # (k, n_days), or (k, 1) for a probability constant over days
@@ -133,15 +134,18 @@ def _weight_rows(factors, rows, cells, exposed, died):
 
 def _ranked(values, size):
     """``np.unique(values, return_inverse=True)`` of integers in 0..size-1:
-    from a table over that range where it is no longer than ``values``
-    (or 2**16), which takes no sort, and then written over ``values``."""
-    if size > max(values.size, 1 << 16):
+    from a table over that range where it is no longer than ``values``,
+    which takes no sort, and then written over ``values``."""
+    if size > values.size:
         return np.unique(values, return_inverse=True)
     table = np.zeros(size, values.dtype)
     table[values] = 1
     distinct = np.flatnonzero(table)
     table[distinct] = np.arange(distinct.size)
-    # each rank goes over the value it was read from: no second array
+    # each rank goes over the value it was read from: no second array.
+    # numpy checks that ``out`` does not overlap ``table``, not ``values``:
+    # this relies on its take loop reading index j before it writes
+    # element j, which tests/test_discrete.py checks past any chunk width
     return distinct, np.take(table, values, out=values, mode="clip")
 
 

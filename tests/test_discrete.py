@@ -350,8 +350,9 @@ def test_patterns_are_those_of_np_unique(case):
 
 @pytest.mark.parametrize("size", [1, 5, 1 << 16, (1 << 16) + 1, 10**9])
 def test_ranked_integers_are_those_of_np_unique(size):
-    # a table over 0..size-1 up to 2**16 values or as many as it ranks, a
-    # sort beyond
+    # a table over 0..size-1 up to as many values as it ranks, a sort
+    # beyond; the ranks are written over the values they were read from,
+    # and 70 000 values pass any SIMD or chunk width of numpy's take loop
     for n in (0, 1, 1000, 70_000):
         values = np.random.default_rng(n).integers(0, size, n)
         want = np.unique(values, return_inverse=True)

@@ -1,10 +1,10 @@
 """Memory of each stage of the registry and person-day operations, under ``tracemalloc``.
 
     python tools/peaks.py --n 100000 --seed 1
-    python tools/peaks.py --n 1000000 --cohort panel
+    python tools/peaks.py --n 1000000
 
-``--cohort registry`` simulates the constant-hazard registry cohort of the
-bench's ``registry_1e5`` workload (rates 0.05, 0.05, 0.02, 0.05, 0.03, tau
+It first simulates the constant-hazard registry cohort of the bench's
+``registry_1e5`` workload (rates 0.05, 0.05, 0.02, 0.05, 0.03, tau
 100, censoring 0.01) at ``--n`` subjects, writes it to a CSV file in a
 temporary directory and runs each stage of the registry operations on it
 in turn, each on what the stages before it left:
@@ -20,7 +20,7 @@ in turn, each on what the stages before it left:
     cox           fit_cox_td(cohort, "death")
     cli estimate  cli.run(["estimate", "--estimand", "paf_c", ...]) of the file
 
-``--cohort panel`` does the same for the whole-day file of the bench's
+Then it does the same for the whole-day file of the bench's
 ``panel_1e5`` workload (``icu_like_spec(round_days=True)`` at ``--n``
 subjects, censored rows dropped, a binary covariate ``x``) and the
 person-day operations:
@@ -38,10 +38,9 @@ person-day operations:
                   "ipw", ...]) of the file
     cli check     cli.run(["check", ...]) of the file
 
-``--cohort both`` (the default) runs the registry, then the panel.  For
-each stage it prints the ``tracemalloc`` peak above what was allocated when
-the stage started (its input), in MB and in bytes per subject of the file,
-and the MB that its result retains.  Standard library and the package
+For each stage it prints the ``tracemalloc`` peak above what was
+allocated when the stage started (its input), in MB and in bytes per
+subject of the file, and the MB that its result retains.  Standard library and the package
 only; it imports the package from this checkout's ``src/`` and lives
 outside ``testpaths``, so pytest never collects it.
 """
@@ -159,17 +158,15 @@ def panel_stages(path: Path, out: Path):
     yield stage("cli check", check)
 
 
-COHORTS = {"registry": (registry_file, stages), "panel": (panel_file, panel_stages)}
+COHORTS = (("registry", registry_file, stages), ("panel", panel_file, panel_stages))
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--n", type=int, default=100_000, help="subjects (default 1e5)")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--cohort", choices=[*COHORTS, "both"], default="both")
     args = p.parse_args(argv)
-    for name in COHORTS if args.cohort == "both" else (args.cohort,):
-        write, run = COHORTS[name]
+    for name, write, run in COHORTS:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / f"{name}.csv"
             write(path, args.n, args.seed)
