@@ -26,6 +26,7 @@ from .cohort import (
     TiePolicy,
     _cohort_csv_chunks,
     _horizon_days,
+    _panel_subjects,
     discretize,
     parse_cohort,
     summarize,
@@ -223,16 +224,19 @@ def _cmd_estimate(args) -> int:
     _check_pair(args)
     if args.at is not None and not math.isfinite(args.at):
         raise _UsageError("--at must be a finite number")
-    cohort = _load_cohort(args)
+    held = [_load_cohort(args)]
+    horizon = held[0].horizon
+    # estimate_paf gets the only reference: the panel estimators free the
+    # cohort once its panel exists
     paf = estimate_paf(
-        cohort, args.estimand, args.estimator,
+        held.pop(), args.estimand, args.estimator,
         covariates=_covariate_list(args), allow_drop=args.allow_drop_censored,
     )
     if args.at is not None:
         value = paf(args.at)
         print("nan" if np.isnan(value) else format(value, ".6g"))
         return _EXIT_OK
-    curve = _on_grid(paf, args.grid, cohort.horizon)
+    curve = _on_grid(paf, args.grid, horizon)
     _emit(curve._csv_chunks(), args.out, f"{args.estimand}_{args.estimator}.csv")
     return _EXIT_OK
 
@@ -309,16 +313,24 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_check(args) -> int:
     cohort = _load_cohort(args)
-    times = np.column_stack([cohort.inf, cohort.end])
-    fractional = (times != np.trunc(times)) & ~np.isnan(times)
+    fractional = np.zeros(len(cohort), bool)
+    for times in (cohort.inf, cohort.end):
+        fractional |= (times != np.trunc(times)) & ~np.isnan(times)
     if fractional.any():  # the first subject, inf_time before end_time
+        times = np.column_stack([cohort.inf, cohort.end])
+        fractional = (times != np.trunc(times)) & ~np.isnan(times)
         i, j = np.unravel_index(np.argmax(fractional), times.shape)
         raise DataError(
             f"subject {cohort.ids[i]}: {('inf_time', 'end_time')[j]} {times[i, j]:g} "
             "is not an integer day; the exact equivalences hold on integer-time cohorts"
         )
     del times, fractional
-    panel = discretize(cohort)  # rejects censored cohorts
+    _panel_subjects(cohort)  # rejects censored cohorts, before any estimator runs
+    # the continuous curves first: the panel is built once the cohort goes
+    unexposed, counterfactual = cpf_unexposed(cohort), cif_counterfactual(cohort)
+    ht = ht_cif(cohort)
+    panel = discretize(cohort)
+    del cohort
     days = np.arange(1.0, panel.n_days + 1.0)
 
     def compare(a, b, days=days):
@@ -329,17 +341,16 @@ def _cmd_check(args) -> int:
         return float(np.max(np.abs(av[mask] - bv[mask]))) if mask.any() else 0.0
 
     weights = empirical_weights(panel)
-    counterfactual = cif_counterfactual(cohort)
     # from truncated_from, the first day with empirical exposure hazard 1, no
     # subject is left on the unexposed path and the ipw identity does not apply
     cut = counterfactual.truncated_from
     ipw_days, ipw_note = (days, "") if cut is None else (
         days[days < cut], f" (not applicable from day {cut:g}: no subject left unexposed)")
     checks = [
-        ("naive == cpf_unexposed", compare(naive_f01(panel), cpf_unexposed(cohort)), ""),
+        ("naive == cpf_unexposed", compare(naive_f01(panel), unexposed), ""),
         ("ipw == counterfactual_cif", compare(ipw_f01(panel, weights), counterfactual, ipw_days),
          ipw_note),
-        ("horvitz_thompson == counterfactual_cif", compare(ht_cif(cohort), counterfactual), ""),
+        ("horvitz_thompson == counterfactual_cif", compare(ht, counterfactual), ""),
     ]
     failed = False
     for label, dev, note in checks:

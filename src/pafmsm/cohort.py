@@ -13,6 +13,7 @@ import csv
 import io
 import math
 import os
+import stat
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, repeat
@@ -67,7 +68,7 @@ _STATUS_OF_LENGTH, _STATUS_HEAD, _STATUS_KEEP, _STATUS_NINTH = _status_tables()
 EXIT_STATE = np.array([[CENSORED, 3, 2], [CENSORED, 5, 4]])
 _ABSENT = object()  # the cell of a covariate that a subject does not have
 _REQUIRED = ["id", "inf_time", "end_time", "end_status"]  # the first columns of a cohort CSV
-_PARSE_CHUNK = 1 << 18  # bytes of a window: the CSV rows read, checked and converted at a time
+_PARSE_CHUNK = 1 << 17  # bytes of a window: the CSV rows read, checked and converted at a time
 _MAX_GRID_POINTS = 10**6  # the most points of a grid, and the most days of a day grid
 
 
@@ -274,25 +275,37 @@ class Cohort:
         """(subject, from_state, to_state, t_start, t_stop) of the risk
         intervals in row order: each subject's state-0 interval, then its
         state-1 interval if exposed."""
+        # gathers and scatters: np.where and boolean masks run slowly on random masks
         exposed = self.exposed
-        subject = np.repeat(np.arange(len(self)), np.where(exposed, 2, 1))
-        state = np.zeros(subject.size, dtype=np.int64)  # 1 on a subject's second interval
-        state[1:] = subject[1:] == subject[:-1]
-        inf, end, last = self.inf[subject], self.end[subject], (state == 1) | ~exposed[subject]
-        to_state = np.where(last, EXIT_STATE[state, self.status[subject]], 1)
-        return subject, state, to_state, np.where(state == 1, inf, 0.0), np.where(last, end, inf)
+        count = exposed + 1
+        subject = np.repeat(np.arange(len(self)), count)
+        ex = np.flatnonzero(exposed)
+        second = (np.cumsum(count) - 1).take(ex)  # the state-1 intervals
+        state = np.zeros(subject.size, dtype=np.int64)
+        state[second] = 1
+        to_state = EXIT_STATE.take(3 * exposed + self.status).take(subject)
+        to_state[second - 1] = 1
+        inf = self.inf.take(ex)
+        start = np.zeros(subject.size)
+        start[second] = inf
+        stop = self.end.take(subject)
+        stop[second - 1] = inf
+        return subject, state, to_state, start, stop
 
-    def _set(self, ids, inf, end, status, covariates, horizon, diagnostics=(), distinct=False):
+    def _set(self, ids, inf, end, status, covariates, horizon, diagnostics=(), distinct=False,
+             owned=False):
         # private read-only copies: views handed out cannot change the cohort;
-        # ids ``distinct`` (taken by a mask from a cohort's) are not tested again
+        # ids ``distinct`` (taken by a mask from a cohort's) are not tested
+        # again; ``owned`` columns (a parse's, of the right types) are kept
         if isinstance(ids, _IdBytes) and (distinct or ids.unique()):
             self._id_bytes, distinct = ids, True  # strings on first read of ``ids``
         else:
             ids = _strings(ids)
             self.ids = _read_only(np.fromiter(ids, dtype=object, count=len(ids)))
-        self.inf, self.end = np.array(inf, dtype=float), np.array(end, dtype=float)
-        self.status = np.array(status, dtype=np.int64)
-        self.covariates = {k: np.array(_as_column(v)) for k, v in covariates.items()}
+        copy = np.asarray if owned else np.array
+        self.inf, self.end = copy(inf, dtype=float), copy(end, dtype=float)
+        self.status = copy(status, dtype=np.int64)
+        self.covariates = {k: copy(_as_column(v)) for k, v in covariates.items()}
         for column in (self.inf, self.end, self.status, *self.covariates.values()):
             _read_only(column)
         inf, end = self.inf, self.end
@@ -428,18 +441,49 @@ def parse_cohort(source, tie_policy: TiePolicy = TiePolicy.shift()) -> Cohort:
     break that names no file, and input that does not decode as UTF-8,
     raise ParseError; a leading byte order mark is skipped.
 
-    The text is read once into one byte buffer (``_buffer``) and parsed
-    from it in windows of about ``_PARSE_CHUNK`` bytes cut at line ends,
-    so a parse holds the kept columns, the bytes of the file and the cell
-    strings of one window, and the first faulty row in the file raises.
-    Text with a quote, a CR or a NUL is read by ``csv.reader`` in one pass;
-    a plain window is read from its UTF-8 bytes (``_split_rows``), with the
-    values and the error messages of ``str`` cells.  Ids of at most 8
-    bytes are kept as one word each (``_IdBytes``) until ``Cohort.ids``
-    is read.
+    The text is parsed in windows of about ``_PARSE_CHUNK`` bytes cut at
+    line ends, each window's rows straight into columns allocated once
+    for every row (``_Columns``), so the first faulty row in the file
+    raises.  A regular file is read in two passes through one buffer of
+    one window: ``_scan`` counts its rows with byte scans, then
+    ``_file_chunks`` reads it a window at a time; a parse then holds the
+    kept columns, one window of bytes and the cells of that window.  A
+    file that ``_scan`` does not take (a byte that is not ASCII, a byte
+    order mark, a quote, a CR or a NUL, a line that does not fit a window
+    or the csv field limit), or one that changes size between the passes,
+    is read whole, as text, bytes and file objects are: into one byte
+    buffer (``_buffer``) cut into windows that are views of it.  Text with
+    a quote, a CR or a NUL is read by ``csv.reader`` in one pass; a plain
+    window is read from its UTF-8 bytes (``_split_rows``), with the values
+    and the error messages of ``str`` cells.  Ids of at most 8 bytes are
+    kept as one word each (``_IdBytes``) until ``Cohort.ids`` is read.
     """
-    header, parts = _read_chunks(_buffer(source), tie_policy)
-    return _joined(header, parts)
+    path = _path(source)
+    if path is not None and stat.S_ISREG(os.stat(path).st_mode):  # a pipe is read once, whole
+        with open(path, "rb", buffering=0) as fh:
+            cohort = _read_file(fh, tie_policy)
+        if cohort is not None:
+            return cohort
+    return _read_windows(*_row_chunks(_buffer(source)), tie_policy)
+
+
+def _path(source):
+    """The path that ``source`` names (see ``parse_cohort``), or None if it
+    is text, bytes or a file object; ParseError for a ``str`` or ``bytes``
+    path that names no file or is not UTF-8."""
+    given = source
+    if isinstance(source, bytes) and not (b"\n" in source or b"\r" in source):
+        try:
+            source = source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"input is not UTF-8 text: {exc}") from None
+    if isinstance(source, os.PathLike):
+        return source
+    if not isinstance(source, str) or "\n" in source or "\r" in source:
+        return None
+    if not os.path.exists(source):
+        raise ParseError(f"{given!r} names no file, and CSV text needs a line break")
+    return source
 
 
 def _buffer(source) -> bytearray:
@@ -448,16 +492,11 @@ def _buffer(source) -> bytearray:
     into it; text is encoded (a lone surrogate as ``surrogatepass`` writes
     it); bytes that are not UTF-8 and a text path to no file raise ParseError.
     """
-    what, is_str, given = "input", False, source
+    path, what, is_str = _path(source), "input", False
     try:
-        if isinstance(source, bytes) and not (b"\n" in source or b"\r" in source):
-            source = source.decode("utf-8")  # a path
-        if isinstance(source, os.PathLike) or isinstance(source, str) and not (
-                "\n" in source or "\r" in source):
-            what = f"input file {os.fspath(source)}"
-            if not isinstance(source, os.PathLike) and not os.path.exists(source):
-                raise ParseError(f"{given!r} names no file, and CSV text needs a line break")
-            with open(source, "rb") as fh:
+        if path is not None:
+            what = f"input file {os.fspath(path)}"
+            with open(path, "rb") as fh:
                 buf = bytearray(_PAD + os.fstat(fh.fileno()).st_size + 8)
                 with memoryview(buf) as view:
                     size = fh.readinto(view[_PAD:-8])
@@ -477,6 +516,93 @@ def _buffer(source) -> bytearray:
     except UnicodeDecodeError as exc:
         raise ParseError(f"{what} is not UTF-8 text: {exc}") from None
     return buf
+
+
+def _read_file(fh, tie_policy):
+    """The cohort of the open regular file ``fh``, read in two passes
+    through one buffer of a window (``_PARSE_CHUNK`` bytes, or the file's
+    size and one if less) and its pads: ``_scan`` counts the rows, then
+    ``_file_chunks`` reads them a window at a time into columns of that
+    many rows.  None (``_buffer`` reads it) if ``_scan`` does not take it,
+    or if its size or its rows changed between the passes."""
+    size = os.fstat(fh.fileno()).st_size
+    buf = bytearray(_PAD + min(_PARSE_CHUNK, size + 1) + 8)  # room for a last "\n"
+    rows = _scan(fh, buf, size)
+    if rows is None or os.fstat(fh.fileno()).st_size != size:
+        return None
+    fh.seek(0)
+    return _read_windows(rows, _file_chunks(fh, buf, size), tie_policy)
+
+
+def _scan(fh, buf, size):
+    """Pass 1 over the file ``fh`` of ``size`` bytes, read a window at a
+    time into ``buf`` and seen by byte scans alone: the number of its body
+    rows; or None if the file is empty, does not hold ``size`` bytes, has
+    a byte that is not ASCII (a byte order mark is not), a ``"``, a CR or
+    a NUL, or a line that with its "\\n" is longer than a window or than
+    the csv field limit allows.  Where it returns a count, the parse of the
+    whole file cuts it into plain windows of whole lines too
+    (``_row_chunks``)."""
+    raw, window = np.frombuffer(buf, np.uint8), len(buf) - _PAD - 8
+    longest = min(csv.field_size_limit() + 1, window)  # bytes of a line and its "\n"
+    lines, done, line = 0, 0, 0  # line: the offset of the first byte of the current line
+    with memoryview(buf) as view:
+        while got := fh.readinto(view[_PAD:_PAD + window]):
+            end = _PAD + got
+            # bytes behind ``end`` are NUL or of a window before, so ASCII
+            if not buf.isascii() or any(buf.find(c, _PAD, end) >= 0 for c in (b'"', b"\r", b"\0")):
+                return None
+            lines += np.count_nonzero(raw[_PAD:end] == ord("\n"))  # 6 times bytes.count's speed
+            # the line from ``line`` ends within ``longest`` bytes: steps to
+            # the last line end in reach, then to the window's last one
+            while done + got - line >= longest:
+                found = buf.rfind(b"\n", _PAD + max(line - done, 0), _PAD + line - done + longest)
+                if found < 0:
+                    return None
+                line = done + found - _PAD + 1
+            found = buf.rfind(b"\n", _PAD, end)
+            if found >= 0:
+                line = done + found - _PAD + 1
+            done += got
+            last = buf[end - 1]
+    if done != size or not done:
+        return None
+    return lines - (last == ord("\n"))  # the last line may have no "\n"; less the header
+
+
+def _file_chunks(fh, buf, size):
+    """Pass 2 over the file ``fh`` of ``size`` bytes that ``_scan`` took:
+    the header and, per window, the body cells and row widths, as
+    ``_row_chunks`` gives them.  Each window is read into ``buf`` behind the
+    part of a line that the window before left, and ends at its last
+    "\\n"; a "\\n" at ``_PAD - 1`` is the line end before a window's first
+    row.  Ends early if a window holds no line end (the file changed)."""
+    raw, header, rows, done, carry = np.frombuffer(buf, np.uint8), None, 0, 0, 0
+    window = len(buf) - _PAD - 8
+    buf[_PAD - 1] = ord("\n")
+    with memoryview(buf) as view:
+        while done < size:
+            got = fh.readinto(view[_PAD + carry:_PAD + min(window, carry + size - done)])
+            if not got:
+                return  # the file is shorter than it was: _read_windows finds rows missing
+            done += got
+            end = _PAD + carry + got
+            if done == size and buf[end - 1] != ord("\n"):
+                buf[end] = ord("\n")  # the last line ends in the first byte behind the text
+                end += 1
+            start, stop = _PAD, buf.rfind(b"\n", _PAD, end) + 1
+            if not stop:
+                return
+            if header is None:
+                start = buf.find(b"\n", _PAD) + 1
+                header = _header(_csv_reader(buf, _PAD, start))
+            chunk = _split_rows(raw, start, stop, header) or _reader_rows(
+                _csv_reader(buf, start, stop), header, rows)
+            rows += chunk[2].size
+            yield chunk
+            del chunk  # a window's cells go before the next window is read
+            carry = end - stop
+            buf[_PAD:_PAD + carry] = buf[stop:end]
 
 
 def _is_number(text):
@@ -523,9 +649,9 @@ def _split_rows(raw, start, stop, header):
     "\\n", as ``_ByteCells``, with ``header`` and each row's width; or None.
 
     On text with no ``"``, ``\\r`` or NUL and no line longer than the csv
-    field limit (``_row_chunks`` sees to both), plain means as many commas
-    on every line as on the header: there ``csv.reader`` returns the same
-    cells.  One scan of the UTF-8 bytes decides it: "," and "\\n" are
+    field limit (``_row_chunks`` and ``_scan`` see to both), plain means as
+    many commas on every line as on the header: there ``csv.reader``
+    returns the same cells.  One scan of the UTF-8 bytes decides it: "," and "\\n" are
     single bytes that no longer character contains.  The same scan gives
     every cell's first byte and length (``_ByteCells``).
     """
@@ -732,6 +858,10 @@ class _IdBytes:
 
     @classmethod
     def joined(cls, parts):
+        """The ids of ``parts`` (``_IdBytes``, or lists of ``str``) in order:
+        ``_IdBytes`` if every part is, else a list of ``str``."""
+        if not all(isinstance(part, cls) for part in parts):
+            return list(chain.from_iterable(map(_strings, parts)))
         words = [part.words for part in parts]
         words = None if any(w is None for w in words) else np.concatenate(words)
         length = np.concatenate([part.length for part in parts])
@@ -790,9 +920,10 @@ def _csv_reader(buf, start, stop):
 
 
 def _row_chunks(buf):
-    """The header (``_header``), body cells (``_Cells``) and row widths of
-    each window of rows of ``_buffer``'s ``buf``, in file order.  The header
-    is checked before any body row is read.
+    """The number of body rows of ``_buffer``'s ``buf``, and the header
+    (``_header``), body cells (``_Cells``) and row widths of each of its
+    windows of rows, in file order.  The header is checked before any body
+    row is read.
 
     Text with a ``"``, a ``\\r`` or a NUL is one window read by
     ``csv.reader``: a quoted cell may hold a line break, so it is never cut
@@ -808,14 +939,22 @@ def _row_chunks(buf):
     end = len(buf) - 8
     if start == end or any(buf.find(c, start, end) >= 0 for c in (b'"', b"\r", b"\0")):
         reader = _csv_reader(buf, start, end)
-        yield _reader_rows(reader, _header(reader))
-        return
+        chunk = _reader_rows(reader, _header(reader))
+        return chunk[2].size, [chunk]
     if buf[end - 1] != ord("\n"):  # the last line ends in the first byte behind the text
         buf[end] = ord("\n")
         end += 1
-    raw, limit = np.frombuffer(buf, np.uint8), csv.field_size_limit()
+    limit = csv.field_size_limit()
     stop = buf.find(b"\n", start) + 1
-    header, plain, rows = _header(_csv_reader(buf, start, stop)), stop - start <= limit + 1, 0
+    header = _header(_csv_reader(buf, start, stop))
+    return buf.count(b"\n", stop, end), _windows(buf, header, stop, end, stop - start <= limit + 1)
+
+
+def _windows(buf, header, stop, end, plain):
+    """The chunks of ``_row_chunks`` of the plain text of ``buf`` from
+    ``stop`` to ``end``; ``plain`` is False if the header line is over the
+    csv field limit."""
+    raw, limit, rows = np.frombuffer(buf, np.uint8), csv.field_size_limit(), 0
     while True:
         start, stop = stop, _window_end(buf, stop, end, limit)
         # its lines fit the field limit if its first line does (_window_end)
@@ -843,32 +982,65 @@ def _window_end(buf, start, end, limit):
     return stop if stop > start else buf.find(b"\n", start, end) + 1 or end
 
 
-def _read_chunks(buf, tie_policy):
-    """The header and, per window of rows, the columns of ``_read_rows``."""
-    header, parts, rows = None, [], 0
-    for header, cells, lengths in _row_chunks(buf):
-        parts.append(_read_rows(header, cells, lengths, tie_policy, rows))
-        rows += lengths.size
+def _read_windows(rows, chunks, tie_policy):
+    """The cohort of ``rows`` body rows, read window by window from
+    ``chunks`` (header, cells and row widths, as ``_row_chunks`` gives
+    them) into ``_Columns``; None if the windows hold another number of
+    rows (a file that changed after ``_scan`` counted them)."""
+    columns, seen = None, 0
+    for header, cells, lengths in chunks:
+        if seen + lengths.size > rows:
+            return None
+        if columns is None:
+            columns = _Columns(header, rows)
+        columns.add(*_read_rows(header, cells, lengths, tie_policy, seen))
+        seen += lengths.size
         del cells  # a window's cells go before the next window is read
-    return header, parts
+    return columns.cohort() if columns is not None and seen == rows else None
 
 
-def _joined(header, parts):
-    """The cohort of the windows' columns; empties ``parts``."""
-    ids, inf, end, status, diagnostics, *covariates = zip(*parts)
-    parts.clear()  # each column's windows go once the column is joined
-    # a covariate is float only if every window of it is; else floats and text
-    columns = {name: np.concatenate([piece.astype(object) for piece in pieces]
-                                    if any(piece.dtype == object for piece in pieces) else pieces)
-               for name, pieces in zip(header[4:], covariates)}
-    del covariates
-    ids = (_IdBytes.joined(ids) if all(isinstance(part, _IdBytes) for part in ids)
-           else list(chain.from_iterable(_strings(part) for part in ids)))
-    inf = np.concatenate(inf)
-    end = np.concatenate(end)
-    status = np.concatenate(status)
-    return Cohort.from_columns(ids, inf, end, status, columns,
-                               diagnostics=tuple(chain.from_iterable(diagnostics)))
+class _Columns:
+    """The columns of a parse of ``rows`` body rows, allocated once and
+    filled window by window in file order (``add``); blank rows, which no
+    window keeps, leave the tail unused.  Ids read as words alone
+    (``_IdBytes`` without gathered bytes) fill two columns; from the first
+    window of other ids on, each window's ids are kept and joined at the
+    end.  A covariate column is float64 until a window of it holds text,
+    then object (floats and stripped text)."""
+
+    def __init__(self, header, rows):
+        self.names, self.n, self.id_parts, self.diagnostics = header[4:], 0, None, []
+        self.length, self.words = np.empty(rows, np.int64), np.empty(rows, np.uint64)
+        self.inf, self.end, self.status = np.empty(rows), np.empty(rows), np.empty(rows, np.int64)
+        self.covariates = [np.empty(rows) for _ in self.names]
+
+    def add(self, ids, inf, end, status, diagnostics, *covariates):
+        """Append the columns of one window (``_read_rows``)."""
+        at = slice(self.n, self.n + inf.size)
+        self.n = at.stop
+        if self.id_parts is None and isinstance(ids, _IdBytes) and ids.gathered is None:
+            self.length[at], self.words[at] = ids.length, ids.words
+        else:
+            if self.id_parts is None:
+                self.id_parts = [_IdBytes(self.length[:at.start], self.words[:at.start])]
+            self.id_parts.append(ids)
+        self.inf[at], self.end[at], self.status[at] = inf, end, status
+        self.diagnostics.extend(diagnostics)
+        for j, values in enumerate(covariates):
+            if values.dtype == object and self.covariates[j].dtype != object:
+                self.covariates[j] = self.covariates[j].astype(object)
+            self.covariates[j][at] = values
+
+    def cohort(self) -> Cohort:
+        """The cohort of the rows added, which keeps these columns."""
+        n = self.n
+        ids = (_IdBytes(self.length[:n], self.words[:n]) if self.id_parts is None
+               else _IdBytes.joined(self.id_parts))
+        cohort = Cohort.__new__(Cohort)
+        cohort._set(ids, self.inf[:n], self.end[:n], self.status[:n],
+                    {name: column[:n] for name, column in zip(self.names, self.covariates)}, 0.0,
+                    self.diagnostics, owned=True)
+        return cohort
 
 
 def _read_rows(header, cells, lengths, tie_policy, first):
@@ -984,13 +1156,9 @@ def _horizon_days(horizon: float) -> int:
     return days
 
 
-def discretize(cohort: Cohort, allow_drop: bool = False) -> DailyPanel:
-    """Build the integer-day panel over days 1..ceil(horizon).
-
-    Censored subjects violate the complete-follow-up assumption of the
-    discrete estimators; they are rejected unless ``allow_drop`` is set,
-    in which case they are excluded and flagged.
-    """
+def _panel_subjects(cohort: Cohort, allow_drop: bool = False):
+    """The checks of ``discretize``, in its order: the subjects its panel
+    keeps, the ids of the censored ones it drops, and its days."""
     censored = cohort.status == STATUS_CENSORED
     dropped = tuple(cohort.subset(censored).ids) if censored.any() else ()
     if dropped and not allow_drop:  # the count and the first five ids
@@ -999,7 +1167,17 @@ def discretize(cohort: Cohort, allow_drop: bool = False) -> DailyPanel:
     kept = cohort.subset(~censored) if dropped else cohort
     if not len(kept):
         raise DataError("empty cohort")
-    m = _horizon_days(cohort.horizon)
+    return kept, dropped, _horizon_days(cohort.horizon)
+
+
+def discretize(cohort: Cohort, allow_drop: bool = False) -> DailyPanel:
+    """Build the integer-day panel over days 1..ceil(horizon).
+
+    Censored subjects violate the complete-follow-up assumption of the
+    discrete estimators; they are rejected unless ``allow_drop`` is set,
+    in which case they are excluded and flagged.
+    """
+    kept, dropped, m = _panel_subjects(cohort, allow_drop)
     exposure_day = np.nan_to_num(np.ceil(kept.inf), nan=m + 1).astype(np.int64)
     ids = kept.__dict__.get("_id_bytes")  # parsed ids, as strings on first read
     return DailyPanel(ids=kept.ids.tolist if ids is None else ids.strings,

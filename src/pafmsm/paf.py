@@ -174,7 +174,9 @@ def estimate_paf(
     weights; without them the weights use the empirical daily hazard.
     """
     _check_pair(estimand, estimator)
-    return _paf_from(estimand, estimator, covariates, _inputs(cohort, estimator, allow_drop))
+    data = _inputs(cohort, estimator, allow_drop)
+    del cohort  # the panel estimators read the panel alone
+    return _paf_from(estimand, estimator, covariates, data)
 
 
 def _check_pair(estimand, estimator):

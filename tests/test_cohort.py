@@ -820,7 +820,7 @@ def window_cells(text):
     cells = []
     with mock.patch.object(pafmsm.cohort, "_PARSE_CHUNK", sys.maxsize):
         try:
-            cells.extend(window for _, window, _ in _row_chunks(_buffer(io.StringIO(text))))
+            cells.extend(window for _, window, _ in _row_chunks(_buffer(io.StringIO(text)))[1])
         except ParseError:
             cells.append(None)
     return cells
@@ -1009,6 +1009,119 @@ def test_ties_in_a_later_chunk_are_shifted_in_file_order_or_rejected():
     assert rejected == ("ParseError", "row 15: inf_time == end_time (tie policy: reject)", 15)
 
 
+def path_and_text(text, chunk, **kwargs):
+    """The outcome of ``parse_cohort`` of a file that holds ``text``, with
+    windows of ``chunk`` bytes, and whether the file was read in windows
+    (not whole by ``_buffer``); asserts that the outcome is that of
+    ``text`` read as a ``str``.  An outcome is the columns, or a
+    DataError's (type, message, row)."""
+    def outcome(source):
+        try:
+            return cohort_columns(parse_cohort(source, **kwargs))
+        except DataError as exc:
+            return type(exc).__name__, str(exc), getattr(exc, "row", None)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "cohort.csv")
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(pafmsm.cohort, "_PARSE_CHUNK", chunk), \
+                mock.patch.object(pafmsm.cohort, "_buffer", wraps=_buffer) as whole:
+            by_path = outcome(path)
+    assert by_path == outcome(io.StringIO(text))
+    return by_path, not whole.called
+
+
+LATE = HEADER + ROWS + rows("t")  # 25 lines of 11 to 14 bytes
+
+
+@pytest.mark.parametrize("text, windows", [
+    # read whole, from a late window on: each is found by the byte scan
+    (LATE + '"q",,5,death\n', False),
+    (LATE + "q,,5,death\r\n", False),
+    (LATE + "q\0r,,5,death\n", False),
+    (LATE + "é,,5,death\n", False),
+    (LATE + "q" * 120 + ",,5,death\n", False),  # a line longer than a window
+    ("\ufeff" + LATE, False),
+    # read in windows
+    (LATE, True),
+    (LATE.rstrip("\n"), True),
+    (HEADER + "\n\n" + ROWS + "\n , , , \n,,,\n" + rows("t") + "\n\n", True),
+    (HEADER + ROWS + "B,,4\n" + ROWS, True),
+    (HEADER + ROWS + "B,x,5,death\n", True),
+    (HEADER + ROWS + "s3,,5,death\n", True),
+    (HEADER + "T,5,5,death\n" + ROWS + "U,2.5,2.5,discharge\n", True),
+    # ids other than words from a late window on: padded, of 9 and of 17 bytes
+    (LATE + " q ,,5,death\n" + rows("u"), True),
+    (LATE + "q" * 9 + ",,5,death\n" + rows("u"), True),
+    (LATE + "q" * 17 + ",,5,death\n" + rows("u"), True),
+    # a text covariate from a late window on
+    ("id,inf_time,end_time,end_status,x\n" + "".join(f"s{i},,{i + 1},death,{i}\n"
+                                                    for i in range(20)) + "a,,5,death, n \n",
+     True),
+    (HEADER, True),
+    (HEADER.rstrip("\n"), True),
+    ("", False),
+], ids=["quote", "cr", "nul", "non-ascii", "overlong-line", "bom", "plain", "no-final-newline",
+        "blank-rows", "short-row", "bad-cell", "repeated-id", "ties", "padded-ids", "ids-of-9",
+        "ids-of-17", "text-covariate", "header-only", "header-without-newline", "empty"])
+def test_a_file_read_in_windows_reads_as_its_text(text, windows):
+    for chunk in (48, 64, 100):
+        assert path_and_text(text, chunk)[1] == windows, chunk
+    if windows and not text.startswith(HEADER + "T"):
+        path_and_text(text, 64, tie_policy=TiePolicy.reject())
+
+
+def test_a_line_over_the_field_limit_in_a_late_window_reads_the_file_whole():
+    text = HEADER + ROWS + "B,," + "9" * 41 + ",death\n" + rows("t")
+    default = csv.field_size_limit()
+    csv.field_size_limit(40)
+    try:
+        got = path_and_text(text, 100)
+        assert path_and_text(text.replace("9" * 41, "9" * 30), 100)[1]  # a line within it
+    finally:
+        csv.field_size_limit(default)
+    assert got == (("ParseError", "row 14: field larger than field limit (40)", 14), False)
+
+
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_a_window_may_end_at_a_line_end_or_a_byte_to_either_side(shift):
+    # the first window ends where the 4th body row does, or a byte before or after
+    text = LATE + "x,1,2,death"  # and a last line without its "\n"
+    at_line_end = len(HEADER) + sum(map(len, ROWS.splitlines(keepends=True)[:4]))
+    columns, windows = path_and_text(text, at_line_end + shift)
+    assert windows and len(columns[0]) == 25
+
+
+def test_a_file_whose_size_changes_between_the_passes_is_read_whole(tmp_path):
+    path = tmp_path / "cohort.csv"
+    path.write_text(LATE)
+    fstat, calls = os.fstat, []
+
+    def grown(fd):  # the size that a file written to after the first pass shows
+        result = fstat(fd)
+        calls.append(result.st_size)
+        if len(calls) == 1:
+            return result
+        return os.stat_result(result[:6] + (result.st_size + 1,) + result[7:])
+
+    with mock.patch.object(pafmsm.cohort, "_PARSE_CHUNK", 64), \
+            mock.patch.object(pafmsm.cohort, "_buffer", wraps=_buffer) as whole, \
+            mock.patch.object(os, "fstat", side_effect=grown):
+        cohort = parse_cohort(path)
+    assert whole.call_count == 1 and len(calls) == 3
+    assert cohort_columns(cohort) == cohort_columns(parse_cohort(LATE))
+
+
+def test_a_parse_from_a_path_keeps_the_columns_it_fills(tmp_path):
+    # the windows' rows go straight into columns allocated once: the
+    # cohort keeps them, and a blank row leaves one unused at the end
+    path = tmp_path / "cohort.csv"
+    path.write_text(LATE + "\n")
+    with mock.patch.object(pafmsm.cohort, "_PARSE_CHUNK", 64):
+        cohort = parse_cohort(path)
+    assert len(cohort) == 24 and cohort.end.base.size == 25 and not cohort.end.flags.writeable
+
+
 def test_a_mixed_covariate_is_decided_over_the_whole_column():
     numbers = "".join(f"s{i},,{i + 1},death,{i}\n" for i in range(12))
     text = "id,inf_time,end_time,end_status,site\n" + numbers + "a,,5,death, north \nb,,5,death,2\n"
@@ -1058,14 +1171,18 @@ def test_parse_memory_of_1e5_registry_rows_stays_below_that_of_gathered_ids():
     assert parse_peak(data) < 9.0e6
 
 
-def test_parse_memory_of_text_is_that_of_the_same_file_by_path(tmp_path):
+def test_parse_memory_of_text_is_that_of_the_same_file_read_whole(tmp_path):
     # text is encoded once and copied into the parse buffer through a
     # memoryview; a slice assignment to the buffer copied it once more
-    # first: 10.39 MB as text against 8.68 MB by path for 1e5 registry rows
+    # first: 10.39 MB as text against 8.68 MB by path for 1e5 registry rows.
+    # A file that _scan takes is read a window at a time, and peaks lower
     text = registry_text()
     path = tmp_path / "cohort.csv"
     path.write_text(text)
-    assert parse_peak(text) <= 1.02 * parse_peak(path)
+    with mock.patch.object(pafmsm.cohort, "_scan", return_value=None):
+        whole = parse_peak(path)
+    assert parse_peak(text) <= 1.02 * whole
+    assert parse_peak(path) < 0.8 * whole
 
 
 def test_csv_writer_memory_stays_within_four_times_the_file():

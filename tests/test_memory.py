@@ -60,6 +60,19 @@ def test_estimate_paf_c_from_the_file(registry, tmp_path):
     assert codes == [0] and (tmp_path / "paf_c_multistate.csv").stat().st_size > 0
 
 
+def test_parse_of_the_registry_file(registry):
+    # the file read whole into one buffer beside the windows' columns, their
+    # join and the cohort's copy: 80.5 B per subject; 49.8 B read in windows
+    # into columns allocated once
+    assert peak_per_subject(lambda: parse_cohort(registry)) <= 52.3
+
+
+def test_parse_of_the_whole_day_file(panel):
+    # 85.0 B per subject read whole, 57.8 B read in windows
+    path, n = panel
+    assert peak_per_subject(lambda: parse_cohort(path), n) <= 60.6
+
+
 def test_aalen_johansen_of_the_parsed_cohort(registry):
     # 172 B per subject with the (7 x T) exit table, 95.7 B with counts
     # read one row at a time from the sorted exits
@@ -76,21 +89,33 @@ def test_cox_death_of_the_parsed_cohort(registry):
 def test_estimate_paf_c_by_ipw_from_the_file(panel, tmp_path):
     # the parse, the panel, the empirical weights and their patterns: 146 B
     # per subject with the patterns ranked by np.unique of packed int64 keys,
-    # 91.4 B now
+    # 90.2 B with the cohort held beside them, 74.2 B with the file read in
+    # windows and the cohort gone once the panel exists
     path, n = panel
     argv = ["estimate", "--input", str(path), "--estimand", "paf_c", "--estimator", "ipw",
             "--out", str(tmp_path)]
     codes = []
-    assert peak_per_subject(lambda: codes.append(cli.run(argv)), n) <= 95.9
+    assert peak_per_subject(lambda: codes.append(cli.run(argv)), n) <= 77.9
     assert codes == [0] and (tmp_path / "paf_c_ipw.csv").stat().st_size > 0
+
+
+def test_estimate_paf_o_by_naive_from_the_file(panel, tmp_path):
+    # 85.0 B per subject when the parse of the file read whole was the peak, 72.0 B now
+    path, n = panel
+    argv = ["estimate", "--input", str(path), "--estimand", "paf_o", "--estimator", "naive",
+            "--out", str(tmp_path)]
+    codes = []
+    assert peak_per_subject(lambda: codes.append(cli.run(argv)), n) <= 75.6
+    assert codes == [0] and (tmp_path / "paf_o_naive.csv").stat().st_size > 0
 
 
 def test_check_of_the_file(panel, capsys):
     # the parse, then the panel and each estimator beside the cohort: 163 B
     # per subject with int64 exit kinds and the times held for the whole
-    # check, 94.2 B now
+    # check, 94.2 B with the panel built first; 74.2 B with the continuous
+    # curves first and the cohort gone once the panel exists
     path, n = panel
     codes = []
     assert peak_per_subject(lambda: codes.append(cli.run(["check", "--input", str(path)])),
-                            n) <= 98.9
+                            n) <= 77.9
     assert codes == [0] and capsys.readouterr().out.count("PASS") == 3

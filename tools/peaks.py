@@ -36,7 +36,11 @@ person-day operations:
     ht
     cli ipw       cli.run(["estimate", "--estimand", "paf_c", "--estimator",
                   "ipw", ...]) of the file
+    cli naive     cli.run(["estimate", "--estimand", "paf_o", "--estimator",
+                  "naive", ...]) of the file
     cli check     cli.run(["check", ...]) of the file
+
+so each of the three operations of ``panel_1e5`` has a traced peak.
 
 For each stage it prints the ``tracemalloc`` peak above what was
 allocated when the stage started (its input), in MB and in bytes per
@@ -148,8 +152,11 @@ def panel_stages(path: Path, out: Path):
     yield stage("ht", lambda: continuous.ht_cif(cohort))
     held.clear()
     del cohort, panel, weights
-    yield stage("cli ipw", lambda: cli.run(["estimate", "--input", str(path), "--estimand", "paf_c",
-                                            "--estimator", "ipw", "--out", str(out)]))
+    estimate = ["estimate", "--input", str(path), "--out", str(out)]
+    yield stage("cli ipw", lambda: cli.run(estimate + ["--estimand", "paf_c",
+                                                       "--estimator", "ipw"]))
+    yield stage("cli naive", lambda: cli.run(estimate + ["--estimand", "paf_o",
+                                                         "--estimator", "naive"]))
 
     def check():  # its report goes nowhere
         with contextlib.redirect_stdout(io.StringIO()):
