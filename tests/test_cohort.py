@@ -32,7 +32,7 @@ from pafmsm import (
     to_transitions,
 )
 from pafmsm._bytes import _CSV_CHUNK, _short_decimals
-from pafmsm.cohort import (_ABSENT, STATUSES, TransitionRow, _buffer, _ByteCells, _Cells,
+from pafmsm.cohort import (_ABSENT, EXIT_STATE, STATUSES, TransitionRow, _buffer, _ByteCells, _Cells,
                            _row_chunks, _text_column)
 
 from test_cli import reference_columns
@@ -643,6 +643,25 @@ def rebuilt_from_transition_rows(cohort):
     """``cohort`` built again from its transition rows and its subjects' covariates."""
     return Cohort.from_transitions(cohort.transition_rows(),
                                    {s.id: s.covariates for s in cohort.subjects})
+
+
+def reference_intervals(cohort):
+    """``Cohort._intervals`` by ``np.where`` per interval, as it was written first."""
+    exposed = cohort.exposed
+    subject = np.repeat(np.arange(len(cohort)), np.where(exposed, 2, 1))
+    state = np.zeros(subject.size, dtype=np.int64)
+    state[1:] = subject[1:] == subject[:-1]
+    inf, end, last = cohort.inf[subject], cohort.end[subject], (state == 1) | ~exposed[subject]
+    to_state = np.where(last, EXIT_STATE[state, cohort.status[subject]], 1)
+    return subject, state, to_state, np.where(state == 1, inf, 0.0), np.where(last, end, inf)
+
+
+def test_intervals_are_those_of_a_selection_per_interval():
+    spec = HazardSpec.constant(0.05, 0.05, 0.02, 0.05, 0.03, tau=100, censor_rate=0.01)
+    for cohort in (simulate_cohort(spec, 5000, seed=3), parse_cohort(CSV),
+                   Cohort.from_columns([], [], [], []), Cohort.from_columns(["a"], [1.0], [2.0], [0])):
+        for got, want in zip(cohort._intervals(), reference_intervals(cohort)):
+            assert_same(got, want)
 
 
 def test_transition_rows_round_trip_the_columns_and_uneven_covariates():

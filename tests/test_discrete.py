@@ -29,6 +29,7 @@ from pafmsm import (
     to_transitions,
 )
 from pafmsm import discrete
+from pafmsm.cohort import STATUS_DEATH
 from pafmsm.discrete import _death_proportion
 from pafmsm.newton import newton
 
@@ -294,6 +295,19 @@ def test_patterns_of_many_factor_rows_over_a_million_days_are_the_subjects_own()
     assert len(np.unique(weights.row)) == 12
     for c, column in enumerate(own):
         assert patterns.columns[c][patterns.index].tolist() == column.tolist(), c
+
+
+def test_death_days_are_those_of_np_where():
+    # a panel of every status code, built as given, and one of a drawn cohort
+    given = DailyPanel(ids=("a", "b", "c", "d"), exposure_day=np.array([5, 2, 5, 1]),
+                       terminal_day=np.array([3, 4, 1, 2]), status=np.array([1, 2, 0, 1]),
+                       n_days=4, covariates={})
+    for panel in (given, discretize(integer_cohort(7, n=500))):
+        m, death = panel.n_days, panel.status == STATUS_DEATH
+        assert_same(discrete._death_days(panel), np.where(death, panel.terminal_day, m + 1))
+        unexposed = panel.exposure_day > m
+        assert_same(discrete._death_days(panel, unexposed),
+                    np.where(unexposed, np.where(death, panel.terminal_day, m + 1), m + 1))
 
 
 def unique_patterns(weights, death):
