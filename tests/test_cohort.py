@@ -87,6 +87,29 @@ def test_input_that_is_not_utf8_raises_parse_error(tmp_path, kind):
     assert info.value.row is None
 
 
+@pytest.mark.parametrize("kind", SOURCE_KINDS)
+def test_a_late_byte_that_is_not_utf8_is_reported_first_at_its_place_in_the_input(tmp_path, kind):
+    # a bad cell in row 2, and a 0xff byte that starts the last of 20 000
+    # rows: the decode error comes first, with its position in the whole input
+    body = "A,x,5,death\n" + "".join(f"s{i},,5,death\n" for i in range(19_998))
+    data = (HEADER + body).encode() + b"\xffz,,5,death\n"
+    path = tmp_path / "late.csv"
+    with pytest.raises(ParseError) as info:
+        parse_as(kind, data, path)
+    what = f"input file {path}" if kind.endswith("path") else "input"
+    assert str(info.value) == (f"{what} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+                               f"in position {len(data) - 12}: invalid start byte")
+    assert info.value.row is None
+
+
+def test_a_bytes_path_that_is_not_utf8_raises_parse_error():
+    with pytest.raises(ParseError) as info:
+        parse_cohort(b"\xff")
+    assert str(info.value) == ("input is not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+                               "in position 0: invalid start byte")
+    assert info.value.row is None
+
+
 @pytest.mark.parametrize("kind", SOURCE_KINDS + ["str"])
 def test_a_leading_byte_order_mark_is_skipped(tmp_path, kind):
     # as the utf-8-sig codec skips it, on plain text and on text for csv.reader
@@ -1129,6 +1152,37 @@ def test_a_file_whose_size_changes_between_the_passes_is_read_whole(tmp_path):
         cohort = parse_cohort(path)
     assert whole.call_count == 1 and len(calls) == 3
     assert cohort_columns(cohort) == cohort_columns(parse_cohort(LATE))
+
+
+LAST = HEADER + ROWS
+LAST_LINE = len(ROWS.splitlines(keepends=True)[-1])
+
+
+@pytest.mark.parametrize("text, chunk, final", [
+    # past the first window the file holds fewer bytes than the first pass read
+    (LATE, 64, HEADER + "x,,5,death\n"),
+    # the window of the last line finds it without its "\n"
+    (LAST, len(LAST) - LAST_LINE, LAST[:-1]),
+    # rows come in behind the first window: more rows than the first pass counted
+    (LATE, 64, LATE[:102] + "".join(f"x{i},,1,death\n" for i in range(5)) + LATE[102:]),
+], ids=["shrinks", "loses-its-last-newline", "grows"])
+def test_a_file_that_changes_during_the_second_pass_reads_as_its_final_bytes(tmp_path, text,
+                                                                             chunk, final):
+    path = tmp_path / "cohort.csv"
+    path.write_text(text)
+    split_rows, changed = pafmsm.cohort._split_rows, []
+
+    def change(*window):  # the file is rewritten once its first window is read
+        rows = split_rows(*window)
+        if not changed:
+            changed.append(path.write_text(final))
+        return rows
+
+    assert LATE[:102].endswith("\n") and final != text
+    with mock.patch.object(pafmsm.cohort, "_PARSE_CHUNK", chunk), \
+            mock.patch.object(pafmsm.cohort, "_split_rows", change):
+        cohort = parse_cohort(path)
+    assert changed and cohort_columns(cohort) == cohort_columns(parse_cohort(final))
 
 
 def test_a_parse_from_a_path_keeps_the_columns_it_fills(tmp_path):
