@@ -9,6 +9,7 @@ views built on request at the input/output edges.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
@@ -441,42 +442,52 @@ def parse_cohort(source, tie_policy: TiePolicy = TiePolicy.shift()) -> Cohort:
     break that names no file, and input that does not decode as UTF-8,
     raise ParseError; a leading byte order mark is skipped.
 
-    The text is parsed in windows of about ``_PARSE_CHUNK`` bytes cut at
-    line ends, each window's rows straight into columns allocated once
-    for every row (``_Columns``), so the first faulty row in the file
-    raises.  A regular file is read in two passes through one buffer of
-    one window: ``_scan`` counts its rows with byte scans, then
-    ``_file_chunks`` reads it a window at a time; a parse then holds the
-    kept columns, one window of bytes and the cells of that window.  A
-    file that ``_scan`` does not take (a byte that is not ASCII, a byte
-    order mark, a quote, a CR or a NUL, a line that does not fit a window
-    or the csv field limit), or one that changes size between the passes,
-    is read whole, as text, bytes and file objects are: into one byte
-    buffer (``_buffer``) cut into windows that are views of it.  Text with
-    a quote, a CR or a NUL is read by ``csv.reader`` in one pass; a plain
-    window is read from its UTF-8 bytes (``_split_rows``), with the values
-    and the error messages of ``str`` cells.  Ids of at most 8 bytes are
-    kept as one word each (``_IdBytes``) until ``Cohort.ids`` is read.
+    Every source is read by one loop (``_row_chunks``): a regular file
+    from its file, anything else (text, encoded once; bytes; a file
+    object's or a pipe's bytes; a file whose size or rows changed between
+    the passes) from an ``io.BytesIO`` over its bytes.  A first pass of
+    byte scans counts the rows; a second reads the text in windows of
+    about ``_PARSE_CHUNK`` bytes cut at line ends, through one buffer,
+    each window's rows straight into columns allocated once for every row
+    (``_Columns``), so the first faulty row in the file raises.  A parse
+    holds the kept columns, one window of bytes and the cells of that
+    window.  Text with a quote, a CR or a NUL is read whole by
+    ``csv.reader``; a plain window is read from its UTF-8 bytes
+    (``_split_rows``), with the values and the error messages of ``str``
+    cells.  Ids of at most 8 bytes are kept as one word each (``_IdBytes``)
+    until ``Cohort.ids`` is read.
     """
-    path = _path(source)
-    if path is not None and stat.S_ISREG(os.stat(path).st_mode):  # a pipe is read once, whole
-        with open(path, "rb", buffering=0) as fh:
-            cohort = _read_file(fh, tie_policy)
-        if cohort is not None:
-            return cohort
-    return _read_windows(*_row_chunks(_buffer(source)), tie_policy)
+    what = "input"
+    try:
+        path = _path(source)
+        if path is not None:
+            what = f"input file {os.fspath(path)}"
+            with open(path, "rb", buffering=0) as fh:
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    cohort = _read_windows(*_row_chunks(fh), tie_policy)
+                    if cohort is not None and not fh.read(1):  # nor has it grown
+                        return cohort
+                    fh.seek(0)
+                source = fh.read()  # a pipe, or a file that changed between the passes
+        data = source.read() if hasattr(source, "read") else source
+        errors = "strict"
+        if isinstance(data, str):  # lone surrogates as surrogatepass writes them
+            data, errors = data.encode("utf-8", "surrogatepass"), "surrogatepass"
+        elif not isinstance(data, bytes):
+            raise TypeError("source must be a path, text, bytes, or file object")
+        return _read_windows(*_row_chunks(io.BytesIO(data), errors), tie_policy)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} is not UTF-8 text: {exc}") from None
 
 
 def _path(source):
     """The path that ``source`` names (see ``parse_cohort``), or None if it
     is text, bytes or a file object; ParseError for a ``str`` or ``bytes``
-    path that names no file or is not UTF-8."""
+    path that names no file, UnicodeDecodeError for a ``bytes`` path that
+    is not UTF-8."""
     given = source
     if isinstance(source, bytes) and not (b"\n" in source or b"\r" in source):
-        try:
-            source = source.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"input is not UTF-8 text: {exc}") from None
+        source = source.decode("utf-8")
     if isinstance(source, os.PathLike):
         return source
     if not isinstance(source, str) or "\n" in source or "\r" in source:
@@ -486,117 +497,115 @@ def _path(source):
     return source
 
 
-def _buffer(source) -> bytearray:
-    """The UTF-8 bytes of ``source`` (see ``parse_cohort``) in one buffer,
-    with ``_PAD`` NUL bytes in front and 8 behind.  A path is read straight
-    into it; text is encoded (a lone surrogate as ``surrogatepass`` writes
-    it); bytes that are not UTF-8 and a text path to no file raise ParseError.
+def _row_chunks(fh, errors="strict"):
+    """The number of body rows of the text of the binary stream ``fh``, and
+    the header (``_header``), body cells (``_Cells``) and row widths of
+    each of its windows of rows, in file order; the header is checked
+    before any body row is read.  ``errors`` is that of the UTF-8 decode.
+
+    Text with a ``"``, a ``\\r`` or a NUL is one window read whole by
+    ``csv.reader``: a quoted cell may hold a line break, so it is never cut
+    at one.  Other text is read in two passes through one buffer of a
+    window (``_PARSE_CHUNK`` bytes, or the text's size and one if less) and
+    its pads, grown to the longest line if that is longer: ``_scan`` counts
+    the rows, then ``_file_chunks`` reads them a window at a time.
     """
-    path, what, is_str = _path(source), "input", False
-    try:
-        if path is not None:
-            what = f"input file {os.fspath(path)}"
-            with open(path, "rb") as fh:
-                buf = bytearray(_PAD + os.fstat(fh.fileno()).st_size + 8)
-                with memoryview(buf) as view:
-                    size = fh.readinto(view[_PAD:-8])
-                buf[_PAD + size:] = fh.read() + bytes(8)  # a file that has grown, or a pipe
-        else:
-            data = source.read() if hasattr(source, "read") else source
-            is_str = isinstance(data, str)
-            if is_str:
-                data = data.encode("utf-8", "surrogatepass")
-            if not isinstance(data, bytes):
-                raise TypeError("source must be a path, text, bytes, or file object")
-            buf = bytearray(_PAD + len(data) + 8)
-            with memoryview(buf) as view:  # a slice of buf itself would copy data first
-                view[_PAD:-8] = data
-        if not (is_str or buf.isascii()):
-            str(memoryview(buf)[_PAD:-8], "utf-8")  # raises on the first byte that is not UTF-8
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{what} is not UTF-8 text: {exc}") from None
-    return buf
-
-
-def _read_file(fh, tie_policy):
-    """The cohort of the open regular file ``fh``, read in two passes
-    through one buffer of a window (``_PARSE_CHUNK`` bytes, or the file's
-    size and one if less) and its pads: ``_scan`` counts the rows, then
-    ``_file_chunks`` reads them a window at a time into columns of that
-    many rows.  None (``_buffer`` reads it) if ``_scan`` does not take it,
-    or if its size or its rows changed between the passes."""
-    size = os.fstat(fh.fileno()).st_size
-    buf = bytearray(_PAD + min(_PARSE_CHUNK, size + 1) + 8)  # room for a last "\n"
-    rows = _scan(fh, buf, size)
-    if rows is None or os.fstat(fh.fileno()).st_size != size:
-        return None
+    buf = bytearray(_PAD + min(_PARSE_CHUNK, fh.seek(0, io.SEEK_END) + 1) + 8)  # room for a last "\n"
     fh.seek(0)
-    return _read_windows(rows, _file_chunks(fh, buf, size), tie_policy)
+    scan = _scan(fh, buf, errors)
+    size = fh.tell()
+    fh.seek(0)
+    if scan is None:
+        text = str(fh.read(), "utf-8", errors).removeprefix("\ufeff")  # as utf-8-sig skips it
+        reader = csv.reader(io.StringIO(text, newline=""))
+        chunk = _reader_rows(reader, _header(reader))
+        return chunk[2].size, [chunk]
+    rows, longest = scan
+    if longest > len(buf) - _PAD - 8:
+        buf = bytearray(_PAD + longest + 8)
+    return rows, _file_chunks(fh, buf, size)
 
 
-def _scan(fh, buf, size):
-    """Pass 1 over the file ``fh`` of ``size`` bytes, read a window at a
-    time into ``buf`` and seen by byte scans alone: the number of its body
-    rows; or None if the file is empty, does not hold ``size`` bytes, has
-    a byte that is not ASCII (a byte order mark is not), a ``"``, a CR or
-    a NUL, or a line that with its "\\n" is longer than a window or than
-    the csv field limit allows.  Where it returns a count, the parse of the
-    whole file cuts it into plain windows of whole lines too
-    (``_row_chunks``)."""
+def _scan(fh, buf, errors):
+    """Pass 1 over the text of ``fh``, read a window at a time into ``buf``
+    and seen by byte scans alone: the number of its body rows and the
+    length of its longest line that a window's end cuts (with its "\\n",
+    which the last line may lack); or None if it holds a ``"``, a CR or a
+    NUL, or no byte but a byte order mark.  A window with a byte that is
+    not ASCII, or after one that ends within a character, is decoded as
+    UTF-8; if the text does not decode, one decode of the whole text raises
+    the error at its position in the text."""
     raw, window = np.frombuffer(buf, np.uint8), len(buf) - _PAD - 8
-    longest = min(csv.field_size_limit() + 1, window)  # bytes of a line and its "\n"
-    lines, done, line = 0, 0, 0  # line: the offset of the first byte of the current line
-    with memoryview(buf) as view:
-        while got := fh.readinto(view[_PAD:_PAD + window]):
-            end = _PAD + got
-            # bytes behind ``end`` are NUL or of a window before, so ASCII
-            if not buf.isascii() or any(buf.find(c, _PAD, end) >= 0 for c in (b'"', b"\r", b"\0")):
-                return None
-            lines += np.count_nonzero(raw[_PAD:end] == ord("\n"))  # 6 times bytes.count's speed
-            # the line from ``line`` ends within ``longest`` bytes: steps to
-            # the last line end in reach, then to the window's last one
-            while done + got - line >= longest:
-                found = buf.rfind(b"\n", _PAD + max(line - done, 0), _PAD + line - done + longest)
-                if found < 0:
+    decoder = codecs.getincrementaldecoder("utf-8")(errors)
+    lines = done = line = longest = 0  # line: the offset of the first byte of the current line
+    try:
+        with memoryview(buf) as view:
+            while got := fh.readinto(view[_PAD:_PAD + window]):
+                end = _PAD + got
+                if any(buf.find(c, _PAD, end) >= 0 for c in (b'"', b"\r", b"\0")):
                     return None
-                line = done + found - _PAD + 1
-            found = buf.rfind(b"\n", _PAD, end)
-            if found >= 0:
-                line = done + found - _PAD + 1
-            done += got
-            last = buf[end - 1]
-    if done != size or not done:
-        return None
-    return lines - (last == ord("\n"))  # the last line may have no "\n"; less the header
+                # bytes behind ``end`` are NUL or of a window before
+                if not buf.isascii() or decoder.getstate()[0]:
+                    decoder.decode(buf[_PAD:end])
+                lines += np.count_nonzero(raw[_PAD:end] == ord("\n"))  # 6 times bytes.count's speed
+                found = buf.find(b"\n", _PAD, end)
+                if found >= 0:  # the end of the line that the window before cut
+                    longest = max(longest, done + found - _PAD + 1 - line)
+                    line = done + buf.rfind(b"\n", _PAD, end) - _PAD + 1
+                done += got
+        decoder.decode(b"", True)
+    except UnicodeDecodeError:
+        fh.seek(0)
+        str(fh.read(), "utf-8", errors)  # raises at the position in the whole text
+    if done == 3 * buf.startswith(b"\xef\xbb\xbf", _PAD):
+        return None  # csv.reader reads no header
+    if buf[end - 1] != ord("\n"):  # the last line, which pass 2 ends with a "\n"
+        lines += 1
+        longest = max(longest, done - line + 1)
+    return lines - 1, longest  # less the header
 
 
 def _file_chunks(fh, buf, size):
-    """Pass 2 over the file ``fh`` of ``size`` bytes that ``_scan`` took:
-    the header and, per window, the body cells and row widths, as
-    ``_row_chunks`` gives them.  Each window is read into ``buf`` behind the
-    part of a line that the window before left, and ends at its last
-    "\\n"; a "\\n" at ``_PAD - 1`` is the line end before a window's first
-    row.  Ends early if a window holds no line end (the file changed)."""
+    """Pass 2 over the ``size`` bytes of ``fh`` that ``_scan`` took: the
+    chunks of ``_row_chunks``.  Each window is read into ``buf`` behind the
+    part that the window before left, and ends at its last line end within
+    ``_PARSE_CHUNK`` bytes, before the first line of more than the csv
+    field limit; a line longer than either is a window of its own, so a
+    window's lines fit the limit if its first line does.  A window whose
+    first line does not, and every window if the header line does not, is
+    read by ``csv.reader``.  A "\\n" at ``_PAD - 1`` is the line end before
+    a window's first row.  Ends early if the text is shorter, or a buffer
+    of it holds no line end (it changed after ``_scan``)."""
     raw, header, rows, done, carry = np.frombuffer(buf, np.uint8), None, 0, 0, 0
-    window = len(buf) - _PAD - 8
+    window, limit = len(buf) - _PAD - 8, csv.field_size_limit()
     buf[_PAD - 1] = ord("\n")
     with memoryview(buf) as view:
-        while done < size:
+        while done < size or carry:
             got = fh.readinto(view[_PAD + carry:_PAD + min(window, carry + size - done)])
-            if not got:
-                return  # the file is shorter than it was: _read_windows finds rows missing
+            if not got and done < size:
+                return  # the text is shorter than it was: _read_windows finds rows missing
             done += got
             end = _PAD + carry + got
             if done == size and buf[end - 1] != ord("\n"):
                 buf[end] = ord("\n")  # the last line ends in the first byte behind the text
                 end += 1
-            start, stop = _PAD, buf.rfind(b"\n", _PAD, end) + 1
-            if not stop:
-                return
+            start = _PAD
             if header is None:
-                start = buf.find(b"\n", _PAD) + 1
-                header = _header(_csv_reader(buf, _PAD, start))
-            chunk = _split_rows(raw, start, stop, header) or _reader_rows(
+                first = _PAD + 3 * buf.startswith(b"\xef\xbb\xbf", _PAD)  # a byte order mark
+                start = buf.find(b"\n", first, end) + 1
+                if not start:
+                    return
+                header = _header(_csv_reader(buf, first, start))
+                plain = start - first <= limit + 1
+            stop, last = start, min(start + _PARSE_CHUNK, end)
+            while stop < last and (found := buf.rfind(b"\n", stop, min(stop + limit + 1, last)) + 1):
+                stop = found  # steps of at most limit + 1 bytes, each to a line end
+            if stop == start:
+                stop = buf.find(b"\n", start, end) + 1 or start
+            if stop == _PAD:
+                return
+            fits = plain and buf.find(b"\n", start, stop) - start <= limit
+            chunk = fits and _split_rows(raw, start, stop, header) or _reader_rows(
                 _csv_reader(buf, start, stop), header, rows)
             rows += chunk[2].size
             yield chunk
@@ -649,7 +658,7 @@ def _split_rows(raw, start, stop, header):
     "\\n", as ``_ByteCells``, with ``header`` and each row's width; or None.
 
     On text with no ``"``, ``\\r`` or NUL and no line longer than the csv
-    field limit (``_row_chunks`` and ``_scan`` see to both), plain means as
+    field limit (``_row_chunks`` and ``_file_chunks`` see to both), plain means as
     many commas on every line as on the header: there ``csv.reader``
     returns the same cells.  One scan of the UTF-8 bytes decides it: "," and "\\n" are
     single bytes that no longer character contains.  The same scan gives
@@ -859,14 +868,14 @@ class _IdBytes:
     @classmethod
     def joined(cls, parts):
         """The ids of ``parts`` (``_IdBytes``, or lists of ``str``) in order:
-        ``_IdBytes`` if every part is, else a list of ``str``."""
+        ``_IdBytes`` with gathered bytes if every part is (``_Columns.add``
+        joins parts only from a part with gathered bytes or ``str`` ids on),
+        else a list of ``str``."""
         if not all(isinstance(part, cls) for part in parts):
             return list(chain.from_iterable(map(_strings, parts)))
         words = [part.words for part in parts]
         words = None if any(w is None for w in words) else np.concatenate(words)
         length = np.concatenate([part.length for part in parts])
-        if all(part.gathered is None for part in parts):
-            return cls(length, words)
         return cls(length, words, np.concatenate([
             np.frombuffer(part.data(), np.uint8) if part.gathered is None else part.gathered
             for part in parts]))
@@ -917,69 +926,6 @@ def _csv_reader(buf, start, stop):
     """A ``csv.reader`` of the text of ``buf[start:stop]``."""
     text = str(memoryview(buf)[start:stop], "utf-8", "surrogatepass")
     return csv.reader(io.StringIO(text, newline=""))
-
-
-def _row_chunks(buf):
-    """The number of body rows of ``_buffer``'s ``buf``, and the header
-    (``_header``), body cells (``_Cells``) and row widths of each of its
-    windows of rows, in file order.  The header is checked before any body
-    row is read.
-
-    Text with a ``"``, a ``\\r`` or a NUL is one window read by
-    ``csv.reader``: a quoted cell may hold a line break, so it is never cut
-    at one.  Other text is cut at line ends into windows of about
-    ``_PARSE_CHUNK`` bytes (``_window_end``), each a view of ``buf`` read by
-    ``_split_rows`` with the header read once.  A ragged window, a line
-    over the csv field limit (a window of its own, so that ``csv.reader``
-    reports it after the rows before it are checked), and every window if
-    the header line is over that limit, is decoded and read by
-    ``csv.reader``.
-    """
-    start = _PAD + 3 * buf.startswith(b"\xef\xbb\xbf", _PAD)  # a byte order mark, as utf-8-sig
-    end = len(buf) - 8
-    if start == end or any(buf.find(c, start, end) >= 0 for c in (b'"', b"\r", b"\0")):
-        reader = _csv_reader(buf, start, end)
-        chunk = _reader_rows(reader, _header(reader))
-        return chunk[2].size, [chunk]
-    if buf[end - 1] != ord("\n"):  # the last line ends in the first byte behind the text
-        buf[end] = ord("\n")
-        end += 1
-    limit = csv.field_size_limit()
-    stop = buf.find(b"\n", start) + 1
-    header = _header(_csv_reader(buf, start, stop))
-    return buf.count(b"\n", stop, end), _windows(buf, header, stop, end, stop - start <= limit + 1)
-
-
-def _windows(buf, header, stop, end, plain):
-    """The chunks of ``_row_chunks`` of the plain text of ``buf`` from
-    ``stop`` to ``end``; ``plain`` is False if the header line is over the
-    csv field limit."""
-    raw, limit, rows = np.frombuffer(buf, np.uint8), csv.field_size_limit(), 0
-    while True:
-        start, stop = stop, _window_end(buf, stop, end, limit)
-        # its lines fit the field limit if its first line does (_window_end)
-        fits = plain and buf.find(b"\n", start, stop) - start <= limit
-        chunk = fits and _split_rows(raw, start, stop, header) or _reader_rows(
-            _csv_reader(buf, start, stop), header, rows)
-        rows += chunk[2].size
-        yield chunk
-        del chunk  # a window's cells go before the next window is read
-        if stop == end:
-            return
-
-
-def _window_end(buf, start, end, limit):
-    """The end of the window of rows from ``start``: its last line end
-    within ``_PARSE_CHUNK`` bytes, before the first line of more than
-    ``limit`` bytes.  A line that is longer than either is a window of its
-    own, so a window's lines fit ``limit`` if its first line does."""
-    stop, last = start, min(start + _PARSE_CHUNK, end)
-    while stop < last:  # steps of at most limit + 1 bytes, each to a line end
-        found = buf.rfind(b"\n", stop, min(stop + limit + 1, last)) + 1
-        if not found:
-            break
-        stop = found
-    return stop if stop > start else buf.find(b"\n", start, end) + 1 or end
 
 
 def _read_windows(rows, chunks, tie_policy):

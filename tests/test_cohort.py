@@ -32,8 +32,8 @@ from pafmsm import (
     to_transitions,
 )
 from pafmsm._bytes import _CSV_CHUNK, _short_decimals
-from pafmsm.cohort import (_ABSENT, EXIT_STATE, STATUSES, TransitionRow, _buffer, _ByteCells, _Cells,
-                           _row_chunks, _text_column)
+from pafmsm.cohort import (_ABSENT, EXIT_STATE, STATUSES, TransitionRow, _ByteCells, _Cells,
+                           _file_chunks, _row_chunks, _text_column)
 
 from test_cli import reference_columns
 from test_discrete import assert_same, reference_indicators
@@ -859,10 +859,10 @@ def parse_both_ways(text, **kwargs):
 def window_cells(text):
     """The cells of each window of rows that ``parse_cohort`` reads ``text``
     in, with windows of unbounded size; None for a window that raises."""
-    cells = []
+    cells, data = [], io.BytesIO(text.encode("utf-8", "surrogatepass"))
     with mock.patch.object(pafmsm.cohort, "_PARSE_CHUNK", sys.maxsize):
         try:
-            cells.extend(window for _, window, _ in _row_chunks(_buffer(io.StringIO(text)))[1])
+            cells.extend(window for _, window, _ in _row_chunks(data, "surrogatepass")[1])
         except ParseError:
             cells.append(None)
     return cells
@@ -1054,7 +1054,7 @@ def test_ties_in_a_later_chunk_are_shifted_in_file_order_or_rejected():
 def path_and_text(text, chunk, **kwargs):
     """The outcome of ``parse_cohort`` of a file that holds ``text``, with
     windows of ``chunk`` bytes, and whether the file was read in windows
-    (not whole by ``_buffer``); asserts that the outcome is that of
+    (not whole by ``csv.reader``); asserts that the outcome is that of
     ``text`` read as a ``str``.  An outcome is the columns, or a
     DataError's (type, message, row)."""
     def outcome(source):
@@ -1067,24 +1067,24 @@ def path_and_text(text, chunk, **kwargs):
         path = Path(tmp, "cohort.csv")
         path.write_bytes(text.encode("utf-8"))
         with mock.patch.object(pafmsm.cohort, "_PARSE_CHUNK", chunk), \
-                mock.patch.object(pafmsm.cohort, "_buffer", wraps=_buffer) as whole:
+                mock.patch.object(pafmsm.cohort, "_file_chunks", wraps=_file_chunks) as windows:
             by_path = outcome(path)
     assert by_path == outcome(io.StringIO(text))
-    return by_path, not whole.called
+    return by_path, windows.called
 
 
 LATE = HEADER + ROWS + rows("t")  # 25 lines of 11 to 14 bytes
 
 
 @pytest.mark.parametrize("text, windows", [
-    # read whole, from a late window on: each is found by the byte scan
+    # read whole by csv.reader, from a late window on: each is found by the byte scan
     (LATE + '"q",,5,death\n', False),
     (LATE + "q,,5,death\r\n", False),
     (LATE + "q\0r,,5,death\n", False),
-    (LATE + "é,,5,death\n", False),
-    (LATE + "q" * 120 + ",,5,death\n", False),  # a line longer than a window
-    ("\ufeff" + LATE, False),
     # read in windows
+    (LATE + "é,,5,death\n", True),
+    (LATE + "q" * 120 + ",,5,death\n", True),  # a line longer than a window
+    ("\ufeff" + LATE, True),
     (LATE, True),
     (LATE.rstrip("\n"), True),
     (HEADER + "\n\n" + ROWS + "\n , , , \n,,,\n" + rows("t") + "\n\n", True),
@@ -1113,16 +1113,20 @@ def test_a_file_read_in_windows_reads_as_its_text(text, windows):
         path_and_text(text, 64, tie_policy=TiePolicy.reject())
 
 
-def test_a_line_over_the_field_limit_in_a_late_window_reads_the_file_whole():
+def test_a_line_over_the_field_limit_in_a_late_window_is_a_window_of_its_own():
     text = HEADER + ROWS + "B,," + "9" * 41 + ",death\n" + rows("t")
     default = csv.field_size_limit()
     csv.field_size_limit(40)
+    by_reader = mock.patch.object(pafmsm.cohort, "_reader_rows", wraps=pafmsm.cohort._reader_rows)
     try:
-        got = path_and_text(text, 100)
+        with by_reader as reader:
+            got = path_and_text(text, 100)
         assert path_and_text(text.replace("9" * 41, "9" * 30), 100)[1]  # a line within it
     finally:
         csv.field_size_limit(default)
-    assert got == (("ParseError", "row 14: field larger than field limit (40)", 14), False)
+    assert got == (("ParseError", "row 14: field larger than field limit (40)", 14), True)
+    # the line alone, by path and as text: the rows before it were read from their bytes
+    assert [call.args[2] for call in reader.call_args_list] == [12, 12]
 
 
 @pytest.mark.parametrize("shift", [-1, 0, 1])
@@ -1136,22 +1140,22 @@ def test_a_window_may_end_at_a_line_end_or_a_byte_to_either_side(shift):
 
 def test_a_file_whose_size_changes_between_the_passes_is_read_whole(tmp_path):
     path = tmp_path / "cohort.csv"
-    path.write_text(LATE)
-    fstat, calls = os.fstat, []
+    scan = pafmsm.cohort._scan
+    # a row more; a header longer than the buffer that the first pass sized
+    for final in (LATE + "x,,5,death\n", HEADER[:-1] + "," + "c" * 61 + "\nx,,5,death,1\n"):
+        path.write_text(LATE)
 
-    def grown(fd):  # the size that a file written to after the first pass shows
-        result = fstat(fd)
-        calls.append(result.st_size)
-        if len(calls) == 1:
-            return result
-        return os.stat_result(result[:6] + (result.st_size + 1,) + result[7:])
+        def grown(*args):  # the file written to after the first pass
+            rows = scan(*args)
+            path.write_text(final)
+            return rows
 
-    with mock.patch.object(pafmsm.cohort, "_PARSE_CHUNK", 64), \
-            mock.patch.object(pafmsm.cohort, "_buffer", wraps=_buffer) as whole, \
-            mock.patch.object(os, "fstat", side_effect=grown):
-        cohort = parse_cohort(path)
-    assert whole.call_count == 1 and len(calls) == 3
-    assert cohort_columns(cohort) == cohort_columns(parse_cohort(LATE))
+        with mock.patch.object(pafmsm.cohort, "_PARSE_CHUNK", 64), \
+                mock.patch.object(pafmsm.cohort, "_scan", grown), \
+                mock.patch.object(pafmsm.cohort, "_row_chunks", wraps=_row_chunks) as reads:
+            cohort = parse_cohort(path)
+        assert reads.call_count == 2 and isinstance(reads.call_args.args[0], io.BytesIO)
+        assert cohort_columns(cohort) == cohort_columns(parse_cohort(final))
 
 
 LAST = HEADER + ROWS
@@ -1231,31 +1235,49 @@ def registry_text(**covariates):
 
 def test_parse_memory_stays_within_one_chunk_of_cells():
     # a parse holds the kept columns (1.5 MB: the ids stay bytes), the
-    # bytes of the text and the cells of one window: 5.2 MB; the cells of
+    # bytes of the text and the cells of one window: 4.68 MB; the cells of
     # the whole file took 19.5 MB, and the ids as strings 8.6 MB
-    assert parse_peak(registry_text()) < 7e6
+    assert parse_peak(registry_text()) < 4.92e6
 
 
 def test_parse_memory_of_1e5_registry_rows_stays_below_that_of_gathered_ids():
     # the bytes of the benchmark's 1e5-row registry file: 9.27 MB when every
-    # window gathered its ids' bytes, 8.68 MB with ids of up to 8 bytes as words
+    # window gathered its ids' bytes, 8.68 MB with ids of up to 8 bytes as
+    # words, and 4.96 MB read through a window buffer, not a copy of the bytes
     spec = HazardSpec.constant(0.05, 0.05, 0.02, 0.05, 0.03, tau=100, censor_rate=0.01)
     data = cohort_to_csv(simulate_cohort(spec, 100_000, seed=7)).encode()
-    assert parse_peak(data) < 9.0e6
+    assert parse_peak(data) < 5.21e6
 
 
-def test_parse_memory_of_text_is_that_of_the_same_file_read_whole(tmp_path):
-    # text is encoded once and copied into the parse buffer through a
-    # memoryview; a slice assignment to the buffer copied it once more
-    # first: 10.39 MB as text against 8.68 MB by path for 1e5 registry rows.
-    # A file that _scan takes is read a window at a time, and peaks lower
+def test_a_file_its_bytes_and_its_text_are_read_in_the_same_few_windows(tmp_path):
+    # a window costs about the same whatever its size: a parse reads as few
+    # as windows of _PARSE_CHUNK bytes cut at line ends allow
+    spec = HazardSpec.constant(0.05, 0.05, 0.02, 0.05, 0.03, tau=100, censor_rate=0.01)
+    text = cohort_to_csv(simulate_cohort(spec, 100_000, seed=1))
+    data = text.encode()
+    path = tmp_path / "registry.csv"
+    path.write_bytes(data)
+    longest = max(map(len, data.splitlines(keepends=True)))
+    windows = []
+    for source in (path, data, text):
+        with mock.patch.object(pafmsm.cohort, "_read_rows", wraps=pafmsm.cohort._read_rows) as read:
+            parse_cohort(source)
+        windows.append(read.call_count)
+    assert windows[0] <= math.ceil(len(data) / (pafmsm.cohort._PARSE_CHUNK - longest))
+    assert windows == [windows[0]] * 3
+
+
+def test_parse_memory_of_text_and_bytes_is_that_of_the_same_file_by_path(tmp_path):
+    # bytes are read through an io.BytesIO over them, and text once
+    # encoded, by the loop that reads a file; each read whole into one
+    # buffer peaked at 4.55 MB for these 50 000 rows, against 2.96 MB by path
     text = registry_text()
     path = tmp_path / "cohort.csv"
     path.write_text(text)
-    with mock.patch.object(pafmsm.cohort, "_scan", return_value=None):
-        whole = parse_peak(path)
-    assert parse_peak(text) <= 1.02 * whole
-    assert parse_peak(path) < 0.8 * whole
+    data = text.encode()
+    by_path = parse_peak(path)
+    assert parse_peak(data) <= 1.02 * by_path
+    assert parse_peak(text) <= 1.02 * (by_path + len(data))
 
 
 def test_csv_writer_memory_stays_within_four_times_the_file():
