@@ -557,7 +557,7 @@ def _scan(fh, buf, errors):
     except UnicodeDecodeError:
         fh.seek(0)
         str(fh.read(), "utf-8", errors)  # raises at the position in the whole text
-    if done == 3 * buf.startswith(b"\xef\xbb\xbf", _PAD):
+    if done == 3 * buf.startswith(codecs.BOM_UTF8, _PAD):
         return None  # csv.reader reads no header
     if buf[end - 1] != ord("\n"):  # the last line, which pass 2 ends with a "\n"
         lines += 1
@@ -574,8 +574,8 @@ def _file_chunks(fh, buf, size):
     window's lines fit the limit if its first line does.  A window whose
     first line does not, and every window if the header line does not, is
     read by ``csv.reader``.  A "\\n" at ``_PAD - 1`` is the line end before
-    a window's first row.  Ends early if the text is shorter, or a buffer
-    of it holds no line end (it changed after ``_scan``)."""
+    a window's first row.  Ends early if the text is shorter than ``size``
+    bytes or its first line does not fit ``buf`` (it changed after ``_scan``)."""
     raw, header, rows, done, carry = np.frombuffer(buf, np.uint8), None, 0, 0, 0
     window, limit = len(buf) - _PAD - 8, csv.field_size_limit()
     buf[_PAD - 1] = ord("\n")
@@ -591,7 +591,7 @@ def _file_chunks(fh, buf, size):
                 end += 1
             start = _PAD
             if header is None:
-                first = _PAD + 3 * buf.startswith(b"\xef\xbb\xbf", _PAD)  # a byte order mark
+                first = _PAD + 3 * buf.startswith(codecs.BOM_UTF8, _PAD)
                 start = buf.find(b"\n", first, end) + 1
                 if not start:
                     return
@@ -602,8 +602,6 @@ def _file_chunks(fh, buf, size):
                 stop = found  # steps of at most limit + 1 bytes, each to a line end
             if stop == start:
                 stop = buf.find(b"\n", start, end) + 1 or start
-            if stop == _PAD:
-                return
             fits = plain and buf.find(b"\n", start, stop) - start <= limit
             chunk = fits and _split_rows(raw, start, stop, header) or _reader_rows(
                 _csv_reader(buf, start, stop), header, rows)

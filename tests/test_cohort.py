@@ -102,6 +102,21 @@ def test_a_late_byte_that_is_not_utf8_is_reported_first_at_its_place_in_the_inpu
     assert info.value.row is None
 
 
+@pytest.mark.parametrize("data", [
+    # a character's first byte, then ASCII, then a byte that would end it
+    b"id,inf_time,end_time,end_status\nb\xc3" + b",,5,death\n" * 3 + b"c\xa9,,5,death\n",
+    b"id,inf_time,end_time,end_status\nb,,5,death\xc3",  # the input ends within a character
+], ids=["cut-character", "last-character-cut"])
+def test_bytes_that_are_not_utf8_across_windows_raise_at_their_place_in_the_input(data):
+    with pytest.raises(UnicodeDecodeError) as codec:
+        data.decode("utf-8")
+    for chunk in (1, 2, 3, 5, 8, 13, 21, 34, 64):
+        with mock.patch.object(pafmsm.cohort, "_PARSE_CHUNK", chunk), \
+                pytest.raises(ParseError) as info:
+            parse_cohort(data)
+        assert str(info.value) == f"input is not UTF-8 text: {codec.value}", chunk
+
+
 def test_a_bytes_path_that_is_not_utf8_raises_parse_error():
     with pytest.raises(ParseError) as info:
         parse_cohort(b"\xff")
@@ -126,7 +141,7 @@ def test_a_leading_byte_order_mark_is_skipped(tmp_path, kind):
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd to name a pipe by")
 def test_a_path_of_no_size_such_as_a_pipe_is_read_whole():
-    # the buffer is sized by fstat, which gives 0 for a pipe
+    # not a regular file: its bytes are read once, and parsed from an io.BytesIO
     read, write = os.pipe()
     os.write(write, CSV.encode())
     os.close(write)
@@ -1127,6 +1142,25 @@ def test_a_line_over_the_field_limit_in_a_late_window_is_a_window_of_its_own():
     assert got == (("ParseError", "row 14: field larger than field limit (40)", 14), True)
     # the line alone, by path and as text: the rows before it were read from their bytes
     assert [call.args[2] for call in reader.call_args_list] == [12, 12]
+
+
+def test_the_windows_beside_a_line_longer_than_a_window_stay_within_a_window(tmp_path):
+    # the buffer grows to hold the long line, a window of its own; the
+    # windows of the other rows are still cut within _PARSE_CHUNK bytes
+    split_rows, windows = pafmsm.cohort._split_rows, []
+
+    def sized(raw, start, stop, header):
+        windows.append((stop - start, raw[start:stop].tobytes().count(b"\n")))
+        return split_rows(raw, start, stop, header)
+
+    text = HEADER + ROWS + "q" * 200 + ",,5,death\n" + rows("t")
+    path = tmp_path / "cohort.csv"
+    path.write_text(text)
+    with mock.patch.object(pafmsm.cohort, "_PARSE_CHUNK", 64), \
+            mock.patch.object(pafmsm.cohort, "_split_rows", sized):
+        cohort = parse_cohort(path)
+    assert cohort_columns(cohort) == cohort_columns(parse_cohort(text))
+    assert (210, 1) in windows and all(size <= 64 for size, n in windows if n > 1)
 
 
 @pytest.mark.parametrize("shift", [-1, 0, 1])
